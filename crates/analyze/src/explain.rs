@@ -199,12 +199,6 @@ pub fn lint_info(code: &str) -> Option<&'static LintInfo> {
     LINTS.iter().find(|l| l.code.eq_ignore_ascii_case(code))
 }
 
-/// Returns the interned `&'static str` code for a code string, if known.
-/// The diagnostic cache needs this to rebuild `Diagnostic`s from disk.
-pub fn intern_code(code: &str) -> Option<&'static str> {
-    lint_info(code).map(|l| l.code)
-}
-
 /// Renders the `--explain` output for one code, or the full catalogue for
 /// `all`.
 pub fn render_explain(code: &str) -> Option<String> {
@@ -256,12 +250,5 @@ mod tests {
             assert!(all.contains(l.code), "{} missing from catalogue", l.code);
         }
         assert!(render_explain("NOPE999").is_none());
-    }
-
-    #[test]
-    fn intern_round_trips() {
-        assert_eq!(intern_code("TIM001"), Some("TIM001"));
-        assert_eq!(intern_code("tim001"), Some("TIM001"));
-        assert_eq!(intern_code("XXX"), None);
     }
 }

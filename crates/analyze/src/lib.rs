@@ -25,8 +25,7 @@
 //!
 //! The lint catalogue — one [`explain::LintInfo`] record per code — is
 //! rendered by `--explain CODE` (or `--explain all`); findings export as
-//! SARIF 2.1.0 via `--format sarif` ([`sarif`]), and repeated runs reuse a
-//! per-file mtime cache ([`cache`]).
+//! SARIF 2.1.0 via `--format sarif` ([`sarif`]).
 //!
 //! ## Lint catalogue
 //!
@@ -55,7 +54,6 @@
 #![forbid(unsafe_code)]
 
 pub mod allowlist;
-pub mod cache;
 pub mod explain;
 pub mod families;
 pub mod graph;
@@ -191,30 +189,11 @@ pub fn scan_source(path: &str, source: &str, scope: &Scope) -> Vec<Diagnostic> {
     scan_model(path, &FileModel::parse(source), scope)
 }
 
-/// What a workspace scan did, for the CLI's one-line status report.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ScanStats {
-    /// In-scope `.rs` files considered.
-    pub files: usize,
-    /// Files whose diagnostics came from the mtime cache.
-    pub cached: usize,
-}
-
 /// Scans every in-scope `.rs` file under the workspace `root`, in
 /// deterministic (sorted-path) order, plus the manifest-level layering
-/// lints from the workspace graph. Returns diagnostics sorted by
-/// (path, line, code).
-pub fn scan_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    scan_workspace_cached(root, &mut cache::Cache::disabled()).map(|(d, _)| d)
-}
-
-/// [`scan_workspace`] with a per-file mtime cache: files whose
-/// (mtime, size) are unchanged since the cache was written reuse their
-/// recorded diagnostics without being read or parsed.
-pub fn scan_workspace_cached(
-    root: &Path,
-    cache: &mut cache::Cache,
-) -> Result<(Vec<Diagnostic>, ScanStats), String> {
+/// lints from the workspace graph. Returns the diagnostics sorted by
+/// (path, line, code) and the number of files scanned.
+pub fn scan_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
     let mut files: Vec<PathBuf> = Vec::new();
     let crates_dir = root.join("crates");
     let mut src_roots = vec![root.join("src")];
@@ -235,7 +214,7 @@ pub fn scan_workspace_cached(
     }
     files.sort();
 
-    let mut stats = ScanStats::default();
+    let mut scanned = 0;
     let mut diags = Vec::new();
     for file in &files {
         let rel = file
@@ -246,26 +225,15 @@ pub fn scan_workspace_cached(
         let Some(scope) = scope_for(&rel) else {
             continue;
         };
-        stats.files += 1;
-        let stamp = cache::FileStamp::of(file);
-        if let Some(hit) = stamp.and_then(|st| cache.lookup(&rel, st)) {
-            stats.cached += 1;
-            diags.extend(hit);
-            continue;
-        }
+        scanned += 1;
         let source = std::fs::read_to_string(file).map_err(|e| format!("reading {rel}: {e}"))?;
-        let file_diags = scan_model(&rel, &FileModel::parse(&source), &scope);
-        if let Some(st) = stamp {
-            cache.store(&rel, st, &file_diags);
-        }
-        diags.extend(file_diags);
+        diags.extend(scan_source(&rel, &source, &scope));
     }
     // Manifest-level layering over the workspace graph (LAY002 / MET001).
-    // Manifests are few and tiny; they are never cached.
     let graph = WorkspaceGraph::load(root)?;
     diags.extend(graph.lint_manifests());
     diags.sort_by(|a, b| (a.path.as_str(), a.line, a.code).cmp(&(b.path.as_str(), b.line, b.code)));
-    Ok((diags, stats))
+    Ok((diags, scanned))
 }
 
 /// `MET001`: the metrics crate's `[dependencies]` must stay within

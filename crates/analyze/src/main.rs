@@ -9,8 +9,6 @@
 //! cargo run -p nowlab-analyze -- --explain all    # the whole lint table
 //! cargo run -p nowlab-analyze -- --root DIR       # scan another tree
 //! cargo run -p nowlab-analyze -- --allowlist F    # alternate allowlist
-//! cargo run -p nowlab-analyze -- --no-cache       # force a full re-parse
-//! cargo run -p nowlab-analyze -- --cache FILE     # alternate cache location
 //! ```
 //!
 //! Exit-code contract (the CI step depends on it): `0` when no
@@ -28,11 +26,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use nowlab_analyze::allowlist::Allowlist;
-use nowlab_analyze::cache::Cache;
-use nowlab_analyze::{explain, sarif, scan_workspace_cached, Severity};
+use nowlab_analyze::{explain, sarif, scan_workspace, Severity};
 
 const USAGE: &str = "usage: nowlab-analyze [--check] [--root DIR] [--allowlist FILE] \
-[--format text|sarif] [--output FILE] [--explain CODE|all] [--no-cache] [--cache FILE]";
+[--format text|sarif] [--output FILE] [--explain CODE|all]";
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -47,13 +44,10 @@ fn main() -> ExitCode {
     let mut format = Format::Text;
     let mut output: Option<PathBuf> = None;
     let mut explain_code: Option<String> = None;
-    let mut use_cache = true;
-    let mut cache_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => check = true,
-            "--no-cache" => use_cache = false,
             "--root" => match args.next() {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage_error("--root needs a value"),
@@ -80,10 +74,6 @@ fn main() -> ExitCode {
                 Some(v) => explain_code = Some(v),
                 None => return usage_error("--explain needs a lint code or `all`"),
             },
-            "--cache" => match args.next() {
-                Some(v) => cache_path = Some(PathBuf::from(v)),
-                None => return usage_error("--cache needs a value"),
-            },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -92,7 +82,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // `--explain` is a pure lookup: no scan, no cache, no allowlist.
+    // `--explain` is a pure lookup: no scan, no allowlist.
     if let Some(code) = explain_code {
         return match explain::render_explain(&code) {
             Some(text) => {
@@ -132,15 +122,8 @@ fn main() -> ExitCode {
         Allowlist::default()
     };
 
-    let cache_path = cache_path.unwrap_or_else(|| default_cache_path(&root));
-    let mut cache = if use_cache {
-        Cache::load(&cache_path)
-    } else {
-        Cache::disabled()
-    };
-
     let started = std::time::Instant::now();
-    let (diags, stats) = match scan_workspace_cached(&root, &mut cache) {
+    let (diags, files) = match scan_workspace(&root) {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("error: {e}");
@@ -148,14 +131,6 @@ fn main() -> ExitCode {
         }
     };
     let elapsed = started.elapsed();
-    if use_cache {
-        if let Some(dir) = cache_path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = cache.save(&cache_path) {
-            eprintln!("note: could not save cache {}: {e}", cache_path.display());
-        }
-    }
 
     let filtered = allowlist.apply(diags);
 
@@ -208,11 +183,8 @@ fn main() -> ExitCode {
     let warnings = filtered.kept.len() - errors;
     note(format!(
         "nowlab-analyze: {errors} error(s), {warnings} warning(s), {} allowlisted, \
-{} file(s) ({} cached) in {:.0?}",
+{files} file(s) in {elapsed:.0?}",
         filtered.suppressed.len(),
-        stats.files,
-        stats.cached,
-        elapsed,
     ));
 
     if check && (errors > 0 || !filtered.stale.is_empty()) {
@@ -220,12 +192,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Keeps the cache out of the source tree: it lives next to the build
-/// artifacts, so `cargo clean` (or a plain `rm -rf target`) resets it.
-fn default_cache_path(root: &Path) -> PathBuf {
-    root.join("target").join("nowlab-analyze.cache")
 }
 
 fn emit(output: Option<&Path>, body: &str) -> Result<(), ExitCode> {

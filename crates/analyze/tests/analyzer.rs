@@ -7,11 +7,8 @@
 use std::path::{Path, PathBuf};
 
 use nowlab_analyze::allowlist::Allowlist;
-use nowlab_analyze::cache::Cache;
 use nowlab_analyze::graph::Layer;
-use nowlab_analyze::{
-    sarif, scan_source, scan_workspace, scan_workspace_cached, Diagnostic, Scope, Severity,
-};
+use nowlab_analyze::{sarif, scan_source, scan_workspace, Diagnostic, Scope, Severity};
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -150,7 +147,7 @@ fn diagnostics_carry_file_and_line() {
 /// source-level LAY003, all from one `scan_workspace` call.
 #[test]
 fn ws_layering_fixture_surfaces_manifest_and_source_violations() {
-    let diags = scan_workspace(&fixture_path("ws_layering")).expect("fixture scan");
+    let (diags, _) = scan_workspace(&fixture_path("ws_layering")).expect("fixture scan");
     let got: Vec<(String, &str)> = diags.iter().map(|d| (d.path.clone(), d.code)).collect();
     assert_eq!(
         got,
@@ -178,31 +175,10 @@ fn ws_layering_fixture_surfaces_manifest_and_source_violations() {
     assert!(predict[0].message.contains("layer predict"));
 }
 
-/// A second scan through the same cache reuses every file's recorded
-/// diagnostics (and they match the uncached scan exactly).
-#[test]
-fn cached_rescan_is_complete_and_identical() {
-    let root = fixture_path("ws_layering");
-    let mut cache = Cache::empty();
-    let (first, stats1) = scan_workspace_cached(&root, &mut cache).expect("first scan");
-    assert_eq!(stats1.cached, 0);
-    assert!(stats1.files > 0);
-    let (second, stats2) = scan_workspace_cached(&root, &mut cache).expect("second scan");
-    assert_eq!(stats2.files, stats1.files);
-    assert_eq!(
-        stats2.cached, stats2.files,
-        "all files should hit the cache"
-    );
-    let render = |ds: &[nowlab_analyze::Diagnostic]| -> Vec<String> {
-        ds.iter().map(ToString::to_string).collect()
-    };
-    assert_eq!(render(&first), render(&second));
-}
-
 /// The SARIF stream carries every diagnostic with its rule and location.
 #[test]
 fn sarif_render_covers_every_diagnostic() {
-    let diags = scan_workspace(&fixture_path("ws_layering")).expect("fixture scan");
+    let (diags, _) = scan_workspace(&fixture_path("ws_layering")).expect("fixture scan");
     let sarif = sarif::render(&diags);
     assert!(sarif.contains("\"version\": \"2.1.0\""));
     for d in &diags {
@@ -235,7 +211,7 @@ fn readme_lint_table_matches_the_registry() {
 #[test]
 fn workspace_self_scan_is_clean_under_allowlist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let diags = scan_workspace(&root).expect("workspace scan");
+    let (diags, _) = scan_workspace(&root).expect("workspace scan");
     let allowlist_text = std::fs::read_to_string(root.join("analyze.toml")).expect("analyze.toml");
     let allowlist = Allowlist::parse(&allowlist_text).expect("allowlist parses");
     let filtered = allowlist.apply(diags);

@@ -36,9 +36,9 @@
 //! **Caveat (by design):** because the updates are not atomic RMWs, waking
 //! a task from a *different* OS thread than the one running [`Sim::run`]
 //! can lose or duplicate log entries. The executor has never supported
-//! cross-thread wakes — `Sim` itself is `!Send` — and the kernel
-//! benchmark (`engine_throughput`) plus the byte-identical replay suites
-//! pin the single-threaded behavior.
+//! cross-thread wakes — `Sim` itself is `!Send` — and the kernel count
+//! goldens (`tests/kernel_counts.rs`, the benchmark's `sim.*` probes) plus
+//! the byte-identical replay suites pin the single-threaded behavior.
 //!
 //! [`Sim::run`]: crate::Sim::run
 

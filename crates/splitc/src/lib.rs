@@ -10,8 +10,9 @@
 //!   (the read-based vs write-based distinction the paper leans on),
 //! * atomic fetch-add / compare-swap at the owner, and spin locks,
 //! * bulk put/get using the Active-Message bulk mechanism,
-//! * collectives: a dissemination [`Ctx::barrier`], [`Ctx::allreduce_sum`],
-//!   and a binomial-tree [`Ctx::broadcast_words`],
+//! * a dissemination [`Ctx::barrier`], and the `nowlab-coll` collectives:
+//!   [`Ctx::allreduce_sum`] (always the paper-era flat reduce) and the
+//!   model-selected `coll_*` family,
 //! * one-way user active messages into [`Memory`] mailboxes (task queues).
 //!
 //! Every remote operation pays the LogGP costs configured on the cluster, so

@@ -3,7 +3,7 @@
 //! Each simulated processor owns one [`Memory`]: a set of word-addressed
 //! regions (the distributed arrays of Split-C), a set of mailboxes (receive
 //! queues for user active messages), the dissemination-barrier counters, the
-//! reduction scratchpad, and an opaque application extension slot.
+//! collectives layer's state, and an opaque application extension slot.
 //!
 //! The [`Memory`] is installed as the processor's Active-Message user state,
 //! so handlers mutate it directly on the destination processor.
@@ -79,25 +79,6 @@ pub struct Memory {
     pub(crate) barrier_arrived: Vec<u64>,
     /// Barriers this processor has entered.
     pub(crate) barrier_gen: u64,
-    /// Reduction scratch: accumulated value (root only).
-    pub(crate) reduce_acc: u64,
-    /// Reduction scratch: contributions received (root only).
-    pub(crate) reduce_count: u64,
-    /// Latest broadcast reduction result.
-    pub(crate) reduce_result: u64,
-    /// Generation of `reduce_result`.
-    pub(crate) reduce_result_gen: u64,
-    /// Latest broadcast payload (binomial-tree broadcast collective).
-    pub(crate) bcast_data: Vec<u64>,
-    /// Generation of `bcast_data`.
-    pub(crate) bcast_gen: u64,
-    /// Broadcasts this processor has consumed. Kept separately from
-    /// `bcast_gen` because a broadcast can be *serviced* before the local
-    /// processor even enters `broadcast_words` (e.g. while it still waits
-    /// in the preceding barrier, if a lost barrier message delays it past
-    /// the broadcast's arrival) — a snapshot of `bcast_gen` taken on entry
-    /// would then wait for a generation that never comes.
-    pub(crate) bcast_taken: u64,
     /// The collectives layer's per-processor state (epoch counters and
     /// in-flight data; see [`nowlab_coll::CollState`]).
     pub(crate) coll: nowlab_coll::CollState,
@@ -124,13 +105,6 @@ impl Memory {
             mailboxes: Vec::new(),
             barrier_arrived: vec![0; rounds.max(1)],
             barrier_gen: 0,
-            reduce_acc: 0,
-            reduce_count: 0,
-            reduce_result: 0,
-            reduce_result_gen: 0,
-            bcast_data: Vec::new(),
-            bcast_gen: 0,
-            bcast_taken: 0,
             coll: nowlab_coll::CollState::default(),
             ext: None,
         }

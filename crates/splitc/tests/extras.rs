@@ -4,7 +4,7 @@
 
 use nowlab_am::{Knobs, NetConfig};
 use nowlab_sim::{SimDelta, SimTime};
-use nowlab_splitc::{run_spmd, GlobalPtr, SpmdConfig};
+use nowlab_splitc::{run_spmd, CollAlgo, CollConfig, GlobalPtr, SpmdConfig};
 
 #[test]
 fn bulk_scatter_deposits_noncontiguous_words() {
@@ -189,18 +189,24 @@ fn lock_backoff_jitter_desynchronizes_identical_spinners() {
     assert_eq!(outcome.expect_outputs()[0], 36);
 }
 
+/// A run whose broadcasts are pinned to the binomial tree (the selector
+/// would otherwise pick by payload size).
+fn binomial(procs: usize) -> SpmdConfig {
+    SpmdConfig::new(procs).with_coll(CollConfig::forced(CollAlgo::Binomial))
+}
+
 #[test]
 fn broadcast_reaches_every_processor_from_any_root() {
     for procs in [2usize, 5, 8, 13] {
         for root in [0usize, procs - 1, procs / 2] {
-            let outcome = run_spmd(&SpmdConfig::new(procs), move |ctx| async move {
+            let outcome = run_spmd(&binomial(procs), move |ctx| async move {
                 ctx.barrier().await;
                 let data = if ctx.me() == root {
                     vec![7, 8, 9, root as u64]
                 } else {
                     Vec::new()
                 };
-                let got = ctx.broadcast_words(root, data).await;
+                let got = ctx.coll_broadcast(root, data, 4).await;
                 ctx.barrier().await;
                 (got == vec![7, 8, 9, root as u64]) as u64
             });
@@ -214,9 +220,65 @@ fn broadcast_reaches_every_processor_from_any_root() {
 }
 
 #[test]
+fn back_to_back_broadcasts_need_no_barrier_between_them() {
+    // Epoch-keyed delivery: a second broadcast (different root, different
+    // length) issued straight after the first must not be confused with
+    // it, even where the second payload arrives first.
+    let outcome = run_spmd(&binomial(6), |ctx| async move {
+        let mut got = Vec::new();
+        for round in 0..4u64 {
+            let root = (round as usize * 5) % ctx.procs();
+            let n = 1 + round as usize;
+            let data = if ctx.me() == root {
+                vec![round; n]
+            } else {
+                Vec::new()
+            };
+            got.push(ctx.coll_broadcast(root, data, n).await);
+        }
+        got
+    });
+    let expect: Vec<Vec<u64>> = (0..4u64).map(|r| vec![r; 1 + r as usize]).collect();
+    for (i, got) in outcome.expect_outputs().into_iter().enumerate() {
+        assert_eq!(got, expect, "p{i}");
+    }
+}
+
+#[test]
+fn broadcast_serviced_before_the_receiver_enters_is_not_lost() {
+    // The overtaking regression (DESIGN.md §5): the payload can be
+    // *serviced* while the receiver is still busy with what precedes the
+    // call — here an idle wait that polls the network, standing in for a
+    // barrier held up by a retransmission. The receiver must find the
+    // parked payload on entry instead of waiting for one that already came.
+    let outcome = run_spmd(&binomial(5), |ctx| async move {
+        ctx.barrier().await;
+        if ctx.me() != 0 {
+            ctx.idle_until(ctx.now() + SimDelta::from_millis(1.0)).await;
+        }
+        let data = if ctx.me() == 0 {
+            vec![42; 8]
+        } else {
+            Vec::new()
+        };
+        let t0 = ctx.now();
+        let got = ctx.coll_broadcast(0, data, 8).await;
+        (got, ctx.now() - t0)
+    });
+    for (i, (got, waited)) in outcome.expect_outputs().into_iter().enumerate() {
+        assert_eq!(got, vec![42; 8], "p{i}");
+        // p4 is a leaf fed directly by the root: its payload was parked
+        // long before it asked, so the call returns without waiting.
+        if i == 4 {
+            assert_eq!(waited, SimDelta::ZERO, "p4 waited for a parked payload");
+        }
+    }
+}
+
+#[test]
 fn broadcast_uses_logarithmically_many_messages() {
     let count_for = |procs: usize| {
-        let outcome = run_spmd(&SpmdConfig::new(procs), move |ctx| async move {
+        let outcome = run_spmd(&binomial(procs), move |ctx| async move {
             ctx.barrier().await;
             if ctx.me() == 0 {
                 ctx.reset_measurement();
@@ -227,7 +289,7 @@ fn broadcast_uses_logarithmically_many_messages() {
             } else {
                 Vec::new()
             };
-            ctx.broadcast_words(0, data).await;
+            ctx.coll_broadcast(0, data, 16).await;
             ctx.barrier().await;
             if ctx.me() == 0 {
                 ctx.freeze_measurement();
@@ -246,7 +308,7 @@ fn broadcast_uses_logarithmically_many_messages() {
     );
 
     let time_for = |procs: usize| {
-        let outcome = run_spmd(&SpmdConfig::new(procs), move |ctx| async move {
+        let outcome = run_spmd(&binomial(procs), move |ctx| async move {
             ctx.barrier().await;
             let t0 = ctx.now();
             let data = if ctx.me() == 0 {
@@ -254,7 +316,7 @@ fn broadcast_uses_logarithmically_many_messages() {
             } else {
                 Vec::new()
             };
-            ctx.broadcast_words(0, data).await;
+            ctx.coll_broadcast(0, data, 16).await;
             (ctx.now() - t0).as_micros_f64()
         });
         outcome.expect_outputs().into_iter().fold(0.0f64, f64::max)

@@ -3,7 +3,7 @@
 
 use nowlab_am::{Knobs, NetConfig, Payload, ReplyData};
 use nowlab_sim::SimDelta;
-use nowlab_splitc::{run_spmd, GlobalPtr, SplitC, SpmdConfig};
+use nowlab_splitc::{run_spmd, CollAlgo, CollConfig, GlobalPtr, SplitC, SpmdConfig};
 
 #[test]
 fn reads_and_writes_cross_processors() {
@@ -96,6 +96,47 @@ fn allreduce_sums_everyones_contribution() {
     for (a, b) in outcome.expect_outputs() {
         assert_eq!(a, 36); // 1+2+..+8
         assert_eq!(b, 16);
+    }
+}
+
+/// The applications' reduce is the paper-era flat pattern, fixed: per call
+/// proc 0 issues P−1 requests (the result fan-out) and every other
+/// processor exactly one (its contribution, to proc 0) — whatever the
+/// run's collective policy says. Swapping `allreduce_sum` to the tree or
+/// to the model selector moves the apps' message pattern (and their
+/// sensitivity curves); this is the test that notices.
+#[test]
+fn allreduce_sum_is_always_the_flat_pattern() {
+    const P: usize = 7;
+    const CALLS: u64 = 3;
+    for coll in [CollConfig::default(), CollConfig::forced(CollAlgo::Tree)] {
+        // The body does nothing but reduce, so every message of the run
+        // belongs to the reductions.
+        let outcome = run_spmd(&SpmdConfig::new(P).with_coll(coll), |ctx| async move {
+            let mut sums = Vec::new();
+            for k in 0..CALLS {
+                sums.push(ctx.allreduce_sum(ctx.me() as u64 + k).await);
+            }
+            sums
+        });
+        for (me, c) in outcome.stats.per_proc.iter().enumerate() {
+            let requests = c.sends - c.replies_sent;
+            if me == 0 {
+                assert_eq!(requests, CALLS * (P as u64 - 1), "{coll:?}: root fan-out");
+            } else {
+                assert_eq!(requests, CALLS, "{coll:?}: p{me} contributions");
+                // Contribution plus the ack of the result, nothing else.
+                assert_eq!(c.sends, 2 * CALLS, "{coll:?}: p{me} total sends");
+                assert_eq!(
+                    c.per_dst[0], c.sends,
+                    "{coll:?}: p{me} talks to proc 0 only"
+                );
+            }
+        }
+        for (me, sums) in outcome.expect_outputs().into_iter().enumerate() {
+            // Σ_p (p + k) = 21 + 7k.
+            assert_eq!(sums, vec![21, 28, 35], "{coll:?}: p{me} sums");
+        }
     }
 }
 

@@ -15,19 +15,17 @@
 //! construction* (the seven component spans telescope to the message's
 //! end-to-end time), not a sampling estimate.
 //!
-//! The layer is **zero-cost when disabled**: producers hold an
-//! `Option<Rc<dyn TraceSink>>` and skip event construction entirely when
+//! The layer is **zero-cost when disabled**: producers hold a
+//! `OnceCell<Rc<dyn TraceSink>>` and skip event construction entirely when
 //! no sink is installed. Recording must never schedule events or advance
 //! virtual time, so a traced run is event-count- and result-identical to
 //! an untraced run.
 //!
-//! Three consumers are provided:
+//! Two consumers are provided:
 //!
 //! * [`TraceRecorder`] — assembles [`MsgRecord`] lifecycles and histogram
 //!   metrics into a [`TraceReport`].
 //! * [`chrome::write_chrome_trace`] — `about:tracing` / Perfetto JSON.
-//! * [`ring::RingSink`] — a compact fixed-size binary ring buffer that
-//!   keeps memory bounded on arbitrarily long runs.
 //!
 //! # Examples
 //!
@@ -57,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
-pub mod ring;
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};

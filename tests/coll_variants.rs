@@ -1,9 +1,10 @@
-//! Differential tests for the collectives crate: every algorithm variant
-//! must compute exactly what the hand-rolled splitc primitives compute on
-//! seeded payloads, and the full application suite must stay
-//! byte-identical across worker-pool sizes with collective traffic in the
-//! mix (the `--jobs` contract of `tests/parallel.rs`, extended to the
-//! coll layer).
+//! Correctness of every collective algorithm variant through the Split-C
+//! surface: each is checked against an independent oracle — the seeded
+//! payload recomputed locally, the arithmetic sum, or (all-to-all) a
+//! hand-rolled mailbox exchange — never against another collective. The
+//! full application suite must also stay byte-identical across
+//! worker-pool sizes with collective traffic in the mix (the `--jobs`
+//! contract of `tests/parallel.rs`, extended to the coll layer).
 
 use nowlab::apps::{suite_scaled, SuiteScale};
 use nowlab::core::{sweep_jobs, Axis, SimDelta};
@@ -34,7 +35,7 @@ const BCAST_POLICIES: [CollAlgo; 4] = [
 ];
 
 #[test]
-fn every_broadcast_variant_matches_the_handrolled_tree() {
+fn every_broadcast_variant_delivers_the_seeded_payload() {
     // 6 processors (not a power of two) and a root off processor 0
     // exercise the rank-rotation paths; 768 words spans two chain
     // segments at the 4 KiB fragment grain.
@@ -48,71 +49,60 @@ fn every_broadcast_variant_matches_the_handrolled_tree() {
                 } else {
                     Vec::new()
                 };
-                let hand = ctx.broadcast_words(root, data.clone()).await;
-                ctx.barrier().await;
-                let coll = ctx.coll_broadcast(root, data, n).await;
-                ctx.barrier().await;
-                (hand == coll, coll == words(42, n))
+                ctx.coll_broadcast(root, data, n).await
             });
-            for (i, (matches_hand, matches_seed)) in
-                outcome.expect_outputs().into_iter().enumerate()
-            {
+            for (i, got) in outcome.expect_outputs().into_iter().enumerate() {
                 assert!(
-                    matches_hand,
-                    "{policy} n={n}: p{i} diverged from hand-rolled"
+                    got == words(42, n),
+                    "{policy} n={n}: p{i} payload corrupted"
                 );
-                assert!(matches_seed, "{policy} n={n}: p{i} payload corrupted");
             }
         }
     }
 }
 
 #[test]
-fn every_reduce_variant_matches_the_handrolled_reduction() {
+fn every_reduce_variant_computes_the_arithmetic_sum() {
     for policy in [CollAlgo::Auto, CollAlgo::Flat, CollAlgo::Tree] {
         let cfg = SpmdConfig::new(7).with_coll(CollConfig::forced(policy));
         let outcome = run_spmd(&cfg, move |ctx| async move {
             let mine = words(ctx.me() as u64 + 1, 1)[0];
-            let hand = ctx.allreduce_sum(mine).await;
-            let coll = ctx.coll_allreduce_sum(mine).await;
+            let first = ctx.coll_allreduce_sum(mine).await;
             // A second round must not see stale epoch state.
-            let coll2 = ctx.coll_allreduce_sum(mine ^ 0xFF).await;
-            (hand == coll, coll2)
+            let second = ctx.coll_allreduce_sum(mine ^ 0xFF).await;
+            (first, second)
         });
-        let expect2: u64 = (0..7)
-            .map(|p| words(p + 1, 1)[0] ^ 0xFF)
-            .fold(0, u64::wrapping_add);
-        for (i, (matches_hand, second)) in outcome.expect_outputs().into_iter().enumerate() {
-            assert!(matches_hand, "{policy}: p{i} sum diverged from hand-rolled");
-            assert_eq!(second, expect2, "{policy}: p{i} second-epoch sum wrong");
+        let sum_of = |mask: u64| {
+            (0..7)
+                .map(|p| words(p + 1, 1)[0] ^ mask)
+                .fold(0, u64::wrapping_add)
+        };
+        for (i, (first, second)) in outcome.expect_outputs().into_iter().enumerate() {
+            assert_eq!(first, sum_of(0), "{policy}: p{i} sum wrong");
+            assert_eq!(
+                second,
+                sum_of(0xFF),
+                "{policy}: p{i} second-epoch sum wrong"
+            );
         }
     }
 }
 
 #[test]
-fn every_allgather_variant_matches_broadcast_composition() {
-    // The hand-rolled baseline: P successive broadcasts, one per root —
-    // semantically an allgather built from the primitive splitc exposes.
+fn every_allgather_variant_collects_every_peer_block() {
     for policy in [CollAlgo::Auto, CollAlgo::Ring, CollAlgo::Direct] {
         let cfg = SpmdConfig::new(5).with_coll(CollConfig::forced(policy));
         let outcome = run_spmd(&cfg, move |ctx| async move {
-            let n = 64;
-            let mine = words(0x5EED + ctx.me() as u64, n);
-            let mut hand: Vec<Vec<u64>> = Vec::new();
-            for root in 0..ctx.procs() {
-                let data = if ctx.me() == root {
-                    mine.clone()
-                } else {
-                    Vec::new()
-                };
-                hand.push(ctx.broadcast_words(root, data).await);
-                ctx.barrier().await;
-            }
-            let coll = ctx.coll_allgather(&mine).await;
-            coll == hand
+            let mine = words(0x5EED + ctx.me() as u64, 64);
+            ctx.coll_allgather(&mine).await
         });
-        for (i, ok) in outcome.expect_outputs().into_iter().enumerate() {
-            assert!(ok, "{policy}: p{i} allgather diverged from broadcasts");
+        // Every peer's block is a pure function of its id: recompute.
+        let expect: Vec<Vec<u64>> = (0..5).map(|q| words(0x5EED + q, 64)).collect();
+        for (i, got) in outcome.expect_outputs().into_iter().enumerate() {
+            assert!(
+                got == expect,
+                "{policy}: p{i} allgather lost or moved a block"
+            );
         }
     }
 }
