@@ -129,16 +129,16 @@ pub fn predict_app(
         .map_err(|e| format!("{}: {e}", app.name()))?;
     let mut warnings: Vec<String> = analysis.warnings().to_vec();
 
-    // Flatten every axis's grid into one work list so a single
-    // parallel_map covers all points regardless of how axes divide.
-    let mut grid: Vec<(usize, f64, nowlab_am::NetConfig)> = Vec::new();
+    // Flatten every axis's grid into one work list so the points divide
+    // evenly over the workers regardless of how the axes divide.
+    let mut grid: Vec<(usize, f64)> = Vec::new();
+    let mut cfgs: Vec<nowlab_am::NetConfig> = Vec::new();
     for (i, &axis) in axes.iter().enumerate() {
         for desired in axis.paper_values() {
             match axis.knobs_for(&spec.net.machine, desired) {
                 Some(knobs) => {
-                    let mut cfg = spec.net;
-                    cfg.knobs = knobs;
-                    grid.push((i, desired, cfg));
+                    grid.push((i, desired));
+                    cfgs.push(spec.net.with_knobs(knobs));
                 }
                 None => warnings.push(format!(
                     "{}: {desired} is faster than the baseline; skipped",
@@ -147,7 +147,13 @@ pub fn predict_app(
             }
         }
     }
-    let runtimes = parallel_map(jobs, &grid, |_, (_, _, cfg)| analysis.predict_runtime(cfg));
+    // One contiguous chunk per worker: a chunk is evaluated over a single
+    // node-times buffer, and every point costs the same pass over the DAG.
+    let chunks: Vec<&[nowlab_am::NetConfig]> = cfgs
+        .chunks(cfgs.len().div_ceil(jobs.max(1)).max(1))
+        .collect();
+    let runtimes =
+        parallel_map(jobs, &chunks, |_, chunk| analysis.predict_runtimes(chunk)).concat();
 
     let base_ns = baseline.as_nanos() as f64;
     let mut curves: Vec<AxisPrediction> = axes
@@ -158,7 +164,7 @@ pub fn predict_app(
             threshold: None,
         })
         .collect();
-    for (&(i, desired, _), &runtime) in grid.iter().zip(&runtimes) {
+    for (&(i, desired), &runtime) in grid.iter().zip(&runtimes) {
         curves[i].points.push(PredictPoint {
             desired,
             runtime,
@@ -189,6 +195,13 @@ pub fn predict_app(
     })
 }
 
+/// Drops the two characters that would end or escape a JSON string. Every
+/// label the writer emits is ASCII, but an application name or a phase
+/// label may hold either character.
+fn clean(label: &str) -> String {
+    label.chars().filter(|&c| c != '"' && c != '\\').collect()
+}
+
 impl Prediction {
     /// Writes the versioned `"kind":"predict"` report.
     ///
@@ -199,7 +212,7 @@ impl Prediction {
         write!(
             w,
             r#"{{"schema":"{SCHEMA_NAME}","version":{SCHEMA_VERSION},"kind":"predict","app":"{}","procs":{},"seed":{},"baseline_ns":{},"tolerance":{TOLERANCE},"#,
-            self.app,
+            clean(&self.app),
             self.procs,
             self.seed,
             self.baseline.as_nanos()
@@ -213,10 +226,7 @@ impl Prediction {
             if i > 0 {
                 write!(w, ",")?;
             }
-            // Warnings are generated in-crate from ASCII templates; strip
-            // the two JSON-special characters defensively anyway.
-            let clean: String = warn.chars().filter(|&c| c != '"' && c != '\\').collect();
-            write!(w, r#""{clean}""#)?;
+            write!(w, r#""{}""#, clean(warn))?;
         }
         write!(w, r#"],"axes":["#)?;
         for (i, curve) in self.axes.iter().enumerate() {
@@ -274,7 +284,7 @@ impl Prediction {
             write!(
                 w,
                 "\n  {{\"phase\":\"{}\",\"total_ns\":{},\"buckets\":[",
-                row.label,
+                clean(&row.label),
                 row.total.as_nanos()
             )?;
             for (j, d) in row.buckets.iter().enumerate() {
@@ -545,6 +555,15 @@ mod tests {
         assert!(text.contains("70.0%"));
         assert!(text.contains("30.0%"));
         assert!(!text.contains("0.0us"));
+
+        // Names that carry the JSON-special characters still produce a
+        // file the renderer parses.
+        let mut p = sample();
+        p.app = r#"To"y"#.into();
+        p.breakdown.phases[0].label = r#"sort "keys"\"#.into();
+        let text = p.render();
+        assert!(text.contains("predicted from one traced run: Toy"));
+        assert!(text.contains("sort keys"));
     }
 
     #[test]

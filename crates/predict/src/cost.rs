@@ -14,6 +14,8 @@
 //!   layer's `inject_with`), so they track `g` and `G` exactly instead of
 //!   replaying frozen baseline waits.
 
+use std::collections::BTreeMap;
+
 use nowlab_am::{LatencyMode, NetConfig};
 use nowlab_sim::SimDelta;
 
@@ -88,7 +90,7 @@ impl Bucket {
 }
 
 /// Symbolic cost of one DAG edge.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Cost {
     /// Ordering only (program order, injection, visibility→pop).
     Zero,
@@ -163,6 +165,17 @@ fn reprice(measured: SimDelta, now: SimDelta, base: SimDelta) -> SimDelta {
 }
 
 impl Cost {
+    /// The measured baseline span the cost carries (zero for the kinds
+    /// that are recomputed from the model alone).
+    fn span(self) -> SimDelta {
+        match self {
+            Cost::Compute(d) | Cost::Idle(d) | Cost::OSend(d) | Cost::ORecv(d) => d,
+            Cost::Zero | Cost::TxFree { .. } | Cost::Transit { .. } | Cost::RxChain => {
+                SimDelta::ZERO
+            }
+        }
+    }
+
     /// The edge weight under `cfg`, with `base` the configuration of the
     /// recorded run.
     pub(crate) fn price(self, cfg: &NetConfig, base: &NetConfig) -> SimDelta {
@@ -197,6 +210,104 @@ impl Cost {
                 [(Bucket::Dma, dma), (Bucket::Wire, wire_span(cfg))]
             }
             Cost::RxChain => [(Bucket::RxGap, self.price(cfg, base)), zero],
+        }
+    }
+}
+
+/// The price classes of a compiled DAG.
+///
+/// Two edges are in one class when their costs differ only in the measured
+/// span they carry, so that under any `cfg` both are priced
+/// `span.saturating_add_signed(Δ)` with one `Δ` per class: zero for the
+/// invariant kinds, the signed overhead difference for `OSend`/`ORecv`,
+/// and the whole span for the NIC kinds (which carry no measured part).
+/// `Δ` comes from [`Cost::price`] on a class representative, so the model
+/// is still written down once.
+pub(crate) struct Classes {
+    base: NetConfig,
+    /// One representative per class, indexed by class id.
+    reps: Vec<Cost>,
+    /// Payload size → class of `TxFree { bytes }`; `Transit { bytes }` is
+    /// the next id. Ids follow first use, so they repeat from run to run.
+    by_bytes: BTreeMap<u32, u32>,
+    /// The size looked up last (consecutive messages mostly share it).
+    last: Option<(u32, u32)>,
+}
+
+impl Classes {
+    pub(crate) fn new(base: &NetConfig) -> Self {
+        let zero = SimDelta::ZERO;
+        Classes {
+            base: *base,
+            // The overhead representatives carry the baseline overhead as
+            // their span: `reprice` then cannot saturate, and `table`
+            // reads the exact signed difference off them.
+            reps: vec![
+                Cost::Zero,
+                Cost::Compute(zero),
+                Cost::Idle(zero),
+                Cost::OSend(base.eff_o_send()),
+                Cost::ORecv(base.eff_o_recv()),
+                Cost::RxChain,
+            ],
+            by_bytes: BTreeMap::new(),
+            last: None,
+        }
+    }
+
+    /// The configuration of the recorded run.
+    pub(crate) fn base(&self) -> &NetConfig {
+        &self.base
+    }
+
+    /// Splits `cost` into its class id and measured span, ns.
+    pub(crate) fn intern(&mut self, cost: Cost) -> (u32, u64) {
+        match cost {
+            Cost::Zero => (0, 0),
+            Cost::Compute(d) => (1, d.as_nanos()),
+            Cost::Idle(d) => (2, d.as_nanos()),
+            Cost::OSend(d) => (3, d.as_nanos()),
+            Cost::ORecv(d) => (4, d.as_nanos()),
+            Cost::RxChain => (5, 0),
+            Cost::TxFree { bytes } => (self.sized(bytes), 0),
+            Cost::Transit { bytes } => (self.sized(bytes) + 1, 0),
+        }
+    }
+
+    fn sized(&mut self, bytes: u32) -> u32 {
+        match self.last {
+            Some((b, id)) if b == bytes => id,
+            _ => {
+                let next = self.reps.len() as u32;
+                let id = *self.by_bytes.entry(bytes).or_insert(next);
+                if id == next {
+                    self.reps.push(Cost::TxFree { bytes });
+                    self.reps.push(Cost::Transit { bytes });
+                }
+                self.last = Some((bytes, id));
+                id
+            }
+        }
+    }
+
+    /// `Δ` of every class under `cfg`, indexed by class id.
+    pub(crate) fn table(&self, cfg: &NetConfig) -> Vec<i64> {
+        let signed = |d: SimDelta| i64::try_from(d.as_nanos()).unwrap_or(i64::MAX);
+        self.reps
+            .iter()
+            .map(|rep| signed(rep.price(cfg, &self.base)) - signed(rep.span()))
+            .collect()
+    }
+
+    /// The symbolic cost of an edge of `class` carrying `span` ns.
+    pub(crate) fn cost(&self, class: u32, span: u64) -> Cost {
+        let d = SimDelta::from_nanos(span);
+        match self.reps[class as usize] {
+            Cost::Compute(_) => Cost::Compute(d),
+            Cost::Idle(_) => Cost::Idle(d),
+            Cost::OSend(_) => Cost::OSend(d),
+            Cost::ORecv(_) => Cost::ORecv(d),
+            nic_or_zero => nic_or_zero,
         }
     }
 }

@@ -88,7 +88,6 @@ impl std::error::Error for PredictError {}
 /// (`Send + Sync`): grid points can be evaluated from worker threads.
 pub struct Analysis {
     dag: dag::Dag,
-    baseline_cfg: NetConfig,
     baseline_runtime: SimDelta,
     warnings: Vec<String>,
 }
@@ -135,7 +134,8 @@ pub fn analyze(
         );
     }
     let graph = dag::build(report, cfg, procs, &mut warnings)?;
-    let times = graph.times(cfg);
+    let mut times = Vec::new();
+    graph.times_into(cfg, &mut times);
     graph.validate(&times)?;
     let span = graph.span(&times);
     if span != measured_runtime {
@@ -148,7 +148,6 @@ pub fn analyze(
     }
     Ok(Analysis {
         dag: graph,
-        baseline_cfg: *cfg,
         baseline_runtime: measured_runtime,
         warnings,
     })
@@ -173,7 +172,7 @@ impl Analysis {
 
     /// The configuration of the recorded run.
     pub fn baseline_cfg(&self) -> &NetConfig {
-        &self.baseline_cfg
+        self.dag.base()
     }
 
     /// Non-fatal observations from DAG assembly.
@@ -194,14 +193,24 @@ impl Analysis {
     /// Predicted measured-region runtime under `cfg`, by re-pricing every
     /// edge and re-evaluating the longest path — no simulation.
     pub fn predict_runtime(&self, cfg: &NetConfig) -> SimDelta {
-        let times = self.dag.times(cfg);
-        self.dag.span(&times)
+        self.predict_runtimes(std::slice::from_ref(cfg))[0]
+    }
+
+    /// [`Analysis::predict_runtime`] at every configuration of `cfgs`, in
+    /// order, over one node-times buffer.
+    pub fn predict_runtimes(&self, cfgs: &[NetConfig]) -> Vec<SimDelta> {
+        let mut times = Vec::new();
+        cfgs.iter()
+            .map(|cfg| {
+                self.dag.times_into(cfg, &mut times);
+                self.dag.span(&times)
+            })
+            .collect()
     }
 
     /// Predicted runtime plus critical-path attribution under `cfg`.
     pub fn breakdown(&self, cfg: &NetConfig) -> PathBreakdown {
-        let times = self.dag.times(cfg);
-        self.dag.breakdown(cfg, &times)
+        self.dag.breakdown(cfg)
     }
 }
 
