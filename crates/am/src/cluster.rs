@@ -22,7 +22,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-use nowlab_metrics::MetricsSink;
 use nowlab_sim::{HookId, Notify, Sim, SimDelta, SimTime};
 use nowlab_trace::{MsgKind, SendEvent, TraceEvent, TraceSink, VisibleEvent};
 
@@ -277,13 +276,11 @@ pub(crate) struct ClusterInner {
     pub handlers: RefCell<Vec<Handler>>,
     pub stats_epoch: Cell<SimTime>,
     pub frozen_stats: RefCell<Option<CommStats>>,
-    /// Optional lifecycle observer. When empty (the default) the hot path
-    /// pays one pointer check per hook and constructs nothing.
+    /// The one observer cell: every consumer of the event stream (trace
+    /// recorder, metrics recorder, or a fan-out of both) sits behind it.
+    /// When empty (the default) the hot path pays one pointer check per
+    /// hook and constructs nothing.
     pub trace: OnceCell<Rc<dyn TraceSink>>,
-    /// Optional metrics observer (utilization timelines). Same discipline
-    /// as `trace`: one pointer check per hook when empty, pure
-    /// observation when installed.
-    pub metrics: OnceCell<Rc<dyn MetricsSink>>,
     /// Deterministic trace-id well: advances once per port-constructed
     /// message whether or not a sink is installed, so tracing cannot
     /// perturb a run.
@@ -385,7 +382,6 @@ impl AmCluster {
                 stats_epoch: Cell::new(SimTime::ZERO),
                 frozen_stats: RefCell::new(None),
                 trace: OnceCell::new(),
-                metrics: OnceCell::new(),
                 trace_ids: Cell::new(0),
                 control_done: Cell::new(false),
                 abort_on_death: Cell::new(false),
@@ -443,14 +439,6 @@ impl AmCluster {
     /// untraced runs.
     pub fn set_trace_sink(&self, sink: Rc<dyn TraceSink>) {
         let _ = self.inner.trace.set(sink);
-    }
-
-    /// Installs a metrics observer (see [`MetricsSink`]). The first
-    /// installation wins; later calls are ignored. Like tracing, metrics
-    /// hooks are passive: a metered run is event-count- and
-    /// result-identical to an unmetered one.
-    pub fn set_metrics_sink(&self, sink: Rc<dyn MetricsSink>) {
-        let _ = self.inner.metrics.set(sink);
     }
 
     /// Number of processors.
@@ -606,18 +594,11 @@ impl ClusterInner {
     }
 
     /// Hands a message to the source NIC at the current instant; computes
-    /// injection and transit times and schedules delivery. The caller has
-    /// just paid `o_send` on the host processor (retransmission timers
-    /// charge it out of band and use [`ClusterInner::inject_with`]).
-    pub(crate) fn inject(self: &Rc<Self>, msg: Msg) {
-        let o_send = self.cfg.eff_o_send();
-        self.inject_with(msg, o_send);
-    }
-
-    /// [`ClusterInner::inject`] with an explicit just-paid send overhead
-    /// (attributed to the message's trace record; zero for timer-driven
-    /// retransmissions).
-    pub(crate) fn inject_with(self: &Rc<Self>, msg: Msg, o_send: SimDelta) {
+    /// injection and transit times and schedules delivery. `o_send` is the
+    /// send overhead the host processor just paid for it (attributed to
+    /// the message's trace record; zero for timer-driven retransmissions,
+    /// which charge theirs out of band).
+    pub(crate) fn inject(self: &Rc<Self>, msg: Msg, o_send: SimDelta) {
         let cfg = &self.cfg;
         let now = self.sim.now();
         let src = &self.procs[msg.src];
@@ -641,41 +622,13 @@ impl ClusterInner {
             }
         }
 
-        // Transmit-context occupancy.
+        // Transmit-context occupancy: `nic_tx_free` serializes the
+        // `[start, tx_free)` spans, so they never overlap.
         let start = now.max(src.nic_tx_free.get());
         let payload_bytes = msg.payload.wire_bytes();
-        let (wire_done, tx_free) = if payload_bytes == 0 {
-            // Short message: injected instantaneously at `start`; the tx
-            // loop then stalls for the (possibly inflated) gap.
-            (start, start + cfg.eff_gap())
-        } else {
-            // Bulk: fragments of up to `frag_bytes`; each occupies the DMA
-            // engine for (G+ΔG)·size (at least the base per-message gap),
-            // then the added-gap knob stalls the loop.
-            let mut t = start;
-            let mut remaining = payload_bytes;
-            let mut last_done = start;
-            while remaining > 0 {
-                let frag = remaining.min(cfg.frag_bytes);
-                remaining -= frag;
-                let dma = cfg.eff_gap_per_byte() * u64::from(frag);
-                let busy = dma.max(self.cfg.machine.gap);
-                last_done = t + busy;
-                t = last_done + cfg.knobs.d_g;
-            }
-            (last_done, t)
-        };
+        let (dma, busy) = cfg.tx_spans(payload_bytes);
+        let (wire_done, tx_free) = (start + dma, start + busy);
         src.nic_tx_free.set(tx_free);
-        if let Some(m) = self.metrics.get() {
-            // The send context is busy from DMA start to loop release;
-            // `nic_tx_free` serializes these spans, so they never overlap.
-            m.nic_tx(msg.src, start, tx_free);
-            m.window_depth(
-                msg.src,
-                self.cfg.window.saturating_sub(src.credits.get()) as usize,
-                now,
-            );
-        }
 
         // Transit. With the delay queue the added latency is applied here
         // (equivalent to deferring the presence bit at the receiver); with
@@ -684,6 +637,27 @@ impl ClusterInner {
         let mut arrival = match cfg.latency_mode {
             crate::LatencyMode::DelayQueue => wire_done + cfg.eff_latency(),
             crate::LatencyMode::SlowRxPath => wire_done + cfg.machine.latency,
+        };
+
+        // All sender-side timestamps are known here, so one event carries
+        // the whole injection — delivered or dropped. Built only when an
+        // observer is installed; pure observation, nothing is scheduled
+        // and no simulation state is touched.
+        let attempt = |arrival| SendEvent {
+            id: msg.trace,
+            src: msg.src,
+            dst: msg.dst,
+            reply: msg.dir == Dir::Reply,
+            kind: trace_kind(msg.mark),
+            bytes: payload_bytes,
+            o_send,
+            inject: now,
+            tx_start: start,
+            wire_done,
+            tx_free,
+            arrival,
+            in_flight: cfg.window.saturating_sub(src.credits.get()),
+            timer_depth: self.sim.pending_timers() as u32,
         };
 
         // Fault injection. The sender has already paid full LogGP send
@@ -709,10 +683,7 @@ impl ClusterInner {
             if lost {
                 src.counters.borrow_mut().drops += 1;
                 if let Some(sink) = self.trace.get() {
-                    sink.record(&TraceEvent::Drop {
-                        id: msg.trace,
-                        at: now,
-                    });
+                    sink.record(&TraceEvent::Drop(attempt(arrival)));
                 }
                 return;
             }
@@ -730,29 +701,8 @@ impl ClusterInner {
             arrival += faults.jitter(msg.src, msg.dst, nonce, 0);
         }
 
-        // Tracing: all sender-side timestamps are known here, so one
-        // event carries the whole injection. Pure observation — nothing
-        // is scheduled and no simulation state is touched.
         if let Some(sink) = self.trace.get() {
-            sink.record(&TraceEvent::Send(SendEvent {
-                id: msg.trace,
-                src: msg.src,
-                dst: msg.dst,
-                reply: msg.dir == Dir::Reply,
-                kind: trace_kind(msg.mark),
-                bytes: payload_bytes,
-                o_send,
-                inject: now,
-                tx_start: start,
-                wire_done,
-                arrival,
-                in_flight: self.cfg.window.saturating_sub(src.credits.get()),
-                timer_depth: self.sim.pending_timers() as u32,
-            }));
-        }
-
-        if let Some(m) = self.metrics.get() {
-            m.wire(msg.src, msg.dst, wire_done, arrival);
+            sink.record(&TraceEvent::Send(attempt(arrival)));
         }
         self.schedule_deliver(arrival, msg);
     }
@@ -849,34 +799,29 @@ impl ClusterInner {
             entry.attempts += 1;
             entry.msg.clone()
         };
+        // The retransmission is driven from the timer, so its send
+        // overhead is charged interrupt-style: o_time accrues without
+        // blocking the (possibly computing) processor.
+        let o_send = self.cfg.node_faults.scale(src, self.cfg.eff_o_send());
         {
-            // The retransmission is driven from the timer, so its send
-            // overhead is charged interrupt-style: o_time accrues without
-            // blocking the (possibly computing) processor.
             let mut c = ep.counters.borrow_mut();
             c.timeouts += 1;
             c.retransmits += 1;
-            c.o_time += self.cfg.node_faults.scale(src, self.cfg.eff_o_send());
+            c.o_time += o_send;
         }
         if let Some(sink) = self.trace.get() {
             sink.record(&TraceEvent::Retransmit {
                 id: msg.trace,
                 attempt: attempt + 1,
-                o_send: self.cfg.eff_o_send(),
+                o_send,
                 at: self.sim.now(),
             });
-        }
-        if let Some(m) = self.metrics.get() {
-            // Counted, not timed: the interrupt-style o_send charge above
-            // overlaps whatever the processor was doing, so it cannot be
-            // a span in the conserving per-processor timeline.
-            m.retransmit(src, self.sim.now());
         }
         msg.ack = self.ack_watermark(src, dst);
         // The interrupt-style overhead above does not precede the
         // injection in time, so the retry's attributed o_send is zero
         // (the Retransmit event reports the out-of-band charge).
-        self.inject_with(msg, SimDelta::ZERO);
+        self.inject(msg, SimDelta::ZERO);
         self.arm_retransmit(src, dst, req, attempt + 1);
     }
 
@@ -1065,25 +1010,25 @@ impl ClusterInner {
             self.schedule_deliver(free, msg);
             return;
         }
+        // The receive context holds the message for one gap — after the
+        // ΔL it spends handling it first on the slow receive path, which
+        // is what inflates that mode's effective gap.
+        let visible = match self.cfg.latency_mode {
+            crate::LatencyMode::DelayQueue => now,
+            crate::LatencyMode::SlowRxPath => now + self.cfg.knobs.d_lat,
+        };
+        let free = visible + self.cfg.eff_gap();
+        dst.nic_rx_free.set(free);
+        if let Some(sink) = self.trace.get() {
+            sink.record(&TraceEvent::NicRx {
+                proc: msg.dst,
+                from: now,
+                to: free,
+            });
+        }
         match self.cfg.latency_mode {
-            crate::LatencyMode::DelayQueue => {
-                dst.nic_rx_free.set(now + self.cfg.eff_gap());
-                if let Some(m) = self.metrics.get() {
-                    m.nic_rx(msg.dst, now, now + self.cfg.eff_gap());
-                }
-                self.make_visible(sim, msg);
-            }
-            crate::LatencyMode::SlowRxPath => {
-                // The receive context spends ΔL handling this message
-                // before it becomes visible — inflating the effective gap.
-                let d_lat = self.cfg.knobs.d_lat;
-                let visible = now + d_lat;
-                dst.nic_rx_free.set(visible + self.cfg.eff_gap());
-                if let Some(m) = self.metrics.get() {
-                    m.nic_rx(msg.dst, now, visible + self.cfg.eff_gap());
-                }
-                self.schedule_visible(visible, msg);
-            }
+            crate::LatencyMode::DelayQueue => self.make_visible(sim, msg),
+            crate::LatencyMode::SlowRxPath => self.schedule_visible(visible, msg),
         }
     }
 
@@ -1158,7 +1103,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1));
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         let ep = &cluster.inner.procs[1];
         assert_eq!(ep.rx.borrow().len(), 1);
@@ -1172,8 +1117,8 @@ mod tests {
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 2);
         cluster.register_handler(|_| ReplyData::ack());
         // Two messages injected back to back at t=0.
-        cluster.inner.inject(short_msg(0, 1));
-        cluster.inner.inject(short_msg(0, 1));
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         // Second injection waits one gap: arrival = g + L = 10.8 µs.
         assert_eq!(
@@ -1188,8 +1133,8 @@ mod tests {
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 3);
         cluster.register_handler(|_| ReplyData::ack());
         // Both senders inject at t=0; both would arrive at L=5 µs.
-        cluster.inner.inject(short_msg(0, 2));
-        cluster.inner.inject(short_msg(1, 2));
+        cluster.inner.inject(short_msg(0, 2), SimDelta::ZERO);
+        cluster.inner.inject(short_msg(1, 2), SimDelta::ZERO);
         sim.run();
         // Second delivery is pushed to 5 + g = 10.8 µs.
         assert_eq!(sim.now(), SimTime::ZERO + SimDelta::from_micros(10.8));
@@ -1203,7 +1148,7 @@ mod tests {
             .with_knobs(crate::Knobs::with_latency(SimDelta::from_micros(100.0)));
         let cluster = AmCluster::new(sim.clone(), cfg, 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1));
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         assert_eq!(sim.now(), SimTime::ZERO + SimDelta::from_micros(105.0));
         // Sender NIC freed long before arrival: gap unaffected.
@@ -1221,7 +1166,7 @@ mod tests {
         let mut msg = short_msg(0, 1);
         msg.payload = Payload::Synthetic(8192); // two 4KB fragments
         msg.mark = Mark::Bulk;
-        cluster.inner.inject(msg);
+        cluster.inner.inject(msg, SimDelta::ZERO);
         sim.run();
         // DMA time = 8192 B at the (ns-quantized) per-byte gap, plus L.
         let per_byte = NetConfig::berkeley_now().eff_gap_per_byte();
@@ -1237,11 +1182,11 @@ mod tests {
         let sim = Sim::new();
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1));
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
         let mut bulk = short_msg(0, 1);
         bulk.payload = Payload::Synthetic(100);
         bulk.mark = Mark::Bulk;
-        cluster.inner.inject(bulk);
+        cluster.inner.inject(bulk, SimDelta::ZERO);
         sim.run();
         let stats = cluster.stats();
         let c0 = &stats.per_proc[0];
@@ -1257,7 +1202,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1));
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         cluster.reset_stats();
         let stats = cluster.stats();
@@ -1279,7 +1224,7 @@ mod tests {
         let cfg = NetConfig::berkeley_now().with_faults(crate::FaultPlan::with_drop_rate(1.0, 1));
         let cluster = AmCluster::new(sim.clone(), cfg, 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1));
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         assert_eq!(cluster.inner.procs[1].rx.borrow().len(), 0);
         let c0 = &cluster.stats().per_proc[0];
@@ -1298,7 +1243,7 @@ mod tests {
         let cfg = NetConfig::berkeley_now().with_faults(crate::FaultPlan::none().with_dup(1.0));
         let cluster = AmCluster::new(sim.clone(), cfg, 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1));
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         assert_eq!(cluster.inner.procs[1].rx.borrow().len(), 2);
         assert_eq!(cluster.stats().per_proc[0].dups, 1);
@@ -1312,7 +1257,7 @@ mod tests {
             .with_faults(crate::FaultPlan::none().with_jitter(bound).with_seed(3));
         let cluster = AmCluster::new(sim.clone(), cfg, 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1));
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         let t = sim.now();
         let base = SimTime::ZERO + SimDelta::from_micros(5.0);
@@ -1329,8 +1274,8 @@ mod tests {
         cluster.register_handler(|_| ReplyData::ack());
         // First message hits the wire at t=0, inside the outage; the second
         // is serialized behind the gap and escapes it.
-        cluster.inner.inject(short_msg(0, 1));
-        cluster.inner.inject(short_msg(0, 1));
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         assert_eq!(cluster.inner.procs[1].rx.borrow().len(), 1);
         assert_eq!(cluster.stats().per_proc[0].drops, 1);
@@ -1341,7 +1286,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1));
+        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         assert_eq!(cluster.inner.procs[0].fault_nonce.get(), 0);
         let c0 = &cluster.stats().per_proc[0];

@@ -388,6 +388,32 @@ impl NetConfig {
     pub fn eff_bulk_mb_per_s(&self) -> f64 {
         mb_per_s_from_per_byte(self.eff_gap_per_byte())
     }
+
+    /// Transmit-context spans for a message of `bytes` payload bytes:
+    /// `(wire_done − tx_start, tx_free − tx_start)`.
+    ///
+    /// A short message leaves instantly and stalls the transmit loop for
+    /// the effective gap. A bulk message is cut into fragments of up to
+    /// `frag_bytes`; each occupies the DMA engine for `(G+ΔG)·size` (at
+    /// least the base per-message gap), then the added-gap knob stalls the
+    /// loop. The transport's injection and the predictor's re-pricing both
+    /// call this, so they cannot drift apart.
+    pub fn tx_spans(&self, bytes: u32) -> (SimDelta, SimDelta) {
+        if bytes == 0 {
+            return (SimDelta::ZERO, self.eff_gap());
+        }
+        let mut t = SimDelta::ZERO;
+        let mut remaining = bytes;
+        let mut last_done = SimDelta::ZERO;
+        while remaining > 0 {
+            let frag = remaining.min(self.frag_bytes);
+            remaining -= frag;
+            let dma = self.eff_gap_per_byte() * u64::from(frag);
+            last_done = t + dma.max(self.machine.gap);
+            t = last_done + self.knobs.d_g;
+        }
+        (last_done, t)
+    }
 }
 
 impl Default for NetConfig {
@@ -470,6 +496,23 @@ mod tests {
         assert!((cfg.eff_o_mean().as_micros_f64() - 52.9).abs() < 1e-9);
         assert!((cfg.eff_gap().as_micros_f64() - 15.8).abs() < 1e-9);
         assert!((cfg.eff_latency().as_micros_f64() - 30.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn short_message_leaves_at_once_and_holds_the_gap() {
+        let cfg = NetConfig::berkeley_now();
+        assert_eq!(cfg.tx_spans(0), (SimDelta::ZERO, cfg.machine.gap));
+    }
+
+    #[test]
+    fn bulk_fragment_train_matches_a_replay_by_hand() {
+        let cfg = NetConfig::berkeley_now().with_knobs(Knobs::with_gap(SimDelta::from_nanos(100)));
+        let (done, free) = cfg.tx_spans(cfg.frag_bytes * 2 + 100);
+        let full = (cfg.eff_gap_per_byte() * u64::from(cfg.frag_bytes)).max(cfg.machine.gap);
+        let tail = (cfg.eff_gap_per_byte() * 100).max(cfg.machine.gap);
+        let expect_done = full + cfg.knobs.d_g + full + cfg.knobs.d_g + tail;
+        assert_eq!(done, expect_done);
+        assert_eq!(free, expect_done + cfg.knobs.d_g);
     }
 
     #[test]

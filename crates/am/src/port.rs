@@ -12,9 +12,8 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use nowlab_metrics::{ProcState, WaitKind};
 use nowlab_sim::{SimDelta, SimTime};
-use nowlab_trace::{RecvEvent, TraceEvent};
+use nowlab_trace::{RecvEvent, TraceEvent, WaitKind};
 
 use crate::cluster::{CachedReply, ClusterInner, PeerStatus, ReplySlot, TxEntry};
 use crate::message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReqId};
@@ -120,9 +119,6 @@ impl AmPort {
             .counters
             .borrow_mut()
             .compute_time += d;
-        if let Some(m) = self.inner.metrics.get() {
-            m.busy(self.proc, ProcState::Compute, start, start + d);
-        }
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Compute {
                 proc: self.proc,
@@ -132,12 +128,10 @@ impl AmPort {
         }
     }
 
-    /// Marks the crossing into application phase `name` (metrics
-    /// segmentation only; a pure observation with no simulation effect).
+    /// Marks the crossing into application phase `name` (a pure
+    /// observation with no simulation effect; observers see the name as a
+    /// [`nowlab_trace::PhaseLabel`], i.e. its first 16 ASCII bytes).
     pub fn phase_marker(&self, name: &str) {
-        if let Some(m) = self.inner.metrics.get() {
-            m.phase(self.proc, name, self.inner.sim.now());
-        }
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Phase {
                 proc: self.proc,
@@ -157,17 +151,6 @@ impl AmPort {
                 begin,
                 at: self.inner.sim.now(),
             });
-        }
-    }
-
-    /// Reports an overhead span `[start, start + eff)` to the metrics
-    /// sink, split into the machine's baseline component and the Δo
-    /// busy-loop the overhead knob adds (paper §3).
-    fn note_overhead(&self, state: ProcState, base: SimDelta, eff: SimDelta, start: SimTime) {
-        if let Some(m) = self.inner.metrics.get() {
-            let split = start + base.min(eff);
-            m.busy(self.proc, state, start, split);
-            m.busy(self.proc, ProcState::DeltaO, split, start + eff);
         }
     }
 
@@ -256,10 +239,7 @@ impl AmPort {
         let cfg = &self.inner.cfg;
         let reliable = cfg.reliability_active();
         let o_recv = cfg.node_faults.scale(self.proc, cfg.eff_o_recv());
-        let base_o_recv = cfg.machine.o_recv;
-        let start = self.inner.sim.now();
         self.inner.sim.delay(o_recv).await;
-        self.note_overhead(ProcState::ORecv, base_o_recv, o_recv, start);
         {
             let ep = &self.inner.procs[self.proc];
             let mut c = ep.counters.borrow_mut();
@@ -272,6 +252,7 @@ impl AmPort {
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Recv(RecvEvent {
                 id: msg.trace,
+                proc: self.proc,
                 o_recv,
                 done: self.inner.sim.now(),
             }));
@@ -438,14 +419,7 @@ impl AmPort {
             .cfg
             .node_faults
             .scale(self.proc, self.inner.cfg.eff_o_send());
-        let start = self.inner.sim.now();
         self.inner.sim.delay(o_send).await;
-        self.note_overhead(
-            ProcState::OSend,
-            self.inner.cfg.machine.o_send,
-            o_send,
-            start,
-        );
         {
             let ep = &self.inner.procs[self.proc];
             let mut c = ep.counters.borrow_mut();
@@ -470,19 +444,22 @@ impl AmPort {
                 at: self.inner.sim.now(),
             });
         }
-        self.inner.inject(Msg {
-            src: self.proc,
-            dst: req.src,
-            dir: Dir::Reply,
-            req: req.req,
-            ack,
-            seq: 0,
-            handler: 0,
-            args,
-            payload,
-            mark,
-            trace,
-        });
+        self.inner.inject(
+            Msg {
+                src: self.proc,
+                dst: req.src,
+                dir: Dir::Reply,
+                req: req.req,
+                ack,
+                seq: 0,
+                handler: 0,
+                args,
+                payload,
+                mark,
+                trace,
+            },
+            o_send,
+        );
     }
 
     /// Services the network until `cond()` holds.
@@ -496,18 +473,45 @@ impl AmPort {
         self.wait_until_kind(cond, WaitKind::Rx).await
     }
 
-    /// [`AmPort::wait_until`] with an explicit stall classification for
-    /// the metrics timeline: credit acquisition waits are back-pressure
-    /// ([`WaitKind::Tx`]), everything else is a receive stall.
-    async fn wait_until_kind(&self, cond: impl Fn() -> bool, kind: WaitKind) {
-        let ep_flag = || &self.inner.procs[self.proc];
-        let was_waiting = ep_flag().in_wait.replace(true);
-        let t_enter = self.inner.sim.now();
+    /// Opens a network wait of the given stall classification — credit
+    /// acquisition is back-pressure ([`WaitKind::Tx`]), everything else a
+    /// receive stall. Waits nest (a handler's reply may wait inside a
+    /// wait); only the outermost is accounted and reported. Returns what
+    /// [`AmPort::exit_wait`] needs.
+    fn enter_wait(&self, kind: WaitKind) -> (bool, SimTime) {
+        let was_waiting = self.inner.procs[self.proc].in_wait.replace(true);
+        let at = self.inner.sim.now();
         if !was_waiting {
-            if let Some(m) = self.inner.metrics.get() {
-                m.wait_enter(self.proc, kind, t_enter);
+            if let Some(sink) = self.inner.trace.get() {
+                sink.record(&TraceEvent::WaitEnter {
+                    proc: self.proc,
+                    kind,
+                    at,
+                });
             }
         }
+        (was_waiting, at)
+    }
+
+    /// Closes the wait opened by [`AmPort::enter_wait`].
+    fn exit_wait(&self, (was_waiting, t_enter): (bool, SimTime)) {
+        let ep = &self.inner.procs[self.proc];
+        ep.in_wait.set(was_waiting);
+        if !was_waiting {
+            let at = self.inner.sim.now();
+            ep.counters.borrow_mut().blocked_time += at.since(t_enter);
+            if let Some(sink) = self.inner.trace.get() {
+                sink.record(&TraceEvent::WaitExit {
+                    proc: self.proc,
+                    at,
+                });
+            }
+        }
+    }
+
+    /// [`AmPort::wait_until`] with an explicit stall classification.
+    async fn wait_until_kind(&self, cond: impl Fn() -> bool, kind: WaitKind) {
+        let wait = self.enter_wait(kind);
         loop {
             self.crash_gate().await;
             if cond() {
@@ -522,27 +526,14 @@ impl AmPort {
                 }
             }
         }
-        let ep = ep_flag();
-        ep.in_wait.set(was_waiting);
-        if !was_waiting {
-            ep.counters.borrow_mut().blocked_time += self.inner.sim.now().since(t_enter);
-            if let Some(m) = self.inner.metrics.get() {
-                m.wait_exit(self.proc, self.inner.sim.now());
-            }
-        }
+        self.exit_wait(wait);
     }
 
     /// Services the network until virtual time `deadline` — the processor
     /// is *idle* (e.g. waiting on a disk), so incoming messages are handled
     /// as they arrive, and the wait overlaps their overhead.
     pub async fn idle_until(&self, deadline: SimTime) {
-        let was_waiting = self.inner.procs[self.proc].in_wait.replace(true);
-        let t_enter = self.inner.sim.now();
-        if !was_waiting {
-            if let Some(m) = self.inner.metrics.get() {
-                m.wait_enter(self.proc, WaitKind::Rx, t_enter);
-            }
-        }
+        let wait @ (_, enter) = self.enter_wait(WaitKind::Rx);
         loop {
             self.crash_gate().await;
             if self.inner.sim.now() >= deadline {
@@ -561,18 +552,11 @@ impl AmPort {
                 }
             }
         }
-        let ep = &self.inner.procs[self.proc];
-        ep.in_wait.set(was_waiting);
-        if !was_waiting {
-            ep.counters.borrow_mut().blocked_time += self.inner.sim.now().since(t_enter);
-            if let Some(m) = self.inner.metrics.get() {
-                m.wait_exit(self.proc, self.inner.sim.now());
-            }
-        }
+        self.exit_wait(wait);
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Idle {
                 proc: self.proc,
-                enter: t_enter,
+                enter,
                 deadline,
                 exit: self.inner.sim.now(),
             });
@@ -587,21 +571,17 @@ impl AmPort {
         e.credits.set(e.credits.get() - 1);
     }
 
-    async fn charge_send(&self) {
+    /// Pays this processor's send overhead and returns the amount (a
+    /// straggler pays its multiple).
+    async fn charge_send(&self) -> SimDelta {
         let o_send = self
             .inner
             .cfg
             .node_faults
             .scale(self.proc, self.inner.cfg.eff_o_send());
-        let start = self.inner.sim.now();
         self.inner.sim.delay(o_send).await;
-        self.note_overhead(
-            ProcState::OSend,
-            self.inner.cfg.machine.o_send,
-            o_send,
-            start,
-        );
         self.inner.procs[self.proc].counters.borrow_mut().o_time += o_send;
+        o_send
     }
 
     fn next_req(&self) -> ReqId {
@@ -645,8 +625,8 @@ impl AmPort {
             .pending_replies
             .borrow_mut()
             .insert(req, Rc::clone(&slot));
-        self.charge_send().await;
-        self.send_request(Msg {
+        let o_send = self.charge_send().await;
+        let msg = Msg {
             src: self.proc,
             dst,
             dir: Dir::Request,
@@ -658,7 +638,8 @@ impl AmPort {
             payload,
             mark,
             trace: self.inner.next_trace(),
-        });
+        };
+        self.send_request(msg, o_send);
         self.wait_until(|| slot.filled.get()).await;
         let payload = std::mem::take(&mut *slot.payload.borrow_mut());
         (slot.args.get(), payload)
@@ -689,8 +670,8 @@ impl AmPort {
         let req = self.next_req();
         let ep = &self.inner.procs[self.proc];
         ep.pending_posts.set(ep.pending_posts.get() + 1);
-        self.charge_send().await;
-        self.send_request(Msg {
+        let o_send = self.charge_send().await;
+        let msg = Msg {
             src: self.proc,
             dst,
             dir: Dir::Request,
@@ -702,13 +683,15 @@ impl AmPort {
             payload,
             mark,
             trace: self.inner.next_trace(),
-        });
+        };
+        self.send_request(msg, o_send);
     }
 
-    /// Injects a fresh request. Under the reliability protocol the message
-    /// additionally carries the current ack watermark, is retained for
-    /// retransmission until its reply arrives, and gets a timeout armed.
-    fn send_request(&self, mut msg: Msg) {
+    /// Injects a fresh request whose send overhead `o_send` was just paid.
+    /// Under the reliability protocol the message additionally carries the
+    /// current ack watermark, is retained for retransmission until its
+    /// reply arrives, and gets a timeout armed.
+    fn send_request(&self, mut msg: Msg, o_send: SimDelta) {
         if self.inner.cfg.reliability_active() {
             let (dst, req) = (msg.dst, msg.req);
             let ep = &self.inner.procs[self.proc];
@@ -729,7 +712,7 @@ impl AmPort {
             msg.ack = self.inner.ack_watermark(self.proc, dst);
             self.inner.arm_retransmit(self.proc, dst, req, 1);
         }
-        self.inner.inject(msg);
+        self.inner.inject(msg, o_send);
     }
 
     /// Waits until every [`AmPort::post`] issued by this processor has been

@@ -37,7 +37,8 @@ pub enum Layer {
     Sim,
     /// `crates/trace` — per-message cost observer; may see only `sim`.
     Trace,
-    /// `crates/metrics` — simulated-time accounting observer; `{sim, trace}`.
+    /// `crates/metrics` — simulated-time accounting, a consumer of `trace`
+    /// events; `{sim, trace}`, and reached only from `core`/`apps`.
     Metrics,
     /// `crates/am` — GAM active-message layer over the kernel.
     Am,
@@ -108,15 +109,11 @@ impl Layer {
             Layer::Sim => Some(&[]),
             Layer::Trace => Some(&[Layer::Sim]),
             Layer::Metrics => Some(&[Layer::Sim, Layer::Trace]),
-            Layer::Am => Some(&[Layer::Rng, Layer::Sim, Layer::Trace, Layer::Metrics]),
-            Layer::Coll => Some(&[Layer::Sim, Layer::Trace, Layer::Metrics, Layer::Am]),
-            Layer::Splitc => Some(&[
-                Layer::Sim,
-                Layer::Trace,
-                Layer::Metrics,
-                Layer::Am,
-                Layer::Coll,
-            ]),
+            // The simulated machine emits `trace` events and nothing else;
+            // `metrics` consumes them from above (`core`/`apps`).
+            Layer::Am => Some(&[Layer::Rng, Layer::Sim, Layer::Trace]),
+            Layer::Coll => Some(&[Layer::Sim, Layer::Trace, Layer::Am]),
+            Layer::Splitc => Some(&[Layer::Sim, Layer::Trace, Layer::Am, Layer::Coll]),
             Layer::Predict => Some(&[Layer::Sim, Layer::Trace, Layer::Am]),
             Layer::Core => Some(&[
                 Layer::Rng,
@@ -392,6 +389,13 @@ mod tests {
             .allowed_deps()
             .unwrap()
             .contains(&Layer::Trace));
+        // The machine layers emit trace events only: metrics is a
+        // consumer above them, never a dependency of theirs.
+        for machine in [Layer::Am, Layer::Coll, Layer::Splitc] {
+            let allowed = machine.allowed_deps().unwrap();
+            assert!(allowed.contains(&Layer::Trace), "{machine:?}");
+            assert!(!allowed.contains(&Layer::Metrics), "{machine:?}");
+        }
         // Apps must not reach the kernel, AM, or the collectives crate
         // directly — everything below splitc arrives via its re-exports.
         let apps = Layer::Apps.allowed_deps().unwrap();

@@ -143,8 +143,9 @@ fn diagnostics_carry_file_and_line() {
 }
 
 /// End to end over the `ws_layering` mini-workspace: manifest-level
-/// violations (MET001 for the observer, LAY002 for apps) and the
-/// source-level LAY003, all from one `scan_workspace` call.
+/// violations (MET001 for the observer, LAY002 for apps, the predictor
+/// and the `am → metrics` edge) and the source-level LAY003, all from one
+/// `scan_workspace` call.
 #[test]
 fn ws_layering_fixture_surfaces_manifest_and_source_violations() {
     let (diags, _) = scan_workspace(&fixture_path("ws_layering")).expect("fixture scan");
@@ -152,6 +153,7 @@ fn ws_layering_fixture_surfaces_manifest_and_source_violations() {
     assert_eq!(
         got,
         vec![
+            ("crates/am/Cargo.toml".to_string(), "LAY002"),
             ("crates/apps/Cargo.toml".to_string(), "LAY002"),
             ("crates/apps/src/lib.rs".to_string(), "LAY003"),
             ("crates/metrics/Cargo.toml".to_string(), "MET001"),

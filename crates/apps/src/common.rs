@@ -11,7 +11,18 @@ use nowlab_rng::{SeedableRng, SmallRng};
 use nowlab_splitc::{Ctx, SplitC, SpmdConfig};
 
 pub use nowlab_splitc::DegradePolicy;
-use nowlab_trace::TraceRecorder;
+use nowlab_trace::{TraceEvent, TraceRecorder, TraceSink};
+
+/// Both consumers of the observation stream behind the cluster's one
+/// observer cell.
+struct Both(Rc<TraceRecorder>, Rc<MetricsRecorder>);
+
+impl TraceSink for Both {
+    fn record(&self, ev: &TraceEvent) {
+        self.0.record(ev);
+        self.1.record(ev);
+    }
+}
 
 /// Builds the Split-C machine for `spec`, lets `setup` register custom
 /// handlers, runs `body` on every processor, and packages the result.
@@ -47,15 +58,27 @@ where
         TraceMode::Summary => Some(Rc::new(TraceRecorder::new(false))),
         TraceMode::Full => Some(Rc::new(TraceRecorder::new(true))),
     };
-    if let Some(r) = &recorder {
-        sc.set_trace_sink(Rc::clone(r) as Rc<dyn nowlab_trace::TraceSink>);
-    }
     let meter = match spec.metrics {
         MetricsMode::Off => None,
-        MetricsMode::On => Some(Rc::new(MetricsRecorder::new(spec.procs, DEFAULT_WINDOW))),
+        MetricsMode::On => Some(Rc::new(MetricsRecorder::new(
+            spec.procs,
+            DEFAULT_WINDOW,
+            spec.net.machine.o_send,
+            spec.net.machine.o_recv,
+        ))),
     };
-    if let Some(m) = &meter {
-        sc.set_metrics_sink(Rc::clone(m) as Rc<dyn nowlab_metrics::MetricsSink>);
+    // One measurement, two projections: whichever recorders the spec asks
+    // for consume the same event stream.
+    let sink: Option<Rc<dyn TraceSink>> = match (&recorder, &meter) {
+        (Some(r), Some(m)) => Some(Rc::new(Both(Rc::clone(r), Rc::clone(m)))),
+        (Some(r), None) => Some(Rc::clone(r) as _),
+        (None, Some(m)) => Some(Rc::clone(m) as _),
+        (None, None) => None,
+    };
+    if let Some(sink) = sink {
+        sc.set_trace_sink(sink);
+    }
+    if meter.is_some() {
         sc.sim().enable_event_sampling(DEFAULT_WINDOW);
     }
     setup(&sc);

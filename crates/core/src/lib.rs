@@ -48,8 +48,8 @@ pub use nowlab_am::{
 };
 pub use nowlab_metrics::json;
 pub use nowlab_metrics::{
-    render_report, write_sweep_json, MetricsMode, MetricsRecorder, MetricsReport, MetricsSink,
-    MetricsSummary, ProcState, RunMeta, SweepPointMeta, DEFAULT_WINDOW,
+    render_report, write_sweep_json, MetricsMode, MetricsRecorder, MetricsReport, MetricsSummary,
+    ProcState, RunMeta, SweepPointMeta, DEFAULT_WINDOW,
 };
 pub use nowlab_sim::{SimDelta, SimTime};
 pub use nowlab_splitc::{

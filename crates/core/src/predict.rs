@@ -195,13 +195,6 @@ pub fn predict_app(
     })
 }
 
-/// Drops the two characters that would end or escape a JSON string. Every
-/// label the writer emits is ASCII, but an application name or a phase
-/// label may hold either character.
-fn clean(label: &str) -> String {
-    label.chars().filter(|&c| c != '"' && c != '\\').collect()
-}
-
 impl Prediction {
     /// Writes the versioned `"kind":"predict"` report.
     ///
@@ -212,7 +205,7 @@ impl Prediction {
         write!(
             w,
             r#"{{"schema":"{SCHEMA_NAME}","version":{SCHEMA_VERSION},"kind":"predict","app":"{}","procs":{},"seed":{},"baseline_ns":{},"tolerance":{TOLERANCE},"#,
-            clean(&self.app),
+            json::escape(&self.app),
             self.procs,
             self.seed,
             self.baseline.as_nanos()
@@ -226,7 +219,7 @@ impl Prediction {
             if i > 0 {
                 write!(w, ",")?;
             }
-            write!(w, r#""{}""#, clean(warn))?;
+            write!(w, r#""{}""#, json::escape(warn))?;
         }
         write!(w, r#"],"axes":["#)?;
         for (i, curve) in self.axes.iter().enumerate() {
@@ -284,7 +277,7 @@ impl Prediction {
             write!(
                 w,
                 "\n  {{\"phase\":\"{}\",\"total_ns\":{},\"buckets\":[",
-                clean(&row.label),
+                json::escape(&row.label),
                 row.total.as_nanos()
             )?;
             for (j, d) in row.buckets.iter().enumerate() {
@@ -556,14 +549,14 @@ mod tests {
         assert!(text.contains("30.0%"));
         assert!(!text.contains("0.0us"));
 
-        // Names that carry the JSON-special characters still produce a
-        // file the renderer parses.
+        // Names that carry the JSON-special characters come back from
+        // the file as they went in.
         let mut p = sample();
         p.app = r#"To"y"#.into();
         p.breakdown.phases[0].label = r#"sort "keys"\"#.into();
         let text = p.render();
-        assert!(text.contains("predicted from one traced run: Toy"));
-        assert!(text.contains("sort keys"));
+        assert!(text.contains(r#"predicted from one traced run: To"y"#));
+        assert!(text.contains(r#"sort "keys"\"#));
     }
 
     #[test]

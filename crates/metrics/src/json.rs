@@ -1,7 +1,11 @@
 //! A minimal recursive-descent JSON parser, just enough to read back
 //! the report files this crate writes (`nowlab report` renders saved
-//! reports without re-running the simulation). No external dependency;
-//! objects preserve key order in a `Vec` so rendering is deterministic.
+//! reports without re-running the simulation), and the one string
+//! [`escape`] routine the hand-rolled report writers share. No external
+//! dependency; objects preserve key order in a `Vec` so rendering is
+//! deterministic.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -14,12 +18,32 @@ pub enum Value {
     Int(i64),
     /// Any other number.
     Float(f64),
-    /// String (escape sequences `\" \\ \/ \n \t \r` supported).
+    /// String (escape sequences `\" \\ \/ \n \t \r \uXXXX` supported).
     Str(String),
     /// Array.
     Arr(Vec<Value>),
     /// Object, in source key order.
     Obj(Vec<(String, Value)>),
+}
+
+/// Escapes `s` for the inside of a JSON string literal: the inverse of
+/// what [`parse`] reads back.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 impl Value {
@@ -208,6 +232,17 @@ impl Parser<'_> {
                         b'n' => '\n',
                         b't' => '\t',
                         b'r' => '\r',
+                        b'u' => {
+                            let code = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or("bad \\u escape".to_string())?;
+                            self.pos += 4;
+                            code
+                        }
                         _ => return Err(format!("unsupported escape '\\{}'", e as char)),
                     });
                 }
@@ -259,6 +294,16 @@ mod tests {
         assert_eq!(a[1].as_f64(), Some(2.5));
         assert_eq!(a[2].as_str(), Some("x"));
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn escape_is_the_inverse_of_the_string_parser() {
+        assert_eq!(escape("EM3D(read)"), "EM3D(read)");
+        for s in ["sort \"keys\"\\", "a\nb\tc\rd", "bell\u{7}", "/plain"] {
+            let doc = format!("\"{}\"", escape(s));
+            assert_eq!(parse(&doc).unwrap().as_str(), Some(s), "{doc}");
+        }
+        assert!(parse(r#""\u12""#).is_err());
     }
 
     #[test]

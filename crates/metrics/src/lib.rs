@@ -12,12 +12,15 @@
 //! length (the aggregate twin of the trace crate's telescoping
 //! invariant).
 //!
-//! Like tracing, the subsystem is zero-cost when disabled: the AM layer
-//! holds an `OnceCell<Rc<dyn MetricsSink>>` and the hot path pays one
-//! pointer check. Hooks are *passive* — they piggyback on state
-//! transitions the simulation already performs and schedule no events of
-//! their own, so enabling metrics cannot perturb virtual time, event
-//! counts, or any simulation result.
+//! The crate has no hooks of its own. The AM layer emits one stream of
+//! `nowlab_trace::TraceEvent`s into one observer cell, and
+//! [`MetricsRecorder`] is a second consumer of that stream beside the
+//! trace recorder — the same measurement projected per processor instead
+//! of per message, so the two reports cannot disagree about what a
+//! processor paid. With no observer installed the hot path pays one
+//! pointer check; with one, events piggyback on state transitions the
+//! simulation already performs and schedule nothing, so enabling metrics
+//! cannot perturb virtual time, event counts, or any simulation result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +29,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use nowlab_sim::{SimDelta, SimTime};
+use nowlab_trace::{SendEvent, TraceEvent, TraceSink, WaitKind};
 
 pub mod json;
 mod render;
@@ -96,58 +100,6 @@ impl ProcState {
     }
 }
 
-/// What a processor is waiting *for* while it services the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaitKind {
-    /// Blocked acquiring a send-window credit ([`ProcState::TxWait`]).
-    Tx,
-    /// Blocked on a condition or deadline ([`ProcState::RxStall`]).
-    Rx,
-}
-
-/// Passive observer of simulation state transitions.
-///
-/// Implementations must not schedule events, mutate simulation state, or
-/// read host time — the analyzer's MET001/DET lints enforce this for the
-/// in-tree recorder. All hooks are invoked at the *end* of the span they
-/// describe (spans never overlap per processor; see [`MetricsRecorder`]).
-pub trait MetricsSink {
-    /// Processor `proc` occupied `state` over `[from, to)`.
-    fn busy(&self, proc: usize, state: ProcState, from: SimTime, to: SimTime);
-    /// Processor `proc` entered its outermost wait of kind `kind` at `at`.
-    fn wait_enter(&self, proc: usize, kind: WaitKind, at: SimTime);
-    /// Processor `proc` left its outermost wait at `at`.
-    fn wait_exit(&self, proc: usize, at: SimTime);
-    /// `proc`'s NIC send context was occupied over `[from, to)`.
-    fn nic_tx(&self, proc: usize, from: SimTime, to: SimTime);
-    /// `proc`'s NIC receive context was occupied over `[from, to)`.
-    fn nic_rx(&self, proc: usize, from: SimTime, to: SimTime);
-    /// The directed link `src -> dst` carried bits over `[from, to)`.
-    fn wire(&self, src: usize, dst: usize, from: SimTime, to: SimTime);
-    /// At injection time `at`, `proc` had `depth` unacked sends in flight.
-    fn window_depth(&self, proc: usize, depth: usize, at: SimTime);
-    /// `proc`'s transport retransmitted a message at `at`.
-    fn retransmit(&self, proc: usize, at: SimTime);
-    /// `proc` crossed into application phase `name` at `at`.
-    fn phase(&self, proc: usize, name: &str, at: SimTime);
-}
-
-/// A sink that ignores everything (useful for tests and benchmarks).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl MetricsSink for NullSink {
-    fn busy(&self, _: usize, _: ProcState, _: SimTime, _: SimTime) {}
-    fn wait_enter(&self, _: usize, _: WaitKind, _: SimTime) {}
-    fn wait_exit(&self, _: usize, _: SimTime) {}
-    fn nic_tx(&self, _: usize, _: SimTime, _: SimTime) {}
-    fn nic_rx(&self, _: usize, _: SimTime, _: SimTime) {}
-    fn wire(&self, _: usize, _: usize, _: SimTime, _: SimTime) {}
-    fn window_depth(&self, _: usize, _: usize, _: SimTime) {}
-    fn retransmit(&self, _: usize, _: SimTime) {}
-    fn phase(&self, _: usize, _: &str, _: SimTime) {}
-}
-
 /// Default sampling window: 100 µs of simulated time (the suite's
 /// test-scale runs last a few ms; benchmark runs hundreds).
 pub const DEFAULT_WINDOW: SimDelta = SimDelta::from_micros_int(100);
@@ -173,6 +125,10 @@ struct ProcRec {
 
 struct RecState {
     window: u64,
+    /// The machine's baseline overheads: what splits an overhead span
+    /// into its base part and the Δo busy-loop (or a straggler's excess).
+    base_o_send: SimDelta,
+    base_o_recv: SimDelta,
     procs: Vec<ProcRec>,
     wire: BTreeMap<(usize, usize), u64>,
     phase_names: Vec<String>,
@@ -185,14 +141,15 @@ struct RecState {
     depth_n: u64,
 }
 
-/// The in-tree [`MetricsSink`]: cursor-based exact attribution into
-/// fixed simulated-time windows.
+/// A [`TraceSink`] that projects the event stream onto processor time:
+/// cursor-based exact attribution into fixed simulated-time windows.
 ///
 /// Per processor, a cursor tracks the last attributed nanosecond. Leaf
-/// busy spans (`busy`) first flush the gap `[cursor, from)` to the
-/// *background* state — the enclosing wait kind if the processor is
-/// inside `wait_until`/`idle_until`, otherwise [`ProcState::Idle`] —
-/// then deposit the span itself. Because every nanosecond is deposited
+/// busy spans (compute segments, the overhead a send or receive event
+/// reports) first flush the gap `[cursor, from)` to the *background*
+/// state — the kind of the enclosing wait if the processor is between a
+/// `WaitEnter` and its `WaitExit`, otherwise [`ProcState::Idle`] — then
+/// deposit the span itself. Because every nanosecond is deposited
 /// exactly once, each window's components sum exactly to the window
 /// length (exact `u64` arithmetic, no float accumulation).
 pub struct MetricsRecorder {
@@ -256,14 +213,97 @@ impl RecState {
         self.phase_totals.push([0; N_STATES]);
         id
     }
+
+    /// Deposits the leaf span `[from, to)` of `state`. Events arrive at
+    /// the *end* of the span they describe and never overlap per
+    /// processor.
+    fn busy(&mut self, proc: usize, state: ProcState, from: u64, to: u64) {
+        debug_assert!(
+            from >= self.procs[proc].cursor,
+            "overlapping busy span for proc {proc}: [{from}, {to}) vs cursor {}",
+            self.procs[proc].cursor
+        );
+        self.advance(proc, from);
+        // Release-mode safety: never let a malformed span rewind the
+        // cursor (attribution stays conserving, the span is truncated).
+        let from = from.max(self.procs[proc].cursor);
+        self.account(proc, state, from, to);
+        let p = &mut self.procs[proc];
+        p.cursor = p.cursor.max(to);
+    }
+
+    /// Deposits the overhead span `[end − paid, end)`, split into the
+    /// machine's baseline component (`state`) and the Δo busy-loop the
+    /// overhead knob adds (paper §3). Nothing paid means charged out of
+    /// band (a timer-driven retransmission, counted but not timed: it
+    /// overlaps whatever the processor was doing, so it cannot be a span
+    /// in the conserving timeline).
+    fn overhead(&mut self, proc: usize, state: ProcState, paid: SimDelta, end: SimTime) {
+        if paid.is_zero() {
+            return;
+        }
+        let base = match state {
+            ProcState::OSend => self.base_o_send,
+            _ => self.base_o_recv,
+        };
+        let end = end.as_nanos();
+        let start = end.saturating_sub(paid.as_nanos());
+        let split = start + base.min(paid).as_nanos();
+        self.busy(proc, state, start, split);
+        self.busy(proc, ProcState::DeltaO, split, end);
+    }
+
+    /// Flushes up to `at` under the current wait kind and phase, then
+    /// lets `change` switch either.
+    fn mark(&mut self, proc: usize, at: SimTime, change: impl FnOnce(&mut ProcRec)) {
+        self.advance(proc, at.as_nanos());
+        change(&mut self.procs[proc]);
+    }
+
+    /// One NIC context of `proc` (`tx` or the receive side) was occupied
+    /// over `[from, to)`.
+    fn nic(&mut self, proc: usize, tx: bool, from: SimTime, to: SimTime) {
+        let p = &mut self.procs[proc];
+        let (total, tl) = match tx {
+            true => (&mut p.nic_tx_total, &mut p.nic_tx),
+            false => (&mut p.nic_rx_total, &mut p.nic_rx),
+        };
+        *total += to.saturating_since(from).as_nanos();
+        deposit(self.window, from.as_nanos(), to.as_nanos(), |w, chunk| {
+            if tl.len() <= w {
+                tl.resize(w + 1, 0);
+            }
+            tl[w] += chunk;
+        });
+    }
+
+    /// What a transmission attempt costs its sender, delivered or
+    /// dropped: the overhead just paid, the send context's occupancy, and
+    /// one sample of the flow-control window.
+    fn attempt(&mut self, e: &SendEvent) {
+        self.overhead(e.src, ProcState::OSend, e.o_send, e.inject);
+        self.nic(e.src, true, e.tx_start, e.tx_free);
+        self.depth_max = self.depth_max.max(u64::from(e.in_flight));
+        self.depth_sum += u128::from(e.in_flight);
+        self.depth_n += 1;
+    }
 }
 
 impl MetricsRecorder {
     /// Creates a recorder for `procs` processors with the given sampling
-    /// window (see [`DEFAULT_WINDOW`]).
-    pub fn new(procs: usize, window: SimDelta) -> Self {
+    /// window (see [`DEFAULT_WINDOW`]) on a machine whose baseline
+    /// overheads are `base_o_send` / `base_o_recv`: whatever an event
+    /// reports beyond them is attributed to [`ProcState::DeltaO`].
+    pub fn new(
+        procs: usize,
+        window: SimDelta,
+        base_o_send: SimDelta,
+        base_o_recv: SimDelta,
+    ) -> Self {
         let mut state = RecState {
             window: window.as_nanos().max(1),
+            base_o_send,
+            base_o_recv,
             procs: vec![ProcRec::default(); procs],
             wire: BTreeMap::new(),
             phase_names: Vec::new(),
@@ -361,122 +401,136 @@ impl MetricsRecorder {
     }
 }
 
-impl MetricsSink for MetricsRecorder {
-    fn busy(&self, proc: usize, state: ProcState, from: SimTime, to: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() {
-            return;
-        }
-        let (mut a, b) = (from.as_nanos(), to.as_nanos());
-        debug_assert!(
-            a >= st.procs[proc].cursor,
-            "overlapping busy span for proc {proc}: [{a}, {b}) vs cursor {}",
-            st.procs[proc].cursor
-        );
-        st.advance(proc, a);
-        // Release-mode safety: never let a malformed span rewind the
-        // cursor (attribution stays conserving, the span is truncated).
-        a = a.max(st.procs[proc].cursor);
-        st.account(proc, state, a, b);
-        let p = &mut st.procs[proc];
-        p.cursor = p.cursor.max(b);
-    }
-
-    fn wait_enter(&self, proc: usize, kind: WaitKind, at: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() {
-            return;
-        }
-        st.advance(proc, at.as_nanos());
-        st.procs[proc].waiting = Some(kind);
-    }
-
-    fn wait_exit(&self, proc: usize, at: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() {
-            return;
-        }
-        st.advance(proc, at.as_nanos());
-        st.procs[proc].waiting = None;
-    }
-
-    fn nic_tx(&self, proc: usize, from: SimTime, to: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() || to <= from {
-            return;
-        }
-        let window = st.window;
-        let p = &mut st.procs[proc];
-        p.nic_tx_total += to.since(from).as_nanos();
-        let tl = &mut p.nic_tx;
-        deposit(window, from.as_nanos(), to.as_nanos(), |w, chunk| {
-            if tl.len() <= w {
-                tl.resize(w + 1, 0);
+impl TraceSink for MetricsRecorder {
+    fn record(&self, ev: &TraceEvent) {
+        let st = &mut *self.state.borrow_mut();
+        match ev {
+            TraceEvent::Compute { proc, start, dur } => {
+                let from = start.as_nanos();
+                st.busy(*proc, ProcState::Compute, from, from + dur.as_nanos());
             }
-            tl[w] += chunk;
-        });
-    }
-
-    fn nic_rx(&self, proc: usize, from: SimTime, to: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() || to <= from {
-            return;
-        }
-        let window = st.window;
-        let p = &mut st.procs[proc];
-        p.nic_rx_total += to.since(from).as_nanos();
-        let tl = &mut p.nic_rx;
-        deposit(window, from.as_nanos(), to.as_nanos(), |w, chunk| {
-            if tl.len() <= w {
-                tl.resize(w + 1, 0);
+            TraceEvent::Send(e) => {
+                st.attempt(e);
+                if e.arrival > e.wire_done {
+                    *st.wire.entry((e.src, e.dst)).or_insert(0) +=
+                        e.arrival.since(e.wire_done).as_nanos();
+                }
             }
-            tl[w] += chunk;
-        });
-    }
-
-    fn wire(&self, src: usize, dst: usize, from: SimTime, to: SimTime) {
-        if to <= from {
-            return;
+            TraceEvent::Drop(e) => st.attempt(e),
+            TraceEvent::Recv(e) => st.overhead(e.proc, ProcState::ORecv, e.o_recv, e.done),
+            TraceEvent::NicRx { proc, from, to } => st.nic(*proc, false, *from, *to),
+            TraceEvent::WaitEnter { proc, kind, at } => {
+                st.mark(*proc, *at, |p| p.waiting = Some(*kind));
+            }
+            TraceEvent::WaitExit { proc, at } => st.mark(*proc, *at, |p| p.waiting = None),
+            TraceEvent::Phase { proc, label, at } => {
+                let id = st.intern(label.as_str());
+                st.mark(*proc, *at, |p| p.phase = id);
+            }
+            TraceEvent::Retransmit { .. } => st.retransmits += 1,
+            // Per-message lifecycle detail: the trace recorder's half of
+            // the stream. (`Idle` restates a wait the enter/exit pair
+            // already delimited.)
+            TraceEvent::Visible(_)
+            | TraceEvent::Handler { .. }
+            | TraceEvent::DupDelivery { .. }
+            | TraceEvent::Pair { .. }
+            | TraceEvent::Idle { .. }
+            | TraceEvent::Wave { .. }
+            | TraceEvent::Region { .. } => {}
         }
-        let mut st = self.state.borrow_mut();
-        *st.wire.entry((src, dst)).or_insert(0) += to.since(from).as_nanos();
-    }
-
-    fn window_depth(&self, _proc: usize, depth: usize, _at: SimTime) {
-        let mut st = self.state.borrow_mut();
-        st.depth_max = st.depth_max.max(depth as u64);
-        st.depth_sum += depth as u128;
-        st.depth_n += 1;
-    }
-
-    fn retransmit(&self, _proc: usize, _at: SimTime) {
-        self.state.borrow_mut().retransmits += 1;
-    }
-
-    fn phase(&self, proc: usize, name: &str, at: SimTime) {
-        let mut st = self.state.borrow_mut();
-        if proc >= st.procs.len() {
-            return;
-        }
-        st.advance(proc, at.as_nanos());
-        let id = st.intern(name);
-        st.procs[proc].phase = id;
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use nowlab_trace::{MsgKind, PhaseLabel, RecvEvent};
 
-    fn t(ns: u64) -> SimTime {
+    pub(crate) fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
+    }
+
+    /// A recorder for a machine with `o_send` = 30 ns and `o_recv` = 40 ns.
+    pub(crate) fn recorder(procs: usize, window_ns: u64) -> MetricsRecorder {
+        MetricsRecorder::new(
+            procs,
+            SimDelta::from_nanos(window_ns),
+            SimDelta::from_nanos(30),
+            SimDelta::from_nanos(40),
+        )
+    }
+
+    pub(crate) fn compute(proc: usize, from: u64, to: u64) -> TraceEvent {
+        TraceEvent::Compute {
+            proc,
+            start: t(from),
+            dur: SimDelta::from_nanos(to - from),
+        }
+    }
+
+    /// `src` paid `o_send` up to `inject`; its NIC is busy over `tx`, the
+    /// wire to processor 1 over `wire`.
+    pub(crate) fn send(
+        src: usize,
+        o_send: u64,
+        inject: u64,
+        tx: (u64, u64),
+        wire: (u64, u64),
+        in_flight: u32,
+    ) -> TraceEvent {
+        TraceEvent::Send(SendEvent {
+            id: 1,
+            src,
+            dst: 1,
+            reply: false,
+            kind: MsgKind::Write,
+            bytes: 0,
+            o_send: SimDelta::from_nanos(o_send),
+            inject: t(inject),
+            tx_start: t(tx.0),
+            wire_done: t(wire.0),
+            tx_free: t(tx.1),
+            arrival: t(wire.1),
+            in_flight,
+            timer_depth: 0,
+        })
+    }
+
+    fn recv(proc: usize, o_recv: u64, done: u64) -> TraceEvent {
+        TraceEvent::Recv(RecvEvent {
+            id: 1,
+            proc,
+            o_recv: SimDelta::from_nanos(o_recv),
+            done: t(done),
+        })
+    }
+
+    pub(crate) fn enter(proc: usize, kind: WaitKind, at: u64) -> TraceEvent {
+        TraceEvent::WaitEnter {
+            proc,
+            kind,
+            at: t(at),
+        }
+    }
+
+    pub(crate) fn exit(proc: usize, at: u64) -> TraceEvent {
+        TraceEvent::WaitExit { proc, at: t(at) }
+    }
+
+    pub(crate) fn phase(proc: usize, name: &str, at: u64) -> TraceEvent {
+        TraceEvent::Phase {
+            proc,
+            label: PhaseLabel::new(name),
+            at: t(at),
+        }
     }
 
     #[test]
     fn every_window_sums_exactly_to_its_length() {
         // Pseudo-random event stream (deterministic LCG) over 3 procs.
         let procs = 3;
-        let rec = MetricsRecorder::new(procs, SimDelta::from_nanos(1_000));
+        let rec = recorder(procs, 1_000);
         let mut seed = 0x9E37_79B9u64;
         let mut rng = move || {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -489,19 +543,22 @@ mod tests {
             let span = rng() % 900;
             let a = cursors[p] + gap;
             let b = a + span;
-            match rng() % 6 {
-                0 => rec.wait_enter(p, WaitKind::Tx, t(a)),
-                1 => rec.wait_enter(p, WaitKind::Rx, t(a)),
-                2 => rec.wait_exit(p, t(a)),
-                3 => rec.phase(p, if i % 2 == 0 { "alpha" } else { "beta" }, t(a)),
-                _ => {
-                    let s = ProcState::ALL[(rng() % 4) as usize];
-                    rec.busy(p, s, t(a), t(b));
-                    cursors[p] = b;
-                    continue;
-                }
-            }
             cursors[p] = a;
+            rec.record(&match rng() % 7 {
+                0 => enter(p, WaitKind::Tx, a),
+                1 => enter(p, WaitKind::Rx, a),
+                2 => exit(p, a),
+                3 => phase(p, if i % 2 == 0 { "alpha" } else { "beta" }, a),
+                // Busy spans, on both sides of the base/Δo split.
+                busy => {
+                    cursors[p] = b;
+                    match busy {
+                        4 => compute(p, a, b),
+                        5 => send(p, span, b, (b, b), (b, b), 1),
+                        _ => recv(p, span, b),
+                    }
+                }
+            });
         }
         let end = cursors.iter().copied().max().unwrap() + 137;
         let report = rec.finish(t(end));
@@ -528,35 +585,69 @@ mod tests {
 
     #[test]
     fn background_time_is_attributed_to_the_enclosing_wait() {
-        let rec = MetricsRecorder::new(1, SimDelta::from_nanos(1_000));
-        rec.busy(0, ProcState::Compute, t(0), t(100));
-        rec.wait_enter(0, WaitKind::Tx, t(100));
-        rec.busy(0, ProcState::ORecv, t(300), t(350)); // polled during wait
-        rec.wait_exit(0, t(500));
+        let rec = recorder(1, 1_000);
+        rec.record(&compute(0, 0, 100));
+        rec.record(&enter(0, WaitKind::Tx, 100));
+        rec.record(&recv(0, 40, 340)); // polled during the wait
+        rec.record(&exit(0, 500));
         let report = rec.finish(t(600));
         let p = &report.procs[0];
         assert_eq!(p.totals[ProcState::Compute as usize], 100);
-        assert_eq!(p.totals[ProcState::TxWait as usize], 200 + 150);
-        assert_eq!(p.totals[ProcState::ORecv as usize], 50);
+        assert_eq!(p.totals[ProcState::TxWait as usize], 200 + 160);
+        assert_eq!(p.totals[ProcState::ORecv as usize], 40);
         assert_eq!(p.totals[ProcState::Idle as usize], 100);
+    }
+
+    #[test]
+    fn overhead_beyond_the_machine_baseline_is_delta_o() {
+        let rec = recorder(2, 1_000);
+        // 100 ns paid on a 30 ns machine: the knob (or a straggler's
+        // multiplier) accounts for the other 70.
+        rec.record(&send(0, 100, 100, (100, 100), (100, 100), 1));
+        rec.record(&recv(1, 40, 200)); // exactly the baseline
+        let report = rec.finish(t(200));
+        let totals = |p: usize, s: ProcState| report.procs[p].totals[s as usize];
+        assert_eq!(totals(0, ProcState::OSend), 30);
+        assert_eq!(totals(0, ProcState::DeltaO), 70);
+        assert_eq!(totals(1, ProcState::ORecv), 40);
+        assert_eq!(totals(1, ProcState::DeltaO), 0);
+    }
+
+    #[test]
+    fn a_timer_driven_retransmission_leaves_the_timeline_alone() {
+        // The retry is injected (o_send zero: charged out of band) in the
+        // middle of a compute segment that is only reported at its end.
+        let rec = recorder(1, 1_000);
+        rec.record(&TraceEvent::Retransmit {
+            id: 1,
+            attempt: 2,
+            o_send: SimDelta::from_nanos(30),
+            at: t(500),
+        });
+        rec.record(&send(0, 0, 500, (500, 600), (500, 550), 1));
+        rec.record(&compute(0, 0, 1_000));
+        let report = rec.finish(t(1_000));
+        assert_eq!(report.procs[0].totals[ProcState::Compute as usize], 1_000);
+        assert_eq!(report.procs[0].nic_tx_total, 100);
+        assert_eq!(report.summary.retransmits, 1);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "overlapping busy span")]
     fn overlapping_spans_trip_the_debug_assert() {
-        let rec = MetricsRecorder::new(1, SimDelta::from_nanos(1_000));
-        rec.busy(0, ProcState::Compute, t(0), t(100));
-        rec.busy(0, ProcState::Compute, t(50), t(150));
+        let rec = recorder(1, 1_000);
+        rec.record(&compute(0, 0, 100));
+        rec.record(&compute(0, 50, 150));
     }
 
     #[test]
     fn phase_markers_segment_time_exactly() {
-        let rec = MetricsRecorder::new(2, SimDelta::from_nanos(500));
-        rec.busy(0, ProcState::Compute, t(0), t(400));
-        rec.phase(0, "work", t(400));
-        rec.busy(0, ProcState::Compute, t(400), t(900));
-        rec.phase(1, "work", t(100));
+        let rec = recorder(2, 500);
+        rec.record(&compute(0, 0, 400));
+        rec.record(&phase(0, "work", 400));
+        rec.record(&compute(0, 400, 900));
+        rec.record(&phase(1, "work", 100));
         let report = rec.finish(t(1_000));
         let by_name = |n: &str| {
             report
@@ -583,23 +674,35 @@ mod tests {
 
     #[test]
     fn nic_and_wire_occupancy_accumulate() {
-        let rec = MetricsRecorder::new(2, SimDelta::from_nanos(1_000));
-        rec.nic_tx(0, t(0), t(600));
-        rec.nic_tx(0, t(600), t(1_200));
-        rec.nic_rx(1, t(500), t(700));
-        rec.wire(0, 1, t(100), t(400));
-        rec.wire(0, 1, t(400), t(450));
-        rec.window_depth(0, 3, t(0));
-        rec.window_depth(0, 5, t(10));
-        rec.retransmit(0, t(20));
+        let rec = recorder(2, 1_000);
+        rec.record(&send(0, 0, 0, (0, 600), (100, 400), 3));
+        rec.record(&send(0, 0, 10, (600, 1_200), (400, 450), 5));
+        rec.record(&TraceEvent::NicRx {
+            proc: 1,
+            from: t(500),
+            to: t(700),
+        });
         let report = rec.finish(t(2_000));
         assert_eq!(report.procs[0].nic_tx_total, 1_200);
         assert_eq!(report.procs[0].nic_tx, vec![1_000, 200]);
         assert_eq!(report.procs[1].nic_rx_total, 200);
         assert_eq!(report.wire.len(), 1);
         assert_eq!(report.wire[0].busy_ns, 350);
-        assert_eq!(report.summary.retransmits, 1);
         assert_eq!(report.summary.depth_max, 5);
         assert!((report.summary.depth_mean - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_dropped_attempt_charges_its_sender_but_not_the_wire() {
+        let rec = recorder(2, 1_000);
+        let TraceEvent::Send(attempt) = send(0, 30, 30, (30, 130), (30, 80), 2) else {
+            unreachable!()
+        };
+        rec.record(&TraceEvent::Drop(attempt));
+        let report = rec.finish(t(1_000));
+        assert_eq!(report.procs[0].totals[ProcState::OSend as usize], 30);
+        assert_eq!(report.procs[0].nic_tx_total, 100);
+        assert_eq!(report.summary.depth_max, 2);
+        assert!(report.wire.is_empty());
     }
 }

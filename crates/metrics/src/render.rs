@@ -321,25 +321,19 @@ pub fn render_report(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MetricsRecorder, MetricsSink, RunMeta, WaitKind};
-    use nowlab_sim::{SimDelta, SimTime};
+    use crate::tests::{compute, enter, exit, phase, recorder, send, t};
+    use crate::RunMeta;
+    use nowlab_trace::{TraceSink, WaitKind};
 
     #[test]
     fn run_report_round_trips_through_json_and_renders() {
-        let rec = MetricsRecorder::new(2, SimDelta::from_nanos(1_000));
-        rec.busy(
-            0,
-            ProcState::Compute,
-            SimTime::ZERO,
-            SimTime::from_nanos(700),
-        );
-        rec.phase(0, "work", SimTime::from_nanos(700));
-        rec.wait_enter(0, WaitKind::Rx, SimTime::from_nanos(700));
-        rec.wait_exit(0, SimTime::from_nanos(1_500));
-        rec.nic_tx(0, SimTime::from_nanos(10), SimTime::from_nanos(40));
-        rec.wire(0, 1, SimTime::from_nanos(40), SimTime::from_nanos(90));
-        rec.window_depth(0, 2, SimTime::from_nanos(10));
-        let mut report = rec.finish(SimTime::from_nanos(2_000));
+        let rec = recorder(2, 1_000);
+        rec.record(&compute(0, 0, 700));
+        rec.record(&phase(0, r#"wo"rk"#, 700)); // the writer escapes, the parser reads it back
+        rec.record(&enter(0, WaitKind::Rx, 700));
+        rec.record(&exit(0, 1_500));
+        rec.record(&send(0, 0, 1_500, (1_510, 1_540), (1_540, 1_590), 2));
+        let mut report = rec.finish(t(2_000));
         report.events_per_window = vec![3, 9];
         let mut buf = Vec::new();
         report
@@ -356,7 +350,7 @@ mod tests {
         let rendered = render_report(&text).expect("render");
         assert!(rendered.contains("TestApp on 2 processors"), "{rendered}");
         assert!(rendered.contains("phase table"), "{rendered}");
-        assert!(rendered.contains("work"), "{rendered}");
+        assert!(rendered.contains(r#"wo"rk"#), "{rendered}");
         assert!(rendered.contains("retransmits 0"), "{rendered}");
         assert!(
             rendered.contains("failure detector: 0 heartbeats"),
@@ -368,21 +362,11 @@ mod tests {
 
     #[test]
     fn sweep_report_renders_per_phase_columns() {
-        let rec = MetricsRecorder::new(1, SimDelta::from_nanos(1_000));
-        rec.busy(
-            0,
-            ProcState::Compute,
-            SimTime::ZERO,
-            SimTime::from_nanos(500),
-        );
-        rec.phase(0, "permute", SimTime::from_nanos(500));
-        rec.busy(
-            0,
-            ProcState::OSend,
-            SimTime::from_nanos(500),
-            SimTime::from_nanos(900),
-        );
-        let report = rec.finish(SimTime::from_nanos(1_000));
+        let rec = recorder(1, 1_000);
+        rec.record(&compute(0, 0, 500));
+        rec.record(&phase(0, "permute", 500));
+        rec.record(&send(0, 400, 900, (900, 900), (900, 900), 1));
+        let report = rec.finish(t(1_000));
         let mut buf = Vec::new();
         crate::write_sweep_json(
             "TestApp",

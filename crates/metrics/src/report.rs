@@ -2,12 +2,13 @@
 //!
 //! The JSON is hand-rolled in the same style as the trace crate's
 //! Chrome exporter: every value is an integer, a fixed-precision float,
-//! or an ASCII app/phase label, so no escaping machinery is needed and
-//! no serializer dependency is taken. Two runs of the same (program,
-//! seed, window) produce byte-identical files.
+//! or an app/phase label passed through [`crate::json::escape`], so no
+//! serializer dependency is taken. Two runs of the same (program, seed,
+//! window) produce byte-identical files.
 
 use std::io::{self, Write};
 
+use crate::json::escape;
 use crate::{ProcState, N_STATES};
 
 /// Name of the schema emitted in every report file.
@@ -208,7 +209,7 @@ fn write_summary<W: Write>(w: &mut W, s: &MetricsSummary) -> io::Result<()> {
         if i > 0 {
             write!(w, ",")?;
         }
-        write!(w, r#"{{"name":"{}","totals":"#, ph.name)?;
+        write!(w, r#"{{"name":"{}","totals":"#, escape(&ph.name))?;
         write_u64s(w, &ph.totals)?;
         write!(w, "}}")?;
     }
@@ -237,7 +238,11 @@ impl MetricsReport {
         write!(
             w,
             r#"{{"schema":"{SCHEMA_NAME}","version":{SCHEMA_VERSION},"kind":"run","app":"{}","procs":{},"seed":{},"window_ns":{},"end_ns":{},"#,
-            meta.app, meta.procs, meta.seed, self.window_ns, self.end_ns
+            escape(meta.app),
+            meta.procs,
+            meta.seed,
+            self.window_ns,
+            self.end_ns
         )?;
         write_states(w)?;
         write!(w, r#","proc":["#)?;
@@ -307,7 +312,8 @@ pub fn write_sweep_json<W: Write>(
 ) -> io::Result<()> {
     write!(
         w,
-        r#"{{"schema":"{SCHEMA_NAME}","version":{SCHEMA_VERSION},"kind":"sweep","app":"{app}","axis":"{axis}","procs":{procs},"#,
+        r#"{{"schema":"{SCHEMA_NAME}","version":{SCHEMA_VERSION},"kind":"sweep","app":"{}","axis":"{axis}","procs":{procs},"#,
+        escape(app),
     )?;
     write_states(w)?;
     write!(w, r#","points":["#)?;

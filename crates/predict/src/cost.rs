@@ -10,9 +10,8 @@
 //!   if a span carries state the model does not capture.
 //! * **NIC spans** (transmit occupancy, wire transit, receive
 //!   serialization) are recomputed from the same integer arithmetic the
-//!   transport uses ([`tx_spans`] mirrors the fragment loop in the AM
-//!   layer's `inject_with`), so they track `g` and `G` exactly instead of
-//!   replaying frozen baseline waits.
+//!   transport uses (both call [`NetConfig::tx_spans`]), so they track `g`
+//!   and `G` exactly instead of replaying frozen baseline waits.
 
 use std::collections::BTreeMap;
 
@@ -112,32 +111,6 @@ pub(crate) enum Cost {
     RxChain,
 }
 
-/// Transmit-context spans for a message of `bytes` payload bytes under
-/// `cfg`: `(wire_done − tx_start, tx_free − tx_start)`.
-///
-/// Mirrors the transport's injection arithmetic exactly: a short message
-/// leaves instantly and stalls the loop for the effective gap; a bulk
-/// message is cut into fragments that each occupy the DMA engine for
-/// `(G+ΔG)·size` (at least the per-message gap), with the added-gap knob
-/// stalling between fragments.
-pub(crate) fn tx_spans(cfg: &NetConfig, bytes: u32) -> (SimDelta, SimDelta) {
-    if bytes == 0 {
-        return (SimDelta::ZERO, cfg.eff_gap());
-    }
-    let mut t = SimDelta::ZERO;
-    let mut remaining = bytes;
-    let mut last_done = SimDelta::ZERO;
-    while remaining > 0 {
-        let frag = remaining.min(cfg.frag_bytes);
-        remaining -= frag;
-        let dma = cfg.eff_gap_per_byte() * u64::from(frag);
-        let busy = dma.max(cfg.machine.gap);
-        last_done = t + busy;
-        t = last_done + cfg.knobs.d_g;
-    }
-    (last_done, t)
-}
-
 /// Wire transit span under `cfg` (how long after `wire_done` the message
 /// reaches the head of the destination's delivery chain).
 pub(crate) fn wire_span(cfg: &NetConfig) -> SimDelta {
@@ -184,9 +157,9 @@ impl Cost {
             Cost::Compute(d) | Cost::Idle(d) => d,
             Cost::OSend(m) => reprice(m, cfg.eff_o_send(), base.eff_o_send()),
             Cost::ORecv(m) => reprice(m, cfg.eff_o_recv(), base.eff_o_recv()),
-            Cost::TxFree { bytes } => tx_spans(cfg, bytes).1,
+            Cost::TxFree { bytes } => cfg.tx_spans(bytes).1,
             Cost::Transit { bytes } => {
-                let (dma, _) = tx_spans(cfg, bytes);
+                let (dma, _) = cfg.tx_spans(bytes);
                 dma + wire_span(cfg)
             }
             Cost::RxChain => rx_chain_span(cfg),
@@ -206,7 +179,7 @@ impl Cost {
             Cost::ORecv(_) => [(Bucket::ORecv, self.price(cfg, base)), zero],
             Cost::TxFree { .. } => [(Bucket::TxGap, self.price(cfg, base)), zero],
             Cost::Transit { bytes } => {
-                let (dma, _) = tx_spans(cfg, bytes);
+                let (dma, _) = cfg.tx_spans(bytes);
                 [(Bucket::Dma, dma), (Bucket::Wire, wire_span(cfg))]
             }
             Cost::RxChain => [(Bucket::RxGap, self.price(cfg, base)), zero],
@@ -316,31 +289,6 @@ impl Classes {
 mod tests {
     use super::*;
     use nowlab_am::Knobs;
-
-    #[test]
-    fn short_message_spans_match_the_transport() {
-        let cfg = NetConfig::berkeley_now();
-        let (done, free) = tx_spans(&cfg, 0);
-        assert_eq!(done, SimDelta::ZERO);
-        assert_eq!(free, cfg.machine.gap);
-    }
-
-    #[test]
-    fn bulk_fragment_train_matches_the_transport_loop() {
-        let mut cfg = NetConfig::berkeley_now();
-        cfg.knobs = Knobs {
-            d_g: SimDelta::from_nanos(100),
-            ..Knobs::baseline()
-        };
-        let bytes = cfg.frag_bytes * 2 + 100;
-        let (done, free) = tx_spans(&cfg, bytes);
-        // Replay the transport's loop by hand.
-        let full = (cfg.eff_gap_per_byte() * u64::from(cfg.frag_bytes)).max(cfg.machine.gap);
-        let tail = (cfg.eff_gap_per_byte() * 100).max(cfg.machine.gap);
-        let expect_done = full + cfg.knobs.d_g + full + cfg.knobs.d_g + tail;
-        assert_eq!(done, expect_done);
-        assert_eq!(free, expect_done + cfg.knobs.d_g);
-    }
 
     #[test]
     fn baseline_reprice_is_identity() {

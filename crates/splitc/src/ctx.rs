@@ -111,9 +111,12 @@ impl Ctx {
         self.port.idle_until(deadline).await;
     }
 
-    /// Marks the start of a named application phase on this processor's
-    /// metrics timeline. A no-op when metrics are disabled; never affects
-    /// simulation state, so phase-marked runs stay deterministic.
+    /// Marks the start of a named application phase on this processor.
+    /// Observers (trace and metrics alike) see the name as a
+    /// `nowlab_trace::PhaseLabel` — its first 16 ASCII bytes — so two
+    /// names that agree that far are one phase in every report. A no-op
+    /// when nothing observes the run; never affects simulation state, so
+    /// phase-marked runs stay deterministic.
     pub fn phase(&self, name: &str) {
         self.port.phase_marker(name);
     }

@@ -213,21 +213,13 @@ impl SplitC {
         &self.cluster
     }
 
-    /// Installs a trace sink on the underlying cluster. The first sink
-    /// installed wins; later calls are ignored. Sinks observe message
-    /// lifecycle events but must never schedule work or mutate simulation
-    /// state, so a traced run is event-for-event identical to an untraced
-    /// one.
+    /// Installs the observer on the underlying cluster's one event cell
+    /// (a trace recorder, a metrics recorder, or a fan-out of both). The
+    /// first sink installed wins; later calls are ignored. Sinks observe
+    /// events but must never schedule work or mutate simulation state, so
+    /// an observed run is event-for-event identical to an unobserved one.
     pub fn set_trace_sink(&self, sink: std::rc::Rc<dyn nowlab_trace::TraceSink>) {
         self.cluster.set_trace_sink(sink);
-    }
-
-    /// Installs a metrics sink on the underlying cluster. Same contract
-    /// as [`SplitC::set_trace_sink`]: first sink wins, and sinks are
-    /// pure observers — a metered run is event-for-event identical to
-    /// an unmetered one.
-    pub fn set_metrics_sink(&self, sink: std::rc::Rc<dyn nowlab_metrics::MetricsSink>) {
-        self.cluster.set_metrics_sink(sink);
     }
 
     /// Registers an application-defined handler operating on the

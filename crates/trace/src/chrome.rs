@@ -208,6 +208,7 @@ mod tests {
             inject: us(1.8),
             tx_start: us(2.0),
             wire_done: us(2.0),
+            tx_free: us(2.0),
             arrival: us(7.0),
             in_flight: 1,
             timer_depth: 1,
@@ -219,6 +220,7 @@ mod tests {
         }));
         rec.record(&TraceEvent::Recv(RecvEvent {
             id: 1,
+            proc: 1,
             o_recv: SimDelta::from_micros(4.0),
             done: us(12.0),
         }));
@@ -234,6 +236,7 @@ mod tests {
             inject: us(20.0),
             tx_start: us(20.0),
             wire_done: us(20.0),
+            tx_free: us(20.0),
             arrival: us(25.0),
             in_flight: 1,
             timer_depth: 1,

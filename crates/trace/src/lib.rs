@@ -21,11 +21,16 @@
 //! virtual time, so a traced run is event-count- and result-identical to
 //! an untraced run.
 //!
-//! Two consumers are provided:
+//! [`TraceEvent`] is the *only* thing the simulated machine emits about
+//! itself, so every report is a projection of the same measurement:
 //!
-//! * [`TraceRecorder`] — assembles [`MsgRecord`] lifecycles and histogram
-//!   metrics into a [`TraceReport`].
-//! * [`chrome::write_chrome_trace`] — `about:tracing` / Perfetto JSON.
+//! * [`TraceRecorder`] — per message: assembles [`MsgRecord`] lifecycles
+//!   and histogram metrics into a [`TraceReport`], which
+//!   [`chrome::write_chrome_trace`] lays out as `about:tracing` /
+//!   Perfetto JSON.
+//! * `nowlab_metrics::MetricsRecorder` — per processor-nanosecond: the
+//!   same stream folded into utilization timelines (it sits above this
+//!   crate and implements [`TraceSink`] too).
 //!
 //! # Examples
 //!
@@ -40,10 +45,10 @@
 //! rec.record(&TraceEvent::Send(SendEvent {
 //!     id: 1, src: 0, dst: 1, reply: false, kind: MsgKind::Write, bytes: 0,
 //!     o_send: SimDelta::from_micros(1.8), inject: us(1.8), tx_start: us(1.8),
-//!     wire_done: us(1.8), arrival: us(6.8), in_flight: 1, timer_depth: 1,
+//!     wire_done: us(1.8), tx_free: us(7.6), arrival: us(6.8), in_flight: 1, timer_depth: 1,
 //! }));
 //! rec.record(&TraceEvent::Visible(VisibleEvent { id: 1, at: us(6.8), rx_depth: 1 }));
-//! rec.record(&TraceEvent::Recv(RecvEvent { id: 1, o_recv: SimDelta::from_micros(4.0), done: us(10.8) }));
+//! rec.record(&TraceEvent::Recv(RecvEvent { id: 1, proc: 1, o_recv: SimDelta::from_micros(4.0), done: us(10.8) }));
 //! let report = rec.finish();
 //! let m = &report.records[0];
 //! assert!(m.completed);
@@ -138,6 +143,10 @@ pub struct SendEvent {
     /// Instant the last fragment left the NIC (equals `tx_start` for
     /// short messages; DMA occupancy for bulk).
     pub wire_done: SimTime,
+    /// Instant the transmit context can inject again: it is busy over
+    /// `[tx_start, tx_free)` (the gap for a short message, the fragment
+    /// train's DMA and inter-fragment stalls for bulk).
+    pub tx_free: SimTime,
     /// Scheduled arrival at the destination NIC (`wire_done + L`, plus
     /// fault-plan jitter if any).
     pub arrival: SimTime,
@@ -165,10 +174,21 @@ pub struct VisibleEvent {
 pub struct RecvEvent {
     /// Trace correlation id.
     pub id: u64,
+    /// Processor that paid the overhead (the message's destination).
+    pub proc: usize,
     /// Receive overhead just paid.
     pub o_recv: SimDelta,
     /// Instant the overhead finished (handler-eligible from here).
     pub done: SimTime,
+}
+
+/// What a processor is waiting *for* while it services the network.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WaitKind {
+    /// Blocked acquiring a send-window credit (flow-control back-pressure).
+    Tx,
+    /// Blocked on a condition or deadline (a receive stall).
+    Rx,
 }
 
 /// Which synchronization construct a [`TraceEvent::Wave`] belongs to.
@@ -263,13 +283,11 @@ pub enum TraceEvent {
         /// Instant the handler ran.
         at: SimTime,
     },
-    /// The fault plan dropped the message on the wire.
-    Drop {
-        /// Trace correlation id.
-        id: u64,
-        /// Instant of the (failed) injection.
-        at: SimTime,
-    },
+    /// The fault plan dropped this transmission attempt on the wire. It is
+    /// reported *instead of* a [`TraceEvent::Send`] and carries the same
+    /// record, because the sender paid the same overhead and NIC occupancy
+    /// either way; `arrival` is where the attempt would have landed.
+    Drop(SendEvent),
     /// The fault plan scheduled a duplicate delivery.
     DupDelivery {
         /// Trace correlation id.
@@ -350,29 +368,36 @@ pub enum TraceEvent {
         /// Instant the phase began on this processor.
         at: SimTime,
     },
-}
-
-impl TraceEvent {
-    /// The trace correlation id this event refers to, for message-lifecycle
-    /// events. Edge and segment events ([`TraceEvent::Pair`] onward) carry
-    /// their own identifiers and return `None`.
-    pub fn id(&self) -> Option<u64> {
-        match *self {
-            TraceEvent::Send(SendEvent { id, .. }) => Some(id),
-            TraceEvent::Visible(VisibleEvent { id, .. }) => Some(id),
-            TraceEvent::Recv(RecvEvent { id, .. }) => Some(id),
-            TraceEvent::Handler { id, .. }
-            | TraceEvent::Drop { id, .. }
-            | TraceEvent::DupDelivery { id, .. }
-            | TraceEvent::Retransmit { id, .. } => Some(id),
-            TraceEvent::Pair { .. }
-            | TraceEvent::Compute { .. }
-            | TraceEvent::Idle { .. }
-            | TraceEvent::Wave { .. }
-            | TraceEvent::Region { .. }
-            | TraceEvent::Phase { .. } => None,
-        }
-    }
+    /// The processor entered its outermost network wait (waits nest; only
+    /// the outermost is reported). Emitted at entry, not at exit, so a
+    /// consumer can attribute the time between the events it sees
+    /// meanwhile to the wait.
+    WaitEnter {
+        /// Processor that began waiting.
+        proc: usize,
+        /// What it waits for.
+        kind: WaitKind,
+        /// Instant of entry.
+        at: SimTime,
+    },
+    /// The processor left its outermost network wait.
+    WaitExit {
+        /// Processor that stopped waiting.
+        proc: usize,
+        /// Instant of exit.
+        at: SimTime,
+    },
+    /// The receive NIC context accepted a delivery (duplicates included)
+    /// and is held over `[from, to)`: one gap, preceded by `ΔL` on the
+    /// slow-receive-path latency mode.
+    NicRx {
+        /// Destination processor.
+        proc: usize,
+        /// Instant the context took the message.
+        from: SimTime,
+        /// Instant the context is free again.
+        to: SimTime,
+    },
 }
 
 /// Receives lifecycle events from the simulation layers.
@@ -384,15 +409,6 @@ impl TraceEvent {
 pub trait TraceSink {
     /// Observes one lifecycle event.
     fn record(&self, ev: &TraceEvent);
-}
-
-/// A sink that discards everything — for measuring the cost of event
-/// construction alone.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _ev: &TraceEvent) {}
 }
 
 /// Exact per-component cost attribution for one message, all integer
@@ -865,7 +881,10 @@ impl TraceReport {
     }
 }
 
-/// In-flight state for a message whose lifecycle is still open.
+/// In-flight state for a message whose lifecycle is still open: what the
+/// record needs of the attempt now in flight, field by field — the map of
+/// these churns beside the retained records, and its entry size shows in
+/// a Full-mode run's peak RSS.
 #[derive(Clone, Copy, Debug)]
 struct Pending {
     src: usize,
@@ -928,9 +947,7 @@ impl TraceRecorder {
             records.extend(st.finished.values().copied());
             // Open lifecycles (in flight at the end of the run) are
             // reported too, flagged incomplete.
-            for (&id, p) in &st.pending {
-                records.push(incomplete_record(id, p));
-            }
+            records.extend(st.pending.iter().map(|(&id, p)| incomplete_record(id, p)));
             records.sort_by_key(|r| r.id);
         }
         TraceReport {
@@ -945,6 +962,8 @@ impl TraceRecorder {
     }
 }
 
+/// The record of a lifecycle still open at the end of the run: sender
+/// side as sent, receiver side collapsed onto the arrival instant.
 fn incomplete_record(id: u64, p: &Pending) -> MsgRecord {
     MsgRecord {
         id,
@@ -955,7 +974,7 @@ fn incomplete_record(id: u64, p: &Pending) -> MsgRecord {
         bytes: p.bytes,
         attempts: p.attempts,
         dropped_attempts: p.dropped_attempts,
-        send_begin: begin_of(p),
+        send_begin: SimTime::from_nanos(p.inject.as_nanos().saturating_sub(p.o_send.as_nanos())),
         inject: p.inject,
         tx_start: p.tx_start,
         wire_done: p.wire_done,
@@ -977,24 +996,14 @@ fn incomplete_record(id: u64, p: &Pending) -> MsgRecord {
     }
 }
 
-fn begin_of(p: &Pending) -> SimTime {
-    SimTime::from_nanos(p.inject.as_nanos().saturating_sub(p.o_send.as_nanos()))
-}
-
 /// Closes a lifecycle: derives the seven spans from the recorded
 /// timestamps. Every span is a difference of adjacent discrete-event
 /// timestamps, so the spans telescope to `done − send_begin` exactly;
 /// fault-path races that would make a span negative mark the record
 /// tangled instead (the span clamps to zero).
 fn finalize(id: u64, p: &Pending, ev: &RecvEvent) -> MsgRecord {
-    let mut tangled = false;
-    let visible = match p.visible {
-        Some(v) => v,
-        None => {
-            tangled = true;
-            p.arrival
-        }
-    };
+    let mut tangled = p.visible.is_none();
+    let visible = p.visible.unwrap_or(p.arrival);
     let pop = SimTime::from_nanos(ev.done.as_nanos().saturating_sub(ev.o_recv.as_nanos()));
     let mut span = |later: SimTime, earlier: SimTime| {
         if later < earlier {
@@ -1004,39 +1013,19 @@ fn finalize(id: u64, p: &Pending, ev: &RecvEvent) -> MsgRecord {
             later.since(earlier)
         }
     };
-    let tx_wait = span(p.tx_start, p.inject);
-    let dma = span(p.wire_done, p.tx_start);
-    let wire = span(p.arrival, p.wire_done);
-    let rx_hold = span(visible, p.arrival);
-    let rx_queue = span(pop, visible);
     MsgRecord {
-        id,
-        src: p.src,
-        dst: p.dst,
-        reply: p.reply,
-        kind: p.kind,
-        bytes: p.bytes,
-        attempts: p.attempts,
-        dropped_attempts: p.dropped_attempts,
-        send_begin: begin_of(p),
-        inject: p.inject,
-        tx_start: p.tx_start,
-        wire_done: p.wire_done,
-        arrival: p.arrival,
+        tx_wait: span(p.tx_start, p.inject),
+        dma: span(p.wire_done, p.tx_start),
+        wire: span(p.arrival, p.wire_done),
+        rx_hold: span(visible, p.arrival),
+        rx_queue: span(pop, visible),
+        o_recv: ev.o_recv,
         visible,
         pop,
         done: ev.done,
-        handler_at: p.handler_at,
-        pair: p.pair,
         completed: true,
         tangled,
-        o_send: p.o_send,
-        tx_wait,
-        dma,
-        wire,
-        rx_hold,
-        rx_queue,
-        o_recv: ev.o_recv,
+        ..incomplete_record(id, p)
     }
 }
 
@@ -1153,9 +1142,9 @@ impl TraceSink for TraceRecorder {
                     }
                 }
             }
-            TraceEvent::Drop { id, .. } => {
+            TraceEvent::Drop(e) => {
                 st.summary.drops += 1;
-                if let Some(p) = st.pending.get_mut(id) {
+                if let Some(p) = st.pending.get_mut(&e.id) {
                     p.dropped_attempts += 1;
                 }
             }
@@ -1252,6 +1241,11 @@ impl TraceSink for TraceRecorder {
                     });
                 }
             }
+            // Processor-time and NIC-occupancy accounting: the metrics
+            // recorder's half of the stream.
+            TraceEvent::WaitEnter { .. }
+            | TraceEvent::WaitExit { .. }
+            | TraceEvent::NicRx { .. } => {}
         }
     }
 }
@@ -1287,7 +1281,11 @@ mod tests {
     }
 
     fn send(id: u64, src: usize, dst: usize, begin_us: f64) -> TraceEvent {
-        TraceEvent::Send(SendEvent {
+        TraceEvent::Send(attempt(id, src, dst, begin_us))
+    }
+
+    fn attempt(id: u64, src: usize, dst: usize, begin_us: f64) -> SendEvent {
+        SendEvent {
             id,
             src,
             dst,
@@ -1298,10 +1296,11 @@ mod tests {
             inject: us(begin_us + 1.8),
             tx_start: us(begin_us + 1.8),
             wire_done: us(begin_us + 1.8),
+            tx_free: us(begin_us + 1.8),
             arrival: us(begin_us + 6.8),
             in_flight: 1,
             timer_depth: 1,
-        })
+        }
     }
 
     fn complete(rec: &TraceRecorder, id: u64, begin_us: f64) {
@@ -1313,6 +1312,7 @@ mod tests {
         }));
         rec.record(&TraceEvent::Recv(RecvEvent {
             id,
+            proc: 1,
             o_recv: SimDelta::from_micros(4.0),
             done: us(begin_us + 10.8),
         }));
@@ -1350,6 +1350,7 @@ mod tests {
             inject: us(1.8),
             tx_start: us(3.0),    // tx NIC busy 1.2us
             wire_done: us(110.0), // DMA 107us
+            tx_free: us(110.0),
             arrival: us(115.0),
             in_flight: 3,
             timer_depth: 2,
@@ -1361,6 +1362,7 @@ mod tests {
         }));
         rec.record(&TraceEvent::Recv(RecvEvent {
             id: 7,
+            proc: 1,
             o_recv: SimDelta::from_micros(4.0),
             done: us(130.0), // popped at 126, queued 8us
         }));
@@ -1394,7 +1396,7 @@ mod tests {
     fn retransmit_restarts_the_attempt_and_counts() {
         let rec = TraceRecorder::new(true);
         rec.record(&send(1, 0, 1, 0.0)); // original, dropped on the wire
-        rec.record(&TraceEvent::Drop { id: 1, at: us(1.8) });
+        rec.record(&TraceEvent::Drop(attempt(1, 0, 1, 0.0)));
         rec.record(&TraceEvent::Retransmit {
             id: 1,
             attempt: 2,
@@ -1413,6 +1415,7 @@ mod tests {
             inject: us(500.0),
             tx_start: us(500.0),
             wire_done: us(500.0),
+            tx_free: us(500.0),
             arrival: us(505.0),
             in_flight: 1,
             timer_depth: 1,
@@ -1424,6 +1427,7 @@ mod tests {
         }));
         rec.record(&TraceEvent::Recv(RecvEvent {
             id: 1,
+            proc: 1,
             o_recv: SimDelta::from_micros(4.0),
             done: us(509.0),
         }));
@@ -1452,6 +1456,7 @@ mod tests {
         }));
         rec.record(&TraceEvent::Recv(RecvEvent {
             id: 1,
+            proc: 1,
             o_recv: SimDelta::from_micros(4.0),
             done: us(44.0),
         }));

@@ -15,8 +15,9 @@
 //!    run in every observable output (runtime, checksum, statistics, and
 //!    simulator event count): the sink observes, never schedules.
 
+use nowlab::am::{NodeFault, NodeFaultPlan};
 use nowlab::apps::{suite_scaled, SuiteScale};
-use nowlab::core::{RunSpec, SimDelta, TraceMode, TraceReport};
+use nowlab::core::{MetricsMode, RunSpec, SimDelta, TraceMode, TraceReport};
 use nowlab::{FaultPlan, NetConfig};
 
 fn spec() -> RunSpec {
@@ -97,6 +98,75 @@ fn traced_run_is_identical_to_untraced_run() {
         // checksum, and the simulator event count — must be equal.
         assert_eq!(plain, traced, "{}: tracing changed the run", app.name());
     }
+}
+
+/// Both recorders consume one event stream behind one observer cell:
+/// whichever of them a run installs — either, or the fan-out of both — it
+/// fires the same events and reaches the same results as a run with none.
+#[test]
+fn every_observer_combination_leaves_the_run_alone() {
+    use MetricsMode::{Off, On};
+    for name in ["Radix", "EM3D(read)", "Sample"] {
+        let app = suite_scaled(SuiteScale::Test)
+            .into_iter()
+            .find(|a| a.name() == name)
+            .expect("app in suite");
+        let plain = app.run(&spec());
+        for (trace, metrics) in [
+            (TraceMode::Summary, Off),
+            (TraceMode::Off, On),
+            (TraceMode::Summary, On),
+            (TraceMode::Full, On),
+        ] {
+            let mut seen = app.run(&spec().with_trace(trace).with_metrics(metrics));
+            assert_eq!(seen.trace.take().is_some(), trace != TraceMode::Off);
+            assert_eq!(seen.metrics.take().is_some(), metrics == On);
+            assert_eq!(plain, seen, "{name}: {trace:?}/{metrics:?} changed the run");
+        }
+    }
+}
+
+/// The send overhead a record reports is the overhead its sender paid. A
+/// straggler pays a multiple of `o_send`, so its records must say so, and
+/// `send_begin` must be the instant it started paying — for a reply, the
+/// instant the request's receive overhead finished.
+#[test]
+fn a_stragglers_records_carry_the_overhead_it_paid() {
+    let plan = NodeFaultPlan::none().with_fault(NodeFault::straggler(1, 2.0));
+    let net = NetConfig::berkeley_now().with_node_faults(plan);
+    let app = suite_scaled(SuiteScale::Test)
+        .into_iter()
+        .find(|a| a.name() == "EM3D(read)")
+        .expect("em3d-read in suite");
+    let out = app.run(
+        &RunSpec::new(8)
+            .with_net(net)
+            .with_event_limit(300_000_000)
+            .with_trace(TraceMode::Full),
+    );
+    assert!(out.completed);
+    let report = out.trace.expect("trace requested");
+    let by_id = |id: u64| {
+        let at = report.records.binary_search_by_key(&id, |r| r.id);
+        &report.records[at.expect("paired record present")]
+    };
+    let (mut sends, mut replies) = (0, 0);
+    for r in report.records.iter().filter(|r| r.attempts == 1) {
+        let paid = if r.src == 1 { 2 } else { 1 };
+        assert_eq!(r.o_send, net.eff_o_send() * paid, "msg {}", r.id);
+        assert_eq!(r.send_begin + r.o_send, r.inject, "msg {}", r.id);
+        sends += u32::from(r.src == 1);
+        // The pairing edge hangs on the request (the reply is not yet
+        // injected when the edge is observed).
+        if let (1, Some(reply)) = (r.dst, r.pair) {
+            assert_eq!(by_id(reply).send_begin, r.done, "reply to {}", r.id);
+            replies += 1;
+        }
+    }
+    assert!(
+        sends > 100 && replies > 100,
+        "{sends} sends, {replies} replies"
+    );
 }
 
 /// Summary mode (bounded memory) aggregates to exactly the same summary
