@@ -13,19 +13,31 @@
 //!
 //! # Hot-path architecture
 //!
-//! Three structures carry the per-event cost (the raw-speed campaign of
-//! ROADMAP item 3):
+//! Three structures carry the per-event cost:
 //!
 //! * the **timer wheel** ([`crate::wheel`]) orders pending timers and hands
 //!   the run loop *batches* — every timer at one instant under a single
-//!   `Inner` borrow;
-//! * the **wake log** ([`crate::ready`]) replaces the old
-//!   `Arc<Mutex<VecDeque>>` ready queue with an atomic append-only log
-//!   drained into a plain `Vec`, one ready bit per task;
-//! * the **action slab** stores timer payloads out-of-line from the wheel
-//!   keys, recycles slots through a free list, and — via registered
-//!   [`Sim::register_hook`] dispatchers — lets high-rate callers schedule
-//!   events without boxing a closure per event.
+//!   `Inner` borrow. A batch carries the events themselves, not keys into
+//!   a side table: a wheel entry's third word names a registered
+//!   [`Sim::register_hook`] dispatcher and its token, or the task a
+//!   [`Sleep`] belongs to, so the two event kinds a cluster run fires by
+//!   the million touch the wheel and nothing else.
+//! * the **action slab** holds what does not fit a word or may be revoked:
+//!   boxed closures ([`Sim::schedule`]), foreign `Waker`s (a [`Sleep`]
+//!   polled outside a task, or through a combinator that wraps the task's
+//!   waker), every timer that returned a [`TimerHandle`], and hook events
+//!   whose id or token is too wide to pack. Its per-slot `seq` stamp is
+//!   what makes lazy cancellation safe against slot reuse. `seq` is one
+//!   global counter, so which of the two routes an event takes never shows
+//!   in the firing order.
+//! * the **wake log** ([`crate::ready`]) is an atomic append-only log
+//!   drained into a plain `Vec`, one ready bit per task. It carries every
+//!   wake that goes through a `Waker` — [`crate::Notify`], [`JoinHandle`],
+//!   [`yield_now`], the initial wake of [`Sim::spawn`] — and is empty at
+//!   every fire point, because the run loop drains it before a batch and
+//!   between two events of one. That is what lets a task's own sleep timer
+//!   skip it: the run loop polls the task right at the fire point, which
+//!   is the poll the wake → log → drain round trip would have produced.
 //!
 //! # Examples
 //!
@@ -54,10 +66,10 @@ use std::task::{Context, Poll, Waker};
 
 use crate::ready::{ReadyQueue, TaskId, TaskWaker};
 use crate::time::{SimDelta, SimTime};
-use crate::wheel::{SchedulerStats, TimerEntry, TimerWheel};
+use crate::wheel::{Fire, SchedulerStats, TimerEntry, TimerWheel};
 
 type BoxedTask = Pin<Box<dyn Future<Output = ()>>>;
-type HookFn = Rc<dyn Fn(&Sim, u64)>;
+type HookFn = Box<dyn Fn(&Sim, u64)>;
 
 /// Why [`Sim::run`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,10 +108,16 @@ pub struct RunReport {
 }
 
 enum TimerAction {
+    /// A sleeping task's own timer: the run loop polls the task at the
+    /// fire point. Only ever decoded from a wheel entry, never parked in
+    /// the slab.
+    WakeTask(TaskId),
+    /// A [`Sleep`] registered with a waker that is not the polling task's
+    /// own.
     Wake(Waker),
     Call(Box<dyn FnOnce(&Sim)>),
     /// Inline dispatch through a registered hook (see
-    /// [`Sim::register_hook`]): two words in the slab, no allocation.
+    /// [`Sim::register_hook`]).
     Hook {
         hook: u32,
         token: u64,
@@ -126,7 +144,8 @@ pub struct TimerHandle {
 /// spawn instead of once per poll: `Waker::from(Arc<TaskWaker>)` costs an
 /// allocation, and tasks in a message-heavy simulation are polled many
 /// thousands of times. The raw shim is kept alongside so the executor can
-/// clear the ready bit before polling.
+/// clear the ready bit before polling. Boxed, so that taking the slot out
+/// of the task table for a poll and putting it back moves one pointer.
 struct TaskSlot {
     fut: BoxedTask,
     waker: Waker,
@@ -144,28 +163,37 @@ struct SlabSlot {
 
 struct Inner {
     wheel: TimerWheel,
-    /// Slab of pending timer actions, indexed by `TimerEntry::slot`. The
+    /// Slab of pending timer actions, indexed by [`Fire::Slab`]. The
     /// seq stamp and the action live side by side so the fire-time
     /// liveness check and the claim touch one slab slot, not two
     /// parallel arrays.
     slab: Vec<SlabSlot>,
     /// Recyclable slab slots (free list).
     free_slots: Vec<u32>,
-    /// Timers scheduled but neither fired nor cancelled. The wheel's own
-    /// `len` overcounts this by the lazily-cancelled ghosts still parked
-    /// in its buckets.
-    live_entries: usize,
-    tasks: Vec<Option<TaskSlot>>,
+    /// Cancelled timers whose wheel entry has not been reached and
+    /// discarded yet. While zero — always, in a run that cancels nothing —
+    /// every extracted entry is live and batches skip the liveness pass.
+    ghosts: usize,
+    tasks: Vec<Option<Box<TaskSlot>>>,
+    /// A second handle on each task's waker, which a [`Sleep`] compares
+    /// its context against (the first is out of the table, inside the
+    /// slot, while the task is polled).
+    wakers: Vec<Waker>,
     live_tasks: usize,
     seq: u64,
     order_violations: u64,
 }
 
 impl Inner {
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
     /// Stores `action` in the slab, reusing a freed slot when available,
     /// and stamps the slot with the registration sequence.
     fn alloc_slot(&mut self, action: TimerAction, seq: u64) -> u32 {
-        self.live_entries += 1;
         match self.free_slots.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = SlabSlot {
@@ -185,56 +213,69 @@ impl Inner {
         }
     }
 
+    /// True unless `e` is the ghost of a cancelled timer (its slot was
+    /// freed — and possibly recycled — at cancel time). Only slab-backed
+    /// entries can be cancelled.
+    fn is_live(&self, e: &TimerEntry) -> bool {
+        match Fire::unpack(e.word) {
+            Fire::Slab(slot) => {
+                let slot = &self.slab[slot as usize];
+                slot.seq == e.seq && slot.action.is_some()
+            }
+            _ => true,
+        }
+    }
+
     /// Extracts the next batch of *live* same-instant entries into `out`
-    /// in `seq` order, discarding lazily-cancelled ghosts along the way
-    /// (their slots were freed — and possibly recycled — at cancel
-    /// time). Returns the batch instant, or `None` once the wheel is
-    /// empty. Batches consisting entirely of ghosts are discarded
-    /// without surfacing — the clock never advances to a cancelled
-    /// instant.
+    /// in `seq` order, discarding lazily-cancelled ghosts along the way.
+    /// Returns the batch instant, or `None` once the wheel is empty.
+    /// Batches consisting entirely of ghosts are discarded without
+    /// surfacing — the clock never advances to a cancelled instant.
     ///
-    /// Actions stay in the slab: the run loop *claims* them one at a
-    /// time as the batch fires, so an earlier same-instant event (or a
-    /// task it wakes) can still cancel a later one, exactly as under the
-    /// one-pop-at-a-time heap kernel.
+    /// Slab-backed actions stay in the slab: the run loop *claims* them
+    /// one at a time as the batch fires, so an earlier same-instant event
+    /// (or a task it wakes) can still cancel a later one, exactly as
+    /// under the one-pop-at-a-time heap kernel.
     fn take_batch(&mut self, out: &mut Vec<TimerEntry>) -> Option<SimTime> {
         debug_assert!(out.is_empty());
         loop {
             let t = self.wheel.take_batch(out)?;
-            out.retain(|e| {
-                let slot = &self.slab[e.slot as usize];
-                slot.seq == e.seq && slot.action.is_some()
-            });
+            if self.ghosts == 0 {
+                return Some(t);
+            }
+            let extracted = out.len();
+            out.retain(|e| self.is_live(e));
+            self.ghosts -= extracted - out.len();
             if !out.is_empty() {
                 return Some(t);
             }
         }
     }
 
-    /// Takes a batch entry's action at fire time. `None` means the entry
-    /// was cancelled after extraction — by an earlier event in the same
-    /// batch, or by a task polled between two same-instant events — and
-    /// must fire nothing.
-    fn claim(&mut self, e: TimerEntry) -> Option<TimerAction> {
-        let slot = &mut self.slab[e.slot as usize];
-        if slot.seq != e.seq {
-            return None;
+    /// Takes a slab-backed batch entry's action at fire time. `None`
+    /// means the entry was cancelled after extraction — by an earlier
+    /// event in the same batch, or by a task polled between two
+    /// same-instant events — and must fire nothing.
+    fn claim(&mut self, slot: u32, seq: u64) -> Option<TimerAction> {
+        let s = &mut self.slab[slot as usize];
+        let action = if s.seq == seq { s.action.take() } else { None };
+        match action {
+            Some(_) => self.free_slots.push(slot),
+            None => self.ghosts -= 1,
         }
-        let action = slot.action.take()?;
-        self.free_slots.push(e.slot);
-        self.live_entries -= 1;
-        Some(action)
+        action
     }
 
-    /// Puts an unclaimed batch entry back after an early stop mid-batch
-    /// (halt or event limit between same-instant events). The action
-    /// never left the slab and `seq` is preserved, so a later run fires
-    /// it in exactly the order the uninterrupted run would have. Entries
-    /// cancelled while in flight are dropped instead.
+    /// Puts an unfired batch entry back after an early stop mid-batch
+    /// (halt or event limit between same-instant events). `seq` is
+    /// preserved (and a slab-backed action never left the slab), so a
+    /// later run fires it in exactly the order the uninterrupted run
+    /// would have. Entries cancelled while in flight are dropped instead.
     fn reinsert(&mut self, e: TimerEntry) {
-        let slot = &self.slab[e.slot as usize];
-        if slot.seq == e.seq && slot.action.is_some() {
+        if self.is_live(&e) {
             self.wheel.push(e);
+        } else {
+            self.ghosts -= 1;
         }
     }
 }
@@ -280,8 +321,20 @@ struct Shared {
     /// passive — it schedules no events and cannot perturb the run.
     sample_boundary: Cell<SimTime>,
     samples: RefCell<SampleState>,
-    /// Registered hook dispatchers, indexed by [`HookId`].
+    /// Timers scheduled but neither fired nor cancelled
+    /// ([`Sim::pending_timers`]). A `Cell`, so firing a packed event
+    /// updates it without an `Inner` borrow.
+    live_timers: Cell<usize>,
+    /// The task being polled right now, if any: how a [`Sleep`] knows
+    /// whose timer it is arming.
+    polling: Cell<Option<TaskId>>,
+    /// Registered hook dispatchers, indexed by [`HookId`]. Append-only,
+    /// and borrowed shared for the length of a dispatch.
     hooks: RefCell<Vec<HookFn>>,
+    /// Hooks registered *from inside* a dispatching hook, which cannot
+    /// borrow `hooks` mutably; they take the ids following the table's
+    /// and are appended to it at the next registration or on first use.
+    late_hooks: RefCell<Vec<HookFn>>,
     inner: RefCell<Inner>,
     ready: Arc<ReadyQueue>,
 }
@@ -335,13 +388,17 @@ impl Sim {
                 halted: Cell::new(false),
                 sample_boundary: Cell::new(SimTime::MAX),
                 samples: RefCell::new(SampleState::default()),
+                live_timers: Cell::new(0),
+                polling: Cell::new(None),
                 hooks: RefCell::new(Vec::new()),
+                late_hooks: RefCell::new(Vec::new()),
                 inner: RefCell::new(Inner {
                     wheel: TimerWheel::with_capacity(timers),
                     slab: Vec::with_capacity(timers),
                     free_slots: Vec::with_capacity(timers),
-                    live_entries: 0,
+                    ghosts: 0,
                     tasks: Vec::with_capacity(tasks),
+                    wakers: Vec::with_capacity(tasks),
                     live_tasks: 0,
                     seq: 0,
                     order_violations: 0,
@@ -362,7 +419,7 @@ impl Sim {
     /// passes, but will never fire). An O(1) observability probe for
     /// tracing/metrics; reading it cannot disturb event order.
     pub fn pending_timers(&self) -> usize {
-        self.shared.inner.borrow().live_entries
+        self.shared.live_timers.get()
     }
 
     /// Capacity and occupancy snapshot of the timer wheel: ring size
@@ -372,7 +429,7 @@ impl Sim {
     pub fn scheduler_stats(&self) -> SchedulerStats {
         let inner = self.shared.inner.borrow();
         let mut stats = inner.wheel.stats();
-        stats.cancelled = inner.wheel.len().saturating_sub(inner.live_entries);
+        stats.cancelled = inner.ghosts;
         stats
     }
 
@@ -498,11 +555,12 @@ impl Sim {
             let id = inner.tasks.len();
             let shim = TaskWaker::new(id, Arc::clone(&self.shared.ready));
             let waker = Waker::from(Arc::clone(&shim));
-            inner.tasks.push(Some(TaskSlot {
+            inner.wakers.push(waker.clone());
+            inner.tasks.push(Some(Box::new(TaskSlot {
                 fut: Box::pin(wrapped),
                 waker,
                 shim: Arc::clone(&shim),
-            }));
+            })));
             inner.live_tasks += 1;
             shim
         };
@@ -518,7 +576,11 @@ impl Sim {
         F: FnOnce(&Sim) + 'static,
     {
         let at = at.max(self.now());
-        self.push_timer(at, TimerAction::Call(Box::new(f)));
+        self.push_slab(
+            &mut self.shared.inner.borrow_mut(),
+            at,
+            TimerAction::Call(Box::new(f)),
+        );
     }
 
     /// Schedules `f` like [`Sim::schedule`] but returns a [`TimerHandle`]
@@ -528,7 +590,11 @@ impl Sim {
         F: FnOnce(&Sim) + 'static,
     {
         let at = at.max(self.now());
-        self.push_timer(at, TimerAction::Call(Box::new(f)))
+        self.push_slab(
+            &mut self.shared.inner.borrow_mut(),
+            at,
+            TimerAction::Call(Box::new(f)),
+        )
     }
 
     /// Registers a hook dispatcher and returns its [`HookId`].
@@ -542,10 +608,34 @@ impl Sim {
     where
         F: Fn(&Sim, u64) + 'static,
     {
-        let mut hooks = self.shared.hooks.borrow_mut();
-        let id = u32::try_from(hooks.len()).expect("hook table overflow");
-        hooks.push(Rc::new(f));
-        HookId(id)
+        let mut late = self.shared.late_hooks.borrow_mut();
+        let len = match self.shared.hooks.try_borrow_mut() {
+            Ok(mut hooks) => {
+                hooks.append(&mut late);
+                hooks.push(Box::new(f));
+                hooks.len()
+            }
+            // A hook is dispatching, under a shared borrow of the table.
+            Err(_) => {
+                late.push(Box::new(f));
+                self.shared.hooks.borrow().len() + late.len()
+            }
+        };
+        HookId(u32::try_from(len - 1).expect("hook table overflow"))
+    }
+
+    /// Runs hook number `hook` on `token`, under a shared borrow of the
+    /// table (no per-event refcount traffic).
+    fn dispatch_hook(&self, hook: u32, token: u64) {
+        if let Some(f) = self.shared.hooks.borrow().get(hook as usize) {
+            return f(self, token);
+        }
+        // Registered from inside an earlier dispatch.
+        self.shared
+            .hooks
+            .borrow_mut()
+            .append(&mut self.shared.late_hooks.borrow_mut());
+        (self.shared.hooks.borrow()[hook as usize])(self, token);
     }
 
     /// Schedules the dispatcher registered under `hook` to run at `at`
@@ -553,20 +643,22 @@ impl Sim {
     /// equivalent [`Sim::schedule`] call made at the same point.
     pub fn schedule_hook(&self, at: SimTime, hook: HookId, token: u64) {
         let at = at.max(self.now());
-        self.push_timer(
-            at,
-            TimerAction::Hook {
-                hook: hook.0,
-                token,
-            },
-        );
+        let hook = hook.0;
+        let inner = &mut self.shared.inner.borrow_mut();
+        match (Fire::Hook { hook, token }).pack() {
+            Some(word) => self.push_packed(inner, at, word),
+            None => {
+                self.push_slab(inner, at, TimerAction::Hook { hook, token });
+            }
+        }
     }
 
     /// [`Sim::schedule_hook`] returning a [`TimerHandle`] for
     /// [`Sim::cancel_timer`].
     pub fn schedule_hook_cancellable(&self, at: SimTime, hook: HookId, token: u64) -> TimerHandle {
         let at = at.max(self.now());
-        self.push_timer(
+        self.push_slab(
+            &mut self.shared.inner.borrow_mut(),
             at,
             TimerAction::Hook {
                 hook: hook.0,
@@ -597,23 +689,41 @@ impl Sim {
         }
         inner.slab[idx].action = None;
         inner.free_slots.push(handle.slot);
-        inner.live_entries -= 1;
+        inner.ghosts += 1;
+        self.shared
+            .live_timers
+            .set(self.shared.live_timers.get() - 1);
         true
     }
 
-    /// Registers a timer action at `time`, maintaining the cached earliest
-    /// deadline.
-    fn push_timer(&self, time: SimTime, action: TimerAction) -> TimerHandle {
-        let mut inner = self.shared.inner.borrow_mut();
-        let seq = inner.seq;
-        inner.seq += 1;
+    /// Registers an event that fits a wheel entry whole (`word` is a
+    /// packed [`Fire`]): no slab slot, no free list, no `seq` stamp.
+    fn push_packed(&self, inner: &mut Inner, time: SimTime, word: u64) {
+        let seq = inner.next_seq();
+        self.push_entry(inner, TimerEntry { time, seq, word });
+    }
+
+    /// Parks `action` in the slab and registers a wheel entry naming its
+    /// slot; the handle can revoke it.
+    fn push_slab(&self, inner: &mut Inner, time: SimTime, action: TimerAction) -> TimerHandle {
+        let seq = inner.next_seq();
         let slot = inner.alloc_slot(action, seq);
-        inner.wheel.push(TimerEntry { time, seq, slot });
-        match self.shared.next_deadline.get() {
-            Some(d) if d <= time => {}
-            _ => self.shared.next_deadline.set(Some(time)),
-        }
+        let word = Fire::slab_word(slot);
+        self.push_entry(inner, TimerEntry { time, seq, word });
         TimerHandle { slot, seq }
+    }
+
+    /// Puts a new entry on the wheel, maintaining the live count and the
+    /// cached earliest deadline.
+    fn push_entry(&self, inner: &mut Inner, e: TimerEntry) {
+        inner.wheel.push(e);
+        self.shared
+            .live_timers
+            .set(self.shared.live_timers.get() + 1);
+        match self.shared.next_deadline.get() {
+            Some(d) if d <= e.time => {}
+            _ => self.shared.next_deadline.set(Some(e.time)),
+        }
     }
 
     /// Schedules `f` to run `after` from now.
@@ -639,24 +749,42 @@ impl Sim {
         self.sleep_until(self.now() + delta)
     }
 
-    fn register_timer_wake(&self, deadline: SimTime, waker: Waker) {
-        self.push_timer(deadline, TimerAction::Wake(waker));
+    /// Arms the timer behind a [`Sleep`]. Polled by a task with that
+    /// task's own waker — every `delay().await` in a simulated processor,
+    /// `race` included — the timer names the task and the run loop polls
+    /// it at the fire point. Polled outside any task, or through a
+    /// combinator that substitutes its own waker, it keeps the waker and
+    /// wakes through it.
+    fn register_sleep(&self, deadline: SimTime, waker: &Waker) {
+        let mut inner = self.shared.inner.borrow_mut();
+        let own = self
+            .shared
+            .polling
+            .get()
+            .filter(|&id| inner.wakers[id].will_wake(waker))
+            .and_then(|id| Fire::Task(id).pack());
+        match own {
+            Some(word) => self.push_packed(&mut inner, deadline, word),
+            None => {
+                self.push_slab(&mut inner, deadline, TimerAction::Wake(waker.clone()));
+            }
+        }
     }
 
     fn poll_task(&self, id: TaskId) -> u64 {
         let slot = {
             let mut inner = self.shared.inner.borrow_mut();
-            match inner.tasks.get_mut(id) {
-                Some(slot) => slot.take(),
-                None => None,
-            }
+            inner.tasks.get_mut(id).and_then(Option::take)
         };
         let Some(mut slot) = slot else { return 0 };
         // Clear the ready bit before polling: a wake arriving *during*
         // the poll must re-enqueue the task for another round.
         slot.shim.clear_queued();
+        self.shared.polling.set(Some(id));
         let mut cx = Context::from_waker(&slot.waker);
-        match slot.fut.as_mut().poll(&mut cx) {
+        let polled = slot.fut.as_mut().poll(&mut cx);
+        self.shared.polling.set(None);
+        match polled {
             Poll::Ready(()) => {
                 self.shared.inner.borrow_mut().live_tasks -= 1;
             }
@@ -769,9 +897,9 @@ impl Sim {
             // Fire the batch. Extraction was batched; *firing* keeps the
             // historical interleaving: between any two same-instant events
             // the ready list is drained and the stop conditions re-checked,
-            // and each entry's action is claimed from the slab only at its
-            // own fire point — so earlier events (or tasks they wake) can
-            // still cancel later same-instant timers.
+            // and a slab-backed (hence cancellable) entry's action is
+            // claimed only at its own fire point — so earlier events (or
+            // tasks they wake) can still cancel later same-instant timers.
             let mut fired = 0;
             let early_stop = loop {
                 if fired == batch.len() {
@@ -790,11 +918,21 @@ impl Sim {
                 }
                 let e = batch[fired];
                 fired += 1;
-                let Some(action) = self.shared.inner.borrow_mut().claim(e) else {
-                    // Cancelled while in flight: fires nothing and does
-                    // not count as an event.
-                    continue;
+                let action = match Fire::unpack(e.word) {
+                    Fire::Task(id) => TimerAction::WakeTask(id),
+                    Fire::Hook { hook, token } => TimerAction::Hook { hook, token },
+                    Fire::Slab(slot) => {
+                        let Some(action) = self.shared.inner.borrow_mut().claim(slot, e.seq) else {
+                            // Cancelled while in flight: fires nothing and
+                            // does not count as an event.
+                            continue;
+                        };
+                        action
+                    }
                 };
+                self.shared
+                    .live_timers
+                    .set(self.shared.live_timers.get() - 1);
                 if order_audit_enabled() {
                     if let Some((lt, ls)) = last_fired {
                         if t == lt {
@@ -814,12 +952,19 @@ impl Sim {
                 }
                 events += 1;
                 match action {
+                    TimerAction::WakeTask(id) => {
+                        // Polling here is the wake → log → drain round
+                        // trip cut short, and order-equivalent to it only
+                        // because nothing else is waiting in the log.
+                        debug_assert!(
+                            self.shared.ready.is_empty(),
+                            "wake log not drained at a fire point"
+                        );
+                        polls += self.poll_task(id);
+                    }
                     TimerAction::Wake(w) => w.wake(),
                     TimerAction::Call(f) => f(self),
-                    TimerAction::Hook { hook, token } => {
-                        let f = Rc::clone(&self.shared.hooks.borrow()[hook as usize]);
-                        f(self, token);
-                    }
+                    TimerAction::Hook { hook, token } => self.dispatch_hook(hook, token),
                 }
             };
             if let Some(reason) = early_stop {
@@ -863,8 +1008,7 @@ impl Future for Sleep {
             return Poll::Ready(());
         }
         if !self.registered {
-            let deadline = self.deadline;
-            self.sim.register_timer_wake(deadline, cx.waker().clone());
+            self.sim.register_sleep(self.deadline, cx.waker());
             self.registered = true;
         }
         Poll::Pending
@@ -1190,8 +1334,10 @@ mod tests {
         }
         sim.schedule(SimTime::from_nanos(200), |_| {});
         let report = sim.run();
-        // 4 events share t=100ns: three of them tie with their predecessor.
-        assert_eq!(report.simultaneous_events, 3);
+        // 4 events share t=100ns: three of them tie with their predecessor
+        // — counted only where the audit is compiled in.
+        let ties = if order_audit_enabled() { 3 } else { 0 };
+        assert_eq!(report.simultaneous_events, ties);
         // The (time, seq) tiebreaker resolves every tie — no races.
         assert_eq!(sim.order_violations(), 0);
     }
@@ -1339,6 +1485,185 @@ mod tests {
         );
         sim.run();
         assert!(fired.get());
+    }
+
+    /// Counts its wakes and passes them on to `next`, if any.
+    struct Relay {
+        hits: std::sync::atomic::AtomicUsize,
+        next: Option<Waker>,
+    }
+
+    impl std::task::Wake for Relay {
+        fn wake(self: Arc<Self>) {
+            self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if let Some(next) = &self.next {
+                next.wake_by_ref();
+            }
+        }
+    }
+
+    impl Relay {
+        fn hits(&self) -> usize {
+            self.hits.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn sleep_polled_outside_any_task_wakes_the_waker_it_was_given() {
+        let sim = Sim::new();
+        let relay = Arc::new(Relay {
+            hits: 0.into(),
+            next: None,
+        });
+        let waker = Waker::from(Arc::clone(&relay));
+        let mut cx = Context::from_waker(&waker);
+        let mut sleep = std::pin::pin!(sim.delay(SimDelta::from_nanos(10)));
+        assert!(sleep.as_mut().poll(&mut cx).is_pending());
+        assert_eq!(sim.pending_timers(), 1);
+        let report = sim.run();
+        assert_eq!((report.events_fired, report.polls), (1, 0));
+        assert_eq!(relay.hits(), 1);
+        assert!(sleep.as_mut().poll(&mut cx).is_ready());
+    }
+
+    #[test]
+    fn sleep_polled_through_a_wrapping_waker_wakes_that_waker() {
+        // A combinator that hands its children a waker of its own (the
+        // shape of `FuturesUnordered`): the sleep's timer must go through
+        // it, not straight to the task that happens to be polling.
+        let sim = Sim::new();
+        let relay: Rc<RefCell<Option<Arc<Relay>>>> = Rc::new(RefCell::new(None));
+        let h = sim.spawn({
+            let (sim, relay) = (sim.clone(), Rc::clone(&relay));
+            async move {
+                let mut sleep = std::pin::pin!(sim.delay(SimDelta::from_nanos(10)));
+                std::future::poll_fn(|cx| {
+                    let wrapped = Arc::clone(relay.borrow_mut().get_or_insert_with(|| {
+                        Arc::new(Relay {
+                            hits: 0.into(),
+                            next: Some(cx.waker().clone()),
+                        })
+                    }));
+                    let waker = Waker::from(wrapped);
+                    sleep.as_mut().poll(&mut Context::from_waker(&waker))
+                })
+                .await;
+                sim.now()
+            }
+        });
+        let report = sim.run();
+        assert_eq!(h.try_take(), Some(SimTime::from_nanos(10)));
+        assert_eq!((report.events_fired, report.polls), (1, 2));
+        let relay = relay.borrow();
+        assert_eq!(relay.as_ref().expect("polled once").hits(), 1);
+    }
+
+    #[test]
+    fn a_hook_may_register_a_hook_while_dispatching() {
+        let sim = Sim::new();
+        let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+        let late: Rc<Cell<Option<HookId>>> = Rc::new(Cell::new(None));
+        let outer = sim.register_hook({
+            let (log, late) = (Rc::clone(&log), Rc::clone(&late));
+            move |sim, token| {
+                log.borrow_mut().push(token);
+                let l = Rc::clone(&log);
+                let inner = sim.register_hook(move |_, t| l.borrow_mut().push(100 + t));
+                sim.schedule_hook(sim.now() + SimDelta::from_nanos(5), inner, token);
+                late.set(Some(inner));
+            }
+        });
+        sim.schedule_hook(SimTime::from_nanos(10), outer, 1);
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1, 101]);
+        // Registrations made since take fresh ids; the late one keeps its.
+        let l = Rc::clone(&log);
+        let after = sim.register_hook(move |_, t| l.borrow_mut().push(200 + t));
+        let late = late.get().expect("outer hook ran");
+        assert!(outer != late && late != after && outer != after);
+        sim.schedule_hook(SimTime::from_nanos(20), after, 2);
+        sim.schedule_hook(SimTime::from_nanos(20), late, 3);
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1, 101, 202, 103]);
+    }
+
+    #[test]
+    fn events_too_wide_to_pack_keep_their_place_among_packed_ones() {
+        let sim = Sim::new();
+        let log: Rc<RefCell<Vec<(u32, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+        // Hook ids 0..=253 fit the wheel entry next to a 56-bit token.
+        let hooks: Vec<HookId> = (0..300u32)
+            .map(|i| {
+                let log = Rc::clone(&log);
+                sim.register_hook(move |_, token| log.borrow_mut().push((i, token)))
+            })
+            .collect();
+        let at = SimTime::from_nanos(50);
+        let plan = [
+            (0, 1),
+            (0, 1 << 56),
+            (299, 2),
+            (0, u64::MAX),
+            (253, (1 << 56) - 1),
+            (254, 4),
+            (1, 5),
+        ];
+        for (hook, token) in plan {
+            sim.schedule_hook(at, hooks[hook as usize], token);
+        }
+        let l = Rc::clone(&log);
+        sim.schedule(at, move |_| l.borrow_mut().push((u32::MAX, 0)));
+        sim.schedule_hook(at, hooks[2], 6);
+        assert_eq!(sim.pending_timers(), 9);
+        let report = sim.run();
+        assert_eq!(report.events_fired, 9);
+        let mut expect = plan.to_vec();
+        expect.extend([(u32::MAX, 0), (2, 6)]);
+        assert_eq!(*log.borrow(), expect);
+        assert_eq!(sim.order_violations(), 0);
+        assert_eq!(sim.pending_timers(), 0);
+    }
+
+    #[test]
+    fn a_tasks_own_sleep_is_polled_at_the_fire_point_in_seq_order() {
+        // Two tasks and a callback share an instant; the callback wakes a
+        // third task through a `Notify`. Order: sleeper A's continuation,
+        // the callback, then the notified task (wake log, drained after
+        // the callback), then sleeper B — the order of wake → log → drain.
+        let sim = Sim::new();
+        let log: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
+        let gate = Rc::new(crate::Notify::new());
+        let at = SimTime::from_nanos(30);
+        let sleeper = |name: &'static str| {
+            let (sim, log) = (sim.clone(), Rc::clone(&log));
+            async move {
+                sim.sleep_until(at).await;
+                log.borrow_mut().push(name);
+            }
+        };
+        sim.spawn({
+            let (gate, log) = (Rc::clone(&gate), Rc::clone(&log));
+            async move {
+                gate.notified().await;
+                log.borrow_mut().push("notified");
+            }
+        });
+        sim.spawn(sleeper("a"));
+        // Polls spawned tasks, registering a's timer, before the callback
+        // below is scheduled.
+        sim.set_event_limit(Some(0));
+        sim.run();
+        sim.set_event_limit(None);
+        let (g, l) = (Rc::clone(&gate), Rc::clone(&log));
+        sim.schedule(at, move |_| {
+            l.borrow_mut().push("callback");
+            g.notify_all();
+        });
+        sim.spawn(sleeper("b"));
+        let report = sim.run();
+        assert_eq!(*log.borrow(), vec!["a", "callback", "notified", "b"]);
+        assert_eq!(report.events_fired, 3);
+        assert_eq!(report.unfinished_tasks, 0);
     }
 
     #[test]

@@ -88,6 +88,11 @@ impl ReadyQueue {
         }
     }
 
+    /// True when no wake has been logged since the last drain.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.cursor.load(Ordering::Relaxed) == 0
+    }
+
     /// Moves the whole log into `out` (appending), oldest wake first,
     /// and resets the log to empty.
     pub(crate) fn drain_into(&self, out: &mut Vec<TaskId>) {

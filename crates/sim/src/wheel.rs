@@ -43,14 +43,23 @@
 //!   wheel_vs_heap.rs` replays randomized workloads against a reference
 //!   heap to hold this line.
 //!
-//! The wheel stores only `(time, seq, slot)` keys; payloads live in the
-//! executor's action slab, which is also where lazy cancellation is
-//! resolved (a cancelled entry's slot no longer names it — see
-//! `executor.rs`).
+//! # The entry carries the event
+//!
+//! A [`TimerEntry`] is `(time, seq, word)`, 24 bytes. `word` packs what
+//! fires ([`Fire`]): a hook id and its token, a task id, or — for the
+//! payloads that do not fit a word (boxed closures, foreign `Waker`s)
+//! and for anything that may be cancelled — a slot of the executor's
+//! action slab, which is also where lazy cancellation is resolved (a
+//! cancelled entry's slot no longer names it — see `executor.rs`). The
+//! two high-rate event kinds of a cluster run, hook-dispatched message
+//! deliveries and task sleeps, therefore go through the wheel and
+//! nothing else. The bucket `Vec`s are most of a run's heap, which is
+//! why the word is packed instead of widening the entry to 32 bytes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::ready::TaskId;
 use crate::time::SimTime;
 
 /// Log2 of the virtual-time span of one ring bucket, in nanoseconds.
@@ -73,18 +82,70 @@ const BUCKET_SHIFT: u32 = 8;
 const MIN_BUCKETS: usize = 1024;
 const MAX_BUCKETS: usize = 8192;
 
-/// One pending timer: when, which registration, and which action-slab
-/// slot holds its payload.
+/// One pending timer: when, which registration, and what fires (see
+/// [`Fire`]).
 ///
 /// Ordering is lexicographic over `(time, seq)` — the deterministic
 /// tiebreaker the whole apparatus depends on. `seq` is strictly
-/// increasing across registrations, so `slot` (last field) is never
+/// increasing across registrations, so `word` (last field) is never
 /// reached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct TimerEntry {
     pub time: SimTime,
     pub seq: u64,
-    pub slot: u32,
+    pub word: u64,
+}
+
+/// What a [`TimerEntry`] fires, as packed into its `word`: the top byte
+/// is the kind (`0` slab, `1` task, `2 + h` hook `h`), the low 56 bits
+/// the payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fire {
+    /// The action parked in this slot of the executor's slab, if the
+    /// slot still carries the entry's `seq`.
+    Slab(u32),
+    /// Poll this task.
+    Task(TaskId),
+    /// Dispatch `token` through registered hook number `hook`.
+    Hook { hook: u32, token: u64 },
+}
+
+const PAYLOAD_BITS: u32 = 56;
+const PAYLOAD_MASK: u64 = (1 << PAYLOAD_BITS) - 1;
+const KIND_TASK: u64 = 1;
+const KIND_HOOK0: u64 = 2;
+
+impl Fire {
+    /// The packed word, or `None` when the payload is too wide for one
+    /// (a token ≥ 2⁵⁶, a hook id past 253): the caller parks the action
+    /// in the slab and packs `Fire::Slab` instead, which always fits.
+    pub(crate) fn pack(self) -> Option<u64> {
+        let (kind, payload) = match self {
+            Fire::Slab(slot) => (0, u64::from(slot)),
+            Fire::Task(id) => (KIND_TASK, id as u64),
+            Fire::Hook { hook, token } => (KIND_HOOK0 + u64::from(hook), token),
+        };
+        (kind <= u64::MAX >> PAYLOAD_BITS && payload <= PAYLOAD_MASK)
+            .then_some(kind << PAYLOAD_BITS | payload)
+    }
+
+    /// `Fire::Slab(slot).pack()`, which cannot fail: kind 0, so the word
+    /// is the slot number.
+    pub(crate) fn slab_word(slot: u32) -> u64 {
+        u64::from(slot)
+    }
+
+    pub(crate) fn unpack(word: u64) -> Fire {
+        let payload = word & PAYLOAD_MASK;
+        match word >> PAYLOAD_BITS {
+            0 => Fire::Slab(payload as u32),
+            KIND_TASK => Fire::Task(payload as TaskId),
+            kind => Fire::Hook {
+                hook: (kind - KIND_HOOK0) as u32,
+                token: payload,
+            },
+        }
+    }
 }
 
 /// Capacity and occupancy probe for the wheel (see
@@ -139,6 +200,7 @@ impl TimerWheel {
     }
 
     /// Total entries tracked, including lazily-cancelled ones.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -329,7 +391,50 @@ mod tests {
         TimerEntry {
             time: SimTime::from_nanos(time),
             seq,
-            slot: seq as u32,
+            word: seq,
+        }
+    }
+
+    #[test]
+    fn entry_stays_three_words() {
+        // The bucket `Vec`s are most of a sweep's heap: a fourth word
+        // costs ~0.8 MiB of peak RSS on the benchmark's sweep_write.
+        assert_eq!(std::mem::size_of::<TimerEntry>(), 24);
+    }
+
+    #[test]
+    fn fire_words_round_trip_or_refuse() {
+        let fits = [
+            Fire::Slab(0),
+            Fire::Slab(u32::MAX),
+            Fire::Task(0),
+            Fire::Task(123_456),
+            Fire::Hook { hook: 0, token: 0 },
+            Fire::Hook {
+                hook: 253,
+                token: PAYLOAD_MASK,
+            },
+        ];
+        for f in fits {
+            assert_eq!(Fire::unpack(f.pack().expect("fits")), f);
+        }
+        assert_eq!(Some(Fire::slab_word(7)), Fire::Slab(7).pack());
+        let too_wide = [
+            Fire::Hook {
+                hook: 254,
+                token: 0,
+            },
+            Fire::Hook {
+                hook: 0,
+                token: 1 << 56,
+            },
+            Fire::Hook {
+                hook: u32::MAX,
+                token: u64::MAX,
+            },
+        ];
+        for f in too_wide {
+            assert_eq!(f.pack(), None, "{f:?}");
         }
     }
 

@@ -11,6 +11,12 @@
 //! chunking that splits same-instant batches — against a reference
 //! `BinaryHeap` model that implements the rules directly, and asserts
 //! the firing sequences are identical.
+//!
+//! The events come in every shape the kernel stores differently — boxed
+//! closures and cancellable timers (action slab), hook events that pack
+//! into the wheel entry, hook events whose token is too wide to, and
+//! task sleeps (polled at the fire point, no waker) — and share
+//! instants freely, so a batch mixes all of them.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -33,10 +39,33 @@ impl XorShift {
     }
 }
 
+/// How an op reaches the kernel.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// `schedule` / `schedule_cancellable`: a boxed closure in the slab.
+    Call,
+    /// `schedule_hook` (packed into the wheel entry) or, when
+    /// cancellable, `schedule_hook_cancellable` (slab).
+    Hook,
+    /// `schedule_hook` with a token ≥ 2⁵⁶: falls back to the slab.
+    WideHook,
+    /// A spawned task that `sleep_until`s the op's time and then acts.
+    /// Its timer is registered when the task is first polled — at the
+    /// start of `run()`, after every pre-scheduled timer, in spawn order.
+    Sleep,
+}
+
+/// What an op does when it fires, whichever way it was scheduled.
+type Act = dyn Fn(&Sim, Op);
+
+/// Set on a `WideHook` token; the dispatcher masks it off.
+const WIDE_BIT: u64 = 1 << 60;
+
 /// One pre-scheduled timer plus everything its callback will do.
 #[derive(Clone, Copy)]
 struct Op {
     id: u32,
+    kind: Kind,
     time: u64,
     cancellable: bool,
     /// Cancelled before `run()` starts.
@@ -67,9 +96,16 @@ fn build_ops(seed: u64, n: u32, with_halt: bool) -> Vec<Op> {
             // Far future: beyond the ring horizon, lands in overflow.
             _ => 300_000 + rng.next() % 2_000_000,
         };
-        let cancellable = rng.next().is_multiple_of(3);
+        let kind = match rng.next() % 8 {
+            0..=2 => Kind::Call,
+            3..=4 => Kind::Hook,
+            5 => Kind::WideHook,
+            _ => Kind::Sleep,
+        };
+        let cancellable = matches!(kind, Kind::Call | Kind::Hook) && rng.next().is_multiple_of(3);
         ops.push(Op {
             id,
+            kind,
             time,
             cancellable,
             cancel_before: cancellable && rng.next().is_multiple_of(4),
@@ -107,17 +143,21 @@ fn build_ops(seed: u64, n: u32, with_halt: bool) -> Vec<Op> {
 /// the complete uninterrupted order.
 fn reference_order(ops: &[Op]) -> Vec<u32> {
     let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-    let mut cancelled: HashSet<u64> = HashSet::new();
-    for (i, op) in ops.iter().enumerate() {
-        heap.push(Reverse((op.time, i as u64, op.id)));
+    let mut cancelled: HashSet<u32> = HashSet::new();
+    // Registration order: every directly scheduled op, then the sleeping
+    // tasks' timers as the first poll round reaches them.
+    let (sleeps, direct): (Vec<&Op>, Vec<&Op>) = ops.iter().partition(|op| op.kind == Kind::Sleep);
+    let mut seq = 0;
+    for op in direct.into_iter().chain(sleeps) {
+        heap.push(Reverse((op.time, seq, op.id)));
+        seq += 1;
         if op.cancellable && op.cancel_before {
-            cancelled.insert(i as u64);
+            cancelled.insert(op.id);
         }
     }
-    let mut seq = ops.len() as u64;
     let mut fired = Vec::new();
-    while let Some(Reverse((t, s, id))) = heap.pop() {
-        if cancelled.contains(&s) {
+    while let Some(Reverse((t, _, id))) = heap.pop() {
+        if cancelled.contains(&id) {
             continue;
         }
         fired.push(id);
@@ -128,7 +168,7 @@ fn reference_order(ops: &[Op]) -> Vec<u32> {
                     // A no-op if the target already fired: its heap entry
                     // is gone, so the set insertion is never consulted —
                     // exactly `cancel_timer` returning false.
-                    cancelled.insert(u64::from(tgt));
+                    cancelled.insert(tgt);
                 }
             }
             if let Some((delta, cid)) = op.child {
@@ -156,33 +196,76 @@ fn sim_order(ops: &[Op], event_limit: Option<u64>) -> SimRun {
     let handles: Rc<RefCell<Vec<Option<TimerHandle>>>> =
         Rc::new(RefCell::new(vec![None; ops.len()]));
 
-    for op in ops.iter().copied() {
+    // One dispatcher for every hook event: an op id runs the op, a child
+    // id is only recorded.
+    let hook = Rc::new(std::cell::OnceCell::new());
+    let act: Rc<Act> = {
         let fired = Rc::clone(&fired);
-        let cb_handles = Rc::clone(&handles);
-        let cb = move |sim: &Sim| {
+        let handles = Rc::clone(&handles);
+        let hook = Rc::clone(&hook);
+        Rc::new(move |sim: &Sim, op: Op| {
             fired.borrow_mut().push(op.id);
             if let Some(tgt) = op.cancels {
-                if let Some(h) = cb_handles.borrow()[tgt as usize] {
+                if let Some(h) = handles.borrow()[tgt as usize] {
                     sim.cancel_timer(h);
                 }
             }
             if let Some((delta, cid)) = op.child {
-                let fired = Rc::clone(&fired);
-                sim.schedule(sim.now() + SimDelta::from_nanos(delta), move |_| {
-                    fired.borrow_mut().push(cid);
-                });
+                let at = sim.now() + SimDelta::from_nanos(delta);
+                if (op.id / 7).is_multiple_of(2) {
+                    let hook = *hook.get().expect("registered below");
+                    sim.schedule_hook(at, hook, u64::from(cid));
+                } else {
+                    let fired = Rc::clone(&fired);
+                    sim.schedule(at, move |_| fired.borrow_mut().push(cid));
+                }
             }
             if op.halts {
                 sim.halt();
             }
-        };
-        let at = SimTime::from_nanos(op.time);
-        if op.cancellable {
-            let h = sim.schedule_cancellable(at, cb);
-            handles.borrow_mut()[op.id as usize] = Some(h);
-        } else {
-            sim.schedule(at, cb);
+        })
+    };
+    let dispatch = sim.register_hook({
+        let (act, fired, ops) = (Rc::clone(&act), Rc::clone(&fired), ops.to_vec());
+        move |sim, token| {
+            let id = (token & !WIDE_BIT) as u32;
+            match ops.get(id as usize) {
+                Some(&op) => act(sim, op),
+                None => fired.borrow_mut().push(id),
+            }
         }
+    });
+    hook.set(dispatch).expect("set once");
+
+    for op in ops.iter().copied() {
+        let act = Rc::clone(&act);
+        let at = SimTime::from_nanos(op.time);
+        let token = u64::from(op.id);
+        let handle = match (op.kind, op.cancellable) {
+            (Kind::Call, true) => Some(sim.schedule_cancellable(at, move |sim| act(sim, op))),
+            (Kind::Call, false) => {
+                sim.schedule(at, move |sim| act(sim, op));
+                None
+            }
+            (Kind::Hook, true) => Some(sim.schedule_hook_cancellable(at, dispatch, token)),
+            (Kind::Hook, false) => {
+                sim.schedule_hook(at, dispatch, token);
+                None
+            }
+            (Kind::WideHook, _) => {
+                sim.schedule_hook(at, dispatch, WIDE_BIT | token);
+                None
+            }
+            (Kind::Sleep, _) => {
+                let task_sim = sim.clone();
+                sim.spawn(async move {
+                    task_sim.sleep_until(at).await;
+                    act(&task_sim, op);
+                });
+                None
+            }
+        };
+        handles.borrow_mut()[op.id as usize] = handle;
     }
     for (i, op) in ops.iter().enumerate() {
         if op.cancellable && op.cancel_before {

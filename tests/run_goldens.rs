@@ -1,0 +1,86 @@
+//! Run-count goldens that hold *between commits*.
+//!
+//! `tests/golden/run_counts.txt` was written by the commit before PR 15
+//! rebuilt the kernel's fire path (events carried in the wheel entry,
+//! task-native wakes, in-place NIC re-arms). It has one line per (app,
+//! point) — `app point runtime_ns events total_sends check` — for all ten
+//! apps at 8 processors, test scale, over five points that between them
+//! reach every delivery path of the AM layer. A kernel change that claims
+//! "same events in the same `(time, seq)` order" has to reproduce every
+//! line; the other goldens pin three apps' event windows, and the
+//! benchmark's fingerprint only compares passes of one build.
+
+use nowlab::am::LatencyMode;
+use nowlab::apps::{suite_scaled, SuiteScale};
+use nowlab::core::parallel_map;
+use nowlab::{FaultPlan, Knobs, NetConfig, RunSpec};
+use nowlab_sim::SimDelta;
+
+const GOLDEN: &str = include_str!("golden/run_counts.txt");
+
+fn points() -> Vec<(&'static str, NetConfig)> {
+    let now = NetConfig::berkeley_now();
+    let us = SimDelta::from_micros_int;
+    vec![
+        ("baseline", now),
+        ("o+50us", now.with_knobs(Knobs::with_overhead(us(50)))),
+        ("L+100us", now.with_knobs(Knobs::with_latency(us(100)))),
+        (
+            "drop0.02/seed7",
+            now.with_faults(FaultPlan::with_drop_rate(0.02, 7)),
+        ),
+        (
+            "slowrx/L+30us",
+            now.with_knobs(Knobs::with_latency(us(30)))
+                .with_latency_mode(LatencyMode::SlowRxPath),
+        ),
+    ]
+}
+
+/// The CLI's `guard`: an event budget always, a 120 s virtual deadline on
+/// a lossy wire.
+fn spec_of(net: NetConfig) -> RunSpec {
+    let spec = RunSpec::new(8).with_net(net).with_event_limit(300_000_000);
+    if net.faults.is_active() {
+        spec.with_time_limit(SimDelta::from_micros_int(120_000_000))
+    } else {
+        spec
+    }
+}
+
+fn render(jobs: usize) -> String {
+    let apps = suite_scaled(SuiteScale::Test);
+    let points = points();
+    let grid: Vec<(usize, usize)> = (0..apps.len())
+        .flat_map(|a| (0..points.len()).map(move |p| (a, p)))
+        .collect();
+    let lines = parallel_map(jobs, &grid, |_, &(a, p)| {
+        let (point, net) = points[p];
+        let out = apps[a].run(&spec_of(net));
+        assert!(
+            out.completed,
+            "{} at {point} did not complete",
+            apps[a].name()
+        );
+        format!(
+            "{} {point} {} {} {} {:#018x}\n",
+            apps[a].name(),
+            out.runtime.as_nanos(),
+            out.events,
+            out.stats.total_sends(),
+            out.check
+        )
+    });
+    lines.concat()
+}
+
+#[test]
+fn every_app_reproduces_the_parent_counts_at_every_job_count() {
+    for jobs in [1, 2] {
+        let got = render(jobs);
+        assert!(
+            got == GOLDEN,
+            "run counts differ from tests/golden/run_counts.txt at --jobs {jobs}; got:\n{got}"
+        );
+    }
+}
