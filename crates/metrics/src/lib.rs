@@ -130,7 +130,10 @@ struct RecState {
     base_o_send: SimDelta,
     base_o_recv: SimDelta,
     procs: Vec<ProcRec>,
-    wire: BTreeMap<(usize, usize), u64>,
+    /// Busy nanoseconds of the directed link `src → dst`, at
+    /// `src * wire_dim + dst`: a dense square table, one add per send.
+    wire: Vec<u64>,
+    wire_dim: usize,
     phase_names: Vec<String>,
     phase_ids: BTreeMap<String, usize>,
     /// Per phase, per state, nanoseconds summed over all processors.
@@ -277,6 +280,21 @@ impl RecState {
         });
     }
 
+    /// The wire table's cell for `src → dst`. The table is sized for the
+    /// machine up front; an endpoint beyond it re-lays the table out once.
+    fn link(&mut self, src: usize, dst: usize) -> &mut u64 {
+        let dim = src.max(dst) + 1;
+        if dim > self.wire_dim {
+            let mut grown = vec![0; dim * dim];
+            for (at, &busy_ns) in self.wire.iter().enumerate() {
+                grown[at / self.wire_dim * dim + at % self.wire_dim] = busy_ns;
+            }
+            self.wire = grown;
+            self.wire_dim = dim;
+        }
+        &mut self.wire[src * self.wire_dim + dst]
+    }
+
     /// What a transmission attempt costs its sender, delivered or
     /// dropped: the overhead just paid, the send context's occupancy, and
     /// one sample of the flow-control window.
@@ -305,7 +323,8 @@ impl MetricsRecorder {
             base_o_send,
             base_o_recv,
             procs: vec![ProcRec::default(); procs],
-            wire: BTreeMap::new(),
+            wire: vec![0; procs * procs],
+            wire_dim: procs,
             phase_names: Vec::new(),
             phase_ids: BTreeMap::new(),
             phase_totals: Vec::new(),
@@ -390,10 +409,18 @@ impl MetricsRecorder {
             window_ns: window,
             end_ns,
             procs,
+            // Row-major over the table is ascending (src, dst); a link that
+            // never carried a bit is not a row of the report.
             wire: st
                 .wire
                 .iter()
-                .map(|(&(src, dst), &busy_ns)| WireBusy { src, dst, busy_ns })
+                .enumerate()
+                .filter(|&(_, &busy_ns)| busy_ns > 0)
+                .map(|(at, &busy_ns)| WireBusy {
+                    src: at / st.wire_dim,
+                    dst: at % st.wire_dim,
+                    busy_ns,
+                })
                 .collect(),
             events_per_window: Vec::new(),
             summary,
@@ -412,8 +439,7 @@ impl TraceSink for MetricsRecorder {
             TraceEvent::Send(e) => {
                 st.attempt(e);
                 if e.arrival > e.wire_done {
-                    *st.wire.entry((e.src, e.dst)).or_insert(0) +=
-                        e.arrival.since(e.wire_done).as_nanos();
+                    *st.link(e.src, e.dst) += e.arrival.since(e.wire_done).as_nanos();
                 }
             }
             TraceEvent::Drop(e) => st.attempt(e),
@@ -686,10 +712,38 @@ pub(crate) mod tests {
         assert_eq!(report.procs[0].nic_tx_total, 1_200);
         assert_eq!(report.procs[0].nic_tx, vec![1_000, 200]);
         assert_eq!(report.procs[1].nic_rx_total, 200);
-        assert_eq!(report.wire.len(), 1);
-        assert_eq!(report.wire[0].busy_ns, 350);
+        assert_eq!(
+            report.wire,
+            [WireBusy {
+                src: 0,
+                dst: 1,
+                busy_ns: 350
+            }]
+        );
         assert_eq!(report.summary.depth_max, 5);
         assert!((report.summary.depth_mean - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn wire_rows_are_the_busy_links_in_src_dst_order() {
+        // Sends arrive as 2→0, 0→1, 2→0 on a 3-processor machine; the
+        // `send` helper addresses processor 1, so re-aim each event.
+        let rec = recorder(3, 1_000);
+        for (src, dst, busy) in [(2, 0, 50), (0, 1, 70), (2, 0, 5), (1, 4, 9)] {
+            let TraceEvent::Send(e) = send(src, 0, 0, (0, 0), (100, 100 + busy), 1) else {
+                unreachable!()
+            };
+            rec.record(&TraceEvent::Send(SendEvent { dst, ..e }));
+        }
+        let rows: Vec<(usize, usize, u64)> = rec
+            .finish(t(1_000))
+            .wire
+            .iter()
+            .map(|w| (w.src, w.dst, w.busy_ns))
+            .collect();
+        // 1→4 names an endpoint beyond the machine: the table grew, and
+        // the rows it already held kept their links.
+        assert_eq!(rows, [(0, 1, 70), (1, 4, 9), (2, 0, 55)]);
     }
 
     #[test]

@@ -62,7 +62,6 @@
 pub mod chrome;
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use nowlab_sim::{SimDelta, SimTime};
@@ -120,6 +119,9 @@ impl MsgKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SendEvent {
     /// Trace correlation id (unique per logical message within a run).
+    /// Ids are dense from 1, as `ClusterInner::next_trace` draws them (0
+    /// is a raw injection); see [`TraceSink`] for what a consumer may
+    /// assume of them.
     pub id: u64,
     /// Source processor.
     pub src: usize,
@@ -406,6 +408,14 @@ pub enum TraceEvent {
 /// events, advance virtual time, or otherwise influence anything
 /// simulation-visible — traced and untraced runs must be event-count- and
 /// result-identical.
+///
+/// What a producer guarantees about message ids: they are dense from 1,
+/// so a sink may index by them. Events of different ids may arrive in any
+/// order within the range drawn so far, and an id may be drawn but never
+/// sent (a hole). [`TraceRecorder`] relies on exactly that: an id more
+/// than 65 536 beyond every id it has seen is not a message of this run,
+/// and is counted in [`TraceSummary::orphan_events`] rather than sized
+/// for.
 pub trait TraceSink {
     /// Observes one lifecycle event.
     fn record(&self, ev: &TraceEvent);
@@ -700,7 +710,8 @@ pub struct TraceSummary {
     pub extra_deliveries: u64,
     /// Retransmission-timer firings that re-injected a message.
     pub retransmits: u64,
-    /// Events that referenced no known record (raw injections, id 0).
+    /// Events that referenced no known record (raw injections, id 0), and
+    /// sends whose id lies outside the dense range (see [`TraceSink`]).
     pub orphan_events: u64,
     /// Records whose attribution was clamped (see [`MsgRecord::tangled`]).
     pub tangled: u64,
@@ -882,9 +893,8 @@ impl TraceReport {
 }
 
 /// In-flight state for a message whose lifecycle is still open: what the
-/// record needs of the attempt now in flight, field by field — the map of
-/// these churns beside the retained records, and its entry size shows in
-/// a Full-mode run's peak RSS.
+/// record needs of the attempt now in flight, field by field. These live
+/// in the recorder's slab only while the message is in flight.
 #[derive(Clone, Copy, Debug)]
 struct Pending {
     src: usize,
@@ -904,13 +914,76 @@ struct Pending {
     pair: Option<u64>,
 }
 
+/// Where the lifecycle of one trace id stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Slot {
+    /// No `Send` seen: a hole in the id sequence, or beyond it.
+    Unseen,
+    /// `Recv` closed it (Full mode keeps the record at `records[id]`).
+    Closed,
+    /// In flight; the `Pending` sits at this slab position.
+    Open(usize),
+}
+
+/// How far an id may run ahead of every id seen before it. Ids are drawn
+/// densely, so a real run's gap is the handful of first attempts dropped
+/// in a row; the bound is what keeps a corrupt id from sizing the index.
+const MAX_ID_GAP: u64 = 1 << 16;
+
+/// `index` codes: [`Slot::Unseen`], [`Slot::Closed`], then `OPEN_BASE + k`
+/// for [`Slot::Open`]`(k)`.
+const UNSEEN: u32 = 0;
+const CLOSED: u32 = 1;
+const OPEN_BASE: u32 = 2;
+
+/// The slot a Full-mode `records` entry holds until its id closes; never
+/// reported ([`TraceRecorder::finish`] drops the slots of unseen ids).
+const VACANT: MsgRecord = MsgRecord {
+    id: 0,
+    src: 0,
+    dst: 0,
+    reply: false,
+    kind: MsgKind::User,
+    bytes: 0,
+    attempts: 0,
+    dropped_attempts: 0,
+    send_begin: SimTime::ZERO,
+    inject: SimTime::ZERO,
+    tx_start: SimTime::ZERO,
+    wire_done: SimTime::ZERO,
+    arrival: SimTime::ZERO,
+    visible: SimTime::ZERO,
+    pop: SimTime::ZERO,
+    done: SimTime::ZERO,
+    handler_at: None,
+    pair: None,
+    completed: false,
+    tangled: false,
+    o_send: SimDelta::ZERO,
+    tx_wait: SimDelta::ZERO,
+    dma: SimDelta::ZERO,
+    wire: SimDelta::ZERO,
+    rx_hold: SimDelta::ZERO,
+    rx_queue: SimDelta::ZERO,
+    o_recv: SimDelta::ZERO,
+};
+
+/// The recorder's lifecycle store. Trace ids are dense, so an id *is* an
+/// index: `index[id]` says where the lifecycle stands in four bytes, open
+/// lifecycles sit in a free-listed slab a few hundred entries long, and in
+/// Full mode the closed record of id `i` is `records[i]`. Every lookup is
+/// one or two array reads; iteration is by ascending id, so the store is
+/// as deterministic as the ordered maps it replaced.
 #[derive(Default)]
 struct RecorderState {
-    pending: BTreeMap<u64, Pending>,
-    finished: BTreeMap<u64, MsgRecord>,
-    done_ids: BTreeSet<u64>,
-    last_send: BTreeMap<usize, SimTime>,
-    wave_seq: BTreeMap<(usize, usize), u64>,
+    index: Vec<u32>,
+    open: Vec<Pending>,
+    free: Vec<u32>,
+    records: Vec<MsgRecord>,
+    /// Last injection instant per source processor.
+    last_send: Vec<Option<SimTime>>,
+    /// Next wave sequence number per processor and [`WaveKind::index`].
+    wave_seq: Vec<[u64; 5]>,
     computes: Vec<ComputeSeg>,
     idles: Vec<IdleSeg>,
     waves: Vec<WaveMark>,
@@ -919,9 +992,73 @@ struct RecorderState {
     summary: TraceSummary,
 }
 
+/// The element of a per-processor table, which grows to the largest
+/// processor id seen.
+fn per_proc<T: Clone + Default>(table: &mut Vec<T>, proc: usize) -> &mut T {
+    if table.len() <= proc {
+        table.resize(proc + 1, T::default());
+    }
+    &mut table[proc]
+}
+
+impl RecorderState {
+    fn slot(&self, id: u64) -> Slot {
+        let code = usize::try_from(id).ok().and_then(|i| self.index.get(i));
+        match code {
+            None | Some(&UNSEEN) => Slot::Unseen,
+            Some(&CLOSED) => Slot::Closed,
+            Some(&k) => Slot::Open((k - OPEN_BASE) as usize),
+        }
+    }
+
+    /// Extends the index to cover `id`, unless it lies more than
+    /// [`MAX_ID_GAP`] beyond every id seen so far.
+    fn reach(&mut self, id: u64) -> bool {
+        let len = self.index.len() as u64;
+        if id >= len {
+            if id - len >= MAX_ID_GAP {
+                return false;
+            }
+            self.index.resize(id as usize + 1, UNSEEN);
+        }
+        true
+    }
+
+    /// Opens the lifecycle of `id` (which [`RecorderState::reach`]
+    /// covers) in a free slab slot.
+    fn open(&mut self, id: u64, p: Pending) {
+        let k = match self.free.pop() {
+            Some(k) => {
+                self.open[k as usize] = p;
+                k
+            }
+            None => {
+                self.open.push(p);
+                u32::try_from(self.open.len() - 1).expect("fewer than 2^32 messages in flight")
+            }
+        };
+        self.index[id as usize] = OPEN_BASE + k;
+    }
+
+    /// Closes the open lifecycle of `id`, freeing its slab slot `k`.
+    fn close(&mut self, id: u64, k: usize) {
+        self.index[id as usize] = CLOSED;
+        self.free.push(k as u32);
+    }
+
+    /// Full mode: stores the record of id `at` in its own slot.
+    fn put(&mut self, at: usize, rec: MsgRecord) {
+        if self.records.len() <= at {
+            self.records.resize(at + 1, VACANT);
+        }
+        self.records[at] = rec;
+    }
+}
+
 /// The standard [`TraceSink`]: pairs lifecycle events into [`MsgRecord`]s
-/// and aggregates a [`TraceSummary`]. Deterministic (BTree collections
-/// only) and purely observational.
+/// and aggregates a [`TraceSummary`]. Deterministic (every collection is
+/// indexed by id or processor and read in ascending order; nothing hashes)
+/// and purely observational.
 pub struct TraceRecorder {
     keep_records: bool,
     state: RefCell<RecorderState>,
@@ -930,8 +1067,8 @@ pub struct TraceRecorder {
 impl TraceRecorder {
     /// Creates a recorder. With `keep_records` the full per-message record
     /// set is retained ([`TraceMode::Full`]); without it, completed
-    /// lifecycles fold into the summary and are evicted, so memory stays
-    /// proportional to messages in flight.
+    /// lifecycles fold into the summary and are evicted, so memory is four
+    /// bytes per id seen plus the peak number of messages in flight.
     pub fn new(keep_records: bool) -> Self {
         TraceRecorder {
             keep_records,
@@ -939,25 +1076,36 @@ impl TraceRecorder {
         }
     }
 
-    /// Produces the report for everything observed so far.
+    /// Hands over the report for everything observed so far — records,
+    /// summary and side channels are moved, not copied — and leaves the
+    /// recorder empty.
     pub fn finish(&self) -> TraceReport {
-        let st = self.state.borrow();
-        let mut records: Vec<MsgRecord> = Vec::new();
+        let mut st = std::mem::take(&mut *self.state.borrow_mut());
         if self.keep_records {
-            records.extend(st.finished.values().copied());
             // Open lifecycles (in flight at the end of the run) are
-            // reported too, flagged incomplete.
-            records.extend(st.pending.iter().map(|(&id, p)| incomplete_record(id, p)));
-            records.sort_by_key(|r| r.id);
+            // reported too, flagged incomplete, in their own slots.
+            for id in 0..st.index.len() {
+                if let Slot::Open(k) = st.slot(id as u64) {
+                    let rec = incomplete_record(id as u64, &st.open[k]);
+                    st.put(id, rec);
+                }
+            }
+            // Slot `i` holds id `i`: dropping the unseen ones in place
+            // leaves the rest ascending by id.
+            let mut slots = st.index.iter();
+            st.records.retain(|_| slots.next() != Some(&UNSEEN));
+            // The report outlives the run (`predict` builds its DAG beside
+            // it): hand over no spare growth capacity.
+            st.records.shrink_to_fit();
         }
         TraceReport {
-            summary: st.summary.clone(),
-            records,
-            computes: st.computes.clone(),
-            idles: st.idles.clone(),
-            waves: st.waves.clone(),
-            regions: st.regions.clone(),
-            phases: st.phases.clone(),
+            summary: st.summary,
+            records: st.records,
+            computes: st.computes,
+            idles: st.idles,
+            waves: st.waves,
+            regions: st.regions,
+            phases: st.phases,
         }
     }
 }
@@ -987,12 +1135,7 @@ fn incomplete_record(id: u64, p: &Pending) -> MsgRecord {
         completed: false,
         tangled: false,
         o_send: p.o_send,
-        tx_wait: SimDelta::ZERO,
-        dma: SimDelta::ZERO,
-        wire: SimDelta::ZERO,
-        rx_hold: SimDelta::ZERO,
-        rx_queue: SimDelta::ZERO,
-        o_recv: SimDelta::ZERO,
+        ..VACANT
     }
 }
 
@@ -1034,84 +1177,89 @@ impl TraceSink for TraceRecorder {
         let st = &mut *self.state.borrow_mut();
         match ev {
             TraceEvent::Send(e) => {
-                if let Some(prev) = st.last_send.get(&e.src) {
+                if !st.reach(e.id) {
+                    st.summary.orphan_events += 1;
+                    return;
+                }
+                let last = per_proc(&mut st.last_send, e.src);
+                if let Some(prev) = last.replace(e.inject) {
                     st.summary
                         .interval_hist
-                        .record(e.inject.saturating_since(*prev).as_nanos());
+                        .record(e.inject.saturating_since(prev).as_nanos());
                 }
-                st.last_send.insert(e.src, e.inject);
                 st.summary.occupancy_hist.record(u64::from(e.in_flight));
                 st.summary.timer_hist.record(u64::from(e.timer_depth));
-                if let Some(p) = st.pending.get_mut(&e.id) {
-                    // Retransmission of an open lifecycle: restart the
-                    // attempt's sender-side timestamps.
-                    p.attempts += 1;
-                    p.o_send = e.o_send;
-                    p.inject = e.inject;
-                    p.tx_start = e.tx_start;
-                    p.wire_done = e.wire_done;
-                    p.arrival = e.arrival;
-                    p.visible = None;
-                } else if let Some(r) = st.finished.get_mut(&e.id) {
-                    r.attempts += 1; // stale retransmission after completion
-                    st.summary.late_attempts += 1;
-                } else if st.done_ids.contains(&e.id) {
-                    // Summary mode already evicted the completed record;
-                    // without this counter the stale attempt would vanish
-                    // and Summary would disagree with Full.
-                    st.summary.late_attempts += 1;
-                } else {
-                    st.summary.msgs += 1;
-                    let m = &mut st.summary.matrix;
-                    let dim = e.src.max(e.dst) + 1;
-                    if m.len() < dim {
-                        m.resize(dim, Vec::new());
+                match st.slot(e.id) {
+                    Slot::Open(k) => {
+                        // Retransmission of an open lifecycle: restart the
+                        // attempt's sender-side timestamps.
+                        let p = &mut st.open[k];
+                        p.attempts += 1;
+                        p.o_send = e.o_send;
+                        p.inject = e.inject;
+                        p.tx_start = e.tx_start;
+                        p.wire_done = e.wire_done;
+                        p.arrival = e.arrival;
+                        p.visible = None;
                     }
-                    for row in m.iter_mut() {
-                        if row.len() < dim {
-                            row.resize(dim, 0);
+                    Slot::Closed => {
+                        // A stale retransmission after completion. Summary
+                        // mode evicted the record; the counter keeps the
+                        // two modes' summaries equal.
+                        st.summary.late_attempts += 1;
+                        if self.keep_records {
+                            st.records[e.id as usize].attempts += 1;
                         }
                     }
-                    m[e.src][e.dst] += 1;
-                    st.pending.insert(
-                        e.id,
-                        Pending {
-                            src: e.src,
-                            dst: e.dst,
-                            reply: e.reply,
-                            kind: e.kind,
-                            bytes: e.bytes,
-                            attempts: 1,
-                            dropped_attempts: 0,
-                            o_send: e.o_send,
-                            inject: e.inject,
-                            tx_start: e.tx_start,
-                            wire_done: e.wire_done,
-                            arrival: e.arrival,
-                            visible: None,
-                            handler_at: None,
-                            pair: None,
-                        },
-                    );
+                    Slot::Unseen => {
+                        st.open(
+                            e.id,
+                            Pending {
+                                src: e.src,
+                                dst: e.dst,
+                                reply: e.reply,
+                                kind: e.kind,
+                                bytes: e.bytes,
+                                attempts: 1,
+                                dropped_attempts: 0,
+                                o_send: e.o_send,
+                                inject: e.inject,
+                                tx_start: e.tx_start,
+                                wire_done: e.wire_done,
+                                arrival: e.arrival,
+                                visible: None,
+                                handler_at: None,
+                                pair: None,
+                            },
+                        );
+                        st.summary.msgs += 1;
+                        let m = &mut st.summary.matrix;
+                        let dim = e.src.max(e.dst) + 1;
+                        if m.len() < dim {
+                            // Rows and columns grow together, so the
+                            // matrix stays square between messages.
+                            m.resize(dim, Vec::new());
+                            for row in m.iter_mut() {
+                                row.resize(dim, 0);
+                            }
+                        }
+                        m[e.src][e.dst] += 1;
+                    }
                 }
             }
             TraceEvent::Visible(e) => {
                 st.summary.queue_hist.record(u64::from(e.rx_depth));
-                if let Some(p) = st.pending.get_mut(&e.id) {
-                    if p.visible.is_none() {
-                        p.visible = Some(e.at);
-                    } else {
-                        st.summary.extra_deliveries += 1;
+                match st.slot(e.id) {
+                    Slot::Open(k) if st.open[k].visible.is_none() => {
+                        st.open[k].visible = Some(e.at);
                     }
-                } else if st.finished.contains_key(&e.id) || st.done_ids.contains(&e.id) {
-                    st.summary.extra_deliveries += 1;
-                } else {
-                    st.summary.orphan_events += 1;
+                    Slot::Open(_) | Slot::Closed => st.summary.extra_deliveries += 1,
+                    Slot::Unseen => st.summary.orphan_events += 1,
                 }
             }
-            TraceEvent::Recv(e) => {
-                if let Some(p) = st.pending.remove(&e.id) {
-                    let rec = finalize(e.id, &p, e);
+            TraceEvent::Recv(e) => match st.slot(e.id) {
+                Slot::Open(k) => {
+                    let rec = finalize(e.id, &st.open[k], e);
                     st.summary.completed += 1;
                     if rec.tangled {
                         st.summary.tangled += 1;
@@ -1120,32 +1268,29 @@ impl TraceSink for TraceRecorder {
                     let e2e = rec.end_to_end();
                     st.summary.e2e_total += e2e;
                     st.summary.e2e_hist.record(e2e.as_nanos());
+                    st.close(e.id, k);
                     if self.keep_records {
-                        st.finished.insert(e.id, rec);
-                    } else {
-                        st.done_ids.insert(e.id);
+                        st.put(e.id as usize, rec);
                     }
-                } else if st.finished.contains_key(&e.id) || st.done_ids.contains(&e.id) {
-                    st.summary.extra_deliveries += 1;
-                } else {
-                    st.summary.orphan_events += 1;
                 }
-            }
+                Slot::Closed => st.summary.extra_deliveries += 1,
+                Slot::Unseen => st.summary.orphan_events += 1,
+            },
             TraceEvent::Handler { id, at } => {
-                if let Some(p) = st.pending.get_mut(id) {
-                    if p.handler_at.is_none() {
-                        p.handler_at = Some(*at);
-                    }
-                } else if let Some(r) = st.finished.get_mut(id) {
-                    if r.handler_at.is_none() {
-                        r.handler_at = Some(*at);
-                    }
-                }
+                let handler_at = match st.slot(*id) {
+                    Slot::Open(k) => &mut st.open[k].handler_at,
+                    Slot::Closed if self.keep_records => &mut st.records[*id as usize].handler_at,
+                    _ => return,
+                };
+                handler_at.get_or_insert(*at);
             }
             TraceEvent::Drop(e) => {
                 st.summary.drops += 1;
-                if let Some(p) = st.pending.get_mut(&e.id) {
-                    p.dropped_attempts += 1;
+                // A dropped first attempt opens nothing, but it is an id
+                // seen: the retry's `Send` must find it within reach.
+                st.reach(e.id);
+                if let Slot::Open(k) = st.slot(e.id) {
+                    st.open[k].dropped_attempts += 1;
                 }
             }
             TraceEvent::DupDelivery { .. } => {
@@ -1160,23 +1305,13 @@ impl TraceSink for TraceRecorder {
                 // The request has usually completed (its o_recv preceded
                 // the handler that sent the reply); the reply was just
                 // injected and is pending. Cover both sides anyway.
-                if let Some(r) = st.finished.get_mut(request) {
-                    if r.pair.is_none() {
-                        r.pair = Some(*reply);
-                    }
-                } else if let Some(p) = st.pending.get_mut(request) {
-                    if p.pair.is_none() {
-                        p.pair = Some(*reply);
-                    }
-                }
-                if let Some(p) = st.pending.get_mut(reply) {
-                    if p.pair.is_none() {
-                        p.pair = Some(*request);
-                    }
-                } else if let Some(r) = st.finished.get_mut(reply) {
-                    if r.pair.is_none() {
-                        r.pair = Some(*request);
-                    }
+                for (id, other) in [(*request, *reply), (*reply, *request)] {
+                    let pair = match st.slot(id) {
+                        Slot::Open(k) => &mut st.open[k].pair,
+                        Slot::Closed if self.keep_records => &mut st.records[id as usize].pair,
+                        _ => continue,
+                    };
+                    pair.get_or_insert(other);
                 }
             }
             TraceEvent::Compute { proc, start, dur } => {
@@ -1210,7 +1345,7 @@ impl TraceSink for TraceRecorder {
             TraceEvent::Wave { proc, kind, at } => {
                 st.summary.waves += 1;
                 if self.keep_records {
-                    let seq = st.wave_seq.entry((*proc, kind.index())).or_insert(0);
+                    let seq = &mut per_proc(&mut st.wave_seq, *proc)[kind.index()];
                     let index = *seq;
                     *seq += 1;
                     st.waves.push(WaveMark {
@@ -1389,7 +1524,94 @@ mod tests {
         assert_eq!(a.summary, b.summary);
         assert_eq!(a.records.len(), 100);
         assert!(b.records.is_empty());
-        assert!(slim.state.borrow().pending.is_empty(), "eviction failed");
+    }
+
+    #[test]
+    fn summary_mode_memory_follows_messages_in_flight_not_messages_seen() {
+        // 10 000 lifecycles, never more than three open at once.
+        let rec = TraceRecorder::new(false);
+        let recv = |id: u64| {
+            rec.record(&TraceEvent::Recv(RecvEvent {
+                id,
+                proc: 1,
+                o_recv: SimDelta::from_micros(4.0),
+                done: us(id as f64 * 20.0 + 10.8),
+            }));
+        };
+        let n = 10_000;
+        for id in 1..=n {
+            rec.record(&send(id, 0, 1, id as f64 * 20.0));
+            if id > 2 {
+                recv(id - 2);
+            }
+        }
+        recv(n - 1);
+        recv(n);
+        {
+            let st = rec.state.borrow();
+            assert_eq!(st.open.len(), st.free.len(), "every slab slot is free");
+            assert_eq!(st.open.len(), 3, "slab sized by the peak in flight");
+            assert!(st.open.capacity() < 64 && st.free.capacity() < 64);
+            assert!(st.records.is_empty(), "Summary mode keeps no records");
+            assert_eq!(st.index.len() as u64, n + 1, "four bytes per id seen");
+        }
+        let rep = rec.finish();
+        assert_eq!((rep.summary.msgs, rep.summary.completed), (n, n));
+        assert!(rep.records.is_empty());
+    }
+
+    #[test]
+    fn an_id_outside_the_dense_range_is_an_orphan_not_an_allocation() {
+        for keep in [false, true] {
+            let rec = TraceRecorder::new(keep);
+            complete(&rec, 1, 0.0);
+            for id in [u64::MAX, 1 << 40, 2 + MAX_ID_GAP] {
+                rec.record(&send(id, 0, 1, 50.0));
+                rec.record(&TraceEvent::Drop(attempt(id, 0, 1, 50.0)));
+                rec.record(&TraceEvent::Handler { id, at: us(60.0) });
+                rec.record(&TraceEvent::Pair {
+                    request: id,
+                    reply: 1,
+                    at: us(60.0),
+                });
+            }
+            assert!(rec.state.borrow().index.len() <= 2, "index sized by value");
+            let rep = rec.finish();
+            assert_eq!(rep.summary.orphan_events, 3);
+            assert_eq!(rep.summary.msgs, 1);
+            assert_eq!(rep.summary.interval_hist.count(), 0, "otherwise ignored");
+            assert_eq!(rep.records.len(), usize::from(keep));
+        }
+        // The last id within reach is a message like any other.
+        let rec = TraceRecorder::new(true);
+        complete(&rec, MAX_ID_GAP - 1, 0.0);
+        let rep = rec.finish();
+        assert_eq!(rep.summary.orphan_events, 0);
+        assert_eq!(rep.records.len(), 1);
+        assert_eq!(rep.records[0].id, MAX_ID_GAP - 1);
+    }
+
+    #[test]
+    fn out_of_order_ids_and_holes_yield_ascending_records_without_placeholders() {
+        let rec = TraceRecorder::new(true);
+        // 3, 1, 2 arrive out of order; 4 was drawn but its only attempt
+        // was dropped; 5 is still in flight at the end; 6 completes.
+        complete(&rec, 3, 0.0);
+        complete(&rec, 1, 20.0);
+        complete(&rec, 2, 40.0);
+        rec.record(&TraceEvent::Drop(attempt(4, 0, 1, 60.0)));
+        rec.record(&send(5, 1, 0, 80.0));
+        complete(&rec, 6, 100.0);
+        let rep = rec.finish();
+        let ids: Vec<u64> = rep.records.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [1, 2, 3, 5, 6]);
+        let done: Vec<bool> = rep.records.iter().map(|r| r.completed).collect();
+        assert_eq!(done, [true, true, true, false, true]);
+        assert!(rep.records.iter().all(|r| r.attempts == 1));
+        assert_eq!(rep.summary.msgs, 5);
+        assert_eq!(rep.summary.drops, 1);
+        // `finish` handed the store over: the recorder starts again empty.
+        assert_eq!(rec.finish(), TraceReport::default());
     }
 
     #[test]

@@ -10,14 +10,25 @@
 //! text: `SendEvent::o_send` now carries the overhead the straggler
 //! actually paid, which moves its `o_send` and `end-to-end` rows (diff in
 //! CHANGES.md).
+//!
+//! `golden/observe_chrome.txt` pins the third projection, the Chrome
+//! export: byte length and FNV-1a-64 of `write_chrome_trace` over each
+//! case's Full-mode records, plus the critical-path-highlighted export of
+//! `predict_golden`'s Radix case. It was written by the commit *before*
+//! the recorder's id-indexed store and the integer-formatting writer
+//! (PR 16), so neither may move a byte of a `--trace FILE`.
+
+use std::io::{self, Write};
 
 use nowlab::am::{NodeFault, NodeFaultPlan};
 use nowlab::apps::{suite_scaled, SuiteScale};
-use nowlab::core::{parallel_map, MetricsMode, RunMeta};
+use nowlab::core::{parallel_map, predict_app, Axis, MetricsMode, RunMeta};
+use nowlab::trace::chrome::{write_chrome_trace, write_chrome_trace_highlighted};
 use nowlab::{FaultPlan, NetConfig, RunSpec, TraceMode};
 use nowlab_sim::{SimDelta, SimTime};
 
 struct Case {
+    name: &'static str,
     app: &'static str,
     net: NetConfig,
     metrics: &'static str,
@@ -31,6 +42,7 @@ fn cases() -> Vec<Case> {
     vec![
         // nowlab run --app radix
         Case {
+            name: "radix",
             app: "Radix",
             net: now,
             metrics: include_str!("golden/observe_radix.metrics.json"),
@@ -38,6 +50,7 @@ fn cases() -> Vec<Case> {
         },
         // … --app em3d-read --drop-rate 0.02 --fault-seed 7
         Case {
+            name: "em3d_read_drop",
             app: "EM3D(read)",
             net: now.with_faults(FaultPlan::with_drop_rate(0.02, 7)),
             metrics: include_str!("golden/observe_em3d_read_drop.metrics.json"),
@@ -45,6 +58,7 @@ fn cases() -> Vec<Case> {
         },
         // … --app sample --crash p3@1ms (Sample's policy is Continue)
         Case {
+            name: "sample_crash",
             app: "Sample",
             net: node(NodeFault::crash(
                 3,
@@ -55,6 +69,7 @@ fn cases() -> Vec<Case> {
         },
         // … --app em3d-read --straggler p1x2.0
         Case {
+            name: "em3d_read_straggler",
             app: "EM3D(read)",
             net: node(NodeFault::straggler(1, 2.0)),
             metrics: include_str!("golden/observe_em3d_read_straggler.metrics.json"),
@@ -117,5 +132,87 @@ fn both_projections_match_the_parent_goldens_at_every_job_count() {
                 case.app
             );
         }
+    }
+}
+
+/// A byte sink that keeps only the length and the FNV-1a-64 of what it
+/// was handed, so a megabyte export is digested without being held.
+struct Fnv {
+    hash: u64,
+    bytes: u64,
+}
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv {
+            hash: 0xcbf2_9ce4_8422_2325,
+            bytes: 0,
+        }
+    }
+
+    fn line(&self, name: &str) -> String {
+        format!("{name} {} {:016x}\n", self.bytes, self.hash)
+    }
+}
+
+impl Write for Fnv {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        for &b in buf {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.bytes += buf.len() as u64;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One `name bytes fnv1a64` line per export: the four cases in Full mode,
+/// then the Radix prediction with its critical messages highlighted.
+fn chrome_digests(jobs: usize) -> String {
+    let cases = cases();
+    let items: Vec<Option<&Case>> = cases.iter().map(Some).chain([None]).collect();
+    parallel_map(jobs, &items, |_, item| {
+        let suite = suite_scaled(SuiteScale::Test);
+        let app = |name: &str| {
+            suite
+                .iter()
+                .find(|a| a.name() == name)
+                .unwrap_or_else(|| panic!("{name} in suite"))
+        };
+        let mut digest = Fnv::new();
+        match item {
+            Some(case) => {
+                let spec = spec_of(case.net).with_trace(TraceMode::Full);
+                let report = app(case.app).run(&spec).trace.expect("trace requested");
+                write_chrome_trace(&report.records, &mut digest).expect("in-memory write");
+                digest.line(case.name)
+            }
+            None => {
+                let spec = RunSpec::new(8).with_event_limit(300_000_000);
+                let axes = [Axis::Overhead, Axis::Latency];
+                let p = predict_app(app("Radix").as_ref(), &spec, &axes, 1)
+                    .unwrap_or_else(|e| panic!("Radix: {e}"));
+                let critical = &p.breakdown.critical_msgs;
+                write_chrome_trace_highlighted(&p.trace.records, critical, &mut digest)
+                    .expect("in-memory write");
+                digest.line("predict_radix_highlighted")
+            }
+        }
+    })
+    .concat()
+}
+
+#[test]
+fn chrome_exports_match_the_parent_goldens_at_every_job_count() {
+    let golden = include_str!("golden/observe_chrome.txt");
+    for jobs in [1, 2, 4] {
+        assert_eq!(
+            chrome_digests(jobs),
+            golden,
+            "Chrome export differs from the golden at --jobs {jobs}"
+        );
     }
 }
