@@ -809,14 +809,13 @@ impl ClusterInner {
             entry.msg.clone()
         };
         // The retransmission is driven from the timer, so its send
-        // overhead is charged interrupt-style: o_time accrues without
+        // overhead is charged interrupt-style: it is recorded without
         // blocking the (possibly computing) processor.
         let o_send = self.cfg.node_faults.scale(src, self.cfg.eff_o_send());
         {
             let mut c = ep.counters.borrow_mut();
             c.timeouts += 1;
             c.retransmits += 1;
-            c.o_time += o_send;
         }
         if let Some(sink) = self.trace.get() {
             sink.record(&TraceEvent::Retransmit {

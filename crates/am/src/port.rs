@@ -115,10 +115,6 @@ impl AmPort {
         let d = self.inner.cfg.node_faults.scale(self.proc, d);
         let start = self.inner.sim.now();
         self.inner.sim.delay(d).await;
-        self.inner.procs[self.proc]
-            .counters
-            .borrow_mut()
-            .compute_time += d;
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Compute {
                 proc: self.proc,
@@ -240,15 +236,7 @@ impl AmPort {
         let reliable = cfg.reliability_active();
         let o_recv = cfg.node_faults.scale(self.proc, cfg.eff_o_recv());
         self.inner.sim.delay(o_recv).await;
-        {
-            let ep = &self.inner.procs[self.proc];
-            let mut c = ep.counters.borrow_mut();
-            c.recvs += 1;
-            c.o_time += o_recv;
-            if ep.in_wait.get() {
-                c.o_time_in_wait += o_recv;
-            }
-        }
+        self.inner.procs[self.proc].counters.borrow_mut().recvs += 1;
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Recv(RecvEvent {
                 id: msg.trace,
@@ -420,14 +408,6 @@ impl AmPort {
             .node_faults
             .scale(self.proc, self.inner.cfg.eff_o_send());
         self.inner.sim.delay(o_send).await;
-        {
-            let ep = &self.inner.procs[self.proc];
-            let mut c = ep.counters.borrow_mut();
-            c.o_time += o_send;
-            if ep.in_wait.get() {
-                c.o_time_in_wait += o_send;
-            }
-        }
         let ack = if self.inner.cfg.reliability_active() {
             self.inner.ack_watermark(self.proc, req.src)
         } else {
@@ -476,34 +456,30 @@ impl AmPort {
     /// Opens a network wait of the given stall classification — credit
     /// acquisition is back-pressure ([`WaitKind::Tx`]), everything else a
     /// receive stall. Waits nest (a handler's reply may wait inside a
-    /// wait); only the outermost is accounted and reported. Returns what
+    /// wait); only the outermost is reported. Returns what
     /// [`AmPort::exit_wait`] needs.
-    fn enter_wait(&self, kind: WaitKind) -> (bool, SimTime) {
+    fn enter_wait(&self, kind: WaitKind) -> bool {
         let was_waiting = self.inner.procs[self.proc].in_wait.replace(true);
-        let at = self.inner.sim.now();
         if !was_waiting {
             if let Some(sink) = self.inner.trace.get() {
                 sink.record(&TraceEvent::WaitEnter {
                     proc: self.proc,
                     kind,
-                    at,
+                    at: self.inner.sim.now(),
                 });
             }
         }
-        (was_waiting, at)
+        was_waiting
     }
 
     /// Closes the wait opened by [`AmPort::enter_wait`].
-    fn exit_wait(&self, (was_waiting, t_enter): (bool, SimTime)) {
-        let ep = &self.inner.procs[self.proc];
-        ep.in_wait.set(was_waiting);
+    fn exit_wait(&self, was_waiting: bool) {
+        self.inner.procs[self.proc].in_wait.set(was_waiting);
         if !was_waiting {
-            let at = self.inner.sim.now();
-            ep.counters.borrow_mut().blocked_time += at.since(t_enter);
             if let Some(sink) = self.inner.trace.get() {
                 sink.record(&TraceEvent::WaitExit {
                     proc: self.proc,
-                    at,
+                    at: self.inner.sim.now(),
                 });
             }
         }
@@ -533,7 +509,8 @@ impl AmPort {
     /// is *idle* (e.g. waiting on a disk), so incoming messages are handled
     /// as they arrive, and the wait overlaps their overhead.
     pub async fn idle_until(&self, deadline: SimTime) {
-        let wait @ (_, enter) = self.enter_wait(WaitKind::Rx);
+        let enter = self.inner.sim.now();
+        let wait = self.enter_wait(WaitKind::Rx);
         loop {
             self.crash_gate().await;
             if self.inner.sim.now() >= deadline {
@@ -580,7 +557,6 @@ impl AmPort {
             .node_faults
             .scale(self.proc, self.inner.cfg.eff_o_send());
         self.inner.sim.delay(o_send).await;
-        self.inner.procs[self.proc].counters.borrow_mut().o_time += o_send;
         o_send
     }
 

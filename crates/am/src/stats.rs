@@ -6,7 +6,7 @@
 //! hook: every injected message updates a [`ProcCounters`]; a
 //! [`CommStats`] snapshot aggregates them into the paper's summary columns.
 
-use nowlab_sim::{ordered_sum_by, SimDelta};
+use nowlab_sim::SimDelta;
 
 /// The collective-operation families the upper layers count through
 /// [`crate::AmPort::note_coll`] (mirroring the `barriers` counter): one
@@ -52,16 +52,6 @@ pub struct ProcCounters {
     pub coll_allgathers: u64,
     /// Collective all-to-all exchanges this processor participated in.
     pub coll_alltoalls: u64,
-    /// Processor time spent in send/receive overhead.
-    pub o_time: SimDelta,
-    /// Processor time spent in explicit computation.
-    pub compute_time: SimDelta,
-    /// Time spent blocked in communication waits (includes the overhead of
-    /// messages serviced while waiting; see `o_time_in_wait`).
-    pub blocked_time: SimDelta,
-    /// The portion of `o_time` charged while inside a wait (so
-    /// `blocked_time - o_time_in_wait` is pure network/stall wait).
-    pub o_time_in_wait: SimDelta,
     /// Messages this processor sent that the faulty wire dropped
     /// (including outage losses; bulk messages count once however many
     /// fragments were lost).
@@ -225,42 +215,6 @@ impl CommStats {
             return 0.0;
         }
         total_bytes as f64 / 1_000.0 / secs / self.per_proc.len() as f64
-    }
-
-    /// Average time-breakdown fractions across processors:
-    /// `(compute, overhead, pure_wait, other)`, each in [0, 1] of the
-    /// elapsed measured time. "Other" is the residual (local memory ops,
-    /// scheduling slack); overhead charged while waiting counts as
-    /// overhead, not wait.
-    pub fn time_breakdown(&self) -> (f64, f64, f64, f64) {
-        let elapsed = self.elapsed.as_secs_f64();
-        if elapsed == 0.0 || self.per_proc.is_empty() {
-            return (0.0, 0.0, 0.0, 1.0);
-        }
-        let p = self.per_proc.len() as f64;
-        // Summed with `ordered_sum_by` (strict left-to-right over the
-        // rank-ordered Vec) so the float reduction order is pinned by
-        // construction, not by iterator internals (FLT001).
-        let compute =
-            ordered_sum_by(&self.per_proc, |c| c.compute_time.as_secs_f64()) / p / elapsed;
-        let overhead = ordered_sum_by(&self.per_proc, |c| c.o_time.as_secs_f64()) / p / elapsed;
-        let pure_wait = ordered_sum_by(&self.per_proc, |c| {
-            (c.blocked_time.saturating_sub(c.o_time_in_wait)).as_secs_f64()
-        }) / p
-            / elapsed;
-        let raw = 1.0 - compute - overhead - pure_wait;
-        // A negative residual means the components over-count elapsed time
-        // (double-charged spans). The clamp below keeps release-mode output
-        // sane, but over-counting is an accounting bug, so fail loudly in
-        // debug builds instead of silently hiding it.
-        debug_assert!(
-            raw >= -1e-6,
-            "time_breakdown over-counts: compute {compute} + overhead {overhead} \
-             + pure_wait {pure_wait} exceeds elapsed by {}",
-            -raw
-        );
-        let other = raw.max(0.0);
-        (compute, overhead, pure_wait, other)
     }
 
     /// Total messages the faulty wire dropped.
@@ -478,41 +432,6 @@ mod tests {
         assert_eq!(s.total_coll_allgathers(), 1);
         assert_eq!(s.total_coll_alltoalls(), 4);
         assert_eq!(s.total_coll_ops(), 13);
-    }
-
-    #[test]
-    fn time_breakdown_components_partition_elapsed() {
-        let mut a = ProcCounters::new(1);
-        a.compute_time = SimDelta::from_millis(1.0);
-        a.o_time = SimDelta::from_micros(400.0);
-        a.blocked_time = SimDelta::from_micros(500.0);
-        a.o_time_in_wait = SimDelta::from_micros(100.0);
-        let s = CommStats {
-            per_proc: vec![a],
-            elapsed: SimDelta::from_millis(2.0),
-        };
-        let (compute, overhead, pure_wait, other) = s.time_breakdown();
-        assert!((compute - 0.5).abs() < 1e-9);
-        assert!((overhead - 0.2).abs() < 1e-9);
-        assert!((pure_wait - 0.2).abs() < 1e-9);
-        assert!((other - 0.1).abs() < 1e-9);
-        assert!((compute + overhead + pure_wait + other - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "time_breakdown over-counts")]
-    fn time_breakdown_rejects_over_counted_components() {
-        // Components exceed elapsed: the old code clamped this to
-        // other = 0 and hid the bug; it must now trip the debug assert.
-        let mut a = ProcCounters::new(1);
-        a.compute_time = SimDelta::from_millis(2.0);
-        a.o_time = SimDelta::from_millis(1.0);
-        let s = CommStats {
-            per_proc: vec![a],
-            elapsed: SimDelta::from_millis(2.0),
-        };
-        let _ = s.time_breakdown();
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Black-box tests of the Active Message transport through its public API:
 //! timing algebra, flow control, knob independence, instrumentation.
 
+use std::rc::Rc;
+
 use nowlab_am::{AmCluster, Knobs, Mark, NetConfig, Payload, ReplyData};
 use nowlab_sim::{Sim, SimDelta, SimTime};
+use nowlab_trace::TraceRecorder;
 
 fn cluster(cfg: NetConfig, p: usize) -> (Sim, AmCluster) {
     let sim = Sim::new();
@@ -200,10 +203,14 @@ fn freeze_stats_excludes_later_traffic() {
 
 #[test]
 fn overhead_knob_scales_o_time_accounting() {
+    // Proc 0's overhead, read off the trace records: `o_send` of the
+    // requests it issues plus `o_recv` of the replies it drains.
     let run = |d_o: f64| {
         let cfg =
             NetConfig::berkeley_now().with_knobs(Knobs::with_overhead(SimDelta::from_micros(d_o)));
         let (sim, c) = cluster(cfg, 2);
+        let rec = Rc::new(TraceRecorder::new(true));
+        c.set_trace_sink(rec.clone());
         let h = c.register_handler(|_| ReplyData::ack());
         serve(&sim, &c, 1);
         let port = c.port(0);
@@ -214,7 +221,11 @@ fn overhead_knob_scales_o_time_accounting() {
             }
         });
         sim.run();
-        c.stats().per_proc[0].o_time
+        let records = rec.finish().records;
+        assert_eq!(records.len(), 20, "10 requests + 10 replies");
+        records.iter().fold(SimDelta::ZERO, |sum, r| {
+            sum + if r.src == 0 { r.o_send } else { r.o_recv }
+        })
     };
     let base = run(0.0);
     let slow = run(10.0);

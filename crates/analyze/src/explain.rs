@@ -40,7 +40,7 @@ pub const LINTS: &[LintInfo] = &[
         summary: "Instant/SystemTime in sim-visible code",
         rationale: "Wall-clock reads inside the simulation make virtual time a function \
                     of the host. All time below the run boundary must come from \
-                    Sim::now(). Host-side harness code (crates/bench) is exempt.",
+                    Sim::now().",
     },
     LintInfo {
         code: "DET003",
@@ -104,7 +104,7 @@ pub const LINTS: &[LintInfo] = &[
         summary: "thread/lock primitives outside the orchestration layer",
         rationale: "Simulations are single-threaded so virtual time cannot depend on \
                     host scheduling. OS threads, locks, and atomics are allowed only in \
-                    the run-boundary orchestration layer (core::sweep, bench, src/bin).",
+                    the run-boundary orchestration layer (core::sweep, src/bin).",
     },
     LintInfo {
         code: "MET001",

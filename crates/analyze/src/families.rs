@@ -446,7 +446,7 @@ mod tests {
         let ok = "use nowlab_splitc::Ctx;\nuse nowlab_core::RunSpec;\nuse nowlab_apps::x;";
         assert!(codes(ok, &scope(Layer::Apps)).is_empty());
         // Unconstrained layers are never flagged.
-        assert!(codes("use nowlab_sim::Sim;", &scope(Layer::Bench)).is_empty());
+        assert!(codes("use nowlab_sim::Sim;", &scope(Layer::Analyze)).is_empty());
         // Test-only imports are host-side.
         let test_only = "#[cfg(test)]\nmod tests { use nowlab_sim::Sim; }";
         assert!(codes(test_only, &scope(Layer::Apps)).is_empty());
@@ -556,7 +556,7 @@ mod tests {
     fn families_respect_sim_visibility() {
         let host = Scope {
             sim_visible: false,
-            layer: Layer::Bench,
+            layer: Layer::Analyze,
             ..Scope::default()
         };
         let src = "fn f(v: &V) -> f64 { v.iter().sum::<f64>() }\n\

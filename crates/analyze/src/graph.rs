@@ -56,8 +56,6 @@ pub enum Layer {
     /// `crates/apps` — the ported Split-C applications; splitc and above
     /// only, never the kernel or AM internals directly.
     Apps,
-    /// `crates/bench` — host-side wall-clock harness; unconstrained.
-    Bench,
     /// `crates/analyze` — this tool; unconstrained.
     Analyze,
     /// The root `nowlab` package (CLI); unconstrained.
@@ -81,7 +79,6 @@ impl Layer {
             "predict" => Layer::Predict,
             "core" => Layer::Core,
             "apps" => Layer::Apps,
-            "bench" => Layer::Bench,
             "analyze" => Layer::Analyze,
             _ => Layer::Other,
         }
@@ -132,7 +129,7 @@ impl Layer {
                 Layer::Splitc,
                 Layer::Core,
             ]),
-            Layer::Bench | Layer::Analyze | Layer::Root | Layer::Other => None,
+            Layer::Analyze | Layer::Root | Layer::Other => None,
         }
     }
 
@@ -155,7 +152,6 @@ impl Layer {
             Layer::Predict => "predict",
             Layer::Core => "core",
             Layer::Apps => "apps",
-            Layer::Bench => "bench",
             Layer::Analyze => "analyze",
             Layer::Root => "root",
             Layer::Other => "other",
@@ -424,7 +420,7 @@ mod tests {
             .unwrap()
             .contains(&Layer::Predict));
         // Host-side layers are unconstrained.
-        assert!(Layer::Bench.allowed_deps().is_none());
+        assert!(Layer::Analyze.allowed_deps().is_none());
         assert!(Layer::Root.allowed_deps().is_none());
     }
 
@@ -498,8 +494,8 @@ mod tests {
     #[test]
     fn unconstrained_layers_pass_anything() {
         let g = graph_from(&[(
-            "bench",
-            "[package]\nname = \"nowlab-bench\"\n[dependencies]\n\
+            "analyze",
+            "[package]\nname = \"nowlab-analyze\"\n[dependencies]\n\
              nowlab-sim.workspace = true\nnowlab-core.workspace = true\n",
         )]);
         assert!(g.lint_manifests().is_empty());
@@ -511,8 +507,8 @@ mod tests {
         let g = WorkspaceGraph::load(&root).unwrap();
         // All member crates plus the root package are present.
         for dir in [
-            ".", "am", "analyze", "apps", "bench", "coll", "core", "metrics", "predict", "rng",
-            "sim", "splitc", "trace",
+            ".", "am", "analyze", "apps", "coll", "core", "metrics", "predict", "rng", "sim",
+            "splitc", "trace",
         ] {
             assert!(g.get(dir).is_some(), "missing crate node {dir}");
         }

@@ -125,7 +125,7 @@ pub struct Scope {
     /// A crate/bin root file, which must carry `#![forbid(unsafe_code)]`.
     pub crate_root: bool,
     /// Inside the run-boundary orchestration layer (`crates/core::sweep`,
-    /// `crates/bench`, `src/bin`): the only code allowed to use OS threads
+    /// `src/bin`): the only code allowed to use OS threads
     /// and lock/atomic primitives (`PAR001` elsewhere). Simulations stay
     /// single-threaded so virtual time cannot depend on host scheduling.
     pub parallel_ok: bool,
@@ -134,15 +134,14 @@ pub struct Scope {
     pub layer: Layer,
 }
 
-/// Crates whose code is simulation-visible. `bench` is deliberately
-/// absent: it is the host-side wall-clock harness and may read
-/// `Instant`/env freely.
+/// Crates whose code is simulation-visible. `analyze` is deliberately
+/// absent: this tool runs no simulation.
 const SIM_CRATES: &[&str] = &[
     "sim", "trace", "metrics", "am", "coll", "splitc", "predict", "core", "apps", "rng",
 ];
 
 /// Determines the lint scope for a workspace-relative `.rs` path, or
-/// `None` if the file is out of scope (tests, benches, fixtures — anything
+/// `None` if the file is out of scope (tests, examples, fixtures — anything
 /// outside a `src/` tree).
 pub fn scope_for(rel: &str) -> Option<Scope> {
     if !rel.ends_with(".rs") {
@@ -168,9 +167,7 @@ pub fn scope_for(rel: &str) -> Option<Scope> {
         am_layer: crate_name == Some("am"),
         entropy_exempt: crate_name == Some("rng"),
         crate_root,
-        parallel_ok: rel.starts_with("crates/bench/")
-            || rel.starts_with("src/bin/")
-            || rel.starts_with("crates/core/src/sweep"),
+        parallel_ok: rel.starts_with("src/bin/") || rel.starts_with("crates/core/src/sweep"),
         layer: crate_name.map_or(Layer::Root, Layer::of_crate),
     })
 }
@@ -278,9 +275,14 @@ mod tests {
         assert!(!s.parallel_ok);
         let s = scope_for("crates/rng/src/lib.rs").unwrap();
         assert!(s.sim_visible && s.entropy_exempt && s.crate_root);
-        let s = scope_for("crates/bench/src/lib.rs").unwrap();
-        assert!(!s.sim_visible && s.crate_root, "bench is host-side");
-        assert!(s.parallel_ok, "bench may use threads");
+        let s = scope_for("crates/analyze/src/lib.rs").unwrap();
+        assert!(!s.sim_visible && s.crate_root, "the analyzer is host-side");
+        let s = scope_for("src/exhibits.rs").unwrap();
+        assert!(s.sim_visible && !s.crate_root && s.layer == Layer::Root);
+        assert!(
+            !s.parallel_ok,
+            "exhibits reach the pool through core::sweep"
+        );
         let s = scope_for("src/bin/nowlab.rs").unwrap();
         assert!(s.sim_visible && s.crate_root);
         assert!(s.parallel_ok, "the CLI fans out whole runs");

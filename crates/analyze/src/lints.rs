@@ -190,7 +190,7 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                     message: format!(
                         "`{name}` outside the orchestration layer — simulations are \
                          single-threaded; threads/locks belong only in the run-boundary \
-                         pool (crates/core::sweep, crates/bench, src/bin)",
+                         pool (crates/core::sweep, src/bin)",
                     ),
                 });
             }

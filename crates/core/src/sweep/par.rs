@@ -11,8 +11,7 @@
 //!
 //! The pool is dependency-free (`std::thread::scope` plus an atomic
 //! work-claiming cursor); the analyzer's `PAR001` lint confines this kind
-//! of code to the orchestration layer (`crates/core::sweep`,
-//! `crates/bench`, `src/bin`).
+//! of code to the orchestration layer (`crates/core::sweep`, `src/bin`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

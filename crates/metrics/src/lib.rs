@@ -98,6 +98,24 @@ impl ProcState {
             ProcState::Idle => "idle",
         }
     }
+
+    /// Names of the coarse four-way view of processor time, in
+    /// [`ProcState::coarse`] index order.
+    pub const COARSE: [&'static str; 4] = ["compute", "overhead", "net wait", "other"];
+
+    /// Index into [`ProcState::COARSE`] of the class this state belongs
+    /// to — the one projection from the seven states onto the
+    /// compute / overhead / network-wait / other split (the
+    /// `time_breakdown` exhibit). Every state lands in exactly one class,
+    /// so the coarse view conserves time as exactly as the fine one.
+    pub fn coarse(self) -> usize {
+        match self {
+            ProcState::Compute => 0,
+            ProcState::OSend | ProcState::ORecv | ProcState::DeltaO => 1,
+            ProcState::TxWait | ProcState::RxStall => 2,
+            ProcState::Idle => 3,
+        }
+    }
 }
 
 /// Default sampling window: 100 µs of simulated time (the suite's

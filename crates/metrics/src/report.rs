@@ -114,6 +114,24 @@ impl MetricsSummary {
             self.totals[state as usize] as f64 / total as f64
         }
     }
+
+    /// Shares of all processor time per coarse class, in
+    /// [`ProcState::COARSE`] order (see [`ProcState::coarse`]). The
+    /// classes partition the integer totals, so the shares sum to 1.
+    pub fn coarse_shares(&self) -> [f64; 4] {
+        let mut ns = [0u64; 4];
+        for state in ProcState::ALL {
+            ns[state.coarse()] += self.totals[state as usize];
+        }
+        let total: u64 = ns.iter().sum();
+        ns.map(|n| {
+            if total == 0 {
+                0.0
+            } else {
+                n as f64 / total as f64
+            }
+        })
+    }
 }
 
 /// One processor's sampled series.

@@ -22,14 +22,14 @@
 //!   [`Sim::register_hook`] dispatcher and its token, or the task a
 //!   [`Sleep`] belongs to, so the two event kinds a cluster run fires by
 //!   the million touch the wheel and nothing else.
-//! * the **action slab** holds what does not fit a word or may be revoked:
-//!   boxed closures ([`Sim::schedule`]), foreign `Waker`s (a [`Sleep`]
-//!   polled outside a task, or through a combinator that wraps the task's
-//!   waker), every timer that returned a [`TimerHandle`], and hook events
-//!   whose id or token is too wide to pack. Its per-slot `seq` stamp is
-//!   what makes lazy cancellation safe against slot reuse. `seq` is one
-//!   global counter, so which of the two routes an event takes never shows
-//!   in the firing order.
+//! * the **action slab** holds what does not fit a word: boxed closures
+//!   ([`Sim::schedule`]), foreign `Waker`s (a [`Sleep`] polled outside a
+//!   task, or through a combinator that wraps the task's waker), and hook
+//!   events whose id or token is too wide to pack. A scheduled timer
+//!   always fires — there is no cancellation — so a slot is written once,
+//!   named by exactly one wheel entry, and taken once. `seq` is one global
+//!   counter, so which of the two routes an event takes never shows in
+//!   the firing order.
 //! * the **wake log** ([`crate::ready`]) is an atomic append-only log
 //!   drained into a plain `Vec`, one ready bit per task. It carries every
 //!   wake that goes through a `Waker` — [`crate::Notify`], [`JoinHandle`],
@@ -128,18 +128,6 @@ enum TimerAction {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HookId(u32);
 
-/// Handle to a timer scheduled with [`Sim::schedule_cancellable`] or
-/// [`Sim::schedule_hook_cancellable`].
-///
-/// The handle names a (slab slot, registration sequence) pair; because the
-/// sequence number is globally unique, a stale handle whose slot has been
-/// recycled can never cancel the wrong timer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimerHandle {
-    slot: u32,
-    seq: u64,
-}
-
 /// One spawned task plus its reusable waker. The waker is created once at
 /// spawn instead of once per poll: `Waker::from(Arc<TaskWaker>)` costs an
 /// allocation, and tasks in a message-heavy simulation are polled many
@@ -152,28 +140,13 @@ struct TaskSlot {
     shim: Arc<TaskWaker>,
 }
 
-/// One slab slot: the registration sequence stamped at allocation plus the
-/// pending action. A wheel entry (or a [`TimerHandle`]) is live only while
-/// its `seq` matches the stamp — that is what makes lazy cancellation safe
-/// against slot reuse.
-struct SlabSlot {
-    seq: u64,
-    action: Option<TimerAction>,
-}
-
 struct Inner {
     wheel: TimerWheel,
-    /// Slab of pending timer actions, indexed by [`Fire::Slab`]. The
-    /// seq stamp and the action live side by side so the fire-time
-    /// liveness check and the claim touch one slab slot, not two
-    /// parallel arrays.
-    slab: Vec<SlabSlot>,
+    /// Slab of pending timer actions, indexed by [`Fire::Slab`]; `None`
+    /// marks a free slot.
+    slab: Vec<Option<TimerAction>>,
     /// Recyclable slab slots (free list).
     free_slots: Vec<u32>,
-    /// Cancelled timers whose wheel entry has not been reached and
-    /// discarded yet. While zero — always, in a run that cancels nothing —
-    /// every extracted entry is live and batches skip the liveness pass.
-    ghosts: usize,
     tasks: Vec<Option<Box<TaskSlot>>>,
     /// A second handle on each task's waker, which a [`Sleep`] compares
     /// its context against (the first is out of the table, inside the
@@ -191,92 +164,35 @@ impl Inner {
         seq
     }
 
-    /// Stores `action` in the slab, reusing a freed slot when available,
-    /// and stamps the slot with the registration sequence.
-    fn alloc_slot(&mut self, action: TimerAction, seq: u64) -> u32 {
+    /// Stores `action` in the slab, reusing a freed slot when available.
+    fn alloc_slot(&mut self, action: TimerAction) -> u32 {
         match self.free_slots.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = SlabSlot {
-                    seq,
-                    action: Some(action),
-                };
+                self.slab[slot as usize] = Some(action);
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slab.len()).expect("timer slab overflow");
-                self.slab.push(SlabSlot {
-                    seq,
-                    action: Some(action),
-                });
+                self.slab.push(Some(action));
                 slot
             }
         }
     }
 
-    /// True unless `e` is the ghost of a cancelled timer (its slot was
-    /// freed — and possibly recycled — at cancel time). Only slab-backed
-    /// entries can be cancelled.
-    fn is_live(&self, e: &TimerEntry) -> bool {
-        match Fire::unpack(e.word) {
-            Fire::Slab(slot) => {
-                let slot = &self.slab[slot as usize];
-                slot.seq == e.seq && slot.action.is_some()
-            }
-            _ => true,
-        }
-    }
-
-    /// Extracts the next batch of *live* same-instant entries into `out`
-    /// in `seq` order, discarding lazily-cancelled ghosts along the way.
-    /// Returns the batch instant, or `None` once the wheel is empty.
-    /// Batches consisting entirely of ghosts are discarded without
-    /// surfacing — the clock never advances to a cancelled instant.
+    /// Takes a slab-backed entry's action at its fire point and frees the
+    /// slot.
     ///
-    /// Slab-backed actions stay in the slab: the run loop *claims* them
-    /// one at a time as the batch fires, so an earlier same-instant event
-    /// (or a task it wakes) can still cancel a later one, exactly as
-    /// under the one-pop-at-a-time heap kernel.
-    fn take_batch(&mut self, out: &mut Vec<TimerEntry>) -> Option<SimTime> {
-        debug_assert!(out.is_empty());
-        loop {
-            let t = self.wheel.take_batch(out)?;
-            if self.ghosts == 0 {
-                return Some(t);
-            }
-            let extracted = out.len();
-            out.retain(|e| self.is_live(e));
-            self.ghosts -= extracted - out.len();
-            if !out.is_empty() {
-                return Some(t);
-            }
-        }
-    }
-
-    /// Takes a slab-backed batch entry's action at fire time. `None`
-    /// means the entry was cancelled after extraction — by an earlier
-    /// event in the same batch, or by a task polled between two
-    /// same-instant events — and must fire nothing.
-    fn claim(&mut self, slot: u32, seq: u64) -> Option<TimerAction> {
-        let s = &mut self.slab[slot as usize];
-        let action = if s.seq == seq { s.action.take() } else { None };
-        match action {
-            Some(_) => self.free_slots.push(slot),
-            None => self.ghosts -= 1,
-        }
+    /// The slot cannot be empty ("fired twice"): `push_slab` is the only
+    /// writer and hands the slot number to exactly one wheel entry, the
+    /// wheel yields each entry once (a reinserted entry was not fired),
+    /// and the slot joins the free list only here, after its one entry
+    /// has been consumed.
+    fn claim(&mut self, slot: u32) -> TimerAction {
+        let action = self.slab[slot as usize]
+            .take()
+            .expect("slab slot fired twice");
+        self.free_slots.push(slot);
         action
-    }
-
-    /// Puts an unfired batch entry back after an early stop mid-batch
-    /// (halt or event limit between same-instant events). `seq` is
-    /// preserved (and a slab-backed action never left the slab), so a
-    /// later run fires it in exactly the order the uninterrupted run
-    /// would have. Entries cancelled while in flight are dropped instead.
-    fn reinsert(&mut self, e: TimerEntry) {
-        if self.is_live(&e) {
-            self.wheel.push(e);
-        } else {
-            self.ghosts -= 1;
-        }
     }
 }
 
@@ -305,9 +221,8 @@ struct Shared {
     now: Cell<SimTime>,
     /// Deadline of the earliest pending timer — a cached copy of the wheel
     /// minimum so the run loop's limit checks read a `Cell` instead of
-    /// borrowing and scanning the wheel. Cancellation does not update it,
-    /// so it may conservatively point at a cancelled ghost; the run loop
-    /// re-checks after extraction.
+    /// borrowing and scanning the wheel. Only a lower bound after a batch
+    /// (see [`Sim::run`]); the run loop re-checks after extraction.
     next_deadline: Cell<Option<SimTime>>,
     /// Run budgets live in `Cell`s (not `Inner`) so the hot loop reads
     /// them without a `RefCell` borrow; callbacks may change them mid-run.
@@ -321,9 +236,9 @@ struct Shared {
     /// passive — it schedules no events and cannot perturb the run.
     sample_boundary: Cell<SimTime>,
     samples: RefCell<SampleState>,
-    /// Timers scheduled but neither fired nor cancelled
-    /// ([`Sim::pending_timers`]). A `Cell`, so firing a packed event
-    /// updates it without an `Inner` borrow.
+    /// Timers scheduled but not yet fired ([`Sim::pending_timers`]). A
+    /// `Cell`, so firing a packed event updates it without an `Inner`
+    /// borrow.
     live_timers: Cell<usize>,
     /// The task being polled right now, if any: how a [`Sleep`] knows
     /// whose timer it is arming.
@@ -331,10 +246,6 @@ struct Shared {
     /// Registered hook dispatchers, indexed by [`HookId`]. Append-only,
     /// and borrowed shared for the length of a dispatch.
     hooks: RefCell<Vec<HookFn>>,
-    /// Hooks registered *from inside* a dispatching hook, which cannot
-    /// borrow `hooks` mutably; they take the ids following the table's
-    /// and are appended to it at the next registration or on first use.
-    late_hooks: RefCell<Vec<HookFn>>,
     inner: RefCell<Inner>,
     ready: Arc<ReadyQueue>,
 }
@@ -391,12 +302,10 @@ impl Sim {
                 live_timers: Cell::new(0),
                 polling: Cell::new(None),
                 hooks: RefCell::new(Vec::new()),
-                late_hooks: RefCell::new(Vec::new()),
                 inner: RefCell::new(Inner {
                     wheel: TimerWheel::with_capacity(timers),
                     slab: Vec::with_capacity(timers),
                     free_slots: Vec::with_capacity(timers),
-                    ghosts: 0,
                     tasks: Vec::with_capacity(tasks),
                     wakers: Vec::with_capacity(tasks),
                     live_tasks: 0,
@@ -413,24 +322,19 @@ impl Sim {
         self.shared.now.get()
     }
 
-    /// Number of *live* timers waiting in the scheduler queue — how much
-    /// future the event wheel is holding right now. Lazily-cancelled
-    /// entries are excluded (they occupy wheel slots until their instant
-    /// passes, but will never fire). An O(1) observability probe for
-    /// tracing/metrics; reading it cannot disturb event order.
+    /// Number of timers waiting in the scheduler queue — how much future
+    /// the event wheel is holding right now. An O(1) observability probe
+    /// for tracing/metrics; reading it cannot disturb event order.
     pub fn pending_timers(&self) -> usize {
         self.shared.live_timers.get()
     }
 
     /// Capacity and occupancy snapshot of the timer wheel: ring size
     /// (fixed at construction), per-bucket allocation, overflow-heap
-    /// depth, and live/cancelled entry counts. Used by the differential
-    /// tests to assert the ring never grows during steady state.
+    /// depth, and entry count. Used by the differential tests to assert
+    /// the ring never grows during steady state.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        let inner = self.shared.inner.borrow();
-        let mut stats = inner.wheel.stats();
-        stats.cancelled = inner.ghosts;
-        stats
+        self.shared.inner.borrow().wheel.stats()
     }
 
     /// Caps the total number of events a subsequent [`Sim::run`] may fire.
@@ -583,20 +487,6 @@ impl Sim {
         );
     }
 
-    /// Schedules `f` like [`Sim::schedule`] but returns a [`TimerHandle`]
-    /// that can revoke it via [`Sim::cancel_timer`] before it fires.
-    pub fn schedule_cancellable<F>(&self, at: SimTime, f: F) -> TimerHandle
-    where
-        F: FnOnce(&Sim) + 'static,
-    {
-        let at = at.max(self.now());
-        self.push_slab(
-            &mut self.shared.inner.borrow_mut(),
-            at,
-            TimerAction::Call(Box::new(f)),
-        )
-    }
-
     /// Registers a hook dispatcher and returns its [`HookId`].
     ///
     /// A hook is the allocation-free alternative to [`Sim::schedule`] for
@@ -604,37 +494,28 @@ impl Sim {
     /// [`Sim::schedule_hook`] events that carry only a `u64` token — the
     /// per-event `Box<dyn FnOnce>` disappears from the hot path. The
     /// dispatcher is retained for the life of the simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called from inside a dispatching hook: the table is
+    /// borrowed for the length of a dispatch. Register hooks at
+    /// construction time, before [`Sim::run`].
     pub fn register_hook<F>(&self, f: F) -> HookId
     where
         F: Fn(&Sim, u64) + 'static,
     {
-        let mut late = self.shared.late_hooks.borrow_mut();
-        let len = match self.shared.hooks.try_borrow_mut() {
-            Ok(mut hooks) => {
-                hooks.append(&mut late);
-                hooks.push(Box::new(f));
-                hooks.len()
-            }
-            // A hook is dispatching, under a shared borrow of the table.
-            Err(_) => {
-                late.push(Box::new(f));
-                self.shared.hooks.borrow().len() + late.len()
-            }
-        };
-        HookId(u32::try_from(len - 1).expect("hook table overflow"))
+        let mut hooks = self
+            .shared
+            .hooks
+            .try_borrow_mut()
+            .expect("register_hook called from inside a dispatching hook");
+        hooks.push(Box::new(f));
+        HookId(u32::try_from(hooks.len() - 1).expect("hook table overflow"))
     }
 
     /// Runs hook number `hook` on `token`, under a shared borrow of the
     /// table (no per-event refcount traffic).
     fn dispatch_hook(&self, hook: u32, token: u64) {
-        if let Some(f) = self.shared.hooks.borrow().get(hook as usize) {
-            return f(self, token);
-        }
-        // Registered from inside an earlier dispatch.
-        self.shared
-            .hooks
-            .borrow_mut()
-            .append(&mut self.shared.late_hooks.borrow_mut());
         (self.shared.hooks.borrow()[hook as usize])(self, token);
     }
 
@@ -647,70 +528,23 @@ impl Sim {
         let inner = &mut self.shared.inner.borrow_mut();
         match (Fire::Hook { hook, token }).pack() {
             Some(word) => self.push_packed(inner, at, word),
-            None => {
-                self.push_slab(inner, at, TimerAction::Hook { hook, token });
-            }
+            None => self.push_slab(inner, at, TimerAction::Hook { hook, token }),
         }
-    }
-
-    /// [`Sim::schedule_hook`] returning a [`TimerHandle`] for
-    /// [`Sim::cancel_timer`].
-    pub fn schedule_hook_cancellable(&self, at: SimTime, hook: HookId, token: u64) -> TimerHandle {
-        let at = at.max(self.now());
-        self.push_slab(
-            &mut self.shared.inner.borrow_mut(),
-            at,
-            TimerAction::Hook {
-                hook: hook.0,
-                token,
-            },
-        )
-    }
-
-    /// Cancels a pending timer. Returns `true` if the timer was still
-    /// pending (it will now never fire, and [`Sim::pending_timers`] drops
-    /// immediately); `false` if it already fired, was already cancelled,
-    /// or the handle is stale.
-    ///
-    /// Cancellation is lazy: the wheel entry remains as a ghost until the
-    /// run loop reaches its instant and discards it. Ghosts never fire,
-    /// never advance the clock, and are excluded from
-    /// [`Sim::pending_timers`] — but the cached next-event deadline may
-    /// conservatively point at one, in which case a time-limited run can
-    /// stop with [`StopReason::TimeLimit`] one extraction earlier than
-    /// strictly necessary; a subsequent [`Sim::run`] discards the ghost
-    /// and proceeds normally.
-    pub fn cancel_timer(&self, handle: TimerHandle) -> bool {
-        let mut inner = self.shared.inner.borrow_mut();
-        let idx = handle.slot as usize;
-        match inner.slab.get(idx) {
-            Some(slot) if slot.seq == handle.seq && slot.action.is_some() => {}
-            _ => return false,
-        }
-        inner.slab[idx].action = None;
-        inner.free_slots.push(handle.slot);
-        inner.ghosts += 1;
-        self.shared
-            .live_timers
-            .set(self.shared.live_timers.get() - 1);
-        true
     }
 
     /// Registers an event that fits a wheel entry whole (`word` is a
-    /// packed [`Fire`]): no slab slot, no free list, no `seq` stamp.
+    /// packed [`Fire`]): no slab slot, no free list.
     fn push_packed(&self, inner: &mut Inner, time: SimTime, word: u64) {
         let seq = inner.next_seq();
         self.push_entry(inner, TimerEntry { time, seq, word });
     }
 
-    /// Parks `action` in the slab and registers a wheel entry naming its
-    /// slot; the handle can revoke it.
-    fn push_slab(&self, inner: &mut Inner, time: SimTime, action: TimerAction) -> TimerHandle {
+    /// Parks `action` in the slab and registers the one wheel entry that
+    /// names its slot.
+    fn push_slab(&self, inner: &mut Inner, time: SimTime, action: TimerAction) {
         let seq = inner.next_seq();
-        let slot = inner.alloc_slot(action, seq);
-        let word = Fire::slab_word(slot);
+        let word = Fire::slab_word(inner.alloc_slot(action));
         self.push_entry(inner, TimerEntry { time, seq, word });
-        TimerHandle { slot, seq }
     }
 
     /// Puts a new entry on the wheel, maintaining the live count and the
@@ -765,9 +599,7 @@ impl Sim {
             .and_then(|id| Fire::Task(id).pack());
         match own {
             Some(word) => self.push_packed(&mut inner, deadline, word),
-            None => {
-                self.push_slab(&mut inner, deadline, TimerAction::Wake(waker.clone()));
-            }
+            None => self.push_slab(&mut inner, deadline, TimerAction::Wake(waker.clone())),
         }
     }
 
@@ -851,17 +683,19 @@ impl Sim {
                 }
             }
             // Batched same-instant extraction: one `Inner` borrow pulls
-            // every live timer at the earliest instant, instead of a
+            // every timer at the earliest instant, instead of a
             // borrow→pop→release round trip per event.
             let t = {
                 let mut inner = self.shared.inner.borrow_mut();
-                let Some(t) = inner.take_batch(&mut batch) else {
-                    // Only cancelled ghosts remained; the wheel is empty.
+                debug_assert!(batch.is_empty());
+                let Some(t) = inner.wheel.take_batch(&mut batch) else {
+                    // Not reached: a cached deadline means a non-empty
+                    // wheel. Idle is the right answer all the same.
                     self.shared.next_deadline.set(None);
                     break StopReason::Idle;
                 };
                 // The cached deadline only needs to be a *lower bound*:
-                // pushes min-update it, the `t > next` ghost path below
+                // pushes min-update it, the `t > next` path below
                 // re-validates against the time limit, and an exact scan
                 // after every batch would cost more than the heap peek
                 // this campaign is replacing. `t` itself is the tightest
@@ -876,14 +710,14 @@ impl Sim {
             debug_assert!(t >= self.shared.now.get(), "event queue went backwards");
             debug_assert!(t >= next, "cached deadline out of sync");
             if t > next {
-                // The cached deadline was a stale lower bound (a push
-                // since overwritten, or a cancelled ghost); the first
-                // live batch may now lie beyond the time horizon.
+                // The cached deadline was a stale lower bound (the
+                // previous batch's instant); the batch may lie beyond
+                // the time horizon.
                 if let Some(tl) = self.shared.time_limit.get() {
                     if t > tl {
                         let mut inner = self.shared.inner.borrow_mut();
                         for e in batch.drain(..) {
-                            inner.reinsert(e);
+                            inner.wheel.push(e);
                         }
                         self.shared.next_deadline.set(inner.wheel.peek_next());
                         break StopReason::TimeLimit;
@@ -897,9 +731,8 @@ impl Sim {
             // Fire the batch. Extraction was batched; *firing* keeps the
             // historical interleaving: between any two same-instant events
             // the ready list is drained and the stop conditions re-checked,
-            // and a slab-backed (hence cancellable) entry's action is
-            // claimed only at its own fire point — so earlier events (or
-            // tasks they wake) can still cancel later same-instant timers.
+            // and a slab-backed entry's action stays in the slab until its
+            // own fire point, so an early stop can put the entry back.
             let mut fired = 0;
             let early_stop = loop {
                 if fired == batch.len() {
@@ -921,14 +754,7 @@ impl Sim {
                 let action = match Fire::unpack(e.word) {
                     Fire::Task(id) => TimerAction::WakeTask(id),
                     Fire::Hook { hook, token } => TimerAction::Hook { hook, token },
-                    Fire::Slab(slot) => {
-                        let Some(action) = self.shared.inner.borrow_mut().claim(slot, e.seq) else {
-                            // Cancelled while in flight: fires nothing and
-                            // does not count as an event.
-                            continue;
-                        };
-                        action
-                    }
+                    Fire::Slab(slot) => self.shared.inner.borrow_mut().claim(slot),
                 };
                 self.shared
                     .live_timers
@@ -969,11 +795,12 @@ impl Sim {
             };
             if let Some(reason) = early_stop {
                 // Unfired same-instant events go back to the wheel with
-                // their original sequence numbers; a resumed run fires
-                // them exactly where the uninterrupted run would have.
+                // their original sequence numbers (a slab-backed action
+                // never left the slab); a resumed run fires them exactly
+                // where the uninterrupted run would have.
                 let mut inner = self.shared.inner.borrow_mut();
                 for e in batch.drain(fired..) {
-                    inner.reinsert(e);
+                    inner.wheel.push(e);
                 }
                 batch.clear();
                 self.shared.next_deadline.set(inner.wheel.peek_next());
@@ -1446,47 +1273,6 @@ mod tests {
         assert_eq!(sim.pending_timers(), 0);
     }
 
-    #[test]
-    fn pending_timers_excludes_cancelled_entries() {
-        let sim = Sim::new();
-        let h1 =
-            sim.schedule_cancellable(SimTime::from_nanos(10), |_| panic!("cancelled timer fired"));
-        sim.schedule(SimTime::from_nanos(20), |_| {});
-        let h3 =
-            sim.schedule_cancellable(SimTime::from_nanos(30), |_| panic!("cancelled timer fired"));
-        assert_eq!(sim.pending_timers(), 3);
-        assert!(sim.cancel_timer(h1));
-        assert_eq!(sim.pending_timers(), 2, "cancelled entry excluded at once");
-        assert!(sim.cancel_timer(h3));
-        assert!(!sim.cancel_timer(h3), "double-cancel is a no-op");
-        assert_eq!(sim.pending_timers(), 1);
-        let report = sim.run();
-        assert_eq!(report.events_fired, 1, "ghosts never fire");
-        assert_eq!(
-            report.final_time,
-            SimTime::from_nanos(20),
-            "the clock never advances to a cancelled instant"
-        );
-        assert_eq!(sim.pending_timers(), 0);
-    }
-
-    #[test]
-    fn stale_cancel_handles_do_not_hit_reused_slots() {
-        let sim = Sim::new();
-        let h = sim.schedule_cancellable(SimTime::from_nanos(10), |_| panic!("fired"));
-        assert!(sim.cancel_timer(h));
-        let fired = Rc::new(Cell::new(false));
-        let f = Rc::clone(&fired);
-        // Reuses the freed slab slot.
-        sim.schedule(SimTime::from_nanos(15), move |_| f.set(true));
-        assert!(
-            !sim.cancel_timer(h),
-            "stale handle must not cancel the new timer"
-        );
-        sim.run();
-        assert!(fired.get());
-    }
-
     /// Counts its wakes and passes them on to `next`, if any.
     struct Relay {
         hits: std::sync::atomic::AtomicUsize,
@@ -1559,32 +1345,14 @@ mod tests {
     }
 
     #[test]
-    fn a_hook_may_register_a_hook_while_dispatching() {
+    #[should_panic(expected = "register_hook called from inside a dispatching hook")]
+    fn registering_a_hook_while_dispatching_panics() {
         let sim = Sim::new();
-        let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        let late: Rc<Cell<Option<HookId>>> = Rc::new(Cell::new(None));
-        let outer = sim.register_hook({
-            let (log, late) = (Rc::clone(&log), Rc::clone(&late));
-            move |sim, token| {
-                log.borrow_mut().push(token);
-                let l = Rc::clone(&log);
-                let inner = sim.register_hook(move |_, t| l.borrow_mut().push(100 + t));
-                sim.schedule_hook(sim.now() + SimDelta::from_nanos(5), inner, token);
-                late.set(Some(inner));
-            }
+        let outer = sim.register_hook(|sim, _| {
+            sim.register_hook(|_, _| {});
         });
         sim.schedule_hook(SimTime::from_nanos(10), outer, 1);
         sim.run();
-        assert_eq!(*log.borrow(), vec![1, 101]);
-        // Registrations made since take fresh ids; the late one keeps its.
-        let l = Rc::clone(&log);
-        let after = sim.register_hook(move |_, t| l.borrow_mut().push(200 + t));
-        let late = late.get().expect("outer hook ran");
-        assert!(outer != late && late != after && outer != after);
-        sim.schedule_hook(SimTime::from_nanos(20), after, 2);
-        sim.schedule_hook(SimTime::from_nanos(20), late, 3);
-        sim.run();
-        assert_eq!(*log.borrow(), vec![1, 101, 202, 103]);
     }
 
     #[test]
@@ -1678,8 +1446,6 @@ mod tests {
         let l2 = Rc::clone(&log);
         sim.schedule(SimTime::from_nanos(5), move |_| l2.borrow_mut().push(11));
         sim.schedule_hook(SimTime::from_nanos(5), hook, 12);
-        let h = sim.schedule_hook_cancellable(SimTime::from_nanos(6), hook, 99);
-        assert!(sim.cancel_timer(h));
         let report = sim.run();
         assert_eq!(*log.borrow(), vec![10, 11, 12]);
         assert_eq!(report.events_fired, 3);

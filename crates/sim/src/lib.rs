@@ -65,8 +65,7 @@ mod time;
 mod wheel;
 
 pub use executor::{
-    race, yield_now, Either, HookId, JoinHandle, RunReport, Sim, Sleep, StopReason, TimerHandle,
-    YieldNow,
+    race, yield_now, Either, HookId, JoinHandle, RunReport, Sim, Sleep, StopReason, YieldNow,
 };
 pub use float::{ordered_sum, ordered_sum_by};
 pub use sync::{Notified, Notify, Semaphore};

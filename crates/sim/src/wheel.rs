@@ -48,9 +48,7 @@
 //! A [`TimerEntry`] is `(time, seq, word)`, 24 bytes. `word` packs what
 //! fires ([`Fire`]): a hook id and its token, a task id, or — for the
 //! payloads that do not fit a word (boxed closures, foreign `Waker`s)
-//! and for anything that may be cancelled — a slot of the executor's
-//! action slab, which is also where lazy cancellation is resolved (a
-//! cancelled entry's slot no longer names it — see `executor.rs`). The
+//! — a slot of the executor's action slab (see `executor.rs`). The
 //! two high-rate event kinds of a cluster run, hook-dispatched message
 //! deliveries and task sleeps, therefore go through the wheel and
 //! nothing else. The bucket `Vec`s are most of a run's heap, which is
@@ -101,8 +99,7 @@ pub(crate) struct TimerEntry {
 /// the payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Fire {
-    /// The action parked in this slot of the executor's slab, if the
-    /// slot still carries the entry's `seq`.
+    /// The action parked in this slot of the executor's slab.
     Slab(u32),
     /// Poll this task.
     Task(TaskId),
@@ -159,11 +156,8 @@ pub struct SchedulerStats {
     pub bucket_capacity: usize,
     /// Entries currently parked in the overflow heap (far timers).
     pub overflow_len: usize,
-    /// Total entries tracked (live + lazily-cancelled).
+    /// Total entries tracked (ring + overflow).
     pub entries: usize,
-    /// Entries whose action was cancelled but whose wheel entry has not
-    /// yet been reached and discarded.
-    pub cancelled: usize,
 }
 
 pub(crate) struct TimerWheel {
@@ -179,7 +173,7 @@ pub(crate) struct TimerWheel {
     cursor: u64,
     /// Far timers, beyond the ring horizon at push time.
     overflow: BinaryHeap<Reverse<TimerEntry>>,
-    /// Total entries (ring + overflow), including lazily-cancelled ones.
+    /// Total entries (ring + overflow).
     len: usize,
 }
 
@@ -199,21 +193,19 @@ impl TimerWheel {
         }
     }
 
-    /// Total entries tracked, including lazily-cancelled ones.
+    /// Total entries tracked.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Capacity/occupancy snapshot (`cancelled` is filled in by the
-    /// executor, which owns the cancellation count).
+    /// Capacity/occupancy snapshot.
     pub(crate) fn stats(&self) -> SchedulerStats {
         SchedulerStats {
             ring_buckets: self.buckets.len(),
             bucket_capacity: self.buckets.iter().map(Vec::capacity).sum(),
             overflow_len: self.overflow.len(),
             entries: self.len,
-            cancelled: 0,
         }
     }
 

@@ -3,27 +3,25 @@
 //!
 //! The old kernel's contract was simple: events fire in strictly
 //! ascending `(time, seq)` lexicographic order, where `seq` is the
-//! global registration sequence, and a cancelled timer never fires. The
-//! wheel must preserve that contract bit-for-bit. This test replays
-//! seeded random workloads — same-instant ties, in-run rescheduling,
-//! pre-run and in-run cancellations (including same-instant ones),
-//! far-future overflow timers, mid-run `halt()`, and event-limit
-//! chunking that splits same-instant batches — against a reference
-//! `BinaryHeap` model that implements the rules directly, and asserts
-//! the firing sequences are identical.
+//! global registration sequence. The wheel must preserve that contract
+//! bit-for-bit. This test replays seeded random workloads —
+//! same-instant ties, in-run rescheduling, far-future overflow timers,
+//! mid-run `halt()`, and event-limit chunking that splits same-instant
+//! batches — against a reference `BinaryHeap` model that implements the
+//! rules directly, and asserts the firing sequences are identical.
 //!
 //! The events come in every shape the kernel stores differently — boxed
-//! closures and cancellable timers (action slab), hook events that pack
-//! into the wheel entry, hook events whose token is too wide to, and
-//! task sleeps (polled at the fire point, no waker) — and share
-//! instants freely, so a batch mixes all of them.
+//! closures (action slab), hook events that pack into the wheel entry,
+//! hook events whose token is too wide to, and task sleeps (polled at
+//! the fire point, no waker) — and share instants freely, so a batch
+//! mixes all of them.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-use nowlab_sim::{Sim, SimDelta, SimTime, StopReason, TimerHandle};
+use nowlab_sim::{Sim, SimDelta, SimTime, StopReason};
 
 /// Deterministic xorshift64 — no host randomness may reach a workload.
 struct XorShift(u64);
@@ -42,10 +40,9 @@ impl XorShift {
 /// How an op reaches the kernel.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Kind {
-    /// `schedule` / `schedule_cancellable`: a boxed closure in the slab.
+    /// `schedule`: a boxed closure in the slab.
     Call,
-    /// `schedule_hook` (packed into the wheel entry) or, when
-    /// cancellable, `schedule_hook_cancellable` (slab).
+    /// `schedule_hook`, packed into the wheel entry.
     Hook,
     /// `schedule_hook` with a token ≥ 2⁵⁶: falls back to the slab.
     WideHook,
@@ -67,12 +64,6 @@ struct Op {
     id: u32,
     kind: Kind,
     time: u64,
-    cancellable: bool,
-    /// Cancelled before `run()` starts.
-    cancel_before: bool,
-    /// When fired, cancels the op at this index (which may share its
-    /// instant — the case batched extraction is most likely to break).
-    cancels: Option<u32>,
     /// When fired, schedules a child callback at `now + delta`.
     child: Option<(u64, u32)>,
     /// When fired, requests an orderly halt.
@@ -102,18 +93,10 @@ fn build_ops(seed: u64, n: u32, with_halt: bool) -> Vec<Op> {
             5 => Kind::WideHook,
             _ => Kind::Sleep,
         };
-        let cancellable = matches!(kind, Kind::Call | Kind::Hook) && rng.next().is_multiple_of(3);
         ops.push(Op {
             id,
             kind,
             time,
-            cancellable,
-            cancel_before: cancellable && rng.next().is_multiple_of(4),
-            cancels: if rng.next().is_multiple_of(5) {
-                Some((rng.next() % u64::from(n)) as u32)
-            } else {
-                None
-            },
             child: if id % 7 == 0 {
                 Some((1 + rng.next() % 100_000, CHILD_BASE + id))
             } else {
@@ -123,27 +106,17 @@ fn build_ops(seed: u64, n: u32, with_halt: bool) -> Vec<Op> {
         });
     }
     if with_halt {
-        // The halter must actually fire: make it uncancellable and not a
-        // cancellation target.
         let h = (rng.next() % u64::from(n)) as usize;
         ops[h].halts = true;
-        ops[h].cancellable = false;
-        ops[h].cancel_before = false;
-        for op in &mut ops {
-            if op.cancels == Some(h as u32) {
-                op.cancels = None;
-            }
-        }
     }
     ops
 }
 
 /// The old kernel's rules, implemented directly on a `(time, seq)`
-/// min-heap with a lazy cancellation set. Ignores `halts` — it returns
-/// the complete uninterrupted order.
+/// min-heap. Ignores `halts` — it returns the complete uninterrupted
+/// order.
 fn reference_order(ops: &[Op]) -> Vec<u32> {
     let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-    let mut cancelled: HashSet<u32> = HashSet::new();
     // Registration order: every directly scheduled op, then the sleeping
     // tasks' timers as the first poll round reaches them.
     let (sleeps, direct): (Vec<&Op>, Vec<&Op>) = ops.iter().partition(|op| op.kind == Kind::Sleep);
@@ -151,27 +124,12 @@ fn reference_order(ops: &[Op]) -> Vec<u32> {
     for op in direct.into_iter().chain(sleeps) {
         heap.push(Reverse((op.time, seq, op.id)));
         seq += 1;
-        if op.cancellable && op.cancel_before {
-            cancelled.insert(op.id);
-        }
     }
     let mut fired = Vec::new();
     while let Some(Reverse((t, _, id))) = heap.pop() {
-        if cancelled.contains(&id) {
-            continue;
-        }
         fired.push(id);
         if id < CHILD_BASE {
-            let op = ops[id as usize];
-            if let Some(tgt) = op.cancels {
-                if ops[tgt as usize].cancellable {
-                    // A no-op if the target already fired: its heap entry
-                    // is gone, so the set insertion is never consulted —
-                    // exactly `cancel_timer` returning false.
-                    cancelled.insert(tgt);
-                }
-            }
-            if let Some((delta, cid)) = op.child {
+            if let Some((delta, cid)) = ops[id as usize].child {
                 heap.push(Reverse((t + delta, seq, cid)));
                 seq += 1;
             }
@@ -193,23 +151,15 @@ fn sim_order(ops: &[Op], event_limit: Option<u64>) -> SimRun {
     let sim = Sim::with_capacity(ops.len() / 4);
     let ring_before = sim.scheduler_stats().ring_buckets;
     let fired: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
-    let handles: Rc<RefCell<Vec<Option<TimerHandle>>>> =
-        Rc::new(RefCell::new(vec![None; ops.len()]));
 
     // One dispatcher for every hook event: an op id runs the op, a child
     // id is only recorded.
     let hook = Rc::new(std::cell::OnceCell::new());
     let act: Rc<Act> = {
         let fired = Rc::clone(&fired);
-        let handles = Rc::clone(&handles);
         let hook = Rc::clone(&hook);
         Rc::new(move |sim: &Sim, op: Op| {
             fired.borrow_mut().push(op.id);
-            if let Some(tgt) = op.cancels {
-                if let Some(h) = handles.borrow()[tgt as usize] {
-                    sim.cancel_timer(h);
-                }
-            }
             if let Some((delta, cid)) = op.child {
                 let at = sim.now() + SimDelta::from_nanos(delta);
                 if (op.id / 7).is_multiple_of(2) {
@@ -241,36 +191,17 @@ fn sim_order(ops: &[Op], event_limit: Option<u64>) -> SimRun {
         let act = Rc::clone(&act);
         let at = SimTime::from_nanos(op.time);
         let token = u64::from(op.id);
-        let handle = match (op.kind, op.cancellable) {
-            (Kind::Call, true) => Some(sim.schedule_cancellable(at, move |sim| act(sim, op))),
-            (Kind::Call, false) => {
-                sim.schedule(at, move |sim| act(sim, op));
-                None
-            }
-            (Kind::Hook, true) => Some(sim.schedule_hook_cancellable(at, dispatch, token)),
-            (Kind::Hook, false) => {
-                sim.schedule_hook(at, dispatch, token);
-                None
-            }
-            (Kind::WideHook, _) => {
-                sim.schedule_hook(at, dispatch, WIDE_BIT | token);
-                None
-            }
-            (Kind::Sleep, _) => {
+        match op.kind {
+            Kind::Call => sim.schedule(at, move |sim| act(sim, op)),
+            Kind::Hook => sim.schedule_hook(at, dispatch, token),
+            Kind::WideHook => sim.schedule_hook(at, dispatch, WIDE_BIT | token),
+            Kind::Sleep => {
                 let task_sim = sim.clone();
                 sim.spawn(async move {
                     task_sim.sleep_until(at).await;
                     act(&task_sim, op);
                 });
-                None
             }
-        };
-        handles.borrow_mut()[op.id as usize] = handle;
-    }
-    for (i, op) in ops.iter().enumerate() {
-        if op.cancellable && op.cancel_before {
-            let h = handles.borrow()[i].expect("cancellable op has a handle");
-            assert!(sim.cancel_timer(h), "pre-run cancel of a pending timer");
         }
     }
 
@@ -339,63 +270,4 @@ fn halt_stops_on_a_prefix_of_the_reference_order() {
         let halter = ops.iter().find(|o| o.halts).expect("one op halts");
         assert_eq!(*run.fired.last().expect("halter fired"), halter.id);
     }
-}
-
-#[test]
-fn cancellations_remove_exactly_the_cancelled_ops() {
-    // Directed, not random: A cancels B at the same instant, C at a
-    // later instant, and D pre-run; E (already fired) is cancelled
-    // without effect.
-    let sim = Sim::new();
-    let log: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
-    let l = Rc::clone(&log);
-    sim.schedule(SimTime::from_nanos(10), move |_| l.borrow_mut().push("E"));
-    let l = Rc::clone(&log);
-    let b = sim.schedule_cancellable(SimTime::from_nanos(20), move |_| l.borrow_mut().push("B"));
-    let l = Rc::clone(&log);
-    let c = sim.schedule_cancellable(SimTime::from_nanos(30), move |_| l.borrow_mut().push("C"));
-    let l = Rc::clone(&log);
-    let d = sim.schedule_cancellable(SimTime::from_nanos(40), move |_| l.borrow_mut().push("D"));
-    let l = Rc::clone(&log);
-    sim.schedule(SimTime::from_nanos(20), move |sim| {
-        // Fires after B was *extracted* into the same batch — the lazy
-        // claim must still honour this.
-        l.borrow_mut().push("A");
-        assert!(!sim.cancel_timer(b), "B already fired (earlier seq)");
-        assert!(sim.cancel_timer(c));
-    });
-    assert!(sim.cancel_timer(d));
-    assert_eq!(sim.pending_timers(), 4, "E, B, A, C pending; D cancelled");
-    let report = sim.run();
-    assert_eq!(report.stop_reason, StopReason::Idle);
-    assert_eq!(*log.borrow(), vec!["E", "B", "A"]);
-    assert_eq!(sim.pending_timers(), 0);
-}
-
-#[test]
-fn same_instant_cancellation_by_an_earlier_seq_suppresses_the_later_one() {
-    // The canceller's seq precedes the target's, both at one instant:
-    // under batched extraction the target is already out of the wheel,
-    // so only fire-time claiming can suppress it (the heap kernel did,
-    // via its slab check at pop time).
-    let sim = Sim::new();
-    let fired: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
-    let handle: Rc<RefCell<Option<TimerHandle>>> = Rc::new(RefCell::new(None));
-    let f = Rc::clone(&fired);
-    let h = Rc::clone(&handle);
-    sim.schedule(SimTime::from_nanos(100), move |sim| {
-        f.borrow_mut().push(0);
-        let target = h.borrow().expect("scheduled below");
-        assert!(sim.cancel_timer(target), "same-instant cancel must win");
-    });
-    let f = Rc::clone(&fired);
-    *handle.borrow_mut() = Some(
-        sim.schedule_cancellable(SimTime::from_nanos(100), move |_| {
-            f.borrow_mut().push(1);
-        }),
-    );
-    let report = sim.run();
-    assert_eq!(*fired.borrow(), vec![0]);
-    assert_eq!(report.events_fired, 1, "a suppressed timer is not an event");
-    assert_eq!(sim.pending_timers(), 0);
 }

@@ -7,6 +7,7 @@
 //!              [--o US] [--g US] [--l US] [--mbps MB] [--verify-determinism]
 //! nowlab sweep --app NAME --axis overhead|gap|latency|bulk [--procs N]
 //! nowlab suite [--procs N] [--scale test|benchmark]
+//! nowlab exhibit NAME|all [--scale test|benchmark] [--jobs N] [--csv DIR]
 //! ```
 //!
 //! Knob flags give *desired absolute* parameter values (like the paper's
@@ -20,6 +21,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 use nowlab::apps::{suite_scaled, SuiteScale};
@@ -31,6 +33,7 @@ use nowlab::core::{
     FaultPlan, Knobs, MetricsMode, NetConfig, NodeFault, NodeFaultPlan, ProcState, RunMeta,
     RunOutcome, RunSpec, Selector, SimDelta, SimTime, SweepPointMeta, SweepableApp, TraceMode,
 };
+use nowlab::exhibits::{self, Lab, EXHIBITS};
 use nowlab::trace::chrome::{write_chrome_trace, write_chrome_trace_highlighted};
 
 const USAGE: &str = "usage:
@@ -47,8 +50,9 @@ const USAGE: &str = "usage:
   nowlab predict --app NAME [--procs N] [--seed S] [--scale test|benchmark]
                [--axis overhead|gap|latency|bulk] [--jobs N]
                [--out FILE.json] [--trace FILE.json]
+  nowlab exhibit NAME|all [--scale test|benchmark] [--jobs N] [--csv DIR]
   nowlab report FILE.json
-parallelism (run/sweep/suite/predict):
+parallelism (run/sweep/suite/predict/exhibit):
   [--jobs N]   worker threads for independent runs (default: all cores;
                results are byte-identical to --jobs 1)
 fault injection (calibrate/run/sweep/suite):
@@ -85,7 +89,13 @@ prediction (predict):
   [--out FILE.json]    versioned predict report (`nowlab report` renders
                        either schema)
   [--trace FILE.json]  Chrome trace of the baseline with critical-path
-                       messages tagged with a `critical` category";
+                       messages tagged with a `critical` category
+exhibits (exhibit):
+  regenerates a table or figure of the paper (names: `nowlab list`), or
+  every one in order with `all`; exhibits that share a suite-wide sweep
+  simulate it once
+  [--csv DIR]          also save every printed table as DIR/<exhibit>.csv
+                       (<exhibit>_<k>.csv when the exhibit has several)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,9 +103,14 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // `report` takes a positional file argument, not --flags.
-    if cmd == "report" {
-        return match cmd_report(rest) {
+    // `report` and `exhibit` start with a positional argument, not a --flag.
+    if cmd == "report" || cmd == "exhibit" {
+        let result = if cmd == "report" {
+            cmd_report(rest)
+        } else {
+            cmd_exhibit(rest)
+        };
+        return match result {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}\n{USAGE}");
@@ -390,7 +405,22 @@ fn cmd_list() -> Result<(), String> {
         println!("  {}", app.name());
     }
     println!("\naxes: overhead, gap, latency, bulk, coll, chaos");
+    println!("\nexhibits (`nowlab exhibit NAME|all`):");
+    for ex in EXHIBITS {
+        println!("  {:<27} {}", ex.name, ex.shows);
+    }
     Ok(())
+}
+
+/// The `exhibit` driver: one table or figure of the paper (or `all`),
+/// rendered from the lab's shared grids.
+fn cmd_exhibit(rest: &[String]) -> Result<(), String> {
+    let (name, flags) = rest
+        .split_first()
+        .ok_or("exhibit needs a name (see `nowlab list`) or `all`")?;
+    let flags = parse_flags(flags)?;
+    let mut lab = Lab::new(scale_of(&flags)?, jobs_of(&flags)?);
+    exhibits::run(name, &mut lab, flags.get("csv").map(Path::new))
 }
 
 fn cmd_calibrate(flags: &HashMap<String, String>) -> Result<(), String> {

@@ -38,8 +38,9 @@
 //! assert!(result.points[1].slowdown > 1.5, "overhead hurts EM3D");
 //! ```
 //!
-//! See `examples/quickstart.rs` for a guided tour, and the `nowlab-bench`
-//! crate for the regenerators of every table and figure in the paper.
+//! See `examples/quickstart.rs` for a guided tour, and [`exhibits`] for
+//! the regenerators of every table and figure in the paper (`nowlab
+//! exhibit <name>|all`).
 //!
 //! ## Writing your own application
 //!
@@ -98,6 +99,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod exhibits;
 
 /// The discrete-event simulation kernel (re-export of `nowlab-sim`).
 pub mod sim {

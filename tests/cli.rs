@@ -462,3 +462,73 @@ fn bad_node_fault_specs_fail_with_usage() {
         assert!(text.contains(needle), "{args:?}: {text}");
     }
 }
+
+fn exhibit_golden(name: &str) -> String {
+    let path = format!(
+        "{}/tests/golden/exhibits/{name}.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+#[test]
+fn exhibit_prints_the_golden_and_rejects_bad_requests() {
+    let (ok, text) = nowlab(&["exhibit", "table1_baseline"]);
+    assert!(ok, "{text}");
+    assert_eq!(text, exhibit_golden("table1_baseline"));
+
+    for bad in [
+        &["exhibit", "nope"][..],
+        &["exhibit", "fig5_overhead", "--scale", "huge"],
+        &["exhibit"],
+    ] {
+        let (ok, text) = nowlab(bad);
+        assert!(!ok, "{bad:?} must exit nonzero: {text}");
+        assert!(text.contains("error:"), "{bad:?}: {text}");
+        assert!(!text.contains("panicked"), "{bad:?}: {text}");
+    }
+}
+
+#[test]
+fn exhibit_csv_saves_the_printed_table() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_exhibit_csv");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (ok, text) = nowlab(&[
+        "exhibit",
+        "fig6_gap",
+        "--scale",
+        "test",
+        "--csv",
+        dir.to_str().expect("utf-8 tmp path"),
+    ]);
+    assert!(ok, "{text}");
+    let csv = std::fs::read_to_string(dir.join("fig6_gap.csv")).expect("fig6_gap.csv written");
+    // The CSV's header row is the printed table's.
+    let printed: Vec<&str> = text
+        .lines()
+        .nth(1)
+        .expect("header line")
+        .trim_matches('|')
+        .split('|')
+        .map(str::trim)
+        .collect();
+    assert_eq!(csv.lines().next(), Some(printed.join(",").as_str()));
+    assert_eq!(csv.lines().count(), 11, "header + ten apps");
+    // Apart from the save notice, stdout is the exhibit's golden.
+    let notice = format!("(csv saved to {})\n", dir.join("fig6_gap.csv").display());
+    assert_eq!(text.replacen(&notice, "", 1), exhibit_golden("fig6_gap"));
+
+    // An unwritable --csv directory is an error, not a panic.
+    let file = dir.join("fig6_gap.csv");
+    let (ok, text) = nowlab(&[
+        "exhibit",
+        "table1_baseline",
+        "--csv",
+        file.to_str().expect("utf-8 tmp path"),
+    ]);
+    assert!(!ok, "{text}");
+    assert!(
+        text.contains("error: --csv") && !text.contains("panicked"),
+        "{text}"
+    );
+}
