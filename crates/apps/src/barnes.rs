@@ -19,14 +19,13 @@
 //! order) and results are bit-identical at every LogGP setting and
 //! processor count.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use nowlab_core::{RunOutcome, RunSpec, SweepableApp};
 use nowlab_splitc::SimDelta;
 use nowlab_splitc::{Ctx, GlobalPtr};
 
 use crate::common::{
-    block_range, end_measured_region, execute, mix64, start_measured_region, DegradePolicy, FX_ONE,
+    block_range, end_measured_region, execute, mix64, start_measured_region, DegradePolicy,
+    FifoCache, FX_ONE,
 };
 
 /// Fixed-point bits (positions live in [0, 2^20)).
@@ -316,16 +315,15 @@ async fn barnes_body(ctx: Ctx, params: BarnesParams, seed: u64) -> u64 {
         ctx.barrier().await;
 
         // ---- Force walk with a software cell cache.
-        let mut cache: BTreeMap<usize, [i64; 4]> = BTreeMap::new();
-        let mut cache_order: VecDeque<usize> = VecDeque::new();
+        let mut cache: FifoCache<[i64; 4]> = FifoCache::new(total_cells, params.cache_capacity);
         let mut new_bodies = Vec::with_capacity(bodies.len());
         for b in &bodies {
             let mut acc = (0i64, 0i64, 0i64);
             let mut stack: Vec<(usize, u32)> = vec![(0, 0)];
             while let Some((c, l)) = stack.pop() {
                 // Fetch moments (cache, local, or remote bulk read).
-                let rec = if let Some(r) = cache.get(&c) {
-                    *r
+                let rec = if let Some(r) = cache.get(c) {
+                    r
                 } else {
                     let o = cell_owner(c);
                     let base = slot_of[c] * CELL_WORDS;
@@ -340,13 +338,7 @@ async fn barnes_body(ctx: Ctx, params: BarnesParams, seed: u64) -> u64 {
                         words[2] as i64,
                         words[3] as i64,
                     ];
-                    if cache.len() >= params.cache_capacity {
-                        if let Some(victim) = cache_order.pop_front() {
-                            cache.remove(&victim);
-                        }
-                    }
                     cache.insert(c, rec);
-                    cache_order.push_back(c);
                     rec
                 };
                 if rec[0] == 0 {

@@ -2,6 +2,7 @@
 //! deterministic workload RNG, partitioning helpers, and fixed-point
 //! arithmetic.
 
+use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
 
@@ -191,6 +192,46 @@ pub fn block_owner(n: usize, p: usize, idx: usize) -> usize {
     }
 }
 
+/// A fixed-capacity FIFO software cache over a dense id space `0..ids`
+/// (Barnes' cells, P-Ray's objects): a slot per id and a ring of the
+/// resident ids in arrival order, so a lookup is an index and eviction is
+/// deterministic.
+pub(crate) struct FifoCache<T> {
+    slots: Vec<Option<T>>,
+    resident: VecDeque<usize>,
+    capacity: usize,
+}
+
+impl<T: Copy> FifoCache<T> {
+    /// An empty cache holding at most `capacity` (at least one) of `ids`.
+    pub(crate) fn new(ids: usize, capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        FifoCache {
+            slots: vec![None; ids],
+            resident: VecDeque::with_capacity(capacity),
+            capacity,
+        }
+    }
+
+    /// The cached value of `id`, if resident.
+    pub(crate) fn get(&self, id: usize) -> Option<T> {
+        self.slots[id]
+    }
+
+    /// Makes `id` resident after a miss, evicting the longest-resident id
+    /// when full.
+    pub(crate) fn insert(&mut self, id: usize, value: T) {
+        debug_assert!(self.slots[id].is_none(), "insert follows a miss");
+        if self.resident.len() >= self.capacity {
+            if let Some(victim) = self.resident.pop_front() {
+                self.slots[victim] = None;
+            }
+        }
+        self.slots[id] = Some(value);
+        self.resident.push_back(id);
+    }
+}
+
 /// 64-bit splittable hash (used for state ownership, edge coin flips, …).
 pub fn mix64(mut x: u64) -> u64 {
     x ^= x >> 33;
@@ -243,6 +284,43 @@ mod tests {
                 }
             }
             assert_eq!(covered, n);
+        }
+    }
+
+    #[test]
+    fn fifo_cache_hits_misses_and_evicts_as_the_map_and_queue_it_replaced() {
+        use std::collections::BTreeMap;
+        // What Barnes and P-Ray each carried inline before.
+        let mut map: BTreeMap<usize, u64> = BTreeMap::new();
+        let mut order: VecDeque<usize> = VecDeque::new();
+        let (ids, capacity) = (12, 4);
+        let mut cache = FifoCache::new(ids, capacity);
+        // A warm-up, re-use while resident, a sweep that evicts everything,
+        // a return to evicted ids, then a random tail.
+        let mut script = vec![0, 1, 2, 1, 0, 3, 3, 4, 0, 5, 6, 7, 8, 1, 2, 1, 9, 4, 4, 10];
+        let mut rng = proc_rng(3, 0, 9);
+        script.extend((0..400).map(|_| (rng.next_u64() % ids as u64) as usize));
+        for (step, id) in script.into_iter().enumerate() {
+            let want = map.get(&id).copied();
+            assert_eq!(cache.get(id), want, "step {step}, id {id}");
+            if want.is_none() {
+                let value = step as u64;
+                if map.len() >= capacity {
+                    if let Some(victim) = order.pop_front() {
+                        map.remove(&victim);
+                    }
+                }
+                map.insert(id, value);
+                order.push_back(id);
+                cache.insert(id, value);
+            }
+            for other in 0..ids {
+                assert_eq!(
+                    cache.get(other),
+                    map.get(&other).copied(),
+                    "step {step}: residency of {other}"
+                );
+            }
         }
     }
 

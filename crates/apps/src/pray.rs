@@ -13,14 +13,13 @@
 //! invariant across LogGP settings (verified against a sequential
 //! renderer).
 
-use std::collections::{BTreeMap, VecDeque};
-
 use nowlab_core::{RunOutcome, RunSpec, SweepableApp};
 use nowlab_splitc::SimDelta;
 use nowlab_splitc::{Ctx, GlobalPtr};
 
 use crate::common::{
-    block_range, end_measured_region, execute, mix64, start_measured_region, DegradePolicy, FX_ONE,
+    block_range, end_measured_region, execute, mix64, start_measured_region, DegradePolicy,
+    FifoCache, FX_ONE,
 };
 
 /// Per-candidate cost of a sphere intersection test.
@@ -197,47 +196,6 @@ pub fn sequential_checksum(params: &PrayParams, seed: u64) -> u64 {
     sum
 }
 
-/// A fixed-capacity FIFO object cache (deterministic eviction).
-struct ObjectCache {
-    map: BTreeMap<u32, Sphere>,
-    order: VecDeque<u32>,
-    capacity: usize,
-    pub misses: u64,
-    pub hits: u64,
-}
-
-impl ObjectCache {
-    fn new(capacity: usize) -> Self {
-        ObjectCache {
-            map: BTreeMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-            misses: 0,
-            hits: 0,
-        }
-    }
-
-    fn get(&mut self, id: u32) -> Option<Sphere> {
-        let hit = self.map.get(&id).copied();
-        if hit.is_some() {
-            self.hits += 1;
-        }
-        hit
-    }
-
-    fn insert(&mut self, id: u32, s: Sphere) {
-        self.misses += 1;
-        if self.map.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            }
-        }
-        if self.map.insert(id, s).is_none() {
-            self.order.push_back(id);
-        }
-    }
-}
-
 /// The P-Ray application.
 #[derive(Clone, Debug)]
 pub struct Pray {
@@ -291,7 +249,7 @@ async fn pray_body(ctx: Ctx, params: PrayParams, seed: u64) -> u64 {
 
     start_measured_region(&ctx).await;
 
-    let mut cache = ObjectCache::new(params.cache_capacity);
+    let mut cache: FifoCache<Sphere> = FifoCache::new(params.objects, params.cache_capacity);
     let mut sum = 0u64;
     for py in my_rows {
         for px in 0..params.width {
@@ -301,7 +259,7 @@ async fn pray_body(ctx: Ctx, params: PrayParams, seed: u64) -> u64 {
             let cidx = ((fy / cell) as usize).min(g - 1) * g + ((fx / cell) as usize).min(g - 1);
             let mut best: Option<(u32, i64)> = None;
             for &id in &grid[cidx] {
-                let sphere = match cache.get(id) {
+                let sphere = match cache.get(id as usize) {
                     Some(s) => s,
                     None => {
                         let owner = id as usize % p;
@@ -321,7 +279,7 @@ async fn pray_body(ctx: Ctx, params: PrayParams, seed: u64) -> u64 {
                                 .await;
                             sphere_from_words(&words)
                         };
-                        cache.insert(id, s);
+                        cache.insert(id as usize, s);
                         s
                     }
                 };

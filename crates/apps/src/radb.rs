@@ -9,7 +9,7 @@
 
 use nowlab_core::{RunOutcome, RunSpec, SweepableApp};
 
-use crate::common::{execute, DegradePolicy};
+use crate::common::{block_range, execute, DegradePolicy};
 use crate::radix::{radix_body, RadixParams};
 
 /// The bulk radix sort application.
@@ -19,8 +19,15 @@ pub struct Radb {
 }
 
 impl Radb {
-    /// Creates the app with the given parameters.
+    /// Creates the app with the given parameters. Panics if `key_bits`
+    /// exceeds 32: a bulk message packs each key under its 32-bit
+    /// destination offset, and a wider key would overwrite it.
     pub fn new(params: RadixParams) -> Self {
+        assert!(
+            params.key_bits <= 32,
+            "RadixParams::key_bits = {}: Radb packs (offset << 32) | key, so keys have 32 bits at most",
+            params.key_bits
+        );
         Radb { params }
     }
 }
@@ -33,6 +40,12 @@ impl SweepableApp for Radb {
     fn run(&self, spec: &RunSpec) -> RunOutcome {
         let params = self.params;
         let seed = spec.seed;
+        // The other half of the packed word: offsets within a block.
+        let block = block_range(params.total_keys, spec.procs, 0).len();
+        assert!(
+            block as u64 <= 1 << 32,
+            "RadixParams::total_keys: a block of {block} keys has offsets wider than 32 bits"
+        );
         execute(
             spec,
             DegradePolicy::Abort,
@@ -65,6 +78,28 @@ mod tests {
             out.stats.bulk_kb_per_s(),
             out.stats.small_kb_per_s()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "RadixParams::key_bits = 40")]
+    fn keys_wider_than_the_packed_word_are_refused() {
+        Radb::new(RadixParams {
+            total_keys: 2_048,
+            key_bits: 40,
+            digit_bits: 8,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "RadixParams::total_keys: a block of 4294967297 keys")]
+    fn blocks_longer_than_the_packed_offset_are_refused() {
+        // Refused before anything is allocated.
+        let app = Radb::new(RadixParams {
+            total_keys: (2 << 32) + 2,
+            key_bits: 16,
+            digit_bits: 8,
+        });
+        app.run(&RunSpec::new(2));
     }
 
     #[test]

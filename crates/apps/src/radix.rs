@@ -9,6 +9,8 @@
 //! short remote write. Frequent, write-based, balanced communication: the
 //! paper's most overhead- and gap-sensitive application.
 
+use std::ops::Range;
+
 use nowlab_core::{RunOutcome, RunSpec, SweepableApp};
 use nowlab_rng::Rng;
 use nowlab_splitc::GlobalPtr;
@@ -18,7 +20,7 @@ use crate::common::{
     block_owner, block_range, end_measured_region, execute, proc_rng, start_measured_region,
     DegradePolicy,
 };
-use crate::histogram::global_histogram_coll;
+use crate::histogram::{global_histogram_coll, GlobalHistogram};
 
 /// Per-key cost of histogramming (digit extraction + counter bump).
 const C_HIST: SimDelta = SimDelta::from_nanos(40);
@@ -103,6 +105,60 @@ impl SweepableApp for Radix {
     }
 }
 
+/// Where a bucket's next key lands: at `off` in `owner`'s block, `left`
+/// slots from its end. One processor's keys of one bucket occupy contiguous
+/// global positions, so placing a key is an increment and, when `left` runs
+/// out, a step to the next block; no key is divided.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cursor {
+    owner: usize,
+    off: usize,
+    left: usize,
+}
+
+impl Cursor {
+    /// Claims up to `want` slots without leaving a block (stepping over
+    /// exhausted and empty ones first): `(owner, first offset, slots)`.
+    fn take(&mut self, blocks: &[Range<usize>], want: usize) -> (usize, usize, usize) {
+        while self.left == 0 {
+            self.owner += 1;
+            self.off = 0;
+            self.left = blocks[self.owner].len();
+        }
+        let got = want.min(self.left);
+        let at = (self.owner, self.off, got);
+        self.off += got;
+        self.left -= got;
+        at
+    }
+}
+
+/// One cursor per bucket and the number of this processor's `counts` keys
+/// bound for each owner of `blocks` (the `block_range`s of all `n` keys),
+/// from the bucket ranges alone: one `block_owner` per non-empty bucket.
+fn plan_distribution(
+    n: usize,
+    blocks: &[Range<usize>],
+    counts: &[u64],
+    hist: &GlobalHistogram,
+) -> (Vec<Cursor>, Vec<usize>) {
+    let mut cursors = vec![Cursor::default(); counts.len()];
+    let mut per_dest_len = vec![0usize; blocks.len()];
+    for (b, &count) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+        let start = (hist.offsets[b] + hist.my_prefix[b]) as usize;
+        let owner = block_owner(n, blocks.len(), start);
+        let (off, left) = (start - blocks[owner].start, blocks[owner].end - start);
+        cursors[b] = Cursor { owner, off, left };
+        let (mut run, mut rest) = (cursors[b], count as usize);
+        while rest > 0 {
+            let (dest, _, got) = run.take(blocks, rest);
+            per_dest_len[dest] += got;
+            rest -= got;
+        }
+    }
+    (cursors, per_dest_len)
+}
+
 /// Shared body for Radix and Radb (`bulk` selects the distribution
 /// mechanism).
 pub(crate) async fn radix_body(
@@ -148,46 +204,42 @@ pub(crate) async fn radix_body(
 
         // Phase 3: distribution to globally ranked positions.
         ctx.phase("distribute");
-        let mut rank = vec![0u64; buckets];
         if bulk {
-            // Radb: group keys per destination processor, one bulk message
-            // per destination.
-            let mut per_dest: Vec<Vec<(usize, u64)>> = vec![Vec::new(); p];
+            // Radb: one bulk message per destination. Its length is known
+            // before a key is visited, so each payload is allocated once,
+            // full size, and filled in key order (the order its words
+            // travel and are scattered in); our own keys go straight home.
+            let blocks: Vec<Range<usize>> = (0..p).map(|i| block_range(n, p, i)).collect();
+            let (mut cursors, mut per_dest_len) = plan_distribution(n, &blocks, &counts, &hist);
+            per_dest_len[me] = 0;
+            let mut per_dest: Vec<Vec<u64>> = per_dest_len
+                .iter()
+                .map(|&len| Vec::with_capacity(len))
+                .collect();
             ctx.compute(C_DIST * n_local as u64).await;
-            for &k in &keys {
-                let b = digit(k);
-                let pos = (hist.offsets[b] + hist.my_prefix[b] + rank[b]) as usize;
-                rank[b] += 1;
-                let owner = block_owner(n, p, pos);
-                let local_off = pos - block_range(n, p, owner).start;
-                per_dest[owner].push((local_off, k));
-            }
-            for (dest, items) in per_dest.into_iter().enumerate() {
-                if items.is_empty() {
-                    continue;
+            ctx.with_mem(|m| {
+                let mine = m.region_mut(recv);
+                for &k in &keys {
+                    let (owner, off, _) = cursors[digit(k)].take(&blocks, 1);
+                    if owner == me {
+                        mine[off] = k;
+                    } else {
+                        // `Radb` has checked that key and offset fit their
+                        // 32 bits each.
+                        per_dest[owner].push(((off as u64) << 32) | k);
+                    }
                 }
-                if dest == me {
-                    ctx.with_mem(|m| {
-                        let region = m.region_mut(recv);
-                        for &(off, k) in &items {
-                            region[off] = k;
-                        }
-                    });
-                    continue;
+            });
+            for (dest, packed) in per_dest.into_iter().enumerate() {
+                assert_eq!(packed.len(), per_dest_len[dest], "radb: payload not full");
+                if !packed.is_empty() {
+                    ctx.bulk_put_scatter(dest, recv, packed).await;
                 }
-                // Destination offsets within a block are dense per bucket
-                // but not contiguous overall; ship (offset, key) pairs and
-                // scatter with a custom-packed bulk put: encode offset in
-                // the high bits (key_bits ≤ 32 guaranteed).
-                let packed: Vec<u64> = items
-                    .iter()
-                    .map(|&(off, k)| ((off as u64) << 32) | k)
-                    .collect();
-                ctx.bulk_put_scatter(dest, recv, packed).await;
             }
             ctx.sync().await;
         } else {
             // Radix: one short remote write per key.
+            let mut rank = vec![0u64; buckets];
             for &k in &keys {
                 let b = digit(k);
                 let pos = (hist.offsets[b] + hist.my_prefix[b] + rank[b]) as usize;
@@ -200,7 +252,7 @@ pub(crate) async fn radix_body(
             ctx.sync().await;
         }
         ctx.barrier().await;
-        keys = ctx.with_mem(|m| m.region(recv)[..n_local].to_vec());
+        ctx.with_mem(|m| keys.copy_from_slice(&m.region(recv)[..n_local]));
     }
 
     end_measured_region(&ctx).await;
@@ -235,6 +287,73 @@ pub(crate) async fn radix_body(
 mod tests {
     use super::*;
     use nowlab_core::SweepableApp;
+
+    /// Checks the plan for one processor's `counts` against the per-key
+    /// arithmetic it replaced.
+    fn check_walk(n: usize, p: usize, counts: &[u64], hist: &GlobalHistogram) {
+        let blocks: Vec<Range<usize>> = (0..p).map(|i| block_range(n, p, i)).collect();
+        let (mut cursors, per_dest_len) = plan_distribution(n, &blocks, counts, hist);
+        let mut filled = vec![0usize; p];
+        for (b, &count) in counts.iter().enumerate() {
+            let start = (hist.offsets[b] + hist.my_prefix[b]) as usize;
+            for pos in start..start + count as usize {
+                let owner = block_owner(n, p, pos);
+                let off = pos - block_range(n, p, owner).start;
+                assert_eq!(
+                    cursors[b].take(&blocks, 1),
+                    (owner, off, 1),
+                    "n={n} p={p} bucket={b} pos={pos}"
+                );
+                filled[owner] += 1;
+            }
+        }
+        assert_eq!(per_dest_len, filled, "n={n} p={p} counts={counts:?}");
+    }
+
+    #[test]
+    fn the_cursor_walk_is_block_owner_and_block_range() {
+        let hist = |offsets: &[u64], my_prefix: &[u64]| GlobalHistogram {
+            my_prefix: my_prefix.to_vec(),
+            offsets: offsets.to_vec(),
+        };
+        // Blocks of 10 keys over 4 processors are 3, 3, 2, 2. One bucket
+        // spanning three owners (positions 2..7) after an empty one.
+        check_walk(10, 4, &[0, 5], &hist(&[0, 1], &[0, 1]));
+        // Runs ending exactly on the boundaries at 3 and at 6, and on the
+        // last position of the last block.
+        check_walk(10, 4, &[2, 3, 4], &hist(&[0, 3, 6], &[1, 0, 0]));
+        // Fewer keys than processors: blocks 1, 1, 1, 0, 0.
+        check_walk(3, 5, &[1, 2], &hist(&[0, 1], &[0, 0]));
+        check_walk(7, 1, &[3, 0, 4], &hist(&[0, 3, 3], &[0, 0, 0]));
+
+        let mut rng = proc_rng(21, 0, 0);
+        let mut below = |bound: usize| (rng.gen::<u64>() % bound as u64) as usize;
+        for _ in 0..500 {
+            let p = 1 + below(9);
+            let buckets = 1 + below(8);
+            // All processors' keys per bucket, this one's share of them
+            // and the share of those ranked before it; every third bucket
+            // on average holds no key of ours.
+            let (mut offsets, mut my_prefix, mut counts) = (Vec::new(), Vec::new(), Vec::new());
+            let mut n = 0;
+            for _ in 0..buckets {
+                let global = below(4 * p);
+                let before = below(global + 1);
+                let mine = if below(3) == 0 {
+                    0
+                } else {
+                    below(global - before + 1)
+                };
+                offsets.push(n as u64);
+                my_prefix.push(before as u64);
+                counts.push(mine as u64);
+                n += global;
+            }
+            if n > 0 {
+                check_walk(n, p, &counts, &hist(&offsets, &my_prefix));
+            }
+        }
+    }
 
     #[test]
     fn sorts_correctly_on_4_procs() {

@@ -8,6 +8,7 @@
 //! one SPMD body per processor.
 
 use std::future::Future;
+use std::rc::Rc;
 
 use nowlab_am::{AmCluster, CommStats, HandlerId, Msg, NetConfig, Payload, ReplyData, RunAbort};
 use nowlab_coll::{CollConfig, CollHandlers};
@@ -425,8 +426,9 @@ fn register_prims(cluster: &AmCluster) -> Prims {
         let m = mem_of(c.state);
         let [r, off, len, _] = c.msg.args;
         let off = off as usize;
-        let words = m.region(r as usize)[off..off + len as usize].to_vec();
-        ReplyData::bulk([len, 0, 0, 0], Payload::from_words(words))
+        // Straight from the region into the shared payload: one copy.
+        let words = Rc::from(&m.region(r as usize)[off..off + len as usize]);
+        ReplyData::bulk([len, 0, 0, 0], Payload::Words(words))
     });
     let barrier = cluster.register_handler(move |c| {
         let m = mem_of(c.state);

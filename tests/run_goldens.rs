@@ -13,12 +13,18 @@
 use nowlab::am::LatencyMode;
 use nowlab::apps::{suite_scaled, SuiteScale};
 use nowlab::core::parallel_map;
-use nowlab::{FaultPlan, Knobs, NetConfig, RunSpec};
+use nowlab::{FaultPlan, Knobs, NetConfig, RunSpec, SweepableApp};
 use nowlab_sim::SimDelta;
 
 const GOLDEN: &str = include_str!("golden/run_counts.txt");
+/// The four `bulk_compute` apps at the scale the benchmark runs them (16
+/// processors, benchmark inputs), same line format, written by `40da148`,
+/// the commit before Radb's distribution was rewritten.
+const BULK_GOLDEN: &str = include_str!("golden/bulk_counts.txt");
 
-fn points() -> Vec<(&'static str, NetConfig)> {
+type Point = (&'static str, NetConfig);
+
+fn points() -> Vec<Point> {
     let now = NetConfig::berkeley_now();
     let us = SimDelta::from_micros_int;
     vec![
@@ -37,10 +43,31 @@ fn points() -> Vec<(&'static str, NetConfig)> {
     ]
 }
 
+/// Where bulk apps differ: per-message cost, per-byte cost, retransmitted
+/// payloads.
+fn bulk_points() -> Vec<Point> {
+    let now = NetConfig::berkeley_now();
+    let slow_bulk = Knobs::with_bulk_bandwidth(&now.machine, 5.0).expect("below the baseline's");
+    vec![
+        ("baseline", now),
+        (
+            "o+50us",
+            now.with_knobs(Knobs::with_overhead(SimDelta::from_micros_int(50))),
+        ),
+        ("bulk5MB/s", now.with_knobs(slow_bulk)),
+        (
+            "drop0.02/seed7",
+            now.with_faults(FaultPlan::with_drop_rate(0.02, 7)),
+        ),
+    ]
+}
+
 /// The CLI's `guard`: an event budget always, a 120 s virtual deadline on
 /// a lossy wire.
-fn spec_of(net: NetConfig) -> RunSpec {
-    let spec = RunSpec::new(8).with_net(net).with_event_limit(300_000_000);
+fn spec_of(procs: usize, net: NetConfig) -> RunSpec {
+    let spec = RunSpec::new(procs)
+        .with_net(net)
+        .with_event_limit(300_000_000);
     if net.faults.is_active() {
         spec.with_time_limit(SimDelta::from_micros_int(120_000_000))
     } else {
@@ -48,15 +75,13 @@ fn spec_of(net: NetConfig) -> RunSpec {
     }
 }
 
-fn render(jobs: usize) -> String {
-    let apps = suite_scaled(SuiteScale::Test);
-    let points = points();
+fn render(apps: &[Box<dyn SweepableApp>], procs: usize, points: &[Point], jobs: usize) -> String {
     let grid: Vec<(usize, usize)> = (0..apps.len())
         .flat_map(|a| (0..points.len()).map(move |p| (a, p)))
         .collect();
     let lines = parallel_map(jobs, &grid, |_, &(a, p)| {
         let (point, net) = points[p];
-        let out = apps[a].run(&spec_of(net));
+        let out = apps[a].run(&spec_of(procs, net));
         assert!(
             out.completed,
             "{} at {point} did not complete",
@@ -76,11 +101,36 @@ fn render(jobs: usize) -> String {
 
 #[test]
 fn every_app_reproduces_the_parent_counts_at_every_job_count() {
+    let apps = suite_scaled(SuiteScale::Test);
     for jobs in [1, 2] {
-        let got = render(jobs);
+        let got = render(&apps, 8, &points(), jobs);
         assert!(
             got == GOLDEN,
             "run counts differ from tests/golden/run_counts.txt at --jobs {jobs}; got:\n{got}"
         );
     }
+}
+
+#[test]
+fn the_bulk_apps_reproduce_the_parent_counts_at_benchmark_scale() {
+    let mut apps = suite_scaled(SuiteScale::Benchmark);
+    apps.retain(|a| ["Radb", "NOW-sort", "P-Ray", "Connect"].contains(&a.name()));
+    let got = render(&apps, 16, &bulk_points(), 2);
+    assert!(
+        got == BULK_GOLDEN,
+        "run counts differ from tests/golden/bulk_counts.txt on the pool; got:\n{got}"
+    );
+    // Radb again without the pool: the app this golden was written to
+    // hold still, with no second run sharing the process.
+    apps.retain(|a| a.name() == "Radb");
+    let got = render(&apps, 16, &bulk_points(), 1);
+    let want: String = BULK_GOLDEN
+        .lines()
+        .filter(|l| l.starts_with("Radb "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(
+        got == want,
+        "Radb's sequential counts differ from tests/golden/bulk_counts.txt; got:\n{got}"
+    );
 }
