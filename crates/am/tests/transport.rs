@@ -224,7 +224,7 @@ fn overhead_knob_scales_o_time_accounting() {
         let records = rec.finish().records;
         assert_eq!(records.len(), 20, "10 requests + 10 replies");
         records.iter().fold(SimDelta::ZERO, |sum, r| {
-            sum + if r.src == 0 { r.o_send } else { r.o_recv }
+            sum + if r.src == 0 { r.o_send() } else { r.o_recv() }
         })
     };
     let base = run(0.0);

@@ -1,0 +1,51 @@
+//! The counting allocator the footprint tests install, each in its own
+//! binary (`#[global_allocator] static ALLOC: Counting = Counting;`), so
+//! it sees one benchmark-scale run and nothing else. The figure it yields
+//! is the high-water mark of live heap bytes above what was live when the
+//! run started; unlike `VmHWM` it does not depend on the allocator's page
+//! reuse or on what ran before, so it can gate a regression.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread has allocated and not yet freed, and their
+    /// high-water mark. Per thread, because the simulator runs on the
+    /// test's thread alone while libtest's main thread allocates at times
+    /// of its own choosing. Signed: a thread may free what another
+    /// allocated.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+pub struct Counting;
+
+// SAFETY: both methods hand the caller's layout and pointer to `System`
+// unchanged, so `System`'s own contract is the one callers rely on. The
+// counters are `const`-initialised `Cell`s without destructors, so reading
+// them allocates nothing and is valid for the whole life of a thread.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let live = LIVE.get() + layout.size() as isize;
+        LIVE.set(live);
+        PEAK.set(PEAK.get().max(live));
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.set(LIVE.get() - layout.size() as isize);
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`, with
+        // this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Runs `f` on this thread and returns its result with the peak of live
+/// heap bytes above what was live when it started.
+pub fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let before = LIVE.get();
+    PEAK.set(before);
+    let out = f();
+    (out, PEAK.get() - before)
+}

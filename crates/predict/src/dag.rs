@@ -173,7 +173,7 @@ pub(crate) fn build(
     }
     // A message reached the destination's delivery chain iff its
     // visibility was recorded (always, unless the run was cut short).
-    let has_vis = |r: &nowlab_trace::MsgRecord| r.completed || r.visible.as_nanos() > 0;
+    let has_vis = |r: &nowlab_trace::MsgRecord| r.completed() || r.visible.as_nanos() > 0;
 
     // One pass over the records buckets, per processor, everything the
     // chains are built from, as compact `(sort key, record)` pairs:
@@ -187,28 +187,29 @@ pub(crate) fn build(
     let mut returns: Vec<Vec<(u64, u32)>> = vec![Vec::new(); procs];
     let mut incomplete = 0u64;
     for (i, r) in records.iter().enumerate() {
-        if r.src >= procs || r.dst >= procs {
+        let (src, dst) = (usize::from(r.src), usize::from(r.dst));
+        if src >= procs || dst >= procs {
             return Err(PredictError::Unsupported(format!(
                 "record {} references processor {}/{} outside 0..{}",
-                r.id, r.src, r.dst, procs
+                r.id, src, dst, procs
             )));
         }
         let i = i as u32;
-        acts[r.src].push(ActItem {
+        acts[src].push(ActItem {
             start: r.send_begin.as_nanos(),
             end: r.inject.as_nanos(),
             msg: i,
             kind: ActKind::OSend,
         });
-        by_tx[r.src].push(((r.tx_start.as_nanos(), r.inject.as_nanos()), i));
+        by_tx[src].push(((r.tx_start.as_nanos(), r.inject.as_nanos()), i));
         if has_vis(r) {
-            by_vis[r.dst].push((r.visible.as_nanos(), i));
+            by_vis[dst].push((r.visible.as_nanos(), i));
         }
         if !r.reply {
-            sends[r.src].push((r.send_begin.as_nanos(), i));
+            sends[src].push((r.send_begin.as_nanos(), i));
         }
-        if r.completed {
-            acts[r.dst].push(ActItem {
+        if r.completed() {
+            acts[dst].push(ActItem {
                 start: r.pop.as_nanos(),
                 end: r.done.as_nanos(),
                 msg: i,
@@ -217,7 +218,7 @@ pub(crate) fn build(
                 },
             });
             if r.reply {
-                returns[r.dst].push((r.done.as_nanos(), i));
+                returns[dst].push((r.done.as_nanos(), i));
             }
         } else {
             incomplete += 1;
@@ -375,14 +376,14 @@ pub(crate) fn build(
     // visibility follows transit and the destination's previous delivery.
     for (i, r) in records.iter().enumerate() {
         let i = i as u32;
-        let tx = dag.node(r.tx_start.as_nanos(), r.src as u16, NodeKind::TxStart);
+        let tx = dag.node(r.tx_start.as_nanos(), r.src, NodeKind::TxStart);
         dag.edge(osend_end[i as usize], Cost::Zero, i);
         let prev = tx_prev[i as usize];
         if prev != NO_MSG {
             let bytes = records[prev as usize].bytes;
             dag.edge(tx_node(prev), Cost::TxFree { bytes }, i);
         }
-        dag.node(r.visible.as_nanos(), r.dst as u16, NodeKind::Visible);
+        dag.node(r.visible.as_nanos(), r.dst, NodeKind::Visible);
         if has_vis(r) {
             dag.edge(tx, Cost::Transit { bytes: r.bytes }, i);
         }

@@ -197,11 +197,16 @@ impl Analysis {
     }
 
     /// [`Analysis::predict_runtime`] at every configuration of `cfgs`, in
-    /// order, over one node-times buffer.
+    /// order, over one node-times buffer. The baseline configuration is
+    /// not re-priced: [`analyze`] refused unless its evaluation landed on
+    /// the measured runtime.
     pub fn predict_runtimes(&self, cfgs: &[NetConfig]) -> Vec<SimDelta> {
         let mut times = Vec::new();
         cfgs.iter()
             .map(|cfg| {
+                if cfg == self.dag.base() {
+                    return self.baseline_runtime;
+                }
                 self.dag.times_into(cfg, &mut times);
                 self.dag.span(&times)
             })
@@ -237,6 +242,37 @@ pub fn tolerance_threshold(points: &[(f64, f64)], tolerance: f64) -> Option<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_baseline_is_read_off_and_equals_what_a_pass_computes() {
+        use nowlab_apps::{suite_scaled, SuiteScale};
+        use nowlab_core::{Axis, RunSpec, TraceMode};
+
+        let suite = suite_scaled(SuiteScale::Test);
+        let app = suite.iter().find(|a| a.name() == "Radix").expect("radix");
+        let spec = RunSpec::new(4).with_trace(TraceMode::Full);
+        let out = app.run(&spec);
+        let report = out.trace.as_ref().expect("trace requested");
+        let analysis = analyze(report, &spec.net, spec.procs, out.runtime).expect("analyzes");
+        let mut slow = spec.net;
+        slow.knobs = Axis::Overhead
+            .knobs_for(&spec.net.machine, 50.0)
+            .expect("overhead knob");
+        let mut times = Vec::new();
+        let by_pass: Vec<SimDelta> = [spec.net, slow, spec.net]
+            .iter()
+            .map(|cfg| {
+                analysis.dag.times_into(cfg, &mut times);
+                analysis.dag.span(&times)
+            })
+            .collect();
+        assert_eq!(
+            analysis.predict_runtimes(&[spec.net, slow, spec.net]),
+            by_pass
+        );
+        assert_eq!(by_pass[0], out.runtime);
+        assert!(by_pass[1] > by_pass[0]);
+    }
 
     #[test]
     fn threshold_interpolates_between_grid_points() {

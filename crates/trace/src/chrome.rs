@@ -118,7 +118,7 @@ impl<W: Write> Emitter<'_, W> {
     fn slice(
         &mut self,
         rec: &MsgRecord,
-        pid: usize,
+        pid: u16,
         tid: u32,
         name: &str,
         start: SimTime,
@@ -129,7 +129,7 @@ impl<W: Write> Emitter<'_, W> {
         }
         self.sep()?;
         self.text(r#"{"ph":"X","pid":"#);
-        self.num(pid as u64);
+        self.num(u64::from(pid));
         self.text(r#","tid":"#);
         self.num(u64::from(tid));
         self.text(r#","ts":"#);
@@ -161,7 +161,7 @@ impl<W: Write> Emitter<'_, W> {
         ] {
             self.sep()?;
             self.text(head);
-            self.num(pid as u64);
+            self.num(u64::from(pid));
             self.text(r#","tid":"#);
             self.num(u64::from(LANE_CPU));
             self.text(r#","ts":"#);
@@ -203,7 +203,7 @@ pub fn write_chrome_trace_highlighted<W: Write>(
     em.text(r#"{"displayTimeUnit":"ms","traceEvents":["#);
     let procs = records
         .iter()
-        .map(|r| r.src.max(r.dst) + 1)
+        .map(|r| usize::from(r.src.max(r.dst)) + 1)
         .max()
         .unwrap_or(0);
     for pid in 0..procs {
@@ -214,37 +214,24 @@ pub fn write_chrome_trace_highlighted<W: Write>(
         em.meta(pid, Some(LANE_NIC_RX), "thread_name", "nic-rx")?;
     }
     let mut drawn = 0;
-    for rec in records.iter().filter(|r| r.completed) {
+    for rec in records.iter().filter(|r| r.completed()) {
         drawn += 1;
         em.crit = critical.binary_search(&rec.id).is_ok();
-        em.slice(rec, rec.src, LANE_CPU, "o_send", rec.send_begin, rec.o_send)?;
+        let (src, dst) = (rec.src, rec.dst);
+        em.slice(rec, src, LANE_CPU, "o_send", rec.send_begin, rec.o_send())?;
+        em.slice(rec, src, LANE_NIC_TX, "tx_wait", rec.inject, rec.tx_wait())?;
+        em.slice(rec, src, LANE_NIC_TX, "dma", rec.tx_start, rec.dma())?;
+        em.slice(rec, src, LANE_WIRE, "wire", rec.wire_done, rec.wire())?;
+        em.slice(rec, dst, LANE_NIC_RX, "rx_hold", rec.arrival, rec.rx_hold())?;
         em.slice(
             rec,
-            rec.src,
-            LANE_NIC_TX,
-            "tx_wait",
-            rec.inject,
-            rec.tx_wait,
-        )?;
-        em.slice(rec, rec.src, LANE_NIC_TX, "dma", rec.tx_start, rec.dma)?;
-        em.slice(rec, rec.src, LANE_WIRE, "wire", rec.wire_done, rec.wire)?;
-        em.slice(
-            rec,
-            rec.dst,
-            LANE_NIC_RX,
-            "rx_hold",
-            rec.arrival,
-            rec.rx_hold,
-        )?;
-        em.slice(
-            rec,
-            rec.dst,
+            dst,
             LANE_NIC_RX,
             "rx_queue",
             rec.visible,
-            rec.rx_queue,
+            rec.rx_queue(),
         )?;
-        em.slice(rec, rec.dst, LANE_CPU, "o_recv", rec.pop, rec.o_recv)?;
+        em.slice(rec, dst, LANE_CPU, "o_recv", rec.pop, rec.o_recv())?;
         em.flow(rec)?;
     }
     em.text("\n]}\n");

@@ -51,7 +51,7 @@
 //! rec.record(&TraceEvent::Recv(RecvEvent { id: 1, proc: 1, o_recv: SimDelta::from_micros(4.0), done: us(10.8) }));
 //! let report = rec.finish();
 //! let m = &report.records[0];
-//! assert!(m.completed);
+//! assert!(m.completed());
 //! assert_eq!(m.component_sum(), m.end_to_end()); // exact, always
 //! assert_eq!(m.end_to_end(), SimDelta::from_micros(10.8));
 //! ```
@@ -421,32 +421,27 @@ pub trait TraceSink {
     fn record(&self, ev: &TraceEvent);
 }
 
-/// Exact per-component cost attribution for one message, all integer
-/// nanoseconds. For a completed, non-[tangled](MsgRecord::tangled) record
-/// the seven spans telescope:
+/// One message's lifecycle: its identity and the eight instants it passed
+/// through, integer nanoseconds all. Nothing derivable is stored — each of
+/// the seven component spans is the difference of two adjacent instants,
 ///
 /// ```text
-/// o_send + tx_wait + dma + wire + rx_hold + rx_queue + o_recv
-///   == done − send_begin
+/// send_begin ─o_send─ inject ─tx_wait─ tx_start ─dma─ wire_done ─wire─
+///   arrival ─rx_hold─ visible ─rx_queue─ pop ─o_recv─ done
 /// ```
+///
+/// so for a completed, non-[tangled](MsgRecord::tangled) record they
+/// telescope to `done − send_begin` by construction. What is stored as it
+/// is read is a public field; what is packed or derived is a method.
+///
+/// The same type is a lifecycle still open (in the recorder's slab, or
+/// reported by [`TraceRecorder::finish`] with [`MsgRecord::completed`]
+/// false): the receiver-side instants then sit collapsed on `arrival`, and
+/// every span past `o_send` reads zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MsgRecord {
     /// Trace correlation id.
     pub id: u64,
-    /// Source processor.
-    pub src: usize,
-    /// Destination processor.
-    pub dst: usize,
-    /// True for replies.
-    pub reply: bool,
-    /// Message category.
-    pub kind: MsgKind,
-    /// Payload wire bytes.
-    pub bytes: u32,
-    /// Physical transmissions (1 = no retransmit).
-    pub attempts: u32,
-    /// Attempts the fault plan dropped on the wire.
-    pub dropped_attempts: u32,
     /// Instant the sender started paying `o_send`.
     pub send_begin: SimTime,
     /// Instant the message reached the NIC.
@@ -463,49 +458,243 @@ pub struct MsgRecord {
     pub pop: SimTime,
     /// Instant `o_recv` finished.
     pub done: SimTime,
+    /// [`SimTime::MAX`] until the request handler ran.
+    handler_at: SimTime,
+    /// Zero until a pairing edge was observed (ids start at 1).
+    pair: u64,
+    /// Payload wire bytes.
+    pub bytes: u32,
+    /// Source processor.
+    pub src: u16,
+    /// Destination processor.
+    pub dst: u16,
+    /// Physical transmissions (1 = no retransmit).
+    pub attempts: u16,
+    /// Attempts the fault plan dropped on the wire.
+    pub dropped_attempts: u16,
+    /// Message category.
+    pub kind: MsgKind,
+    /// True for replies.
+    pub reply: bool,
+    /// [`COMPLETED`], [`TANGLED`], [`VISIBLE_SEEN`].
+    flags: u8,
+}
+
+// A kept message costs its record: 492 960 of them are the `observed`
+// benchmark's resident set.
+const _: () = assert!(std::mem::size_of::<MsgRecord>() <= 104);
+
+/// `o_recv` completed at the destination.
+const COMPLETED: u8 = 1;
+/// An instant of the closed lifecycle precedes its predecessor. Stored,
+/// not derived: the verdict is taken once, at close, and an attempt count
+/// bumped or a handler noted afterwards must not revisit it.
+const TANGLED: u8 = 2;
+/// The attempt in flight was seen in the receive queue (an open lifecycle
+/// only; closing folds it into the verdict). Stored because `visible`
+/// cannot say so itself: unseen, it holds `arrival`, which a delivery to
+/// an idle receive context reports as well.
+const VISIBLE_SEEN: u8 = 4;
+
+/// The slot a Full-mode `records` entry holds until its id closes; never
+/// reported ([`TraceRecorder::finish`] drops the slots of unseen ids).
+const VACANT: MsgRecord = MsgRecord {
+    id: 0,
+    send_begin: SimTime::ZERO,
+    inject: SimTime::ZERO,
+    tx_start: SimTime::ZERO,
+    wire_done: SimTime::ZERO,
+    arrival: SimTime::ZERO,
+    visible: SimTime::ZERO,
+    pop: SimTime::ZERO,
+    done: SimTime::ZERO,
+    handler_at: SimTime::MAX,
+    pair: 0,
+    bytes: 0,
+    src: 0,
+    dst: 0,
+    attempts: 0,
+    dropped_attempts: 0,
+    kind: MsgKind::User,
+    reply: false,
+    flags: 0,
+};
+
+impl MsgRecord {
+    /// A record assembled from its parts rather than from events — what a
+    /// test or an importer of foreign traces holds. `at` is the eight
+    /// instants in lifecycle order, `send_begin` to `done`; the record has
+    /// one attempt, no handler and no pair, is a request (`reply` is a
+    /// public field), and is taken at its word: never tangled.
+    pub fn from_instants(
+        id: u64,
+        src: u16,
+        dst: u16,
+        kind: MsgKind,
+        bytes: u32,
+        at: [SimTime; 8],
+        completed: bool,
+    ) -> MsgRecord {
+        let [send_begin, inject, tx_start, wire_done, arrival, visible, pop, done] = at;
+        MsgRecord {
+            id,
+            send_begin,
+            inject,
+            tx_start,
+            wire_done,
+            arrival,
+            visible,
+            pop,
+            done,
+            bytes,
+            src,
+            dst,
+            attempts: 1,
+            kind,
+            flags: if completed { COMPLETED } else { 0 },
+            ..VACANT
+        }
+    }
+
+    /// True once `o_recv` completed at the destination.
+    pub fn completed(&self) -> bool {
+        self.flags & COMPLETED != 0
+    }
+
+    /// True if fault-path races (a duplicate outrunning a retransmitted
+    /// original) made one attribution span ambiguous; such spans read
+    /// zero and the record is excluded from exactness claims.
+    pub fn tangled(&self) -> bool {
+        self.flags & TANGLED != 0
+    }
+
     /// Instant the request handler ran, if it did.
-    pub handler_at: Option<SimTime>,
+    pub fn handler_at(&self) -> Option<SimTime> {
+        (self.handler_at != SimTime::MAX).then_some(self.handler_at)
+    }
+
     /// The other half of this message's request→reply pair, when one was
     /// observed: for a request, the id of the reply its handler issued;
     /// for a reply, the id of the request it answers.
-    pub pair: Option<u64>,
-    /// True once `o_recv` completed at the destination.
-    pub completed: bool,
-    /// True if fault-path races (a duplicate outrunning a retransmitted
-    /// original) made one attribution span ambiguous; such spans are
-    /// clamped to zero and excluded from exactness claims.
-    pub tangled: bool,
-    /// Send overhead (host processor, source).
-    pub o_send: SimDelta,
-    /// Wait for the transmit NIC context.
-    pub tx_wait: SimDelta,
-    /// DMA occupancy of the fragment train (zero for short messages).
-    pub dma: SimDelta,
-    /// Wire transit (`L`, plus fault jitter).
-    pub wire: SimDelta,
-    /// Receive-NIC serialization before visibility.
-    pub rx_hold: SimDelta,
-    /// Wait in the receive queue for the processor's poll.
-    pub rx_queue: SimDelta,
-    /// Receive overhead (host processor, destination).
-    pub o_recv: SimDelta,
-}
+    pub fn pair(&self) -> Option<u64> {
+        (self.pair != 0).then_some(self.pair)
+    }
 
-impl MsgRecord {
+    /// Send overhead (host processor, source): `inject − send_begin`.
+    pub fn o_send(&self) -> SimDelta {
+        self.inject.saturating_since(self.send_begin)
+    }
+
+    /// Wait for the transmit NIC context: `tx_start − inject`.
+    pub fn tx_wait(&self) -> SimDelta {
+        self.closed_span(self.tx_start, self.inject)
+    }
+
+    /// DMA occupancy of the fragment train (zero for short messages):
+    /// `wire_done − tx_start`.
+    pub fn dma(&self) -> SimDelta {
+        self.closed_span(self.wire_done, self.tx_start)
+    }
+
+    /// Wire transit (`L`, plus fault jitter): `arrival − wire_done`.
+    pub fn wire(&self) -> SimDelta {
+        self.closed_span(self.arrival, self.wire_done)
+    }
+
+    /// Receive-NIC serialization before visibility: `visible − arrival`.
+    pub fn rx_hold(&self) -> SimDelta {
+        self.closed_span(self.visible, self.arrival)
+    }
+
+    /// Wait in the receive queue for the processor's poll: `pop − visible`.
+    pub fn rx_queue(&self) -> SimDelta {
+        self.closed_span(self.pop, self.visible)
+    }
+
+    /// Receive overhead (host processor, destination): `done − pop`.
+    pub fn o_recv(&self) -> SimDelta {
+        self.closed_span(self.done, self.pop)
+    }
+
+    /// A span past `o_send`: zero while the lifecycle is open (the
+    /// attempt in flight may yet be superseded), and clamped to zero where
+    /// a tangled record's instants run backwards.
+    fn closed_span(&self, later: SimTime, earlier: SimTime) -> SimDelta {
+        if self.completed() {
+            later.saturating_since(earlier)
+        } else {
+            SimDelta::ZERO
+        }
+    }
+
     /// Sum of the seven component spans.
     pub fn component_sum(&self) -> SimDelta {
-        self.o_send
-            + self.tx_wait
-            + self.dma
-            + self.wire
-            + self.rx_hold
-            + self.rx_queue
-            + self.o_recv
+        self.o_send()
+            + self.tx_wait()
+            + self.dma()
+            + self.wire()
+            + self.rx_hold()
+            + self.rx_queue()
+            + self.o_recv()
     }
 
     /// End-to-end time: start of `o_send` to end of `o_recv`.
     pub fn end_to_end(&self) -> SimDelta {
         self.done.saturating_since(self.send_begin)
+    }
+
+    /// Opens the lifecycle of a message first seen as `e`, whose
+    /// processor ids the caller has found below [`PROC_LIMIT`].
+    fn open(e: &SendEvent) -> MsgRecord {
+        let narrow = |proc| u16::try_from(proc).expect("processor id below PROC_LIMIT");
+        let mut rec = MsgRecord {
+            id: e.id,
+            bytes: e.bytes,
+            src: narrow(e.src),
+            dst: narrow(e.dst),
+            kind: e.kind,
+            reply: e.reply,
+            ..VACANT
+        };
+        rec.attempt(e);
+        rec
+    }
+
+    /// Takes `e` as the attempt now in flight: the sender side as sent,
+    /// the receiver side collapsed onto the arrival instant until seen.
+    fn attempt(&mut self, e: &SendEvent) {
+        self.attempts = self.attempts.saturating_add(1);
+        self.send_begin =
+            SimTime::from_nanos(e.inject.as_nanos().saturating_sub(e.o_send.as_nanos()));
+        self.inject = e.inject;
+        self.tx_start = e.tx_start;
+        self.wire_done = e.wire_done;
+        self.arrival = e.arrival;
+        self.visible = e.arrival;
+        self.pop = e.arrival;
+        self.done = e.arrival;
+        self.flags &= !VISIBLE_SEEN;
+    }
+
+    /// Closes the lifecycle. Fault-path races that put one instant before
+    /// its predecessor, or a receive of an attempt never seen visible,
+    /// mark the record tangled.
+    fn close(&mut self, e: &RecvEvent) {
+        self.pop = SimTime::from_nanos(e.done.as_nanos().saturating_sub(e.o_recv.as_nanos()));
+        self.done = e.done;
+        let seen = self.flags & VISIBLE_SEEN != 0;
+        self.flags = COMPLETED;
+        let chain = [
+            self.inject,
+            self.tx_start,
+            self.wire_done,
+            self.arrival,
+            self.visible,
+            self.pop,
+        ];
+        if !seen || chain.windows(2).any(|w| w[1] < w[0]) {
+            self.flags |= TANGLED;
+        }
     }
 }
 
@@ -541,13 +730,13 @@ impl ComponentTotals {
     }
 
     fn accumulate(&mut self, r: &MsgRecord) {
-        self.o_send += r.o_send;
-        self.tx_wait += r.tx_wait;
-        self.dma += r.dma;
-        self.wire += r.wire;
-        self.rx_hold += r.rx_hold;
-        self.rx_queue += r.rx_queue;
-        self.o_recv += r.o_recv;
+        self.o_send += r.o_send();
+        self.tx_wait += r.tx_wait();
+        self.dma += r.dma();
+        self.wire += r.wire();
+        self.rx_hold += r.rx_hold();
+        self.rx_queue += r.rx_queue();
+        self.o_recv += r.o_recv();
     }
 }
 
@@ -888,30 +1077,8 @@ impl TraceReport {
     /// the summary says pairing occurred.
     pub fn has_edges(&self) -> bool {
         !self.records.is_empty()
-            && (self.summary.pairs == 0 || self.records.iter().any(|r| r.pair.is_some()))
+            && (self.summary.pairs == 0 || self.records.iter().any(|r| r.pair().is_some()))
     }
-}
-
-/// In-flight state for a message whose lifecycle is still open: what the
-/// record needs of the attempt now in flight, field by field. These live
-/// in the recorder's slab only while the message is in flight.
-#[derive(Clone, Copy, Debug)]
-struct Pending {
-    src: usize,
-    dst: usize,
-    reply: bool,
-    kind: MsgKind,
-    bytes: u32,
-    attempts: u32,
-    dropped_attempts: u32,
-    o_send: SimDelta,
-    inject: SimTime,
-    tx_start: SimTime,
-    wire_done: SimTime,
-    arrival: SimTime,
-    visible: Option<SimTime>,
-    handler_at: Option<SimTime>,
-    pair: Option<u64>,
 }
 
 /// Where the lifecycle of one trace id stands.
@@ -921,7 +1088,7 @@ enum Slot {
     Unseen,
     /// `Recv` closed it (Full mode keeps the record at `records[id]`).
     Closed,
-    /// In flight; the `Pending` sits at this slab position.
+    /// In flight; the record in progress sits at this slab position.
     Open(usize),
 }
 
@@ -930,43 +1097,25 @@ enum Slot {
 /// in a row; the bound is what keeps a corrupt id from sizing the index.
 const MAX_ID_GAP: u64 = 1 << 16;
 
+/// Processor ids run below this (the bound `nowlab-predict` enforces too).
+const PROC_LIMIT: usize = u16::MAX as usize;
+
+/// A Full-mode store of up to 1 MiB of records is a test-scale run's, and
+/// grows by doubling like any `Vec`.
+const SMALL_STORE: usize = (1 << 20) / std::mem::size_of::<MsgRecord>();
+
+/// Past that the store asks for more than 32 MiB at once, which glibc
+/// always serves as a mapping of its own: grown in place, resident only
+/// where written, returned whole on drop. A smaller request may be carved
+/// from the heap, where each doubling copies the store and the copies
+/// left behind stay resident (DESIGN.md §9, "How the store grows").
+const OWN_MAPPING: usize = (32 << 20) / std::mem::size_of::<MsgRecord>() + 1;
+
 /// `index` codes: [`Slot::Unseen`], [`Slot::Closed`], then `OPEN_BASE + k`
 /// for [`Slot::Open`]`(k)`.
 const UNSEEN: u32 = 0;
 const CLOSED: u32 = 1;
 const OPEN_BASE: u32 = 2;
-
-/// The slot a Full-mode `records` entry holds until its id closes; never
-/// reported ([`TraceRecorder::finish`] drops the slots of unseen ids).
-const VACANT: MsgRecord = MsgRecord {
-    id: 0,
-    src: 0,
-    dst: 0,
-    reply: false,
-    kind: MsgKind::User,
-    bytes: 0,
-    attempts: 0,
-    dropped_attempts: 0,
-    send_begin: SimTime::ZERO,
-    inject: SimTime::ZERO,
-    tx_start: SimTime::ZERO,
-    wire_done: SimTime::ZERO,
-    arrival: SimTime::ZERO,
-    visible: SimTime::ZERO,
-    pop: SimTime::ZERO,
-    done: SimTime::ZERO,
-    handler_at: None,
-    pair: None,
-    completed: false,
-    tangled: false,
-    o_send: SimDelta::ZERO,
-    tx_wait: SimDelta::ZERO,
-    dma: SimDelta::ZERO,
-    wire: SimDelta::ZERO,
-    rx_hold: SimDelta::ZERO,
-    rx_queue: SimDelta::ZERO,
-    o_recv: SimDelta::ZERO,
-};
 
 /// The recorder's lifecycle store. Trace ids are dense, so an id *is* an
 /// index: `index[id]` says where the lifecycle stands in four bytes, open
@@ -977,7 +1126,7 @@ const VACANT: MsgRecord = MsgRecord {
 #[derive(Default)]
 struct RecorderState {
     index: Vec<u32>,
-    open: Vec<Pending>,
+    open: Vec<MsgRecord>,
     free: Vec<u32>,
     records: Vec<MsgRecord>,
     /// Last injection instant per source processor.
@@ -1026,14 +1175,14 @@ impl RecorderState {
 
     /// Opens the lifecycle of `id` (which [`RecorderState::reach`]
     /// covers) in a free slab slot.
-    fn open(&mut self, id: u64, p: Pending) {
+    fn open(&mut self, id: u64, rec: MsgRecord) {
         let k = match self.free.pop() {
             Some(k) => {
-                self.open[k as usize] = p;
+                self.open[k as usize] = rec;
                 k
             }
             None => {
-                self.open.push(p);
+                self.open.push(rec);
                 u32::try_from(self.open.len() - 1).expect("fewer than 2^32 messages in flight")
             }
         };
@@ -1046,9 +1195,28 @@ impl RecorderState {
         self.free.push(k as u32);
     }
 
-    /// Full mode: stores the record of id `at` in its own slot.
+    /// The record of `id` that a late edge can still be noted on: the one
+    /// in progress, or, when closed records are `kept`, the closed one.
+    fn annotable(&mut self, id: u64, kept: bool) -> Option<&mut MsgRecord> {
+        match self.slot(id) {
+            Slot::Open(k) => Some(&mut self.open[k]),
+            Slot::Closed if kept => Some(&mut self.records[id as usize]),
+            _ => None,
+        }
+    }
+
+    /// Full mode: stores the record of id `at` in its own slot. The store
+    /// doubles, except that past [`SMALL_STORE`] it never holds fewer than
+    /// [`OWN_MAPPING`] slots.
     fn put(&mut self, at: usize, rec: MsgRecord) {
         if self.records.len() <= at {
+            if self.records.capacity() <= at {
+                let mut slots = (at + 1).max(2 * self.records.capacity());
+                if slots > SMALL_STORE {
+                    slots = slots.max(OWN_MAPPING);
+                }
+                self.records.reserve_exact(slots - self.records.len());
+            }
             self.records.resize(at + 1, VACANT);
         }
         self.records[at] = rec;
@@ -1083,10 +1251,10 @@ impl TraceRecorder {
         let mut st = std::mem::take(&mut *self.state.borrow_mut());
         if self.keep_records {
             // Open lifecycles (in flight at the end of the run) are
-            // reported too, flagged incomplete, in their own slots.
+            // reported too, as they stand, in their own slots.
             for id in 0..st.index.len() {
                 if let Slot::Open(k) = st.slot(id as u64) {
-                    let rec = incomplete_record(id as u64, &st.open[k]);
+                    let rec = st.open[k];
                     st.put(id, rec);
                 }
             }
@@ -1110,71 +1278,30 @@ impl TraceRecorder {
     }
 }
 
-/// The record of a lifecycle still open at the end of the run: sender
-/// side as sent, receiver side collapsed onto the arrival instant.
-fn incomplete_record(id: u64, p: &Pending) -> MsgRecord {
-    MsgRecord {
-        id,
-        src: p.src,
-        dst: p.dst,
-        reply: p.reply,
-        kind: p.kind,
-        bytes: p.bytes,
-        attempts: p.attempts,
-        dropped_attempts: p.dropped_attempts,
-        send_begin: SimTime::from_nanos(p.inject.as_nanos().saturating_sub(p.o_send.as_nanos())),
-        inject: p.inject,
-        tx_start: p.tx_start,
-        wire_done: p.wire_done,
-        arrival: p.arrival,
-        visible: p.visible.unwrap_or(p.arrival),
-        pop: p.arrival,
-        done: p.arrival,
-        handler_at: p.handler_at,
-        pair: p.pair,
-        completed: false,
-        tangled: false,
-        o_send: p.o_send,
-        ..VACANT
-    }
-}
-
-/// Closes a lifecycle: derives the seven spans from the recorded
-/// timestamps. Every span is a difference of adjacent discrete-event
-/// timestamps, so the spans telescope to `done − send_begin` exactly;
-/// fault-path races that would make a span negative mark the record
-/// tangled instead (the span clamps to zero).
-fn finalize(id: u64, p: &Pending, ev: &RecvEvent) -> MsgRecord {
-    let mut tangled = p.visible.is_none();
-    let visible = p.visible.unwrap_or(p.arrival);
-    let pop = SimTime::from_nanos(ev.done.as_nanos().saturating_sub(ev.o_recv.as_nanos()));
-    let mut span = |later: SimTime, earlier: SimTime| {
-        if later < earlier {
-            tangled = true;
-            SimDelta::ZERO
-        } else {
-            later.since(earlier)
-        }
-    };
-    MsgRecord {
-        tx_wait: span(p.tx_start, p.inject),
-        dma: span(p.wire_done, p.tx_start),
-        wire: span(p.arrival, p.wire_done),
-        rx_hold: span(visible, p.arrival),
-        rx_queue: span(pop, visible),
-        o_recv: ev.o_recv,
-        visible,
-        pop,
-        done: ev.done,
-        completed: true,
-        tangled,
-        ..incomplete_record(id, p)
+/// The largest processor id `ev` names, of the events the recorder acts on.
+fn widest_proc(ev: &TraceEvent) -> usize {
+    match *ev {
+        TraceEvent::Send(ref e) | TraceEvent::Drop(ref e) => e.src.max(e.dst),
+        TraceEvent::Recv(ref e) => e.proc,
+        TraceEvent::Compute { proc, .. }
+        | TraceEvent::Idle { proc, .. }
+        | TraceEvent::Wave { proc, .. }
+        | TraceEvent::Region { proc, .. }
+        | TraceEvent::Phase { proc, .. } => proc,
+        _ => 0,
     }
 }
 
 impl TraceSink for TraceRecorder {
     fn record(&self, ev: &TraceEvent) {
         let st = &mut *self.state.borrow_mut();
+        // A record holds `u16` processor ids and the per-processor tables
+        // grow to the largest seen: an id past the range is no processor
+        // of this run, and must neither be truncated nor size a table.
+        if widest_proc(ev) >= PROC_LIMIT {
+            st.summary.orphan_events += 1;
+            return;
+        }
         match ev {
             TraceEvent::Send(e) => {
                 if !st.reach(e.id) {
@@ -1190,48 +1317,21 @@ impl TraceSink for TraceRecorder {
                 st.summary.occupancy_hist.record(u64::from(e.in_flight));
                 st.summary.timer_hist.record(u64::from(e.timer_depth));
                 match st.slot(e.id) {
-                    Slot::Open(k) => {
-                        // Retransmission of an open lifecycle: restart the
-                        // attempt's sender-side timestamps.
-                        let p = &mut st.open[k];
-                        p.attempts += 1;
-                        p.o_send = e.o_send;
-                        p.inject = e.inject;
-                        p.tx_start = e.tx_start;
-                        p.wire_done = e.wire_done;
-                        p.arrival = e.arrival;
-                        p.visible = None;
-                    }
+                    // Retransmission of an open lifecycle: the attempt in
+                    // flight is this one now.
+                    Slot::Open(k) => st.open[k].attempt(e),
                     Slot::Closed => {
                         // A stale retransmission after completion. Summary
                         // mode evicted the record; the counter keeps the
                         // two modes' summaries equal.
                         st.summary.late_attempts += 1;
                         if self.keep_records {
-                            st.records[e.id as usize].attempts += 1;
+                            let rec = &mut st.records[e.id as usize];
+                            rec.attempts = rec.attempts.saturating_add(1);
                         }
                     }
                     Slot::Unseen => {
-                        st.open(
-                            e.id,
-                            Pending {
-                                src: e.src,
-                                dst: e.dst,
-                                reply: e.reply,
-                                kind: e.kind,
-                                bytes: e.bytes,
-                                attempts: 1,
-                                dropped_attempts: 0,
-                                o_send: e.o_send,
-                                inject: e.inject,
-                                tx_start: e.tx_start,
-                                wire_done: e.wire_done,
-                                arrival: e.arrival,
-                                visible: None,
-                                handler_at: None,
-                                pair: None,
-                            },
-                        );
+                        st.open(e.id, MsgRecord::open(e));
                         st.summary.msgs += 1;
                         let m = &mut st.summary.matrix;
                         let dim = e.src.max(e.dst) + 1;
@@ -1250,8 +1350,9 @@ impl TraceSink for TraceRecorder {
             TraceEvent::Visible(e) => {
                 st.summary.queue_hist.record(u64::from(e.rx_depth));
                 match st.slot(e.id) {
-                    Slot::Open(k) if st.open[k].visible.is_none() => {
-                        st.open[k].visible = Some(e.at);
+                    Slot::Open(k) if st.open[k].flags & VISIBLE_SEEN == 0 => {
+                        st.open[k].visible = e.at;
+                        st.open[k].flags |= VISIBLE_SEEN;
                     }
                     Slot::Open(_) | Slot::Closed => st.summary.extra_deliveries += 1,
                     Slot::Unseen => st.summary.orphan_events += 1,
@@ -1259,11 +1360,10 @@ impl TraceSink for TraceRecorder {
             }
             TraceEvent::Recv(e) => match st.slot(e.id) {
                 Slot::Open(k) => {
-                    let rec = finalize(e.id, &st.open[k], e);
+                    st.open[k].close(e);
+                    let rec = st.open[k];
                     st.summary.completed += 1;
-                    if rec.tangled {
-                        st.summary.tangled += 1;
-                    }
+                    st.summary.tangled += u64::from(rec.tangled());
                     st.summary.totals.accumulate(&rec);
                     let e2e = rec.end_to_end();
                     st.summary.e2e_total += e2e;
@@ -1277,12 +1377,11 @@ impl TraceSink for TraceRecorder {
                 Slot::Unseen => st.summary.orphan_events += 1,
             },
             TraceEvent::Handler { id, at } => {
-                let handler_at = match st.slot(*id) {
-                    Slot::Open(k) => &mut st.open[k].handler_at,
-                    Slot::Closed if self.keep_records => &mut st.records[*id as usize].handler_at,
-                    _ => return,
-                };
-                handler_at.get_or_insert(*at);
+                if let Some(rec) = st.annotable(*id, self.keep_records) {
+                    if rec.handler_at == SimTime::MAX {
+                        rec.handler_at = *at;
+                    }
+                }
             }
             TraceEvent::Drop(e) => {
                 st.summary.drops += 1;
@@ -1290,7 +1389,8 @@ impl TraceSink for TraceRecorder {
                 // seen: the retry's `Send` must find it within reach.
                 st.reach(e.id);
                 if let Slot::Open(k) = st.slot(e.id) {
-                    st.open[k].dropped_attempts += 1;
+                    let rec = &mut st.open[k];
+                    rec.dropped_attempts = rec.dropped_attempts.saturating_add(1);
                 }
             }
             TraceEvent::DupDelivery { .. } => {
@@ -1306,12 +1406,11 @@ impl TraceSink for TraceRecorder {
                 // the handler that sent the reply); the reply was just
                 // injected and is pending. Cover both sides anyway.
                 for (id, other) in [(*request, *reply), (*reply, *request)] {
-                    let pair = match st.slot(id) {
-                        Slot::Open(k) => &mut st.open[k].pair,
-                        Slot::Closed if self.keep_records => &mut st.records[id as usize].pair,
-                        _ => continue,
-                    };
-                    pair.get_or_insert(other);
+                    if let Some(rec) = st.annotable(id, self.keep_records) {
+                        if rec.pair == 0 {
+                            rec.pair = other;
+                        }
+                    }
                 }
             }
             TraceEvent::Compute { proc, start, dur } => {
@@ -1461,13 +1560,16 @@ mod tests {
         assert_eq!(rep.summary.msgs, 1);
         assert_eq!(rep.summary.completed, 1);
         let m = &rep.records[0];
-        assert!(m.completed && !m.tangled);
+        assert!(m.completed() && !m.tangled());
         assert_eq!(m.component_sum(), m.end_to_end());
         assert_eq!(m.end_to_end(), SimDelta::from_micros(10.8));
-        assert_eq!(m.o_send, SimDelta::from_micros(1.8));
-        assert_eq!(m.wire, SimDelta::from_micros(5.0));
-        assert_eq!(m.o_recv, SimDelta::from_micros(4.0));
-        assert_eq!(m.tx_wait + m.dma + m.rx_hold + m.rx_queue, SimDelta::ZERO);
+        assert_eq!(m.o_send(), SimDelta::from_micros(1.8));
+        assert_eq!(m.wire(), SimDelta::from_micros(5.0));
+        assert_eq!(m.o_recv(), SimDelta::from_micros(4.0));
+        assert_eq!(
+            m.tx_wait() + m.dma() + m.rx_hold() + m.rx_queue(),
+            SimDelta::ZERO
+        );
         assert_eq!(rep.summary.e2e_total, SimDelta::from_micros(10.8));
     }
 
@@ -1502,11 +1604,11 @@ mod tests {
             done: us(130.0), // popped at 126, queued 8us
         }));
         let m = rec.finish().records[0];
-        assert_eq!(m.tx_wait, SimDelta::from_micros(1.2));
-        assert_eq!(m.dma, SimDelta::from_micros(107.0));
-        assert_eq!(m.wire, SimDelta::from_micros(5.0));
-        assert_eq!(m.rx_hold, SimDelta::from_micros(3.0));
-        assert_eq!(m.rx_queue, SimDelta::from_micros(8.0));
+        assert_eq!(m.tx_wait(), SimDelta::from_micros(1.2));
+        assert_eq!(m.dma(), SimDelta::from_micros(107.0));
+        assert_eq!(m.wire(), SimDelta::from_micros(5.0));
+        assert_eq!(m.rx_hold(), SimDelta::from_micros(3.0));
+        assert_eq!(m.rx_queue(), SimDelta::from_micros(8.0));
         assert_eq!(m.component_sum(), m.end_to_end());
         assert_eq!(m.end_to_end(), SimDelta::from_micros(130.0));
     }
@@ -1561,6 +1663,23 @@ mod tests {
     }
 
     #[test]
+    fn a_store_past_test_scale_is_reserved_as_one_mapping_and_handed_over_exact() {
+        let rec = TraceRecorder::new(true);
+        let capacity = || rec.state.borrow().records.capacity();
+        let mut n = 0;
+        while capacity() <= SMALL_STORE {
+            assert!(n <= SMALL_STORE as u64, "doubling has an end");
+            n += 1;
+            complete(&rec, n, n as f64 * 20.0);
+        }
+        // The step that would have left test scale went straight there.
+        assert_eq!(capacity(), OWN_MAPPING);
+        let rep = rec.finish();
+        assert_eq!(rep.records.len() as u64, n);
+        assert_eq!(rep.records.capacity(), rep.records.len());
+    }
+
+    #[test]
     fn an_id_outside_the_dense_range_is_an_orphan_not_an_allocation() {
         for keep in [false, true] {
             let rec = TraceRecorder::new(keep);
@@ -1592,6 +1711,58 @@ mod tests {
     }
 
     #[test]
+    fn a_processor_id_outside_the_record_range_is_an_orphan_not_an_allocation() {
+        let at = us(50.0);
+        for keep in [false, true] {
+            let rec = TraceRecorder::new(keep);
+            complete(&rec, 1, 0.0);
+            let mut wide = 0;
+            for proc in [PROC_LIMIT, 1 << 20, usize::MAX] {
+                for ev in [
+                    send(2, proc, 1, 50.0),
+                    send(2, 0, proc, 50.0),
+                    TraceEvent::Drop(attempt(2, proc, 1, 50.0)),
+                    TraceEvent::Wave {
+                        proc,
+                        kind: WaveKind::Barrier,
+                        at,
+                    },
+                    TraceEvent::Compute {
+                        proc,
+                        start: at,
+                        dur: SimDelta::from_micros(1.0),
+                    },
+                ] {
+                    rec.record(&ev);
+                    wide += 1;
+                }
+            }
+            {
+                let st = rec.state.borrow();
+                assert!(st.last_send.len() <= 2 && st.wave_seq.is_empty());
+                assert_eq!(st.summary.matrix.len(), 2, "tables sized by the run");
+                assert_eq!(st.index.len(), 2, "the id was not taken either");
+            }
+            let rep = rec.finish();
+            assert_eq!(rep.summary.orphan_events, wide);
+            assert_eq!((rep.summary.msgs, rep.summary.drops), (1, 0));
+            assert_eq!((rep.summary.waves, rep.summary.compute_segs), (0, 0));
+            assert_eq!(rep.records.len(), usize::from(keep));
+        }
+        // The last id in range is a processor like any other (its row of
+        // the matrix is not asked for here: 65 535 squared is 34 GB).
+        let rec = TraceRecorder::new(true);
+        rec.record(&TraceEvent::Wave {
+            proc: PROC_LIMIT - 1,
+            kind: WaveKind::Barrier,
+            at,
+        });
+        let rep = rec.finish();
+        assert_eq!((rep.summary.orphan_events, rep.summary.waves), (0, 1));
+        assert_eq!(rep.waves[0].proc, PROC_LIMIT - 1);
+    }
+
+    #[test]
     fn out_of_order_ids_and_holes_yield_ascending_records_without_placeholders() {
         let rec = TraceRecorder::new(true);
         // 3, 1, 2 arrive out of order; 4 was drawn but its only attempt
@@ -1605,7 +1776,7 @@ mod tests {
         let rep = rec.finish();
         let ids: Vec<u64> = rep.records.iter().map(|r| r.id).collect();
         assert_eq!(ids, [1, 2, 3, 5, 6]);
-        let done: Vec<bool> = rep.records.iter().map(|r| r.completed).collect();
+        let done: Vec<bool> = rep.records.iter().map(|r| r.completed()).collect();
         assert_eq!(done, [true, true, true, false, true]);
         assert!(rep.records.iter().all(|r| r.attempts == 1));
         assert_eq!(rep.summary.msgs, 5);
@@ -1658,7 +1829,7 @@ mod tests {
         assert_eq!(rep.summary.msgs, 1, "retransmit is not a new message");
         assert_eq!(m.attempts, 2);
         assert_eq!(m.dropped_attempts, 1);
-        assert!(m.completed && !m.tangled);
+        assert!(m.completed() && !m.tangled());
         // Attribution describes the successful attempt.
         assert_eq!(m.send_begin, us(500.0));
         assert_eq!(m.component_sum(), m.end_to_end());
@@ -1696,7 +1867,78 @@ mod tests {
         let rep = rec.finish();
         assert_eq!(rep.summary.msgs, 1);
         assert_eq!(rep.summary.completed, 0);
-        assert!(!rep.records[0].completed);
+        let m = &rep.records[0];
+        assert!(!m.completed() && !m.tangled());
+        // Sender side as sent, receiver side collapsed onto the arrival;
+        // no span past `o_send` is claimed for an attempt still in flight.
+        assert_eq!(
+            (m.send_begin, m.inject, m.arrival),
+            (us(0.0), us(1.8), us(6.8))
+        );
+        assert_eq!(
+            (m.visible, m.pop, m.done),
+            (m.arrival, m.arrival, m.arrival)
+        );
+        assert_eq!(m.o_send(), SimDelta::from_micros(1.8));
+        assert_eq!(m.component_sum(), m.o_send());
+        assert_eq!((m.handler_at(), m.pair()), (None, None));
+    }
+
+    #[test]
+    fn a_receive_out_of_order_is_tangled_and_its_span_reads_zero() {
+        let recv = |rec: &TraceRecorder, done_us: f64| {
+            rec.record(&TraceEvent::Recv(RecvEvent {
+                id: 1,
+                proc: 1,
+                o_recv: SimDelta::from_micros(4.0),
+                done: us(done_us),
+            }));
+        };
+        // Popped (by way of a duplicate) before the attempt in flight was
+        // ever seen visible.
+        let rec = TraceRecorder::new(true);
+        rec.record(&send(1, 0, 1, 0.0));
+        recv(&rec, 10.8);
+        // Seen visible, but the retry's arrival lies after the pop.
+        let late = TraceRecorder::new(true);
+        late.record(&send(1, 0, 1, 0.0));
+        late.record(&send(1, 0, 1, 100.0));
+        late.record(&TraceEvent::Visible(VisibleEvent {
+            id: 1,
+            at: us(8.0),
+            rx_depth: 1,
+        }));
+        recv(&late, 12.0);
+        for (rec, attempts) in [(rec, 1), (late, 2)] {
+            let rep = rec.finish();
+            let m = &rep.records[0];
+            assert!(m.completed() && m.tangled());
+            assert_eq!(m.attempts, attempts);
+            assert_eq!(rep.summary.tangled, 1);
+            assert_eq!(rep.summary.totals.sum(), m.component_sum());
+        }
+    }
+
+    #[test]
+    fn a_record_from_instants_equals_the_one_the_recorder_closed() {
+        let rec = TraceRecorder::new(true);
+        complete(&rec, 1, 0.0);
+        rec.record(&send(2, 1, 0, 20.0));
+        for m in rec.finish().records {
+            let at = [
+                m.send_begin,
+                m.inject,
+                m.tx_start,
+                m.wire_done,
+                m.arrival,
+                m.visible,
+                m.pop,
+                m.done,
+            ];
+            let built =
+                MsgRecord::from_instants(m.id, m.src, m.dst, m.kind, m.bytes, at, m.completed());
+            assert_eq!(built, m);
+        }
     }
 
     #[test]

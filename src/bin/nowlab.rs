@@ -547,10 +547,11 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             println!("{}", report.summary.render());
         }
         if let Some(path) = flags.get("trace") {
-            let file = std::fs::File::create(path)
+            // The exporter hands over 64 KiB pieces: the file takes them
+            // as they are, and a failing last one is an error here.
+            let mut file = std::fs::File::create(path)
                 .map_err(|e| format!("--trace {path}: cannot create: {e}"))?;
-            let mut w = std::io::BufWriter::new(file);
-            let drawn = write_chrome_trace(&report.records, &mut w)
+            let drawn = write_chrome_trace(&report.records, &mut file)
                 .map_err(|e| format!("--trace {path}: write failed: {e}"))?;
             println!(
                 "trace: {drawn} message lifetimes ({} records) written to {path}",
@@ -993,12 +994,11 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("\npredict: report written to {path} (render with `nowlab report {path}`)");
     }
     if let Some(path) = flags.get("trace") {
-        let file = std::fs::File::create(path)
+        let mut file = std::fs::File::create(path)
             .map_err(|e| format!("--trace {path}: cannot create: {e}"))?;
-        let mut w = std::io::BufWriter::new(file);
-        let drawn =
-            write_chrome_trace_highlighted(&p.trace.records, &p.breakdown.critical_msgs, &mut w)
-                .map_err(|e| format!("--trace {path}: write failed: {e}"))?;
+        let critical = &p.breakdown.critical_msgs;
+        let drawn = write_chrome_trace_highlighted(&p.trace.records, critical, &mut file)
+            .map_err(|e| format!("--trace {path}: write failed: {e}"))?;
         println!(
             "\ntrace: {drawn} message lifetimes written to {path} \
              ({} on the critical path tagged `critical`)",

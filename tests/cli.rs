@@ -122,6 +122,31 @@ fn run_with_tracing_emits_summary_and_chrome_file() {
     assert!(json.contains("\"ph\":\"X\""), "missing complete slices");
 }
 
+/// The exporter writes to the file itself, so a device that takes no byte
+/// fails the command — with the CLI's error line, not a panic, and never
+/// a "written" over a file that lost its tail in a buffer's drop.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_trace_that_cannot_be_written_is_an_error_not_a_silent_loss() {
+    for cmd in ["run", "predict"] {
+        let (ok, text) = nowlab(&[
+            cmd,
+            "--app",
+            "radix",
+            "--procs",
+            "2",
+            "--scale",
+            "test",
+            "--trace",
+            "/dev/full",
+        ]);
+        assert!(!ok, "{cmd}: {text}");
+        assert!(text.contains("error: --trace /dev/full"), "{cmd}: {text}");
+        assert!(!text.contains("panicked"), "{cmd}: {text}");
+        assert!(!text.contains("written to /dev/full"), "{cmd}: {text}");
+    }
+}
+
 #[test]
 fn sweep_with_trace_summary_adds_attribution_columns() {
     let (ok, text) = nowlab(&[

@@ -49,44 +49,26 @@ fn report_bytes_match_the_pre_compilation_golden_at_every_job_count() {
 /// DAG builder does not read is left at zero.
 fn record(
     id: u64,
-    src: usize,
-    dst: usize,
+    src: u16,
+    dst: u16,
     send: (u64, u64),
     tx_start: u64,
     visible: u64,
     recv: Option<(u64, u64)>,
 ) -> MsgRecord {
-    let at = SimTime::from_nanos;
     let (pop, done) = recv.unwrap_or((0, 0));
-    MsgRecord {
+    let at = [
+        send.0, send.1, tx_start, tx_start, visible, visible, pop, done,
+    ];
+    MsgRecord::from_instants(
         id,
         src,
         dst,
-        reply: false,
-        kind: MsgKind::User,
-        bytes: 0,
-        attempts: 1,
-        dropped_attempts: 0,
-        send_begin: at(send.0),
-        inject: at(send.1),
-        tx_start: at(tx_start),
-        wire_done: at(tx_start),
-        arrival: at(visible),
-        visible: at(visible),
-        pop: at(pop),
-        done: at(done),
-        handler_at: None,
-        pair: None,
-        completed: recv.is_some(),
-        tangled: false,
-        o_send: SimDelta::ZERO,
-        tx_wait: SimDelta::ZERO,
-        dma: SimDelta::ZERO,
-        wire: SimDelta::ZERO,
-        rx_hold: SimDelta::ZERO,
-        rx_queue: SimDelta::ZERO,
-        o_recv: SimDelta::ZERO,
-    }
+        MsgKind::User,
+        0,
+        at.map(SimTime::from_nanos),
+        recv.is_some(),
+    )
 }
 
 /// Two messages, each popped (blocking) before the *other* was sent: the

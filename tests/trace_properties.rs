@@ -41,11 +41,11 @@ fn component_costs_sum_exactly_to_end_to_end_across_the_suite() {
         let report = full_trace(out.trace.as_ref().expect("trace requested"));
         assert!(report.summary.completed > 0, "{}", app.name());
         for r in &report.records {
-            if !r.completed {
+            if !r.completed() {
                 continue;
             }
             assert!(
-                !r.tangled,
+                !r.tangled(),
                 "{} msg {} tangled on a fault-free wire",
                 app.name(),
                 r.id
@@ -65,7 +65,7 @@ fn component_costs_sum_exactly_to_end_to_end_across_the_suite() {
             assert!(r.arrival <= r.visible, "{} msg {}", app.name(), r.id);
             assert!(r.visible <= r.pop, "{} msg {}", app.name(), r.id);
             assert!(r.pop <= r.done, "{} msg {}", app.name(), r.id);
-            if let Some(h) = r.handler_at {
+            if let Some(h) = r.handler_at() {
                 assert!(
                     h >= r.pop,
                     "{} msg {}: handler before pop",
@@ -153,12 +153,11 @@ fn a_stragglers_records_carry_the_overhead_it_paid() {
     let (mut sends, mut replies) = (0, 0);
     for r in report.records.iter().filter(|r| r.attempts == 1) {
         let paid = if r.src == 1 { 2 } else { 1 };
-        assert_eq!(r.o_send, net.eff_o_send() * paid, "msg {}", r.id);
-        assert_eq!(r.send_begin + r.o_send, r.inject, "msg {}", r.id);
+        assert_eq!(r.o_send(), net.eff_o_send() * paid, "msg {}", r.id);
         sends += u32::from(r.src == 1);
         // The pairing edge hangs on the request (the reply is not yet
         // injected when the edge is observed).
-        if let (1, Some(reply)) = (r.dst, r.pair) {
+        if let (1, Some(reply)) = (r.dst, r.pair()) {
             assert_eq!(by_id(reply).send_begin, r.done, "reply to {}", r.id);
             replies += 1;
         }
@@ -205,7 +204,7 @@ fn faulty_wire_traces_retransmissions_with_exact_attribution() {
     assert!(report.summary.retransmits > 0, "protocol must recover");
     let mut retransmitted = 0u64;
     for r in &report.records {
-        if !r.completed || r.tangled {
+        if !r.completed() || r.tangled() {
             continue;
         }
         assert_eq!(
