@@ -208,13 +208,22 @@ pub(crate) struct Classes {
 }
 
 impl Classes {
+    /// Ids of the classes every DAG has; the sized ones follow.
+    pub(crate) const ZERO: u32 = 0;
+    pub(crate) const COMPUTE: u32 = 1;
+    pub(crate) const IDLE: u32 = 2;
+    pub(crate) const O_SEND: u32 = 3;
+    pub(crate) const O_RECV: u32 = 4;
+    pub(crate) const RX_CHAIN: u32 = 5;
+
     pub(crate) fn new(base: &NetConfig) -> Self {
         let zero = SimDelta::ZERO;
         Classes {
             base: *base,
-            // The overhead representatives carry the baseline overhead as
-            // their span: `reprice` then cannot saturate, and `table`
-            // reads the exact signed difference off them.
+            // In the order of the ids above. The overhead representatives
+            // carry the baseline overhead as their span: `reprice` then
+            // cannot saturate, and `table` reads the exact signed
+            // difference off them.
             reps: vec![
                 Cost::Zero,
                 Cost::Compute(zero),
@@ -233,21 +242,8 @@ impl Classes {
         &self.base
     }
 
-    /// Splits `cost` into its class id and measured span, ns.
-    pub(crate) fn intern(&mut self, cost: Cost) -> (u32, u64) {
-        match cost {
-            Cost::Zero => (0, 0),
-            Cost::Compute(d) => (1, d.as_nanos()),
-            Cost::Idle(d) => (2, d.as_nanos()),
-            Cost::OSend(d) => (3, d.as_nanos()),
-            Cost::ORecv(d) => (4, d.as_nanos()),
-            Cost::RxChain => (5, 0),
-            Cost::TxFree { bytes } => (self.sized(bytes), 0),
-            Cost::Transit { bytes } => (self.sized(bytes) + 1, 0),
-        }
-    }
-
-    fn sized(&mut self, bytes: u32) -> u32 {
+    /// The class of `TxFree { bytes }`; `Transit { bytes }` is the next id.
+    pub(crate) fn sized(&mut self, bytes: u32) -> u32 {
         match self.last {
             Some((b, id)) if b == bytes => id,
             _ => {

@@ -3,16 +3,18 @@
 //! Nodes are *instants*: the start and end of every busy activity (send
 //! overhead, receive overhead, compute segment), the transmit-context
 //! pickup and receive-queue visibility of every message, and the exit of
-//! every deadline-bounded idle wait. Edges are built from the symbolic
-//! costs of [`crate::cost`] and stored compiled — a price class and a
-//! measured span — so that a configuration `θ` is one small table of
-//! per-class deltas. Evaluating the DAG under `θ` computes each instant's
-//! predicted time as the longest weighted path from the virtual source —
-//! exactly the discrete-event semantics, with the one deliberate
+//! every deadline-bounded idle wait. Edges are written down once, as the
+//! symbolic costs of [`crate::cost`], and not stored: what kind of instant
+//! a node is says which in-edges it has ([`Dag::in_edges`]), each a price
+//! class and a measured span, so that a configuration `θ` is one small
+//! table of per-class deltas. Evaluating the DAG under `θ` computes each
+//! instant's predicted time as the longest weighted path from the virtual
+//! source — exactly the discrete-event semantics, with the one deliberate
 //! approximation that NIC serialization *order* is frozen at the baseline
 //! order (see DESIGN.md §13).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 use nowlab_am::NetConfig;
 use nowlab_sim::SimDelta;
@@ -23,25 +25,119 @@ use crate::PredictError;
 
 const NO_PROC: u16 = u16::MAX;
 const NO_MSG: u32 = u32::MAX;
+const NO_NODE: u32 = u32::MAX;
 
-/// What instant a node stands for (read only through `Debug` formatting
-/// in validation errors).
-#[derive(Clone, Copy, Debug)]
-enum NodeKind {
+/// What instant a node stands for, which fixes the in-edges it has (see
+/// [`Dag::in_edges`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
     /// Virtual time-zero root.
     Source,
     /// Virtual end-of-run join.
     Sink,
+    /// A send overhead, receive overhead or compute segment began.
+    SendStart,
+    RecvStart,
+    ComputeStart,
+    /// The activity begun at the node before this one ended.
+    SendEnd,
+    RecvEnd,
+    ComputeEnd,
+    /// A deadline-bounded idle wait exited.
+    IdleExit,
     /// A message picked up by the source transmit context.
     TxStart,
     /// A message visible in the destination receive queue.
     Visible,
-    /// A busy activity began.
-    ActStart,
-    /// A busy activity ended.
-    ActEnd,
-    /// A deadline-bounded idle wait exited.
-    IdleExit,
+    /// The visibility of a message the run ended before delivering: time
+    /// zero, no in-edges.
+    Unseen,
+}
+
+impl Kind {
+    /// In declaration order: `ALL[kind as usize] == kind`.
+    const ALL: [Kind; 12] = [
+        Kind::Source,
+        Kind::Sink,
+        Kind::SendStart,
+        Kind::RecvStart,
+        Kind::ComputeStart,
+        Kind::SendEnd,
+        Kind::RecvEnd,
+        Kind::ComputeEnd,
+        Kind::IdleExit,
+        Kind::TxStart,
+        Kind::Visible,
+        Kind::Unseen,
+    ];
+}
+
+/// A node's op-code byte: its [`Kind`], and whether it is the first node
+/// of its processor's chain, whose program-order predecessor is the
+/// source and not the node before it.
+#[derive(Clone, Copy)]
+struct Op(u8);
+
+impl Op {
+    const FIRST: u8 = 0x80;
+
+    fn new(kind: Kind, first: bool) -> Self {
+        debug_assert_eq!(Kind::ALL[kind as usize], kind);
+        Op(kind as u8 | if first { Self::FIRST } else { 0 })
+    }
+
+    fn kind(self) -> Kind {
+        Kind::ALL[usize::from(self.0 & !Self::FIRST)]
+    }
+
+    fn first(self) -> bool {
+        self.0 & Self::FIRST != 0
+    }
+}
+
+/// One in-edge of a node: it costs `w.saturating_add_signed(Δ[class])`
+/// under any configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct InEdge {
+    tail: u32,
+    /// Price class (see [`Classes`]).
+    class: u32,
+    /// Measured span, ns (zero on NIC and ordering edges).
+    w: u64,
+    /// Record index of the message the edge belongs to (`NO_MSG` if none).
+    msg: u32,
+}
+
+impl InEdge {
+    fn new(tail: u32, class: u32, w: u64, msg: u32) -> Self {
+        InEdge {
+            tail,
+            class,
+            w,
+            msg,
+        }
+    }
+
+    /// An edge that orders and costs nothing.
+    fn order(tail: u32, msg: u32) -> Self {
+        InEdge::new(tail, Classes::ZERO, 0, msg)
+    }
+}
+
+/// What a message's edges read that its nodes' instants do not say.
+struct Rec {
+    /// Trace id (for critical-message reporting).
+    id: u64,
+    /// Receive-overhead span (`done − pop`): what the credit edge out of
+    /// a reply's `Visible` carries.
+    o_recv: u64,
+    /// The message the same transmit context picked up just before this
+    /// one (`NO_MSG` for a source's first).
+    tx_prev: u32,
+    /// Class of `TxFree` at this payload size; `Transit` is the next id.
+    class: u32,
+    src: u16,
+    dst: u16,
 }
 
 /// Critical-path attribution for one configuration.
@@ -70,38 +166,46 @@ pub struct PhaseRow {
     pub total: SimDelta,
 }
 
-/// The compiled DAG: nodes and in-edges as flat parallel arrays. Node ids
+/// The compiled DAG: a table of nodes whose in-edges are implied. Node ids
 /// run source, every processor's program-order chain, the two NIC nodes
-/// of every message, sink.
+/// (`TxStart`, then `Visible`) of every message in record order, sink.
 pub(crate) struct Dag {
     /// Measured baseline timestamp of each node, ns.
     measured: Vec<u64>,
-    /// Owning processor of each node (`NO_PROC` for source/sink).
-    proc: Vec<u16>,
-    kind: Vec<NodeKind>,
-    /// Node `n`'s in-edges are `head_start[n]..head_start[n+1]` of the
-    /// four edge arrays, in insertion order (`breakdown` takes the first
-    /// tight one, so that order is part of the output).
-    head_start: Vec<u32>,
-    tail: Vec<u32>,
-    /// Price class and measured span: the edge costs
-    /// `w.saturating_add_signed(Δ[class])` under any configuration.
-    class: Vec<u32>,
-    w: Vec<u64>,
-    /// Record index of the message the edge belongs to (`NO_MSG` if none).
-    msg: Vec<u32>,
+    op: Vec<Op>,
+    /// The one in-edge tail of each node that is neither the node before
+    /// it nor read off `recs` (`NO_NODE` if it has none): the freeing
+    /// reply's `Visible` for a credit-bound `SendStart`, the message's own
+    /// `Visible` for a blocking `RecvStart`, the chain position at entry
+    /// for an `IdleExit`, the `SendEnd` for a `TxStart`, the destination's
+    /// previous `Visible` for a `Visible`.
+    dep: Vec<u32>,
+    /// Per chain node (node `n` at `n − 1`): the record index of an
+    /// overhead activity, `NO_MSG` for compute, and for an `IdleExit` the
+    /// index of its bound in `idle_bounds`.
+    chain_msg: Vec<u32>,
+    /// First node of each processor's chain, then `nic_base`.
+    chain_start: Vec<u32>,
+    /// Message `i`'s NIC nodes are `nic_base + 2i` and `nic_base + 2i + 1`.
+    nic_base: u32,
+    recs: Vec<Rec>,
+    /// `deadline − enter` of every idle wait, ns.
+    idle_bounds: Vec<u64>,
+    /// Tails of the sink's in-edges: every chain's last node, every
+    /// source's last pickup, every destination's last visibility.
+    sink_tails: Vec<u32>,
+    /// In-edges over all nodes, counted as `build` declares them.
+    edges: usize,
     classes: Classes,
-    /// Every edge's cost as its build site wrote it, kept for the
-    /// differential test against the compiled `(class, w)` form.
+    /// Every edge as its build site declared it — `(head, tail, cost,
+    /// msg)` in emission order — to hold against what `in_edges` implies.
     #[cfg(test)]
-    costs: Vec<Cost>,
+    declared: Vec<(u32, u32, Cost, u32)>,
     topo: Vec<u32>,
     begin_anchor: u32,
     end_anchor: u32,
     /// Per-processor `(at_ns, label)` phase marks, sorted by time.
     phases: Vec<Vec<(u64, String)>>,
-    /// Record index → trace id (for critical-message reporting).
-    msg_ids: Vec<u64>,
 }
 
 #[derive(Clone, Copy)]
@@ -161,14 +265,13 @@ pub(crate) fn build(
     }
     let records = &report.records;
     let n_rec = records.len();
-    // Node and edge ids are `u32`. A message gives at most six instants, a
-    // compute segment two and an idle wait one; every node has at most two
-    // in-edges, the sink three per processor.
+    // Node ids are `u32`, and `NO_NODE` is none of them. A message gives
+    // at most six instants, a compute segment two and an idle wait one.
     let max_nodes =
         2 + 6 * n_rec as u64 + 2 * report.computes.len() as u64 + report.idles.len() as u64;
-    if u32::try_from(2 * max_nodes + 3 * procs as u64).is_err() {
+    if max_nodes >= u64::from(NO_NODE) {
         return Err(PredictError::Unsupported(format!(
-            "{n_rec} messages; the DAG addresses at most 2^32 nodes and edges"
+            "{n_rec} messages; the DAG addresses fewer than 2^32 nodes"
         )));
     }
     // A message reached the destination's delivery chain iff its
@@ -254,7 +357,6 @@ pub(crate) fn build(
     let chain_nodes =
         2 * acts.iter().map(Vec::len).sum::<usize>() + idles.iter().map(Vec::len).sum::<usize>();
     let n_nodes = 2 + chain_nodes + 2 * n_rec;
-    let max_edges = 2 * n_nodes + 3 * procs;
     // NIC nodes follow the chains, so their ids are known while the
     // chains are being laid down.
     let nic_base = 1 + chain_nodes as u32;
@@ -286,37 +388,43 @@ pub(crate) fn build(
 
     let mut dag = Dag {
         measured: Vec::with_capacity(n_nodes),
-        proc: Vec::with_capacity(n_nodes),
-        kind: Vec::with_capacity(n_nodes),
-        head_start: Vec::with_capacity(n_nodes + 1),
-        tail: Vec::with_capacity(max_edges),
-        class: Vec::with_capacity(max_edges),
-        w: Vec::with_capacity(max_edges),
-        msg: Vec::with_capacity(max_edges),
+        op: Vec::with_capacity(n_nodes),
+        dep: Vec::with_capacity(n_nodes),
+        chain_msg: Vec::with_capacity(chain_nodes),
+        chain_start: Vec::with_capacity(procs + 1),
+        nic_base,
+        recs: Vec::with_capacity(n_rec),
+        idle_bounds: Vec::new(),
+        sink_tails: Vec::new(),
+        edges: 0,
         classes: Classes::new(cfg),
         #[cfg(test)]
-        costs: Vec::new(),
+        declared: Vec::new(),
         topo: Vec::new(),
         begin_anchor: 0,
         end_anchor: 0,
         phases: vec![Vec::new(); procs],
-        msg_ids: records.iter().map(|r| r.id).collect(),
     };
-    dag.node(0, NO_PROC, NodeKind::Source);
+    dag.node(0, Kind::Source, false);
 
     // Program-order chains. `osend_end[i]` is the node at which message
-    // i's send overhead completed (= its injection instant).
+    // i's send overhead completed (= its injection instant). A
+    // processor's lists are dropped as soon as its chain is laid.
     let mut osend_end: Vec<u32> = vec![0; n_rec];
-    let mut chains: Vec<std::ops::Range<u32>> = Vec::with_capacity(procs);
     let mut chain_tail: Vec<u32> = Vec::with_capacity(procs);
-    for p in 0..procs {
-        let first = dag.measured.len() as u32;
+    for (acts, idles) in acts.into_iter().zip(idles) {
+        dag.chain_start.push(dag.measured.len() as u32);
         let mut cursor = 0u32; // source
-        let mut pending = acts[p].iter().peekable();
+        let mut pending = acts.iter().peekable();
         // Chains every activity that began before `limit`.
         let mut run_until = |limit: u64, dag: &mut Dag, cursor: &mut u32| {
             while let Some(a) = pending.next_if(|a| a.start < limit) {
-                let s = dag.node(a.start, p as u16, NodeKind::ActStart);
+                let (start, end) = match a.kind {
+                    ActKind::OSend => (Kind::SendStart, Kind::SendEnd),
+                    ActKind::ORecv { .. } => (Kind::RecvStart, Kind::RecvEnd),
+                    ActKind::Compute => (Kind::ComputeStart, Kind::ComputeEnd),
+                };
+                let s = dag.chain_node(a.start, start, *cursor, a.msg);
                 dag.edge(*cursor, Cost::Zero, NO_MSG);
                 let dur = SimDelta::from_nanos(a.end.saturating_sub(a.start));
                 let cost = match a.kind {
@@ -331,7 +439,7 @@ pub(crate) fn build(
                         if ri != NO_MSG {
                             let r = &records[ri as usize];
                             let span = r.done.saturating_since(r.pop);
-                            dag.edge(vis_node(ri), Cost::ORecv(span), ri);
+                            dag.dep_edge(vis_node(ri), Cost::ORecv(span), ri);
                         }
                         osend_end[a.msg as usize] = s + 1;
                         Cost::OSend(dur)
@@ -341,34 +449,35 @@ pub(crate) fn build(
                             // The baseline waited for this message: its
                             // pop depends on visibility, so wire latency
                             // reaches the host chain here.
-                            dag.edge(vis_node(a.msg), Cost::Zero, a.msg);
+                            dag.dep_edge(vis_node(a.msg), Cost::Zero, a.msg);
                         }
                         Cost::ORecv(dur)
                     }
                     ActKind::Compute => Cost::Compute(dur),
                 };
-                *cursor = dag.node(a.end, p as u16, NodeKind::ActEnd);
+                *cursor = dag.chain_node(a.end, end, s, a.msg);
                 dag.edge(s, cost, a.msg);
             }
         };
-        for seg in &idles[p] {
+        for seg in idles {
             run_until(seg.enter.as_nanos(), &mut dag, &mut cursor);
             // The wait's lower bound hangs off the processor's position at
             // entry; receive overheads serviced inside the wait chain
             // through `cursor` as usual.
             let idle_base = cursor;
             run_until(seg.exit.as_nanos(), &mut dag, &mut cursor);
-            let ex = dag.node(seg.exit.as_nanos(), p as u16, NodeKind::IdleExit);
-            let bound = Cost::Idle(seg.deadline.saturating_since(seg.enter));
-            dag.edge(idle_base, bound, NO_MSG);
+            let bound = seg.deadline.saturating_since(seg.enter);
+            let slot = dag.idle_bounds.len() as u32;
+            dag.idle_bounds.push(bound.as_nanos());
+            let ex = dag.chain_node(seg.exit.as_nanos(), Kind::IdleExit, cursor, slot);
+            dag.dep_edge(idle_base, Cost::Idle(bound), NO_MSG);
             dag.edge(cursor, Cost::Zero, NO_MSG);
             cursor = ex;
         }
         run_until(u64::MAX, &mut dag, &mut cursor);
-        chains.push(first..dag.measured.len() as u32);
         chain_tail.push(cursor);
     }
-    drop(acts);
+    dag.chain_start.push(nic_base);
     debug_assert_eq!(dag.measured.len() as u32, nic_base);
 
     // NIC nodes. Injection hands the message to the transmit context,
@@ -376,21 +485,32 @@ pub(crate) fn build(
     // visibility follows transit and the destination's previous delivery.
     for (i, r) in records.iter().enumerate() {
         let i = i as u32;
-        let tx = dag.node(r.tx_start.as_nanos(), r.src, NodeKind::TxStart);
-        dag.edge(osend_end[i as usize], Cost::Zero, i);
-        let prev = tx_prev[i as usize];
-        if prev != NO_MSG {
-            let bytes = records[prev as usize].bytes;
-            dag.edge(tx_node(prev), Cost::TxFree { bytes }, i);
+        let tx = dag.node(r.tx_start.as_nanos(), Kind::TxStart, false);
+        dag.dep_edge(osend_end[i as usize], Cost::Zero, i);
+        let tx_prev = tx_prev[i as usize];
+        if tx_prev != NO_MSG {
+            let bytes = records[tx_prev as usize].bytes;
+            dag.edge(tx_node(tx_prev), Cost::TxFree { bytes }, i);
         }
-        dag.node(r.visible.as_nanos(), r.dst, NodeKind::Visible);
         if has_vis(r) {
+            dag.node(r.visible.as_nanos(), Kind::Visible, false);
             dag.edge(tx, Cost::Transit { bytes: r.bytes }, i);
+            let prev = vis_prev[i as usize];
+            if prev != NO_MSG {
+                dag.dep_edge(vis_node(prev), Cost::RxChain, i);
+            }
+        } else {
+            dag.node(r.visible.as_nanos(), Kind::Unseen, false);
         }
-        let prev = vis_prev[i as usize];
-        if prev != NO_MSG {
-            dag.edge(vis_node(prev), Cost::RxChain, i);
-        }
+        let class = dag.classes.sized(r.bytes);
+        dag.recs.push(Rec {
+            id: r.id,
+            o_recv: r.done.saturating_since(r.pop).as_nanos(),
+            tx_prev,
+            class,
+            src: r.src,
+            dst: r.dst,
+        });
     }
 
     // Virtual sink joining every chain (full-run makespan).
@@ -405,20 +525,20 @@ pub(crate) fn build(
         .map(|&n| dag.measured[n as usize])
         .max()
         .unwrap_or(0);
-    let sink = dag.node(sink_measured, NO_PROC, NodeKind::Sink);
-    for t in joined {
+    let sink = dag.node(sink_measured, Kind::Sink, false);
+    for &t in &joined {
         dag.edge(t, Cost::Zero, NO_MSG);
     }
-    dag.head_start.push(dag.tail.len() as u32);
+    dag.sink_tails = joined;
 
     // Measured-region anchors: the program-order node a processor sat at
     // when the region mark was taken (chain timestamps never decrease).
     let anchor = |p: usize, t: u64| -> u32 {
-        let chain = chains[p].clone();
-        let times = &dag.measured[chain.start as usize..chain.end as usize];
+        let start = dag.chain_start[p];
+        let times = &dag.measured[start as usize..dag.chain_start[p + 1] as usize];
         match times.partition_point(|&at| at <= t) {
             0 => 0,
-            idx => chain.start + idx as u32 - 1,
+            idx => start + idx as u32 - 1,
         }
     };
     let begin = report.regions.iter().find(|r| r.begin);
@@ -461,30 +581,138 @@ pub(crate) fn build(
 }
 
 impl Dag {
-    /// Appends a node; the `edge` calls up to the next `node` are its
-    /// in-edges, which is what lays the edge arrays out in CSR order.
-    fn node(&mut self, measured: u64, proc: u16, kind: NodeKind) -> u32 {
+    /// Appends a node; the `edge` and `dep_edge` calls up to the next
+    /// `node` declare its in-edges.
+    fn node(&mut self, measured: u64, kind: Kind, first: bool) -> u32 {
         let id = self.measured.len() as u32;
-        self.head_start.push(self.tail.len() as u32);
         self.measured.push(measured);
-        self.proc.push(proc);
-        self.kind.push(kind);
+        self.op.push(Op::new(kind, first));
+        self.dep.push(NO_NODE);
         id
     }
 
-    /// Appends an in-edge of the node appended last.
-    fn edge(&mut self, tail: u32, cost: Cost, msg: u32) {
-        let (class, w) = self.classes.intern(cost);
-        #[cfg(test)]
-        self.costs.push(cost);
-        self.tail.push(tail);
-        self.class.push(class);
-        self.w.push(w);
-        self.msg.push(msg);
+    /// Appends a node to a processor's chain, `pred` being the chain's
+    /// last node so far (the source if there is none).
+    fn chain_node(&mut self, measured: u64, kind: Kind, pred: u32, msg: u32) -> u32 {
+        self.chain_msg.push(msg);
+        self.node(measured, kind, pred == 0)
     }
 
-    fn in_edges(&self, node: u32) -> std::ops::Range<usize> {
-        self.head_start[node as usize] as usize..self.head_start[node as usize + 1] as usize
+    /// Declares an in-edge of the node appended last. Nothing of it is
+    /// stored — `in_edges` reads it off the node's kind — so it is
+    /// counted, and in test builds kept to check `in_edges` against.
+    fn edge(&mut self, tail: u32, cost: Cost, msg: u32) {
+        self.edges += 1;
+        #[cfg(test)]
+        self.declared
+            .push((self.measured.len() as u32 - 1, tail, cost, msg));
+        #[cfg(not(test))]
+        let _ = (tail, cost, msg);
+    }
+
+    /// Declares the in-edge of the node appended last whose tail `dep`
+    /// has to record.
+    fn dep_edge(&mut self, tail: u32, cost: Cost, msg: u32) {
+        *self.dep.last_mut().expect("follows a `node` call") = tail;
+        self.edge(tail, cost, msg);
+    }
+
+    /// Hands `f` the in-edges of `id`, in the order `build` declares them
+    /// (`breakdown` takes the first tight one, so that order is part of
+    /// the output), until `f` breaks. An `…End` node has one, from its
+    /// `…Start` — the node before it — carrying the difference of the two
+    /// measured instants. A `…Start` has the ordering edge from the node
+    /// before it and, if `dep` says so, the credit or blocking-receive
+    /// edge; the NIC nodes and the idle exit likewise have one edge by
+    /// position and one by `dep`; only the sink has more than two.
+    #[inline(always)]
+    fn in_edges<B>(&self, id: u32, mut f: impl FnMut(InEdge) -> ControlFlow<B>) -> ControlFlow<B> {
+        let n = id as usize;
+        let (op, dep) = (self.op[n], self.dep[n]);
+        let (edge, order) = (InEdge::new, InEdge::order);
+        // Program order: the node before, or the source for a chain's first.
+        let pred = if op.first() { 0 } else { id.wrapping_sub(1) };
+        let msg_of = |node| self.msg_of(node);
+        let rec = |i: u32| &self.recs[i as usize];
+        let chain_msg = || self.chain_msg[n - 1];
+        match op.kind() {
+            Kind::Source | Kind::Unseen => {}
+            Kind::Sink => {
+                for &tail in &self.sink_tails {
+                    f(order(tail, NO_MSG))?;
+                }
+            }
+            kind @ (Kind::SendStart | Kind::RecvStart | Kind::ComputeStart) => {
+                f(order(pred, NO_MSG))?;
+                if dep != NO_NODE {
+                    let msg = msg_of(dep);
+                    f(match kind {
+                        // The credit: the freeing reply's receive overhead.
+                        Kind::SendStart => edge(dep, Classes::O_RECV, rec(msg).o_recv, msg),
+                        // The receive that waited for its message.
+                        _ => order(dep, msg),
+                    })?;
+                }
+            }
+            kind @ (Kind::SendEnd | Kind::RecvEnd | Kind::ComputeEnd) => {
+                let class = match kind {
+                    Kind::SendEnd => Classes::O_SEND,
+                    Kind::RecvEnd => Classes::O_RECV,
+                    _ => Classes::COMPUTE,
+                };
+                let span = self.measured[n].saturating_sub(self.measured[n - 1]);
+                f(edge(id - 1, class, span, chain_msg()))?;
+            }
+            Kind::IdleExit => {
+                let bound = self.idle_bounds[chain_msg() as usize];
+                f(edge(dep, Classes::IDLE, bound, NO_MSG))?;
+                f(order(pred, NO_MSG))?;
+            }
+            Kind::TxStart => {
+                let i = msg_of(id);
+                f(order(dep, i))?;
+                let prev = rec(i).tx_prev;
+                if prev != NO_MSG {
+                    f(edge(self.nic_base + 2 * prev, rec(prev).class, 0, i))?;
+                }
+            }
+            Kind::Visible => {
+                let i = msg_of(id);
+                f(edge(id - 1, rec(i).class + 1, 0, i))?;
+                if dep != NO_NODE {
+                    f(edge(dep, Classes::RX_CHAIN, 0, i))?;
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The first in-edge of `id` that `wanted` accepts.
+    fn find_in_edge(&self, id: u32, mut wanted: impl FnMut(&InEdge) -> bool) -> Option<InEdge> {
+        let found = self.in_edges(id, |e| {
+            if wanted(&e) {
+                ControlFlow::Break(e)
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        found.break_value()
+    }
+
+    /// The record index of the message whose NIC node `node` is.
+    fn msg_of(&self, node: u32) -> u32 {
+        (node - self.nic_base) / 2
+    }
+
+    /// The processor `node` is an instant of (`NO_PROC` for source/sink).
+    fn proc_of(&self, node: u32) -> u16 {
+        let rec = || &self.recs[self.msg_of(node) as usize];
+        match self.op[node as usize].kind() {
+            Kind::Source | Kind::Sink => NO_PROC,
+            Kind::TxStart => rec().src,
+            Kind::Visible | Kind::Unseen => rec().dst,
+            _ => (self.chain_start.partition_point(|&first| first <= node) - 1) as u16,
+        }
     }
 
     /// Depth-first post-order over in-edges, roots in node-id order: every
@@ -504,30 +732,32 @@ impl Dag {
                 continue;
             }
             state[root as usize] = OPEN;
-            stack.push((root, self.in_edges(root).start));
+            stack.push((root, 0));
             while let Some((node, next)) = stack.last_mut() {
-                if *next == self.in_edges(*node).end {
+                // The next in-edge whose tail is not finished yet. (Seen
+                // from the sink, the last root, every tail is: one sweep.)
+                let mut at = 0;
+                let Some(InEdge { tail, .. }) = self.find_in_edge(*node, |e| {
+                    at += 1;
+                    at > *next && state[e.tail as usize] != DONE
+                }) else {
                     state[*node as usize] = DONE;
                     topo.push(*node);
                     stack.pop();
                     continue;
+                };
+                *next = at;
+                let i = tail as usize;
+                if state[i] == OPEN {
+                    return Err(PredictError::Cyclic(format!(
+                        "happens-before graph has a cycle through node {} ({:?} at {} ns)",
+                        i,
+                        self.op[i].kind(),
+                        self.measured[i]
+                    )));
                 }
-                let tail = self.tail[*next];
-                *next += 1;
-                match state[tail as usize] {
-                    0 => {
-                        state[tail as usize] = OPEN;
-                        stack.push((tail, self.in_edges(tail).start));
-                    }
-                    OPEN => {
-                        let i = tail as usize;
-                        return Err(PredictError::Cyclic(format!(
-                            "happens-before graph has a cycle through node {} ({:?} at {} ns)",
-                            i, self.kind[i], self.measured[i]
-                        )));
-                    }
-                    _ => {}
-                }
+                state[i] = OPEN;
+                stack.push((tail, 0));
             }
         }
         Ok(topo)
@@ -538,7 +768,7 @@ impl Dag {
     }
 
     pub(crate) fn edge_count(&self) -> usize {
-        self.tail.len()
+        self.edges
     }
 
     /// The configuration of the recorded run.
@@ -554,15 +784,12 @@ impl Dag {
             *t = vec![0; self.measured.len()];
         }
         for &nid in &self.topo {
-            let r = self.in_edges(nid);
-            let edges = self.tail[r.clone()]
-                .iter()
-                .zip(&self.class[r.clone()])
-                .zip(&self.w[r]);
             let mut best = 0u64;
-            for ((&tail, &class), &w) in edges {
-                best = best.max(t[tail as usize] + w.saturating_add_signed(delta[class as usize]));
-            }
+            let _ = self.in_edges(nid, |e| {
+                let price = e.w.saturating_add_signed(delta[e.class as usize]);
+                best = best.max(t[e.tail as usize] + price);
+                ControlFlow::<()>::Continue(())
+            });
             t[nid as usize] = best;
         }
     }
@@ -583,7 +810,11 @@ impl Dag {
             .map(|i| {
                 format!(
                     "node {} {:?} proc {}: computed {} ns, measured {} ns",
-                    i, self.kind[i], self.proc[i], times[i], self.measured[i]
+                    i,
+                    self.op[i].kind(),
+                    self.proc_of(i as u32),
+                    times[i],
+                    self.measured[i]
                 )
             })
             .collect();
@@ -633,18 +864,18 @@ impl Dag {
         while node != 0 && remaining > 0 {
             let t = times[node as usize];
             // At least one in-edge is tight (t is the max over them);
-            // take the first in insertion order for determinism.
-            let Some(k) = self.in_edges(node).find(|&k| {
-                let price = self.w[k].saturating_add_signed(delta[self.class[k] as usize]);
-                times[self.tail[k] as usize] + price == t
+            // take the first in declaration order for determinism.
+            let Some(e) = self.find_in_edge(node, |e| {
+                let price = e.w.saturating_add_signed(delta[e.class as usize]);
+                times[e.tail as usize] + price == t
             }) else {
                 break; // no in-edges: a root inside the region window
             };
             edges_on_path += 1;
             let phase = self
-                .phase_of(self.proc[node as usize], self.measured[node as usize])
+                .phase_of(self.proc_of(node), self.measured[node as usize])
                 .to_string();
-            let cost = self.classes.cost(self.class[k], self.w[k]);
+            let cost = self.classes.cost(e.class, e.w);
             let mut took_any = false;
             for (bucket, part) in cost.parts(cfg, self.base()) {
                 let take = part.as_nanos().min(remaining);
@@ -655,10 +886,10 @@ impl Dag {
                     took_any = true;
                 }
             }
-            if self.msg[k] != NO_MSG && took_any {
-                msgs.insert(self.msg_ids[self.msg[k] as usize]);
+            if e.msg != NO_MSG && took_any {
+                msgs.insert(self.recs[e.msg as usize].id);
             }
-            node = self.tail[k];
+            node = e.tail;
         }
         let phases = per_phase
             .into_iter()
@@ -685,6 +916,7 @@ mod tests {
     use nowlab_am::{Knobs, LatencyMode};
     use nowlab_apps::{suite_scaled, SuiteScale};
     use nowlab_core::{Axis, RunSpec, TraceMode};
+    use nowlab_trace::{MsgKind, MsgRecord};
 
     /// Sanity: bucket labels stay in sync with the accumulation arrays.
     #[test]
@@ -720,6 +952,75 @@ mod tests {
         out.trace.expect("trace requested")
     }
 
+    /// The run of `tests/predict_golden.rs` that was cut short: processor
+    /// 0's second message reached the wire and was never received.
+    fn truncated() -> TraceReport {
+        let cfg = NetConfig::berkeley_now();
+        let (gap, lat) = (cfg.eff_gap().as_nanos(), cfg.eff_latency().as_nanos());
+        let o = 1_000;
+        let (vis_a, tx_b) = (o + lat, (2 * o).max(o + gap));
+        let record = |id, at: [u64; 8], completed| {
+            let at = at.map(nowlab_sim::SimTime::from_nanos);
+            MsgRecord::from_instants(id, 0, 1, MsgKind::User, 0, at, completed)
+        };
+        TraceReport {
+            records: vec![
+                record(1, [0, o, o, o, vis_a, vis_a, vis_a, vis_a + o], true),
+                record(2, [o, 2 * o, tx_b, tx_b, 0, 0, 0, 0], false),
+            ],
+            ..TraceReport::default()
+        }
+    }
+
+    /// Every node's in-edges as `in_edges` implies them, in node order.
+    fn implied(dag: &Dag) -> Vec<(u32, InEdge)> {
+        let mut edges = Vec::new();
+        for head in 0..dag.node_count() as u32 {
+            let _ = dag.in_edges(head, |e| {
+                edges.push((head, e));
+                ControlFlow::<()>::Continue(())
+            });
+        }
+        edges
+    }
+
+    /// What `build` declares edge by edge is what the node table implies:
+    /// heads, tails, costs (class and span), message indices, order — on
+    /// runs with idle exits, several payload sizes and an undelivered
+    /// message as well as the two short-message apps.
+    #[test]
+    fn the_implied_edges_are_the_declared_edges() {
+        let stock = NetConfig::berkeley_now();
+        let mut runs: Vec<(&str, TraceReport, usize)> =
+            ["Radix", "EM3D(write)", "NOW-sort", "Radb"]
+                .map(|name| (name, traced(name), 4))
+                .into();
+        runs.push(("truncated", truncated(), 2));
+        let (mut idles, mut sizes, mut unseen) = (0, 0, 0);
+        for (name, report, procs) in &runs {
+            let dag =
+                build(report, &stock, *procs, &mut Vec::new()).unwrap_or_else(|e| panic!("{e}"));
+            let implied: Vec<_> = implied(&dag)
+                .into_iter()
+                .map(|(head, e)| (head, e.tail, dag.classes.cost(e.class, e.w), e.msg))
+                .collect();
+            let differs = implied.iter().zip(&dag.declared).position(|(a, b)| a != b);
+            let differs = differs.map(|k| (k, implied[k], dag.declared[k]));
+            assert_eq!(differs, None, "{name}: (edge, implied, declared)");
+            assert_eq!(implied.len(), dag.declared.len(), "{name}");
+            assert_eq!(dag.edge_count(), dag.declared.len(), "{name}");
+            idles += dag.idle_bounds.len();
+            sizes = sizes.max(dag.recs.iter().map(|r| r.class).max().unwrap_or(0));
+            unseen += dag.op.iter().filter(|op| op.kind() == Kind::Unseen).count();
+        }
+        assert!(idles > 0, "no idle exit was covered");
+        assert!(
+            sizes > Classes::RX_CHAIN + 1,
+            "no second payload size was covered"
+        );
+        assert_eq!(unseen, 1, "the undelivered message");
+    }
+
     /// Builds the DAG of `report` against `base` and checks, for every
     /// edge, that the compiled price equals the symbolic one at `base`, at
     /// the stock machine and at every paper grid point of all four axes
@@ -743,14 +1044,16 @@ mod tests {
                 cfgs.push(cfgs[cfgs.len() - 1].with_latency_mode(LatencyMode::SlowRxPath));
             }
         }
+        let implied = implied(&dag);
+        assert_eq!(implied.len(), dag.declared.len());
         let mut saturated = 0;
         for cfg in &cfgs {
             let delta = dag.classes.table(cfg);
-            for (k, cost) in dag.costs.iter().enumerate() {
-                let compiled = dag.w[k].saturating_add_signed(delta[dag.class[k] as usize]);
+            for ((_, e), (_, _, cost, _)) in implied.iter().zip(&dag.declared) {
+                let compiled = e.w.saturating_add_signed(delta[e.class as usize]);
                 let symbolic = cost.price(cfg, base).as_nanos();
                 assert_eq!(compiled, symbolic, "{cost:?} under {:?}", cfg.knobs);
-                saturated += usize::from(dag.w[k] > 0 && compiled == 0);
+                saturated += usize::from(e.w > 0 && compiled == 0);
             }
         }
         saturated

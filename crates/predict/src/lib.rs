@@ -39,10 +39,11 @@ use nowlab_trace::TraceReport;
 /// Why a trace could not be turned into a predictor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PredictError {
-    /// The trace carries no per-message records (Summary or Off mode).
+    /// The trace carries no per-message records.
     NoRecords {
-        /// True when the summary saw pairing edges, i.e. the run *was*
-        /// traced but only in Summary mode — re-run with full tracing.
+        /// True when the summary saw messages or pairing edges, i.e. the
+        /// run *was* traced but only in Summary mode — re-run with full
+        /// tracing. False when the trace saw no message at all.
         summary_only: bool,
     },
     /// The run had active fault injection or protocol anomalies; the
@@ -68,8 +69,8 @@ impl fmt::Display for PredictError {
                 summary_only: false,
             } => write!(
                 f,
-                "trace has no per-message records; prediction needs a run \
-                 traced in full mode"
+                "the traced run sent no messages; every grid point equals the \
+                 baseline and there is nothing to re-price"
             ),
             PredictError::FaultyRun(why) => write!(
                 f,

@@ -176,6 +176,16 @@ fn jobs_of(flags: &HashMap<String, String>) -> Result<usize, String> {
     Ok(jobs)
 }
 
+/// Processor count from `--procs` (default 32). The AM cluster needs at
+/// least one, and the trace and prediction layers address at most 65 534.
+fn procs_of(flags: &HashMap<String, String>) -> Result<usize, String> {
+    let procs: usize = parse_or(flags, "procs", 32usize)?;
+    if !(1..usize::from(u16::MAX)).contains(&procs) {
+        return Err("--procs: want 1..=65534".to_string());
+    }
+    Ok(procs)
+}
+
 fn parse_or<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     name: &str,
@@ -306,6 +316,9 @@ fn net_of(flags: &HashMap<String, String>) -> Result<NetConfig, String> {
         let w: u32 = w
             .parse()
             .map_err(|_| "--window: not a number".to_string())?;
+        if w == 0 {
+            return Err("--window: want at least 1".to_string());
+        }
         cfg = cfg.with_window(w);
     }
     let mut knobs = Knobs::baseline();
@@ -478,7 +491,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let name = flags.get("app").ok_or("run needs --app")?;
     let app = find_app(scale_of(flags)?, name)?;
     let spec = guard(
-        RunSpec::new(parse_or(flags, "procs", 32usize)?)
+        RunSpec::new(procs_of(flags)?)
             .with_net(net_of(flags)?)
             .with_seed(parse_or(flags, "seed", 1u64)?)
             .with_coll(coll_of(flags)?)
@@ -647,7 +660,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let tracing = flags.contains_key("trace-summary");
     let metering = metrics_mode_of(flags);
     let spec = guard(
-        RunSpec::new(parse_or(flags, "procs", 32usize)?)
+        RunSpec::new(procs_of(flags)?)
             .with_net(net_of(flags)?)
             .with_coll(coll_of(flags)?)
             .with_trace(if tracing {
@@ -854,7 +867,7 @@ fn cmd_sweep_chaos(
     flags: &HashMap<String, String>,
     app: &dyn SweepableApp,
 ) -> Result<ExitCode, String> {
-    let procs: usize = parse_or(flags, "procs", 32usize)?;
+    let procs = procs_of(flags)?;
     if procs < 2 {
         return Err("--axis chaos needs at least 2 processors".to_string());
     }
@@ -979,7 +992,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     };
     let spec = guard(
-        RunSpec::new(parse_or(flags, "procs", 32usize)?)
+        RunSpec::new(procs_of(flags)?)
             .with_net(net_of(flags)?)
             .with_seed(parse_or(flags, "seed", 1u64)?)
             .with_coll(coll_of(flags)?),
@@ -1010,7 +1023,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), String> {
     let scale = scale_of(flags)?;
-    let procs = parse_or(flags, "procs", 32usize)?;
+    let procs = procs_of(flags)?;
     let mut t = Table::new(
         format!("benchmark suite on {procs} processors"),
         &[

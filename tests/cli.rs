@@ -361,6 +361,52 @@ fn bad_arguments_fail_with_usage() {
     assert!(text.contains("--jobs"), "{text}");
 }
 
+/// A flag value the library would assert on is refused where it is
+/// parsed: exit 1 with the CLI's error line, not exit 101 with a backtrace.
+#[test]
+fn zero_processors_or_a_zero_window_is_refused_not_a_panic() {
+    let refused = |args: &[&str], line: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_nowlab"))
+            .args(args)
+            .output()
+            .expect("run nowlab binary");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {text}");
+        assert!(text.contains(line), "{args:?}: {text}");
+        assert!(!text.contains("panicked"), "{args:?}: {text}");
+    };
+    let radix = ["--app", "radix", "--scale", "test"];
+    for cmd in [
+        &["run"][..],
+        &["sweep", "--axis", "overhead"],
+        &["suite"],
+        &["predict"],
+    ] {
+        for procs in ["0", "65535"] {
+            let args = [cmd, &radix, &["--procs", procs]].concat();
+            refused(&args, "error: --procs: want 1..=65534");
+        }
+    }
+    let run = [&["run"], &radix[..], &["--window", "0"]].concat();
+    refused(&run, "error: --window: want at least 1");
+    refused(
+        &["calibrate", "--window", "0"],
+        "error: --window: want at least 1",
+    );
+}
+
+/// One processor sends nothing, so there is nothing to predict — which is
+/// not the same as having traced in the wrong mode.
+#[test]
+fn predicting_a_run_that_sent_no_messages_says_so() {
+    let (ok, text) = nowlab(&[
+        "predict", "--app", "radix", "--procs", "1", "--scale", "test",
+    ]);
+    assert!(!ok, "{text}");
+    assert!(text.contains("the traced run sent no messages"), "{text}");
+    assert!(!text.contains("full mode"), "{text}");
+}
+
 #[test]
 fn crash_under_abort_policy_exits_nonzero_with_structured_note() {
     let (ok, text) = nowlab(&[

@@ -6,6 +6,12 @@
 //! predicted runtime, threshold, `edges_on_path`, phase row and critical
 //! message id is in those bytes, so an evaluation-path change that moves
 //! any of them — at any `--jobs` setting — fails here.
+//!
+//! `predict_digests.txt` digests the same file for all ten apps along all
+//! four axes — the DAG shapes Radix and EM3D(write) do not have: idle
+//! exits, several payload sizes, lock back-off. It was written by
+//! `f640445`, the last commit whose DAG stored its edges; never
+//! regenerate it with the build under test.
 
 use nowlab::apps::{suite_scaled, SuiteScale};
 use nowlab::core::{predict_app, Axis, RunSpec};
@@ -42,6 +48,45 @@ fn report_bytes_match_the_pre_compilation_golden_at_every_job_count() {
                 "{name}: report differs from the golden at --jobs {jobs}"
             );
         }
+    }
+}
+
+/// One line per suite app at four processors: the DAG's size, the length
+/// of the baseline critical path, and FNV-1a-64 of the report file.
+fn digests(jobs: usize) -> String {
+    let axes = [
+        Axis::Overhead,
+        Axis::Gap,
+        Axis::Latency,
+        Axis::BulkBandwidth,
+    ];
+    let spec = RunSpec::new(4).with_event_limit(300_000_000);
+    let mut text = String::new();
+    for app in suite_scaled(SuiteScale::Test) {
+        let p = predict_app(app.as_ref(), &spec, &axes, jobs)
+            .unwrap_or_else(|e| panic!("{}: {e}", app.name()));
+        let mut buf = Vec::new();
+        p.write_json(&mut buf).expect("in-memory write");
+        let fnv = buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        text += &format!(
+            "{} nodes={} edges={} edges_on_path={} fnv1a64={fnv:016x}\n",
+            p.app, p.nodes, p.edges, p.breakdown.edges_on_path
+        );
+    }
+    text
+}
+
+#[test]
+fn every_app_matches_its_parent_written_digest_at_every_job_count() {
+    let golden = include_str!("golden/predict_digests.txt");
+    for jobs in [1, 2] {
+        let ours = digests(jobs);
+        assert!(
+            ours == golden,
+            "--jobs {jobs}: digests differ from the golden\n{ours}"
+        );
     }
 }
 
