@@ -11,7 +11,9 @@
 //! instant's predicted time as the longest weighted path from the virtual
 //! source — exactly the discrete-event semantics, with the one deliberate
 //! approximation that NIC serialization *order* is frozen at the baseline
-//! order (see DESIGN.md §13).
+//! order (see DESIGN.md §13). One sweep of the topological order
+//! ([`Dag::sweep`]) evaluates up to [`LANES`] configurations at once over
+//! a register file of the few node times that are live at any point.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
@@ -26,6 +28,9 @@ use crate::PredictError;
 const NO_PROC: u16 = u16::MAX;
 const NO_MSG: u32 = u32::MAX;
 const NO_NODE: u32 = u32::MAX;
+
+/// The most configurations one sweep evaluates.
+pub(crate) const LANES: usize = 16;
 
 /// What instant a node stands for, which fixes the in-edges it has (see
 /// [`Dag::in_edges`]).
@@ -178,19 +183,23 @@ pub(crate) struct Dag {
     /// reply's `Visible` for a credit-bound `SendStart`, the message's own
     /// `Visible` for a blocking `RecvStart`, the chain position at entry
     /// for an `IdleExit`, the `SendEnd` for a `TxStart`, the destination's
-    /// previous `Visible` for a `Visible`.
+    /// previous `Visible` for a `Visible`. An `…End` node has no such edge
+    /// and keeps the record index of its overhead activity here instead
+    /// (`NO_MSG` for compute).
     dep: Vec<u32>,
-    /// Per chain node (node `n` at `n − 1`): the record index of an
-    /// overhead activity, `NO_MSG` for compute, and for an `IdleExit` the
-    /// index of its bound in `idle_bounds`.
-    chain_msg: Vec<u32>,
+    /// Each node's register in [`Dag::sweep`]. Until `topological_order`
+    /// gives it one, the number of in-edges whose tail the node is.
+    slot: Vec<u32>,
+    /// Registers a sweep needs.
+    slots: usize,
     /// First node of each processor's chain, then `nic_base`.
     chain_start: Vec<u32>,
     /// Message `i`'s NIC nodes are `nic_base + 2i` and `nic_base + 2i + 1`.
     nic_base: u32,
     recs: Vec<Rec>,
-    /// `deadline − enter` of every idle wait, ns.
-    idle_bounds: Vec<u64>,
+    /// `(exit node, deadline − enter)` of every idle wait in node order,
+    /// ns.
+    idle_bounds: Vec<(u32, u64)>,
     /// Tails of the sink's in-edges: every chain's last node, every
     /// source's last pickup, every destination's last visibility.
     sink_tails: Vec<u32>,
@@ -390,7 +399,10 @@ pub(crate) fn build(
         measured: Vec::with_capacity(n_nodes),
         op: Vec::with_capacity(n_nodes),
         dep: Vec::with_capacity(n_nodes),
-        chain_msg: Vec::with_capacity(chain_nodes),
+        // Sized up front: a credit or blocking-receive edge names a
+        // `Visible` that is laid after its head.
+        slot: vec![0; n_nodes],
+        slots: 0,
         chain_start: Vec::with_capacity(procs + 1),
         nic_base,
         recs: Vec::with_capacity(n_rec),
@@ -424,7 +436,7 @@ pub(crate) fn build(
                     ActKind::ORecv { .. } => (Kind::RecvStart, Kind::RecvEnd),
                     ActKind::Compute => (Kind::ComputeStart, Kind::ComputeEnd),
                 };
-                let s = dag.chain_node(a.start, start, *cursor, a.msg);
+                let s = dag.chain_node(a.start, start, *cursor);
                 dag.edge(*cursor, Cost::Zero, NO_MSG);
                 let dur = SimDelta::from_nanos(a.end.saturating_sub(a.start));
                 let cost = match a.kind {
@@ -455,7 +467,8 @@ pub(crate) fn build(
                     }
                     ActKind::Compute => Cost::Compute(dur),
                 };
-                *cursor = dag.chain_node(a.end, end, s, a.msg);
+                *cursor = dag.chain_node(a.end, end, s);
+                dag.dep[*cursor as usize] = a.msg;
                 dag.edge(s, cost, a.msg);
             }
         };
@@ -467,9 +480,8 @@ pub(crate) fn build(
             let idle_base = cursor;
             run_until(seg.exit.as_nanos(), &mut dag, &mut cursor);
             let bound = seg.deadline.saturating_since(seg.enter);
-            let slot = dag.idle_bounds.len() as u32;
-            dag.idle_bounds.push(bound.as_nanos());
-            let ex = dag.chain_node(seg.exit.as_nanos(), Kind::IdleExit, cursor, slot);
+            let ex = dag.chain_node(seg.exit.as_nanos(), Kind::IdleExit, cursor);
+            dag.idle_bounds.push((ex, bound.as_nanos()));
             dag.dep_edge(idle_base, Cost::Idle(bound), NO_MSG);
             dag.edge(cursor, Cost::Zero, NO_MSG);
             cursor = ex;
@@ -569,7 +581,7 @@ pub(crate) fn build(
         }
     };
 
-    dag.topo = dag.topological_order()?;
+    dag.topological_order()?;
 
     for m in report.phases.iter().filter(|m| m.proc < procs) {
         dag.phases[m.proc].push((m.at.as_nanos(), m.label.as_str().to_string()));
@@ -593,16 +605,17 @@ impl Dag {
 
     /// Appends a node to a processor's chain, `pred` being the chain's
     /// last node so far (the source if there is none).
-    fn chain_node(&mut self, measured: u64, kind: Kind, pred: u32, msg: u32) -> u32 {
-        self.chain_msg.push(msg);
+    fn chain_node(&mut self, measured: u64, kind: Kind, pred: u32) -> u32 {
         self.node(measured, kind, pred == 0)
     }
 
     /// Declares an in-edge of the node appended last. Nothing of it is
     /// stored — `in_edges` reads it off the node's kind — so it is
-    /// counted, and in test builds kept to check `in_edges` against.
+    /// counted, as an edge and as a reader of `tail`, and in test builds
+    /// kept to check `in_edges` against.
     fn edge(&mut self, tail: u32, cost: Cost, msg: u32) {
         self.edges += 1;
+        self.slot[tail as usize] += 1;
         #[cfg(test)]
         self.declared
             .push((self.measured.len() as u32 - 1, tail, cost, msg));
@@ -634,7 +647,6 @@ impl Dag {
         let pred = if op.first() { 0 } else { id.wrapping_sub(1) };
         let msg_of = |node| self.msg_of(node);
         let rec = |i: u32| &self.recs[i as usize];
-        let chain_msg = || self.chain_msg[n - 1];
         match op.kind() {
             Kind::Source | Kind::Unseen => {}
             Kind::Sink => {
@@ -661,11 +673,11 @@ impl Dag {
                     _ => Classes::COMPUTE,
                 };
                 let span = self.measured[n].saturating_sub(self.measured[n - 1]);
-                f(edge(id - 1, class, span, chain_msg()))?;
+                f(edge(id - 1, class, span, dep))?;
             }
             Kind::IdleExit => {
-                let bound = self.idle_bounds[chain_msg() as usize];
-                f(edge(dep, Classes::IDLE, bound, NO_MSG))?;
+                let at = self.idle_bounds.partition_point(|&(exit, _)| exit < id);
+                f(edge(dep, Classes::IDLE, self.idle_bounds[at].1, NO_MSG))?;
                 f(order(pred, NO_MSG))?;
             }
             Kind::TxStart => {
@@ -705,13 +717,21 @@ impl Dag {
     }
 
     /// The processor `node` is an instant of (`NO_PROC` for source/sink).
-    fn proc_of(&self, node: u32) -> u16 {
+    /// `chain` is the chain a walk is on: it is searched for only when
+    /// `node` lies on another.
+    fn proc_of(&self, node: u32, chain: &mut usize) -> u16 {
         let rec = || &self.recs[self.msg_of(node) as usize];
         match self.op[node as usize].kind() {
             Kind::Source | Kind::Sink => NO_PROC,
             Kind::TxStart => rec().src,
             Kind::Visible | Kind::Unseen => rec().dst,
-            _ => (self.chain_start.partition_point(|&first| first <= node) - 1) as u16,
+            _ => {
+                let starts = &self.chain_start;
+                if !(starts[*chain]..starts[*chain + 1]).contains(&node) {
+                    *chain = starts.partition_point(|&first| first <= node) - 1;
+                }
+                *chain as u16
+            }
         }
     }
 
@@ -719,12 +739,27 @@ impl Dag {
     /// node after all its predecessors, with chains mostly contiguous.
     /// Longest-path times do not depend on which valid order is used.
     /// Doubles as the acyclicity proof.
-    fn topological_order(&self) -> Result<Vec<u32>, PredictError> {
+    ///
+    /// Gives each node its register as it is emitted, after its tails
+    /// have been read: a free one — the emission may just have freed it,
+    /// since a sweep reads every tail before it writes the head — or a
+    /// fresh one. A register is free once the last reader of its node
+    /// is emitted; the two region anchors keep theirs to the end, and the
+    /// nodes nobody reads share register 0.
+    fn topological_order(&mut self) -> Result<(), PredictError> {
         const OPEN: u8 = 1;
         const DONE: u8 = 2;
+        const PINNED: u32 = u32::MAX;
         let n = self.measured.len();
         let mut state = vec![0u8; n];
         let mut topo = Vec::with_capacity(n);
+        // Readers still to come of the node in each register; 0 is the
+        // shared one, and `PINNED` is never freed.
+        let mut pending: Vec<u32> = vec![PINNED];
+        let mut free: Vec<u32> = Vec::new();
+        // A node's reader count until it is emitted, its register after.
+        let mut slot = std::mem::take(&mut self.slot);
+        let anchors = [self.begin_anchor, self.end_anchor];
         // (node, next in-edge to follow)
         let mut stack: Vec<(u32, usize)> = Vec::new();
         for root in 0..n as u32 {
@@ -741,9 +776,34 @@ impl Dag {
                     at += 1;
                     at > *next && state[e.tail as usize] != DONE
                 }) else {
-                    state[*node as usize] = DONE;
-                    topo.push(*node);
+                    let head = *node;
                     stack.pop();
+                    state[head as usize] = DONE;
+                    topo.push(head);
+                    let _ = self.in_edges(head, |e| {
+                        let s = slot[e.tail as usize];
+                        if pending[s as usize] != PINNED {
+                            pending[s as usize] -= 1;
+                            if pending[s as usize] == 0 {
+                                free.push(s);
+                            }
+                        }
+                        ControlFlow::<()>::Continue(())
+                    });
+                    let readers = if anchors.contains(&head) {
+                        PINNED
+                    } else {
+                        slot[head as usize]
+                    };
+                    slot[head as usize] = if readers == 0 {
+                        0
+                    } else if let Some(s) = free.pop() {
+                        pending[s as usize] = readers;
+                        s
+                    } else {
+                        pending.push(readers);
+                        pending.len() as u32 - 1
+                    };
                     continue;
                 };
                 *next = at;
@@ -760,7 +820,8 @@ impl Dag {
                 stack.push((tail, 0));
             }
         }
-        Ok(topo)
+        (self.topo, self.slot, self.slots) = (topo, slot, pending.len());
+        Ok(())
     }
 
     pub(crate) fn node_count(&self) -> usize {
@@ -776,8 +837,74 @@ impl Dag {
         self.classes.base()
     }
 
+    /// The evaluation kernel: one sweep of `topo` computes the
+    /// longest-path time of every node under each of `cfgs` (at most `L`;
+    /// spare lanes repeat the last), handing `visit` each node's `L` times
+    /// as they are computed, and returns each lane's measured-region
+    /// span, ns. A node's times live in its register only until its last
+    /// reader has read them.
+    fn sweep<const L: usize>(
+        &self,
+        cfgs: &[&NetConfig],
+        mut visit: impl FnMut(u32, &[u64; L]),
+    ) -> [u64; L] {
+        assert!((1..=L).contains(&cfgs.len()), "1 to {L} configurations");
+        let tables: Vec<Vec<i64>> = cfgs.iter().map(|cfg| self.classes.table(cfg)).collect();
+        // Per class, its `Δ` in every lane.
+        let delta: Vec<[i64; L]> = (0..tables[0].len())
+            .map(|class| std::array::from_fn(|k| tables[k.min(cfgs.len() - 1)][class]))
+            .collect();
+        let mut regs = vec![[0u64; L]; self.slots];
+        for &nid in &self.topo {
+            let mut best = [0u64; L];
+            let _ = self.in_edges(nid, |e| {
+                let tail = &regs[self.slot[e.tail as usize] as usize];
+                for ((b, &t), &d) in best.iter_mut().zip(tail).zip(&delta[e.class as usize]) {
+                    *b = (*b).max(t + e.w.saturating_add_signed(d));
+                }
+                ControlFlow::<()>::Continue(())
+            });
+            regs[self.slot[nid as usize] as usize] = best;
+            visit(nid, &best);
+        }
+        let at = |anchor: u32| &regs[self.slot[anchor as usize] as usize];
+        let (begin, end) = (at(self.begin_anchor), at(self.end_anchor));
+        std::array::from_fn(|k| end[k].saturating_sub(begin[k]))
+    }
+
+    /// The spans of `cfgs` in [`Dag::sweep`]'s lanes, adding the first
+    /// `cfgs.len()` of them to `out`.
+    fn spans_into<const L: usize>(&self, cfgs: &[&NetConfig], out: &mut Vec<SimDelta>) {
+        let spans = self.sweep::<L>(cfgs, |_, _| {});
+        out.extend(
+            spans[..cfgs.len()]
+                .iter()
+                .map(|&ns| SimDelta::from_nanos(ns)),
+        );
+    }
+
+    /// Predicted measured-region span under each of `cfgs`, in order:
+    /// one sweep per [`LANES`] of them, the last as narrow as will hold
+    /// what is left. (A sweep two lanes wide costs what two one lane wide
+    /// do, so there is none.)
+    pub(crate) fn spans(&self, cfgs: &[&NetConfig]) -> Vec<SimDelta> {
+        let mut out = Vec::with_capacity(cfgs.len());
+        for chunk in cfgs.chunks(LANES) {
+            match chunk.len() {
+                1 => self.spans_into::<1>(chunk, &mut out),
+                2..=4 => self.spans_into::<4>(chunk, &mut out),
+                5..=8 => self.spans_into::<8>(chunk, &mut out),
+                _ => self.spans_into::<LANES>(chunk, &mut out),
+            }
+        }
+        out
+    }
+
     /// Longest-path time of every node under `cfg`, ns, indexed by node,
-    /// written into `t` (every element is overwritten).
+    /// written into `t`, by the pass over a node-times buffer that
+    /// preceded the register file: the oracle [`Dag::sweep`] is tested
+    /// against.
+    #[cfg(test)]
     pub(crate) fn times_into(&self, cfg: &NetConfig, t: &mut Vec<u64>) {
         let delta = self.classes.table(cfg);
         if t.len() != self.measured.len() {
@@ -801,31 +928,41 @@ impl Dag {
         )
     }
 
-    /// Checks that baseline evaluation reproduces every measured instant
-    /// exactly (integer nanoseconds).
-    pub(crate) fn validate(&self, times: &[u64]) -> Result<(), PredictError> {
-        let bad: Vec<String> = (0..self.measured.len())
-            .filter(|&i| times[i] != self.measured[i])
-            .take(5)
-            .map(|i| {
+    /// Evaluates the DAG at the recorded configuration, checking as it
+    /// goes that every node lands on its measured instant exactly
+    /// (integer nanoseconds); returns the measured-region span.
+    pub(crate) fn validate(&self) -> Result<SimDelta, PredictError> {
+        // The five lowest-id nodes that missed, ascending.
+        const SHOWN: usize = 5;
+        let mut bad: Vec<(u32, u64)> = Vec::new();
+        let [span] = self.sweep::<1>(&[self.base()], |nid, &[at]| {
+            if at != self.measured[nid as usize] && bad.get(SHOWN - 1).is_none_or(|b| nid < b.0) {
+                let i = bad.partition_point(|b| b.0 < nid);
+                bad.insert(i, (nid, at));
+                bad.truncate(SHOWN);
+            }
+        });
+        if bad.is_empty() {
+            return Ok(SimDelta::from_nanos(span));
+        }
+        let bad: Vec<String> = bad
+            .into_iter()
+            .map(|(nid, at)| {
+                let i = nid as usize;
                 format!(
                     "node {} {:?} proc {}: computed {} ns, measured {} ns",
                     i,
                     self.op[i].kind(),
-                    self.proc_of(i as u32),
-                    times[i],
+                    self.proc_of(nid, &mut 0),
+                    at,
                     self.measured[i]
                 )
             })
             .collect();
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(PredictError::Mismatch(format!(
-                "baseline DAG evaluation diverged from the recorded run: {}",
-                bad.join("; ")
-            )))
-        }
+        Err(PredictError::Mismatch(format!(
+            "baseline DAG evaluation diverged from the recorded run: {}",
+            bad.join("; ")
+        )))
     }
 
     fn phase_of(&self, proc: u16, at: u64) -> &str {
@@ -844,22 +981,27 @@ impl Dag {
     /// Walks the critical path backwards from the region end anchor,
     /// clipping at the region span so the buckets telescope to it exactly.
     pub(crate) fn breakdown(&self, cfg: &NetConfig) -> PathBreakdown {
-        let mut evaluated = Vec::new();
-        let times = if cfg == self.base() {
+        if cfg == self.base() {
             // `validate` has shown baseline evaluation to land on the
             // recorded timestamps, so they are the baseline node times.
-            &self.measured
+            self.walk(cfg, &self.measured)
         } else {
-            self.times_into(cfg, &mut evaluated);
-            &evaluated
-        };
+            let mut times = vec![0; self.node_count()];
+            self.sweep::<1>(&[cfg], |nid, &[at]| times[nid as usize] = at);
+            self.walk(cfg, &times)
+        }
+    }
+
+    /// [`Dag::breakdown`] given every node's time under `cfg`.
+    fn walk(&self, cfg: &NetConfig, times: &[u64]) -> PathBreakdown {
         let delta = self.classes.table(cfg);
         let span = self.span(times);
         let mut remaining = span.as_nanos();
         let mut buckets = [0u64; BUCKETS];
-        let mut per_phase: BTreeMap<String, [u64; BUCKETS]> = BTreeMap::new();
+        let mut per_phase: BTreeMap<&str, [u64; BUCKETS]> = BTreeMap::new();
         let mut msgs: BTreeSet<u64> = BTreeSet::new();
         let mut edges_on_path = 0usize;
+        let mut chain = 0;
         let mut node = self.end_anchor;
         while node != 0 && remaining > 0 {
             let t = times[node as usize];
@@ -872,16 +1014,14 @@ impl Dag {
                 break; // no in-edges: a root inside the region window
             };
             edges_on_path += 1;
-            let phase = self
-                .phase_of(self.proc_of(node), self.measured[node as usize])
-                .to_string();
+            let phase = self.phase_of(self.proc_of(node, &mut chain), self.measured[node as usize]);
             let cost = self.classes.cost(e.class, e.w);
             let mut took_any = false;
             for (bucket, part) in cost.parts(cfg, self.base()) {
                 let take = part.as_nanos().min(remaining);
                 if take > 0 {
                     buckets[bucket.index()] += take;
-                    per_phase.entry(phase.clone()).or_default()[bucket.index()] += take;
+                    per_phase.entry(phase).or_default()[bucket.index()] += take;
                     remaining -= take;
                     took_any = true;
                 }
@@ -894,7 +1034,7 @@ impl Dag {
         let phases = per_phase
             .into_iter()
             .map(|(label, b)| PhaseRow {
-                label,
+                label: label.to_string(),
                 buckets: b.map(SimDelta::from_nanos),
                 total: SimDelta::from_nanos(b.iter().sum()),
             })
@@ -1021,13 +1161,9 @@ mod tests {
         assert_eq!(unseen, 1, "the undelivered message");
     }
 
-    /// Builds the DAG of `report` against `base` and checks, for every
-    /// edge, that the compiled price equals the symbolic one at `base`, at
-    /// the stock machine and at every paper grid point of all four axes
-    /// under both latency mechanisms. Returns how often an overhead edge's
-    /// price saturated at zero.
-    fn saturated_after_checking_every_edge(report: &TraceReport, base: &NetConfig) -> usize {
-        let dag = build(report, base, 4, &mut Vec::new()).unwrap_or_else(|e| panic!("{e}"));
+    /// `base`, the stock machine, and every paper grid point of all four
+    /// axes under both latency mechanisms.
+    fn grid(base: &NetConfig) -> Vec<NetConfig> {
         let mut cfgs = vec![*base, NetConfig::berkeley_now()];
         for axis in [
             Axis::Overhead,
@@ -1044,10 +1180,32 @@ mod tests {
                 cfgs.push(cfgs[cfgs.len() - 1].with_latency_mode(LatencyMode::SlowRxPath));
             }
         }
+        cfgs
+    }
+
+    /// Radix with bulk messages of three sizes, and a baseline 10 us of
+    /// overhead slower than the run really was: re-pricing at the stock
+    /// machine then takes more off the measured spans than they hold.
+    fn saturating() -> (TraceReport, NetConfig) {
+        let mut synthetic = traced("Radix");
+        let sizes = [0, 100, 5_000, 9_000].into_iter().cycle();
+        for (r, bytes) in synthetic.records.iter_mut().zip(sizes) {
+            r.bytes = bytes;
+        }
+        let overhead = Knobs::with_overhead(SimDelta::from_micros(10.0));
+        (synthetic, NetConfig::berkeley_now().with_knobs(overhead))
+    }
+
+    /// Builds the DAG of `report` against `base` and checks, for every
+    /// edge, that the compiled price equals the symbolic one at every
+    /// configuration of [`grid`]. Returns how often an overhead edge's
+    /// price saturated at zero.
+    fn saturated_after_checking_every_edge(report: &TraceReport, base: &NetConfig) -> usize {
+        let dag = build(report, base, 4, &mut Vec::new()).unwrap_or_else(|e| panic!("{e}"));
         let implied = implied(&dag);
         assert_eq!(implied.len(), dag.declared.len());
         let mut saturated = 0;
-        for cfg in &cfgs {
+        for cfg in &grid(base) {
             let delta = dag.classes.table(cfg);
             for ((_, e), (_, _, cost, _)) in implied.iter().zip(&dag.declared) {
                 let compiled = e.w.saturating_add_signed(delta[e.class as usize]);
@@ -1068,15 +1226,109 @@ mod tests {
                 0
             );
         }
-        // Bulk messages of three sizes, and a baseline 10 us of overhead
-        // slower than the run really was: re-pricing at the stock machine
-        // then takes more off the measured spans than they hold.
-        let mut synthetic = traced("Radix");
-        let sizes = [0, 100, 5_000, 9_000].into_iter().cycle();
-        for (r, bytes) in synthetic.records.iter_mut().zip(sizes) {
-            r.bytes = bytes;
-        }
-        let slow = stock.with_knobs(Knobs::with_overhead(SimDelta::from_micros(10.0)));
+        let (synthetic, slow) = saturating();
         assert!(saturated_after_checking_every_edge(&synthetic, &slow) > 0);
+    }
+
+    /// One sweep of the register file computes, for every node in every
+    /// lane, what the oracle pass over a node-times buffer computes, on
+    /// the ten apps at every configuration of [`grid`] and on the run
+    /// whose prices saturate. Spans agree at every chunk length around the
+    /// lane width, a non-base `breakdown` walks the oracle's path, and
+    /// validation passes exactly when the oracle's times are the
+    /// measured ones.
+    #[test]
+    fn the_register_file_computes_what_the_node_times_pass_does() {
+        let stock = NetConfig::berkeley_now();
+        let mut runs: Vec<(String, TraceReport, NetConfig)> = suite_scaled(SuiteScale::Test)
+            .iter()
+            .map(|app| (app.name().to_string(), traced(app.name()), stock))
+            .collect();
+        let (synthetic, slow) = saturating();
+        runs.push(("saturating".to_string(), synthetic, slow));
+        let mut validated = 0;
+        for (name, report, base) in &runs {
+            let dag = build(report, base, 4, &mut Vec::new()).unwrap_or_else(|e| panic!("{e}"));
+            let cfgs = grid(base);
+            assert!(
+                cfgs.len() >= 2 * LANES,
+                "{name}: {} configurations",
+                cfgs.len()
+            );
+            let (mut spans, mut lanes) = (Vec::new(), Vec::new());
+            for (k, cfg) in cfgs.iter().enumerate() {
+                let mut times = Vec::new();
+                dag.times_into(cfg, &mut times);
+                spans.push(dag.span(&times));
+                if cfg != base {
+                    let walked = format!("{:?}", dag.walk(cfg, &times));
+                    assert_eq!(format!("{:?}", dag.breakdown(cfg)), walked, "{name}: {k}");
+                }
+                if k == 0 {
+                    let valid = times == dag.measured;
+                    assert_eq!(dag.validate().ok(), valid.then_some(spans[0]), "{name}");
+                    validated += usize::from(valid);
+                }
+                if k < LANES {
+                    lanes.push(times);
+                }
+            }
+            let cfgs: Vec<&NetConfig> = cfgs.iter().collect();
+            let mut visited = 0;
+            dag.sweep::<LANES>(&cfgs[..LANES], |nid, row| {
+                let oracle: Vec<u64> = lanes.iter().map(|t| t[nid as usize]).collect();
+                assert_eq!(&row[..], oracle, "{name}: node {nid}");
+                visited += 1;
+            });
+            assert_eq!(visited, dag.node_count(), "{name}");
+            for n in [1, LANES - 1, LANES, LANES + 1, 2 * LANES - 1] {
+                assert_eq!(dag.spans(&cfgs[..n]), spans[..n], "{name}: {n} at once");
+            }
+        }
+        // The ten recorded runs; the synthetic one's sizes were rewritten.
+        assert_eq!(validated, 10);
+    }
+
+    /// Validation names the five lowest-id nodes that missed their
+    /// instant, whatever order it computes them in: the messages are the
+    /// ones `06a59b6` (a pass over a node-times buffer, then a scan in id
+    /// order) gave for the same corrupted instants of the truncated run.
+    #[test]
+    fn a_corrupted_instant_is_named_as_the_node_times_pass_named_it() {
+        let cases = [
+            (
+                1,
+                "node 1 SendStart proc 0: computed 0 ns, measured 7 ns; \
+                 node 2 SendEnd proc 0: computed 993 ns, measured 1000 ns; \
+                 node 3 SendStart proc 0: computed 993 ns, measured 1000 ns; \
+                 node 4 SendEnd proc 0: computed 1993 ns, measured 2000 ns; \
+                 node 5 RecvStart proc 1: computed 5993 ns, measured 6000 ns",
+            ),
+            (
+                2,
+                "node 3 SendStart proc 0: computed 1007 ns, measured 1000 ns; \
+                 node 4 SendEnd proc 0: computed 2007 ns, measured 2000 ns; \
+                 node 5 RecvStart proc 1: computed 6007 ns, measured 6000 ns; \
+                 node 6 RecvEnd proc 1: computed 7007 ns, measured 7000 ns; \
+                 node 7 TxStart proc 0: computed 1007 ns, measured 1000 ns",
+            ),
+            (
+                5,
+                "node 5 RecvStart proc 1: computed 6000 ns, measured 6007 ns; \
+                 node 6 RecvEnd proc 1: computed 6993 ns, measured 7000 ns; \
+                 node 11 Sink proc 65535: computed 6993 ns, measured 7000 ns",
+            ),
+            (10, "node 10 Unseen proc 1: computed 0 ns, measured 7 ns"),
+        ];
+        let stock = NetConfig::berkeley_now();
+        for (node, named) in cases {
+            let mut dag = build(&truncated(), &stock, 2, &mut Vec::new()).expect("builds");
+            dag.measured[node] += 7;
+            let why = format!("baseline DAG evaluation diverged from the recorded run: {named}");
+            match dag.validate() {
+                Err(PredictError::Mismatch(got)) => assert_eq!(got, why, "node {node}"),
+                other => panic!("node {node}: {other:?}"),
+            }
+        }
     }
 }

@@ -135,10 +135,7 @@ pub fn analyze(
         );
     }
     let graph = dag::build(report, cfg, procs, &mut warnings)?;
-    let mut times = Vec::new();
-    graph.times_into(cfg, &mut times);
-    graph.validate(&times)?;
-    let span = graph.span(&times);
+    let span = graph.validate()?;
     if span != measured_runtime {
         return Err(PredictError::Mismatch(format!(
             "critical path of the measured region is {} ns but the run \
@@ -198,18 +195,20 @@ impl Analysis {
     }
 
     /// [`Analysis::predict_runtime`] at every configuration of `cfgs`, in
-    /// order, over one node-times buffer. The baseline configuration is
-    /// not re-priced: [`analyze`] refused unless its evaluation landed on
-    /// the measured runtime.
+    /// order, evaluating many per sweep of the DAG. The baseline
+    /// configuration is not re-priced: [`analyze`] refused unless its
+    /// evaluation landed on the measured runtime.
     pub fn predict_runtimes(&self, cfgs: &[NetConfig]) -> Vec<SimDelta> {
-        let mut times = Vec::new();
+        let base = self.dag.base();
+        let repriced: Vec<&NetConfig> = cfgs.iter().filter(|&cfg| cfg != base).collect();
+        let mut spans = self.dag.spans(&repriced).into_iter();
         cfgs.iter()
             .map(|cfg| {
-                if cfg == self.dag.base() {
-                    return self.baseline_runtime;
+                if cfg == base {
+                    self.baseline_runtime
+                } else {
+                    spans.next().expect("one span per re-priced configuration")
                 }
-                self.dag.times_into(cfg, &mut times);
-                self.dag.span(&times)
             })
             .collect()
     }
@@ -273,6 +272,74 @@ mod tests {
         );
         assert_eq!(by_pass[0], out.runtime);
         assert!(by_pass[1] > by_pass[0]);
+    }
+
+    /// However a list of configurations is ordered, repeated or cut, and
+    /// wherever the baseline sits in it, each runtime is its own
+    /// configuration's: the oracle pass's for a re-priced one, and for
+    /// the baseline what `analyze` recorded, not an evaluation.
+    #[test]
+    fn each_runtime_is_its_configurations_in_any_list() {
+        use nowlab_apps::{suite_scaled, SuiteScale};
+        use nowlab_core::{Axis, RunSpec, TraceMode};
+
+        let suite = suite_scaled(SuiteScale::Test);
+        let app = suite.iter().find(|a| a.name() == "Radix").expect("radix");
+        let spec = RunSpec::new(4).with_trace(TraceMode::Full);
+        let out = app.run(&spec);
+        let report = out.trace.as_ref().expect("trace requested");
+        let mut analysis = analyze(report, &spec.net, spec.procs, out.runtime).expect("analyzes");
+        let base = spec.net;
+        let grid: Vec<NetConfig> = [
+            Axis::Overhead,
+            Axis::Gap,
+            Axis::Latency,
+            Axis::BulkBandwidth,
+        ]
+        .into_iter()
+        .flat_map(|axis| {
+            axis.paper_values()
+                .into_iter()
+                .filter_map(move |v| axis.knobs_for(&base.machine, v))
+        })
+        .map(|knobs| base.with_knobs(knobs))
+        .filter(|cfg| *cfg != base)
+        .collect();
+        let mut times = Vec::new();
+        let oracle: Vec<SimDelta> = grid
+            .iter()
+            .map(|cfg| {
+                analysis.dag.times_into(cfg, &mut times);
+                analysis.dag.span(&times)
+            })
+            .collect();
+        // Reversed, then every third again; the baseline first, inside and
+        // last.
+        let n = grid.len();
+        let mut order: Vec<Option<usize>> =
+            (0..n).rev().chain((0..n).step_by(3)).map(Some).collect();
+        order.insert(0, None);
+        order.insert(7, None);
+        order.push(None);
+        assert!(
+            order.len() > 2 * dag::LANES,
+            "{} configurations",
+            order.len()
+        );
+        let cfgs: Vec<NetConfig> = order.iter().map(|i| i.map_or(base, |i| grid[i])).collect();
+        // A runtime no evaluation gives: the baseline entries must be read off.
+        analysis.baseline_runtime = SimDelta::from_nanos(1);
+        let wanted: Vec<SimDelta> = order
+            .iter()
+            .map(|i| i.map_or(analysis.baseline_runtime, |i| oracle[i]))
+            .collect();
+        for len in 0..=cfgs.len() {
+            assert_eq!(
+                analysis.predict_runtimes(&cfgs[..len]),
+                wanted[..len],
+                "first {len}"
+            );
+        }
     }
 
     #[test]
