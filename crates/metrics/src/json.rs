@@ -7,6 +7,11 @@
 
 use std::fmt::Write as _;
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so the bound keeps a hostile file from
+/// overflowing the stack; the reports this crate writes nest a handful deep.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -95,15 +100,20 @@ impl Value {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 /// Parses one JSON document (trailing whitespace allowed).
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -155,14 +165,29 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.lit("true", Value::Bool(true)),
             b'f' => self.lit("false", Value::Bool(false)),
             b'n' => self.lit("null", Value::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -212,42 +237,44 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the run up to the next quote or backslash whole: both
+            // are ASCII, so the run ends on a character boundary.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string".to_string())?;
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
+            self.pos += 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let e = *self
                 .bytes
                 .get(self.pos)
-                .ok_or("unterminated string".to_string())?;
+                .ok_or("unterminated escape".to_string())?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self
+            out.push(match e {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b't' => '\t',
+                b'r' => '\r',
+                b'u' => {
+                    let code = self
                         .bytes
-                        .get(self.pos)
-                        .ok_or("unterminated escape".to_string())?;
-                    self.pos += 1;
-                    out.push(match e {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'u' => {
-                            let code = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|hex| std::str::from_utf8(hex).ok())
-                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or("bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            code
-                        }
-                        _ => return Err(format!("unsupported escape '\\{}'", e as char)),
-                    });
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|hex| std::str::from_utf8(hex).ok())
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .and_then(char::from_u32)
+                        .ok_or("bad \\u escape".to_string())?;
+                    self.pos += 4;
+                    code
                 }
-                _ => out.push(b as char),
-            }
+                _ => return Err(format!("unsupported escape '\\{}'", e as char)),
+            });
         }
     }
 
@@ -299,11 +326,39 @@ mod tests {
     #[test]
     fn escape_is_the_inverse_of_the_string_parser() {
         assert_eq!(escape("EM3D(read)"), "EM3D(read)");
-        for s in ["sort \"keys\"\\", "a\nb\tc\rd", "bell\u{7}", "/plain"] {
+        for s in [
+            "sort \"keys\"\\",
+            "a\nb\tc\rd",
+            "bell\u{7}",
+            "/plain",
+            "café",
+            "日本",
+            "🦀",
+            "a\"日\\本\n🦀\tcafé",
+            "\u{1}é\"",
+        ] {
             let doc = format!("\"{}\"", escape(s));
             assert_eq!(parse(&doc).unwrap().as_str(), Some(s), "{doc}");
         }
+        let v = parse(r#""caf\u00e9 \/ 日本""#).unwrap();
+        assert_eq!(v.as_str(), Some("café / 日本"));
         assert!(parse(r#""\u12""#).is_err());
+        assert!(parse("\"日本").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        assert!(parse(&deep(60_000)).unwrap_err().contains("nesting"));
+        let objects = format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+        let err = parse(&objects).unwrap_err();
+        assert!(err.contains(&format!("at byte {}", 5 * MAX_DEPTH)), "{err}");
+        // Depth is nesting, not count: siblings at one level are fine.
+        let wide = format!("[{}1]", "[],".repeat(10_000));
+        assert_eq!(parse(&wide).unwrap().as_arr().unwrap().len(), 10_001);
     }
 
     #[test]

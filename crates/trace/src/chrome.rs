@@ -10,35 +10,61 @@
 //!
 //! The JSON is hand-rolled: every emitted value is a number or a fixed
 //! ASCII label, so no escaping is required and no serializer dependency
-//! is taken.
+//! is taken. Every piece that repeats is laid out once, per export or per
+//! record (see `write_chrome_trace_highlighted`).
 
 use std::io::{self, Write};
-
-use nowlab_sim::{SimDelta, SimTime};
 
 use crate::MsgRecord;
 
 /// Thread-id lanes within each processor's track.
-const LANE_CPU: u32 = 0;
-const LANE_NIC_TX: u32 = 1;
-const LANE_WIRE: u32 = 2;
-const LANE_NIC_RX: u32 = 3;
+const LANE_CPU: usize = 0;
+const LANE_NIC_TX: usize = 1;
+const LANE_WIRE: usize = 2;
+const LANE_NIC_RX: usize = 3;
+/// The heads after the four lanes': a flow arrow's start and its finish.
+const FLOW_OUT: usize = 4;
+const FLOW_IN: usize = 5;
+/// Heads laid out per processor.
+const HEADS: usize = 6;
 
 /// The emitter hands its buffer to the writer once it holds this much.
 const FLUSH_AT: usize = 64 * 1024;
+/// More than a record draws: seven slices and two arrows, each under 200 B.
+const RECORD_MAX: usize = 2048;
 
-/// Appends `v` in decimal.
+/// `PAIRS[2k..2k + 2]` is `k < 100` in two decimal digits.
+const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Each slice's name, as the piece between its `dur` and its record's tail.
+const NAMES: [&str; 7] = [
+    r#","name":"o_send"#,
+    r#","name":"tx_wait"#,
+    r#","name":"dma"#,
+    r#","name":"wire"#,
+    r#","name":"rx_hold"#,
+    r#","name":"rx_queue"#,
+    r#","name":"o_recv"#,
+];
+
+/// Appends `v` in decimal, two digits per division.
 fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while v >= 100 {
+        let k = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&PAIRS[k..k + 2]);
     }
+    // One or two digits remain: write a pair, keep its first only if not 0.
+    let k = v as usize * 2;
+    digits[at - 2..at].copy_from_slice(&PAIRS[k..k + 2]);
+    at -= 1 + usize::from(v >= 10);
     buf.extend_from_slice(&digits[at..]);
 }
 
@@ -50,13 +76,9 @@ fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
 /// the float form would drift and this integer form is the exact one.
 fn push_us(buf: &mut Vec<u8>, ns: u64) {
     push_u64(buf, ns / 1000);
-    let frac = ns % 1000;
-    buf.extend_from_slice(&[
-        b'.',
-        b'0' + (frac / 100) as u8,
-        b'0' + (frac / 10 % 10) as u8,
-        b'0' + (frac % 10) as u8,
-    ]);
+    let frac = (ns % 1000) as usize;
+    let k = frac % 100 * 2;
+    buf.extend_from_slice(&[b'.', b'0' + (frac / 100) as u8, PAIRS[k], PAIRS[k + 1]]);
 }
 
 /// Formats events into one reusable buffer and writes it out in
@@ -66,17 +88,11 @@ struct Emitter<'a, W: Write> {
     w: &'a mut W,
     buf: Vec<u8>,
     first: bool,
-    /// Whether the record currently being drawn is on the critical path.
-    crit: bool,
 }
 
 impl<W: Write> Emitter<'_, W> {
     fn text(&mut self, s: &str) {
         self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn num(&mut self, v: u64) {
-        push_u64(&mut self.buf, v);
     }
 
     /// Starts the next array element, flushing a full buffer first.
@@ -99,81 +115,19 @@ impl<W: Write> Emitter<'_, W> {
         Ok(())
     }
 
-    fn meta(&mut self, pid: usize, tid: Option<u32>, what: &str, name: &str) -> io::Result<()> {
+    fn meta(&mut self, pid: usize, tid: Option<usize>, what: &str, name: &str) -> io::Result<()> {
         self.sep()?;
         self.text(r#"{"ph":"M","pid":"#);
-        self.num(pid as u64);
+        push_u64(&mut self.buf, pid as u64);
         if let Some(tid) = tid {
             self.text(r#","tid":"#);
-            self.num(u64::from(tid));
+            push_u64(&mut self.buf, tid as u64);
         }
         self.text(r#","name":""#);
         self.text(what);
         self.text(r#"","args":{"name":""#);
         self.text(name);
         self.text(r#""}}"#);
-        Ok(())
-    }
-
-    fn slice(
-        &mut self,
-        rec: &MsgRecord,
-        pid: u16,
-        tid: u32,
-        name: &str,
-        start: SimTime,
-        span: SimDelta,
-    ) -> io::Result<()> {
-        if span.is_zero() {
-            return Ok(()); // keep files small: empty spans draw nothing
-        }
-        self.sep()?;
-        self.text(r#"{"ph":"X","pid":"#);
-        self.num(u64::from(pid));
-        self.text(r#","tid":"#);
-        self.num(u64::from(tid));
-        self.text(r#","ts":"#);
-        push_us(&mut self.buf, start.as_nanos());
-        self.text(r#","dur":"#);
-        push_us(&mut self.buf, span.as_nanos());
-        self.text(r#","name":""#);
-        self.text(name);
-        self.text(r#"","cat":""#);
-        self.text(rec.kind.as_str());
-        // Categories are comma-separated in the trace format; critical-path
-        // messages get an extra `critical` category so the viewer can
-        // filter or color them.
-        if self.crit {
-            self.text(",critical");
-        }
-        self.text(r#"","args":{"id":"#);
-        self.num(rec.id);
-        self.text(r#","bytes":"#);
-        self.num(u64::from(rec.bytes));
-        self.text("}}");
-        Ok(())
-    }
-
-    fn flow(&mut self, rec: &MsgRecord) -> io::Result<()> {
-        for (head, pid, at) in [
-            (r#"{"ph":"s","pid":"#, rec.src, rec.send_begin),
-            (r#"{"ph":"f","bp":"e","pid":"#, rec.dst, rec.done),
-        ] {
-            self.sep()?;
-            self.text(head);
-            self.num(u64::from(pid));
-            self.text(r#","tid":"#);
-            self.num(u64::from(LANE_CPU));
-            self.text(r#","ts":"#);
-            push_us(&mut self.buf, at.as_nanos());
-            self.text(r#","id":"#);
-            self.num(rec.id);
-            self.text(r#","name":"msg","cat":"flow"#);
-            if self.crit {
-                self.text(",critical");
-            }
-            self.text(r#""}"#);
-        }
         Ok(())
     }
 }
@@ -185,20 +139,27 @@ pub fn write_chrome_trace<W: Write>(records: &[MsgRecord], w: &mut W) -> io::Res
 }
 
 /// Like [`write_chrome_trace`], with the messages whose trace ids appear
-/// in `critical` (sorted ascending) tagged with an extra `critical`
-/// category on every slice and flow arrow — the viewer's category filter
-/// then isolates the predicted critical path.
+/// in `critical` (in any order; ascending costs no copy) tagged with an
+/// extra `critical` category on every slice and flow arrow — the viewer's
+/// category filter then isolates the predicted critical path.
 pub fn write_chrome_trace_highlighted<W: Write>(
     records: &[MsgRecord],
     critical: &[u64],
     w: &mut W,
 ) -> io::Result<usize> {
-    debug_assert!(critical.windows(2).all(|w| w[0] < w[1]), "sorted ids");
+    let mut sorted = Vec::new();
+    let critical = if critical.is_sorted() {
+        critical
+    } else {
+        sorted.extend_from_slice(critical);
+        sorted.sort_unstable();
+        sorted.dedup();
+        &sorted
+    };
     let mut em = Emitter {
         w,
-        buf: Vec::with_capacity(FLUSH_AT + 1024),
+        buf: Vec::with_capacity(FLUSH_AT + RECORD_MAX),
         first: true,
-        crit: false,
     };
     em.text(r#"{"displayTimeUnit":"ms","traceEvents":["#);
     let procs = records
@@ -213,26 +174,80 @@ pub fn write_chrome_trace_highlighted<W: Write>(
         em.meta(pid, Some(LANE_WIRE), "thread_name", "wire")?;
         em.meta(pid, Some(LANE_NIC_RX), "thread_name", "nic-rx")?;
     }
+    // A record implies a processor, so every slice and arrow follows the
+    // metadata above and its head can open with the separator.
+    let heads: Vec<String> = (0..procs)
+        .flat_map(|pid| {
+            let head = |ph: &str, tid| format!(",\n  {{{ph},\"pid\":{pid},\"tid\":{tid},\"ts\":");
+            let x = r#""ph":"X""#;
+            [
+                head(x, LANE_CPU),
+                head(x, LANE_NIC_TX),
+                head(x, LANE_WIRE),
+                head(x, LANE_NIC_RX),
+                head(r#""ph":"s""#, LANE_CPU),
+                head(r#""ph":"f","bp":"e""#, LANE_CPU),
+            ]
+        })
+        .collect();
+    let mut tail = Vec::new();
     let mut drawn = 0;
     for rec in records.iter().filter(|r| r.completed()) {
         drawn += 1;
-        em.crit = critical.binary_search(&rec.id).is_ok();
-        let (src, dst) = (rec.src, rec.dst);
-        em.slice(rec, src, LANE_CPU, "o_send", rec.send_begin, rec.o_send())?;
-        em.slice(rec, src, LANE_NIC_TX, "tx_wait", rec.inject, rec.tx_wait())?;
-        em.slice(rec, src, LANE_NIC_TX, "dma", rec.tx_start, rec.dma())?;
-        em.slice(rec, src, LANE_WIRE, "wire", rec.wire_done, rec.wire())?;
-        em.slice(rec, dst, LANE_NIC_RX, "rx_hold", rec.arrival, rec.rx_hold())?;
-        em.slice(
-            rec,
-            dst,
-            LANE_NIC_RX,
-            "rx_queue",
-            rec.visible,
-            rec.rx_queue(),
-        )?;
-        em.slice(rec, dst, LANE_CPU, "o_recv", rec.pop, rec.o_recv())?;
-        em.flow(rec)?;
+        // Categories are comma-separated in the trace format; critical-path
+        // messages get an extra `critical` category so the viewer can
+        // filter or color them.
+        let crit = critical.binary_search(&rec.id).is_ok();
+        tail.clear();
+        tail.extend_from_slice(br#"","cat":""#);
+        tail.extend_from_slice(rec.kind.as_str().as_bytes());
+        if crit {
+            tail.extend_from_slice(b",critical");
+        }
+        tail.extend_from_slice(br#"","args":{"id":"#);
+        let id_at = tail.len();
+        push_u64(&mut tail, rec.id);
+        let id = id_at..tail.len();
+        tail.extend_from_slice(br#","bytes":"#);
+        push_u64(&mut tail, u64::from(rec.bytes));
+        tail.extend_from_slice(b"}}");
+        if em.buf.len() >= FLUSH_AT {
+            em.flush()?;
+        }
+        let buf = &mut em.buf;
+        let (src, dst) = (usize::from(rec.src) * HEADS, usize::from(rec.dst) * HEADS);
+        let slices = [
+            (src + LANE_CPU, rec.send_begin, rec.o_send()),
+            (src + LANE_NIC_TX, rec.inject, rec.tx_wait()),
+            (src + LANE_NIC_TX, rec.tx_start, rec.dma()),
+            (src + LANE_WIRE, rec.wire_done, rec.wire()),
+            (dst + LANE_NIC_RX, rec.arrival, rec.rx_hold()),
+            (dst + LANE_NIC_RX, rec.visible, rec.rx_queue()),
+            (dst + LANE_CPU, rec.pop, rec.o_recv()),
+        ];
+        for ((head, start, span), name) in slices.into_iter().zip(NAMES) {
+            if span.is_zero() {
+                continue; // keep files small: empty spans draw nothing
+            }
+            buf.extend_from_slice(heads[head].as_bytes());
+            push_us(buf, start.as_nanos());
+            buf.extend_from_slice(br#","dur":"#);
+            push_us(buf, span.as_nanos());
+            buf.extend_from_slice(name.as_bytes());
+            buf.extend_from_slice(&tail);
+        }
+        let flow: &[u8] = if crit {
+            br#","name":"msg","cat":"flow,critical"}"#
+        } else {
+            br#","name":"msg","cat":"flow"}"#
+        };
+        for (head, at) in [(src + FLOW_OUT, rec.send_begin), (dst + FLOW_IN, rec.done)] {
+            buf.extend_from_slice(heads[head].as_bytes());
+            push_us(buf, at.as_nanos());
+            buf.extend_from_slice(br#","id":"#);
+            buf.extend_from_slice(&tail[id.clone()]);
+            buf.extend_from_slice(flow);
+        }
     }
     em.text("\n]}\n");
     em.flush()?;
@@ -245,6 +260,7 @@ mod tests {
     use crate::{
         MsgKind, RecvEvent, SendEvent, TraceEvent, TraceRecorder, TraceSink, VisibleEvent,
     };
+    use nowlab_sim::{SimDelta, SimTime};
 
     fn us(x: f64) -> SimTime {
         SimTime::ZERO + SimDelta::from_micros(x)
@@ -349,7 +365,11 @@ mod tests {
         let mut out = Pieces(Vec::new(), Vec::new());
         assert_eq!(write_chrome_trace(&records, &mut out).unwrap(), 2_000);
         assert!(out.0.len() > 2, "one write per buffer, not per export");
-        assert!(out.0.iter().all(|&n| n < FLUSH_AT + 1024), "{:?}", out.0);
+        assert!(
+            out.0.iter().all(|&n| n < FLUSH_AT + RECORD_MAX),
+            "{:?}",
+            out.0
+        );
         let text = String::from_utf8(out.1).unwrap();
         assert!(text.ends_with("\n]}\n"));
         assert_eq!(text.matches(r#""name":"o_recv""#).count(), 2_000);
@@ -392,6 +412,25 @@ mod tests {
         let mut old = Vec::new();
         write_chrome_trace(&records, &mut old).unwrap();
         assert_eq!(plain, String::from_utf8(old).unwrap());
+    }
+
+    #[test]
+    fn critical_ids_in_any_order_highlight_what_sorted_ids_do() {
+        let one = sample_records()[0];
+        let records: Vec<MsgRecord> = (1..=40).map(|id| MsgRecord { id, ..one }).collect();
+        let export = |critical: &[u64]| {
+            let mut out = Vec::new();
+            write_chrome_trace_highlighted(&records, critical, &mut out).unwrap();
+            out
+        };
+        let sorted: Vec<u64> = (1..=40).step_by(3).collect();
+        let want = export(&sorted);
+        let reversed: Vec<u64> = sorted.iter().rev().copied().collect();
+        let doubled: Vec<u64> = reversed.iter().flat_map(|&id| [id, id]).collect();
+        assert_eq!(export(&reversed), want);
+        assert_eq!(export(&doubled), want);
+        let hl = String::from_utf8(want).unwrap();
+        assert_eq!(hl.matches("flow,critical").count(), 2 * sorted.len());
     }
 
     #[test]

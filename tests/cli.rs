@@ -316,6 +316,37 @@ fn report_rejects_bad_input() {
     assert!(text.contains("schema"), "{text}");
 }
 
+/// A file nested far deeper than any report is refused with the CLI's
+/// error line and exit 1, not a stack overflow's abort.
+#[test]
+fn report_refuses_deep_nesting_instead_of_overflowing_the_stack() {
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let docs = [
+        (
+            "arrays",
+            format!("{}{}", "[".repeat(60_000), "]".repeat(60_000)),
+        ),
+        (
+            "objects",
+            format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000)),
+        ),
+    ];
+    for (name, doc) in docs {
+        let path = tmp.join(format!("cli_deep_{name}.json"));
+        std::fs::write(&path, doc).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_nowlab"))
+            .args(["report", path.to_str().unwrap()])
+            .output()
+            .expect("run nowlab binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains("error: nesting deeper than"),
+            "{name}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn incomplete_sweep_reports_na_instead_of_panicking() {
     // Total loss: every message dropped, so no baseline can complete.
