@@ -18,11 +18,13 @@
 
 use std::any::Any;
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::future::Future;
 use std::rc::{Rc, Weak};
+use std::task::{Poll, Waker};
 
-use nowlab_sim::{HookId, Notify, Sim, SimDelta, SimTime};
+use nowlab_sim::{HookId, Notify, Sim, SimDelta, SimTime, TaskRef};
 use nowlab_trace::{MsgKind, SendEvent, TraceEvent, TraceSink, VisibleEvent};
 
 use crate::message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReplyData, ReqId};
@@ -56,10 +58,155 @@ impl fmt::Debug for HandlerCtx<'_> {
 /// An Active Message handler: runs at the destination, returns the reply.
 pub type Handler = Box<dyn Fn(HandlerCtx<'_>) -> ReplyData>;
 
-pub(crate) struct ReplySlot {
-    pub filled: Cell<bool>,
-    pub args: Cell<[u64; 4]>,
-    pub payload: RefCell<Payload>,
+/// The requests of one processor whose issuer awaits the reply, one
+/// entry per request in flight. The table grows to the peak number of
+/// awaited requests outstanding at once (at most the credit window) and
+/// reuses its entries, so a warm round trip allocates nothing. A reply
+/// finds its entry by scanning for its request id; a reply whose id is
+/// not here answers a post.
+#[derive(Default)]
+pub(crate) struct ReplySlots(Vec<ReplySlot>);
+
+enum ReplySlot {
+    Free,
+    Awaiting(ReqId),
+    Filled([u64; 4], Payload),
+}
+
+impl ReplySlots {
+    /// Parks awaited request `req`; returns the slot its issuer polls.
+    pub fn park(&mut self, req: ReqId) -> usize {
+        match self.0.iter().position(|s| matches!(s, ReplySlot::Free)) {
+            Some(slot) => {
+                self.0[slot] = ReplySlot::Awaiting(req);
+                slot
+            }
+            None => {
+                self.0.push(ReplySlot::Awaiting(req));
+                self.0.len() - 1
+            }
+        }
+    }
+
+    /// Completes awaited request `req` with its reply. False if `req` is
+    /// not awaited — it was posted, or already completed.
+    pub fn fill(&mut self, req: ReqId, args: [u64; 4], payload: Payload) -> bool {
+        match self
+            .0
+            .iter_mut()
+            .find(|s| matches!(s, ReplySlot::Awaiting(r) if *r == req))
+        {
+            Some(slot) => {
+                *slot = ReplySlot::Filled(args, payload);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// True once the reply parked at `slot` has arrived.
+    pub fn filled(&self, slot: usize) -> bool {
+        matches!(self.0[slot], ReplySlot::Filled(..))
+    }
+
+    /// The reply parked at `slot`, which becomes free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the reply has not arrived.
+    pub fn take(&mut self, slot: usize) -> ([u64; 4], Payload) {
+        match std::mem::replace(&mut self.0[slot], ReplySlot::Free) {
+            ReplySlot::Filled(args, payload) => (args, payload),
+            _ => panic!("reply slot {slot} taken before its reply arrived"),
+        }
+    }
+
+    /// The request ids still awaiting a reply, ascending.
+    pub fn awaiting(&self) -> Vec<ReqId> {
+        let mut ids: Vec<ReqId> = self
+            .0
+            .iter()
+            .filter_map(|s| match s {
+                ReplySlot::Awaiting(req) => Some(*req),
+                _ => None,
+            })
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+}
+
+/// The tasks waiting on one endpoint's receive-side state — an arrival,
+/// a reply, a credit — in the order they registered. This is the
+/// kernel's [`Notify`] (an epoch and a wake list) with task ids in the
+/// list: a task is named by [`Sim::current_task`] and woken by
+/// [`Sim::wake_task`], so a wait clones no waker and a delivery drops
+/// none. A wait polled through a substituted waker keeps that waker.
+///
+/// As with `Notify`, a registration outlives the wait that made it: a
+/// task whose `race` in [`crate::AmPort::idle_until`] was won by its
+/// sleep stays listed, and the next `notify_all` wakes it spuriously —
+/// an extra poll the kernel's poll count includes.
+#[derive(Default)]
+pub(crate) struct Waiters {
+    epoch: Cell<u64>,
+    /// The first registration: the one-task-per-processor case touches
+    /// no `Vec`.
+    first: Cell<Option<Waiter>>,
+    /// Every later registration, in order.
+    rest: RefCell<Vec<Waiter>>,
+}
+
+enum Waiter {
+    Task(TaskRef),
+    Foreign(Waker),
+}
+
+impl Waiter {
+    fn wake(self, sim: &Sim) {
+        match self {
+            Waiter::Task(task) => sim.wake_task(task),
+            Waiter::Foreign(waker) => waker.wake(),
+        }
+    }
+}
+
+impl Waiters {
+    /// Wakes every registered task, in registration order.
+    pub fn notify_all(&self, sim: &Sim) {
+        self.epoch.set(self.epoch.get() + 1);
+        let Some(first) = self.first.take() else {
+            return;
+        };
+        first.wake(sim);
+        let mut rest = self.rest.borrow_mut();
+        if !rest.is_empty() {
+            rest.drain(..).for_each(|w| w.wake(sim));
+        }
+    }
+
+    /// Completes at the first [`Waiters::notify_all`] issued after this
+    /// call; each poll that finds none registers the polling task again.
+    pub fn notified<'a>(&'a self, sim: &'a Sim) -> impl Future<Output = ()> + 'a {
+        let start = self.epoch.get();
+        std::future::poll_fn(move |cx| {
+            if self.epoch.get() > start {
+                return Poll::Ready(());
+            }
+            let waiter = match sim.current_task(cx.waker()) {
+                Some(task) => Waiter::Task(task),
+                None => Waiter::Foreign(cx.waker().clone()),
+            };
+            match self.first.take() {
+                None => self.first.set(Some(waiter)),
+                first => {
+                    self.first.set(first);
+                    self.rest.borrow_mut().push(waiter);
+                }
+            }
+            Poll::Pending
+        })
+    }
 }
 
 /// An unacknowledged request held for possible retransmission (reliability
@@ -147,14 +294,15 @@ pub(crate) struct RxLink {
 }
 
 pub(crate) struct Endpoint {
-    /// Messages visible to the processor, awaiting its poll.
-    pub rx: RefCell<std::collections::VecDeque<Msg>>,
-    /// Woken on every delivery into `rx`.
-    pub rx_notify: Notify,
+    /// Arena tokens of the messages visible to the processor, awaiting
+    /// its poll (see [`ClusterInner::pop_rx`]).
+    pub rx: RefCell<VecDeque<u32>>,
+    /// Woken on every delivery into `rx` and every reply completed.
+    pub rx_waiters: Waiters,
     /// Remaining flow-control credits (requests in flight = window - credits).
     pub credits: Cell<u32>,
     /// Reply slots for requests whose issuer is waiting.
-    pub pending_replies: RefCell<BTreeMap<ReqId, Rc<ReplySlot>>>,
+    pub replies: RefCell<ReplySlots>,
     /// Outstanding posted (non-waited) requests, drained by acks.
     pub pending_posts: Cell<u64>,
     /// Next request id.
@@ -195,10 +343,10 @@ pub(crate) struct Endpoint {
 impl Endpoint {
     fn new(p: usize, window: u32) -> Self {
         Endpoint {
-            rx: RefCell::new(std::collections::VecDeque::new()),
-            rx_notify: Notify::new(),
+            rx: RefCell::new(VecDeque::new()),
+            rx_waiters: Waiters::default(),
             credits: Cell::new(window),
-            pending_replies: RefCell::new(BTreeMap::new()),
+            replies: RefCell::new(ReplySlots::default()),
             pending_posts: Cell::new(0),
             next_req: Cell::new(0),
             nic_tx_free: Cell::new(SimTime::ZERO),
@@ -217,19 +365,20 @@ impl Endpoint {
     }
 }
 
-/// In-flight message arena: the hot delivery path parks each [`Msg`] here
-/// and schedules a kernel *hook* event carrying only the slot token, so no
+/// Message arena: the hot delivery path parks each [`Msg`] here and
+/// schedules a kernel *hook* event carrying only the slot token, so no
 /// `Box<dyn FnOnce>` is allocated per message (see [`Sim::register_hook`]).
-/// Slots are recycled through a free list; a message occupies its slot only
-/// between schedule and delivery, so the arena's high-water mark tracks the
-/// number of messages simultaneously in flight on the wire.
+/// A message keeps its slot from injection until its processor has served
+/// it: the hook events, the receive queue and the serving task pass the
+/// token, not the message. Slots are recycled through a free list, so the
+/// arena's high-water mark tracks the messages on the wire plus those
+/// queued or being served.
 ///
-/// "Slot fired twice" cannot happen: at most one pending hook event
-/// carries a given slot number — the one scheduled when the slot was
-/// filled (`schedule_deliver`/`schedule_visible`), or the re-arm that
-/// replaced it when it fired (`on_net_hook`) — the kernel fires an
-/// uncancellable event exactly once, and the dispatch that empties a slot
-/// schedules nothing more under its token.
+/// "Slot taken twice" cannot happen: a slot's token is, at any time, in
+/// exactly one place — one pending hook event (the one scheduled when the
+/// slot was filled, or the re-arm or make-visible event that replaced it
+/// when it fired), one entry of a receive queue, or the one task that
+/// popped it — and only that task, done serving, empties the slot.
 #[derive(Default)]
 pub(crate) struct MsgSlab {
     entries: Vec<Option<Msg>>,
@@ -262,15 +411,25 @@ impl MsgSlab {
     fn peek(&self, slot: u32) -> &Msg {
         self.entries[slot as usize]
             .as_ref()
-            .expect("message arena slot fired twice")
+            .expect("message arena slot taken twice")
     }
 
     fn take(&mut self, slot: u32) -> Msg {
         let msg = self.entries[slot as usize]
             .take()
-            .expect("message arena slot fired twice");
+            .expect("message arena slot taken twice");
         self.free.push(slot);
         msg
+    }
+
+    /// Runs `f` on the message parked in `slot` where it lies, then frees
+    /// the slot: what `f` does not move out is never copied.
+    fn consume<R>(&mut self, slot: u32, f: impl FnOnce(&mut Msg) -> R) -> R {
+        let entry = &mut self.entries[slot as usize];
+        let out = f(entry.as_mut().expect("message arena slot taken twice"));
+        *entry = None;
+        self.free.push(slot);
+        out
     }
 }
 
@@ -279,11 +438,24 @@ impl MsgSlab {
 /// SlowRxPath make-visible step after the receive context's ΔL.
 const VISIBLE_BIT: u64 = 1 << 32;
 
+/// The most messages per processor [`AmCluster::new`] reserves arena room
+/// for, whatever the credit window.
+const ARENA_WINDOW_CAP: usize = 64;
+
 pub(crate) struct ClusterInner {
     pub sim: Sim,
     pub cfg: NetConfig,
+    /// `cfg.reliability_active()`, decided once: the reliability protocol
+    /// runs (sequence numbers, duplicate suppression, retransmission).
+    pub reliable: bool,
+    /// `cfg.faults.is_active()`, decided once: the wire may drop,
+    /// duplicate or delay a message.
+    pub lossy: bool,
+    /// `cfg.node_faults.is_active()`, decided once: some node crashes or
+    /// straggles, and the heartbeat control plane runs.
+    pub node_plan: bool,
     pub procs: Vec<Endpoint>,
-    /// In-flight message arena for hook-scheduled delivery events.
+    /// The message arena: every message from injection until it is served.
     pub msg_slab: RefCell<MsgSlab>,
     /// The network delivery hook, registered once at construction.
     pub net_hook: HookId,
@@ -383,8 +555,11 @@ impl AmCluster {
         assert!(p > 0, "cluster needs at least one processor");
         let procs = (0..p).map(|_| Endpoint::new(p, cfg.window)).collect();
         // Arena sized for the steady-state wire load: up to `window`
-        // outstanding messages per processor.
-        let slab_cap = p.saturating_mul(cfg.window as usize);
+        // outstanding messages per processor, but never more than
+        // `ARENA_WINDOW_CAP` each up front — `--window` bounds what may
+        // be in flight, not what must be reserved, and the arena grows
+        // on demand.
+        let slab_cap = p.saturating_mul((cfg.window as usize).min(ARENA_WINDOW_CAP));
         // The network delivery hook is registered while the cluster is
         // being built (hence `new_cyclic`): every wire arrival and every
         // SlowRxPath visibility step dispatches through it with a
@@ -399,6 +574,9 @@ impl AmCluster {
             ClusterInner {
                 sim,
                 cfg,
+                reliable: cfg.reliability_active(),
+                lossy: cfg.faults.is_active(),
+                node_plan: cfg.node_faults.is_active(),
                 procs,
                 msg_slab: RefCell::new(MsgSlab::with_capacity(slab_cap)),
                 net_hook,
@@ -417,7 +595,7 @@ impl AmCluster {
         // active: an inert plan schedules no events here, keeping every
         // healthy run bit-identical to a build without the failure model.
         let plan = cluster.inner.cfg.node_faults;
-        if plan.is_active() {
+        if cluster.inner.node_plan {
             let weak = Rc::downgrade(&cluster.inner);
             let first = SimTime::ZERO + plan.hb_period;
             cluster
@@ -433,7 +611,7 @@ impl AmCluster {
                     cluster.inner.sim.schedule(f.recover_at, move |_| {
                         if let Some(inner) = weak.upgrade() {
                             inner.procs[node].crash_notify.notify_all();
-                            inner.procs[node].rx_notify.notify_all();
+                            inner.procs[node].rx_waiters.notify_all(&inner.sim);
                         }
                     });
                 }
@@ -533,8 +711,7 @@ impl AmCluster {
                 .filter(|(_, m)| !m.is_empty())
                 .map(|(d, m)| format!("->{d}:{:?}", m.keys().collect::<Vec<_>>()))
                 .collect();
-            let mut awaiting: Vec<ReqId> = ep.pending_replies.borrow().keys().copied().collect();
-            awaiting.sort_unstable();
+            let awaiting = ep.replies.borrow().awaiting();
             let held: usize = ep.rel_rx.borrow().iter().map(|l| l.reorder.len()).sum();
             let _ = writeln!(
                 out,
@@ -556,7 +733,7 @@ impl AmCluster {
     /// a message arriving (e.g. "all processors have finished").
     pub fn poke_all(&self) {
         for ep in &self.inner.procs {
-            ep.rx_notify.notify_all();
+            ep.rx_waiters.notify_all(&self.inner.sim);
         }
     }
 
@@ -600,6 +777,38 @@ impl ClusterInner {
         let id = self.trace_ids.get() + 1;
         self.trace_ids.set(id);
         id
+    }
+
+    /// A host charge `d` on `proc`, scaled by its straggler multiplier.
+    pub(crate) fn scale(&self, proc: ProcId, d: SimDelta) -> SimDelta {
+        if self.node_plan {
+            self.cfg.node_faults.scale(proc, d)
+        } else {
+            d
+        }
+    }
+
+    /// Takes the oldest message visible at `proc` off its receive queue.
+    /// The message stays parked in the arena under the returned token
+    /// until it is served ([`ClusterInner::consume_msg`] or
+    /// [`ClusterInner::take_msg`]).
+    pub(crate) fn pop_rx(&self, proc: ProcId) -> Option<u32> {
+        self.procs[proc].rx.borrow_mut().pop_front()
+    }
+
+    /// Reads the message parked under `slot`.
+    pub(crate) fn msg<R>(&self, slot: u32, f: impl FnOnce(&Msg) -> R) -> R {
+        f(self.msg_slab.borrow().peek(slot))
+    }
+
+    /// Takes the message parked under `slot` out of the arena.
+    pub(crate) fn take_msg(&self, slot: u32) -> Msg {
+        self.msg_slab.borrow_mut().take(slot)
+    }
+
+    /// Runs `f` on the message parked under `slot`, then frees the slot.
+    pub(crate) fn consume_msg<R>(&self, slot: u32, f: impl FnOnce(&mut Msg) -> R) -> R {
+        self.msg_slab.borrow_mut().consume(slot, f)
     }
 
     /// Hands a message to the source NIC at the current instant; computes
@@ -674,7 +883,7 @@ impl ClusterInner {
         // what the *wire* does with the message. Decisions are stateless
         // hashes of (seed, link, attempt nonce), so the pattern is a pure
         // function of the plan and the deterministic injection order.
-        if cfg.faults.is_active() {
+        if self.lossy {
             let faults = &cfg.faults;
             let nonce = src.fault_nonce.get();
             src.fault_nonce.set(nonce + 1);
@@ -793,10 +1002,7 @@ impl ClusterInner {
                 Some(entry) => entry.attempts >= self.cfg.reliability.max_attempts,
             }
         };
-        if exhausted
-            && (self.cfg.node_faults.is_active()
-                || self.cfg.faults.in_outage(self.sim.now(), src, dst))
-        {
+        if exhausted && (self.node_plan || self.cfg.faults.in_outage(self.sim.now(), src, dst)) {
             self.escalate_peer_death(src, dst);
             return;
         }
@@ -811,7 +1017,7 @@ impl ClusterInner {
         // The retransmission is driven from the timer, so its send
         // overhead is charged interrupt-style: it is recorded without
         // blocking the (possibly computing) processor.
-        let o_send = self.cfg.node_faults.scale(src, self.cfg.eff_o_send());
+        let o_send = self.scale(src, self.cfg.eff_o_send());
         {
             let mut c = ep.counters.borrow_mut();
             c.timeouts += 1;
@@ -947,24 +1153,16 @@ impl ClusterInner {
         for req in orphaned {
             ep.rel_tx.borrow_mut()[peer].remove(&req);
             ep.credits.set(ep.credits.get() + 1);
-            let slot = ep.pending_replies.borrow_mut().remove(&req);
-            match slot {
-                Some(slot) => {
-                    // The requester unblocks with the protocol's default
-                    // reply (zero words, no payload) — the degraded app
-                    // layer decides what that means.
-                    slot.args.set([0; 4]);
-                    *slot.payload.borrow_mut() = Payload::None;
-                    slot.filled.set(true);
-                }
-                None => {
-                    let posts = ep.pending_posts.get();
-                    debug_assert!(posts > 0, "orphaned request was neither awaited nor posted");
-                    ep.pending_posts.set(posts.saturating_sub(1));
-                }
+            // An awaited request's issuer unblocks with the protocol's
+            // default reply (zero words, no payload) — the degraded app
+            // layer decides what that means.
+            if !ep.replies.borrow_mut().fill(req, [0; 4], Payload::None) {
+                let posts = ep.pending_posts.get();
+                debug_assert!(posts > 0, "orphaned request was neither awaited nor posted");
+                ep.pending_posts.set(posts.saturating_sub(1));
             }
         }
-        ep.rx_notify.notify_all();
+        ep.rx_waiters.notify_all(&self.sim);
         if newly {
             if self.death_note.borrow().is_none() {
                 *self.death_note.borrow_mut() = Some(RunAbort {
@@ -987,45 +1185,33 @@ impl ClusterInner {
         self.sim.schedule_hook(at, self.net_hook, u64::from(slot));
     }
 
-    /// Parks `msg` and schedules the SlowRxPath make-visible phase at `at`.
-    fn schedule_visible(&self, at: SimTime, msg: Msg) {
-        let slot = self.msg_slab.borrow_mut().insert(msg);
-        self.sim
-            .schedule_hook(at, self.net_hook, VISIBLE_BIT | u64::from(slot));
-    }
-
     /// Dispatcher for the network hook: runs the phase encoded in the
     /// token on the message parked in the token's arena slot.
     ///
     /// An arrival that finds the destination's receive context busy — at
     /// the paper's baseline, six in ten of all events of a Radix run — is
     /// re-armed *in place*: the same token is scheduled again for the
-    /// instant the context frees up, and the message never leaves the
-    /// arena. Only a message that is actually delivered is taken out.
+    /// instant the context frees up. The message never leaves the arena
+    /// on its way to the receive queue.
     fn on_net_hook(&self, sim: &Sim, token: u64) {
         let slot = (token & u64::from(u32::MAX)) as u32;
+        let dst = self.msg_slab.borrow().peek(slot).dst;
         if token & VISIBLE_BIT != 0 {
-            let msg = self.msg_slab.borrow_mut().take(slot);
-            self.make_visible(sim, msg);
+            self.make_visible(sim, slot, dst);
             return;
         }
-        let msg = {
-            let mut arena = self.msg_slab.borrow_mut();
-            let free = self.procs[arena.peek(slot).dst].nic_rx_free.get();
-            if free > sim.now() {
-                sim.schedule_hook(free, self.net_hook, token);
-                return;
-            }
-            arena.take(slot)
-        };
-        self.deliver(sim, msg);
+        let free = self.procs[dst].nic_rx_free.get();
+        if free > sim.now() {
+            sim.schedule_hook(free, self.net_hook, token);
+            return;
+        }
+        self.deliver(sim, slot, dst);
     }
 
     /// Delivery at the destination NIC, whose receive context is free
     /// (`on_net_hook` checked) and now holds the message for one
     /// effective gap — that is what serializes deliveries.
-    fn deliver(&self, sim: &Sim, msg: Msg) {
-        let dst = &self.procs[msg.dst];
+    fn deliver(&self, sim: &Sim, slot: u32, dst: ProcId) {
         let now = sim.now();
         // The receive context holds the message for one gap — after the
         // ΔL it spends handling it first on the slow receive path, which
@@ -1035,35 +1221,36 @@ impl ClusterInner {
             crate::LatencyMode::SlowRxPath => now + self.cfg.knobs.d_lat,
         };
         let free = visible + self.cfg.eff_gap();
-        dst.nic_rx_free.set(free);
+        self.procs[dst].nic_rx_free.set(free);
         if let Some(sink) = self.trace.get() {
             sink.record(&TraceEvent::NicRx {
-                proc: msg.dst,
+                proc: dst,
                 from: now,
                 to: free,
             });
         }
         match self.cfg.latency_mode {
-            crate::LatencyMode::DelayQueue => self.make_visible(sim, msg),
-            crate::LatencyMode::SlowRxPath => self.schedule_visible(visible, msg),
+            crate::LatencyMode::DelayQueue => self.make_visible(sim, slot, dst),
+            crate::LatencyMode::SlowRxPath => {
+                sim.schedule_hook(visible, self.net_hook, VISIBLE_BIT | u64::from(slot))
+            }
         }
     }
 
-    /// The message enters the destination's receive queue and its waiters
-    /// are woken (DelayQueue: immediately on NIC arrival; SlowRxPath:
-    /// after the receive context's ΔL).
-    fn make_visible(&self, sim: &Sim, msg: Msg) {
-        let dst = &self.procs[msg.dst];
-        let trace_id = msg.trace;
-        dst.rx.borrow_mut().push_back(msg);
+    /// The message parked in `slot` enters the receive queue of `dst`,
+    /// whose waiters are woken (DelayQueue: immediately on NIC arrival;
+    /// SlowRxPath: after the receive context's ΔL).
+    fn make_visible(&self, sim: &Sim, slot: u32, dst: ProcId) {
+        let ep = &self.procs[dst];
+        ep.rx.borrow_mut().push_back(slot);
         if let Some(sink) = self.trace.get() {
             sink.record(&TraceEvent::Visible(VisibleEvent {
-                id: trace_id,
+                id: self.msg_slab.borrow().peek(slot).trace,
                 at: sim.now(),
-                rx_depth: dst.rx.borrow().len() as u32,
+                rx_depth: ep.rx.borrow().len() as u32,
             }));
         }
-        dst.rx_notify.notify_all();
+        ep.rx_waiters.notify_all(sim);
     }
 
     /// Runs the registered handler for `msg` on its destination processor.
@@ -1113,6 +1300,28 @@ mod tests {
             mark: Mark::Write,
             trace: 0,
         }
+    }
+
+    #[test]
+    fn reply_slots_are_reused_and_found_by_request_id() {
+        let mut slots = ReplySlots::default();
+        let (a, b, c) = (slots.park(10), slots.park(11), slots.park(12));
+        assert_eq!((a, b, c), (0, 1, 2));
+        // Out of order: 11's reply first, then a reply to a post.
+        assert!(slots.fill(11, [11, 0, 0, 0], Payload::None));
+        assert!(!slots.fill(99, [0; 4], Payload::None), "99 was posted");
+        assert!(!slots.filled(a) && slots.filled(b));
+        assert_eq!(slots.awaiting(), [10, 12]);
+        assert_eq!(slots.take(b).0, [11, 0, 0, 0]);
+        // The freed entry is reused, so the table's order is no longer
+        // issue order; the diagnostic list still is.
+        assert_eq!(slots.park(13), b);
+        assert_eq!(slots.awaiting(), [10, 12, 13]);
+        assert!(!slots.fill(11, [0; 4], Payload::None), "11 completed once");
+        assert!(slots.fill(12, [12, 0, 0, 0], Payload::Synthetic(8)));
+        let (args, payload) = slots.take(c);
+        assert_eq!((args[0], payload.wire_bytes()), (12, 8));
+        assert_eq!(slots.0.len(), 3, "the table grows only to the peak");
     }
 
     #[test]
@@ -1184,16 +1393,15 @@ mod tests {
                 SimTime::ZERO + SimDelta::from_micros(5.0) + cfg.eff_gap() * (n - 1)
             );
             // Delivered exactly once per copy, in injection (`seq`) order.
-            let srcs: Vec<ProcId> = cluster.inner.procs[k]
-                .rx
-                .borrow()
-                .iter()
-                .map(|m| m.src)
+            // A message keeps its arena slot until its processor pops it,
+            // so the high-water mark is the number in flight, and every
+            // slot comes back as the queue drains.
+            assert_eq!(cluster.inner.msg_slab.borrow().entries.len(), n as usize);
+            let srcs: Vec<ProcId> = std::iter::from_fn(|| cluster.inner.pop_rx(k))
+                .map(|slot| cluster.inner.consume_msg(slot, |m| m.src))
                 .collect();
             let expect: Vec<ProcId> = (0..k).flat_map(|s| [s].repeat(copies)).collect();
             assert_eq!(srcs, expect);
-            // A waiting message keeps its arena slot: the high-water mark
-            // is the number in flight, and every slot came back.
             let arena = cluster.inner.msg_slab.borrow();
             assert_eq!(arena.entries.len(), n as usize);
             assert_eq!(arena.free.len(), n as usize);

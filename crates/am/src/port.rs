@@ -8,16 +8,37 @@
 //! While a process computes, messages accumulate unserviced — exactly the
 //! coupling that makes applications overhead-sensitive in the paper.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
 use nowlab_sim::{SimDelta, SimTime};
 use nowlab_trace::{RecvEvent, TraceEvent, WaitKind};
 
-use crate::cluster::{CachedReply, ClusterInner, PeerStatus, ReplySlot, TxEntry};
+use crate::cluster::{CachedReply, ClusterInner, PeerStatus, TxEntry};
 use crate::message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReqId};
 use crate::params::NetConfig;
+
+/// What a reply needs of the request it answers.
+#[derive(Clone, Copy)]
+struct ReplyTo {
+    /// The requester.
+    src: ProcId,
+    req: ReqId,
+    mark: Mark,
+    /// The request's trace id.
+    trace: u64,
+}
+
+impl ReplyTo {
+    fn of(msg: &Msg) -> Self {
+        ReplyTo {
+            src: msg.src,
+            req: msg.req,
+            mark: msg.mark,
+            trace: msg.trace,
+        }
+    }
+}
 
 /// A processor's handle onto the Active Message layer.
 ///
@@ -64,12 +85,10 @@ impl AmPort {
     /// communication-layer and compute entry, so a crashed processor
     /// stops emitting, polling, and serving — exactly like a host whose
     /// NIC program died. Crash-stop nodes (no recovery) pend forever;
-    /// crash-recovery nodes resume at the scheduled wake. Free for
-    /// healthy plans: one boolean check.
+    /// crash-recovery nodes resume at the scheduled wake. Callers test
+    /// `node_plan` first, so a healthy run pays one branch and builds no
+    /// future.
     async fn crash_gate(&self) {
-        if !self.inner.cfg.node_faults.is_active() {
-            return;
-        }
         loop {
             if !self
                 .inner
@@ -84,9 +103,11 @@ impl AmPort {
     }
 
     /// True once this processor's failure detector has confirmed `peer`
-    /// dead (never true for itself or under an inert node plan).
+    /// dead (never true for itself, nor without the reliability protocol,
+    /// whose timers and detector are what confirm a death).
     pub fn peer_dead(&self, peer: ProcId) -> bool {
-        self.inner.procs[self.proc].peer_status.borrow()[peer] == PeerStatus::Dead
+        self.inner.reliable
+            && self.inner.procs[self.proc].peer_status.borrow()[peer] == PeerStatus::Dead
     }
 
     /// This processor's membership view: `alive[p]` is false exactly for
@@ -111,8 +132,10 @@ impl AmPort {
     /// serviced meanwhile). A straggler node's charge is scaled by its
     /// slowdown multiplier; a crashed node freezes here until recovery.
     pub async fn compute(&self, d: SimDelta) {
-        self.crash_gate().await;
-        let d = self.inner.cfg.node_faults.scale(self.proc, d);
+        if self.inner.node_plan {
+            self.crash_gate().await;
+        }
+        let d = self.inner.scale(self.proc, d);
         let start = self.inner.sim.now();
         self.inner.sim.delay(d).await;
         if let Some(sink) = self.inner.trace.get() {
@@ -208,11 +231,12 @@ impl AmPort {
     /// Drains every message currently visible at this processor, charging
     /// receive overhead and running handlers (replies charged as sends).
     pub async fn poll(&self) {
-        self.crash_gate().await;
+        if self.inner.node_plan {
+            self.crash_gate().await;
+        }
         loop {
-            let msg = self.inner.procs[self.proc].rx.borrow_mut().pop_front();
-            match msg {
-                Some(m) => self.process_incoming(m).await,
+            match self.inner.pop_rx(self.proc) {
+                Some(slot) => self.process_incoming(slot).await,
                 None => return,
             }
         }
@@ -223,23 +247,27 @@ impl AmPort {
     /// stream starve the sender and serialize pipelines).
     async fn poll_n(&self, max: usize) {
         for _ in 0..max {
-            let msg = self.inner.procs[self.proc].rx.borrow_mut().pop_front();
-            match msg {
-                Some(m) => self.process_incoming(m).await,
+            match self.inner.pop_rx(self.proc) {
+                Some(slot) => self.process_incoming(slot).await,
                 None => return,
             }
         }
     }
 
-    async fn process_incoming(&self, msg: Msg) {
-        let cfg = &self.inner.cfg;
-        let reliable = cfg.reliability_active();
-        let o_recv = cfg.node_faults.scale(self.proc, cfg.eff_o_recv());
+    /// Serves the message popped under arena token `slot`: charges
+    /// `o_recv`, then completes a reply or runs a request's handler. The
+    /// message is read where it lies in the arena and freed once served.
+    async fn process_incoming(&self, slot: u32) {
+        let reliable = self.inner.reliable;
+        let o_recv = self.inner.scale(self.proc, self.inner.cfg.eff_o_recv());
         self.inner.sim.delay(o_recv).await;
         self.inner.procs[self.proc].counters.borrow_mut().recvs += 1;
+        let (src, dir, req, ack, trace) = self
+            .inner
+            .msg(slot, |m| (m.src, m.dir, m.req, m.ack, m.trace));
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Recv(RecvEvent {
-                id: msg.trace,
+                id: trace,
                 proc: self.proc,
                 o_recv,
                 done: self.inner.sim.now(),
@@ -249,10 +277,13 @@ impl AmPort {
             // Every message piggybacks the sender's cumulative receipt
             // watermark; apply it before anything else so stale
             // duplicate-suppression state is shed eagerly.
-            self.inner.note_ack(self.proc, msg.src, msg.ack);
+            self.inner.note_ack(self.proc, src, ack);
         }
-        match msg.dir {
+        match dir {
             Dir::Reply => {
+                let (args, payload) = self
+                    .inner
+                    .consume_msg(slot, |m| (m.args, std::mem::take(&mut m.payload)));
                 let ep = &self.inner.procs[self.proc];
                 if reliable {
                     // Only the first reply for a request completes it; the
@@ -260,36 +291,31 @@ impl AmPort {
                     // network copy or a re-sent cached reply can neither
                     // double-credit the window nor underflow the posted
                     // count (the lossless path's "stray ack" hazard).
-                    let first = ep.rel_tx.borrow_mut()[msg.src].remove(&msg.req).is_some();
+                    let first = ep.rel_tx.borrow_mut()[src].remove(&req).is_some();
                     if !first {
                         ep.counters.borrow_mut().dup_suppressed += 1;
                         return;
                     }
                 }
                 ep.credits.set(ep.credits.get() + 1);
-                let slot = ep.pending_replies.borrow_mut().remove(&msg.req);
-                match slot {
-                    Some(slot) => {
-                        slot.args.set(msg.args);
-                        *slot.payload.borrow_mut() = msg.payload;
-                        slot.filled.set(true);
-                    }
-                    None => {
-                        debug_assert!(ep.pending_posts.get() > 0, "stray ack");
-                        ep.pending_posts
-                            .set(ep.pending_posts.get().saturating_sub(1));
-                    }
+                if !ep.replies.borrow_mut().fill(req, args, payload) {
+                    debug_assert!(ep.pending_posts.get() > 0, "stray ack");
+                    ep.pending_posts
+                        .set(ep.pending_posts.get().saturating_sub(1));
                 }
                 // State changed; wake this endpoint's own waiters (the
-                // notify is shared by everything that waits on rx-driven
+                // list is shared by everything that waits on rx-driven
                 // conditions).
-                ep.rx_notify.notify_all();
+                ep.rx_waiters.notify_all(&self.inner.sim);
             }
             Dir::Request => {
                 if !reliable {
-                    let reply = self.inner.run_handler(&msg);
-                    self.send_reply(&msg, reply.args, reply.payload, msg.mark)
-                        .await;
+                    let (to, reply) = self
+                        .inner
+                        .consume_msg(slot, |m| (ReplyTo::of(m), self.inner.run_handler(m)));
+                    let o_send = self.o_send();
+                    self.inner.sim.delay(o_send).await;
+                    self.send_reply(to, reply.args, reply.payload, o_send);
                     return;
                 }
                 // FIFO restore: the lossless wire delivers per-source
@@ -297,7 +323,7 @@ impl AmPort {
                 // that overtook a lost predecessor is held back until the
                 // gap is retransmitted in. (Its `o_recv` is already
                 // charged — the processor did examine it.)
-                let src = msg.src;
+                let msg = self.inner.take_msg(slot);
                 let msg = {
                     let ep = &self.inner.procs[self.proc];
                     let mut rx = ep.rel_rx.borrow_mut();
@@ -376,8 +402,13 @@ impl AmPort {
                     c.dup_suppressed += 1;
                     c.retransmits += 1;
                 }
-                self.send_reply(&msg, cached.args, cached.payload, cached.mark)
-                    .await;
+                let to = ReplyTo {
+                    mark: cached.mark,
+                    ..ReplyTo::of(&msg)
+                };
+                let o_send = self.o_send();
+                self.inner.sim.delay(o_send).await;
+                self.send_reply(to, cached.args, cached.payload, o_send);
                 return;
             }
             Verdict::Fresh => {}
@@ -394,22 +425,18 @@ impl AmPort {
                 },
             );
         }
-        self.send_reply(&msg, reply.args, reply.payload, msg.mark)
-            .await;
+        let o_send = self.o_send();
+        self.inner.sim.delay(o_send).await;
+        self.send_reply(ReplyTo::of(&msg), reply.args, reply.payload, o_send);
     }
 
-    /// Charges send overhead and injects a reply to `req` — the reply's
-    /// `ack` carries this processor's own watermark on the reverse link,
-    /// so acks flow even when only one side originates requests.
-    async fn send_reply(&self, req: &Msg, args: [u64; 4], payload: Payload, mark: Mark) {
-        let o_send = self
-            .inner
-            .cfg
-            .node_faults
-            .scale(self.proc, self.inner.cfg.eff_o_send());
-        self.inner.sim.delay(o_send).await;
-        let ack = if self.inner.cfg.reliability_active() {
-            self.inner.ack_watermark(self.proc, req.src)
+    /// Injects the reply `to` a request once its send overhead `o_send`
+    /// has been paid — the reply's `ack` carries this processor's own
+    /// watermark on the reverse link, so acks flow even when only one
+    /// side originates requests.
+    fn send_reply(&self, to: ReplyTo, args: [u64; 4], payload: Payload, o_send: SimDelta) {
+        let ack = if self.inner.reliable {
+            self.inner.ack_watermark(self.proc, to.src)
         } else {
             0
         };
@@ -419,7 +446,7 @@ impl AmPort {
         let trace = self.inner.next_trace();
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Pair {
-                request: req.trace,
+                request: to.trace,
                 reply: trace,
                 at: self.inner.sim.now(),
             });
@@ -427,15 +454,15 @@ impl AmPort {
         self.inner.inject(
             Msg {
                 src: self.proc,
-                dst: req.src,
+                dst: to.src,
                 dir: Dir::Reply,
-                req: req.req,
+                req: to.req,
                 ack,
                 seq: 0,
                 handler: 0,
                 args,
                 payload,
-                mark,
+                mark: to.mark,
                 trace,
             },
             o_send,
@@ -489,16 +516,17 @@ impl AmPort {
     async fn wait_until_kind(&self, cond: impl Fn() -> bool, kind: WaitKind) {
         let wait = self.enter_wait(kind);
         loop {
-            self.crash_gate().await;
+            if self.inner.node_plan {
+                self.crash_gate().await;
+            }
             if cond() {
                 break;
             }
-            let msg = self.inner.procs[self.proc].rx.borrow_mut().pop_front();
-            match msg {
-                Some(m) => self.process_incoming(m).await,
+            match self.inner.pop_rx(self.proc) {
+                Some(slot) => self.process_incoming(slot).await,
                 None => {
                     let ep = &self.inner.procs[self.proc];
-                    ep.rx_notify.notified().await;
+                    ep.rx_waiters.notified(&self.inner.sim).await;
                 }
             }
         }
@@ -512,17 +540,18 @@ impl AmPort {
         let enter = self.inner.sim.now();
         let wait = self.enter_wait(WaitKind::Rx);
         loop {
-            self.crash_gate().await;
+            if self.inner.node_plan {
+                self.crash_gate().await;
+            }
             if self.inner.sim.now() >= deadline {
                 break;
             }
-            let msg = self.inner.procs[self.proc].rx.borrow_mut().pop_front();
-            match msg {
-                Some(m) => self.process_incoming(m).await,
+            match self.inner.pop_rx(self.proc) {
+                Some(slot) => self.process_incoming(slot).await,
                 None => {
                     let ep = &self.inner.procs[self.proc];
                     let _ = nowlab_sim::race(
-                        ep.rx_notify.notified(),
+                        ep.rx_waiters.notified(&self.inner.sim),
                         self.inner.sim.sleep_until(deadline),
                     )
                     .await;
@@ -542,22 +571,22 @@ impl AmPort {
 
     async fn acquire_credit(&self) {
         let ep = || &self.inner.procs[self.proc];
-        self.wait_until_kind(|| ep().credits.get() > 0, WaitKind::Tx)
-            .await;
+        if !self.inner.node_plan && ep().credits.get() > 0 {
+            // What the wait below does when the credit is free and no
+            // crash gate can close: a Tx wait that opens and closes at once.
+            let wait = self.enter_wait(WaitKind::Tx);
+            self.exit_wait(wait);
+        } else {
+            self.wait_until_kind(|| ep().credits.get() > 0, WaitKind::Tx)
+                .await;
+        }
         let e = ep();
         e.credits.set(e.credits.get() - 1);
     }
 
-    /// Pays this processor's send overhead and returns the amount (a
-    /// straggler pays its multiple).
-    async fn charge_send(&self) -> SimDelta {
-        let o_send = self
-            .inner
-            .cfg
-            .node_faults
-            .scale(self.proc, self.inner.cfg.eff_o_send());
-        self.inner.sim.delay(o_send).await;
-        o_send
+    /// This processor's send overhead (a straggler pays its multiple).
+    fn o_send(&self) -> SimDelta {
+        self.inner.scale(self.proc, self.inner.cfg.eff_o_send())
     }
 
     fn next_req(&self) -> ReqId {
@@ -582,7 +611,9 @@ impl AmPort {
         mark: Mark,
     ) -> ([u64; 4], Payload) {
         assert!(dst < self.num_procs(), "no such processor {dst}");
-        self.crash_gate().await;
+        if self.inner.node_plan {
+            self.crash_gate().await;
+        }
         if self.peer_dead(dst) {
             // Fail fast: the detector already confirmed the peer dead, so
             // the request completes locally with the protocol's default
@@ -592,16 +623,10 @@ impl AmPort {
         self.poll_n(4).await;
         self.acquire_credit().await;
         let req = self.next_req();
-        let slot = Rc::new(ReplySlot {
-            filled: std::cell::Cell::new(false),
-            args: std::cell::Cell::new([0; 4]),
-            payload: RefCell::new(Payload::None),
-        });
-        self.inner.procs[self.proc]
-            .pending_replies
-            .borrow_mut()
-            .insert(req, Rc::clone(&slot));
-        let o_send = self.charge_send().await;
+        let ep = &self.inner.procs[self.proc];
+        let slot = ep.replies.borrow_mut().park(req);
+        let o_send = self.o_send();
+        self.inner.sim.delay(o_send).await;
         let msg = Msg {
             src: self.proc,
             dst,
@@ -616,9 +641,8 @@ impl AmPort {
             trace: self.inner.next_trace(),
         };
         self.send_request(msg, o_send);
-        self.wait_until(|| slot.filled.get()).await;
-        let payload = std::mem::take(&mut *slot.payload.borrow_mut());
-        (slot.args.get(), payload)
+        self.wait_until(|| ep.replies.borrow().filled(slot)).await;
+        ep.replies.borrow_mut().take(slot)
     }
 
     /// Sends a request *without* waiting for its acknowledgement (a
@@ -637,7 +661,9 @@ impl AmPort {
         mark: Mark,
     ) {
         assert!(dst < self.num_procs(), "no such processor {dst}");
-        self.crash_gate().await;
+        if self.inner.node_plan {
+            self.crash_gate().await;
+        }
         if self.peer_dead(dst) {
             return; // fail fast: confirmed-dead destination, see `request`
         }
@@ -646,7 +672,8 @@ impl AmPort {
         let req = self.next_req();
         let ep = &self.inner.procs[self.proc];
         ep.pending_posts.set(ep.pending_posts.get() + 1);
-        let o_send = self.charge_send().await;
+        let o_send = self.o_send();
+        self.inner.sim.delay(o_send).await;
         let msg = Msg {
             src: self.proc,
             dst,
@@ -668,7 +695,7 @@ impl AmPort {
     /// current ack watermark, is retained for retransmission until its
     /// reply arrives, and gets a timeout armed.
     fn send_request(&self, mut msg: Msg, o_send: SimDelta) {
-        if self.inner.cfg.reliability_active() {
+        if self.inner.reliable {
             let (dst, req) = (msg.dst, msg.req);
             let ep = &self.inner.procs[self.proc];
             {

@@ -147,8 +147,9 @@ pub fn predict_app(
             }
         }
     }
-    // One contiguous chunk per worker: a chunk is evaluated over a single
-    // node-times buffer, and every point costs the same pass over the DAG.
+    // One contiguous chunk per worker: a chunk's points are re-priced
+    // together, up to sixteen per sweep of the DAG over its register file,
+    // so every point costs about the same share of a sweep.
     let chunks: Vec<&[nowlab_am::NetConfig]> = cfgs
         .chunks(cfgs.len().div_ceil(jobs.max(1)).max(1))
         .collect();

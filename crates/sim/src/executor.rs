@@ -33,7 +33,8 @@
 //! * the **wake log** ([`crate::ready`]) is an atomic append-only log
 //!   drained into a plain `Vec`, one ready bit per task. It carries every
 //!   wake that goes through a `Waker` — [`crate::Notify`], [`JoinHandle`],
-//!   [`yield_now`], the initial wake of [`Sim::spawn`] — and is empty at
+//!   [`yield_now`], the initial wake of [`Sim::spawn`] — and every
+//!   [`Sim::wake_task`], and is empty at
 //!   every fire point, because the run loop drains it before a batch and
 //!   between two events of one. That is what lets a task's own sleep timer
 //!   skip it: the run loop polls the task right at the fire point, which
@@ -128,6 +129,11 @@ enum TimerAction {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HookId(u32);
 
+/// A spawned task, as [`Sim::current_task`] names it for
+/// [`Sim::wake_task`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TaskRef(TaskId);
+
 /// One spawned task plus its reusable waker. The waker is created once at
 /// spawn instead of once per poll: `Waker::from(Arc<TaskWaker>)` costs an
 /// allocation, and tasks in a message-heavy simulation are polled many
@@ -152,6 +158,9 @@ struct Inner {
     /// its context against (the first is out of the table, inside the
     /// slot, while the task is polled).
     wakers: Vec<Waker>,
+    /// And each task's waker shim, which [`Sim::wake_task`] enqueues
+    /// without a call through the waker's vtable.
+    shims: Vec<Arc<TaskWaker>>,
     live_tasks: usize,
     seq: u64,
     order_violations: u64,
@@ -308,6 +317,7 @@ impl Sim {
                     free_slots: Vec::with_capacity(timers),
                     tasks: Vec::with_capacity(tasks),
                     wakers: Vec::with_capacity(tasks),
+                    shims: Vec::with_capacity(tasks),
                     live_tasks: 0,
                     seq: 0,
                     order_violations: 0,
@@ -460,6 +470,7 @@ impl Sim {
             let shim = TaskWaker::new(id, Arc::clone(&self.shared.ready));
             let waker = Waker::from(Arc::clone(&shim));
             inner.wakers.push(waker.clone());
+            inner.shims.push(Arc::clone(&shim));
             inner.tasks.push(Some(Box::new(TaskSlot {
                 fut: Box::pin(wrapped),
                 waker,
@@ -592,15 +603,38 @@ impl Sim {
     fn register_sleep(&self, deadline: SimTime, waker: &Waker) {
         let mut inner = self.shared.inner.borrow_mut();
         let own = self
-            .shared
-            .polling
-            .get()
-            .filter(|&id| inner.wakers[id].will_wake(waker))
+            .own_task(&inner, waker)
             .and_then(|id| Fire::Task(id).pack());
         match own {
             Some(word) => self.push_packed(&mut inner, deadline, word),
             None => self.push_slab(&mut inner, deadline, TimerAction::Wake(waker.clone())),
         }
+    }
+
+    /// The task being polled right now, if `waker` is that task's own.
+    fn own_task(&self, inner: &Inner, waker: &Waker) -> Option<TaskId> {
+        self.shared
+            .polling
+            .get()
+            .filter(|&id| inner.wakers[id].will_wake(waker))
+    }
+
+    /// The task being polled right now, if `waker` is its own — the one
+    /// the executor put in its `Context`, not one a combinator substituted.
+    ///
+    /// A wait primitive that remembers this instead of a clone of the
+    /// waker wakes the task with [`Sim::wake_task`]: no waker is cloned
+    /// when the task registers and none is dropped when it is woken.
+    pub fn current_task(&self, waker: &Waker) -> Option<TaskRef> {
+        self.own_task(&self.shared.inner.borrow(), waker)
+            .map(TaskRef)
+    }
+
+    /// Wakes `task` exactly as its own waker's `wake_by_ref` would: the
+    /// task joins the wake log unless it is already in it. A task that
+    /// has finished is logged and skipped, as it is through a waker.
+    pub fn wake_task(&self, task: TaskRef) {
+        self.shared.inner.borrow().shims[task.0].enqueue();
     }
 
     fn poll_task(&self, id: TaskId) -> u64 {
@@ -1432,6 +1466,44 @@ mod tests {
         assert_eq!(*log.borrow(), vec!["a", "callback", "notified", "b"]);
         assert_eq!(report.events_fired, 3);
         assert_eq!(report.unfinished_tasks, 0);
+    }
+
+    #[test]
+    fn a_task_named_by_current_task_is_woken_by_wake_task() {
+        // The waiter parks itself by id; a second task wakes it by id. A
+        // foreign waker is not a task's own, so it is not named.
+        let sim = Sim::new();
+        let parked: Rc<Cell<Option<TaskRef>>> = Rc::new(Cell::new(None));
+        let (s, p) = (sim.clone(), Rc::clone(&parked));
+        let waiter = sim.spawn(async move {
+            let mut polls = 0;
+            std::future::poll_fn(|cx| {
+                polls += 1;
+                if polls > 1 {
+                    return Poll::Ready(());
+                }
+                p.set(s.current_task(cx.waker()));
+                Poll::Pending
+            })
+            .await;
+            s.now()
+        });
+        let (s, p) = (sim.clone(), Rc::clone(&parked));
+        sim.spawn(async move {
+            s.delay(SimDelta::from_nanos(7)).await;
+            let task = p.get().expect("the waiter named itself");
+            s.wake_task(task);
+            s.wake_task(task); // already in the wake log: no second poll
+        });
+        let report = sim.run();
+        assert_eq!(waiter.try_take().unwrap().as_nanos(), 7);
+        // Two initial polls, the sleeper's wake, the waiter's one wake.
+        assert_eq!(report.polls, 4);
+        let relay = Arc::new(Relay {
+            hits: 0.into(),
+            next: None,
+        });
+        assert_eq!(sim.current_task(&Waker::from(relay)), None);
     }
 
     #[test]

@@ -65,7 +65,8 @@ mod time;
 mod wheel;
 
 pub use executor::{
-    race, yield_now, Either, HookId, JoinHandle, RunReport, Sim, Sleep, StopReason, YieldNow,
+    race, yield_now, Either, HookId, JoinHandle, RunReport, Sim, Sleep, StopReason, TaskRef,
+    YieldNow,
 };
 pub use float::{ordered_sum, ordered_sum_by};
 pub use sync::{Notified, Notify, Semaphore};

@@ -426,6 +426,32 @@ fn zero_processors_or_a_zero_window_is_refused_not_a_panic() {
     );
 }
 
+#[test]
+fn a_huge_window_runs_or_is_refused_never_aborts() {
+    // `--window` bounds the requests in flight; it is not a memory
+    // budget. A cluster once reserved message-arena room for `procs ×
+    // window` messages up front and aborted on the allocation.
+    for window in ["100000000", "4000000000"] {
+        for args in [
+            &[
+                "run", "--app", "radix", "--scale", "test", "--window", window,
+            ][..],
+            &["calibrate", "--window", window],
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_nowlab"))
+                .args(args)
+                .output()
+                .expect("run nowlab binary");
+            let text = String::from_utf8_lossy(&out.stderr);
+            match out.status.code() {
+                Some(0) => {}
+                Some(1) => assert!(text.contains("error:"), "{args:?}: {text}"),
+                code => panic!("{args:?} exited {code:?}: {text}"),
+            }
+        }
+    }
+}
+
 /// One processor sends nothing, so there is nothing to predict — which is
 /// not the same as having traced in the wrong mode.
 #[test]
