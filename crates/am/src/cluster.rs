@@ -20,11 +20,9 @@ use std::any::Any;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::future::Future;
 use std::rc::{Rc, Weak};
-use std::task::{Poll, Waker};
 
-use nowlab_sim::{HookId, Notify, Sim, SimDelta, SimTime, TaskRef};
+use nowlab_sim::{HookId, Notify, Sim, SimDelta, SimTime};
 use nowlab_trace::{MsgKind, SendEvent, TraceEvent, TraceSink, VisibleEvent};
 
 use crate::message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReplyData, ReqId};
@@ -136,79 +134,6 @@ impl ReplySlots {
     }
 }
 
-/// The tasks waiting on one endpoint's receive-side state — an arrival,
-/// a reply, a credit — in the order they registered. This is the
-/// kernel's [`Notify`] (an epoch and a wake list) with task ids in the
-/// list: a task is named by [`Sim::current_task`] and woken by
-/// [`Sim::wake_task`], so a wait clones no waker and a delivery drops
-/// none. A wait polled through a substituted waker keeps that waker.
-///
-/// As with `Notify`, a registration outlives the wait that made it: a
-/// task whose `race` in [`crate::AmPort::idle_until`] was won by its
-/// sleep stays listed, and the next `notify_all` wakes it spuriously —
-/// an extra poll the kernel's poll count includes.
-#[derive(Default)]
-pub(crate) struct Waiters {
-    epoch: Cell<u64>,
-    /// The first registration: the one-task-per-processor case touches
-    /// no `Vec`.
-    first: Cell<Option<Waiter>>,
-    /// Every later registration, in order.
-    rest: RefCell<Vec<Waiter>>,
-}
-
-enum Waiter {
-    Task(TaskRef),
-    Foreign(Waker),
-}
-
-impl Waiter {
-    fn wake(self, sim: &Sim) {
-        match self {
-            Waiter::Task(task) => sim.wake_task(task),
-            Waiter::Foreign(waker) => waker.wake(),
-        }
-    }
-}
-
-impl Waiters {
-    /// Wakes every registered task, in registration order.
-    pub fn notify_all(&self, sim: &Sim) {
-        self.epoch.set(self.epoch.get() + 1);
-        let Some(first) = self.first.take() else {
-            return;
-        };
-        first.wake(sim);
-        let mut rest = self.rest.borrow_mut();
-        if !rest.is_empty() {
-            rest.drain(..).for_each(|w| w.wake(sim));
-        }
-    }
-
-    /// Completes at the first [`Waiters::notify_all`] issued after this
-    /// call; each poll that finds none registers the polling task again.
-    pub fn notified<'a>(&'a self, sim: &'a Sim) -> impl Future<Output = ()> + 'a {
-        let start = self.epoch.get();
-        std::future::poll_fn(move |cx| {
-            if self.epoch.get() > start {
-                return Poll::Ready(());
-            }
-            let waiter = match sim.current_task(cx.waker()) {
-                Some(task) => Waiter::Task(task),
-                None => Waiter::Foreign(cx.waker().clone()),
-            };
-            match self.first.take() {
-                None => self.first.set(Some(waiter)),
-                first => {
-                    self.first.set(first);
-                    self.rest.borrow_mut().push(waiter);
-                }
-            }
-            Poll::Pending
-        })
-    }
-}
-
 /// An unacknowledged request held for possible retransmission (reliability
 /// protocol only).
 pub(crate) struct TxEntry {
@@ -298,7 +223,7 @@ pub(crate) struct Endpoint {
     /// its poll (see [`ClusterInner::pop_rx`]).
     pub rx: RefCell<VecDeque<u32>>,
     /// Woken on every delivery into `rx` and every reply completed.
-    pub rx_waiters: Waiters,
+    pub rx_waiters: Notify,
     /// Remaining flow-control credits (requests in flight = window - credits).
     pub credits: Cell<u32>,
     /// Reply slots for requests whose issuer is waiting.
@@ -344,7 +269,7 @@ impl Endpoint {
     fn new(p: usize, window: u32) -> Self {
         Endpoint {
             rx: RefCell::new(VecDeque::new()),
-            rx_waiters: Waiters::default(),
+            rx_waiters: Notify::new(),
             credits: Cell::new(window),
             replies: RefCell::new(ReplySlots::default()),
             pending_posts: Cell::new(0),
@@ -610,7 +535,7 @@ impl AmCluster {
                     let node = f.node;
                     cluster.inner.sim.schedule(f.recover_at, move |_| {
                         if let Some(inner) = weak.upgrade() {
-                            inner.procs[node].crash_notify.notify_all();
+                            inner.procs[node].crash_notify.notify_all(&inner.sim);
                             inner.procs[node].rx_waiters.notify_all(&inner.sim);
                         }
                     });

@@ -98,7 +98,10 @@ impl AmPort {
             {
                 return;
             }
-            self.inner.procs[self.proc].crash_notify.notified().await;
+            self.inner.procs[self.proc]
+                .crash_notify
+                .notified(&self.inner.sim)
+                .await;
         }
     }
 
@@ -194,7 +197,7 @@ impl AmPort {
     /// Records one completed barrier (instrumentation for Table 4).
     pub fn note_barrier(&self) {
         self.inner.procs[self.proc].counters.borrow_mut().barriers += 1;
-        self.note_wave(nowlab_trace::WaveKind::Barrier);
+        self.note_wave();
     }
 
     /// Records one completed collective operation of the given kind
@@ -210,19 +213,13 @@ impl AmPort {
                 crate::CollKind::AllToAll => c.coll_alltoalls += 1,
             }
         }
-        self.note_wave(match kind {
-            crate::CollKind::Broadcast => nowlab_trace::WaveKind::Broadcast,
-            crate::CollKind::Reduce => nowlab_trace::WaveKind::Reduce,
-            crate::CollKind::Allgather => nowlab_trace::WaveKind::Allgather,
-            crate::CollKind::AllToAll => nowlab_trace::WaveKind::AllToAll,
-        });
+        self.note_wave();
     }
 
-    fn note_wave(&self, kind: nowlab_trace::WaveKind) {
+    fn note_wave(&self) {
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Wave {
                 proc: self.proc,
-                kind,
                 at: self.inner.sim.now(),
             });
         }

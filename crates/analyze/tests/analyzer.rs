@@ -9,6 +9,7 @@ use std::path::{Path, PathBuf};
 use nowlab_analyze::allowlist::Allowlist;
 use nowlab_analyze::graph::Layer;
 use nowlab_analyze::{sarif, scan_source, scan_workspace, Diagnostic, Scope, Severity};
+use nowlab_metrics::json::{self, Value};
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -181,14 +182,25 @@ fn ws_layering_fixture_surfaces_manifest_and_source_violations() {
 #[test]
 fn sarif_render_covers_every_diagnostic() {
     let (diags, _) = scan_workspace(&fixture_path("ws_layering")).expect("fixture scan");
-    let sarif = sarif::render(&diags);
-    assert!(sarif.contains("\"version\": \"2.1.0\""));
-    for d in &diags {
-        assert!(
-            sarif.contains(&format!("\"ruleId\": \"{}\"", d.code)),
-            "{d}"
-        );
-        assert!(sarif.contains(&d.path), "{d}");
+    assert!(!diags.is_empty());
+    let log = json::parse(&sarif::render(&diags)).expect("SARIF parses as JSON");
+    assert_eq!(log.get("version").and_then(Value::as_str), Some("2.1.0"));
+    let results = log.get("runs").and_then(Value::as_arr).expect("runs")[0]
+        .get("results")
+        .and_then(Value::as_arr)
+        .expect("results");
+    assert_eq!(results.len(), diags.len());
+    for (d, r) in diags.iter().zip(results) {
+        assert_eq!(r.get("ruleId").and_then(Value::as_str), Some(d.code), "{d}");
+        let uri = r
+            .get("locations")
+            .and_then(Value::as_arr)
+            .expect("locations")[0]
+            .get("physicalLocation")
+            .and_then(|p| p.get("artifactLocation"))
+            .and_then(|a| a.get("uri"))
+            .and_then(Value::as_str);
+        assert_eq!(uri, Some(d.path.as_str()), "{d}");
     }
 }
 

@@ -9,8 +9,8 @@
 //! slowdown first exceeds [`TOLERANCE`]), and the baseline critical-path
 //! breakdown by LogGP cost bucket and application phase.
 //!
-//! The JSON schema follows the metrics-report conventions (hand-rolled
-//! writer, `schema`/`version` preamble, byte-identical across runs and
+//! The JSON schema follows the metrics-report conventions (the one
+//! [`json::Writer`], `schema`/`version` preamble, byte-identical across runs and
 //! `--jobs` settings); [`render_report_auto`] sniffs the `schema` field so
 //! `nowlab report` renders either kind of file.
 
@@ -199,104 +199,67 @@ pub fn predict_app(
 impl Prediction {
     /// Writes the versioned `"kind":"predict"` report.
     ///
-    /// Same conventions as the metrics schema: hand-rolled JSON, every
-    /// value an integer, fixed-precision float, or ASCII label; a given
-    /// run writes byte-identical files at any `--jobs` setting.
+    /// Same conventions as the metrics schema: one [`json::Writer`],
+    /// every value an integer, fixed-precision float, or escaped label; a
+    /// given run writes byte-identical files at any `--jobs` setting.
     pub fn write_json<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        write!(
-            w,
-            r#"{{"schema":"{SCHEMA_NAME}","version":{SCHEMA_VERSION},"kind":"predict","app":"{}","procs":{},"seed":{},"baseline_ns":{},"tolerance":{TOLERANCE},"#,
-            json::escape(&self.app),
-            self.procs,
-            self.seed,
-            self.baseline.as_nanos()
-        )?;
-        write!(
-            w,
-            r#""dag":{{"nodes":{},"edges":{}}},"warnings":["#,
-            self.nodes, self.edges
-        )?;
-        for (i, warn) in self.warnings.iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
-            }
-            write!(w, r#""{}""#, json::escape(warn))?;
+        let mut w = json::Writer::new(w);
+        w.obj()?.key("schema")?.str(SCHEMA_NAME)?;
+        w.key("version")?.u64(SCHEMA_VERSION)?;
+        w.key("kind")?.str("predict")?.key("app")?.str(&self.app)?;
+        w.key("procs")?.u64(self.procs as u64)?;
+        w.key("seed")?.u64(self.seed)?;
+        w.key("baseline_ns")?.u64(self.baseline.as_nanos())?;
+        w.key("tolerance")?.display(TOLERANCE)?.key("dag")?.obj()?;
+        w.key("nodes")?.u64(self.nodes as u64)?;
+        w.key("edges")?.u64(self.edges as u64)?.end_obj()?;
+        w.key("warnings")?.arr()?;
+        for warn in &self.warnings {
+            w.str(warn)?;
         }
-        write!(w, r#"],"axes":["#)?;
-        for (i, curve) in self.axes.iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
-            }
-            write!(
-                w,
-                "\n  {{\"axis\":\"{}\",\"label\":\"{}\",\"threshold\":",
-                axis_slug(curve.axis),
-                curve.axis.label()
-            )?;
+        w.end_arr()?.key("axes")?.arr()?;
+        for curve in &self.axes {
+            w.newline(2)?.obj()?.key("axis")?;
+            w.str(axis_slug(curve.axis))?;
+            w.key("label")?.str(curve.axis.label())?.key("threshold")?;
             match curve.threshold {
-                Some(t) => write!(w, "{t:.3}")?,
-                None => write!(w, "null")?,
+                Some(t) => w.fixed(t, 3)?,
+                None => w.null()?,
+            };
+            w.key("points")?.arr()?;
+            for p in &curve.points {
+                w.obj()?.key("x")?.fixed(p.desired, 3)?;
+                w.key("runtime_ns")?.u64(p.runtime.as_nanos())?;
+                w.key("slowdown")?.fixed(p.slowdown, 4)?.end_obj()?;
             }
-            write!(w, r#","points":["#)?;
-            for (j, p) in curve.points.iter().enumerate() {
-                if j > 0 {
-                    write!(w, ",")?;
-                }
-                write!(
-                    w,
-                    r#"{{"x":{:.3},"runtime_ns":{},"slowdown":{:.4}}}"#,
-                    p.desired,
-                    p.runtime.as_nanos(),
-                    p.slowdown
-                )?;
-            }
-            write!(w, "]}}")?;
+            w.end_arr()?.end_obj()?;
         }
         let b = &self.breakdown;
-        write!(
-            w,
-            "],\n\"critical_path\":{{\"total_ns\":{},\"edges\":{},\"buckets\":[",
-            b.total.as_nanos(),
-            b.edges_on_path
-        )?;
-        for (i, bucket) in Bucket::all().iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
-            }
-            write!(
-                w,
-                r#"{{"name":"{}","ns":{}}}"#,
-                bucket.as_str(),
-                b.buckets[bucket.index()].as_nanos()
-            )?;
+        w.end_arr()?.newline(0)?.key("critical_path")?.obj()?;
+        w.key("total_ns")?.u64(b.total.as_nanos())?;
+        w.key("edges")?.u64(b.edges_on_path as u64)?;
+        w.key("buckets")?.arr()?;
+        for bucket in Bucket::all() {
+            w.obj()?.key("name")?.str(bucket.as_str())?;
+            w.key("ns")?.u64(b.buckets[bucket.index()].as_nanos())?;
+            w.end_obj()?;
         }
-        write!(w, r#"],"phases":["#)?;
-        for (i, row) in b.phases.iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
+        w.end_arr()?.key("phases")?.arr()?;
+        for row in &b.phases {
+            w.newline(2)?.obj()?.key("phase")?.str(&row.label)?;
+            w.key("total_ns")?.u64(row.total.as_nanos())?;
+            w.key("buckets")?.arr()?;
+            for d in &row.buckets {
+                w.u64(d.as_nanos())?;
             }
-            write!(
-                w,
-                "\n  {{\"phase\":\"{}\",\"total_ns\":{},\"buckets\":[",
-                json::escape(&row.label),
-                row.total.as_nanos()
-            )?;
-            for (j, d) in row.buckets.iter().enumerate() {
-                if j > 0 {
-                    write!(w, ",")?;
-                }
-                write!(w, "{}", d.as_nanos())?;
-            }
-            write!(w, "]}}")?;
+            w.end_arr()?.end_obj()?;
         }
-        write!(w, r#"],"critical_msgs":["#)?;
-        for (i, id) in b.critical_msgs.iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
-            }
-            write!(w, "{id}")?;
+        w.end_arr()?.key("critical_msgs")?.arr()?;
+        for &id in &b.critical_msgs {
+            w.u64(id)?;
         }
-        writeln!(w, "]}}}}")
+        w.end_arr()?.end_obj()?.end_obj()?;
+        w.finish()
     }
 
     /// Renders the prediction for the terminal — by round-tripping

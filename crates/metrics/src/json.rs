@@ -1,11 +1,13 @@
-//! A minimal recursive-descent JSON parser, just enough to read back
-//! the report files this crate writes (`nowlab report` renders saved
-//! reports without re-running the simulation), and the one string
-//! [`escape`] routine the hand-rolled report writers share. No external
-//! dependency; objects preserve key order in a `Vec` so rendering is
-//! deterministic.
+//! The one JSON reader and writer of the workspace: a minimal
+//! recursive-descent parser, just enough to read back the report files
+//! (`nowlab report` renders saved reports without re-running the
+//! simulation), and a streaming [`Writer`] that every report goes
+//! through — metrics runs and sweeps, predictions, the analyzer's SARIF.
+//! No external dependency; objects preserve key order in a `Vec` so
+//! rendering is deterministic.
 
-use std::fmt::Write as _;
+use std::fmt::Display;
+use std::io::{self, Write};
 
 /// Deepest nesting of arrays and objects [`parse`] accepts. The parser
 /// recurses once per level, so the bound keeps a hostile file from
@@ -31,24 +33,172 @@ pub enum Value {
     Obj(Vec<(String, Value)>),
 }
 
-/// Escapes `s` for the inside of a JSON string literal: the inverse of
-/// what [`parse`] reads back.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if c < ' ' => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `s` as the inside of a JSON string literal: the inverse of what
+/// [`parse`] reads back. Runs that need no escape are copied whole; every
+/// escape is ASCII, so a run ends on a character boundary.
+fn escape<W: Write>(out: &mut W, s: &str) -> io::Result<()> {
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= b' ' && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.write_all(&bytes[start..i])?;
+        match b {
+            b'"' => out.write_all(b"\\\"")?,
+            b'\\' => out.write_all(b"\\\\")?,
+            b'\n' => out.write_all(b"\\n")?,
+            b'\t' => out.write_all(b"\\t")?,
+            b'\r' => out.write_all(b"\\r")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        start = i + 1;
     }
-    out
+    out.write_all(&bytes[start..])
+}
+
+/// A streaming JSON writer into any [`Write`], building no tree.
+///
+/// It decides every comma and every escape; the caller decides the
+/// structure, and where the document breaks a line ([`Writer::newline`]).
+/// Each call returns the writer, so a record chains:
+///
+/// ```
+/// use nowlab_metrics::json::{parse, Writer};
+///
+/// let mut buf = Vec::new();
+/// let mut w = Writer::new(&mut buf);
+/// w.obj()?.key("ns")?.u64s(&[1, 2])?.key("label")?.str("a\"b")?;
+/// w.key("share")?.fixed(0.5, 3)?.key("none")?.null()?.end_obj()?;
+/// w.finish()?;
+/// assert_eq!(buf, b"{\"ns\":[1,2],\"label\":\"a\\\"b\",\"share\":0.500,\"none\":null}\n");
+/// assert!(parse(std::str::from_utf8(&buf).unwrap()).is_ok());
+/// # Ok::<(), std::io::Error>(())
+/// ```
+#[derive(Debug)]
+pub struct Writer<W: Write> {
+    out: W,
+    /// True when the next key or value follows a sibling, so a comma
+    /// goes first.
+    comma: bool,
+}
+
+impl<W: Write> Writer<W> {
+    /// A writer at the start of a document.
+    pub fn new(out: W) -> Self {
+        Writer { out, comma: false }
+    }
+
+    fn sep(&mut self) -> io::Result<()> {
+        if self.comma {
+            self.out.write_all(b",")?;
+        }
+        Ok(())
+    }
+
+    /// Writes one complete value, after its comma.
+    fn value(&mut self, f: impl FnOnce(&mut W) -> io::Result<()>) -> io::Result<&mut Self> {
+        self.sep()?;
+        f(&mut self.out)?;
+        self.comma = true;
+        Ok(self)
+    }
+
+    fn open(&mut self, bracket: &[u8]) -> io::Result<&mut Self> {
+        self.sep()?;
+        self.out.write_all(bracket)?;
+        self.comma = false;
+        Ok(self)
+    }
+
+    fn close(&mut self, bracket: &[u8]) -> io::Result<&mut Self> {
+        self.out.write_all(bracket)?;
+        self.comma = true;
+        Ok(self)
+    }
+
+    /// Opens an object.
+    pub fn obj(&mut self) -> io::Result<&mut Self> {
+        self.open(b"{")
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> io::Result<&mut Self> {
+        self.close(b"}")
+    }
+
+    /// Opens an array.
+    pub fn arr(&mut self) -> io::Result<&mut Self> {
+        self.open(b"[")
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> io::Result<&mut Self> {
+        self.close(b"]")
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, k: &str) -> io::Result<&mut Self> {
+        self.sep()?;
+        self.out.write_all(b"\"")?;
+        escape(&mut self.out, k)?;
+        self.out.write_all(b"\":")?;
+        self.comma = false;
+        Ok(self)
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, v: u64) -> io::Result<&mut Self> {
+        self.value(|out| write!(out, "{v}"))
+    }
+
+    /// Writes an array of unsigned integers.
+    pub fn u64s(&mut self, vals: &[u64]) -> io::Result<&mut Self> {
+        self.arr()?;
+        for &v in vals {
+            self.u64(v)?;
+        }
+        self.end_arr()
+    }
+
+    /// Writes an escaped string.
+    pub fn str(&mut self, s: &str) -> io::Result<&mut Self> {
+        self.value(|out| {
+            out.write_all(b"\"")?;
+            escape(out, s)?;
+            out.write_all(b"\"")
+        })
+    }
+
+    /// Writes `v` with exactly `decimals` digits after the point.
+    pub fn fixed(&mut self, v: f64, decimals: usize) -> io::Result<&mut Self> {
+        self.value(|out| write!(out, "{v:.decimals$}"))
+    }
+
+    /// Writes `v` as its [`Display`] form, which must be a JSON number
+    /// (the shortest form that reads back as the same `f64`, for a float).
+    pub fn display(&mut self, v: impl Display) -> io::Result<&mut Self> {
+        self.value(|out| write!(out, "{v}"))
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> io::Result<&mut Self> {
+        self.value(|out| out.write_all(b"null"))
+    }
+
+    /// Breaks the line before the next key or value, indenting it by
+    /// `indent` spaces; the comma, if one is due, stays on this line.
+    pub fn newline(&mut self, indent: usize) -> io::Result<&mut Self> {
+        self.sep()?;
+        write!(self.out, "\n{:indent$}", "")?;
+        self.comma = false;
+        Ok(self)
+    }
+
+    /// Ends the document with a line break.
+    pub fn finish(mut self) -> io::Result<()> {
+        self.out.write_all(b"\n")
+    }
 }
 
 impl Value {
@@ -323,9 +473,26 @@ mod tests {
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
     }
 
+    /// The text `f` writes, finished with its line break.
+    fn written(f: impl FnOnce(&mut Writer<&mut Vec<u8>>) -> io::Result<()>) -> String {
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        f(&mut w).unwrap();
+        w.finish().unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    /// One string value, written.
+    fn string(s: &str) -> String {
+        written(|w| {
+            w.str(s)?;
+            Ok(())
+        })
+    }
+
     #[test]
-    fn escape_is_the_inverse_of_the_string_parser() {
-        assert_eq!(escape("EM3D(read)"), "EM3D(read)");
+    fn written_strings_read_back_through_the_parser() {
+        assert_eq!(string("EM3D(read)"), "\"EM3D(read)\"\n");
         for s in [
             "sort \"keys\"\\",
             "a\nb\tc\rd",
@@ -337,13 +504,111 @@ mod tests {
             "a\"日\\本\n🦀\tcafé",
             "\u{1}é\"",
         ] {
-            let doc = format!("\"{}\"", escape(s));
+            let doc = string(s);
             assert_eq!(parse(&doc).unwrap().as_str(), Some(s), "{doc}");
         }
+        assert_eq!(
+            string("q\"b\\n\nt\tr\r\u{1f}"),
+            "\"q\\\"b\\\\n\\nt\\tr\\r\\u001f\"\n"
+        );
         let v = parse(r#""caf\u00e9 \/ 日本""#).unwrap();
         assert_eq!(v.as_str(), Some("café / 日本"));
         assert!(parse(r#""\u12""#).is_err());
         assert!(parse("\"日本").is_err());
+    }
+
+    #[test]
+    fn the_writer_places_every_comma_at_every_depth() {
+        let doc = written(|w| {
+            w.obj()?.key("a")?.u64(1)?;
+            w.key("b")?.arr()?.u64(2)?;
+            w.arr()?.u64(3)?.u64(4)?.end_arr()?;
+            w.obj()?.key("c")?.obj()?;
+            w.key("d")?.u64s(&[5])?.end_obj()?;
+            w.key("e")?.null()?.end_obj()?.end_arr()?;
+            w.key("f")?.str("g")?.end_obj()?;
+            Ok(())
+        });
+        assert_eq!(
+            doc,
+            "{\"a\":1,\"b\":[2,[3,4],{\"c\":{\"d\":[5]},\"e\":null}],\"f\":\"g\"}\n"
+        );
+        assert!(parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn empty_containers_take_no_comma_inside_or_after() {
+        let doc = written(|w| {
+            w.obj()?.key("o")?.obj()?.end_obj()?;
+            w.key("a")?.arr()?.end_arr()?;
+            w.key("n")?.u64s(&[])?;
+            w.key("t")?.arr()?.arr()?.end_arr()?;
+            w.obj()?.end_obj()?.end_arr()?.end_obj()?;
+            Ok(())
+        });
+        assert_eq!(doc, "{\"o\":{},\"a\":[],\"n\":[],\"t\":[[],{}]}\n");
+        assert!(parse(&doc).is_ok());
+        let empty = written(|w| {
+            w.arr()?.end_arr()?;
+            Ok(())
+        });
+        assert_eq!(empty, "[]\n");
+    }
+
+    #[test]
+    fn numbers_print_fixed_displayed_or_null() {
+        let doc = written(|w| {
+            w.arr()?.fixed(2.9, 3)?.fixed(1.33449, 4)?.fixed(7.0, 0)?;
+            w.display(0.05)?.display(1.0)?.display(-1i64)?;
+            w.u64(u64::MAX)?.null()?.end_arr()?;
+            Ok(())
+        });
+        assert_eq!(
+            doc,
+            "[2.900,1.3345,7,0.05,1,-1,18446744073709551615,null]\n"
+        );
+        let v = parse("[2.900,1.3345,7,0.05,1,-1,null]").unwrap();
+        assert_eq!(v.as_arr().unwrap()[3].as_f64(), Some(0.05));
+        assert_eq!(v.as_arr().unwrap()[6], Value::Null);
+    }
+
+    #[test]
+    fn keys_escape_like_values_and_line_breaks_keep_the_comma() {
+        let key = "we\"ird\\key\n";
+        let doc = written(|w| {
+            w.obj()?.key(key)?.str("v\"al")?;
+            w.key("rows")?.arr()?;
+            for i in 0..2 {
+                w.newline(2)?.u64s(&[i])?;
+            }
+            w.end_arr()?.newline(0)?;
+            w.key("tail")?.u64(9)?.end_obj()?;
+            Ok(())
+        });
+        assert_eq!(
+            doc,
+            "{\"we\\\"ird\\\\key\\n\":\"v\\\"al\",\"rows\":[\n  [0],\n  [1]],\n\"tail\":9}\n"
+        );
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get(key).and_then(Value::as_str), Some("v\"al"));
+        assert_eq!(v.get("tail").and_then(Value::as_u64), Some(9));
+    }
+
+    #[test]
+    fn a_failing_sink_is_an_error_not_a_panic() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writer::new(Full);
+        assert!(w.obj().is_err());
+        assert!(w.str("x").is_err());
+        assert!(w.finish().is_err());
     }
 
     #[test]

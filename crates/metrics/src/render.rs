@@ -10,13 +10,29 @@ use crate::{ProcState, N_STATES};
 
 const MAX_COLS: usize = 64;
 
+/// The error of a report no run can produce: states conserve to
+/// `end_ns × procs`, so every sum of a real report fits in a `u64`.
+fn overflow() -> String {
+    "totals overflow 64 bits: not a report a run can produce".to_string()
+}
+
+/// `a + b`, checked.
+fn add(a: u64, b: u64) -> Result<u64, String> {
+    a.checked_add(b).ok_or_else(overflow)
+}
+
+/// The sum of `vals`, checked.
+fn sum(vals: &[u64]) -> Result<u64, String> {
+    vals.iter().try_fold(0, |acc, &v| add(acc, v))
+}
+
 /// Sums `vals` into at most [`MAX_COLS`] columns for terminal display.
-fn downsample(vals: &[u64]) -> Vec<u64> {
+fn downsample(vals: &[u64]) -> Result<Vec<u64>, String> {
     if vals.len() <= MAX_COLS {
-        return vals.to_vec();
+        return Ok(vals.to_vec());
     }
     let group = vals.len().div_ceil(MAX_COLS);
-    vals.chunks(group).map(|c| c.iter().sum()).collect()
+    vals.chunks(group).map(sum).collect()
 }
 
 fn pct(part: u64, whole: u64) -> f64 {
@@ -41,8 +57,8 @@ fn state_totals(v: &Value) -> Result<[u64; N_STATES], String> {
     Ok(out)
 }
 
-fn shares_line(totals: &[u64; N_STATES]) -> String {
-    let whole: u64 = totals.iter().sum();
+fn shares_line(totals: &[u64; N_STATES]) -> Result<String, String> {
+    let whole = sum(totals)?;
     let mut line = String::new();
     for s in ProcState::ALL {
         let _ = write!(
@@ -53,7 +69,7 @@ fn shares_line(totals: &[u64; N_STATES]) -> String {
             pct(totals[s as usize], whole)
         );
     }
-    line
+    Ok(line)
 }
 
 fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
@@ -69,7 +85,7 @@ fn phase_table(out: &mut String, phases: &[Value]) -> Result<(), String> {
     for ph in phases {
         let name = req(ph, "name")?.as_str().ok_or("phase name")?;
         let totals = state_totals(req(ph, "totals")?)?;
-        let whole: u64 = totals.iter().sum();
+        let whole = sum(&totals)?;
         let _ = write!(out, "{:<14} {:>9.3}", name, ms(whole));
         for s in ProcState::ALL {
             let _ = write!(out, " {:>6.1}", pct(totals[s as usize], whole));
@@ -146,7 +162,7 @@ fn render_run(v: &Value) -> Result<String, String> {
     let _ = writeln!(
         out,
         "\nstate shares (all processors):\n  {}",
-        shares_line(&totals)
+        shares_line(&totals)?
     );
 
     // Per-processor compute-utilization shade timeline.
@@ -160,9 +176,11 @@ fn render_run(v: &Value) -> Result<String, String> {
             .iter()
             .map(|row| Ok::<u64, String>(state_totals(row)?[ProcState::Compute as usize]))
             .collect::<Result<_, _>>()?;
-        rows.push(downsample(&compute));
-        nic_tx_total += req(p, "nic_tx_total")?.as_u64().ok_or("nic_tx_total")?;
-        nic_rx_total += req(p, "nic_rx_total")?.as_u64().ok_or("nic_rx_total")?;
+        rows.push(downsample(&compute)?);
+        let tx = req(p, "nic_tx_total")?.as_u64().ok_or("nic_tx_total")?;
+        let rx = req(p, "nic_rx_total")?.as_u64().ok_or("nic_rx_total")?;
+        nic_tx_total = add(nic_tx_total, tx)?;
+        nic_rx_total = add(nic_rx_total, rx)?;
     }
     if !rows.is_empty() {
         let cols = rows.iter().map(Vec::len).max().unwrap_or(0);
@@ -197,7 +215,9 @@ fn render_run(v: &Value) -> Result<String, String> {
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
         .max();
-    let per_proc_end = end_ns * procs.max(1) as u64;
+    let per_proc_end = end_ns
+        .checked_mul(procs.max(1) as u64)
+        .ok_or_else(overflow)?;
     let _ = write!(
         out,
         "\nnic occupancy: tx {:.1}%  rx {:.1}%    links: {}",
@@ -268,10 +288,7 @@ fn render_sweep(v: &Value) -> Result<String, String> {
             "{:>9.2} {:>9.3}  {:>6.1}",
             req(p, "x")?.as_f64().ok_or("x")?,
             req(p, "slowdown")?.as_f64().ok_or("slowdown")?,
-            pct(
-                totals[ProcState::Compute as usize],
-                totals.iter().sum::<u64>()
-            ),
+            pct(totals[ProcState::Compute as usize], sum(&totals)?),
         );
         for name in &phase_names {
             let share = req(summary, "phases")?
@@ -281,7 +298,7 @@ fn render_sweep(v: &Value) -> Result<String, String> {
                 .find(|ph| ph.get("name").and_then(Value::as_str) == Some(name))
                 .map(|ph| {
                     let t = state_totals(req(ph, "totals")?)?;
-                    Ok::<f64, String>(pct(t[ProcState::Compute as usize], t.iter().sum::<u64>()))
+                    Ok::<f64, String>(pct(t[ProcState::Compute as usize], sum(&t)?))
                 })
                 .transpose()?
                 .unwrap_or(0.0);
@@ -394,6 +411,68 @@ mod tests {
         assert!(rendered.contains("axis overhead"), "{rendered}");
         assert!(rendered.contains("cmp%:permute"), "{rendered}");
         assert!(rendered.contains("cmp%:init"), "{rendered}");
+    }
+
+    const M: u64 = i64::MAX as u64;
+
+    /// A minimal v3 run report: one proc row per `nic_tx` entry, each with
+    /// the `compute` timeline.
+    fn run_doc(
+        end_ns: u64,
+        procs: u64,
+        nic_tx: &[u64],
+        compute: &[u64],
+        totals: [u64; 7],
+    ) -> String {
+        let row = |c: &u64| format!("[{c},0,0,0,0,0,0]");
+        let timeline: Vec<String> = compute.iter().map(row).collect();
+        let proc_rows: Vec<String> = nic_tx
+            .iter()
+            .map(|tx| {
+                format!(
+                    r#"{{"timeline":[{}],"nic_tx_total":{tx},"nic_rx_total":0}}"#,
+                    timeline.join(",")
+                )
+            })
+            .collect();
+        format!(
+            r#"{{"schema":"{}","version":3,"kind":"run","app":"A","procs":{procs},"seed":1,"window_ns":1,"end_ns":{end_ns},"proc":[{}],"wire":[],"events_per_window":[],"summary":{{"totals":{totals:?},"phases":[{{"name":"p","totals":{totals:?}}}],"am":{{"retransmits":0,"win_depth_max":0,"win_depth_mean":0.0}}}}}}"#,
+            crate::report::SCHEMA_NAME,
+            proc_rows.join(",")
+        )
+    }
+
+    /// A minimal v3 sweep report with one point.
+    fn sweep_doc(totals: [u64; 7], phase: [u64; 7]) -> String {
+        format!(
+            r#"{{"schema":"{}","version":3,"kind":"sweep","app":"A","axis":"o","procs":1,"points":[{{"x":1.0,"slowdown":1.0,"summary":{{"totals":{totals:?},"phases":[{{"name":"p","totals":{phase:?}}}]}}}}]}}"#,
+            crate::report::SCHEMA_NAME
+        )
+    }
+
+    #[test]
+    fn totals_that_overflow_are_refused_not_wrapped_or_a_panic() {
+        let ok = [1, 2, 3, 0, 0, 0, 0];
+        let huge = [M, M, M, 0, 0, 0, 0];
+        assert!(render_report(&run_doc(10, 1, &[5], &[1; 129], ok)).is_ok());
+        assert!(render_report(&sweep_doc(ok, ok)).is_ok());
+        for (site, doc) in [
+            ("state shares", run_doc(10, 1, &[5], &[1], huge)),
+            ("downsampled timeline", run_doc(10, 1, &[5], &[M; 129], ok)),
+            ("nic totals", run_doc(10, 3, &[M, M, M], &[1], ok)),
+            ("end_ns x procs", run_doc(M, 3, &[5], &[1], ok)),
+            ("sweep point", sweep_doc(huge, ok)),
+            ("sweep phase", sweep_doc(ok, huge)),
+        ] {
+            let err = render_report(&doc).expect_err(site);
+            assert!(err.contains("overflow"), "{site}: {err}");
+        }
+        // The phase table sums its own rows.
+        let mut out = String::new();
+        let phases = parse(&format!(r#"[{{"name":"p","totals":{huge:?}}}]"#)).unwrap();
+        assert!(phase_table(&mut out, phases.as_arr().unwrap())
+            .unwrap_err()
+            .contains("overflow"));
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Report data model and the versioned machine-readable JSON schema.
 //!
-//! The JSON is hand-rolled in the same style as the trace crate's
-//! Chrome exporter: every value is an integer, a fixed-precision float,
-//! or an app/phase label passed through [`crate::json::escape`], so no
+//! The JSON goes through [`crate::json::Writer`]: every value is an
+//! integer, a fixed-precision float, or an escaped app/phase label, so no
 //! serializer dependency is taken. Two runs of the same (program, seed,
 //! window) produce byte-identical files.
 
 use std::io::{self, Write};
 
-use crate::json::escape;
+use crate::json::Writer;
 use crate::{ProcState, N_STATES};
 
 /// Name of the schema emitted in every report file.
@@ -193,116 +192,84 @@ pub struct RunMeta<'a> {
     pub seed: u64,
 }
 
-fn write_u64s<W: Write>(w: &mut W, vals: &[u64]) -> io::Result<()> {
-    write!(w, "[")?;
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
-        }
-        write!(w, "{v}")?;
-    }
-    write!(w, "]")
+/// Opens a report: `{"schema":…,"version":…,"kind":…,"app":…`.
+fn preamble<W: Write>(w: &mut Writer<W>, kind: &str, app: &str) -> io::Result<()> {
+    w.obj()?.key("schema")?.str(SCHEMA_NAME)?;
+    w.key("version")?.u64(SCHEMA_VERSION)?;
+    w.key("kind")?.str(kind)?.key("app")?.str(app)?;
+    Ok(())
 }
 
-fn write_states<W: Write>(w: &mut W) -> io::Result<()> {
-    write!(w, r#""states":["#)?;
-    for (i, s) in ProcState::ALL.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
-        }
-        write!(w, r#""{}""#, s.label())?;
+fn write_states<W: Write>(w: &mut Writer<W>) -> io::Result<()> {
+    w.key("states")?.arr()?;
+    for s in ProcState::ALL {
+        w.str(s.label())?;
     }
-    write!(w, "]")
+    w.end_arr()?;
+    Ok(())
 }
 
-fn write_summary<W: Write>(w: &mut W, s: &MetricsSummary) -> io::Result<()> {
-    write!(
-        w,
-        r#"{{"end_ns":{},"procs":{},"totals":"#,
-        s.end_ns, s.procs
-    )?;
-    write_u64s(w, &s.totals)?;
-    write!(w, r#","phases":["#)?;
-    for (i, ph) in s.phases.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
-        }
-        write!(w, r#"{{"name":"{}","totals":"#, escape(&ph.name))?;
-        write_u64s(w, &ph.totals)?;
-        write!(w, "}}")?;
+fn write_summary<W: Write>(w: &mut Writer<W>, s: &MetricsSummary) -> io::Result<()> {
+    w.obj()?.key("end_ns")?.u64(s.end_ns)?;
+    w.key("procs")?.u64(s.procs as u64)?;
+    w.key("totals")?.u64s(&s.totals)?.key("phases")?.arr()?;
+    for ph in &s.phases {
+        w.obj()?.key("name")?.str(&ph.name)?;
+        w.key("totals")?.u64s(&ph.totals)?.end_obj()?;
     }
-    write!(
-        w,
-        r#"],"am":{{"retransmits":{},"win_depth_max":{},"win_depth_mean":{:.3}}},"#,
-        s.retransmits, s.depth_max, s.depth_mean
-    )?;
+    w.end_arr()?.key("am")?.obj()?;
+    w.key("retransmits")?.u64(s.retransmits)?;
+    w.key("win_depth_max")?.u64(s.depth_max)?;
+    w.key("win_depth_mean")?.fixed(s.depth_mean, 3)?.end_obj()?;
     let d = &s.detector;
-    write!(
-        w,
-        r#""detector":{{"heartbeats":{},"suspicions":{},"false_suspicions":{},"peer_deaths":{},"max_detect_latency_ns":{}}},"#,
-        d.heartbeats, d.suspicions, d.false_suspicions, d.peer_deaths, d.max_detect_latency_ns
-    )?;
+    w.key("detector")?.obj()?;
+    w.key("heartbeats")?.u64(d.heartbeats)?;
+    w.key("suspicions")?.u64(d.suspicions)?;
+    w.key("false_suspicions")?.u64(d.false_suspicions)?;
+    w.key("peer_deaths")?.u64(d.peer_deaths)?;
+    w.key("max_detect_latency_ns")?;
+    w.u64(d.max_detect_latency_ns)?.end_obj()?;
     let c = &s.coll;
-    write!(
-        w,
-        r#""coll":{{"bcasts":{},"reduces":{},"allgathers":{},"alltoalls":{}}}}}"#,
-        c.bcasts, c.reduces, c.allgathers, c.alltoalls
-    )
+    w.key("coll")?.obj()?.key("bcasts")?.u64(c.bcasts)?;
+    w.key("reduces")?.u64(c.reduces)?;
+    w.key("allgathers")?.u64(c.allgathers)?;
+    w.key("alltoalls")?.u64(c.alltoalls)?.end_obj()?.end_obj()?;
+    Ok(())
 }
 
 impl MetricsReport {
     /// Writes the versioned `"kind":"run"` report.
     pub fn write_json<W: Write>(&self, meta: &RunMeta<'_>, w: &mut W) -> io::Result<()> {
-        write!(
-            w,
-            r#"{{"schema":"{SCHEMA_NAME}","version":{SCHEMA_VERSION},"kind":"run","app":"{}","procs":{},"seed":{},"window_ns":{},"end_ns":{},"#,
-            escape(meta.app),
-            meta.procs,
-            meta.seed,
-            self.window_ns,
-            self.end_ns
-        )?;
-        write_states(w)?;
-        write!(w, r#","proc":["#)?;
+        let mut w = Writer::new(w);
+        preamble(&mut w, "run", meta.app)?;
+        w.key("procs")?.u64(meta.procs as u64)?;
+        w.key("seed")?.u64(meta.seed)?;
+        w.key("window_ns")?.u64(self.window_ns)?;
+        w.key("end_ns")?.u64(self.end_ns)?;
+        write_states(&mut w)?;
+        w.key("proc")?.arr()?;
         for (i, p) in self.procs.iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
+            w.newline(2)?.obj()?.key("id")?.u64(i as u64)?;
+            w.key("totals")?.u64s(&p.totals)?.key("timeline")?.arr()?;
+            for row in &p.timeline {
+                w.u64s(row)?;
             }
-            write!(w, "\n  {{\"id\":{i},\"totals\":")?;
-            write_u64s(w, &p.totals)?;
-            write!(w, r#","timeline":["#)?;
-            for (j, row) in p.timeline.iter().enumerate() {
-                if j > 0 {
-                    write!(w, ",")?;
-                }
-                write_u64s(w, row)?;
-            }
-            write!(w, r#"],"nic_tx":"#)?;
-            write_u64s(w, &p.nic_tx)?;
-            write!(w, r#","nic_rx":"#)?;
-            write_u64s(w, &p.nic_rx)?;
-            write!(
-                w,
-                r#","nic_tx_total":{},"nic_rx_total":{}}}"#,
-                p.nic_tx_total, p.nic_rx_total
-            )?;
+            w.end_arr()?.key("nic_tx")?.u64s(&p.nic_tx)?;
+            w.key("nic_rx")?.u64s(&p.nic_rx)?;
+            w.key("nic_tx_total")?.u64(p.nic_tx_total)?;
+            w.key("nic_rx_total")?.u64(p.nic_rx_total)?.end_obj()?;
         }
-        write!(w, "],\n\"wire\":[")?;
-        for (i, l) in self.wire.iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
-            }
-            write!(
-                w,
-                r#"{{"src":{},"dst":{},"busy_ns":{}}}"#,
-                l.src, l.dst, l.busy_ns
-            )?;
+        w.end_arr()?.newline(0)?.key("wire")?.arr()?;
+        for l in &self.wire {
+            w.obj()?.key("src")?.u64(l.src as u64)?;
+            w.key("dst")?.u64(l.dst as u64)?;
+            w.key("busy_ns")?.u64(l.busy_ns)?.end_obj()?;
         }
-        write!(w, r#"],"events_per_window":"#)?;
-        write_u64s(w, &self.events_per_window)?;
-        write!(w, r#","summary":"#)?;
-        write_summary(w, &self.summary)?;
-        writeln!(w, "}}")
+        w.end_arr()?.key("events_per_window")?;
+        w.u64s(&self.events_per_window)?.key("summary")?;
+        write_summary(&mut w, &self.summary)?;
+        w.end_obj()?;
+        w.finish()
     }
 }
 
@@ -328,24 +295,18 @@ pub fn write_sweep_json<W: Write>(
     points: &[SweepPointMeta<'_>],
     w: &mut W,
 ) -> io::Result<()> {
-    write!(
-        w,
-        r#"{{"schema":"{SCHEMA_NAME}","version":{SCHEMA_VERSION},"kind":"sweep","app":"{}","axis":"{axis}","procs":{procs},"#,
-        escape(app),
-    )?;
-    write_states(w)?;
-    write!(w, r#","points":["#)?;
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
-        }
-        write!(
-            w,
-            "\n  {{\"x\":{:.3},\"runtime_ns\":{},\"slowdown\":{:.4},\"summary\":",
-            p.x, p.runtime_ns, p.slowdown
-        )?;
-        write_summary(w, p.summary)?;
-        write!(w, "}}")?;
+    let mut w = Writer::new(w);
+    preamble(&mut w, "sweep", app)?;
+    w.key("axis")?.str(axis)?.key("procs")?.u64(procs as u64)?;
+    write_states(&mut w)?;
+    w.key("points")?.arr()?;
+    for p in points {
+        w.newline(2)?.obj()?.key("x")?.fixed(p.x, 3)?;
+        w.key("runtime_ns")?.u64(p.runtime_ns)?;
+        w.key("slowdown")?.fixed(p.slowdown, 4)?.key("summary")?;
+        write_summary(&mut w, p.summary)?;
+        w.end_obj()?;
     }
-    writeln!(w, "]}}")
+    w.end_arr()?.end_obj()?;
+    w.finish()
 }

@@ -4,7 +4,7 @@
 //! cooperatively scheduled async tasks. Tasks model the simulated processors:
 //! they run in zero virtual time between `await` points and advance the clock
 //! only by awaiting [`Sim::delay`] / [`Sim::sleep_until`] or by blocking on
-//! synchronization primitives ([`crate::Notify`], [`crate::Semaphore`]).
+//! a [`crate::Notify`].
 //!
 //! The executor is strictly single-threaded and deterministic: ties in the
 //! event queue are broken by insertion sequence number, and the ready list is
@@ -132,7 +132,7 @@ pub struct HookId(u32);
 /// A spawned task, as [`Sim::current_task`] names it for
 /// [`Sim::wake_task`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskRef(TaskId);
+pub(crate) struct TaskRef(TaskId);
 
 /// One spawned task plus its reusable waker. The waker is created once at
 /// spawn instead of once per poll: `Waker::from(Arc<TaskWaker>)` costs an
@@ -625,7 +625,7 @@ impl Sim {
     /// A wait primitive that remembers this instead of a clone of the
     /// waker wakes the task with [`Sim::wake_task`]: no waker is cloned
     /// when the task registers and none is dropped when it is woken.
-    pub fn current_task(&self, waker: &Waker) -> Option<TaskRef> {
+    pub(crate) fn current_task(&self, waker: &Waker) -> Option<TaskRef> {
         self.own_task(&self.shared.inner.borrow(), waker)
             .map(TaskRef)
     }
@@ -633,7 +633,7 @@ impl Sim {
     /// Wakes `task` exactly as its own waker's `wake_by_ref` would: the
     /// task joins the wake log unless it is already in it. A task that
     /// has finished is logged and skipped, as it is through a waker.
-    pub fn wake_task(&self, task: TaskRef) {
+    pub(crate) fn wake_task(&self, task: TaskRef) {
         self.shared.inner.borrow().shims[task.0].enqueue();
     }
 
@@ -1444,9 +1444,9 @@ mod tests {
             }
         };
         sim.spawn({
-            let (gate, log) = (Rc::clone(&gate), Rc::clone(&log));
+            let (gate, log, sim) = (Rc::clone(&gate), Rc::clone(&log), sim.clone());
             async move {
-                gate.notified().await;
+                gate.notified(&sim).await;
                 log.borrow_mut().push("notified");
             }
         });
@@ -1457,9 +1457,9 @@ mod tests {
         sim.run();
         sim.set_event_limit(None);
         let (g, l) = (Rc::clone(&gate), Rc::clone(&log));
-        sim.schedule(at, move |_| {
+        sim.schedule(at, move |sim| {
             l.borrow_mut().push("callback");
-            g.notify_all();
+            g.notify_all(sim);
         });
         sim.spawn(sleeper("b"));
         let report = sim.run();

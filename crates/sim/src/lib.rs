@@ -12,7 +12,7 @@
 //!   processors ([`Sim::spawn`], [`Sim::run`]),
 //! * timed futures ([`Sim::delay`], [`Sim::sleep_until`]) and one-shot
 //!   scheduled callbacks ([`Sim::schedule`]),
-//! * zero-time synchronization primitives ([`Notify`], [`Semaphore`]),
+//! * a zero-time wake list for condition loops ([`Notify`]),
 //! * livelock/bail-out controls ([`Sim::set_event_limit`],
 //!   [`Sim::set_time_limit`]).
 //!
@@ -37,7 +37,7 @@
 //! let (r, s, k) = (Rc::clone(&ready), Rc::clone(&sent), sim.clone());
 //! let receiver = sim.spawn(async move {
 //!     while !s.get() {
-//!         r.notified().await;
+//!         r.notified(&k).await;
 //!     }
 //!     k.now()
 //! });
@@ -46,7 +46,7 @@
 //! sim.spawn(async move {
 //!     k.delay(SimDelta::from_micros(5.0)).await; // "network latency"
 //!     s.set(true);
-//!     r.notify_all();
+//!     r.notify_all(&k);
 //! });
 //!
 //! sim.run();
@@ -65,10 +65,9 @@ mod time;
 mod wheel;
 
 pub use executor::{
-    race, yield_now, Either, HookId, JoinHandle, RunReport, Sim, Sleep, StopReason, TaskRef,
-    YieldNow,
+    race, yield_now, Either, HookId, JoinHandle, RunReport, Sim, Sleep, StopReason, YieldNow,
 };
 pub use float::{ordered_sum, ordered_sum_by};
-pub use sync::{Notified, Notify, Semaphore};
+pub use sync::{Notified, Notify};
 pub use time::{SimDelta, SimTime};
 pub use wheel::SchedulerStats;

@@ -1,14 +1,18 @@
-//! Task synchronization primitives for the single-threaded simulation.
+//! The kernel's one wait primitive for the single-threaded simulation.
 //!
-//! These are virtual-time-free: waiting on them consumes no simulated time by
-//! itself (time only advances through [`crate::Sim::delay`] or other timed
-//! futures). They exist to express *ordering* between simulated processes.
+//! It is virtual-time-free: waiting on a [`Notify`] consumes no simulated
+//! time by itself (time only advances through [`crate::Sim::delay`] or
+//! other timed futures). It exists to express *ordering* between simulated
+//! processes.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
+
+use crate::executor::TaskRef;
+use crate::Sim;
 
 /// An epoch-based notification primitive (a condition variable for tasks).
 ///
@@ -23,18 +27,18 @@ use std::task::{Context, Poll, Waker};
 /// let flag = Rc::new(Cell::new(false));
 /// let notify = Rc::new(Notify::new());
 ///
-/// let (f, n) = (Rc::clone(&flag), Rc::clone(&notify));
+/// let (f, n, s) = (Rc::clone(&flag), Rc::clone(&notify), sim.clone());
 /// let waiter = sim.spawn(async move {
 ///     while !f.get() {
-///         n.notified().await;
+///         n.notified(&s).await;
 ///     }
 ///     true
 /// });
 ///
-/// let (f, n) = (flag, notify);
+/// let (f, n, s) = (flag, notify, sim.clone());
 /// sim.spawn(async move {
 ///     f.set(true);
-///     n.notify_all();
+///     n.notify_all(&s);
 /// });
 ///
 /// sim.run();
@@ -43,17 +47,49 @@ use std::task::{Context, Poll, Waker};
 ///
 /// Wakeups may be spurious from the waiter's perspective (every `notify_all`
 /// wakes every waiter), so always re-check the condition.
+///
+/// The wake list holds task ids: a task polled through its own waker is
+/// named by `Sim::current_task` and woken by `Sim::wake_task` (both
+/// crate-private), so a wait clones no waker and a wake drops none. A wait polled through a
+/// substituted waker (a combinator's, or outside any task) keeps that
+/// waker instead.
+///
+/// A registration outlives the wait that made it: a task that stopped
+/// waiting (its `race` was won by another future) stays listed, and the
+/// next `notify_all` wakes it spuriously — an extra poll the kernel's poll
+/// count includes.
 #[derive(Default)]
 pub struct Notify {
     epoch: Cell<u64>,
-    waiters: RefCell<Vec<Waker>>,
+    /// The first registration: the one-waiter case touches no `Vec`.
+    first: Cell<Option<Waiter>>,
+    /// Every later registration, in order.
+    rest: RefCell<Vec<Waiter>>,
+}
+
+enum Waiter {
+    Task(TaskRef),
+    Foreign(Waker),
+}
+
+impl Waiter {
+    #[inline]
+    fn wake(self, sim: &Sim) {
+        match self {
+            Waiter::Task(task) => sim.wake_task(task),
+            Waiter::Foreign(waker) => waker.wake(),
+        }
+    }
 }
 
 impl fmt::Debug for Notify {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let first = self.first.take();
+        let waiters = usize::from(first.is_some()) + self.rest.borrow().len();
+        self.first.set(first);
         f.debug_struct("Notify")
             .field("epoch", &self.epoch.get())
-            .field("waiters", &self.waiters.borrow().len())
+            .field("waiters", &waiters)
             .finish()
     }
 }
@@ -64,19 +100,28 @@ impl Notify {
         Self::default()
     }
 
-    /// Wakes every task currently waiting in [`Notify::notified`].
-    pub fn notify_all(&self) {
+    /// Wakes every task currently waiting in [`Notify::notified`], in the
+    /// order they registered.
+    #[inline]
+    pub fn notify_all(&self, sim: &Sim) {
         self.epoch.set(self.epoch.get() + 1);
-        for w in self.waiters.borrow_mut().drain(..) {
-            w.wake();
+        let Some(first) = self.first.take() else {
+            return;
+        };
+        first.wake(sim);
+        let mut rest = self.rest.borrow_mut();
+        if !rest.is_empty() {
+            rest.drain(..).for_each(|w| w.wake(sim));
         }
     }
 
     /// Future that completes at the next [`Notify::notify_all`] issued after
-    /// this call.
-    pub fn notified(&self) -> Notified<'_> {
+    /// this call; each poll that finds none registers the polling task
+    /// again.
+    pub fn notified<'a>(&'a self, sim: &'a Sim) -> Notified<'a> {
         Notified {
             notify: self,
+            sim,
             start_epoch: self.epoch.get(),
         }
     }
@@ -85,97 +130,41 @@ impl Notify {
     pub fn epoch(&self) -> u64 {
         self.epoch.get()
     }
+
+    #[inline]
+    fn register(&self, waiter: Waiter) {
+        match self.first.take() {
+            None => self.first.set(Some(waiter)),
+            first => {
+                self.first.set(first);
+                self.rest.borrow_mut().push(waiter);
+            }
+        }
+    }
 }
 
 /// Future returned by [`Notify::notified`].
 #[derive(Debug)]
 pub struct Notified<'a> {
     notify: &'a Notify,
+    sim: &'a Sim,
     start_epoch: u64,
 }
 
 impl Future for Notified<'_> {
     type Output = ();
 
+    #[inline]
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if self.notify.epoch.get() > self.start_epoch {
-            Poll::Ready(())
-        } else {
-            self.notify.waiters.borrow_mut().push(cx.waker().clone());
-            Poll::Pending
+            return Poll::Ready(());
         }
-    }
-}
-
-/// A counting semaphore for simulated tasks.
-///
-/// Used, e.g., to model bounded queues. Fair in the sense that all waiters are
-/// woken on release and re-race deterministically (FIFO ready queue).
-///
-/// # Examples
-///
-/// ```
-/// use std::rc::Rc;
-/// use nowlab_sim::{Sim, Semaphore};
-///
-/// let sim = Sim::new();
-/// let sem = Rc::new(Semaphore::new(1));
-/// let s2 = Rc::clone(&sem);
-/// let h = sim.spawn(async move {
-///     s2.acquire().await;
-///     s2.release();
-///     true
-/// });
-/// sim.run();
-/// assert_eq!(h.try_take(), Some(true));
-/// ```
-#[derive(Debug, Default)]
-pub struct Semaphore {
-    permits: Cell<usize>,
-    notify: Notify,
-}
-
-impl Semaphore {
-    /// Creates a semaphore with `permits` initial permits.
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            permits: Cell::new(permits),
-            notify: Notify::new(),
-        }
-    }
-
-    /// Currently available permits.
-    pub fn available(&self) -> usize {
-        self.permits.get()
-    }
-
-    /// Acquires one permit, waiting (in zero virtual time) until available.
-    pub async fn acquire(&self) {
-        loop {
-            let p = self.permits.get();
-            if p > 0 {
-                self.permits.set(p - 1);
-                return;
-            }
-            self.notify.notified().await;
-        }
-    }
-
-    /// Acquires a permit if one is available right now.
-    pub fn try_acquire(&self) -> bool {
-        let p = self.permits.get();
-        if p > 0 {
-            self.permits.set(p - 1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Returns one permit and wakes waiters.
-    pub fn release(&self) {
-        self.permits.set(self.permits.get() + 1);
-        self.notify.notify_all();
+        self.notify
+            .register(match self.sim.current_task(cx.waker()) {
+                Some(task) => Waiter::Task(task),
+                None => Waiter::Foreign(cx.waker().clone()),
+            });
+        Poll::Pending
     }
 }
 
@@ -192,13 +181,13 @@ mod tests {
         let n2 = Rc::clone(&n);
         let s2 = sim.clone();
         let waiter = sim.spawn(async move {
-            n2.notified().await;
+            n2.notified(&s2).await;
             s2.now()
         });
         let s3 = sim.clone();
         sim.spawn(async move {
             s3.delay(SimDelta::from_nanos(30)).await;
-            n.notify_all();
+            n.notify_all(&s3);
         });
         sim.run();
         assert_eq!(waiter.try_take().unwrap().as_nanos(), 30);
@@ -209,15 +198,15 @@ mod tests {
         // A notified() created *after* the notify fires must not complete
         // until the next notify; condition loops handle this by re-checking
         // state first.
+        let sim = Sim::new();
         let n = Notify::new();
-        n.notify_all();
+        n.notify_all(&sim);
         assert_eq!(n.epoch(), 1);
         // Future created now requires epoch > 1.
-        let sim = Sim::new();
         let n = Rc::new(n);
-        let n2 = Rc::clone(&n);
+        let (n2, s2) = (Rc::clone(&n), sim.clone());
         let h = sim.spawn(async move {
-            n2.notified().await;
+            n2.notified(&s2).await;
             true
         });
         sim.run();
@@ -228,50 +217,41 @@ mod tests {
     }
 
     #[test]
-    fn semaphore_serializes_critical_sections() {
+    fn waiters_wake_in_registration_order_named_or_foreign() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        use std::sync::Arc;
+        use std::task::Wake;
+
+        struct Count(AtomicUsize);
+        impl Wake for Count {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Relaxed);
+            }
+        }
         let sim = Sim::new();
-        let sem = Rc::new(Semaphore::new(1));
-        let log: Rc<std::cell::RefCell<Vec<(u32, &'static str)>>> =
-            Rc::new(std::cell::RefCell::new(Vec::new()));
-        for i in 0..3u32 {
-            let sem = Rc::clone(&sem);
-            let log = Rc::clone(&log);
-            let s = sim.clone();
+        let n = Rc::new(Notify::new());
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for name in ["a", "b", "c"] {
+            let (n, log, s) = (Rc::clone(&n), Rc::clone(&log), sim.clone());
             sim.spawn(async move {
-                sem.acquire().await;
-                log.borrow_mut().push((i, "in"));
-                s.delay(SimDelta::from_nanos(10)).await;
-                log.borrow_mut().push((i, "out"));
-                sem.release();
+                n.notified(&s).await;
+                log.borrow_mut().push(name);
             });
         }
         sim.run();
-        let log = log.borrow();
-        assert_eq!(log.len(), 6);
-        // Sections never interleave: every "in" is followed by its own "out".
-        for pair in log.chunks(2) {
-            assert_eq!(pair[0].0, pair[1].0);
-            assert_eq!(pair[0].1, "in");
-            assert_eq!(pair[1].1, "out");
-        }
-    }
-
-    #[test]
-    fn try_acquire_fails_when_empty() {
-        let sem = Semaphore::new(1);
-        assert!(sem.try_acquire());
-        assert!(!sem.try_acquire());
-        sem.release();
-        assert!(sem.try_acquire());
-    }
-
-    #[test]
-    fn semaphore_available_tracks_permits() {
-        let sem = Semaphore::new(3);
-        assert_eq!(sem.available(), 3);
-        assert!(sem.try_acquire());
-        assert_eq!(sem.available(), 2);
-        sem.release();
-        assert_eq!(sem.available(), 3);
+        // A wait polled outside any task keeps the waker it was given.
+        let count = Arc::new(Count(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&count));
+        let mut cx = Context::from_waker(&waker);
+        let mut foreign = Box::pin(n.notified(&sim));
+        assert!(foreign.as_mut().poll(&mut cx).is_pending());
+        assert_eq!(format!("{n:?}"), "Notify { epoch: 0, waiters: 4 }");
+        n.notify_all(&sim);
+        assert_eq!(count.0.load(Relaxed), 1);
+        assert!(foreign.as_mut().poll(&mut cx).is_ready());
+        let report = sim.run();
+        assert_eq!(*log.borrow(), ["a", "b", "c"]);
+        assert_eq!(report.polls, 3, "one poll per woken task");
+        assert_eq!(format!("{n:?}"), "Notify { epoch: 1, waiters: 0 }");
     }
 }

@@ -193,45 +193,6 @@ pub enum WaitKind {
     Rx,
 }
 
-/// Which synchronization construct a [`TraceEvent::Wave`] belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum WaveKind {
-    /// Dissemination barrier completion.
-    Barrier,
-    /// Broadcast participation.
-    Broadcast,
-    /// Reduction participation.
-    Reduce,
-    /// All-gather participation.
-    Allgather,
-    /// All-to-all participation.
-    AllToAll,
-}
-
-impl WaveKind {
-    /// Short lowercase label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WaveKind::Barrier => "barrier",
-            WaveKind::Broadcast => "bcast",
-            WaveKind::Reduce => "reduce",
-            WaveKind::Allgather => "allgather",
-            WaveKind::AllToAll => "alltoall",
-        }
-    }
-
-    /// Dense discriminant, for per-kind indexing.
-    pub fn index(self) -> usize {
-        match self {
-            WaveKind::Barrier => 0,
-            WaveKind::Broadcast => 1,
-            WaveKind::Reduce => 2,
-            WaveKind::Allgather => 3,
-            WaveKind::AllToAll => 4,
-        }
-    }
-}
-
 /// A fixed-capacity ASCII phase label. Sixteen bytes inline (longer names
 /// truncate, non-ASCII bytes drop) so [`TraceEvent`] stays `Copy` and event
 /// construction allocates nothing.
@@ -341,13 +302,10 @@ pub enum TraceEvent {
         exit: SimTime,
     },
     /// Participation in a synchronization wave: this processor completed a
-    /// barrier or a collective operation. Same-index waves of the same
-    /// kind on different processors belong to the same logical wave.
+    /// barrier or a collective operation.
     Wave {
         /// Participating processor.
         proc: usize,
-        /// Which construct.
-        kind: WaveKind,
         /// Instant the wave completed on this processor.
         at: SimTime,
     },
@@ -844,22 +802,6 @@ pub struct IdleSeg {
     pub exit: SimTime,
 }
 
-/// A synchronization-wave participation ([`TraceEvent::Wave`]) with its
-/// per-(processor, kind) sequence index: the `index`-th wave of `kind` on
-/// `proc`. Equal indices of the same kind across processors identify the
-/// same logical wave.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaveMark {
-    /// Participating processor.
-    pub proc: usize,
-    /// Which construct.
-    pub kind: WaveKind,
-    /// Per-(processor, kind) sequence number, from zero.
-    pub index: u64,
-    /// Instant the wave completed on this processor.
-    pub at: SimTime,
-}
-
 /// A measured-region boundary ([`TraceEvent::Region`]), as recorded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegionMark {
@@ -1051,7 +993,7 @@ impl TraceSummary {
 
 /// A finished trace: the aggregate summary plus (in [`TraceMode::Full`])
 /// every per-message record in injection order, and the happens-before
-/// side channels (compute/idle segments, waves, region and phase marks)
+/// side channels (compute/idle segments, region and phase marks)
 /// the DAG builder in `nowlab-predict` consumes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceReport {
@@ -1063,8 +1005,6 @@ pub struct TraceReport {
     pub computes: Vec<ComputeSeg>,
     /// Deadline-bounded idle waits, in emission order (Full mode only).
     pub idles: Vec<IdleSeg>,
-    /// Synchronization waves, in emission order (Full mode only).
-    pub waves: Vec<WaveMark>,
     /// Measured-region boundaries, in emission order (Full mode only).
     pub regions: Vec<RegionMark>,
     /// Application phase markers, in emission order (Full mode only).
@@ -1131,11 +1071,8 @@ struct RecorderState {
     records: Vec<MsgRecord>,
     /// Last injection instant per source processor.
     last_send: Vec<Option<SimTime>>,
-    /// Next wave sequence number per processor and [`WaveKind::index`].
-    wave_seq: Vec<[u64; 5]>,
     computes: Vec<ComputeSeg>,
     idles: Vec<IdleSeg>,
-    waves: Vec<WaveMark>,
     regions: Vec<RegionMark>,
     phases: Vec<PhaseMark>,
     summary: TraceSummary,
@@ -1271,7 +1208,6 @@ impl TraceRecorder {
             records: st.records,
             computes: st.computes,
             idles: st.idles,
-            waves: st.waves,
             regions: st.regions,
             phases: st.phases,
         }
@@ -1441,20 +1377,7 @@ impl TraceSink for TraceRecorder {
                     });
                 }
             }
-            TraceEvent::Wave { proc, kind, at } => {
-                st.summary.waves += 1;
-                if self.keep_records {
-                    let seq = &mut per_proc(&mut st.wave_seq, *proc)[kind.index()];
-                    let index = *seq;
-                    *seq += 1;
-                    st.waves.push(WaveMark {
-                        proc: *proc,
-                        kind: *kind,
-                        index,
-                        at: *at,
-                    });
-                }
-            }
+            TraceEvent::Wave { .. } => st.summary.waves += 1,
             TraceEvent::Region { proc, begin, at } => {
                 st.summary.region_marks += 1;
                 if self.keep_records {
@@ -1722,11 +1645,7 @@ mod tests {
                     send(2, proc, 1, 50.0),
                     send(2, 0, proc, 50.0),
                     TraceEvent::Drop(attempt(2, proc, 1, 50.0)),
-                    TraceEvent::Wave {
-                        proc,
-                        kind: WaveKind::Barrier,
-                        at,
-                    },
+                    TraceEvent::Wave { proc, at },
                     TraceEvent::Compute {
                         proc,
                         start: at,
@@ -1739,7 +1658,7 @@ mod tests {
             }
             {
                 let st = rec.state.borrow();
-                assert!(st.last_send.len() <= 2 && st.wave_seq.is_empty());
+                assert!(st.last_send.len() <= 2);
                 assert_eq!(st.summary.matrix.len(), 2, "tables sized by the run");
                 assert_eq!(st.index.len(), 2, "the id was not taken either");
             }
@@ -1754,12 +1673,10 @@ mod tests {
         let rec = TraceRecorder::new(true);
         rec.record(&TraceEvent::Wave {
             proc: PROC_LIMIT - 1,
-            kind: WaveKind::Barrier,
             at,
         });
         let rep = rec.finish();
         assert_eq!((rep.summary.orphan_events, rep.summary.waves), (0, 1));
-        assert_eq!(rep.waves[0].proc, PROC_LIMIT - 1);
     }
 
     #[test]

@@ -316,6 +316,28 @@ fn report_rejects_bad_input() {
     assert!(text.contains("schema"), "{text}");
 }
 
+/// A report whose state totals overflow 64 bits, which no run can write
+/// (states conserve to `end_ns × procs`), is refused with the CLI's
+/// error line and exit 1: not an arithmetic-overflow panic, and not
+/// shares that sum past 100 %.
+#[test]
+fn report_refuses_totals_that_overflow() {
+    let max = i64::MAX;
+    let totals = format!("[{max},{max},{max},0,0,0,0]");
+    let doc = format!(
+        r#"{{"schema":"nowlab-metrics-report","version":3,"kind":"run","app":"Hostile","procs":1,"seed":1,"window_ns":1000,"end_ns":1000,"proc":[{{"timeline":[[1000,0,0,0,0,0,0]],"nic_tx_total":0,"nic_rx_total":0}}],"wire":[],"events_per_window":[],"summary":{{"totals":{totals},"phases":[],"am":{{"retransmits":0,"win_depth_max":0,"win_depth_mean":0.0}}}}}}"#
+    );
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_hostile.json");
+    std::fs::write(&path, doc).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_nowlab"))
+        .args(["report", path.to_str().unwrap()])
+        .output()
+        .expect("run nowlab binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: totals overflow"), "{stderr}");
+}
+
 /// A file nested far deeper than any report is refused with the CLI's
 /// error line and exit 1, not a stack overflow's abort.
 #[test]

@@ -1,5 +1,6 @@
 //! Byte-for-byte goldens for the two projections of the observation
-//! stream: the `--metrics FILE` report and the `--trace-summary` text.
+//! stream: the `--metrics FILE` report (run and sweep) and the
+//! `--trace-summary` text.
 //!
 //! The files under `tests/golden/observe_*` were written by the commit
 //! *before* `MetricsRecorder` became a consumer of `TraceEvent`s (PR 14),
@@ -22,7 +23,10 @@ use std::io::{self, Write};
 
 use nowlab::am::{NodeFault, NodeFaultPlan};
 use nowlab::apps::{suite_scaled, SuiteScale};
-use nowlab::core::{parallel_map, predict_app, Axis, MetricsMode, RunMeta};
+use nowlab::core::{
+    parallel_map, predict_app, sweep_jobs, write_sweep_json, Axis, MetricsMode, RunMeta,
+    SweepPointMeta,
+};
 use nowlab::trace::chrome::{write_chrome_trace, write_chrome_trace_highlighted};
 use nowlab::trace::MsgRecord;
 use nowlab::{FaultPlan, NetConfig, RunSpec, TraceMode};
@@ -133,6 +137,44 @@ fn both_projections_match_the_parent_goldens_at_every_job_count() {
                 case.app
             );
         }
+    }
+}
+
+/// `golden/sweep_radix_overhead.metrics.json` pins the one report kind the
+/// run goldens do not, the sweep report: the library form of `nowlab sweep
+/// --app radix --procs 4 --scale test --axis overhead --metrics FILE`,
+/// written by the commit *before* the report writers became one
+/// `json::Writer`.
+#[test]
+fn the_sweep_report_matches_the_parent_golden_at_every_job_count() {
+    let app = suite_scaled(SuiteScale::Test)
+        .into_iter()
+        .find(|a| a.name() == "Radix")
+        .expect("Radix in suite");
+    let spec = RunSpec::new(4)
+        .with_event_limit(300_000_000)
+        .with_metrics(MetricsMode::On);
+    let axis = Axis::Overhead;
+    for jobs in [1, 2] {
+        let sweep = sweep_jobs(app.as_ref(), &spec, axis, &axis.paper_values(), jobs)
+            .expect("baseline completes");
+        let metas: Vec<SweepPointMeta<'_>> = sweep
+            .points
+            .iter()
+            .map(|p| SweepPointMeta {
+                x: p.desired,
+                runtime_ns: p.runtime.as_nanos(),
+                slowdown: p.slowdown,
+                summary: p.metrics.as_ref().expect("metrics requested"),
+            })
+            .collect();
+        let mut buf = Vec::new();
+        write_sweep_json(&sweep.app, axis.label(), spec.procs, &metas, &mut buf)
+            .expect("in-memory write");
+        assert!(
+            buf == include_bytes!("golden/sweep_radix_overhead.metrics.json"),
+            "sweep report differs from the golden at --jobs {jobs}"
+        );
     }
 }
 
