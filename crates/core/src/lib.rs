@@ -49,7 +49,7 @@ pub use nowlab_am::{
 pub use nowlab_metrics::json;
 pub use nowlab_metrics::{
     render_report, write_sweep_json, MetricsMode, MetricsRecorder, MetricsReport, MetricsSummary,
-    ProcState, RunMeta, SweepPointMeta, DEFAULT_WINDOW,
+    RunMeta, SweepPointMeta, DEFAULT_WINDOW,
 };
 pub use nowlab_sim::{SimDelta, SimTime};
 pub use nowlab_splitc::{

@@ -16,10 +16,10 @@
 
 use std::io::{self, Write};
 
-use nowlab_metrics::json;
-use nowlab_predict::{analyze, tolerance_threshold, Bucket, PathBreakdown, BUCKETS};
+use nowlab_metrics::json::{self, Value};
+use nowlab_predict::{analyze, tolerance_threshold, PathBreakdown};
 use nowlab_sim::SimDelta;
-use nowlab_trace::{TraceMode, TraceReport};
+use nowlab_trace::{TraceMode, TraceReport, CRITICAL_PATH};
 
 use crate::report::{fmt_f, fmt_time, sparkline, Table};
 use crate::sweep::par::parallel_map;
@@ -29,7 +29,7 @@ use crate::sweep::{Axis, RunSpec, SweepableApp};
 pub const SCHEMA_NAME: &str = "nowlab-predict-report";
 /// Version of the schema. Bump on any field removal or meaning change;
 /// additions are backward compatible (see DESIGN.md §10).
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Slowdown budget defining the tolerance threshold: the reported
 /// threshold is the axis value where predicted slowdown first crosses
@@ -239,10 +239,9 @@ impl Prediction {
         w.key("total_ns")?.u64(b.total.as_nanos())?;
         w.key("edges")?.u64(b.edges_on_path as u64)?;
         w.key("buckets")?.arr()?;
-        for bucket in Bucket::all() {
-            w.obj()?.key("name")?.str(bucket.as_str())?;
-            w.key("ns")?.u64(b.buckets[bucket.index()].as_nanos())?;
-            w.end_obj()?;
+        for (label, d) in CRITICAL_PATH.labels().iter().zip(&b.buckets) {
+            w.obj()?.key("name")?.str(label)?;
+            w.key("ns")?.u64(d.as_nanos())?.end_obj()?;
         }
         w.end_arr()?.key("phases")?.arr()?;
         for row in &b.phases {
@@ -275,32 +274,36 @@ impl Prediction {
     }
 }
 
-fn req<'v>(v: &'v json::Value, key: &str) -> Result<&'v json::Value, String> {
-    v.get(key).ok_or_else(|| format!("missing `{key}`"))
+/// `key` of `v`, read by `get`: missing, or of a type `get` does not
+/// read, is an error.
+fn field<'v, T>(v: &'v Value, key: &str, get: fn(&'v Value) -> Option<T>) -> Result<T, String> {
+    let value = v.get(key).ok_or_else(|| format!("missing `{key}`"))?;
+    get(value).ok_or_else(|| format!("`{key}` has the wrong type"))
 }
 
 /// Renders a saved predict-report JSON file as the `nowlab predict`
 /// terminal output (sweep tables, tolerance-threshold lines, and the
-/// critical-path breakdown).
+/// critical-path breakdown). Every field the schema requires must be
+/// there with its type; anything else is an error, never a default.
 pub fn render_predict_report(text: &str) -> Result<String, String> {
     use std::fmt::Write as _;
     let v = json::parse(text)?;
-    let schema = req(&v, "schema")?.as_str().unwrap_or("?");
+    let schema = field(&v, "schema", Value::as_str)?;
     if schema != SCHEMA_NAME {
         return Err(format!("not a predict report (schema `{schema}`)"));
     }
-    let version = req(&v, "version")?.as_u64().unwrap_or(0);
+    let version = field(&v, "version", Value::as_u64)?;
     if version > SCHEMA_VERSION {
         return Err(format!(
             "predict report version {version} is newer than this binary ({SCHEMA_VERSION})"
         ));
     }
-    let app = req(&v, "app")?.as_str().unwrap_or("?").to_string();
-    let procs = req(&v, "procs")?.as_u64().unwrap_or(0);
-    let seed = req(&v, "seed")?.as_u64().unwrap_or(0);
-    let baseline_ns = req(&v, "baseline_ns")?.as_u64().unwrap_or(0);
-    let tolerance = req(&v, "tolerance")?.as_f64().unwrap_or(TOLERANCE);
-    let dag = req(&v, "dag")?;
+    let app = field(&v, "app", Value::as_str)?;
+    let procs = field(&v, "procs", Value::as_u64)?;
+    let seed = field(&v, "seed", Value::as_u64)?;
+    let baseline_ns = field(&v, "baseline_ns", Value::as_u64)?;
+    let tolerance = field(&v, "tolerance", Value::as_f64)?;
+    let dag = field(&v, "dag", Some)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -311,81 +314,70 @@ pub fn render_predict_report(text: &str) -> Result<String, String> {
         out,
         "baseline runtime {} == DAG critical path ({} nodes, {} edges); no re-simulation",
         fmt_time(SimDelta::from_nanos(baseline_ns)),
-        dag.get("nodes").and_then(|n| n.as_u64()).unwrap_or(0),
-        dag.get("edges").and_then(|n| n.as_u64()).unwrap_or(0),
+        field(dag, "nodes", Value::as_u64)?,
+        field(dag, "edges", Value::as_u64)?,
     );
-    if let Some(warnings) = v.get("warnings").and_then(|w| w.as_arr()) {
-        for warn in warnings {
-            let _ = writeln!(out, "warning: {}", warn.as_str().unwrap_or("?"));
-        }
+    for warn in field(&v, "warnings", Value::as_arr)? {
+        let warn = warn.as_str().ok_or("`warnings`: expected strings")?;
+        let _ = writeln!(out, "warning: {warn}");
     }
     let _ = writeln!(out);
 
-    for curve in req(&v, "axes")?.as_arr().ok_or("`axes` not an array")? {
-        let label = req(curve, "label")?.as_str().unwrap_or("?").to_string();
-        let points = req(curve, "points")?
-            .as_arr()
-            .ok_or("`points` not an array")?;
+    for curve in field(&v, "axes", Value::as_arr)? {
+        let label = field(curve, "label", Value::as_str)?;
         let mut t = Table::new(
             format!("{app}: predicted slowdown vs {label}"),
-            &[label.as_str(), "runtime", "slowdown", ""],
+            &[label, "runtime", "slowdown", ""],
         );
-        let slowdowns: Vec<f64> = points
-            .iter()
-            .filter_map(|p| p.get("slowdown").and_then(|s| s.as_f64()))
-            .collect();
-        let spark = sparkline(&slowdowns);
-        let glyphs: Vec<char> = spark.chars().collect();
-        for (i, p) in points.iter().enumerate() {
-            let x = req(p, "x")?.as_f64().unwrap_or(f64::NAN);
-            let ns = req(p, "runtime_ns")?.as_u64().unwrap_or(0);
-            let slow = req(p, "slowdown")?.as_f64().unwrap_or(f64::NAN);
+        let mut rows = Vec::new();
+        for p in field(curve, "points", Value::as_arr)? {
+            let x = field(p, "x", Value::as_f64)?;
+            let ns = field(p, "runtime_ns", Value::as_u64)?;
+            rows.push((x, ns, field(p, "slowdown", Value::as_f64)?));
+        }
+        let slowdowns: Vec<f64> = rows.iter().map(|&(_, _, slow)| slow).collect();
+        for ((x, ns, slow), glyph) in rows.into_iter().zip(sparkline(&slowdowns).chars()) {
             t.push_row([
                 fmt_f(x, 1),
                 fmt_time(SimDelta::from_nanos(ns)),
                 fmt_f(slow, 2),
-                glyphs.get(i).copied().unwrap_or(' ').to_string(),
+                glyph.to_string(),
             ]);
         }
         let _ = write!(out, "{t}");
-        let axis = req(curve, "axis")?.as_str().unwrap_or("?");
-        match req(curve, "threshold")?.as_f64() {
-            Some(thr) => {
-                let _ = writeln!(
+        let axis = field(curve, "axis", Value::as_str)?;
+        let pct = tolerance * 100.0;
+        let _ = match field(curve, "threshold", Some)? {
+            Value::Null => writeln!(
+                out,
+                "tolerance threshold [{axis}]: beyond the sweep — \
+                 predicted slowdown stays within {pct:.0}%"
+            ),
+            thr => {
+                let thr = thr.as_f64().ok_or("`threshold` has the wrong type")?;
+                let thr = fmt_f(thr, 1);
+                writeln!(
                     out,
-                    "tolerance threshold [{axis}]: {} — first {:.0}% predicted slowdown",
-                    fmt_f(thr, 1),
-                    tolerance * 100.0
-                );
+                    "tolerance threshold [{axis}]: {thr} — first {pct:.0}% predicted slowdown"
+                )
             }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "tolerance threshold [{axis}]: beyond the sweep — \
-                     predicted slowdown stays within {:.0}%",
-                    tolerance * 100.0
-                );
-            }
-        }
+        };
         let _ = writeln!(out);
     }
 
-    let cp = req(&v, "critical_path")?;
-    let total_ns = req(cp, "total_ns")?.as_u64().unwrap_or(0);
+    let cp = field(&v, "critical_path", Some)?;
+    let total_ns = field(cp, "total_ns", Value::as_u64)?;
     let mut t = Table::new(
         format!(
             "baseline critical path: {} over {} edges",
             fmt_time(SimDelta::from_nanos(total_ns)),
-            cp.get("edges").and_then(|n| n.as_u64()).unwrap_or(0)
+            field(cp, "edges", Value::as_u64)?
         ),
         &["bucket", "time", "share"],
     );
-    for bucket in req(cp, "buckets")?
-        .as_arr()
-        .ok_or("`buckets` not an array")?
-    {
-        let name = req(bucket, "name")?.as_str().unwrap_or("?").to_string();
-        let ns = req(bucket, "ns")?.as_u64().unwrap_or(0);
+    for bucket in field(cp, "buckets", Value::as_arr)? {
+        let name = field(bucket, "name", Value::as_str)?;
+        let ns = field(bucket, "ns", Value::as_u64)?;
         if ns == 0 {
             continue; // unused buckets add noise, not information
         }
@@ -395,30 +387,27 @@ pub fn render_predict_report(text: &str) -> Result<String, String> {
             100.0 * ns as f64 / total_ns as f64
         };
         t.push_row([
-            name,
+            name.to_string(),
             fmt_time(SimDelta::from_nanos(ns)),
             format!("{}%", fmt_f(share, 1)),
         ]);
     }
     let _ = write!(out, "{t}");
 
-    let phases = req(cp, "phases")?.as_arr().ok_or("`phases` not an array")?;
+    let phases = field(cp, "phases", Value::as_arr)?;
     if !phases.is_empty() {
-        let names: Vec<&str> = Bucket::all().iter().map(|b| b.as_str()).collect();
         let mut headers: Vec<&str> = vec!["phase", "total"];
-        headers.extend(names);
+        headers.extend(CRITICAL_PATH.labels());
         let _ = writeln!(out);
         let mut t = Table::new("critical path by phase", &headers);
         for row in phases {
-            let label = req(row, "phase")?.as_str().unwrap_or("?").to_string();
-            let ns = req(row, "total_ns")?.as_u64().unwrap_or(0);
-            let buckets = req(row, "buckets")?
-                .as_u64s()
-                .ok_or("`buckets` not an integer array")?;
-            if buckets.len() != BUCKETS {
+            let label = field(row, "phase", Value::as_str)?;
+            let ns = field(row, "total_ns", Value::as_u64)?;
+            let buckets = field(row, "buckets", Value::as_u64s)?;
+            if buckets.len() != CRITICAL_PATH.classes().len() {
                 return Err(format!("phase row has {} buckets", buckets.len()));
             }
-            let mut cells = vec![label, fmt_time(SimDelta::from_nanos(ns))];
+            let mut cells = vec![label.to_string(), fmt_time(SimDelta::from_nanos(ns))];
             cells.extend(buckets.iter().map(|&b| {
                 if b == 0 {
                     "-".to_string()
@@ -430,9 +419,8 @@ pub fn render_predict_report(text: &str) -> Result<String, String> {
         }
         let _ = write!(out, "{t}");
     }
-    if let Some(ids) = cp.get("critical_msgs").and_then(|m| m.as_arr()) {
-        let _ = writeln!(out, "\nmessages on the critical path: {}", ids.len());
-    }
+    let critical = field(cp, "critical_msgs", Value::as_u64s)?;
+    let _ = writeln!(out, "\nmessages on the critical path: {}", critical.len());
     Ok(out.trim_end().to_string())
 }
 
@@ -453,12 +441,13 @@ pub fn render_report_auto(text: &str) -> Result<String, String> {
 mod tests {
     use super::*;
     use nowlab_predict::PhaseRow;
+    use nowlab_trace::CostClass;
 
     fn sample() -> Prediction {
         let d = SimDelta::from_nanos;
-        let mut buckets = [SimDelta::ZERO; BUCKETS];
-        buckets[Bucket::Compute.index()] = d(700);
-        buckets[Bucket::Wire.index()] = d(300);
+        let mut buckets = [SimDelta::ZERO; 8];
+        buckets[CRITICAL_PATH.column(CostClass::Compute)] = d(700);
+        buckets[CRITICAL_PATH.column(CostClass::Wire)] = d(300);
         Prediction {
             app: "Toy".into(),
             procs: 4,
@@ -521,6 +510,47 @@ mod tests {
         let text = p.render();
         assert!(text.contains(r#"predicted from one traced run: To"y"#));
         assert!(text.contains(r#"sort "keys"\"#));
+    }
+
+    #[test]
+    fn a_wrongly_typed_field_is_an_error_not_a_default() {
+        let mut buf = Vec::new();
+        sample().write_json(&mut buf).unwrap();
+        let good = String::from_utf8(buf).unwrap();
+        assert!(render_predict_report(&good).is_ok());
+        for (from, to, named) in [
+            ("\"version\":2", "\"version\":\"2\"", "version"),
+            ("\"version\":2", "\"version\":-2", "version"),
+            ("\"app\":\"Toy\"", "\"app\":null", "app"),
+            ("\"procs\":4", "\"procs\":4.5", "procs"),
+            ("\"tolerance\":0.05", "\"tolerance\":\"5%\"", "tolerance"),
+            ("\"nodes\":12", "\"nodes\":\"12\"", "nodes"),
+            ("[\"no request/reply pairs\"]", "[1]", "warnings"),
+            ("\"label\":\"latency (us)\"", "\"label\":[]", "label"),
+            ("\"slowdown\":1.2000", "\"slowdown\":\"1.2\"", "slowdown"),
+            ("\"threshold\":7.500", "\"threshold\":\"7.5\"", "threshold"),
+            (
+                "\"total_ns\":1000,\"edges\"",
+                "\"total_ns\":\"1000\",\"edges\"",
+                "total_ns",
+            ),
+            ("\"name\":\"compute\"", "\"name\":2", "name"),
+            (
+                "{\"name\":\"o_send\",\"ns\":0}",
+                "{\"name\":\"o_send\"}",
+                "ns",
+            ),
+            (
+                "\"buckets\":[0,0,700",
+                "\"buckets\":[0,0,\"700\"",
+                "buckets",
+            ),
+            (",\"critical_msgs\":[3,9]", "", "critical_msgs"),
+        ] {
+            assert!(good.contains(from), "the sample writes {from}");
+            let err = render_predict_report(&good.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(&format!("`{named}`")), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Where `nowlab-trace` attributes cost *per message*, this crate
 //! aggregates *per processor-nanosecond*: every instant of every
-//! processor's virtual time is attributed to exactly one of seven states
-//! (compute, send overhead, receive overhead, Δo busy-loop, send-window
-//! wait, receive stall, idle), bucketed into fixed simulated-time windows
+//! processor's virtual time is attributed to exactly one of the seven
+//! classes of the [`PROCESSOR`] view (compute, baseline send and receive
+//! overhead, the Δo busy-loop, send-credit wait, receive stall, other),
+//! bucketed into fixed simulated-time windows
 //! and segmented by application phase markers. The accounting is
 //! *conserving by construction*: a per-processor cursor walks virtual
 //! time monotonically and every `[from, to)` span is deposited exactly
@@ -29,7 +30,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use nowlab_sim::{SimDelta, SimTime};
-use nowlab_trace::{SendEvent, TraceEvent, TraceSink, WaitKind};
+use nowlab_trace::{CostClass, SendEvent, TraceEvent, TraceSink, WaitKind, PROCESSOR};
 
 pub mod json;
 mod render;
@@ -51,72 +52,8 @@ pub enum MetricsMode {
     On,
 }
 
-/// Number of processor states tracked ([`ProcState`] variants).
-pub const N_STATES: usize = 7;
-
-/// The exhaustive, mutually exclusive classification of a processor's
-/// virtual time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProcState {
-    /// Application compute (`Ctx::compute` spans).
-    Compute = 0,
-    /// Baseline send overhead `o_send` (processor busy injecting).
-    OSend = 1,
-    /// Baseline receive overhead `o_recv` (processor busy extracting).
-    ORecv = 2,
-    /// The Δo busy-loop added by the overhead knob (paper §3).
-    DeltaO = 3,
-    /// Stalled for a send-window credit (flow control back-pressure).
-    TxWait = 4,
-    /// Stalled polling for an awaited message or deadline.
-    RxStall = 5,
-    /// None of the above (local bookkeeping between spans).
-    Idle = 6,
-}
-
-impl ProcState {
-    /// All states, in report column order.
-    pub const ALL: [ProcState; N_STATES] = [
-        ProcState::Compute,
-        ProcState::OSend,
-        ProcState::ORecv,
-        ProcState::DeltaO,
-        ProcState::TxWait,
-        ProcState::RxStall,
-        ProcState::Idle,
-    ];
-
-    /// Stable machine-readable label (also the JSON schema order).
-    pub fn label(self) -> &'static str {
-        match self {
-            ProcState::Compute => "compute",
-            ProcState::OSend => "o_send",
-            ProcState::ORecv => "o_recv",
-            ProcState::DeltaO => "delta_o",
-            ProcState::TxWait => "tx_wait",
-            ProcState::RxStall => "rx_stall",
-            ProcState::Idle => "idle",
-        }
-    }
-
-    /// Names of the coarse four-way view of processor time, in
-    /// [`ProcState::coarse`] index order.
-    pub const COARSE: [&'static str; 4] = ["compute", "overhead", "net wait", "other"];
-
-    /// Index into [`ProcState::COARSE`] of the class this state belongs
-    /// to — the one projection from the seven states onto the
-    /// compute / overhead / network-wait / other split (the
-    /// `time_breakdown` exhibit). Every state lands in exactly one class,
-    /// so the coarse view conserves time as exactly as the fine one.
-    pub fn coarse(self) -> usize {
-        match self {
-            ProcState::Compute => 0,
-            ProcState::OSend | ProcState::ORecv | ProcState::DeltaO => 1,
-            ProcState::TxWait | ProcState::RxStall => 2,
-            ProcState::Idle => 3,
-        }
-    }
-}
+/// Nanoseconds per class of the [`PROCESSOR`] view, in its column order.
+pub type StateNs = [u64; PROCESSOR.classes().len()];
 
 /// Default sampling window: 100 µs of simulated time (the suite's
 /// test-scale runs last a few ms; benchmark runs hundreds).
@@ -133,8 +70,8 @@ struct ProcRec {
     waiting: Option<WaitKind>,
     /// Interned id of the current application phase.
     phase: usize,
-    totals: [u64; N_STATES],
-    timeline: Vec<[u64; N_STATES]>,
+    totals: StateNs,
+    timeline: Vec<StateNs>,
     nic_tx: Vec<u64>,
     nic_rx: Vec<u64>,
     nic_tx_total: u64,
@@ -154,8 +91,8 @@ struct RecState {
     wire_dim: usize,
     phase_names: Vec<String>,
     phase_ids: BTreeMap<String, usize>,
-    /// Per phase, per state, nanoseconds summed over all processors.
-    phase_totals: Vec<[u64; N_STATES]>,
+    /// Per phase, per class, nanoseconds summed over all processors.
+    phase_totals: Vec<StateNs>,
     retransmits: u64,
     depth_max: u64,
     depth_sum: u128,
@@ -168,8 +105,8 @@ struct RecState {
 /// Per processor, a cursor tracks the last attributed nanosecond. Leaf
 /// busy spans (compute segments, the overhead a send or receive event
 /// reports) first flush the gap `[cursor, from)` to the *background*
-/// state — the kind of the enclosing wait if the processor is between a
-/// `WaitEnter` and its `WaitExit`, otherwise [`ProcState::Idle`] — then
+/// class — the kind of the enclosing wait if the processor is between a
+/// `WaitEnter` and its `WaitExit`, otherwise [`CostClass::Other`] — then
 /// deposit the span itself. Because every nanosecond is deposited
 /// exactly once, each window's components sum exactly to the window
 /// length (exact `u64` arithmetic, no float accumulation).
@@ -190,11 +127,11 @@ fn deposit(window: u64, mut from: u64, to: u64, mut bump: impl FnMut(usize, u64)
 }
 
 impl RecState {
-    fn account(&mut self, proc: usize, state: ProcState, from: u64, to: u64) {
+    fn account(&mut self, proc: usize, class: CostClass, from: u64, to: u64) {
         if to <= from {
             return;
         }
-        let s = state as usize;
+        let s = PROCESSOR.column(class);
         let phase = self.procs[proc].phase;
         self.phase_totals[phase][s] += to - from;
         let p = &mut self.procs[proc];
@@ -202,22 +139,22 @@ impl RecState {
         let timeline = &mut p.timeline;
         deposit(self.window, from, to, |w, chunk| {
             if timeline.len() <= w {
-                timeline.resize(w + 1, [0; N_STATES]);
+                timeline.resize(w + 1, StateNs::default());
             }
             timeline[w][s] += chunk;
         });
     }
 
-    /// Flushes `[cursor, to)` to the background state and advances the
+    /// Flushes `[cursor, to)` to the background class and advances the
     /// cursor.
     fn advance(&mut self, proc: usize, to: u64) {
         let p = &self.procs[proc];
         let (cursor, waiting) = (p.cursor, p.waiting);
         if to > cursor {
             let bg = match waiting {
-                Some(WaitKind::Tx) => ProcState::TxWait,
-                Some(WaitKind::Rx) => ProcState::RxStall,
-                None => ProcState::Idle,
+                Some(WaitKind::Tx) => CostClass::CreditWait,
+                Some(WaitKind::Rx) => CostClass::RxStall,
+                None => CostClass::Other,
             };
             self.account(proc, bg, cursor, to);
             self.procs[proc].cursor = to;
@@ -231,14 +168,14 @@ impl RecState {
         let id = self.phase_names.len();
         self.phase_names.push(name.to_string());
         self.phase_ids.insert(name.to_string(), id);
-        self.phase_totals.push([0; N_STATES]);
+        self.phase_totals.push(StateNs::default());
         id
     }
 
-    /// Deposits the leaf span `[from, to)` of `state`. Events arrive at
+    /// Deposits the leaf span `[from, to)` of `class`. Events arrive at
     /// the *end* of the span they describe and never overlap per
     /// processor.
-    fn busy(&mut self, proc: usize, state: ProcState, from: u64, to: u64) {
+    fn busy(&mut self, proc: usize, class: CostClass, from: u64, to: u64) {
         debug_assert!(
             from >= self.procs[proc].cursor,
             "overlapping busy span for proc {proc}: [{from}, {to}) vs cursor {}",
@@ -248,30 +185,30 @@ impl RecState {
         // Release-mode safety: never let a malformed span rewind the
         // cursor (attribution stays conserving, the span is truncated).
         let from = from.max(self.procs[proc].cursor);
-        self.account(proc, state, from, to);
+        self.account(proc, class, from, to);
         let p = &mut self.procs[proc];
         p.cursor = p.cursor.max(to);
     }
 
     /// Deposits the overhead span `[end − paid, end)`, split into the
-    /// machine's baseline component (`state`) and the Δo busy-loop the
+    /// machine's baseline component (`base_class`) and the Δo busy-loop the
     /// overhead knob adds (paper §3). Nothing paid means charged out of
     /// band (a timer-driven retransmission, counted but not timed: it
     /// overlaps whatever the processor was doing, so it cannot be a span
     /// in the conserving timeline).
-    fn overhead(&mut self, proc: usize, state: ProcState, paid: SimDelta, end: SimTime) {
+    fn overhead(&mut self, proc: usize, base_class: CostClass, paid: SimDelta, end: SimTime) {
         if paid.is_zero() {
             return;
         }
-        let base = match state {
-            ProcState::OSend => self.base_o_send,
+        let base = match base_class {
+            CostClass::OSendBase => self.base_o_send,
             _ => self.base_o_recv,
         };
         let end = end.as_nanos();
         let start = end.saturating_sub(paid.as_nanos());
         let split = start + base.min(paid).as_nanos();
-        self.busy(proc, state, start, split);
-        self.busy(proc, ProcState::DeltaO, split, end);
+        self.busy(proc, base_class, start, split);
+        self.busy(proc, CostClass::DeltaO, split, end);
     }
 
     /// Flushes up to `at` under the current wait kind and phase, then
@@ -317,7 +254,7 @@ impl RecState {
     /// dropped: the overhead just paid, the send context's occupancy, and
     /// one sample of the flow-control window.
     fn attempt(&mut self, e: &SendEvent) {
-        self.overhead(e.src, ProcState::OSend, e.o_send, e.inject);
+        self.overhead(e.src, CostClass::OSendBase, e.o_send, e.inject);
         self.nic(e.src, true, e.tx_start, e.tx_free);
         self.depth_max = self.depth_max.max(u64::from(e.in_flight));
         self.depth_sum += u128::from(e.in_flight);
@@ -329,7 +266,7 @@ impl MetricsRecorder {
     /// Creates a recorder for `procs` processors with the given sampling
     /// window (see [`DEFAULT_WINDOW`]) on a machine whose baseline
     /// overheads are `base_o_send` / `base_o_recv`: whatever an event
-    /// reports beyond them is attributed to [`ProcState::DeltaO`].
+    /// reports beyond them is attributed to [`CostClass::DeltaO`].
     pub fn new(
         procs: usize,
         window: SimDelta,
@@ -373,7 +310,7 @@ impl MetricsRecorder {
             .iter()
             .map(|p| {
                 let mut timeline = p.timeline.clone();
-                timeline.resize(windows, [0; N_STATES]);
+                timeline.resize(windows, StateNs::default());
                 let mut nic_tx = p.nic_tx.clone();
                 let mut nic_rx = p.nic_rx.clone();
                 nic_tx.resize(windows, 0);
@@ -389,7 +326,7 @@ impl MetricsRecorder {
             })
             .collect();
         let phase_totals = st.phase_totals.clone();
-        let mut totals = [0u64; N_STATES];
+        let mut totals = StateNs::default();
         for p in &procs {
             for (t, v) in totals.iter_mut().zip(p.totals.iter()) {
                 *t += v;
@@ -452,7 +389,7 @@ impl TraceSink for MetricsRecorder {
         match ev {
             TraceEvent::Compute { proc, start, dur } => {
                 let from = start.as_nanos();
-                st.busy(*proc, ProcState::Compute, from, from + dur.as_nanos());
+                st.busy(*proc, CostClass::Compute, from, from + dur.as_nanos());
             }
             TraceEvent::Send(e) => {
                 st.attempt(e);
@@ -461,7 +398,7 @@ impl TraceSink for MetricsRecorder {
                 }
             }
             TraceEvent::Drop(e) => st.attempt(e),
-            TraceEvent::Recv(e) => st.overhead(e.proc, ProcState::ORecv, e.o_recv, e.done),
+            TraceEvent::Recv(e) => st.overhead(e.proc, CostClass::ORecvBase, e.o_recv, e.done),
             TraceEvent::NicRx { proc, from, to } => st.nic(*proc, false, *from, *to),
             TraceEvent::WaitEnter { proc, kind, at } => {
                 st.mark(*proc, *at, |p| p.waiting = Some(*kind));
@@ -490,6 +427,10 @@ impl TraceSink for MetricsRecorder {
 pub(crate) mod tests {
     use super::*;
     use nowlab_trace::{MsgKind, PhaseLabel, RecvEvent};
+
+    fn col(class: CostClass) -> usize {
+        PROCESSOR.column(class)
+    }
 
     pub(crate) fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -636,10 +577,10 @@ pub(crate) mod tests {
         rec.record(&exit(0, 500));
         let report = rec.finish(t(600));
         let p = &report.procs[0];
-        assert_eq!(p.totals[ProcState::Compute as usize], 100);
-        assert_eq!(p.totals[ProcState::TxWait as usize], 200 + 160);
-        assert_eq!(p.totals[ProcState::ORecv as usize], 40);
-        assert_eq!(p.totals[ProcState::Idle as usize], 100);
+        assert_eq!(p.totals[col(CostClass::Compute)], 100);
+        assert_eq!(p.totals[col(CostClass::CreditWait)], 200 + 160);
+        assert_eq!(p.totals[col(CostClass::ORecvBase)], 40);
+        assert_eq!(p.totals[col(CostClass::Other)], 100);
     }
 
     #[test]
@@ -650,11 +591,11 @@ pub(crate) mod tests {
         rec.record(&send(0, 100, 100, (100, 100), (100, 100), 1));
         rec.record(&recv(1, 40, 200)); // exactly the baseline
         let report = rec.finish(t(200));
-        let totals = |p: usize, s: ProcState| report.procs[p].totals[s as usize];
-        assert_eq!(totals(0, ProcState::OSend), 30);
-        assert_eq!(totals(0, ProcState::DeltaO), 70);
-        assert_eq!(totals(1, ProcState::ORecv), 40);
-        assert_eq!(totals(1, ProcState::DeltaO), 0);
+        let totals = |p: usize, class| report.procs[p].totals[col(class)];
+        assert_eq!(totals(0, CostClass::OSendBase), 30);
+        assert_eq!(totals(0, CostClass::DeltaO), 70);
+        assert_eq!(totals(1, CostClass::ORecvBase), 40);
+        assert_eq!(totals(1, CostClass::DeltaO), 0);
     }
 
     #[test]
@@ -671,7 +612,7 @@ pub(crate) mod tests {
         rec.record(&send(0, 0, 500, (500, 600), (500, 550), 1));
         rec.record(&compute(0, 0, 1_000));
         let report = rec.finish(t(1_000));
-        assert_eq!(report.procs[0].totals[ProcState::Compute as usize], 1_000);
+        assert_eq!(report.procs[0].totals[col(CostClass::Compute)], 1_000);
         assert_eq!(report.procs[0].nic_tx_total, 100);
         assert_eq!(report.summary.retransmits, 1);
     }
@@ -706,10 +647,10 @@ pub(crate) mod tests {
         let work = by_name("work");
         // Proc 0: 400ns compute init, 500 compute + 100 idle work.
         // Proc 1: 100ns idle init, 900 idle work.
-        assert_eq!(init[ProcState::Compute as usize], 400);
-        assert_eq!(init[ProcState::Idle as usize], 100);
-        assert_eq!(work[ProcState::Compute as usize], 500);
-        assert_eq!(work[ProcState::Idle as usize], 100 + 900);
+        assert_eq!(init[col(CostClass::Compute)], 400);
+        assert_eq!(init[col(CostClass::Other)], 100);
+        assert_eq!(work[col(CostClass::Compute)], 500);
+        assert_eq!(work[col(CostClass::Other)], 100 + 900);
         assert_eq!(
             init.iter().sum::<u64>() + work.iter().sum::<u64>(),
             2 * 1_000
@@ -772,7 +713,7 @@ pub(crate) mod tests {
         };
         rec.record(&TraceEvent::Drop(attempt));
         let report = rec.finish(t(1_000));
-        assert_eq!(report.procs[0].totals[ProcState::OSend as usize], 30);
+        assert_eq!(report.procs[0].totals[col(CostClass::OSendBase)], 30);
         assert_eq!(report.procs[0].nic_tx_total, 100);
         assert_eq!(report.summary.depth_max, 2);
         assert!(report.wire.is_empty());

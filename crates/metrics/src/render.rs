@@ -5,10 +5,15 @@
 
 use std::fmt::Write as _;
 
+use nowlab_trace::{CostClass, PROCESSOR};
+
 use crate::json::{parse, Value};
-use crate::{ProcState, N_STATES};
+use crate::StateNs;
 
 const MAX_COLS: usize = 64;
+
+/// The column of compute time in a row of states.
+const COMPUTE: usize = PROCESSOR.column(CostClass::Compute);
 
 /// The error of a report no run can produce: states conserve to
 /// `end_ns × procs`, so every sum of a real report fits in a `u64`.
@@ -47,26 +52,21 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-fn state_totals(v: &Value) -> Result<[u64; N_STATES], String> {
+fn state_totals(v: &Value) -> Result<StateNs, String> {
     let vals = v.as_u64s().ok_or("totals: expected an integer array")?;
-    if vals.len() != N_STATES {
-        return Err(format!("totals: expected {N_STATES} states"));
-    }
-    let mut out = [0u64; N_STATES];
-    out.copy_from_slice(&vals);
-    Ok(out)
+    vals.try_into()
+        .map_err(|_| format!("totals: expected {} states", PROCESSOR.classes().len()))
 }
 
-fn shares_line(totals: &[u64; N_STATES]) -> Result<String, String> {
+fn shares_line(totals: &StateNs) -> Result<String, String> {
     let whole = sum(totals)?;
     let mut line = String::new();
-    for s in ProcState::ALL {
+    for (label, &ns) in PROCESSOR.labels().iter().zip(totals) {
         let _ = write!(
             line,
-            "{}{} {:.1}%",
+            "{}{label} {:.1}%",
             if line.is_empty() { "" } else { "  " },
-            s.label(),
-            pct(totals[s as usize], whole)
+            pct(ns, whole)
         );
     }
     Ok(line)
@@ -77,18 +77,20 @@ fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
 }
 
 fn phase_table(out: &mut String, phases: &[Value]) -> Result<(), String> {
-    let _ = writeln!(
-        out,
-        "{:<14} {:>9}  {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}",
-        "phase", "proc-ms", "cmp%", "osnd%", "orcv%", "d_o%", "txw%", "rxs%", "idle%"
-    );
+    // Each class's column is as wide as its header, `label%`.
+    let headers = PROCESSOR.labels().map(|label| format!("{label}%"));
+    let _ = write!(out, "{:<14} {:>9}", "phase", "proc-ms");
+    for h in &headers {
+        let _ = write!(out, " {h}");
+    }
+    out.push('\n');
     for ph in phases {
         let name = req(ph, "name")?.as_str().ok_or("phase name")?;
         let totals = state_totals(req(ph, "totals")?)?;
         let whole = sum(&totals)?;
         let _ = write!(out, "{:<14} {:>9.3}", name, ms(whole));
-        for s in ProcState::ALL {
-            let _ = write!(out, " {:>6.1}", pct(totals[s as usize], whole));
+        for (h, &ns) in headers.iter().zip(&totals) {
+            let _ = write!(out, " {:>w$.1}", pct(ns, whole), w = h.len());
         }
         out.push('\n');
     }
@@ -174,7 +176,7 @@ fn render_run(v: &Value) -> Result<String, String> {
         let timeline = req(p, "timeline")?.as_arr().ok_or("timeline")?;
         let compute: Vec<u64> = timeline
             .iter()
-            .map(|row| Ok::<u64, String>(state_totals(row)?[ProcState::Compute as usize]))
+            .map(|row| Ok::<u64, String>(state_totals(row)?[COMPUTE]))
             .collect::<Result<_, _>>()?;
         rows.push(downsample(&compute)?);
         let tx = req(p, "nic_tx_total")?.as_u64().ok_or("nic_tx_total")?;
@@ -288,7 +290,7 @@ fn render_sweep(v: &Value) -> Result<String, String> {
             "{:>9.2} {:>9.3}  {:>6.1}",
             req(p, "x")?.as_f64().ok_or("x")?,
             req(p, "slowdown")?.as_f64().ok_or("slowdown")?,
-            pct(totals[ProcState::Compute as usize], sum(&totals)?),
+            pct(totals[COMPUTE], sum(&totals)?),
         );
         for name in &phase_names {
             let share = req(summary, "phases")?
@@ -298,7 +300,7 @@ fn render_sweep(v: &Value) -> Result<String, String> {
                 .find(|ph| ph.get("name").and_then(Value::as_str) == Some(name))
                 .map(|ph| {
                     let t = state_totals(req(ph, "totals")?)?;
-                    Ok::<f64, String>(pct(t[ProcState::Compute as usize], sum(&t)?))
+                    Ok::<f64, String>(pct(t[COMPUTE], sum(&t)?))
                 })
                 .transpose()?
                 .unwrap_or(0.0);

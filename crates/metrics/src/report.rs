@@ -7,24 +7,26 @@
 
 use std::io::{self, Write};
 
+use nowlab_trace::{CostClass, COARSE, PROCESSOR};
+
 use crate::json::Writer;
-use crate::{ProcState, N_STATES};
+use crate::StateNs;
 
 /// Name of the schema emitted in every report file.
 pub const SCHEMA_NAME: &str = "nowlab-metrics-report";
 /// Version of the schema emitted in every report file. Bump on any
 /// field removal or meaning change; additions are backward compatible
 /// (see DESIGN.md §10).
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
-/// Per-state nanosecond totals for one application phase, summed over
+/// Per-class nanosecond totals for one application phase, summed over
 /// all processors.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseSlice {
     /// Phase name as passed to `Ctx::phase` (or [`crate::INIT_PHASE`]).
     pub name: String,
-    /// Nanoseconds per [`ProcState`], in `ProcState::ALL` order.
-    pub totals: [u64; N_STATES],
+    /// Nanoseconds per [`PROCESSOR`] class, in its column order.
+    pub totals: StateNs,
 }
 
 impl PhaseSlice {
@@ -33,14 +35,9 @@ impl PhaseSlice {
         self.totals.iter().sum()
     }
 
-    /// Share of this phase spent in `state` (0 when the phase is empty).
-    pub fn share(&self, state: ProcState) -> f64 {
-        let total = self.elapsed();
-        if total == 0 {
-            0.0
-        } else {
-            self.totals[state as usize] as f64 / total as f64
-        }
+    /// Share of this phase spent in `class` (0 when the phase is empty).
+    pub fn share(&self, class: CostClass) -> f64 {
+        share(&self.totals, class)
     }
 }
 
@@ -51,8 +48,8 @@ pub struct MetricsSummary {
     pub end_ns: u64,
     /// Number of processors.
     pub procs: usize,
-    /// Nanoseconds per [`ProcState`] summed over all processors.
-    pub totals: [u64; N_STATES],
+    /// Nanoseconds per [`PROCESSOR`] class summed over all processors.
+    pub totals: StateNs,
     /// Per-phase breakdown (first entry is always the init phase).
     pub phases: Vec<PhaseSlice>,
     /// Transport retransmissions during the run.
@@ -104,43 +101,36 @@ pub struct CollSummary {
 }
 
 impl MetricsSummary {
-    /// Share of all processor time spent in `state`.
-    pub fn share(&self, state: ProcState) -> f64 {
-        let total: u64 = self.totals.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.totals[state as usize] as f64 / total as f64
-        }
+    /// Share of all processor time spent in `class`.
+    pub fn share(&self, class: CostClass) -> f64 {
+        share(&self.totals, class)
     }
 
-    /// Shares of all processor time per coarse class, in
-    /// [`ProcState::COARSE`] order (see [`ProcState::coarse`]). The
-    /// classes partition the integer totals, so the shares sum to 1.
+    /// Shares of all processor time per [`COARSE`] group. The groups
+    /// partition the integer totals, so the shares sum to 1.
     pub fn coarse_shares(&self) -> [f64; 4] {
-        let mut ns = [0u64; 4];
-        for state in ProcState::ALL {
-            ns[state.coarse()] += self.totals[state as usize];
-        }
-        let total: u64 = ns.iter().sum();
-        ns.map(|n| {
-            if total == 0 {
-                0.0
-            } else {
-                n as f64 / total as f64
-            }
-        })
+        COARSE.shares(&self.totals, self.totals.iter().sum())
+    }
+}
+
+/// The share of `totals` spent in `class` (0 when they are all zero).
+fn share(totals: &StateNs, class: CostClass) -> f64 {
+    let total: u64 = totals.iter().sum();
+    if total == 0 {
+        0.0
+    } else {
+        totals[PROCESSOR.column(class)] as f64 / total as f64
     }
 }
 
 /// One processor's sampled series.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProcSeries {
-    /// Nanoseconds per [`ProcState`] over the whole run.
-    pub totals: [u64; N_STATES],
-    /// Per window, nanoseconds per [`ProcState`]; each row sums exactly
-    /// to the window length (last row: to the residual).
-    pub timeline: Vec<[u64; N_STATES]>,
+    /// Nanoseconds per [`PROCESSOR`] class over the whole run.
+    pub totals: StateNs,
+    /// Per window, nanoseconds per [`PROCESSOR`] class; each row sums
+    /// exactly to the window length (last row: to the residual).
+    pub timeline: Vec<StateNs>,
     /// NIC send-context busy nanoseconds per window.
     pub nic_tx: Vec<u64>,
     /// NIC receive-context busy nanoseconds per window.
@@ -202,8 +192,8 @@ fn preamble<W: Write>(w: &mut Writer<W>, kind: &str, app: &str) -> io::Result<()
 
 fn write_states<W: Write>(w: &mut Writer<W>) -> io::Result<()> {
     w.key("states")?.arr()?;
-    for s in ProcState::ALL {
-        w.str(s.label())?;
+    for label in PROCESSOR.labels() {
+        w.str(label)?;
     }
     w.end_arr()?;
     Ok(())

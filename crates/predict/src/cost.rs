@@ -17,76 +17,7 @@ use std::collections::BTreeMap;
 
 use nowlab_am::{LatencyMode, NetConfig};
 use nowlab_sim::SimDelta;
-
-/// Critical-path attribution bucket. The first seven mirror the trace
-/// layer's component attribution; `Idle` covers deadline-bounded waits
-/// (disk model, backoff) that are not communication at all.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Bucket {
-    /// Send overhead on the source host.
-    OSend,
-    /// Receive overhead on the destination host.
-    ORecv,
-    /// Application compute segments.
-    Compute,
-    /// Deadline-bounded idle waits.
-    Idle,
-    /// Wait for the source NIC transmit context (`g`-serialization).
-    TxGap,
-    /// DMA occupancy of bulk fragment trains (`G`).
-    Dma,
-    /// Wire transit (`L`).
-    Wire,
-    /// Receive-NIC serialization before visibility (`g` at the sink).
-    RxGap,
-}
-
-/// Number of buckets (for fixed-size accumulation arrays).
-pub const BUCKETS: usize = 8;
-
-impl Bucket {
-    /// Dense index for accumulation arrays.
-    pub fn index(self) -> usize {
-        match self {
-            Bucket::OSend => 0,
-            Bucket::ORecv => 1,
-            Bucket::Compute => 2,
-            Bucket::Idle => 3,
-            Bucket::TxGap => 4,
-            Bucket::Dma => 5,
-            Bucket::Wire => 6,
-            Bucket::RxGap => 7,
-        }
-    }
-
-    /// Stable snake_case name (report keys).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Bucket::OSend => "o_send",
-            Bucket::ORecv => "o_recv",
-            Bucket::Compute => "compute",
-            Bucket::Idle => "idle",
-            Bucket::TxGap => "tx_gap",
-            Bucket::Dma => "dma",
-            Bucket::Wire => "wire",
-            Bucket::RxGap => "rx_gap",
-        }
-    }
-
-    /// All buckets in index order.
-    pub fn all() -> [Bucket; BUCKETS] {
-        [
-            Bucket::OSend,
-            Bucket::ORecv,
-            Bucket::Compute,
-            Bucket::Idle,
-            Bucket::TxGap,
-            Bucket::Dma,
-            Bucket::Wire,
-            Bucket::RxGap,
-        ]
-    }
-}
+use nowlab_trace::CostClass;
 
 /// Symbolic cost of one DAG edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,23 +97,23 @@ impl Cost {
         }
     }
 
-    /// The edge weight split into attribution buckets (sums to
-    /// [`Cost::price`]). At most two parts (a bulk transit edge splits
-    /// into DMA occupancy and wire transit).
-    pub(crate) fn parts(self, cfg: &NetConfig, base: &NetConfig) -> [(Bucket, SimDelta); 2] {
-        let zero = (Bucket::Compute, SimDelta::ZERO);
+    /// The edge weight split into [`nowlab_trace::CRITICAL_PATH`]
+    /// classes (sums to [`Cost::price`]). At most two parts (a bulk
+    /// transit edge splits into DMA occupancy and wire transit).
+    pub(crate) fn parts(self, cfg: &NetConfig, base: &NetConfig) -> [(CostClass, SimDelta); 2] {
+        let zero = (CostClass::Compute, SimDelta::ZERO);
         match self {
             Cost::Zero => [zero, zero],
-            Cost::Compute(d) => [(Bucket::Compute, d), zero],
-            Cost::Idle(d) => [(Bucket::Idle, d), zero],
-            Cost::OSend(_) => [(Bucket::OSend, self.price(cfg, base)), zero],
-            Cost::ORecv(_) => [(Bucket::ORecv, self.price(cfg, base)), zero],
-            Cost::TxFree { .. } => [(Bucket::TxGap, self.price(cfg, base)), zero],
+            Cost::Compute(d) => [(CostClass::Compute, d), zero],
+            Cost::Idle(d) => [(CostClass::Idle, d), zero],
+            Cost::OSend(_) => [(CostClass::OSend, self.price(cfg, base)), zero],
+            Cost::ORecv(_) => [(CostClass::ORecv, self.price(cfg, base)), zero],
+            Cost::TxFree { .. } => [(CostClass::TxWait, self.price(cfg, base)), zero],
             Cost::Transit { bytes } => {
                 let (dma, _) = cfg.tx_spans(bytes);
-                [(Bucket::Dma, dma), (Bucket::Wire, wire_span(cfg))]
+                [(CostClass::Dma, dma), (CostClass::Wire, wire_span(cfg))]
             }
-            Cost::RxChain => [(Bucket::RxGap, self.price(cfg, base)), zero],
+            Cost::RxChain => [(CostClass::RxHold, self.price(cfg, base)), zero],
         }
     }
 }

@@ -20,9 +20,9 @@ use std::ops::ControlFlow;
 
 use nowlab_am::NetConfig;
 use nowlab_sim::SimDelta;
-use nowlab_trace::TraceReport;
+use nowlab_trace::{TraceReport, CRITICAL_PATH};
 
-use crate::cost::{Classes, Cost, BUCKETS};
+use crate::cost::{Classes, Cost};
 use crate::PredictError;
 
 const NO_PROC: u16 = u16::MAX;
@@ -150,8 +150,9 @@ struct Rec {
 pub struct PathBreakdown {
     /// Predicted measured-region span (the buckets sum to this exactly).
     pub total: SimDelta,
-    /// Per-bucket time on the critical path, indexed by [`Bucket::index`].
-    pub buckets: [SimDelta; BUCKETS],
+    /// Time on the critical path per [`CRITICAL_PATH`] class, in its
+    /// column order.
+    pub buckets: [SimDelta; CRITICAL_PATH.classes().len()],
     /// Per-application-phase rows, labels in lexicographic order.
     pub phases: Vec<PhaseRow>,
     /// Trace ids of the messages whose edges lie on the critical path.
@@ -165,8 +166,8 @@ pub struct PathBreakdown {
 pub struct PhaseRow {
     /// Phase label (`"(startup)"` before the first mark).
     pub label: String,
-    /// Per-bucket time, indexed by [`Bucket::index`].
-    pub buckets: [SimDelta; BUCKETS],
+    /// Time per [`CRITICAL_PATH`] class, in its column order.
+    pub buckets: [SimDelta; CRITICAL_PATH.classes().len()],
     /// Row total.
     pub total: SimDelta,
 }
@@ -997,8 +998,8 @@ impl Dag {
         let delta = self.classes.table(cfg);
         let span = self.span(times);
         let mut remaining = span.as_nanos();
-        let mut buckets = [0u64; BUCKETS];
-        let mut per_phase: BTreeMap<&str, [u64; BUCKETS]> = BTreeMap::new();
+        let mut buckets = [0u64; CRITICAL_PATH.classes().len()];
+        let mut per_phase: BTreeMap<&str, [u64; CRITICAL_PATH.classes().len()]> = BTreeMap::new();
         let mut msgs: BTreeSet<u64> = BTreeSet::new();
         let mut edges_on_path = 0usize;
         let mut chain = 0;
@@ -1017,11 +1018,12 @@ impl Dag {
             let phase = self.phase_of(self.proc_of(node, &mut chain), self.measured[node as usize]);
             let cost = self.classes.cost(e.class, e.w);
             let mut took_any = false;
-            for (bucket, part) in cost.parts(cfg, self.base()) {
+            for (class, part) in cost.parts(cfg, self.base()) {
                 let take = part.as_nanos().min(remaining);
                 if take > 0 {
-                    buckets[bucket.index()] += take;
-                    per_phase.entry(phase).or_default()[bucket.index()] += take;
+                    let col = CRITICAL_PATH.column(class);
+                    buckets[col] += take;
+                    per_phase.entry(phase).or_default()[col] += take;
                     remaining -= take;
                     took_any = true;
                 }
@@ -1052,24 +1054,10 @@ impl Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::Bucket;
     use nowlab_am::{Knobs, LatencyMode};
     use nowlab_apps::{suite_scaled, SuiteScale};
     use nowlab_core::{Axis, RunSpec, TraceMode};
     use nowlab_trace::{MsgKind, MsgRecord};
-
-    /// Sanity: bucket labels stay in sync with the accumulation arrays.
-    #[test]
-    fn bucket_indices_are_dense_and_stable() {
-        for (i, b) in Bucket::all().iter().enumerate() {
-            assert_eq!(b.index(), i);
-        }
-        let names: Vec<&str> = Bucket::all().iter().map(|b| b.as_str()).collect();
-        assert_eq!(
-            names,
-            ["o_send", "o_recv", "compute", "idle", "tx_gap", "dma", "wire", "rx_gap"]
-        );
-    }
 
     #[test]
     fn an_unaddressable_processor_count_is_an_error_not_a_panic() {

@@ -29,7 +29,6 @@ mod dag;
 
 use std::fmt;
 
-pub use cost::{Bucket, BUCKETS};
 pub use dag::{PathBreakdown, PhaseRow};
 
 use nowlab_am::NetConfig;

@@ -40,7 +40,8 @@ const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
     6061626364656667686970717273747576777879\
     8081828384858687888990919293949596979899";
 
-/// Each slice's name, as the piece between its `dur` and its record's tail.
+/// Each slice's name, as the piece between its `dur` and its record's tail:
+/// the [`crate::MESSAGE`] labels, spelled out so a slice copies them whole.
 const NAMES: [&str; 7] = [
     r#","name":"o_send"#,
     r#","name":"tx_wait"#,
@@ -441,5 +442,11 @@ mod tests {
         assert_eq!(write_chrome_trace(&[], &mut b).unwrap(), 0);
         assert_eq!(a, b);
         assert!(String::from_utf8(a).unwrap().contains("traceEvents"));
+    }
+
+    #[test]
+    fn slice_names_are_the_message_view_labels_in_order() {
+        let names = NAMES.map(|piece| piece.strip_prefix(r#","name":""#).unwrap());
+        assert_eq!(names, crate::MESSAGE.labels());
     }
 }

@@ -60,6 +60,9 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+mod cost;
+
+pub use cost::{CostClass, Projection, View, COARSE, CRITICAL_PATH, MESSAGE, PROCESSOR, SHARES};
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -585,15 +588,22 @@ impl MsgRecord {
         }
     }
 
+    /// The seven component spans, in [`MESSAGE`] column order.
+    pub fn spans(&self) -> [SimDelta; 7] {
+        [
+            self.o_send(),
+            self.tx_wait(),
+            self.dma(),
+            self.wire(),
+            self.rx_hold(),
+            self.rx_queue(),
+            self.o_recv(),
+        ]
+    }
+
     /// Sum of the seven component spans.
     pub fn component_sum(&self) -> SimDelta {
-        self.o_send()
-            + self.tx_wait()
-            + self.dma()
-            + self.wire()
-            + self.rx_hold()
-            + self.rx_queue()
-            + self.o_recv()
+        self.spans().into_iter().sum()
     }
 
     /// End-to-end time: start of `o_send` to end of `o_recv`.
@@ -653,48 +663,6 @@ impl MsgRecord {
         if !seen || chain.windows(2).any(|w| w[1] < w[0]) {
             self.flags |= TANGLED;
         }
-    }
-}
-
-/// Whole-run sums of the seven component spans over completed messages.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ComponentTotals {
-    /// Total send overhead.
-    pub o_send: SimDelta,
-    /// Total transmit-NIC wait.
-    pub tx_wait: SimDelta,
-    /// Total DMA occupancy.
-    pub dma: SimDelta,
-    /// Total wire transit.
-    pub wire: SimDelta,
-    /// Total receive-NIC serialization.
-    pub rx_hold: SimDelta,
-    /// Total receive-queue wait.
-    pub rx_queue: SimDelta,
-    /// Total receive overhead.
-    pub o_recv: SimDelta,
-}
-
-impl ComponentTotals {
-    /// Sum of all seven totals.
-    pub fn sum(&self) -> SimDelta {
-        self.o_send
-            + self.tx_wait
-            + self.dma
-            + self.wire
-            + self.rx_hold
-            + self.rx_queue
-            + self.o_recv
-    }
-
-    fn accumulate(&mut self, r: &MsgRecord) {
-        self.o_send += r.o_send();
-        self.tx_wait += r.tx_wait();
-        self.dma += r.dma();
-        self.wire += r.wire();
-        self.rx_hold += r.rx_hold();
-        self.rx_queue += r.rx_queue();
-        self.o_recv += r.o_recv();
     }
 }
 
@@ -870,8 +838,9 @@ pub struct TraceSummary {
     pub phase_marks: u64,
     /// Measured-region boundary marks observed ([`TraceEvent::Region`]).
     pub region_marks: u64,
-    /// Component totals over completed messages.
-    pub totals: ComponentTotals,
+    /// Whole-run sums of the seven component spans over completed
+    /// messages, in [`MESSAGE`] column order.
+    pub totals: [SimDelta; 7],
     /// Total end-to-end time over completed messages.
     pub e2e_total: SimDelta,
     /// Interrupt-style send overhead charged by retransmission timers
@@ -892,35 +861,12 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Fraction of completed-message end-to-end time spent in host
-    /// overhead (`o_send + o_recv`).
-    pub fn share_overhead(&self) -> f64 {
-        self.share(self.totals.o_send + self.totals.o_recv)
-    }
-
-    /// Fraction spent in the NIC (`tx_wait + dma + rx_hold`).
-    pub fn share_nic(&self) -> f64 {
-        self.share(self.totals.tx_wait + self.totals.dma + self.totals.rx_hold)
-    }
-
-    /// Fraction spent on the wire (`L` + jitter).
-    pub fn share_wire(&self) -> f64 {
-        self.share(self.totals.wire)
-    }
-
-    /// Fraction spent waiting in the receive queue for the destination
-    /// processor's poll.
-    pub fn share_rx_queue(&self) -> f64 {
-        self.share(self.totals.rx_queue)
-    }
-
-    fn share(&self, part: SimDelta) -> f64 {
-        let total = self.e2e_total.as_nanos();
-        if total == 0 {
-            0.0
-        } else {
-            part.as_nanos() as f64 / total as f64
-        }
+    /// Shares of completed-message end-to-end time per [`SHARES`] group.
+    pub fn shares(&self) -> [f64; 4] {
+        SHARES.shares(
+            &self.totals.map(SimDelta::as_nanos),
+            self.e2e_total.as_nanos(),
+        )
     }
 
     /// Human-readable report: component table, distribution quantiles, and
@@ -959,15 +905,10 @@ impl TraceSummary {
                 per_msg(d)
             );
         };
-        let t = &self.totals;
         let e2e = self.e2e_total;
-        row(&mut out, "o_send", t.o_send, e2e);
-        row(&mut out, "tx_wait", t.tx_wait, e2e);
-        row(&mut out, "dma", t.dma, e2e);
-        row(&mut out, "wire", t.wire, e2e);
-        row(&mut out, "rx_hold", t.rx_hold, e2e);
-        row(&mut out, "rx_queue", t.rx_queue, e2e);
-        row(&mut out, "o_recv", t.o_recv, e2e);
+        for (name, &d) in MESSAGE.labels().iter().zip(&self.totals) {
+            row(&mut out, name, d, e2e);
+        }
         row(&mut out, "end-to-end", e2e, e2e);
         let q = |h: &Histogram| {
             format!(
@@ -1300,7 +1241,9 @@ impl TraceSink for TraceRecorder {
                     let rec = st.open[k];
                     st.summary.completed += 1;
                     st.summary.tangled += u64::from(rec.tangled());
-                    st.summary.totals.accumulate(&rec);
+                    for (total, span) in st.summary.totals.iter_mut().zip(rec.spans()) {
+                        *total += span;
+                    }
                     let e2e = rec.end_to_end();
                     st.summary.e2e_total += e2e;
                     st.summary.e2e_hist.record(e2e.as_nanos());
@@ -1832,7 +1775,10 @@ mod tests {
             assert!(m.completed() && m.tangled());
             assert_eq!(m.attempts, attempts);
             assert_eq!(rep.summary.tangled, 1);
-            assert_eq!(rep.summary.totals.sum(), m.component_sum());
+            assert_eq!(
+                rep.summary.totals.iter().copied().sum::<SimDelta>(),
+                m.component_sum()
+            );
         }
     }
 
@@ -1908,8 +1854,7 @@ mod tests {
     fn axis_shares_partition_end_to_end() {
         let rec = TraceRecorder::new(false);
         complete(&rec, 1, 0.0);
-        let s = rec.finish().summary;
-        let total = s.share_overhead() + s.share_nic() + s.share_wire() + s.share_rx_queue();
+        let total: f64 = rec.finish().summary.shares().iter().sum();
         assert!(
             (total - 1.0).abs() < 1e-12,
             "shares must partition: {total}"

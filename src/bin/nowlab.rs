@@ -30,11 +30,12 @@ use nowlab::core::report::{fmt_f, fmt_time, Table};
 use nowlab::core::{
     allgather_us, alltoall_us, bcast_us, default_jobs, parallel_map, predict_app, reduce_us,
     render_report, render_report_auto, sweep_jobs, write_sweep_json, Axis, CollAlgo, CollConfig,
-    FaultPlan, Knobs, MetricsMode, NetConfig, NodeFault, NodeFaultPlan, ProcState, RunMeta,
-    RunOutcome, RunSpec, Selector, SimDelta, SimTime, SweepPointMeta, SweepableApp, TraceMode,
+    FaultPlan, Knobs, MetricsMode, NetConfig, NodeFault, NodeFaultPlan, RunMeta, RunOutcome,
+    RunSpec, Selector, SimDelta, SimTime, SweepPointMeta, SweepableApp, TraceMode,
 };
 use nowlab::exhibits::{self, Lab, EXHIBITS};
 use nowlab::trace::chrome::{write_chrome_trace, write_chrome_trace_highlighted};
+use nowlab::trace::{CostClass, SHARES};
 
 const USAGE: &str = "usage:
   nowlab list
@@ -686,9 +687,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     if faulty {
         headers.extend(["drops", "retx", "timeouts"]);
     }
-    if tracing {
-        headers.extend(["% o", "% nic", "% wire", "% rxq"]);
-    }
     // Per-phase utilization columns: overall compute share, then one
     // column per application phase (phase names come from the first
     // metered point; SPMD phase structure is identical across points).
@@ -703,13 +701,16 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
         Vec::new()
     };
     let mut owned_headers: Vec<String> = Vec::new();
+    if tracing {
+        owned_headers.extend(SHARES.names.map(|name| format!("% {name}")));
+    }
     if metering == MetricsMode::On {
         owned_headers.push("cmp%".to_string());
         for name in &phase_names {
             owned_headers.push(format!("cmp%:{name}"));
         }
-        headers.extend(owned_headers.iter().map(String::as_str));
     }
+    headers.extend(owned_headers.iter().map(String::as_str));
     let mut t = Table::new(
         format!("{}: slowdown vs {axis} ({} procs)", result.app, spec.procs),
         &headers,
@@ -735,25 +736,20 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             // Per-axis attribution: where each message's end-to-end time
             // went at this sweep point (overhead, NIC, wire, rx queueing).
             match &p.trace {
-                Some(s) => row.extend([
-                    fmt_f(100.0 * s.share_overhead(), 1),
-                    fmt_f(100.0 * s.share_nic(), 1),
-                    fmt_f(100.0 * s.share_wire(), 1),
-                    fmt_f(100.0 * s.share_rx_queue(), 1),
-                ]),
-                None => row.extend(["-".into(), "-".into(), "-".into(), "-".into()]),
+                Some(s) => row.extend(s.shares().map(|share| fmt_f(100.0 * share, 1))),
+                None => row.extend(SHARES.names.map(|_| "-".into())),
             }
         }
         if metering == MetricsMode::On {
             match &p.metrics {
                 Some(s) => {
-                    row.push(fmt_f(100.0 * s.share(ProcState::Compute), 1));
+                    row.push(fmt_f(100.0 * s.share(CostClass::Compute), 1));
                     for name in &phase_names {
                         let cell = s
                             .phases
                             .iter()
                             .find(|ph| &ph.name == name)
-                            .map(|ph| fmt_f(100.0 * ph.share(ProcState::Compute), 1))
+                            .map(|ph| fmt_f(100.0 * ph.share(CostClass::Compute), 1))
                             .unwrap_or_else(|| "-".into());
                         row.push(cell);
                     }

@@ -24,9 +24,10 @@ use nowlab_core::models::{
 use nowlab_core::report::{fmt_f, fmt_or_na, fmt_time, sparkline, Table};
 use nowlab_core::{
     parallel_map, sweep_many, Axis, AxisSweep, FaultPlan, Knobs, LoggpParams, MetricsMode,
-    NetConfig, ProcState, RunOutcome, RunSpec, SimDelta, SweepableApp,
+    NetConfig, RunOutcome, RunSpec, SimDelta, SweepableApp,
 };
 use nowlab_sim::ordered_sum_by;
+use nowlab_trace::COARSE;
 
 /// Event budget per run: generously above any completing run at benchmark
 /// scale, so only genuine livelock (Barnes at high overhead) trips it.
@@ -1072,7 +1073,7 @@ fn model_crossval(lab: &mut Lab) -> Rendered {
 }
 
 fn time_breakdown(lab: &mut Lab) -> Rendered {
-    let coarse = ProcState::COARSE;
+    let coarse = COARSE.names;
     let mut t = keyed_table(
         "Time breakdown (% of processor time over the whole run, 32 processors): \
          baseline | o=53us",

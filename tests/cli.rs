@@ -162,7 +162,7 @@ fn sweep_with_trace_summary_adds_attribution_columns() {
         "--trace-summary",
     ]);
     assert!(ok, "{text}");
-    for col in ["% o", "% nic", "% wire", "% rxq"] {
+    for col in ["% overhead", "% nic", "% wire", "% rx_queue"] {
         assert!(text.contains(col), "missing column {col}: {text}");
     }
 }

@@ -9,9 +9,18 @@
 //!    components sum exactly to the window's length, and the run totals
 //!    sum exactly to elapsed simulated time. No nanosecond is lost or
 //!    double-counted, in integers, with no epsilon.
+//! 3. **One vocabulary** — where the trace, metrics and predict views
+//!    (or two projections of them) report one label, they report one
+//!    number: equal where both count the whole run, bounded as DESIGN.md
+//!    §9 documents where one counts the critical path only.
 
 use nowlab::apps::{suite_scaled, SuiteScale};
-use nowlab::core::{MetricsMode, RunSpec, SweepableApp};
+use nowlab::core::{Axis, MetricsMode, RunSpec, SimDelta, SweepableApp, TraceMode};
+use nowlab::metrics::json::{parse, Value};
+use nowlab::predict::analyze;
+use nowlab::trace::CostClass::{self, *};
+use nowlab::trace::{COARSE, CRITICAL_PATH, MESSAGE, PROCESSOR, SHARES};
+use nowlab::NetConfig;
 
 fn app_named(name: &str) -> Box<dyn SweepableApp> {
     suite_scaled(SuiteScale::Test)
@@ -92,4 +101,113 @@ fn event_density_sampling_accounts_for_every_event() {
         sampled, out.events,
         "per-window event counts must sum to the run's total"
     );
+}
+
+#[test]
+fn one_label_carries_one_number_in_every_view_that_reports_it() {
+    let app = app_named("Radix");
+    let procs = 8;
+    // Every overhead paid, per the parent build's trace and metrics alike.
+    for (o_us, overhead_ns) in [(2.9, 86_524_400), (10.0, 298_360_000)] {
+        let base = NetConfig::berkeley_now();
+        let knobs = Axis::Overhead
+            .knobs_for(&base.machine, o_us)
+            .expect("on the axis");
+        let spec = RunSpec::new(procs)
+            .with_net(base.with_knobs(knobs))
+            .with_trace(TraceMode::Full)
+            .with_metrics(MetricsMode::On);
+        let out = app.run(&spec);
+        assert!(out.completed, "o = {o_us}: run incomplete");
+        let trace = out.trace.expect("trace requested");
+        let metrics = out.metrics.expect("metrics requested");
+        let summary = &trace.summary;
+        assert_eq!(
+            summary.completed, summary.msgs,
+            "o = {o_us}: a message is open"
+        );
+        let msg_ns = summary.totals.map(SimDelta::as_nanos);
+        let proc_ns = metrics.summary.totals;
+        let msg = |c: CostClass| msg_ns[MESSAGE.column(c)];
+        let proc = |c: CostClass| proc_ns[PROCESSOR.column(c)];
+
+        // The message and processor views name no class in common; what
+        // relates them is the overhead identity, exact to the nanosecond.
+        assert!(MESSAGE
+            .classes()
+            .iter()
+            .all(|c| !PROCESSOR.classes().contains(c)));
+        assert_eq!(msg(OSend) + msg(ORecv), overhead_ns, "o = {o_us}: trace");
+        assert_eq!(
+            proc(OSendBase) + proc(ORecvBase) + proc(DeltaO),
+            overhead_ns,
+            "o = {o_us}: metrics"
+        );
+        // It is the one group name the two projections share.
+        let shared: Vec<&str> = SHARES
+            .names
+            .into_iter()
+            .filter(|name| COARSE.names.contains(name))
+            .collect();
+        assert_eq!(shared, ["overhead"]);
+        let group = |names: [&str; 4]| names.iter().position(|&n| n == "overhead").unwrap();
+        assert_eq!(
+            SHARES.fold(&msg_ns)[group(SHARES.names)],
+            COARSE.fold(&proc_ns)[group(COARSE.names)],
+            "o = {o_us}: the projections disagree"
+        );
+
+        // The critical path is one chain through the run: no class holds
+        // more of it than the run spent on that class. Its `tx_wait` and
+        // `rx_hold` are NIC contexts held by the message ahead, so their
+        // bound is the contexts' busy time.
+        let analysis = analyze(&trace, &spec.net, procs, out.runtime).expect("analyzable");
+        let path = analysis.breakdown(&spec.net);
+        let nic_tx: u64 = metrics.procs.iter().map(|p| p.nic_tx_total).sum();
+        let nic_rx: u64 = metrics.procs.iter().map(|p| p.nic_rx_total).sum();
+        for (&class, on_path) in CRITICAL_PATH.classes().iter().zip(path.buckets) {
+            let whole = match class {
+                TxWait => nic_tx,
+                RxHold => nic_rx,
+                Idle => summary.idle_total.as_nanos(),
+                c if MESSAGE.classes().contains(&c) => msg(c),
+                c => proc(c),
+            };
+            assert!(
+                on_path.as_nanos() <= whole,
+                "o = {o_us}: {} holds {} ns of the path, {whole} ns of the run",
+                class.label(),
+                on_path.as_nanos()
+            );
+        }
+    }
+}
+
+#[test]
+fn the_schemas_pin_each_views_labels() {
+    let labels = |schema: &str, path: &[&str]| -> Vec<String> {
+        let doc = parse(schema).expect("schema parses");
+        let node = path.iter().fold(&doc, |v, key| v.get(key).expect(key));
+        let labels = node.get("enum").and_then(Value::as_arr).expect("an enum");
+        labels
+            .iter()
+            .map(|l| l.as_str().unwrap().to_string())
+            .collect()
+    };
+    let metrics = include_str!("../schemas/metrics_report.schema.json");
+    let predict = include_str!("../schemas/predict_report.schema.json");
+    assert_eq!(
+        labels(metrics, &["properties", "states", "items"]),
+        PROCESSOR.labels()
+    );
+    let bucket = [
+        "properties",
+        "critical_path",
+        "properties",
+        "buckets",
+        "items",
+        "properties",
+        "name",
+    ];
+    assert_eq!(labels(predict, &bucket), CRITICAL_PATH.labels());
 }

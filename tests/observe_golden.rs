@@ -12,6 +12,10 @@
 //! actually paid, which moves its `o_send` and `end-to-end` rows (diff in
 //! CHANGES.md).
 //!
+//! The metrics files' `version` and `states` labels, alone, have since
+//! moved once under DESIGN.md §7's rename-only protocol (the cost
+//! vocabulary's processor view); every number is the parent's.
+//!
 //! `golden/observe_chrome.txt` pins the third projection, the Chrome
 //! export: byte length and FNV-1a-64 of `write_chrome_trace` over each
 //! case's Full-mode records, plus the critical-path-highlighted export of
@@ -144,7 +148,8 @@ fn both_projections_match_the_parent_goldens_at_every_job_count() {
 /// run goldens do not, the sweep report: the library form of `nowlab sweep
 /// --app radix --procs 4 --scale test --axis overhead --metrics FILE`,
 /// written by the commit *before* the report writers became one
-/// `json::Writer`.
+/// `json::Writer`, its `version` and `states` renamed since as the run
+/// goldens' were.
 #[test]
 fn the_sweep_report_matches_the_parent_golden_at_every_job_count() {
     let app = suite_scaled(SuiteScale::Test)

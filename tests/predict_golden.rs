@@ -12,6 +12,11 @@
 //! exits, several payload sizes, lock back-off. It was written by
 //! `f640445`, the last commit whose DAG stored its edges; never
 //! regenerate it with the build under test.
+//!
+//! Both kinds have since moved once under DESIGN.md §7's rename-only
+//! protocol (the cost vocabulary's critical-path view): the JSON files'
+//! `version` and bucket names, and hence the digests' `fnv1a64` column,
+//! which is FNV-1a-64 of the parent's file with those renames applied.
 
 use nowlab::apps::{suite_scaled, SuiteScale};
 use nowlab::core::{predict_app, Axis, RunSpec};

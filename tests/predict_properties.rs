@@ -23,7 +23,8 @@
 
 use nowlab::apps::{suite_scaled, SuiteScale};
 use nowlab::core::{Axis, RunSpec, TraceMode};
-use nowlab::predict::{analyze, Bucket, BUCKETS};
+use nowlab::predict::analyze;
+use nowlab::trace::CRITICAL_PATH;
 use nowlab::NetConfig;
 use nowlab_sim::SimDelta;
 
@@ -92,8 +93,7 @@ fn breakdown_buckets_telescope_to_the_predicted_span() {
                 let row_sum: u64 = row.buckets.iter().map(|d| d.as_nanos()).sum();
                 assert_eq!(row_sum, row.total.as_nanos(), "{}", app.name());
             }
-            assert_eq!(b.buckets.len(), BUCKETS);
-            assert_eq!(Bucket::all().len(), BUCKETS);
+            assert_eq!(b.buckets.len(), CRITICAL_PATH.classes().len());
         }
         // Raising latency never speeds the region up.
         let base = analysis.predict_runtime(&spec.net);

@@ -77,7 +77,7 @@ fn component_costs_sum_exactly_to_end_to_end_across_the_suite() {
         // The per-run totals inherit exactness: component totals plus the
         // e2e histogram agree over the same message population.
         assert_eq!(
-            report.summary.totals.sum(),
+            report.summary.totals.iter().copied().sum::<SimDelta>(),
             report.summary.e2e_total,
             "{}: summary totals must telescope too",
             app.name()
