@@ -25,8 +25,9 @@ use std::rc::{Rc, Weak};
 use nowlab_sim::{HookId, Notify, Sim, SimDelta, SimTime};
 use nowlab_trace::{MsgKind, SendEvent, TraceEvent, TraceSink, VisibleEvent};
 
+use crate::fault::{self, MAX_ATTEMPTS};
 use crate::message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReplyData, ReqId};
-use crate::params::NetConfig;
+use crate::params::{NetConfig, GAM_FRAG_BYTES, GAM_SHORT_WIRE_BYTES};
 use crate::stats::{CommStats, ProcCounters};
 
 /// Context passed to an Active Message handler.
@@ -761,7 +762,7 @@ impl ClusterInner {
                 c.sends_bulk += 1;
                 c.bytes_bulk += u64::from(msg.payload.wire_bytes());
             } else {
-                c.bytes_short += u64::from(cfg.short_wire_bytes);
+                c.bytes_short += u64::from(GAM_SHORT_WIRE_BYTES);
             }
         }
 
@@ -820,7 +821,7 @@ impl ClusterInner {
                     // the whole message (the transport has no
                     // partial-message semantics — the retransmit resends
                     // it all).
-                    let frags = payload_bytes.div_ceil(cfg.frag_bytes);
+                    let frags = payload_bytes.div_ceil(GAM_FRAG_BYTES);
                     (0..frags).any(|f| faults.drops(msg.src, msg.dst, nonce, f, true))
                 };
             if lost {
@@ -890,10 +891,7 @@ impl ClusterInner {
         req: ReqId,
         attempt: u32,
     ) {
-        let backoff = self
-            .cfg
-            .reliability
-            .backoff(self.cfg.faults.seed, src, dst, req, attempt);
+        let backoff = fault::backoff(self.cfg.faults.seed, src, dst, req, attempt);
         {
             let mut c = self.procs[src].counters.borrow_mut();
             c.max_retry_backoff = c.max_retry_backoff.max(backoff);
@@ -911,7 +909,7 @@ impl ClusterInner {
     /// the next backoff step. When the silence has a scheduled cause — an
     /// active node-fault plan, or a wire outage covering the link right
     /// now — the sender gives up after
-    /// [`crate::Reliability::max_attempts`] injections and escalates the
+    /// [`crate::MAX_ATTEMPTS`] injections and escalates the
     /// peer to its failure detector as dead: a crashed peer or severed
     /// link ends in a bounded number of timer events, never a spin to the
     /// run's event/time guard. Probabilistic drops alone never escalate:
@@ -924,7 +922,7 @@ impl ClusterInner {
             let tx = ep.rel_tx.borrow();
             match tx[dst].get(&req) {
                 None => return, // acknowledged in the meantime: timer is stale
-                Some(entry) => entry.attempts >= self.cfg.reliability.max_attempts,
+                Some(entry) => entry.attempts >= MAX_ATTEMPTS,
             }
         };
         if exhausted && (self.node_plan || self.cfg.faults.in_outage(self.sim.now(), src, dst)) {

@@ -1,14 +1,15 @@
-//! Deterministic fault injection and the reliable-delivery configuration.
+//! Deterministic fault injection and the reliable-delivery constants.
 //!
 //! The paper's GAM/Myrinet apparatus assumes a lossless SAN, so the
 //! baseline transport delivers every injected message exactly once. This
 //! module adds the misbehaving-fabric regime: a [`FaultPlan`] describes,
 //! per (source, destination) link, how the network may **drop**,
 //! **duplicate**, or **jitter** (reorder) messages, and when whole links
-//! suffer transient [`Outage`] windows. A [`Reliability`] config tunes the
-//! retransmission protocol the AM layer switches on to survive those
-//! faults (sequence numbers, cumulative acks, timeout-driven retransmit
-//! with exponential backoff — see DESIGN.md §3).
+//! suffer transient [`Outage`] windows. Fixed constants ([`RTO`],
+//! [`RTO_MAX`], [`MAX_ATTEMPTS`]) tune the retransmission protocol the AM
+//! layer switches on to survive those faults (sequence numbers,
+//! cumulative acks, timeout-driven retransmit with exponential backoff —
+//! see DESIGN.md §3).
 //!
 //! # Determinism
 //!
@@ -104,9 +105,10 @@ impl Outage {
 /// A deterministic, seeded fault model for the cluster network.
 ///
 /// Probabilities are per *injection attempt*: short messages roll once,
-/// bulk messages roll once per ≤`frag_bytes` fragment (losing any fragment
-/// loses the whole message — the transport has no partial-message
-/// semantics, so the retransmit resends it all, as GAM would).
+/// bulk messages roll once per ≤[`crate::GAM_FRAG_BYTES`] fragment
+/// (losing any fragment loses the whole message — the transport has no
+/// partial-message semantics, so the retransmit resends it all, as GAM
+/// would).
 ///
 /// Attach to a [`crate::NetConfig`] with
 /// [`crate::NetConfig::with_faults`]; the reliable-delivery protocol
@@ -612,126 +614,46 @@ fn roll(hash: u64, ppm: u32) -> bool {
     (hash % u64::from(PPM_SCALE)) < u64::from(ppm)
 }
 
-/// Tuning of the reliable-delivery protocol (engaged when the fault plan
-/// is active; see DESIGN.md §3 for the wire format and the exactly-once
-/// argument).
-///
-/// Retransmission backs off exponentially from [`Reliability::rto`]
-/// (doubling per attempt, capped at [`Reliability::rto_max`]) with a
-/// deterministic hash jitter of up to a quarter of the current backoff —
+/// Initial retransmission timeout of the reliable-delivery protocol
+/// (engaged when the fault plan is active; see DESIGN.md §3 for the wire
+/// format and the exactly-once argument). It generously exceeds the round
+/// trip (2L + 4o ≈ 21.6 µs at the NOW baseline) plus queueing, so
+/// spurious retransmits do not churn the wire: an order of magnitude above
+/// the baseline round trip, two below the app-suite runtimes.
+pub const RTO: SimDelta = SimDelta::from_nanos(250_000);
+
+/// Upper bound on the backed-off retransmission timeout.
+pub const RTO_MAX: SimDelta = SimDelta::from_nanos(16_000_000);
+
+/// Maximum injection attempts per message (first send plus
+/// retransmissions) before the sender gives up and escalates the peer to
+/// its failure detector as dead. GAM's credit protocol bounds its own
+/// NACK-retry the same way; 16 attempts make a spurious escalation
+/// vanishingly rare even at heavy loss (0.05¹⁶ ≈ 10⁻²¹).
+pub const MAX_ATTEMPTS: u32 = 16;
+
+/// The backoff before retransmission attempt `attempt` (1-based) of
+/// request `req` on `(src, dst)`: [`RTO`]` · 2^(attempt-1)` capped at
+/// [`RTO_MAX`], plus a deterministic hash jitter in `[0, backoff/4]` —
 /// the same mechanism family as the Barnes lock backoff (DESIGN.md §6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub struct Reliability {
-    /// Initial retransmission timeout. Must generously exceed the
-    /// round trip (2L + 4o ≈ 21.6 µs at the NOW baseline) plus queueing,
-    /// or spurious retransmits churn the wire.
-    pub rto: SimDelta,
-    /// Upper bound on the backed-off timeout.
-    pub rto_max: SimDelta,
-    /// Maximum injection attempts per message (first send plus
-    /// retransmissions) before the sender gives up and escalates the
-    /// peer to its failure detector as dead. Before this cap the
-    /// protocol retransmitted forever, so a permanently dead link spun
-    /// timers until the run's event/time guard tripped.
-    pub max_attempts: u32,
-    /// Engage the protocol even with an inert fault plan (measures the
-    /// protocol's own cost on a healthy network).
-    pub always_on: bool,
-}
-
-impl Reliability {
-    /// Initial RTO of 250 µs backing off to 16 ms — an order of magnitude
-    /// above the baseline round trip, two below the app-suite runtimes —
-    /// and at most 16 attempts per message. GAM's credit protocol bounds
-    /// its own NACK-retry the same way; 16 attempts make a spurious
-    /// escalation vanishingly rare even at heavy loss (0.05¹⁶ ≈ 10⁻²¹).
-    pub fn baseline() -> Self {
-        Reliability {
-            rto: SimDelta::from_micros(250.0),
-            rto_max: SimDelta::from_millis(16.0),
-            max_attempts: 16,
-            always_on: false,
-        }
+pub(crate) fn backoff(seed: u64, src: usize, dst: usize, req: u64, attempt: u32) -> SimDelta {
+    let doublings = attempt.saturating_sub(1).min(20);
+    let base = (RTO * (1u64 << doublings)).min(RTO_MAX);
+    let jitter_bound = base.as_nanos() / 4;
+    if jitter_bound == 0 {
+        return base;
     }
-
-    /// Replaces the initial retransmission timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rto` is zero (a zero timeout livelocks the wire).
-    pub fn with_rto(mut self, rto: SimDelta) -> Self {
-        assert!(!rto.is_zero(), "rto must be positive");
-        self.rto = rto;
-        self
-    }
-
-    /// Replaces the backoff cap.
-    pub fn with_rto_max(mut self, rto_max: SimDelta) -> Self {
-        self.rto_max = rto_max;
-        self
-    }
-
-    /// Replaces the per-message attempt cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts < 2` (one original send plus at least one
-    /// retransmission — a cap of 1 would escalate on the first loss).
-    pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
-        assert!(max_attempts >= 2, "max_attempts must be at least 2");
-        self.max_attempts = max_attempts;
-        self
-    }
-
-    /// Forces the protocol on even without faults.
-    pub fn with_always_on(mut self, on: bool) -> Self {
-        self.always_on = on;
-        self
-    }
-
-    /// The backoff before retransmission attempt `attempt` (1-based) of
-    /// request `req` on `(src, dst)`: `rto · 2^(attempt-1)` capped at
-    /// `rto_max`, plus a deterministic jitter in `[0, backoff/4]`.
-    pub fn backoff(&self, seed: u64, src: usize, dst: usize, req: u64, attempt: u32) -> SimDelta {
-        let doublings = attempt.saturating_sub(1).min(20);
-        let base = (self.rto * (1u64 << doublings)).min(self.rto_max);
-        let jitter_bound = base.as_nanos() / 4;
-        if jitter_bound == 0 {
-            return base;
-        }
-        let mut h = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((src as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
-            .wrapping_add((dst as u64).wrapping_mul(0x8CB9_2BA7_2F3D_8DD7))
-            .wrapping_add(req.wrapping_mul(0xA24B_AED4_963E_E407))
-            .wrapping_add(u64::from(attempt).wrapping_mul(0x9FB2_1C65_1E98_DF25))
-            ^ salt::BACKOFF;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 29;
-        base + SimDelta::from_nanos(h % (jitter_bound + 1))
-    }
-}
-
-impl Default for Reliability {
-    fn default() -> Self {
-        Self::baseline()
-    }
-}
-
-impl fmt::Display for Reliability {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "rto={}..{} tries<={}",
-            self.rto, self.rto_max, self.max_attempts
-        )?;
-        if self.always_on {
-            write!(f, " (forced on)")?;
-        }
-        Ok(())
-    }
+    let mut h = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((src as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
+        .wrapping_add((dst as u64).wrapping_mul(0x8CB9_2BA7_2F3D_8DD7))
+        .wrapping_add(req.wrapping_mul(0xA24B_AED4_963E_E407))
+        .wrapping_add(u64::from(attempt).wrapping_mul(0x9FB2_1C65_1E98_DF25))
+        ^ salt::BACKOFF;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 29;
+    base + SimDelta::from_nanos(h % (jitter_bound + 1))
 }
 
 #[cfg(test)]
@@ -952,19 +874,18 @@ mod tests {
 
     #[test]
     fn backoff_doubles_caps_and_jitters() {
-        let r = Reliability::baseline();
-        let b1 = r.backoff(0, 0, 1, 0, 1);
-        let b2 = r.backoff(0, 0, 1, 0, 2);
-        let b9 = r.backoff(0, 0, 1, 0, 9);
+        let b1 = backoff(0, 0, 1, 0, 1);
+        let b2 = backoff(0, 0, 1, 0, 2);
+        let b9 = backoff(0, 0, 1, 0, 9);
         // Base doubles (jitter ≤ base/4 keeps attempts ordered).
-        assert!(b1 >= r.rto && b1 <= r.rto + r.rto / 4);
-        assert!(b2 >= r.rto * 2 && b2 <= r.rto * 2 + r.rto / 2);
-        // Attempt 9 is capped at rto_max (+ jitter).
-        assert!(b9 >= r.rto_max && b9 <= r.rto_max + r.rto_max / 4);
+        assert!(b1 >= RTO && b1 <= RTO + RTO / 4);
+        assert!(b2 >= RTO * 2 && b2 <= RTO * 2 + RTO / 2);
+        // Attempt 9 is capped at RTO_MAX (+ jitter).
+        assert!(b9 >= RTO_MAX && b9 <= RTO_MAX + RTO_MAX / 4);
         // Deterministic.
-        assert_eq!(b2, r.backoff(0, 0, 1, 0, 2));
+        assert_eq!(b2, backoff(0, 0, 1, 0, 2));
         // Different requests get different jitter.
-        assert_ne!(r.backoff(0, 0, 1, 10, 3), r.backoff(0, 0, 1, 11, 3));
+        assert_ne!(backoff(0, 0, 1, 10, 3), backoff(0, 0, 1, 11, 3));
     }
 
     #[test]
@@ -972,7 +893,5 @@ mod tests {
         assert_eq!(format!("{}", FaultPlan::none()), "faults=none");
         let s = format!("{}", FaultPlan::with_drop_rate(0.01, 3));
         assert!(s.contains("drop=1.00%"), "{s}");
-        let r = format!("{}", Reliability::baseline().with_always_on(true));
-        assert!(r.contains("forced on"), "{r}");
     }
 }

@@ -30,8 +30,8 @@
 //! duplicates, jitters, or blacks out messages at the wire, and an
 //! integrated reliable-delivery protocol (sequence numbers, piggybacked
 //! cumulative acks, timeout-driven retransmission with exponential
-//! backoff; see [`Reliability`]) keeps handler execution exactly-once. The
-//! default plan is inert and costs nothing.
+//! backoff from [`RTO`] to [`RTO_MAX`]) keeps handler execution
+//! exactly-once. The default plan is inert and costs nothing.
 //!
 //! # Examples
 //!
@@ -77,13 +77,13 @@ mod stats;
 
 pub use cluster::{AmCluster, Handler, HandlerCtx, RunAbort};
 pub use fault::{
-    FaultPlan, NodeFault, NodeFaultPlan, Outage, Reliability, MAX_NODE_FAULTS, MAX_OUTAGES,
-    PPM_SCALE,
+    FaultPlan, NodeFault, NodeFaultPlan, Outage, MAX_ATTEMPTS, MAX_NODE_FAULTS, MAX_OUTAGES,
+    PPM_SCALE, RTO, RTO_MAX,
 };
 pub use message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReplyData, ReqId};
 pub use params::{
     mb_per_s_from_per_byte, per_byte_from_mb_per_s, Knobs, LatencyMode, LoggpParams, NetConfig,
-    GAM_FRAG_BYTES, GAM_WINDOW,
+    GAM_FRAG_BYTES, GAM_SHORT_WIRE_BYTES, GAM_WINDOW,
 };
 pub use port::AmPort;
 pub use stats::{render_balance_matrix, CollKind, CommStats, ProcCounters};

@@ -12,12 +12,12 @@
 //! [`LoggpParams`] holds a machine's *baseline* values (Table 1 of the
 //! paper); [`Knobs`] holds the *added* deltas the apparatus dials in
 //! (Figure 2); [`NetConfig`] combines both with the Active-Message-layer
-//! constants (flow-control window, fragment size, wire sizes).
+//! flow-control window; the fragment and wire sizes are constants.
 
 use nowlab_sim::SimDelta;
 use std::fmt;
 
-use crate::fault::{FaultPlan, NodeFaultPlan, Reliability};
+use crate::fault::{FaultPlan, NodeFaultPlan, MAX_ATTEMPTS, RTO, RTO_MAX};
 
 /// Baseline LogGP parameters of a machine (all per Table 1 of the paper).
 ///
@@ -248,8 +248,13 @@ pub const GAM_WINDOW: u32 = 8;
 /// single authoritative definition, mirroring [`GAM_WINDOW`].
 pub const GAM_FRAG_BYTES: u32 = 4096;
 
-/// Full network configuration: machine baseline, knobs, and AM-layer
-/// constants.
+/// Wire footprint in bytes of a short message (header + 4-word payload),
+/// derived from Table 4: small-message KB/s ÷ msg rate = 28 B for
+/// Radix/EM3D.
+pub const GAM_SHORT_WIRE_BYTES: u32 = 28;
+
+/// Full network configuration: machine baseline, knobs, the AM-layer
+/// window, and the fault plans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NetConfig {
     /// Baseline machine parameters.
@@ -262,11 +267,6 @@ pub struct NetConfig {
     /// `L` because "the implementation has a fixed number of outstanding
     /// messages independent of L".
     pub window: u32,
-    /// Bulk messages are fragmented at this size (paper: "up to 4KB").
-    pub frag_bytes: u32,
-    /// Wire footprint of a short message (header + 4-word payload). Derived
-    /// from Table 4: small-message KB/s ÷ msg rate = 28 B for Radix/EM3D.
-    pub short_wire_bytes: u32,
     /// Mechanism implementing the added-latency knob.
     pub latency_mode: LatencyMode,
     /// Deterministic fault model applied at the wire. The default
@@ -278,9 +278,6 @@ pub struct NetConfig {
     /// [`NodeFaultPlan::none`] is inert: no heartbeats, no detector
     /// events, runs bit-identical to the healthy cluster.
     pub node_faults: NodeFaultPlan,
-    /// Tuning of the reliable-delivery protocol, engaged whenever the
-    /// fault plan is active (or [`Reliability::always_on`] is set).
-    pub reliability: Reliability,
 }
 
 impl NetConfig {
@@ -290,12 +287,9 @@ impl NetConfig {
             machine: LoggpParams::berkeley_now(),
             knobs: Knobs::baseline(),
             window: GAM_WINDOW,
-            frag_bytes: GAM_FRAG_BYTES,
-            short_wire_bytes: 28,
             latency_mode: LatencyMode::DelayQueue,
             faults: FaultPlan::none(),
             node_faults: NodeFaultPlan::none(),
-            reliability: Reliability::baseline(),
         }
     }
 
@@ -331,12 +325,6 @@ impl NetConfig {
         self
     }
 
-    /// Replaces the reliability tuning, keeping everything else.
-    pub fn with_reliability(mut self, reliability: Reliability) -> Self {
-        self.reliability = reliability;
-        self
-    }
-
     /// Replaces the node-fault plan, keeping everything else. An active
     /// plan engages the heartbeat/failure-detector control plane *and*
     /// the reliable-delivery protocol (senders must be able to stop
@@ -351,7 +339,7 @@ impl NetConfig {
     /// default, in which case the transport takes the exact lossless code
     /// path (no timers, no extra state).
     pub fn reliability_active(&self) -> bool {
-        self.faults.is_active() || self.node_faults.is_active() || self.reliability.always_on
+        self.faults.is_active() || self.node_faults.is_active()
     }
 
     /// Effective send overhead (`o_send + Δo`).
@@ -394,7 +382,7 @@ impl NetConfig {
     ///
     /// A short message leaves instantly and stalls the transmit loop for
     /// the effective gap. A bulk message is cut into fragments of up to
-    /// `frag_bytes`; each occupies the DMA engine for `(G+ΔG)·size` (at
+    /// [`GAM_FRAG_BYTES`]; each occupies the DMA engine for `(G+ΔG)·size` (at
     /// least the base per-message gap), then the added-gap knob stalls the
     /// loop. The transport's injection and the predictor's re-pricing both
     /// call this, so they cannot drift apart.
@@ -406,7 +394,7 @@ impl NetConfig {
         let mut remaining = bytes;
         let mut last_done = SimDelta::ZERO;
         while remaining > 0 {
-            let frag = remaining.min(self.frag_bytes);
+            let frag = remaining.min(GAM_FRAG_BYTES);
             remaining -= frag;
             let dma = self.eff_gap_per_byte() * u64::from(frag);
             last_done = t + dma.max(self.machine.gap);
@@ -427,10 +415,14 @@ impl fmt::Display for NetConfig {
         write!(
             f,
             "[{} | {} | W={} frag={}B",
-            self.machine, self.knobs, self.window, self.frag_bytes
+            self.machine, self.knobs, self.window, GAM_FRAG_BYTES
         )?;
         if self.reliability_active() {
-            write!(f, " | {} {}", self.faults, self.reliability)?;
+            write!(
+                f,
+                " | {} rto={}..{} tries<={}",
+                self.faults, RTO, RTO_MAX, MAX_ATTEMPTS
+            )?;
             if self.node_faults.is_active() {
                 write!(f, " {}", self.node_faults)?;
             }
@@ -507,8 +499,8 @@ mod tests {
     #[test]
     fn bulk_fragment_train_matches_a_replay_by_hand() {
         let cfg = NetConfig::berkeley_now().with_knobs(Knobs::with_gap(SimDelta::from_nanos(100)));
-        let (done, free) = cfg.tx_spans(cfg.frag_bytes * 2 + 100);
-        let full = (cfg.eff_gap_per_byte() * u64::from(cfg.frag_bytes)).max(cfg.machine.gap);
+        let (done, free) = cfg.tx_spans(GAM_FRAG_BYTES * 2 + 100);
+        let full = (cfg.eff_gap_per_byte() * u64::from(GAM_FRAG_BYTES)).max(cfg.machine.gap);
         let tail = (cfg.eff_gap_per_byte() * 100).max(cfg.machine.gap);
         let expect_done = full + cfg.knobs.d_g + full + cfg.knobs.d_g + tail;
         assert_eq!(done, expect_done);
@@ -538,17 +530,15 @@ mod tests {
             NetConfig::berkeley_now().with_faults(FaultPlan::with_drop_rate(0.01, 1))
         );
         assert!(s.contains("drop=1.00%"), "{s}");
+        assert!(s.contains("rto=250.000us..16000.000us tries<=16"), "{s}");
     }
 
     #[test]
-    fn reliability_engages_on_faults_or_forcing() {
+    fn reliability_engages_on_faults() {
         let base = NetConfig::berkeley_now();
         assert!(!base.reliability_active());
         assert!(base
             .with_faults(FaultPlan::with_drop_rate(0.01, 1))
-            .reliability_active());
-        assert!(base
-            .with_reliability(Reliability::baseline().with_always_on(true))
             .reliability_active());
         // A seeded-but-inert plan does not engage the protocol.
         assert!(!base

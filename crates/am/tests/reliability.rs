@@ -12,7 +12,9 @@
 
 mod util;
 
-use nowlab_am::{AmCluster, FaultPlan, Mark, NetConfig, Outage, Payload, Reliability, ReplyData};
+use nowlab_am::{
+    AmCluster, FaultPlan, Mark, NetConfig, Outage, Payload, ReplyData, MAX_ATTEMPTS, RTO,
+};
 use nowlab_rng::{Rng, RngCore, SeedableRng, SmallRng};
 use nowlab_sim::{Sim, SimDelta, SimTime, StopReason};
 
@@ -41,9 +43,7 @@ fn inert_plan_is_bit_identical_to_default() {
         let base = util::run_traffic(procs, &ops, NetConfig::berkeley_now());
         // An explicit inert plan (even a seeded one) must not change a
         // single event: the protocol is disengaged, no timers exist.
-        let cfg = NetConfig::berkeley_now()
-            .with_faults(FaultPlan::none().with_seed(0xDEAD))
-            .with_reliability(Reliability::baseline());
+        let cfg = NetConfig::berkeley_now().with_faults(FaultPlan::none().with_seed(0xDEAD));
         let inert = util::run_traffic(procs, &ops, cfg);
         assert_eq!(base.final_time, inert.final_time);
         assert_eq!(base.stats.per_proc, inert.stats.per_proc);
@@ -53,13 +53,15 @@ fn inert_plan_is_bit_identical_to_default() {
 
 #[test]
 fn protocol_is_quiet_on_a_healthy_network() {
-    // Forcing the protocol on with zero faults: sequence/ack bookkeeping
-    // runs, but replies beat the 250 µs RTO by an order of magnitude, so
-    // no timer ever matures into a retransmission.
+    // An outage that starts at the end of time makes the plan active but
+    // never covers a message: the protocol engages on a fault-free wire.
+    // Sequence/ack bookkeeping runs, but replies beat the 250 µs RTO by an
+    // order of magnitude, so no timer ever matures into a retransmission.
     let mut rng = SmallRng::seed_from_u64(0x9_EA17);
     let (procs, ops) = util::draw_case(&mut rng);
-    let cfg =
-        NetConfig::berkeley_now().with_reliability(Reliability::baseline().with_always_on(true));
+    let quiet = FaultPlan::none().with_outage(Outage::permanent(SimTime::MAX));
+    let cfg = NetConfig::berkeley_now().with_faults(quiet);
+    assert!(cfg.reliability_active());
     let out = util::run_traffic(procs, &ops, cfg);
     assert!(out.senders_done.iter().all(|&d| d));
     assert_eq!(out.stats.total_retransmits(), 0);
@@ -216,7 +218,7 @@ fn permanent_outage_escalates_to_peer_death_not_a_hang() {
         (args, port.peer_dead(1), port.peers_alive())
     });
     let report = sim.run();
-    // The reply can never arrive. After `max_attempts` injections the
+    // The reply can never arrive. After `MAX_ATTEMPTS` injections the
     // sender writes the peer off: the request completes locally with the
     // protocol's default reply and the event queue drains to Idle —
     // bounded retransmissions, no spin into the livelock guard.
@@ -226,7 +228,7 @@ fn permanent_outage_escalates_to_peer_death_not_a_hang() {
     assert!(dead, "detector did not mark the peer dead");
     assert_eq!(alive, vec![true, false]);
     let stats = cluster.stats();
-    let max = u64::from(NetConfig::berkeley_now().reliability.max_attempts);
+    let max = u64::from(MAX_ATTEMPTS);
     // Every injection was swallowed by the outage; each but the last
     // retransmission was driven by a timeout; the final timer escalated.
     assert_eq!(stats.per_proc[0].sends, max);
@@ -234,7 +236,7 @@ fn permanent_outage_escalates_to_peer_death_not_a_hang() {
     assert_eq!(stats.per_proc[0].timeouts, max - 1);
     assert_eq!(stats.per_proc[0].peer_deaths, 1);
     // The backoff visibly escalated beyond the initial RTO.
-    assert!(stats.max_retry_backoff() > NetConfig::berkeley_now().reliability.rto);
+    assert!(stats.max_retry_backoff() > RTO);
     let note = cluster.death_note().expect("no death note recorded");
     assert_eq!((note.observer, note.peer), (0, 1));
 }

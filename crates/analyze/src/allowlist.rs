@@ -138,14 +138,12 @@ pub struct Filtered {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Severity;
 
     fn diag(path: &str, code: &'static str) -> Diagnostic {
         Diagnostic {
             path: path.to_string(),
             line: 1,
             code,
-            severity: Severity::Error,
             message: String::new(),
         }
     }

@@ -19,8 +19,8 @@
 
 use crate::graph::Layer;
 use crate::itemtree::FileModel;
-use crate::lexer::{Tok, TokKind};
-use crate::{Diagnostic, Scope, Severity};
+use crate::lexer::{match_delim, Tok, TokKind};
+use crate::{Diagnostic, Scope};
 
 /// Sim/`Ctx` APIs that accept a time argument. A literal-built
 /// `SimDelta`/`SimTime` flowing straight into one of these (outside a
@@ -120,7 +120,6 @@ fn lint_layering(path: &str, model: &FileModel, scope: &Scope, diags: &mut Vec<D
             path: path.to_string(),
             line,
             code,
-            severity: Severity::Error,
             message,
         });
     }
@@ -155,7 +154,6 @@ fn lint_float_sums(path: &str, model: &FileModel, diags: &mut Vec<Diagnostic>) {
                     path: path.to_string(),
                     line: toks[i].line,
                     code: "FLT001",
-                    severity: Severity::Error,
                     message: "float `.sum()` — addition is non-associative, so the value \
                               depends on iteration order; sum a slice left-to-right via \
                               `nowlab_sim::ordered_sum` (or annotate an integer sum with \
@@ -195,7 +193,6 @@ fn lint_float_sums(path: &str, model: &FileModel, diags: &mut Vec<Diagnostic>) {
                     path: path.to_string(),
                     line: toks[i].line,
                     code: "FLT001",
-                    severity: Severity::Error,
                     message: "float `fold(…, +)` — addition is non-associative, so the \
                               value depends on iteration order; sum a slice left-to-right \
                               via `nowlab_sim::ordered_sum`"
@@ -215,7 +212,6 @@ fn lint_partial_cmp(path: &str, model: &FileModel, diags: &mut Vec<Diagnostic>) 
                 path: path.to_string(),
                 line: t.line,
                 code: "FLT002",
-                severity: Severity::Error,
                 message: "`partial_cmp` on floats — NaN makes the order partial and \
                           input-dependent; use `f64::total_cmp`, a deterministic total \
                           order over every bit pattern"
@@ -264,7 +260,6 @@ fn lint_handler_accumulation(path: &str, model: &FileModel, diags: &mut Vec<Diag
                     path: path.to_string(),
                     line: toks[j].line,
                     code: "FLT003",
-                    severity: Severity::Error,
                     message: "float `+=` inside an event-loop closure accumulates in \
                               event-arrival order — accumulate integers (nanoseconds, \
                               counts) in handlers and convert to float at the reporting \
@@ -306,7 +301,6 @@ fn lint_timer_literals(path: &str, model: &FileModel, diags: &mut Vec<Diagnostic
                     path: path.to_string(),
                     line: toks[j].line,
                     code: "TIM001",
-                    severity: Severity::Error,
                     message: format!(
                         "raw literal in `{}({}(…))` — an unnamed time constant at the \
                          call site; name it (`const …: SimDelta = …`) next to the other \
@@ -360,7 +354,6 @@ fn lint_mixed_units(path: &str, model: &FileModel, diags: &mut Vec<Diagnostic>) 
                         path: path.to_string(),
                         line: toks[jb].line,
                         code: "TIM002",
-                        severity: Severity::Warning,
                         message: format!(
                             "`{}` and `{}` mixed in one expression — different time \
                              units combined arithmetically is how silent 1e3 errors \
@@ -396,24 +389,10 @@ fn stmt_bounds(toks: &[Tok], i: usize) -> std::ops::Range<usize> {
     s..e
 }
 
-fn match_delim(toks: &[Tok], open: usize, l: &str, r: &str) -> usize {
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.text == l {
-            depth += 1;
-        } else if t.text == r {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Severity;
 
     fn scope(layer: Layer) -> Scope {
         Scope {
@@ -541,7 +520,7 @@ mod tests {
         let diags = lint_model("t.rs", &model, &sc);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, "TIM002");
-        assert_eq!(diags[0].severity, Severity::Warning);
+        assert_eq!(diags[0].severity(), Severity::Warning);
         // Same unit: fine. Different units as separate arguments: fine.
         for ok in [
             "fn f(a: SimDelta, b: SimDelta) -> u64 { a.as_nanos() + b.as_nanos() }",

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::{Diagnostic, Severity};
+use crate::Diagnostic;
 
 /// Architectural layer of a workspace crate. Order is not meaningful;
 /// legality is the explicit edge set in [`Layer::allowed_deps`].
@@ -329,7 +329,6 @@ impl WorkspaceGraph {
                             path: node.manifest.clone(),
                             line: dep.line,
                             code,
-                            severity: Severity::Error,
                             message: format!(
                                 "`{}` (layer {}) depends on `{}` (layer {}); its declared \
                                  lower layers are {:?} — the rng→sim→am→splitc→apps stack \
@@ -347,7 +346,6 @@ impl WorkspaceGraph {
                             path: node.manifest.clone(),
                             line: dep.line,
                             code,
-                            severity: Severity::Error,
                             message: format!(
                                 "{} crate depends on `{}`; the observer must stay inside \
                                  the allowlist {:?} so enabling it cannot perturb a \

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{lex, match_delim, Tok, TokKind};
 
 /// One flattened `use` import: `use a::{b, c as d};` yields two entries.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -237,7 +237,7 @@ impl Parser<'_> {
                 let inner = self.tok_text(i + 1) == Some("!");
                 let open = if inner { i + 2 } else { i + 1 };
                 if self.tok_text(open) == Some("[") {
-                    let close = self.match_delim(open, "[", "]", to);
+                    let close = match_delim(&self.model.toks[..to], open, "[", "]");
                     if !inner && self.is_cfg_test(open, close) {
                         pending_test = true;
                     }
@@ -367,7 +367,7 @@ impl Parser<'_> {
         if !inline {
             return i + 3; // past `;`
         }
-        let close = self.match_delim(i + 2, "{", "}", to);
+        let close = match_delim(&self.model.toks[..to], i + 2, "{", "}");
         let was_test = self.in_test;
         if test {
             self.model.test_ranges.push(i..close + 1);
@@ -493,7 +493,7 @@ impl Parser<'_> {
                 "(" | "[" => depth += 1,
                 ")" | "]" => depth -= 1,
                 "{" if depth == 0 => {
-                    let close = self.match_delim(j, "{", "}", to);
+                    let close = match_delim(&self.model.toks[..to], j, "{", "}");
                     body = Some(j..close + 1);
                     break;
                 }
@@ -537,7 +537,7 @@ impl Parser<'_> {
                 ")" | "]" => depth -= 1,
                 ">" => depth = (depth - 1).max(0),
                 "{" if depth <= 0 => {
-                    j = self.match_delim(j, "{", "}", to);
+                    j = match_delim(&self.model.toks[..to], j, "{", "}");
                     break;
                 }
                 ";" if depth <= 0 => break,
@@ -588,7 +588,7 @@ impl Parser<'_> {
         if j >= to {
             return i + 1;
         }
-        let close = self.match_delim(j, "{", "}", to);
+        let close = match_delim(&self.model.toks[..to], j, "{", "}");
         let was_test = self.in_test;
         if test {
             self.model.test_ranges.push(i..close + 1);
@@ -602,24 +602,6 @@ impl Parser<'_> {
         self.walk(j + 1, close);
         self.in_test = was_test;
         close + 1
-    }
-
-    fn match_delim(&self, open: usize, l: &str, r: &str, to: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < to {
-            let t = &self.model.toks[i].text;
-            if t == l {
-                depth += 1;
-            } else if t == r {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return i;
-                }
-            }
-            i += 1;
-        }
-        to.saturating_sub(1)
     }
 }
 

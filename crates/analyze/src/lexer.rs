@@ -66,6 +66,24 @@ impl Tok {
     }
 }
 
+/// Index of the `r` that closes the `l` at `open`, or of the last token
+/// when the delimiters do not balance. A stray `r` before any `l` closes
+/// at once.
+pub fn match_delim(toks: &[Tok], open: usize, l: &str, r: &str) -> usize {
+    let mut depth = 0usize;
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        if t.text == l {
+            depth += 1;
+        } else if t.text == r {
+            depth = depth.saturating_sub(1);
+            if depth == 0 {
+                return i;
+            }
+        }
+    }
+    toks.len().saturating_sub(1)
+}
+
 /// Scans `source` into a token stream with comments and literals stripped.
 pub fn lex(source: &str) -> Vec<Tok> {
     let b: Vec<char> = source.chars().collect();

@@ -95,10 +95,24 @@ pub struct Diagnostic {
     pub line: u32,
     /// Stable lint code (`DET001`, `AMP002`, …).
     pub code: &'static str,
-    /// [`Severity::Error`] or [`Severity::Warning`].
-    pub severity: Severity,
     /// Human-readable explanation with the suggested fix.
     pub message: String,
+}
+
+impl Diagnostic {
+    /// The severity the lint registry ([`explain::LINTS`]) declares for
+    /// this finding's code, the one place a severity is written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the code has no registry record.
+    pub fn severity(&self) -> Severity {
+        explain::LINTS
+            .iter()
+            .find(|l| l.code == self.code)
+            .unwrap_or_else(|| panic!("lint {} is not in the registry", self.code))
+            .severity
+    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -106,7 +120,11 @@ impl fmt::Display for Diagnostic {
         write!(
             f,
             "{}[{}] {}:{}: {}",
-            self.severity, self.code, self.path, self.line, self.message
+            self.severity(),
+            self.code,
+            self.path,
+            self.line,
+            self.message
         )
     }
 }

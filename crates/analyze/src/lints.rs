@@ -16,8 +16,8 @@
 //! out-of-band entropy or clock access behind `unsafe`).
 
 use crate::itemtree::FileModel;
-use crate::lexer::{Tok, TokKind};
-use crate::{Diagnostic, Scope, Severity};
+use crate::lexer::{match_delim, Tok, TokKind};
+use crate::{Diagnostic, Scope};
 
 /// Hash-based std collections whose iteration order is nondeterministic.
 const HASH_COLLECTIONS: &[&str] = &["HashMap", "HashSet"];
@@ -106,7 +106,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                         path: path.to_string(),
                         line: t.line,
                         code: "AMP003",
-                        severity: Severity::Error,
                         message: format!(
                             "public sim-facing API exposes `{}` — callers inherit \
                              nondeterministic iteration order; expose `BTree{}` or a sorted view",
@@ -134,7 +133,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                 path: path.to_string(),
                 line: t.line,
                 code: "DET001",
-                severity: Severity::Error,
                 message: format!(
                     "`{name}` in simulation-visible code — iteration order is \
                      nondeterministic; use `BTree{}` or index-sorted access",
@@ -147,7 +145,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                 path: path.to_string(),
                 line: t.line,
                 code: "DET002",
-                severity: Severity::Error,
                 message: format!(
                     "`std::time::{name}` in simulation-visible code — wall-clock \
                      readings vary across runs; virtual time must come from `Sim::now`",
@@ -165,7 +162,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                     path: path.to_string(),
                     line: t.line,
                     code: "DET003",
-                    severity: Severity::Error,
                     message: format!(
                         "`{name}` draws OS/environment entropy — outside `crates/rng` \
                          all randomness must come from the seeded `nowlab_rng` streams",
@@ -186,7 +182,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                     path: path.to_string(),
                     line: t.line,
                     code: "PAR001",
-                    severity: Severity::Error,
                     message: format!(
                         "`{name}` outside the orchestration layer — simulations are \
                          single-threaded; threads/locks belong only in the run-boundary \
@@ -200,7 +195,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                 path: path.to_string(),
                 line: t.line,
                 code: "AMP004",
-                severity: Severity::Error,
                 message: format!(
                     "`{name}` outside `crates/am` — membership/detector state has a \
                      single home in the AM layer; observe it via the port accessors \
@@ -214,7 +208,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                 path: path.to_string(),
                 line: t.line,
                 code: "DET004",
-                severity: Severity::Warning,
                 message: format!(
                     "`{name}` suggests a wall-clock value flowing toward `SimTime`/\
                      `SimDelta` — virtual time must be derived only from simulated events",
@@ -228,7 +221,7 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
     let mut i = 0;
     while i + 1 < toks.len() {
         if toks[i].text == "register_handler" && toks[i + 1].text == "(" && !in_test(i) {
-            let end = match_paren(toks, i + 1);
+            let end = match_delim(toks, i + 1, "(", ")");
             for j in (i + 2)..end {
                 if toks[j].kind == TokKind::Ident
                     && HANDLER_FORBIDDEN_CALLS.contains(&toks[j].text.as_str())
@@ -239,7 +232,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                         path: path.to_string(),
                         line: toks[j].line,
                         code: "AMP001",
-                        severity: Severity::Error,
                         message: format!(
                             "handler issues `.{}(…)` — GAM reply handlers must not send \
                              requests (request/reply acyclicity; risks window deadlock)",
@@ -267,7 +259,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                     path: path.to_string(),
                     line: t.line,
                     code: "AMP002",
-                    severity: Severity::Error,
                     message: "re-hardcoded 4KB fragment size — reference `GAM_FRAG_BYTES` \
                               so the protocol constant has a single definition"
                         .to_string(),
@@ -281,7 +272,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
                     path: path.to_string(),
                     line: t.line,
                     code: "AMP002",
-                    severity: Severity::Error,
                     message: "re-hardcoded flow-control window depth — reference \
                               `GAM_WINDOW` so the protocol constant has a single definition"
                         .to_string(),
@@ -298,7 +288,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
             path: path.to_string(),
             line: 1,
             code: "SAFE001",
-            severity: Severity::Error,
             message: "crate root lacks `#![forbid(unsafe_code)]` — the determinism \
                       analysis assumes safe Rust"
                 .to_string(),
@@ -330,29 +319,10 @@ fn has_forbid_unsafe(toks: &[Tok]) -> bool {
     })
 }
 
-/// Index of the `)` matching the `(` at `open` (or the last token).
-fn match_paren(toks: &[Tok], open: usize) -> usize {
-    match_delim(toks, open, "(", ")")
-}
-
-fn match_delim(toks: &[Tok], open: usize, l: &str, r: &str) -> usize {
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.text == l {
-            depth += 1;
-        } else if t.text == r {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Severity;
 
     fn sim_scope() -> Scope {
         Scope {
@@ -474,6 +444,6 @@ mod tests {
         );
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "DET004");
-        assert_eq!(d[0].severity, Severity::Warning);
+        assert_eq!(d[0].severity(), Severity::Warning);
     }
 }

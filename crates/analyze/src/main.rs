@@ -178,7 +178,7 @@ fn main() -> ExitCode {
     let errors = filtered
         .kept
         .iter()
-        .filter(|d| d.severity == Severity::Error)
+        .filter(|d| d.severity() == Severity::Error)
         .count();
     let warnings = filtered.kept.len() - errors;
     note(format!(

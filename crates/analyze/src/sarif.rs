@@ -66,7 +66,7 @@ fn write<W: io::Write>(diags: &[Diagnostic], out: W) -> io::Result<()> {
             .map_or(-1, |p| p as i64);
         w.newline(2)?.obj()?.key("ruleId")?.str(d.code)?;
         w.key("ruleIndex")?.display(rule_index)?;
-        w.key("level")?.str(level(d.severity))?;
+        w.key("level")?.str(level(d.severity()))?;
         w.key("message")?;
         text(&mut w, &d.message)?;
         w.key("locations")?.arr()?.obj()?;
@@ -99,14 +99,12 @@ mod tests {
                 path: "crates/am/src/stats.rs".into(),
                 line: 222,
                 code: "FLT001",
-                severity: Severity::Error,
                 message: "float `.sum()` with \"quotes\" and\nnewline".into(),
             },
             Diagnostic {
                 path: "crates/core/src/models.rs".into(),
                 line: 169,
                 code: "TIM002",
-                severity: Severity::Warning,
                 message: "mixed units".into(),
             },
         ]

@@ -120,7 +120,7 @@ fn det004_and_tim002_are_the_only_warning_severity_lints() {
             } else {
                 Severity::Error
             };
-            assert_eq!(d.severity, expect, "{name}: {d}");
+            assert_eq!(d.severity(), expect, "{name}: {d}");
         }
     }
 }
@@ -232,7 +232,7 @@ fn workspace_self_scan_is_clean_under_allowlist() {
     let errors: Vec<String> = filtered
         .kept
         .iter()
-        .filter(|d| d.severity == Severity::Error)
+        .filter(|d| d.severity() == Severity::Error)
         .map(ToString::to_string)
         .collect();
     assert!(

@@ -3,7 +3,10 @@
 //! it sees one benchmark-scale run and nothing else. The figure it yields
 //! is the high-water mark of live heap bytes above what was live when the
 //! run started; unlike `VmHWM` it does not depend on the allocator's page
-//! reuse or on what ran before, so it can gate a regression.
+//! reuse or on what ran before, so it can gate a regression. The same
+//! counter also tells what a run leaves live once its result is dropped.
+//! Each binary uses only part of this module.
+#![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -48,4 +51,12 @@ pub fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (T, isize) {
     PEAK.set(before);
     let out = f();
     (out, PEAK.get() - before)
+}
+
+/// Runs `f` on this thread, drops its result, and returns the heap bytes
+/// still live above what was live when it started: what `f` leaked.
+pub fn residual_bytes<T>(f: impl FnOnce() -> T) -> isize {
+    let before = LIVE.get();
+    drop(f());
+    LIVE.get() - before
 }

@@ -12,7 +12,7 @@
 //! measured argmin — ranking fidelity is what the selector needs, not
 //! absolute accuracy.
 
-use nowlab_am::NetConfig;
+use nowlab_am::{NetConfig, GAM_FRAG_BYTES};
 
 use crate::config::{A2aAlgo, BcastAlgo, CollAlgo, CollConfig, GatherAlgo, ReduceAlgo};
 
@@ -29,9 +29,10 @@ struct M {
     l: f64,
     /// Effective per-byte bulk gap `G + ΔG` (µs/byte).
     gpb: f64,
-    /// Bulk fragmentation grain in bytes.
-    frag: f64,
 }
+
+/// Bulk fragmentation grain in bytes.
+const FRAG: f64 = GAM_FRAG_BYTES as f64;
 
 impl M {
     fn of(cfg: &NetConfig) -> M {
@@ -41,7 +42,6 @@ impl M {
             g: cfg.eff_gap().as_micros_f64(),
             l: cfg.eff_latency().as_micros_f64(),
             gpb: cfg.eff_gap_per_byte().as_micros_f64(),
-            frag: f64::from(cfg.frag_bytes),
         }
     }
 
@@ -54,7 +54,7 @@ impl M {
         let mut left = bytes;
         let mut t = 0.0;
         while left > 0.0 {
-            let b = if left > self.frag { self.frag } else { left };
+            let b = if left > FRAG { FRAG } else { left };
             let frag_t = self.gpb * b;
             t += if frag_t > self.g { frag_t } else { self.g };
             left -= b;
@@ -132,7 +132,7 @@ pub fn bcast_us(cfg: &NetConfig, algo: BcastAlgo, procs: usize, bytes: u64) -> f
         // Each relay's acknowledgement send sits between receiving a
         // segment and forwarding it, so every hop carries one extra `o_s`.
         BcastAlgo::Chain => {
-            let nseg = (b / m.frag).ceil().max(1.0);
+            let nseg = (b / FRAG).ceil().max(1.0);
             let seg = b / nseg;
             let step = m.or + m.os + m.dma(seg).max(m.g);
             (p - 1.0) * (m.msg(seg) + m.os) + (nseg - 1.0) * step

@@ -18,7 +18,7 @@
 //! blocks, partial sums); under `Abort` the cluster's death note halts
 //! the run before the degraded values matter.
 
-use nowlab_am::{CollKind, Mark, Payload};
+use nowlab_am::{CollKind, Mark, Payload, GAM_FRAG_BYTES};
 
 use crate::state::{CollState, FAM_A2A, FAM_BCAST, FAM_GATHER, FAM_REDUCE, POISON_SEG};
 use crate::{A2aAlgo, BcastAlgo, CollAccess, GatherAlgo, ReduceAlgo};
@@ -111,7 +111,7 @@ async fn bcast_chain<C: CollAccess>(c: &C, epoch: u64, root: usize, words: &[u64
     } else {
         None
     };
-    let seg_words = (port.config().frag_bytes as usize / 8).max(1);
+    let seg_words = GAM_FRAG_BYTES as usize / 8;
     if rank == 0 {
         if let Some(succ) = succ {
             if words.is_empty() {

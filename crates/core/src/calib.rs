@@ -91,6 +91,7 @@ pub fn burst_total(net: NetConfig, m: usize, delta: SimDelta) -> SimDelta {
         port.wait_until(|| false).await;
     });
     sim.run();
+    sim.drop_unfinished_tasks();
     measured.get().expect("calibration burst did not complete")
 }
 
@@ -139,6 +140,7 @@ pub fn round_trip_us(net: NetConfig) -> f64 {
         port.wait_until(|| false).await; // keep draining (see burst_total)
     });
     sim.run();
+    sim.drop_unfinished_tasks();
     measured
         .get()
         .expect("round-trip did not complete")
@@ -207,6 +209,7 @@ pub fn bulk_bandwidth_mb_per_s(net: NetConfig, bytes: u32, m: usize) -> f64 {
         port.wait_until(|| false).await; // keep draining (see burst_total)
     });
     sim.run();
+    sim.drop_unfinished_tasks();
     let total = measured
         .get()
         .expect("bulk calibration did not complete")

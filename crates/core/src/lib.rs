@@ -44,7 +44,7 @@ pub mod sweep;
 pub use models::SensitivityModel;
 pub use nowlab_am::{
     mb_per_s_from_per_byte, per_byte_from_mb_per_s, CommStats, FaultPlan, Knobs, LoggpParams,
-    NetConfig, NodeFault, NodeFaultPlan, Outage, Reliability, RunAbort,
+    NetConfig, NodeFault, NodeFaultPlan, Outage, RunAbort,
 };
 pub use nowlab_metrics::json;
 pub use nowlab_metrics::{

@@ -304,11 +304,6 @@ impl AxisSweep {
             .map(|p| p.slowdown)
             .fold(1.0, f64::max)
     }
-
-    /// Simulator events fired across all points of this sweep.
-    pub fn total_events(&self) -> u64 {
-        self.points.iter().map(|p| p.events).sum()
-    }
 }
 
 /// Why a sweep could not produce slowdown data (the paper's "N/A" column,

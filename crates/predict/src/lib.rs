@@ -167,11 +167,6 @@ impl Analysis {
         self.baseline_runtime
     }
 
-    /// The configuration of the recorded run.
-    pub fn baseline_cfg(&self) -> &NetConfig {
-        self.dag.base()
-    }
-
     /// Non-fatal observations from DAG assembly.
     pub fn warnings(&self) -> &[String] {
         &self.warnings

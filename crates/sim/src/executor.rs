@@ -103,8 +103,8 @@ pub struct RunReport {
     pub stop_reason: StopReason,
     /// Events that fired at the same virtual instant as their predecessor
     /// and therefore relied on the registration-sequence tiebreaker for
-    /// their order. Counted only when the event-order audit is active
-    /// (debug builds, or the `order-audit` feature); `0` otherwise.
+    /// their order. Counted only by the event-order audit of debug
+    /// builds; `0` in release builds.
     pub simultaneous_events: u64,
 }
 
@@ -203,12 +203,6 @@ impl Inner {
         self.free_slots.push(slot);
         action
     }
-}
-
-/// True when the runtime event-order audit is compiled in: every debug
-/// build, plus release builds with the `order-audit` feature.
-const fn order_audit_enabled() -> bool {
-    cfg!(debug_assertions) || cfg!(feature = "order-audit")
 }
 
 /// Handle to a deterministic discrete-event simulation.
@@ -436,8 +430,8 @@ impl Sim {
     /// With the wheel's `(time, seq)` batch ordering this is impossible
     /// by construction; the audit exists to catch regressions (a reset
     /// `seq` counter, an alternative queue) the moment they produce a
-    /// nondeterministic schedule. Always `0` unless the audit is active
-    /// (debug builds, or the `order-audit` feature).
+    /// nondeterministic schedule. Always `0` in release builds, which
+    /// leave the audit out.
     pub fn order_violations(&self) -> u64 {
         self.shared.inner.borrow().order_violations
     }
@@ -482,6 +476,23 @@ impl Sim {
         // Initial wake: sets the ready bit and appends to the wake log.
         shim.enqueue();
         JoinHandle { state }
+    }
+
+    /// Drops every task that has not finished, and with it everything its
+    /// future holds. A task's future usually holds a `Sim` handle, so a
+    /// task that a run leaves unfinished (a limit, a halt, a body that
+    /// never returns) closes a cycle through the task table that nothing
+    /// else frees. Call it once the run's results are read: the dropped
+    /// tasks can never be resumed, and their join handles stay empty.
+    pub fn drop_unfinished_tasks(&self) {
+        let tasks: Vec<Box<TaskSlot>> = {
+            let mut inner = self.shared.inner.borrow_mut();
+            inner.live_tasks = 0;
+            inner.tasks.iter_mut().filter_map(Option::take).collect()
+        };
+        // Dropped after the borrow ends: a future's drop glue may reach
+        // back into the simulation.
+        drop(tasks);
     }
 
     /// Schedules `f` to run at virtual time `at` (clamped to now if in the
@@ -793,7 +804,7 @@ impl Sim {
                 self.shared
                     .live_timers
                     .set(self.shared.live_timers.get() - 1);
-                if order_audit_enabled() {
+                if cfg!(debug_assertions) {
                     if let Some((lt, ls)) = last_fired {
                         if t == lt {
                             simultaneous += 1;
@@ -1113,6 +1124,29 @@ mod tests {
     }
 
     #[test]
+    fn dropping_unfinished_tasks_frees_what_they_hold() {
+        let sim = Sim::new();
+        sim.set_event_limit(Some(100));
+        let held = Rc::new(());
+        let weak = Rc::downgrade(&held);
+        let s = sim.clone();
+        sim.spawn(async move {
+            let _held = held;
+            loop {
+                s.delay(SimDelta::from_nanos(1)).await;
+            }
+        });
+        assert_eq!(sim.run().unfinished_tasks, 1);
+        sim.drop_unfinished_tasks();
+        assert!(weak.upgrade().is_none(), "the task's future is still live");
+        // The task's last timer still fires, and finds nothing to poll.
+        sim.set_event_limit(None);
+        let report = sim.run();
+        assert_eq!(report.unfinished_tasks, 0);
+        assert_eq!(report.stop_reason, StopReason::Idle);
+    }
+
+    #[test]
     fn event_limit_splits_a_same_instant_batch() {
         // Five timers at one instant with a budget of three: the run must
         // stop mid-batch and a resumed run must fire the remainder in the
@@ -1197,7 +1231,7 @@ mod tests {
         let report = sim.run();
         // 4 events share t=100ns: three of them tie with their predecessor
         // — counted only where the audit is compiled in.
-        let ties = if order_audit_enabled() { 3 } else { 0 };
+        let ties = if cfg!(debug_assertions) { 3 } else { 0 };
         assert_eq!(report.simultaneous_events, ties);
         // The (time, seq) tiebreaker resolves every tie — no races.
         assert_eq!(sim.order_violations(), 0);

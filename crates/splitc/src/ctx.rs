@@ -303,23 +303,6 @@ impl Ctx {
             .await;
     }
 
-    /// Bulk store of a synthetic payload: occupies the wire for `bytes` but
-    /// deposits nothing (streaming workloads).
-    pub async fn bulk_put_synthetic(&self, dst: usize, bytes: u32) {
-        if dst == self.me() {
-            return;
-        }
-        self.port
-            .post(
-                dst,
-                self.prims.bulk_put,
-                [0, 0, 0, 0],
-                Payload::Synthetic(bytes),
-                Mark::Bulk,
-            )
-            .await;
-    }
-
     /// Blocking bulk fetch of `words` starting at `gp`.
     pub async fn bulk_get(&self, gp: GlobalPtr, words: usize) -> Vec<u64> {
         if gp.proc == self.me() {
@@ -552,13 +535,6 @@ impl Ctx {
         self.port
             .request(dst, handler, args, payload, Mark::User)
             .await
-    }
-
-    /// Posts a one-way user active message to a registered handler.
-    pub async fn am_post(&self, dst: usize, handler: HandlerId, args: [u64; 4], payload: Payload) {
-        self.port
-            .post(dst, handler, args, payload, Mark::User)
-            .await;
     }
 }
 

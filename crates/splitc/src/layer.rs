@@ -307,28 +307,6 @@ impl SplitC {
         let report = self.sim.run();
         let outputs: Vec<Option<T>> = handles.iter().map(|h| h.try_take()).collect();
         let completed = outputs.iter().all(Option::is_some);
-        if !completed && std::env::var_os("NOWLAB_DIAG").is_some() {
-            eprintln!(
-                "incomplete SPMD run: stop={:?} t={} stuck={:?}\n{}",
-                report.stop_reason,
-                report.final_time,
-                outputs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, o)| o.is_none())
-                    .map(|(i, _)| i)
-                    .collect::<Vec<_>>(),
-                self.cluster.transport_diagnostic(),
-            );
-            for i in 0..p {
-                self.cluster.port(i).with_state(|m: &mut Memory| {
-                    eprintln!(
-                        "proc {i}: barrier_gen={} arrived={:?}",
-                        m.barrier_gen, m.barrier_arrived,
-                    );
-                });
-            }
-        }
         // An Idle stop with missing outputs is the *expected* shape of
         // degradation — not a deadlock — when node faults are in play:
         // crashed bodies pend forever, and retransmit exhaustion toward a
@@ -348,10 +326,13 @@ impl SplitC {
         } else {
             None
         };
+        let stats = self.cluster.stats();
+        // An SPMD run is never resumed: free what the stuck bodies hold.
+        self.sim.drop_unfinished_tasks();
         SpmdOutcome {
             outputs,
-            elapsed: self.cluster.stats().elapsed,
-            stats: self.cluster.stats(),
+            elapsed: stats.elapsed,
+            stats,
             completed,
             abort,
             report,

@@ -952,16 +952,6 @@ pub struct TraceReport {
     pub phases: Vec<PhaseMark>,
 }
 
-impl TraceReport {
-    /// True when the run recorded the happens-before edges the message DAG
-    /// needs: full per-message records, with reply pairing attached where
-    /// the summary says pairing occurred.
-    pub fn has_edges(&self) -> bool {
-        !self.records.is_empty()
-            && (self.summary.pairs == 0 || self.records.iter().any(|r| r.pair().is_some()))
-    }
-}
-
 /// Where the lifecycle of one trace id stands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Slot {

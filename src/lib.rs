@@ -143,7 +143,7 @@ pub mod apps {
     pub use nowlab_apps::*;
 }
 
-pub use nowlab_am::{FaultPlan, Knobs, LoggpParams, NetConfig, Outage, Reliability};
+pub use nowlab_am::{FaultPlan, Knobs, LoggpParams, NetConfig, Outage};
 pub use nowlab_core::{
     default_jobs, sweep, sweep_jobs, sweep_many, Axis, RunOutcome, RunSpec, SweepError,
     SweepableApp, TraceMode,
