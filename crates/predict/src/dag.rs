@@ -315,7 +315,7 @@ pub(crate) fn build(
             kind: ActKind::OSend,
         });
         by_tx[src].push(((r.tx_start.as_nanos(), r.inject.as_nanos()), i));
-        if has_vis(r) {
+        if has_vis(&r) {
             by_vis[dst].push((r.visible.as_nanos(), i));
         }
         if !r.reply {
@@ -450,7 +450,7 @@ pub(crate) fn build(
                         // held in the real run.
                         let ri = credit_from[a.msg as usize];
                         if ri != NO_MSG {
-                            let r = &records[ri as usize];
+                            let r = records.get(ri as usize).expect("a credit names a record");
                             let span = r.done.saturating_since(r.pop);
                             dag.dep_edge(vis_node(ri), Cost::ORecv(span), ri);
                         }
@@ -502,10 +502,10 @@ pub(crate) fn build(
         dag.dep_edge(osend_end[i as usize], Cost::Zero, i);
         let tx_prev = tx_prev[i as usize];
         if tx_prev != NO_MSG {
-            let bytes = records[tx_prev as usize].bytes;
+            let bytes = records.get(tx_prev as usize).expect("a record").bytes;
             dag.edge(tx_node(tx_prev), Cost::TxFree { bytes }, i);
         }
-        if has_vis(r) {
+        if has_vis(&r) {
             dag.node(r.visible.as_nanos(), Kind::Visible, false);
             dag.edge(tx, Cost::Transit { bytes: r.bytes }, i);
             let prev = vis_prev[i as usize];
@@ -1092,10 +1092,12 @@ mod tests {
             MsgRecord::from_instants(id, 0, 1, MsgKind::User, 0, at, completed)
         };
         TraceReport {
-            records: vec![
+            records: [
                 record(1, [0, o, o, o, vis_a, vis_a, vis_a, vis_a + o], true),
                 record(2, [o, 2 * o, tx_b, tx_b, 0, 0, 0, 0], false),
-            ],
+            ]
+            .into_iter()
+            .collect(),
             ..TraceReport::default()
         }
     }
@@ -1177,9 +1179,12 @@ mod tests {
     fn saturating() -> (TraceReport, NetConfig) {
         let mut synthetic = traced("Radix");
         let sizes = [0, 100, 5_000, 9_000].into_iter().cycle();
-        for (r, bytes) in synthetic.records.iter_mut().zip(sizes) {
-            r.bytes = bytes;
-        }
+        synthetic.records = (synthetic.records.iter().zip(sizes))
+            .map(|(mut r, bytes)| {
+                r.bytes = bytes;
+                r
+            })
+            .collect();
         let overhead = Knobs::with_overhead(SimDelta::from_micros(10.0));
         (synthetic, NetConfig::berkeley_now().with_knobs(overhead))
     }

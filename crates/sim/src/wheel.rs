@@ -273,7 +273,7 @@ impl TimerWheel {
         };
         let bucket = &mut self.buckets[idx];
         // One pass: the minimum time, and whether the bucket is uniform
-        // (a single instant — the common case at 64 ns per bucket).
+        // (a single instant — the common case at 256 ns per bucket).
         let mut t = bucket[0].time;
         let mut uniform = true;
         for e in &bucket[1..] {

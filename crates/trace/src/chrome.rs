@@ -1,6 +1,6 @@
 //! Chrome-trace (`about:tracing` / Perfetto "JSON object format") export.
 //!
-//! Each completed [`MsgRecord`] becomes a train of complete (`"ph":"X"`)
+//! Each completed [`MsgRecord`](crate::MsgRecord) becomes a train of complete (`"ph":"X"`)
 //! slices laid out on four lanes per processor — `cpu`, `nic-tx`, `wire`,
 //! `nic-rx` — plus a flow arrow from the send slice to the receive slice,
 //! so a message's whole LogGP decomposition reads left-to-right in the
@@ -15,7 +15,7 @@
 
 use std::io::{self, Write};
 
-use crate::MsgRecord;
+use crate::Records;
 
 /// Thread-id lanes within each processor's track.
 const LANE_CPU: usize = 0;
@@ -135,7 +135,7 @@ impl<W: Write> Emitter<'_, W> {
 
 /// Writes the records as a Chrome-trace JSON object (`{"traceEvents":
 /// [...]}`). Only completed records are drawn; returns how many were.
-pub fn write_chrome_trace<W: Write>(records: &[MsgRecord], w: &mut W) -> io::Result<usize> {
+pub fn write_chrome_trace<W: Write>(records: &Records, w: &mut W) -> io::Result<usize> {
     write_chrome_trace_highlighted(records, &[], w)
 }
 
@@ -144,7 +144,7 @@ pub fn write_chrome_trace<W: Write>(records: &[MsgRecord], w: &mut W) -> io::Res
 /// extra `critical` category on every slice and flow arrow — the viewer's
 /// category filter then isolates the predicted critical path.
 pub fn write_chrome_trace_highlighted<W: Write>(
-    records: &[MsgRecord],
+    records: &Records,
     critical: &[u64],
     w: &mut W,
 ) -> io::Result<usize> {
@@ -259,7 +259,8 @@ pub fn write_chrome_trace_highlighted<W: Write>(
 mod tests {
     use super::*;
     use crate::{
-        MsgKind, RecvEvent, SendEvent, TraceEvent, TraceRecorder, TraceSink, VisibleEvent,
+        MsgKind, MsgRecord, RecvEvent, SendEvent, TraceEvent, TraceRecorder, TraceSink,
+        VisibleEvent,
     };
     use nowlab_sim::{SimDelta, SimTime};
 
@@ -267,7 +268,7 @@ mod tests {
         SimTime::ZERO + SimDelta::from_micros(x)
     }
 
-    fn sample_records() -> Vec<MsgRecord> {
+    fn sample_records() -> Records {
         let rec = TraceRecorder::new(true);
         rec.record(&TraceEvent::Send(SendEvent {
             id: 1,
@@ -361,8 +362,8 @@ mod tests {
                 Ok(())
             }
         }
-        let one = sample_records()[0];
-        let records: Vec<MsgRecord> = (1..=2_000).map(|id| MsgRecord { id, ..one }).collect();
+        let one = sample_records().get(0).unwrap();
+        let records: Records = (1..=2_000).map(|id| MsgRecord { id, ..one }).collect();
         let mut out = Pieces(Vec::new(), Vec::new());
         assert_eq!(write_chrome_trace(&records, &mut out).unwrap(), 2_000);
         assert!(out.0.len() > 2, "one write per buffer, not per export");
@@ -417,8 +418,8 @@ mod tests {
 
     #[test]
     fn critical_ids_in_any_order_highlight_what_sorted_ids_do() {
-        let one = sample_records()[0];
-        let records: Vec<MsgRecord> = (1..=40).map(|id| MsgRecord { id, ..one }).collect();
+        let one = sample_records().get(0).unwrap();
+        let records: Records = (1..=40).map(|id| MsgRecord { id, ..one }).collect();
         let export = |critical: &[u64]| {
             let mut out = Vec::new();
             write_chrome_trace_highlighted(&records, critical, &mut out).unwrap();
@@ -438,8 +439,8 @@ mod tests {
     fn empty_input_is_valid_and_deterministic() {
         let mut a = Vec::new();
         let mut b = Vec::new();
-        assert_eq!(write_chrome_trace(&[], &mut a).unwrap(), 0);
-        assert_eq!(write_chrome_trace(&[], &mut b).unwrap(), 0);
+        assert_eq!(write_chrome_trace(&Records::default(), &mut a).unwrap(), 0);
+        assert_eq!(write_chrome_trace(&Records::default(), &mut b).unwrap(), 0);
         assert_eq!(a, b);
         assert!(String::from_utf8(a).unwrap().contains("traceEvents"));
     }

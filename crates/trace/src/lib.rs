@@ -25,7 +25,8 @@
 //! itself, so every report is a projection of the same measurement:
 //!
 //! * [`TraceRecorder`] — per message: assembles [`MsgRecord`] lifecycles
-//!   and histogram metrics into a [`TraceReport`], which
+//!   (kept packed, in [`Records`]) and histogram metrics into a
+//!   [`TraceReport`], which
 //!   [`chrome::write_chrome_trace`] lays out as `about:tracing` /
 //!   Perfetto JSON.
 //! * `nowlab_metrics::MetricsRecorder` — per processor-nanosecond: the
@@ -50,7 +51,7 @@
 //! rec.record(&TraceEvent::Visible(VisibleEvent { id: 1, at: us(6.8), rx_depth: 1 }));
 //! rec.record(&TraceEvent::Recv(RecvEvent { id: 1, proc: 1, o_recv: SimDelta::from_micros(4.0), done: us(10.8) }));
 //! let report = rec.finish();
-//! let m = &report.records[0];
+//! let m = report.records.get(0).unwrap();
 //! assert!(m.completed());
 //! assert_eq!(m.component_sum(), m.end_to_end()); // exact, always
 //! assert_eq!(m.end_to_end(), SimDelta::from_micros(10.8));
@@ -61,8 +62,10 @@
 
 pub mod chrome;
 mod cost;
+mod records;
 
 pub use cost::{CostClass, Projection, View, COARSE, CRITICAL_PATH, MESSAGE, PROCESSOR, SHARES};
+pub use records::Records;
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -399,6 +402,9 @@ pub trait TraceSink {
 /// reported by [`TraceRecorder::finish`] with [`MsgRecord::completed`]
 /// false): the receiver-side instants then sit collapsed on `arrival`, and
 /// every span past `o_send` reads zero.
+///
+/// A kept record is stored packed, in [`Records`]; this is the view it
+/// reads back as.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MsgRecord {
     /// Trace correlation id.
@@ -441,8 +447,9 @@ pub struct MsgRecord {
     flags: u8,
 }
 
-// A kept message costs its record: 492 960 of them are the `observed`
-// benchmark's resident set.
+// The view a kept record reads back as, and the slab's open lifecycles.
+// A kept record costs its 64-byte packed entry in `Records`, not this:
+// 492 960 of those are the `observed` benchmark's record store.
 const _: () = assert!(std::mem::size_of::<MsgRecord>() <= 104);
 
 /// `o_recv` completed at the destination.
@@ -457,9 +464,9 @@ const TANGLED: u8 = 2;
 /// an idle receive context reports as well.
 const VISIBLE_SEEN: u8 = 4;
 
-/// The slot a Full-mode `records` entry holds until its id closes; never
-/// reported ([`TraceRecorder::finish`] drops the slots of unseen ids).
-const VACANT: MsgRecord = MsgRecord {
+/// The record every constructor starts from: no instant, no handler, no
+/// pair, no attempt.
+const BLANK: MsgRecord = MsgRecord {
     id: 0,
     send_begin: SimTime::ZERO,
     inject: SimTime::ZERO,
@@ -513,7 +520,7 @@ impl MsgRecord {
             attempts: 1,
             kind,
             flags: if completed { COMPLETED } else { 0 },
-            ..VACANT
+            ..BLANK
         }
     }
 
@@ -622,7 +629,7 @@ impl MsgRecord {
             dst: narrow(e.dst),
             kind: e.kind,
             reply: e.reply,
-            ..VACANT
+            ..BLANK
         };
         rec.attempt(e);
         rec
@@ -940,8 +947,9 @@ impl TraceSummary {
 pub struct TraceReport {
     /// Aggregate metrics.
     pub summary: TraceSummary,
-    /// Per-message lifecycle records (empty in [`TraceMode::Summary`]).
-    pub records: Vec<MsgRecord>,
+    /// Per-message lifecycle records, ascending by id (empty in
+    /// [`TraceMode::Summary`]).
+    pub records: Records,
     /// Host compute segments, in emission order (Full mode only).
     pub computes: Vec<ComputeSeg>,
     /// Deadline-bounded idle waits, in emission order (Full mode only).
@@ -957,7 +965,7 @@ pub struct TraceReport {
 enum Slot {
     /// No `Send` seen: a hole in the id sequence, or beyond it.
     Unseen,
-    /// `Recv` closed it (Full mode keeps the record at `records[id]`).
+    /// `Recv` closed it (Full mode keeps the record in `records` slot `id`).
     Closed,
     /// In flight; the record in progress sits at this slab position.
     Open(usize),
@@ -971,17 +979,6 @@ const MAX_ID_GAP: u64 = 1 << 16;
 /// Processor ids run below this (the bound `nowlab-predict` enforces too).
 const PROC_LIMIT: usize = u16::MAX as usize;
 
-/// A Full-mode store of up to 1 MiB of records is a test-scale run's, and
-/// grows by doubling like any `Vec`.
-const SMALL_STORE: usize = (1 << 20) / std::mem::size_of::<MsgRecord>();
-
-/// Past that the store asks for more than 32 MiB at once, which glibc
-/// always serves as a mapping of its own: grown in place, resident only
-/// where written, returned whole on drop. A smaller request may be carved
-/// from the heap, where each doubling copies the store and the copies
-/// left behind stay resident (DESIGN.md §9, "How the store grows").
-const OWN_MAPPING: usize = (32 << 20) / std::mem::size_of::<MsgRecord>() + 1;
-
 /// `index` codes: [`Slot::Unseen`], [`Slot::Closed`], then `OPEN_BASE + k`
 /// for [`Slot::Open`]`(k)`.
 const UNSEEN: u32 = 0;
@@ -991,15 +988,15 @@ const OPEN_BASE: u32 = 2;
 /// The recorder's lifecycle store. Trace ids are dense, so an id *is* an
 /// index: `index[id]` says where the lifecycle stands in four bytes, open
 /// lifecycles sit in a free-listed slab a few hundred entries long, and in
-/// Full mode the closed record of id `i` is `records[i]`. Every lookup is
-/// one or two array reads; iteration is by ascending id, so the store is
-/// as deterministic as the ordered maps it replaced.
+/// Full mode the closed record of id `i` is packed in `records` slot `i`.
+/// Every lookup is one or two array reads; iteration is by ascending id,
+/// so the store is as deterministic as the ordered maps it replaced.
 #[derive(Default)]
 struct RecorderState {
     index: Vec<u32>,
     open: Vec<MsgRecord>,
     free: Vec<u32>,
-    records: Vec<MsgRecord>,
+    records: Records,
     /// Last injection instant per source processor.
     last_send: Vec<Option<SimTime>>,
     computes: Vec<ComputeSeg>,
@@ -1063,31 +1060,15 @@ impl RecorderState {
         self.free.push(k as u32);
     }
 
-    /// The record of `id` that a late edge can still be noted on: the one
-    /// in progress, or, when closed records are `kept`, the closed one.
-    fn annotable(&mut self, id: u64, kept: bool) -> Option<&mut MsgRecord> {
+    /// Notes a late edge on the record of `id` that can still take one:
+    /// the one in progress, or, when closed records are `kept`, the closed
+    /// one (packed again, which may move it to the side list).
+    fn annotate(&mut self, id: u64, kept: bool, note: impl FnOnce(&mut MsgRecord)) {
         match self.slot(id) {
-            Slot::Open(k) => Some(&mut self.open[k]),
-            Slot::Closed if kept => Some(&mut self.records[id as usize]),
-            _ => None,
+            Slot::Open(k) => note(&mut self.open[k]),
+            Slot::Closed if kept => self.records.update(id as usize, note),
+            _ => {}
         }
-    }
-
-    /// Full mode: stores the record of id `at` in its own slot. The store
-    /// doubles, except that past [`SMALL_STORE`] it never holds fewer than
-    /// [`OWN_MAPPING`] slots.
-    fn put(&mut self, at: usize, rec: MsgRecord) {
-        if self.records.len() <= at {
-            if self.records.capacity() <= at {
-                let mut slots = (at + 1).max(2 * self.records.capacity());
-                if slots > SMALL_STORE {
-                    slots = slots.max(OWN_MAPPING);
-                }
-                self.records.reserve_exact(slots - self.records.len());
-            }
-            self.records.resize(at + 1, VACANT);
-        }
-        self.records[at] = rec;
     }
 }
 
@@ -1123,13 +1104,13 @@ impl TraceRecorder {
             for id in 0..st.index.len() {
                 if let Slot::Open(k) = st.slot(id as u64) {
                     let rec = st.open[k];
-                    st.put(id, rec);
+                    st.records.put(id, rec);
                 }
             }
             // Slot `i` holds id `i`: dropping the unseen ones in place
             // leaves the rest ascending by id.
             let mut slots = st.index.iter();
-            st.records.retain(|_| slots.next() != Some(&UNSEEN));
+            st.records.retain_slots(|| slots.next() != Some(&UNSEEN));
             // The report outlives the run (`predict` builds its DAG beside
             // it): hand over no spare growth capacity.
             st.records.shrink_to_fit();
@@ -1193,8 +1174,9 @@ impl TraceSink for TraceRecorder {
                         // two modes' summaries equal.
                         st.summary.late_attempts += 1;
                         if self.keep_records {
-                            let rec = &mut st.records[e.id as usize];
-                            rec.attempts = rec.attempts.saturating_add(1);
+                            st.records.update(e.id as usize, |rec| {
+                                rec.attempts = rec.attempts.saturating_add(1);
+                            });
                         }
                     }
                     Slot::Unseen => {
@@ -1239,18 +1221,18 @@ impl TraceSink for TraceRecorder {
                     st.summary.e2e_hist.record(e2e.as_nanos());
                     st.close(e.id, k);
                     if self.keep_records {
-                        st.put(e.id as usize, rec);
+                        st.records.put(e.id as usize, rec);
                     }
                 }
                 Slot::Closed => st.summary.extra_deliveries += 1,
                 Slot::Unseen => st.summary.orphan_events += 1,
             },
             TraceEvent::Handler { id, at } => {
-                if let Some(rec) = st.annotable(*id, self.keep_records) {
+                st.annotate(*id, self.keep_records, |rec| {
                     if rec.handler_at == SimTime::MAX {
                         rec.handler_at = *at;
                     }
-                }
+                });
             }
             TraceEvent::Drop(e) => {
                 st.summary.drops += 1;
@@ -1275,11 +1257,11 @@ impl TraceSink for TraceRecorder {
                 // the handler that sent the reply); the reply was just
                 // injected and is pending. Cover both sides anyway.
                 for (id, other) in [(*request, *reply), (*reply, *request)] {
-                    if let Some(rec) = st.annotable(id, self.keep_records) {
+                    st.annotate(id, self.keep_records, |rec| {
                         if rec.pair == 0 {
                             rec.pair = other;
                         }
-                    }
+                    });
                 }
             }
             TraceEvent::Compute { proc, start, dur } => {
@@ -1415,7 +1397,7 @@ mod tests {
         let rep = rec.finish();
         assert_eq!(rep.summary.msgs, 1);
         assert_eq!(rep.summary.completed, 1);
-        let m = &rep.records[0];
+        let m = rep.records.get(0).unwrap();
         assert!(m.completed() && !m.tangled());
         assert_eq!(m.component_sum(), m.end_to_end());
         assert_eq!(m.end_to_end(), SimDelta::from_micros(10.8));
@@ -1459,7 +1441,7 @@ mod tests {
             o_recv: SimDelta::from_micros(4.0),
             done: us(130.0), // popped at 126, queued 8us
         }));
-        let m = rec.finish().records[0];
+        let m = rec.finish().records.get(0).unwrap();
         assert_eq!(m.tx_wait(), SimDelta::from_micros(1.2));
         assert_eq!(m.dma(), SimDelta::from_micros(107.0));
         assert_eq!(m.wire(), SimDelta::from_micros(5.0));
@@ -1520,6 +1502,9 @@ mod tests {
 
     #[test]
     fn a_store_past_test_scale_is_reserved_as_one_mapping_and_handed_over_exact() {
+        use records::{OWN_MAPPING, SMALL_STORE};
+        // 64-byte entries: just over 32 MiB.
+        assert_eq!(OWN_MAPPING, 524_289);
         let rec = TraceRecorder::new(true);
         let capacity = || rec.state.borrow().records.capacity();
         let mut n = 0;
@@ -1563,7 +1548,7 @@ mod tests {
         let rep = rec.finish();
         assert_eq!(rep.summary.orphan_events, 0);
         assert_eq!(rep.records.len(), 1);
-        assert_eq!(rep.records[0].id, MAX_ID_GAP - 1);
+        assert_eq!(rep.records.get(0).unwrap().id, MAX_ID_GAP - 1);
     }
 
     #[test]
@@ -1675,7 +1660,7 @@ mod tests {
             done: us(509.0),
         }));
         let rep = rec.finish();
-        let m = &rep.records[0];
+        let m = rep.records.get(0).unwrap();
         assert_eq!(rep.summary.msgs, 1, "retransmit is not a new message");
         assert_eq!(m.attempts, 2);
         assert_eq!(m.dropped_attempts, 1);
@@ -1707,7 +1692,7 @@ mod tests {
         assert_eq!(rep.summary.completed, 1);
         assert_eq!(rep.summary.extra_deliveries, 2);
         // The completed attribution is untouched.
-        assert_eq!(rep.records[0].done, us(10.8));
+        assert_eq!(rep.records.get(0).unwrap().done, us(10.8));
     }
 
     #[test]
@@ -1717,7 +1702,7 @@ mod tests {
         let rep = rec.finish();
         assert_eq!(rep.summary.msgs, 1);
         assert_eq!(rep.summary.completed, 0);
-        let m = &rep.records[0];
+        let m = rep.records.get(0).unwrap();
         assert!(!m.completed() && !m.tangled());
         // Sender side as sent, receiver side collapsed onto the arrival;
         // no span past `o_send` is claimed for an attempt still in flight.
@@ -1759,11 +1744,15 @@ mod tests {
             rx_depth: 1,
         }));
         recv(&late, 12.0);
-        for (rec, attempts) in [(rec, 1), (late, 2)] {
+        // The retry's pop precedes its `send_begin`: no offset holds it, so
+        // the record is kept whole.
+        for (rec, attempts, wide) in [(rec, 1, 0), (late, 2, 1)] {
             let rep = rec.finish();
-            let m = &rep.records[0];
+            let m = rep.records.get(0).unwrap();
             assert!(m.completed() && m.tangled());
             assert_eq!(m.attempts, attempts);
+            assert_eq!(rep.records.wide(), wide);
+            assert!(wide == 0 || m.pop < m.send_begin);
             assert_eq!(rep.summary.tangled, 1);
             assert_eq!(
                 rep.summary.totals.iter().copied().sum::<SimDelta>(),
@@ -1777,7 +1766,7 @@ mod tests {
         let rec = TraceRecorder::new(true);
         complete(&rec, 1, 0.0);
         rec.record(&send(2, 1, 0, 20.0));
-        for m in rec.finish().records {
+        for m in rec.finish().records.iter() {
             let at = [
                 m.send_begin,
                 m.inject,
@@ -1791,6 +1780,66 @@ mod tests {
             let built =
                 MsgRecord::from_instants(m.id, m.src, m.dst, m.kind, m.bytes, at, m.completed());
             assert_eq!(built, m);
+        }
+    }
+
+    #[test]
+    fn a_message_queued_through_a_long_pause_is_kept_whole() {
+        // Seen at 6.8 us; its destination, paused, pops it 5 s later.
+        let rec = TraceRecorder::new(true);
+        rec.record(&send(1, 0, 1, 0.0));
+        rec.record(&TraceEvent::Visible(VisibleEvent {
+            id: 1,
+            at: us(6.8),
+            rx_depth: 1,
+        }));
+        rec.record(&TraceEvent::Recv(RecvEvent {
+            id: 1,
+            proc: 1,
+            o_recv: SimDelta::from_micros(4.0),
+            done: us(5e6),
+        }));
+        complete(&rec, 2, 10.0);
+        let rep = rec.finish();
+        assert_eq!((rep.records.len(), rep.records.wide()), (2, 1));
+        let m = rep.records.get(0).unwrap();
+        assert!(m.completed() && !m.tangled());
+        assert_eq!(m.rx_queue(), SimDelta::from_nanos(4_999_989_200));
+        assert_eq!(m.component_sum(), m.end_to_end());
+        let kept: SimDelta = rep.records.iter().map(|r| r.component_sum()).sum();
+        assert_eq!(rep.summary.totals.iter().copied().sum::<SimDelta>(), kept);
+    }
+
+    #[test]
+    fn a_late_edge_that_overflows_an_offset_moves_the_record_whole() {
+        let (late, far) = (us(5e6), 1u64 << 32);
+        for edge in [
+            TraceEvent::Handler { id: 1, at: late },
+            TraceEvent::Pair {
+                request: 1,
+                reply: far,
+                at: late,
+            },
+        ] {
+            let rec = TraceRecorder::new(true);
+            complete(&rec, 1, 0.0);
+            complete(&rec, 2, 20.0);
+            rec.record(&edge);
+            // A later patch finds the record where the first one left it.
+            rec.record(&send(1, 0, 1, 40.0));
+            let rep = rec.finish();
+            assert_eq!(rep.records.wide(), 1, "{edge:?}");
+            let m = rep.records.get(0).unwrap();
+            match edge {
+                TraceEvent::Handler { .. } => assert_eq!(m.handler_at(), Some(late)),
+                _ => assert_eq!(m.pair(), Some(far)),
+            }
+            assert_eq!(m.attempts, 2, "the stale retransmission is counted");
+            assert_eq!(m.done, us(10.8));
+            assert_eq!(rep.summary.late_attempts, 1);
+            let fresh = TraceRecorder::new(true);
+            complete(&fresh, 2, 20.0);
+            assert_eq!(rep.records.get(1), fresh.finish().records.get(0));
         }
     }
 

@@ -15,7 +15,7 @@ use nowlab_core::{FaultPlan, NetConfig, NodeFault, NodeFaultPlan, RunSpec, Trace
 use nowlab_rng::{Rng, SeedableRng, SmallRng};
 use nowlab_sim::{SimDelta, SimTime};
 use nowlab_trace::chrome::write_chrome_trace_highlighted;
-use nowlab_trace::{MsgKind, MsgRecord};
+use nowlab_trace::{MsgKind, MsgRecord, Records};
 
 /// The export as the per-slice emitter wrote it; `critical` sorted.
 fn oracle(records: &[MsgRecord], critical: &[u64]) -> String {
@@ -98,8 +98,9 @@ fn oracle(records: &[MsgRecord], critical: &[u64]) -> String {
 
 /// Asserts the writer and the oracle agree on `records` for no highlight,
 /// every id highlighted, and every other id highlighted.
-fn agree(what: &str, records: &[MsgRecord]) {
-    let mut ids: Vec<u64> = records.iter().map(|r| r.id).collect();
+fn agree(what: &str, records: &Records) {
+    let list: Vec<MsgRecord> = records.iter().collect();
+    let mut ids: Vec<u64> = list.iter().map(|r| r.id).collect();
     ids.sort_unstable();
     ids.dedup();
     let every_other: Vec<u64> = ids.iter().copied().step_by(2).collect();
@@ -111,7 +112,7 @@ fn agree(what: &str, records: &[MsgRecord]) {
         let mut got = Vec::new();
         let drawn = write_chrome_trace_highlighted(records, critical, &mut got).unwrap();
         assert_eq!(drawn, records.iter().filter(|r| r.completed()).count());
-        let want = oracle(records, critical);
+        let want = oracle(&list, critical);
         if got != want.as_bytes() {
             let at = got
                 .iter()
@@ -160,7 +161,7 @@ fn real_runs_export_what_the_per_slice_emitter_exported() {
 /// Seeded records over every kind, a zero span in each of the seven
 /// positions (and none), ids to 2⁵³, `bytes` of 0 and `u32::MAX`,
 /// instants to 2⁵⁰ − 1 and open records, on `procs` processors.
-fn synthetic(procs: u16, seed: u64) -> Vec<MsgRecord> {
+fn synthetic(procs: u16, seed: u64) -> Records {
     const KINDS: [MsgKind; 6] = [
         MsgKind::Read,
         MsgKind::Write,
@@ -213,5 +214,5 @@ fn synthetic_corners_export_what_the_per_slice_emitter_exported() {
             );
         }
     }
-    agree("no records", &[]);
+    agree("no records", &Records::default());
 }

@@ -322,8 +322,8 @@ fn records_match_the_parent_golden() {
         let spec = spec_of(case.net).with_trace(TraceMode::Full);
         let records = app.run(&spec).trace.expect("trace requested").records;
         let mut digest = Fnv::new();
-        for r in &records {
-            for w in words(r) {
+        for r in records.iter() {
+            for w in words(&r) {
                 digest.write_all(&w.to_le_bytes()).expect("in-memory write");
             }
         }

@@ -128,10 +128,12 @@ fn record(
 #[test]
 fn a_cyclic_trace_is_refused() {
     let report = TraceReport {
-        records: vec![
+        records: [
             record(1, 0, 1, (30, 40), 40, 10, Some((10, 20))),
             record(2, 1, 0, (30, 40), 40, 10, Some((10, 20))),
-        ],
+        ]
+        .into_iter()
+        .collect(),
         ..TraceReport::default()
     };
     let cfg = NetConfig::berkeley_now();
@@ -152,10 +154,12 @@ fn a_truncated_run_analyzes_with_a_warning() {
     let vis_a = o + lat;
     let tx_b = (2 * o).max(o + gap);
     let report = TraceReport {
-        records: vec![
+        records: [
             record(1, 0, 1, (0, o), o, vis_a, Some((vis_a, vis_a + o))),
             record(2, 0, 1, (o, 2 * o), tx_b, 0, None),
-        ],
+        ]
+        .into_iter()
+        .collect(),
         ..TraceReport::default()
     };
     // No region marks: the prediction is the whole-run makespan.
