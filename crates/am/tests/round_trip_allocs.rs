@@ -22,6 +22,10 @@ thread_local! {
 
 struct Counting;
 
+#[expect(
+    unsafe_code,
+    reason = "a counting global allocator implements the unsafe GlobalAlloc trait; it forwards to System unchanged"
+)]
 // SAFETY: both methods hand the caller's layout and pointer to `System`
 // unchanged, so `System`'s own contract is the one callers rely on. The
 // counter is a `const`-initialised `Cell` without a destructor, so

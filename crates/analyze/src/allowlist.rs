@@ -5,9 +5,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! path = "src/bin/nowlab.rs"
-//! code = "DET001"
-//! reason = "CLI flag map: host-side parsing, never enters simulation state"
+//! path = "crates/sim/src/ready.rs"
+//! code = "PAR001"
+//! reason = "the Waker contract forces atomics; the executor is single-threaded"
 //! ```
 //!
 //! Parsing is a deliberately small TOML subset (table arrays of string
@@ -23,7 +23,7 @@ use crate::Diagnostic;
 pub struct AllowEntry {
     /// Workspace-relative path (forward slashes) the exception covers.
     pub path: String,
-    /// Lint code, e.g. `DET001`.
+    /// Lint code, e.g. `PAR001`.
     pub code: String,
     /// Why this occurrence is sound. Mandatory.
     pub reason: String,
@@ -153,30 +153,30 @@ mod tests {
         let toml = r#"
 # audited exceptions
 [[allow]]
-path = "src/bin/nowlab.rs"
-code = "DET001"
-reason = "CLI flag map"
+path = "crates/sim/src/ready.rs"
+code = "PAR001"
+reason = "Waker forces atomics"
 
 [[allow]]
 path = "crates/x/src/lib.rs"   # trailing comment
-code = "DET003"
-reason = "diagnostic env read"
+code = "TIM001"
+reason = "a literal the paper names"
 "#;
         let list = Allowlist::parse(toml).unwrap();
         assert_eq!(list.entries.len(), 2);
         let f = list.apply(vec![
-            diag("src/bin/nowlab.rs", "DET001"),
-            diag("src/bin/nowlab.rs", "DET002"),
+            diag("crates/sim/src/ready.rs", "PAR001"),
+            diag("crates/sim/src/ready.rs", "FLT002"),
         ]);
         assert_eq!(f.kept.len(), 1);
-        assert_eq!(f.kept[0].code, "DET002");
+        assert_eq!(f.kept[0].code, "FLT002");
         assert_eq!(f.suppressed.len(), 1);
         assert_eq!(f.stale.len(), 1, "unused entry reported as stale");
     }
 
     #[test]
     fn reason_is_mandatory() {
-        let toml = "[[allow]]\npath = \"a.rs\"\ncode = \"DET001\"\n";
+        let toml = "[[allow]]\npath = \"a.rs\"\ncode = \"PAR001\"\n";
         let err = Allowlist::parse(toml).unwrap_err();
         assert!(err.contains("reason"), "{err}");
     }

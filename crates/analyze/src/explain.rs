@@ -12,7 +12,7 @@ use crate::Severity;
 /// Static metadata for one lint code.
 #[derive(Clone, Copy, Debug)]
 pub struct LintInfo {
-    /// Stable code (`DET001`, `LAY002`, …).
+    /// Stable code (`DET004`, `FLT001`, …).
     pub code: &'static str,
     /// Default severity.
     pub severity: Severity,
@@ -26,45 +26,12 @@ pub struct LintInfo {
 /// Every lint the analyzer can emit, in stable catalogue order.
 pub const LINTS: &[LintInfo] = &[
     LintInfo {
-        code: "DET001",
-        severity: Severity::Error,
-        summary: "HashMap/HashSet in simulation-visible state",
-        rationale: "Hash collections iterate in randomized order (SipHash keyed per \
-                    process), so any simulation-visible iteration over one makes event \
-                    order — and therefore virtual time — depend on the host process. \
-                    Use BTreeMap/BTreeSet or a Vec with an explicit sort instead.",
-    },
-    LintInfo {
-        code: "DET002",
-        severity: Severity::Error,
-        summary: "Instant/SystemTime in sim-visible code",
-        rationale: "Wall-clock reads inside the simulation make virtual time a function \
-                    of the host. All time below the run boundary must come from \
-                    Sim::now().",
-    },
-    LintInfo {
-        code: "DET003",
-        severity: Severity::Error,
-        summary: "OS/env entropy outside crates/rng",
-        rationale: "RandomState, getrandom, thread_rng, env-var reads and friends are \
-                    entropy channels that break the (program, seed) -> time guarantee. \
-                    Only crates/rng may touch them, wrapped behind seeded streams.",
-    },
-    LintInfo {
         code: "DET004",
         severity: Severity::Warning,
         summary: "wall-clock value flowing toward virtual time",
         rationale: "A value derived from a wall-clock read appears to flow into a \
                     SimTime/SimDelta computation. Usually a refactoring accident; route \
                     the value through the run boundary explicitly or delete it.",
-    },
-    LintInfo {
-        code: "SAFE001",
-        severity: Severity::Error,
-        summary: "crate root missing #![forbid(unsafe_code)]",
-        rationale: "Unsafe code could smuggle in uninitialized reads or data races that \
-                    perturb results nondeterministically. Every workspace crate root \
-                    carries #![forbid(unsafe_code)] so the compiler proves its absence.",
     },
     LintInfo {
         code: "AMP001",
@@ -83,14 +50,6 @@ pub const LINTS: &[LintInfo] = &[
                     Re-hardcoding the literal elsewhere lets the copies drift apart.",
     },
     LintInfo {
-        code: "AMP003",
-        severity: Severity::Error,
-        summary: "public sim-facing API exposes a hash collection",
-        rationale: "A pub fn that accepts or returns HashMap/HashSet invites callers to \
-                    iterate it in randomized order even if the implementation is \
-                    careful. Expose BTree collections or sorted Vecs at the boundary.",
-    },
-    LintInfo {
         code: "AMP004",
         severity: Severity::Error,
         summary: "membership/detector state referenced outside crates/am",
@@ -105,46 +64,6 @@ pub const LINTS: &[LintInfo] = &[
         rationale: "Simulations are single-threaded so virtual time cannot depend on \
                     host scheduling. OS threads, locks, and atomics are allowed only in \
                     the run-boundary orchestration layer (core::sweep, src/bin).",
-    },
-    LintInfo {
-        code: "MET001",
-        severity: Severity::Error,
-        summary: "metrics crate depends beyond {sim, trace}",
-        rationale: "Metrics sinks run inside the event loop. Keeping the dependency \
-                    cone to nowlab-sim + nowlab-trace guarantees the observer cannot \
-                    reach I/O, threads, or entropy, so metering cannot perturb a run. \
-                    This is the metrics-crate case of the LAY002 manifest rule, kept \
-                    under its historical code.",
-    },
-    LintInfo {
-        code: "LAY001",
-        severity: Severity::Error,
-        summary: "source reference to a crate outside the declared lower layers",
-        rationale: "Each crate may `use` only its declared lower layers (rng -> sim -> \
-                    am -> splitc -> apps, trace/metrics observe-only). A path reference \
-                    that skips the layering bypasses the seam where the paper's \
-                    o/g/L/G costs are attributed. Route the call through the layer \
-                    that owns it, or re-export the type from the legal layer.",
-    },
-    LintInfo {
-        code: "LAY002",
-        severity: Severity::Error,
-        summary: "manifest dependency outside the declared lower layers",
-        rationale: "A crate's [dependencies] must stay within its layer's allowed set; \
-                    dev-dependencies are host-side and exempt. For the observer crates \
-                    (trace, metrics) every dependency is checked — even non-workspace \
-                    ones — because observers inside the event loop must be provably \
-                    unable to reach I/O, threads, or entropy.",
-    },
-    LintInfo {
-        code: "LAY003",
-        severity: Severity::Error,
-        summary: "apps reach below splitc (sim/am/coll internals)",
-        rationale: "The ported Split-C applications must speak only the splitc runtime \
-                    surface, exactly like the originals on the NOW cluster. An app \
-                    that imports nowlab_sim, nowlab_am, or nowlab_coll directly couples \
-                    it to internals the paper's apparatus never exposed; use the re-exports \
-                    on nowlab_splitc (SimDelta, SimTime, Payload, ...) instead.",
     },
     LintInfo {
         code: "FLT001",
@@ -194,13 +113,58 @@ pub const LINTS: &[LintInfo] = &[
     },
 ];
 
+/// Codes the analyzer no longer emits, because the toolchain enforces
+/// their rule with type resolution, each with the rule's new home.
+/// `--explain` still answers for them, and `--explain all` lists them
+/// under the catalogue.
+pub const MOVED: &[(&str, &str)] = &[
+    (
+        "DET001",
+        "clippy.toml `disallowed-types`: HashMap, HashSet, RandomState",
+    ),
+    (
+        "DET002",
+        "clippy.toml `disallowed-types`: Instant, SystemTime",
+    ),
+    (
+        "DET003",
+        "clippy.toml `disallowed-methods`: env::var, env::var_os; \
+         no dependency outside the workspace (crates/analyze/tests/manifests.rs)",
+    ),
+    (
+        "SAFE001",
+        "`[workspace.lints.rust] unsafe_code = \"deny\"`, inherited by every \
+         member (crates/analyze/tests/manifests.rs)",
+    ),
+    (
+        "AMP003",
+        "clippy.toml `disallowed-types`, in every signature",
+    ),
+    (
+        "MET001",
+        "crates/analyze/tests/manifests.rs: metrics depends on {sim, trace} only",
+    ),
+    (
+        "LAY001",
+        "rustc: an undeclared crate does not resolve (crates/analyze/tests/manifests.rs)",
+    ),
+    (
+        "LAY002",
+        "crates/analyze/tests/manifests.rs: every member's [dependencies] vs the layer table",
+    ),
+    (
+        "LAY003",
+        "crates/analyze/tests/manifests.rs: apps' [dependencies] stop at splitc",
+    ),
+];
+
 /// Looks up a lint by code (case-insensitive).
 pub fn lint_info(code: &str) -> Option<&'static LintInfo> {
     LINTS.iter().find(|l| l.code.eq_ignore_ascii_case(code))
 }
 
-/// Renders the `--explain` output for one code, or the full catalogue for
-/// `all`.
+/// Renders the `--explain` output for one code, or the full catalogue
+/// (then the moved codes) for `all`.
 pub fn render_explain(code: &str) -> Option<String> {
     if code.eq_ignore_ascii_case("all") {
         let mut out = String::from("| code | severity | meaning |\n|---|---|---|\n");
@@ -210,7 +174,14 @@ pub fn render_explain(code: &str) -> Option<String> {
                 l.code, l.severity, l.summary
             ));
         }
+        out.push_str("\n| moved | now enforced by |\n|---|---|\n");
+        for (code, home) in MOVED {
+            out.push_str(&format!("| `{code}` | {home} |\n"));
+        }
         return Some(out);
+    }
+    if let Some((code, home)) = MOVED.iter().find(|(c, _)| c.eq_ignore_ascii_case(code)) {
+        return Some(format!("{code} (moved)\n  now enforced by {home}\n"));
     }
     let l = lint_info(code)?;
     Some(format!(
@@ -225,8 +196,10 @@ mod tests {
 
     #[test]
     fn registry_is_complete_and_unique() {
-        assert_eq!(LINTS.len(), 19);
+        assert_eq!(LINTS.len(), 10);
+        assert_eq!(MOVED.len(), 9);
         let mut codes: Vec<&str> = LINTS.iter().map(|l| l.code).collect();
+        codes.extend(MOVED.iter().map(|(c, _)| *c));
         let n = codes.len();
         codes.sort();
         codes.dedup();
@@ -242,12 +215,19 @@ mod tests {
 
     #[test]
     fn explain_renders_single_and_catalogue() {
-        let one = render_explain("lay003").unwrap();
-        assert!(one.contains("LAY003"));
-        assert!(one.contains("splitc"));
+        let one = render_explain("flt003").unwrap();
+        assert!(one.contains("FLT003"));
+        assert!(one.contains("handler"));
+        let moved = render_explain("lay003").unwrap();
+        assert!(moved.contains("LAY003 (moved)"));
+        assert!(moved.contains("splitc"));
         let all = render_explain("all").unwrap();
-        for l in LINTS {
-            assert!(all.contains(l.code), "{} missing from catalogue", l.code);
+        for code in LINTS
+            .iter()
+            .map(|l| l.code)
+            .chain(MOVED.iter().map(|(c, _)| *c))
+        {
+            assert!(all.contains(code), "{code} missing from catalogue");
         }
         assert!(render_explain("NOPE999").is_none());
     }

@@ -1,12 +1,6 @@
-//! The graph-aware lint families introduced by analyzer v2, implemented
-//! over the [`FileModel`](crate::itemtree::FileModel) item tree rather than
-//! the raw token stream.
-//!
-//! **`LAY…` — crate layering.** The ten-crate stack (rng → sim → am →
-//! coll → splitc → apps, trace/metrics observe-only) encodes where the paper's
-//! o/g/L/G costs are attributed. `LAY001`/`LAY003` check every source-level
-//! `nowlab_x` path reference against the [`Layer`] table; the manifest side
-//! (`LAY002`/`MET001`) lives in [`graph`](crate::graph).
+//! The lint families introduced by analyzer v2, implemented over the
+//! [`FileModel`](crate::itemtree::FileModel) item tree rather than the raw
+//! token stream.
 //!
 //! **`FLT…` — float determinism.** Float addition is non-associative, so
 //! any reduction whose iteration order is not fixed makes the result — and
@@ -17,7 +11,6 @@
 //! unnamed protocol constants; mixed-unit arithmetic is how silent 1e3
 //! errors happen.
 
-use crate::graph::Layer;
 use crate::itemtree::FileModel;
 use crate::lexer::{match_delim, Tok, TokKind};
 use crate::{Diagnostic, Scope};
@@ -62,10 +55,9 @@ fn unit_rank(ident: &str) -> Option<u8> {
     }
 }
 
-/// Runs the `LAY`/`FLT`/`TIM` families applicable under `scope`.
+/// Runs the `FLT`/`TIM` families applicable under `scope`.
 pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    lint_layering(path, model, scope, &mut diags);
     if scope.sim_visible {
         lint_float_sums(path, model, &mut diags);
         lint_partial_cmp(path, model, &mut diags);
@@ -74,55 +66,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
         lint_mixed_units(path, model, &mut diags);
     }
     diags
-}
-
-/// `LAY001`/`LAY003`: source-level layering. Every `nowlab_x` reference
-/// (use-import root or inline path root) in a constrained crate must
-/// resolve to a declared lower layer. Apps reaching below splitc get the
-/// more specific `LAY003`.
-fn lint_layering(path: &str, model: &FileModel, scope: &Scope, diags: &mut Vec<Diagnostic>) {
-    let Some(allowed) = scope.layer.allowed_deps() else {
-        return;
-    };
-    for (name, line) in model.workspace_crate_refs() {
-        let Some(dep) = Layer::of_package(name) else {
-            continue;
-        };
-        if dep == scope.layer || allowed.contains(&dep) {
-            continue;
-        }
-        let apps_below_splitc =
-            scope.layer == Layer::Apps && matches!(dep, Layer::Sim | Layer::Am | Layer::Coll);
-        let (code, message) = if apps_below_splitc {
-            (
-                "LAY003",
-                format!(
-                    "app code references `{name}` — apps speak only the splitc runtime \
-                     surface, like the originals on the NOW cluster; use the \
-                     `nowlab_splitc` re-exports (SimDelta, SimTime, Payload, CollConfig, \
-                     …) instead"
-                ),
-            )
-        } else {
-            let names: Vec<&str> = allowed.iter().map(|l| l.name()).collect();
-            (
-                "LAY001",
-                format!(
-                    "`{name}` is outside layer {}'s declared lower layers {:?} — \
-                     route the call through the layer that owns it or re-export the \
-                     type from a legal layer",
-                    scope.layer.name(),
-                    names
-                ),
-            )
-        };
-        diags.push(Diagnostic {
-            path: path.to_string(),
-            line,
-            code,
-            message,
-        });
-    }
 }
 
 /// `FLT001`: `.sum::<f64>()` (or an un-turbofished `.sum()` whose statement
@@ -394,10 +337,9 @@ mod tests {
     use super::*;
     use crate::Severity;
 
-    fn scope(layer: Layer) -> Scope {
+    fn scope() -> Scope {
         Scope {
             sim_visible: true,
-            layer,
             ..Scope::default()
         }
     }
@@ -411,29 +353,8 @@ mod tests {
     }
 
     #[test]
-    fn lay001_flags_undeclared_layers_lay003_flags_apps() {
-        // Metrics may see only sim and trace.
-        let src = "use nowlab_am::Port;\nfn f() { let p = nowlab_apps::radix::run; }";
-        assert_eq!(codes(src, &scope(Layer::Metrics)), vec!["LAY001", "LAY001"]);
-        // Apps reaching below splitc get the specific code; the collectives
-        // crate counts as "below" even though its vocabulary is re-exported.
-        let src = "use nowlab_sim::SimDelta;\nfn f() { nowlab_am::Payload::words(1); }";
-        assert_eq!(codes(src, &scope(Layer::Apps)), vec!["LAY003", "LAY003"]);
-        let src = "use nowlab_coll::Selector;";
-        assert_eq!(codes(src, &scope(Layer::Apps)), vec!["LAY003"]);
-        // Declared lower layers and self-references are clean.
-        let ok = "use nowlab_splitc::Ctx;\nuse nowlab_core::RunSpec;\nuse nowlab_apps::x;";
-        assert!(codes(ok, &scope(Layer::Apps)).is_empty());
-        // Unconstrained layers are never flagged.
-        assert!(codes("use nowlab_sim::Sim;", &scope(Layer::Analyze)).is_empty());
-        // Test-only imports are host-side.
-        let test_only = "#[cfg(test)]\nmod tests { use nowlab_sim::Sim; }";
-        assert!(codes(test_only, &scope(Layer::Apps)).is_empty());
-    }
-
-    #[test]
     fn flt001_flags_float_sums_and_folds() {
-        let sc = scope(Layer::Am);
+        let sc = scope();
         assert_eq!(
             codes(
                 "fn f(v: &V) -> f64 { v.iter().map(|c| c.x).sum::<f64>() }",
@@ -469,7 +390,7 @@ mod tests {
 
     #[test]
     fn flt002_flags_partial_cmp() {
-        let sc = scope(Layer::Core);
+        let sc = scope();
         let src = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }";
         assert_eq!(codes(src, &sc), vec!["FLT002"]);
         let ok = "fn f(v: &mut Vec<f64>) { v.sort_by(f64::total_cmp); }";
@@ -478,7 +399,7 @@ mod tests {
 
     #[test]
     fn flt003_flags_float_accumulation_in_handlers() {
-        let sc = scope(Layer::Splitc);
+        let sc = scope();
         let src = "fn f(c: &C) { c.register_handler(|ctx, st| { st.total += x as f64; }); }";
         assert_eq!(codes(src, &sc), vec!["FLT003"]);
         // Integer accumulation in a handler is the sanctioned pattern.
@@ -491,7 +412,7 @@ mod tests {
 
     #[test]
     fn tim001_flags_literal_ctors_in_timer_calls() {
-        let sc = scope(Layer::Splitc);
+        let sc = scope();
         let src = "async fn f(s: &Sim) { s.delay(SimDelta::from_micros(1.0)).await; }";
         assert_eq!(codes(src, &sc), vec!["TIM001"]);
         let src2 = "fn f(c: &Ctx) { c.lock_with_backoff(g, SimDelta::from_micros(2.0), \
@@ -513,7 +434,7 @@ mod tests {
 
     #[test]
     fn tim002_warns_on_mixed_unit_arithmetic() {
-        let sc = scope(Layer::Core);
+        let sc = scope();
         let src =
             "fn f(a: SimDelta, b: SimDelta) -> u64 { a.as_nanos() + b.as_micros_f64() as u64 }";
         let model = FileModel::parse(src);
@@ -533,11 +454,7 @@ mod tests {
 
     #[test]
     fn families_respect_sim_visibility() {
-        let host = Scope {
-            sim_visible: false,
-            layer: Layer::Analyze,
-            ..Scope::default()
-        };
+        let host = Scope::default();
         let src = "fn f(v: &V) -> f64 { v.iter().sum::<f64>() }\n\
                    fn g(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }";
         assert!(codes(src, &host).is_empty());

@@ -2,39 +2,21 @@
 //!
 //! [`FileModel`] is the program model the lints run against: a recursive-
 //! descent pass over the [`lexer`](crate::lexer) output that recognizes the
-//! item kinds the analysis needs — modules, `use` trees, `fn`/`impl`
-//! signatures, and `const`/`static` items — and records, for every token
-//! index, whether it sits inside `#[cfg(test)]` code or inside a constant
-//! definition. This is what lets the lints be *path- and scope-resolved*
-//! instead of matching bare identifiers: a `use nowlab_am::…` is attributed
-//! to the crate it imports from, a literal inside a named `const` is a
-//! sanctioned time constant, and a `pub fn` signature is distinguished from
-//! its body.
+//! item kinds the analysis needs — modules, `fn`/`impl` signatures, and
+//! `const`/`static` items — and records, for every token index, whether it
+//! sits inside `#[cfg(test)]` code or inside a constant definition. This is
+//! what lets the lints be *scope-resolved* instead of matching bare
+//! identifiers: a literal inside a named `const` is a sanctioned time
+//! constant, and test code is host-side.
 //!
 //! The parser is deliberately forgiving: unknown constructs are skipped
 //! token by token, so macro-heavy or exotic code degrades to "no items
 //! recognized here" rather than an error. All ranges are token-index
 //! ranges into [`FileModel::toks`].
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 use crate::lexer::{lex, match_delim, Tok, TokKind};
-
-/// One flattened `use` import: `use a::{b, c as d};` yields two entries.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UseImport {
-    /// Full path segments, e.g. `["nowlab_sim", "SimDelta"]`. Globs end in
-    /// `"*"`; `self` imports end at the group prefix.
-    pub path: Vec<String>,
-    /// The name the import binds locally (the rename after `as`, otherwise
-    /// the last path segment; `"*"` for globs).
-    pub alias: String,
-    /// 1-based line of the `use` keyword.
-    pub line: u32,
-    /// True if the import sits inside `#[cfg(test)]` code.
-    pub in_test: bool,
-}
 
 /// A `mod` declaration, inline (`mod x { … }`) or outline (`mod x;`).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,8 +78,6 @@ pub struct ImplDecl {
 pub struct FileModel {
     /// The token stream the item ranges index into.
     pub toks: Vec<Tok>,
-    /// Flattened `use` imports, in source order.
-    pub uses: Vec<UseImport>,
     /// Module declarations, in source order.
     pub mods: Vec<ModDecl>,
     /// Function items (free and methods), in source order.
@@ -147,72 +127,6 @@ impl FileModel {
                 let b = f.body.as_ref().unwrap();
                 b.end - b.start
             })
-    }
-
-    /// Map from locally bound name to the import that bound it.
-    pub fn import_map(&self) -> BTreeMap<&str, &UseImport> {
-        let mut map = BTreeMap::new();
-        for u in &self.uses {
-            map.insert(u.alias.as_str(), u);
-        }
-        map
-    }
-
-    /// Every reference to another workspace crate (`nowlab_*`), resolved
-    /// from both `use` imports and inline paths (`nowlab_x::y`), outside
-    /// `#[cfg(test)]` code. Returns `(crate_name, line)` pairs in source
-    /// order.
-    pub fn workspace_crate_refs(&self) -> Vec<(&str, u32)> {
-        let mut refs: Vec<(&str, u32)> = Vec::new();
-        for u in &self.uses {
-            if u.in_test {
-                continue;
-            }
-            if let Some(first) = u.path.first() {
-                if first.starts_with("nowlab_") {
-                    refs.push((first.as_str(), u.line));
-                }
-            }
-        }
-        let use_spans = self.use_spans();
-        for (i, t) in self.toks.iter().enumerate() {
-            if t.kind != TokKind::Ident
-                || !t.text.starts_with("nowlab_")
-                || self.in_test(i)
-                || use_spans.iter().any(|r| r.contains(&i))
-            {
-                continue;
-            }
-            // Only path roots count (`nowlab_x::…`), so a stray identifier
-            // that merely shares the prefix is not a crate reference.
-            if self.toks.get(i + 1).map(|t| t.text.as_str()) == Some(":")
-                && self.toks.get(i + 2).map(|t| t.text.as_str()) == Some(":")
-            {
-                refs.push((t.text.as_str(), t.line));
-            }
-        }
-        refs.sort_by_key(|&(_, line)| line);
-        refs
-    }
-
-    fn use_spans(&self) -> Vec<Range<usize>> {
-        // Reconstruct conservative spans for use statements: from each
-        // `use` keyword to the next `;`.
-        let mut spans = Vec::new();
-        let mut i = 0;
-        while i < self.toks.len() {
-            if self.toks[i].text == "use" && self.toks[i].kind == TokKind::Ident {
-                let mut j = i;
-                while j < self.toks.len() && self.toks[j].text != ";" {
-                    j += 1;
-                }
-                spans.push(i..j + 1);
-                i = j + 1;
-            } else {
-                i += 1;
-            }
-        }
-        spans
     }
 }
 
@@ -380,25 +294,14 @@ impl Parser<'_> {
         close + 1
     }
 
+    /// Steps over a `use` item (to its `;`), recording its test extent.
     fn parse_use(&mut self, i: usize, to: usize, test: bool) -> usize {
-        let line = self.model.toks[i].line;
         let mut j = i + 1;
         while j < to && self.model.toks[j].text != ";" {
             j += 1;
         }
-        let in_test = self.in_test || test;
         if test {
             self.model.test_ranges.push(i..j + 1);
-        }
-        let mut imports = Vec::new();
-        parse_use_tree(&self.model.toks[i + 1..j], &[], &mut imports);
-        for (path, alias) in imports {
-            self.model.uses.push(UseImport {
-                path,
-                alias,
-                line,
-                in_test,
-            });
         }
         j + 1
     }
@@ -605,132 +508,9 @@ impl Parser<'_> {
     }
 }
 
-/// Parses the token slice of a use tree (everything between `use` and `;`)
-/// into flat `(path, alias)` imports.
-fn parse_use_tree(toks: &[Tok], prefix: &[String], out: &mut Vec<(Vec<String>, String)>) {
-    let mut segs: Vec<String> = Vec::new();
-    let mut i = 0;
-    let flush = |segs: &mut Vec<String>,
-                 alias: Option<String>,
-                 prefix: &[String],
-                 out: &mut Vec<(Vec<String>, String)>| {
-        if segs.is_empty() {
-            return;
-        }
-        let mut path: Vec<String> = prefix.to_vec();
-        path.extend(segs.iter().cloned());
-        // `self` at the end of a group import refers to the group prefix.
-        if path.last().map(String::as_str) == Some("self") {
-            path.pop();
-        }
-        let alias = alias.unwrap_or_else(|| path.last().cloned().unwrap_or_default());
-        out.push((path, alias));
-        segs.clear();
-    };
-    while i < toks.len() {
-        match toks[i].text.as_str() {
-            "pub" | ":" => i += 1,
-            "{" => {
-                // Group: split by top-level commas, recurse per element.
-                let mut depth = 1;
-                let start = i + 1;
-                let mut j = start;
-                let mut elem_start = start;
-                let mut full_prefix: Vec<String> = prefix.to_vec();
-                full_prefix.extend(segs.iter().cloned());
-                while j < toks.len() && depth > 0 {
-                    match toks[j].text.as_str() {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                if elem_start < j {
-                                    parse_use_tree(&toks[elem_start..j], &full_prefix, out);
-                                }
-                                break;
-                            }
-                        }
-                        "," if depth == 1 => {
-                            if elem_start < j {
-                                parse_use_tree(&toks[elem_start..j], &full_prefix, out);
-                            }
-                            elem_start = j + 1;
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                segs.clear();
-                i = j + 1;
-            }
-            "*" => {
-                segs.push("*".to_string());
-                flush(&mut segs, None, prefix, out);
-                i += 1;
-            }
-            "as" => {
-                let alias = toks.get(i + 1).map(|t| t.text.clone());
-                flush(&mut segs, alias, prefix, out);
-                i += 2;
-            }
-            "," => {
-                flush(&mut segs, None, prefix, out);
-                i += 1;
-            }
-            _ => {
-                if toks[i].kind == TokKind::Ident {
-                    segs.push(toks[i].text.clone());
-                }
-                i += 1;
-            }
-        }
-    }
-    flush(&mut segs, None, prefix, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_use_trees_flat_nested_renamed_and_glob() {
-        let m = FileModel::parse(
-            "use nowlab_sim::SimDelta;\n\
-             use std::collections::{BTreeMap, btree_map::Entry as E};\n\
-             pub use nowlab_am::{Payload, RunAbort};\n\
-             use nowlab_trace::*;\n",
-        );
-        let paths: Vec<String> = m.uses.iter().map(|u| u.path.join("::")).collect();
-        assert_eq!(
-            paths,
-            vec![
-                "nowlab_sim::SimDelta",
-                "std::collections::BTreeMap",
-                "std::collections::btree_map::Entry",
-                "nowlab_am::Payload",
-                "nowlab_am::RunAbort",
-                "nowlab_trace::*",
-            ]
-        );
-        let aliases: Vec<&str> = m.uses.iter().map(|u| u.alias.as_str()).collect();
-        assert_eq!(
-            aliases,
-            vec!["SimDelta", "BTreeMap", "E", "Payload", "RunAbort", "*"]
-        );
-        let map = m.import_map();
-        assert_eq!(
-            map["E"].path.join("::"),
-            "std::collections::btree_map::Entry"
-        );
-    }
-
-    #[test]
-    fn group_self_import_binds_the_prefix() {
-        let m = FileModel::parse("use nowlab_am::{self, Port};\n");
-        assert_eq!(m.uses[0].path, vec!["nowlab_am"]);
-        assert_eq!(m.uses[0].alias, "nowlab_am");
-        assert_eq!(m.uses[1].path, vec!["nowlab_am", "Port"]);
-    }
 
     #[test]
     fn records_mods_fns_consts_impls() {
@@ -791,15 +571,14 @@ fn also_live() {}
 ";
         let m = FileModel::parse(src);
         // The use inside the test mod is marked.
-        assert!(m.uses[0].in_test);
+        let sim = m.toks.iter().position(|t| t.text == "nowlab_sim").unwrap();
+        assert!(m.in_test(sim));
         let t = m.fns.iter().find(|f| f.name == "t").unwrap();
         assert!(t.in_test);
         let h = m.fns.iter().find(|f| f.name == "helper").unwrap();
         assert!(h.in_test);
         let live = m.fns.iter().find(|f| f.name == "also_live").unwrap();
         assert!(!live.in_test);
-        // Crate refs skip test code entirely.
-        assert!(m.workspace_crate_refs().is_empty());
     }
 
     #[test]
@@ -826,21 +605,6 @@ fn also_live() {}
             "type P = *const u8;\nfn f(s: &'static str, p: *const u32) -> &'static str { s }",
         );
         assert!(m.consts.is_empty(), "{:?}", m.consts);
-    }
-
-    #[test]
-    fn workspace_crate_refs_resolve_uses_and_inline_paths() {
-        let src = "\
-use nowlab_splitc::{Ctx, GlobalPtr};
-fn f() {
-    let p = nowlab_am::Payload::words(4);
-    let nowlab_fakevar = 3; // not a path root
-    let _ = nowlab_fakevar;
-}
-";
-        let m = FileModel::parse(src);
-        let refs: Vec<&str> = m.workspace_crate_refs().iter().map(|&(n, _)| n).collect();
-        assert_eq!(refs, vec!["nowlab_splitc", "nowlab_splitc", "nowlab_am"]);
     }
 
     #[test]

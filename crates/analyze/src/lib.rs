@@ -3,10 +3,17 @@
 //! The simulation's headline guarantee is that virtual time is a pure
 //! function of (program, seed): two runs with the same inputs produce
 //! bit-identical statistics. That guarantee is easy to break silently —
-//! one `HashMap` iteration in a hot path, one wall-clock read folded into
-//! a `SimTime` — so this crate enforces it mechanically over the whole
-//! workspace, along with the GAM active-message protocol rules the
-//! paper's apparatus depends on.
+//! one float sum in arrival order, one lock below the run boundary — so
+//! this crate enforces it mechanically over the whole workspace, along
+//! with the GAM active-message protocol rules the paper's apparatus
+//! depends on.
+//!
+//! What the toolchain can check with type resolution it checks instead:
+//! hash collections, wall clocks and environment reads are
+//! `disallowed-types`/`disallowed-methods` in the root `clippy.toml`,
+//! `unsafe_code` is denied by `[workspace.lints]`, and the crate layering
+//! is a test over every member's manifest (`tests/manifests.rs`).
+//! [`explain::MOVED`] maps each retired code to its new home.
 //!
 //! Run it as:
 //!
@@ -18,10 +25,9 @@
 //! Audited exceptions live in `analyze.toml` at the workspace root (see
 //! [`allowlist`]). The build container is fully offline, so instead of
 //! `syn` the pass runs on a hand-rolled token scanner ([`lexer`]) feeding a
-//! lightweight recursive-descent item tree ([`itemtree`]) — modules, `use`
-//! trees, fn/impl signatures, const items — plus a workspace dependency
-//! graph parsed from the crates' manifests ([`graph`]). Lints are therefore
-//! path- and scope-resolved, not bare-identifier matches.
+//! lightweight recursive-descent item tree ([`itemtree`]) — modules,
+//! fn/impl signatures, const items and exact `#[cfg(test)]` extents — so
+//! lints are scope-resolved, not bare-identifier matches.
 //!
 //! The lint catalogue — one [`explain::LintInfo`] record per code — is
 //! rendered by `--explain CODE` (or `--explain all`); findings export as
@@ -31,20 +37,11 @@
 //!
 //! | code | severity | meaning |
 //! |---|---|---|
-//! | `DET001` | error | `HashMap`/`HashSet` in simulation-visible state |
-//! | `DET002` | error | `std::time::Instant`/`SystemTime` in sim-visible code |
-//! | `DET003` | error | OS/env entropy outside `crates/rng` |
 //! | `DET004` | warning | wall-clock value flowing toward virtual time |
-//! | `SAFE001` | error | crate root missing `#![forbid(unsafe_code)]` |
 //! | `AMP001` | error | AM handler issues a request (GAM acyclicity) |
 //! | `AMP002` | error | re-hardcoded window depth / 4KB fragment size |
-//! | `AMP003` | error | public sim-facing API exposes a hash collection |
 //! | `AMP004` | error | membership/detector state referenced outside `crates/am` |
 //! | `PAR001` | error | thread/lock primitives outside the orchestration layer |
-//! | `MET001` | error | metrics crate depends beyond `{sim, trace}` |
-//! | `LAY001` | error | source reference outside the crate's declared lower layers |
-//! | `LAY002` | error | manifest dependency outside the declared lower layers |
-//! | `LAY003` | error | apps reach below splitc (`sim`/`am`/`coll` internals) |
 //! | `FLT001` | error | unordered `f64` reduction (`.sum()`, `fold(+)`) in sim-visible code |
 //! | `FLT002` | error | `partial_cmp` on floats in sim-visible code |
 //! | `FLT003` | error | float accumulation inside an event handler closure |
@@ -56,7 +53,6 @@
 pub mod allowlist;
 pub mod explain;
 pub mod families;
-pub mod graph;
 pub mod itemtree;
 pub mod lexer;
 pub mod lints;
@@ -65,7 +61,6 @@ pub mod sarif;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use graph::{Layer, WorkspaceGraph};
 use itemtree::FileModel;
 
 /// How bad a finding is. `Error` fails `--check`; `Warning` is advisory.
@@ -93,7 +88,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based source line.
     pub line: u32,
-    /// Stable lint code (`DET001`, `AMP002`, …).
+    /// Stable lint code (`DET004`, `AMP002`, …).
     pub code: &'static str,
     /// Human-readable explanation with the suggested fix.
     pub message: String,
@@ -132,24 +127,16 @@ impl fmt::Display for Diagnostic {
 /// Which lint families apply to a file.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Scope {
-    /// Code that can influence simulation state or event order. The
-    /// `DET…` family and `AMP003` apply here.
+    /// Code that can influence simulation state or event order. `DET004`,
+    /// `AMP004` and the `FLT`/`TIM` families apply here.
     pub sim_visible: bool,
     /// Inside `crates/am`: the protocol-constant lint `AMP002` applies.
     pub am_layer: bool,
-    /// Inside `crates/rng`: the one place allowed to touch entropy
-    /// primitives (it wraps them behind seeded streams).
-    pub entropy_exempt: bool,
-    /// A crate/bin root file, which must carry `#![forbid(unsafe_code)]`.
-    pub crate_root: bool,
     /// Inside the run-boundary orchestration layer (`crates/core::sweep`,
     /// `src/bin`): the only code allowed to use OS threads
     /// and lock/atomic primitives (`PAR001` elsewhere). Simulations stay
     /// single-threaded so virtual time cannot depend on host scheduling.
     pub parallel_ok: bool,
-    /// The crate's architectural layer; drives the `LAY…` family (which
-    /// crates this file may reference). [`Layer::Other`] is unconstrained.
-    pub layer: Layer,
 }
 
 /// Crates whose code is simulation-visible. `analyze` is deliberately
@@ -176,22 +163,15 @@ pub fn scope_for(rel: &str) -> Option<Scope> {
     if !in_src {
         return None;
     }
-    let file = *parts.last().unwrap_or(&"");
-    let parent = parts[parts.len().saturating_sub(2)];
-    let crate_root =
-        (parent == "src" && (file == "lib.rs" || file == "main.rs")) || parent == "bin";
     Some(Scope {
         sim_visible: crate_name.is_none_or(|c| SIM_CRATES.contains(&c)),
         am_layer: crate_name == Some("am"),
-        entropy_exempt: crate_name == Some("rng"),
-        crate_root,
         parallel_ok: rel.starts_with("src/bin/") || rel.starts_with("crates/core/src/sweep"),
-        layer: crate_name.map_or(Layer::Root, Layer::of_crate),
     })
 }
 
 /// Lints a single parsed [`FileModel`] under the given scope: the
-/// token-level lints ([`lints`]) plus the graph-aware families
+/// token-level lints ([`lints`]) plus the item-tree families
 /// ([`families`]).
 pub fn scan_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnostic> {
     let mut diags = lints::lint_model(path, model, scope);
@@ -205,8 +185,7 @@ pub fn scan_source(path: &str, source: &str, scope: &Scope) -> Vec<Diagnostic> {
 }
 
 /// Scans every in-scope `.rs` file under the workspace `root`, in
-/// deterministic (sorted-path) order, plus the manifest-level layering
-/// lints from the workspace graph. Returns the diagnostics sorted by
+/// deterministic (sorted-path) order. Returns the diagnostics sorted by
 /// (path, line, code) and the number of files scanned.
 pub fn scan_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
     let mut files: Vec<PathBuf> = Vec::new();
@@ -244,25 +223,8 @@ pub fn scan_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
         let source = std::fs::read_to_string(file).map_err(|e| format!("reading {rel}: {e}"))?;
         diags.extend(scan_source(&rel, &source, &scope));
     }
-    // Manifest-level layering over the workspace graph (LAY002 / MET001).
-    let graph = WorkspaceGraph::load(root)?;
-    diags.extend(graph.lint_manifests());
     diags.sort_by(|a, b| (a.path.as_str(), a.line, a.code).cmp(&(b.path.as_str(), b.line, b.code)));
     Ok((diags, scanned))
-}
-
-/// `MET001`: the metrics crate's `[dependencies]` must stay within
-/// `{nowlab-sim, nowlab-trace}`. Kept as a named entry point because the
-/// metrics crate's observer guarantee is load-bearing for the paper's
-/// methodology; since analyzer v2 it is the metrics-crate case of the
-/// [`graph`] manifest lints (`LAY002` elsewhere).
-pub fn lint_metrics_manifest(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    let graph = WorkspaceGraph::load(root)?;
-    Ok(graph
-        .lint_manifests()
-        .into_iter()
-        .filter(|d| d.code == "MET001")
-        .collect())
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -289,63 +251,30 @@ mod tests {
     #[test]
     fn scope_routing() {
         let s = scope_for("crates/am/src/cluster.rs").unwrap();
-        assert!(s.sim_visible && s.am_layer && !s.entropy_exempt && !s.crate_root);
-        assert!(!s.parallel_ok);
+        assert!(s.sim_visible && s.am_layer && !s.parallel_ok);
         let s = scope_for("crates/rng/src/lib.rs").unwrap();
-        assert!(s.sim_visible && s.entropy_exempt && s.crate_root);
+        assert!(s.sim_visible && !s.am_layer);
         let s = scope_for("crates/analyze/src/lib.rs").unwrap();
-        assert!(!s.sim_visible && s.crate_root, "the analyzer is host-side");
+        assert!(!s.sim_visible, "the analyzer is host-side");
         let s = scope_for("src/exhibits.rs").unwrap();
-        assert!(s.sim_visible && !s.crate_root && s.layer == Layer::Root);
+        assert!(s.sim_visible);
         assert!(
             !s.parallel_ok,
             "exhibits reach the pool through core::sweep"
         );
         let s = scope_for("src/bin/nowlab.rs").unwrap();
-        assert!(s.sim_visible && s.crate_root);
+        assert!(s.sim_visible);
         assert!(s.parallel_ok, "the CLI fans out whole runs");
         // Trace sinks observe simulations from inside, so the crate is
         // held to the same determinism rules as the layers it instruments.
         let s = scope_for("crates/trace/src/lib.rs").unwrap();
-        assert!(s.sim_visible && !s.am_layer && s.crate_root);
-        assert!(!s.parallel_ok);
+        assert!(s.sim_visible && !s.am_layer && !s.parallel_ok);
         // Metrics sinks likewise run inside the event loop.
         let s = scope_for("crates/metrics/src/lib.rs").unwrap();
-        assert!(s.sim_visible && !s.am_layer && s.crate_root);
-        assert!(!s.parallel_ok);
+        assert!(s.sim_visible && !s.am_layer && !s.parallel_ok);
         assert!(scope_for("crates/analyze/tests/fixtures/det001.rs").is_none());
         assert!(scope_for("crates/am/tests/gam.rs").is_none());
         assert!(scope_for("README.md").is_none());
-    }
-
-    #[test]
-    fn met001_rejects_dependencies_outside_the_allowlist() {
-        let dir = std::env::temp_dir().join(format!("nowlab-met001-{}", std::process::id()));
-        let manifest_dir = dir.join("crates/metrics");
-        std::fs::create_dir_all(&manifest_dir).unwrap();
-        std::fs::write(
-            manifest_dir.join("Cargo.toml"),
-            "[package]\nname = \"nowlab-metrics\"\n\n[dependencies]\n\
-             nowlab-sim.workspace = true\nnowlab-trace.workspace = true\n\
-             serde = \"1\"\nnowlab-am = { path = \"../am\" }\n",
-        )
-        .unwrap();
-        let diags = lint_metrics_manifest(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        let names: Vec<&str> = diags.iter().map(|d| d.code).collect();
-        assert_eq!(names, ["MET001", "MET001"]);
-        assert!(diags[0].message.contains("serde"));
-        assert!(diags[1].message.contains("nowlab-am"));
-        // A workspace without the crate at all is fine (older checkouts).
-        assert!(lint_metrics_manifest(Path::new("/nonexistent"))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn met001_accepts_the_real_manifest() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        assert!(lint_metrics_manifest(&root).unwrap().is_empty());
     }
 
     #[test]

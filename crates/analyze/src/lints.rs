@@ -1,37 +1,20 @@
-//! The two lint families, implemented over the token stream.
+//! The token-level lints.
 //!
-//! **Family 1 — determinism (`DET…`).** Virtual time in `nowlab` must be a
-//! pure function of (program, seed). Anything whose behavior depends on
-//! hasher state, wall-clock time, or OS entropy can silently perturb event
-//! order, so simulation-visible code may not use it.
+//! **Determinism (`DET004`, `PAR001`).** Virtual time in `nowlab` must be
+//! a pure function of (program, seed). Hash collections, wall clocks and
+//! environment reads are banned by the root `clippy.toml`; what is left
+//! here is what clippy cannot name: a wall-clock value flowing toward
+//! virtual time, and threads or locks below the run boundary.
 //!
-//! **Family 2 — AM protocol (`AMP…`).** The GAM rules the paper's
-//! apparatus relies on: request/reply acyclicity in handlers, single named
-//! constants for the flow-control window and fragment size, public
-//! sim-facing APIs free of nondeterministic collection types, and
-//! membership/failure-detector state confined to `crates/am`.
-//!
-//! `SAFE001` additionally checks that every scanned crate root carries
-//! `#![forbid(unsafe_code)]`, so the analyzer may assume safe Rust (no
-//! out-of-band entropy or clock access behind `unsafe`).
+//! **AM protocol (`AMP…`).** The GAM rules the paper's apparatus relies
+//! on: request/reply acyclicity in handlers, single named constants for
+//! the flow-control window and fragment size, and membership/failure-
+//! detector state confined to `crates/am`.
 
 use crate::itemtree::FileModel;
 use crate::lexer::{match_delim, Tok, TokKind};
 use crate::{Diagnostic, Scope};
 
-/// Hash-based std collections whose iteration order is nondeterministic.
-const HASH_COLLECTIONS: &[&str] = &["HashMap", "HashSet"];
-/// Wall-clock types that must not appear in simulation-visible code.
-const WALL_CLOCK_TYPES: &[&str] = &["Instant", "SystemTime"];
-/// Entropy sources allowed only inside `crates/rng`.
-const ENTROPY_IDENTS: &[&str] = &[
-    "thread_rng",
-    "ThreadRng",
-    "OsRng",
-    "from_entropy",
-    "getrandom",
-    "rand",
-];
 /// Wall-clock-to-duration conversions that feed virtual time (heuristic).
 const WALL_FLOW_IDENTS: &[&str] = &["UNIX_EPOCH", "duration_since"];
 /// Port calls a reply handler must never make (GAM request/reply
@@ -88,87 +71,11 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
     let in_test = |i: usize| model.in_test(i);
     let mut diags = Vec::new();
 
-    // AMP003 first: its signature ranges suppress duplicate DET001 hits.
-    let mut sig_ranges: Vec<std::ops::Range<usize>> = Vec::new();
-    if scope.sim_visible {
-        let mut i = 0;
-        while i + 1 < toks.len() {
-            if toks[i].text == "pub" && toks[i + 1].text == "fn" && !in_test(i) {
-                let sig_start = i + 1;
-                let mut j = i + 2;
-                while j < toks.len() && toks[j].text != "{" && toks[j].text != ";" {
-                    j += 1;
-                }
-                if let Some(t) = toks[sig_start..j].iter().find(|t| {
-                    t.kind == TokKind::Ident && HASH_COLLECTIONS.contains(&t.text.as_str())
-                }) {
-                    diags.push(Diagnostic {
-                        path: path.to_string(),
-                        line: t.line,
-                        code: "AMP003",
-                        message: format!(
-                            "public sim-facing API exposes `{}` — callers inherit \
-                             nondeterministic iteration order; expose `BTree{}` or a sorted view",
-                            t.text,
-                            t.text.trim_start_matches("Hash"),
-                        ),
-                    });
-                }
-                sig_ranges.push(sig_start..j);
-                i = j;
-                continue;
-            }
-            i += 1;
-        }
-    }
-    let in_sig = |i: usize| sig_ranges.iter().any(|r| r.contains(&i));
-
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident || in_test(i) {
             continue;
         }
         let name = t.text.as_str();
-        if scope.sim_visible && HASH_COLLECTIONS.contains(&name) && !in_sig(i) {
-            diags.push(Diagnostic {
-                path: path.to_string(),
-                line: t.line,
-                code: "DET001",
-                message: format!(
-                    "`{name}` in simulation-visible code — iteration order is \
-                     nondeterministic; use `BTree{}` or index-sorted access",
-                    name.trim_start_matches("Hash"),
-                ),
-            });
-        }
-        if scope.sim_visible && WALL_CLOCK_TYPES.contains(&name) {
-            diags.push(Diagnostic {
-                path: path.to_string(),
-                line: t.line,
-                code: "DET002",
-                message: format!(
-                    "`std::time::{name}` in simulation-visible code — wall-clock \
-                     readings vary across runs; virtual time must come from `Sim::now`",
-                ),
-            });
-        }
-        if scope.sim_visible && !scope.entropy_exempt {
-            let env_read = (name == "var" || name == "var_os")
-                && i >= 3
-                && toks[i - 1].text == ":"
-                && toks[i - 2].text == ":"
-                && toks[i - 3].text == "env";
-            if ENTROPY_IDENTS.contains(&name) || env_read {
-                diags.push(Diagnostic {
-                    path: path.to_string(),
-                    line: t.line,
-                    code: "DET003",
-                    message: format!(
-                        "`{name}` draws OS/environment entropy — outside `crates/rng` \
-                         all randomness must come from the seeded `nowlab_rng` streams",
-                    ),
-                });
-            }
-        }
         if !scope.parallel_ok {
             // `thread` as a path segment (`std::thread::spawn`, `thread::scope`)
             // or any lock/atomic type: parallelism below the run boundary
@@ -280,20 +187,6 @@ pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnosti
         }
     }
 
-    // SAFE001: scanned crate roots must forbid unsafe code, so the
-    // determinism lints can assume no entropy/clock access hides behind
-    // raw pointers or FFI.
-    if scope.crate_root && !has_forbid_unsafe(toks) {
-        diags.push(Diagnostic {
-            path: path.to_string(),
-            line: 1,
-            code: "SAFE001",
-            message: "crate root lacks `#![forbid(unsafe_code)]` — the determinism \
-                      analysis assumes safe Rust"
-                .to_string(),
-        });
-    }
-
     diags
 }
 
@@ -305,20 +198,6 @@ fn near_const_definition(toks: &[Tok], i: usize) -> bool {
         .any(|t| t.text == "const")
 }
 
-/// True if the stream contains `#![forbid(unsafe_code)]`.
-fn has_forbid_unsafe(toks: &[Tok]) -> bool {
-    toks.windows(8).any(|w| {
-        w[0].text == "#"
-            && w[1].text == "!"
-            && w[2].text == "["
-            && w[3].text == "forbid"
-            && w[4].text == "("
-            && w[5].text == "unsafe_code"
-            && w[6].text == ")"
-            && w[7].text == "]"
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,10 +207,7 @@ mod tests {
         Scope {
             sim_visible: true,
             am_layer: false,
-            entropy_exempt: false,
-            crate_root: false,
             parallel_ok: false,
-            layer: crate::graph::Layer::Other,
         }
     }
 
@@ -340,30 +216,6 @@ mod tests {
             .into_iter()
             .map(|d| d.code)
             .collect()
-    }
-
-    #[test]
-    fn hash_collections_flagged_outside_tests_only() {
-        let src = "fn f() { let m = std::collections::HashMap::<u32, u32>::new(); }\n\
-                   #[cfg(test)]\nmod tests { use std::collections::HashSet; }\n";
-        assert_eq!(codes(src, &sim_scope()), vec!["DET001"]);
-    }
-
-    #[test]
-    fn wall_clock_and_entropy_flagged() {
-        let src = "fn f() { let t = Instant::now(); let s = std::env::var(\"X\"); }";
-        assert_eq!(codes(src, &sim_scope()), vec!["DET002", "DET003"]);
-        let mut rng_scope = sim_scope();
-        rng_scope.entropy_exempt = true;
-        assert_eq!(
-            codes("fn f() { getrandom(); }", &rng_scope),
-            Vec::<&str>::new()
-        );
-    }
-
-    #[test]
-    fn env_args_is_not_an_entropy_read() {
-        assert!(codes("fn f() { let a = std::env::args(); }", &sim_scope()).is_empty());
     }
 
     #[test]
@@ -385,15 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn pub_fn_signature_reports_amp003_not_det001() {
-        let src = "pub fn api() -> std::collections::HashMap<u32, u32> { todo!() }";
-        assert_eq!(codes(src, &sim_scope()), vec!["AMP003"]);
-        // pub(crate) is not a public sim-facing API.
-        let src2 = "pub(crate) fn api(m: &HashMap<u32, u32>) {}";
-        assert_eq!(codes(src2, &sim_scope()), vec!["DET001"]);
-    }
-
-    #[test]
     fn membership_state_confined_to_the_am_layer() {
         // Splitc/apps/core code naming detector internals is a second
         // membership implementation waiting to diverge.
@@ -411,14 +254,6 @@ mod tests {
         // Host-side test modules may poke detector state freely.
         let test_only = "#[cfg(test)]\nmod tests { fn t(p: &P) { p.last_heard(); } }";
         assert!(codes(test_only, &sim_scope()).is_empty());
-    }
-
-    #[test]
-    fn crate_root_requires_forbid_unsafe() {
-        let mut scope = sim_scope();
-        scope.crate_root = true;
-        assert_eq!(codes("pub fn ok() {}", &scope), vec!["SAFE001"]);
-        assert!(codes("#![forbid(unsafe_code)]\npub fn ok() {}", &scope).is_empty());
     }
 
     #[test]

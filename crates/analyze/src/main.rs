@@ -5,7 +5,7 @@
 //! cargo run -p nowlab-analyze -- --check          # CI: exit 1 on any error
 //! cargo run -p nowlab-analyze -- --format sarif   # SARIF 2.1.0 on stdout
 //! cargo run -p nowlab-analyze -- --output F.sarif # write report to a file
-//! cargo run -p nowlab-analyze -- --explain LAY001 # what a code means
+//! cargo run -p nowlab-analyze -- --explain FLT001 # what a code means
 //! cargo run -p nowlab-analyze -- --explain all    # the whole lint table
 //! cargo run -p nowlab-analyze -- --root DIR       # scan another tree
 //! cargo run -p nowlab-analyze -- --allowlist F    # alternate allowlist
@@ -122,6 +122,10 @@ fn main() -> ExitCode {
         Allowlist::default()
     };
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host-side tool outside the simulation: times its own scan for the summary line"
+    )]
     let started = std::time::Instant::now();
     let (diags, files) = match scan_workspace(&root) {
         Ok(pair) => pair,

@@ -1,13 +1,13 @@
 //! Integration tests: every lint fires on its fixture (the v2 families
 //! twice, pinning two seeded true positives each), the clean fixture stays
-//! silent, the `ws_layering` mini-workspace surfaces its manifest- and
-//! source-level violations end to end, and the workspace itself passes the
-//! analyzer with the checked-in allowlist.
+//! silent, and the workspace itself passes the analyzer with the
+//! checked-in allowlist. The fixtures of the lints that moved to the
+//! toolchain are built by `scripts/check_moved_lints.sh` and read by
+//! `tests/manifests.rs`.
 
 use std::path::{Path, PathBuf};
 
 use nowlab_analyze::allowlist::Allowlist;
-use nowlab_analyze::graph::Layer;
 use nowlab_analyze::{sarif, scan_source, scan_workspace, Diagnostic, Scope, Severity};
 use nowlab_metrics::json::{self, Value};
 
@@ -22,30 +22,29 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
-/// Scope used by most fixtures: sim-visible AM-layer code that is also a
-/// crate root, so every lint family is armed at once and the fixtures
-/// prove each trips exactly its own lint. `Layer::Other` keeps the `LAY`
-/// family quiet; the layering fixtures opt in via [`layered`].
+/// The fixtures' scope: sim-visible AM-layer code, so every lint family
+/// is armed at once and the fixtures prove each trips exactly its own
+/// lint.
 fn armed() -> Scope {
     Scope {
         sim_visible: true,
         am_layer: true,
-        entropy_exempt: false,
-        crate_root: true,
         parallel_ok: false,
-        layer: Layer::Other,
     }
 }
 
-/// A sim-visible scope for a specific architectural layer (the `LAY`
-/// fixtures).
-fn layered(layer: Layer) -> Scope {
-    Scope {
-        sim_visible: true,
-        layer,
-        ..Scope::default()
-    }
-}
+/// Every fixture a remaining lint fires on.
+const FIXTURES: &[&str] = &[
+    "det004.rs",
+    "amp001.rs",
+    "amp002.rs",
+    "par001.rs",
+    "flt001.rs",
+    "flt002.rs",
+    "flt003.rs",
+    "tim001.rs",
+    "tim002.rs",
+];
 
 fn codes(name: &str, scope: &Scope) -> Vec<&'static str> {
     scan_source(name, &fixture(name), scope)
@@ -56,38 +55,18 @@ fn codes(name: &str, scope: &Scope) -> Vec<&'static str> {
 
 #[test]
 fn each_fixture_trips_its_lint_exactly_once() {
-    // SAFE001 would fire on every root fixture lacking the attribute, so
-    // the per-lint fixtures use a non-root scope...
-    let mut scope = armed();
-    scope.crate_root = false;
-    assert_eq!(codes("det001.rs", &scope), vec!["DET001"]);
-    assert_eq!(codes("det002.rs", &scope), vec!["DET002"]);
-    assert_eq!(codes("det003.rs", &scope), vec!["DET003"]);
+    let scope = armed();
     assert_eq!(codes("det004.rs", &scope), vec!["DET004"]);
     assert_eq!(codes("amp001.rs", &scope), vec!["AMP001"]);
     assert_eq!(codes("amp002.rs", &scope), vec!["AMP002"]);
-    assert_eq!(codes("amp003.rs", &scope), vec!["AMP003"]);
     assert_eq!(codes("par001.rs", &scope), vec!["PAR001"]);
-    // ...and the SAFE001 fixture alone runs as a crate root.
-    assert_eq!(codes("safe001.rs", &armed()), vec!["SAFE001"]);
 }
 
 /// Each v2 family fixture pins two seeded true positives (plus clean
 /// counter-examples that must stay silent).
 #[test]
 fn each_family_fixture_pins_two_true_positives() {
-    let mut scope = armed();
-    scope.crate_root = false;
-    assert_eq!(
-        codes("lay001.rs", &layered(Layer::Metrics)),
-        vec!["LAY001", "LAY001"]
-    );
-    // lay003 pins three: sim, am, and the coll-bypass import (apps must
-    // take the collectives vocabulary through the splitc re-exports).
-    assert_eq!(
-        codes("lay003.rs", &layered(Layer::Apps)),
-        vec!["LAY003", "LAY003", "LAY003"]
-    );
+    let scope = armed();
     assert_eq!(codes("flt001.rs", &scope), vec!["FLT001", "FLT001"]);
     assert_eq!(codes("flt002.rs", &scope), vec!["FLT002", "FLT002"]);
     assert_eq!(codes("flt003.rs", &scope), vec!["FLT003", "FLT003"]);
@@ -97,24 +76,8 @@ fn each_family_fixture_pins_two_true_positives() {
 
 #[test]
 fn det004_and_tim002_are_the_only_warning_severity_lints() {
-    let mut scope = armed();
-    scope.crate_root = false;
-    for name in [
-        "det001.rs",
-        "det002.rs",
-        "det003.rs",
-        "det004.rs",
-        "amp001.rs",
-        "amp002.rs",
-        "amp003.rs",
-        "par001.rs",
-        "flt001.rs",
-        "flt002.rs",
-        "flt003.rs",
-        "tim001.rs",
-        "tim002.rs",
-    ] {
-        for d in scan_source(name, &fixture(name), &scope) {
+    for name in FIXTURES {
+        for d in scan_source(name, &fixture(name), &armed()) {
             let expect = if d.code == "DET004" || d.code == "TIM002" {
                 Severity::Warning
             } else {
@@ -133,56 +96,22 @@ fn clean_fixture_produces_zero_diagnostics() {
 
 #[test]
 fn diagnostics_carry_file_and_line() {
-    let mut scope = armed();
-    scope.crate_root = false;
-    let diags = scan_source("det002.rs", &fixture("det002.rs"), &scope);
+    let diags = scan_source("det004.rs", &fixture("det004.rs"), &armed());
     assert_eq!(diags.len(), 1);
-    assert_eq!(diags[0].path, "det002.rs");
-    // `Instant` sits on line 3 of the fixture (after the //! line).
+    assert_eq!(diags[0].path, "det004.rs");
+    // `duration_since` sits on line 3 of the fixture.
     assert_eq!(diags[0].line, 3);
-    assert!(diags[0].to_string().contains("det002.rs:3"));
-}
-
-/// End to end over the `ws_layering` mini-workspace: manifest-level
-/// violations (MET001 for the observer, LAY002 for apps, the predictor
-/// and the `am → metrics` edge) and the source-level LAY003, all from one
-/// `scan_workspace` call.
-#[test]
-fn ws_layering_fixture_surfaces_manifest_and_source_violations() {
-    let (diags, _) = scan_workspace(&fixture_path("ws_layering")).expect("fixture scan");
-    let got: Vec<(String, &str)> = diags.iter().map(|d| (d.path.clone(), d.code)).collect();
-    assert_eq!(
-        got,
-        vec![
-            ("crates/am/Cargo.toml".to_string(), "LAY002"),
-            ("crates/apps/Cargo.toml".to_string(), "LAY002"),
-            ("crates/apps/src/lib.rs".to_string(), "LAY003"),
-            ("crates/metrics/Cargo.toml".to_string(), "MET001"),
-            ("crates/metrics/Cargo.toml".to_string(), "MET001"),
-            ("crates/predict/Cargo.toml".to_string(), "LAY002"),
-        ],
-        "unexpected diagnostics: {diags:?}"
-    );
-    // The dev-dependency stayed exempt and the violations name their deps.
-    let messages: String = diags.iter().map(|d| d.message.as_str()).collect();
-    assert!(messages.contains("serde"));
-    assert!(!messages.contains("serde_json"));
-    // The predictor's one live violation is the splitc edge; its trace
-    // and am edges are sanctioned, and its dev-dep stays exempt.
-    let predict: Vec<&Diagnostic> = diags
-        .iter()
-        .filter(|d| d.path == "crates/predict/Cargo.toml")
-        .collect();
-    assert_eq!(predict.len(), 1);
-    assert!(predict[0].message.contains("nowlab-splitc"));
-    assert!(predict[0].message.contains("layer predict"));
+    assert!(diags[0].to_string().contains("det004.rs:3"));
 }
 
 /// The SARIF stream carries every diagnostic with its rule and location.
 #[test]
 fn sarif_render_covers_every_diagnostic() {
-    let (diags, _) = scan_workspace(&fixture_path("ws_layering")).expect("fixture scan");
-    assert!(!diags.is_empty());
+    let diags: Vec<Diagnostic> = FIXTURES
+        .iter()
+        .flat_map(|name| scan_source(name, &fixture(name), &armed()))
+        .collect();
+    assert_eq!(diags.len(), 14);
     let log = json::parse(&sarif::render(&diags)).expect("SARIF parses as JSON");
     assert_eq!(log.get("version").and_then(Value::as_str), Some("2.1.0"));
     let results = log.get("runs").and_then(Value::as_arr).expect("runs")[0]
@@ -204,8 +133,10 @@ fn sarif_render_covers_every_diagnostic() {
     }
 }
 
-/// The README lint table is the `--explain all` catalogue verbatim, row
-/// for row, so the registry and the docs cannot drift apart.
+/// README's two lint tables are the `--explain all` catalogue verbatim,
+/// row for row: the lints the analyzer checks, then the codes that moved
+/// to the toolchain and where each now lives. The registry and the docs
+/// cannot drift apart.
 #[test]
 fn readme_lint_table_matches_the_registry() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -1,7 +1,8 @@
-//! Fixture: exactly one DET001 (hash collection in sim-visible state).
+//! Fixture: exactly one disallowed type (DET001, a hash collection in
+//! simulation-visible state). scripts/check_moved_lints.sh builds it.
 use std::collections::BTreeMap;
 
-struct State {
-    routes: std::collections::HashMap<u32, u32>,
-    ordered: BTreeMap<u32, u32>,
+pub struct State {
+    pub routes: std::collections::HashMap<u32, u32>,
+    pub ordered: BTreeMap<u32, u32>,
 }

@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn mix64_spreads_bits() {
         // Adjacent inputs land far apart and never collide in a small set.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..10_000u64 {
             assert!(seen.insert(mix64(i)));
         }

@@ -416,7 +416,7 @@ mod tests {
         // state satisfies the invariant (soundness of the protocol), and
         // no successor equals its parent (no stutter rules).
         let caches = 4;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut q = std::collections::VecDeque::from([0u32]);
         while let Some(s) = q.pop_front() {
             if !seen.insert(s) {
@@ -460,7 +460,7 @@ mod tests {
             let (count, _) = sequential_explore_model(model);
             assert!(count > 4, "n={n}: only {count} states");
             // Reachability of the critical section.
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             let mut q = std::collections::VecDeque::from([model.initial()]);
             let mut cs_reached = false;
             while let Some(s) = q.pop_front() {

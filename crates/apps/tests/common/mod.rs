@@ -23,6 +23,10 @@ thread_local! {
 
 pub struct Counting;
 
+#[expect(
+    unsafe_code,
+    reason = "a counting global allocator implements the unsafe GlobalAlloc trait; it forwards to System unchanged"
+)]
 // SAFETY: both methods hand the caller's layout and pointer to `System`
 // unchanged, so `System`'s own contract is the one callers rely on. The
 // counters are `const`-initialised `Cell`s without destructors, so reading

@@ -4,9 +4,9 @@
 
 use nowlab_apps::{suite_scaled, SuiteScale};
 use nowlab_core::RunSpec;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-fn run_all(procs: usize) -> HashMap<String, nowlab_core::RunOutcome> {
+fn run_all(procs: usize) -> BTreeMap<String, nowlab_core::RunOutcome> {
     suite_scaled(SuiteScale::Test)
         .iter()
         .map(|app| {

@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn hash64_spreads_and_is_stable() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..10_000u64 {
             assert!(seen.insert(hash64(i)));
         }

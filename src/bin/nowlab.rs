@@ -19,6 +19,10 @@
 //! a virtual-time deadline so total loss reports N/A instead of spinning.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "CLI flag map: host-side argument parsing, consumed by value lookups only (never iterated into simulation state)"
+)]
 
 use std::collections::HashMap;
 use std::path::Path;
