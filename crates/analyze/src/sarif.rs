@@ -170,7 +170,7 @@ mod tests {
     fn empty_scan_still_renders_a_valid_run() {
         let log = parsed(&[]);
         let run = run(&log);
-        assert_eq!(run.get("results"), Some(&Value::Arr(Vec::new())));
+        assert_eq!(run.get("results"), Some(&Value::Arr(Box::default())));
         let rules = path(run, &["tool", "driver", "rules"]).as_arr().unwrap();
         assert_eq!(rules.len(), LINTS.len());
     }

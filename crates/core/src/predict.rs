@@ -286,24 +286,28 @@ fn field<'v, T>(v: &'v Value, key: &str, get: fn(&'v Value) -> Option<T>) -> Res
 /// critical-path breakdown). Every field the schema requires must be
 /// there with its type; anything else is an error, never a default.
 pub fn render_predict_report(text: &str) -> Result<String, String> {
+    render_predict(&json::parse(text)?)
+}
+
+/// [`render_predict_report`] of a document already parsed.
+fn render_predict(v: &Value) -> Result<String, String> {
     use std::fmt::Write as _;
-    let v = json::parse(text)?;
-    let schema = field(&v, "schema", Value::as_str)?;
+    let schema = field(v, "schema", Value::as_str)?;
     if schema != SCHEMA_NAME {
         return Err(format!("not a predict report (schema `{schema}`)"));
     }
-    let version = field(&v, "version", Value::as_u64)?;
+    let version = field(v, "version", Value::as_u64)?;
     if version > SCHEMA_VERSION {
         return Err(format!(
             "predict report version {version} is newer than this binary ({SCHEMA_VERSION})"
         ));
     }
-    let app = field(&v, "app", Value::as_str)?;
-    let procs = field(&v, "procs", Value::as_u64)?;
-    let seed = field(&v, "seed", Value::as_u64)?;
-    let baseline_ns = field(&v, "baseline_ns", Value::as_u64)?;
-    let tolerance = field(&v, "tolerance", Value::as_f64)?;
-    let dag = field(&v, "dag", Some)?;
+    let app = field(v, "app", Value::as_str)?;
+    let procs = field(v, "procs", Value::as_u64)?;
+    let seed = field(v, "seed", Value::as_u64)?;
+    let baseline_ns = field(v, "baseline_ns", Value::as_u64)?;
+    let tolerance = field(v, "tolerance", Value::as_f64)?;
+    let dag = field(v, "dag", Some)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -317,13 +321,13 @@ pub fn render_predict_report(text: &str) -> Result<String, String> {
         field(dag, "nodes", Value::as_u64)?,
         field(dag, "edges", Value::as_u64)?,
     );
-    for warn in field(&v, "warnings", Value::as_arr)? {
+    for warn in field(v, "warnings", Value::as_arr)? {
         let warn = warn.as_str().ok_or("`warnings`: expected strings")?;
         let _ = writeln!(out, "warning: {warn}");
     }
     let _ = writeln!(out);
 
-    for curve in field(&v, "axes", Value::as_arr)? {
+    for curve in field(v, "axes", Value::as_arr)? {
         let label = field(curve, "label", Value::as_str)?;
         let mut t = Table::new(
             format!("{app}: predicted slowdown vs {label}"),
@@ -365,7 +369,7 @@ pub fn render_predict_report(text: &str) -> Result<String, String> {
         let _ = writeln!(out);
     }
 
-    let cp = field(&v, "critical_path", Some)?;
+    let cp = field(v, "critical_path", Some)?;
     let total_ns = field(cp, "total_ns", Value::as_u64)?;
     let mut t = Table::new(
         format!(
@@ -426,14 +430,13 @@ pub fn render_predict_report(text: &str) -> Result<String, String> {
 
 /// Renders a saved report of either schema: predict reports go through
 /// [`render_predict_report`], everything else through the metrics
-/// renderer. This is what `nowlab report FILE.json` calls.
+/// renderer, from one parse of `text`. This is what `nowlab report
+/// FILE.json` calls.
 pub fn render_report_auto(text: &str) -> Result<String, String> {
-    let schema = json::parse(text)
-        .ok()
-        .and_then(|v| v.get("schema").and_then(|s| s.as_str().map(String::from)));
-    match schema.as_deref() {
-        Some(SCHEMA_NAME) => render_predict_report(text),
-        _ => nowlab_metrics::render_report(text),
+    let v = json::parse(text)?;
+    match v.get("schema").and_then(Value::as_str) {
+        Some(SCHEMA_NAME) => render_predict(&v),
+        _ => nowlab_metrics::render_parsed(&v),
     }
 }
 

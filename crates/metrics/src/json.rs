@@ -3,8 +3,13 @@
 //! (`nowlab report` renders saved reports without re-running the
 //! simulation), and a streaming [`Writer`] that every report goes
 //! through — metrics runs and sweeps, predictions, the analyzer's SARIF.
-//! No external dependency; objects preserve key order in a `Vec` so
+//! No external dependency; objects preserve key order in a slice so
 //! rendering is deterministic.
+//!
+//! A parsed tree is held at the size of its numbers: every container is
+//! one exact-size box, and an array of integers — what [`Writer::u64s`]
+//! writes, most of a metrics report — is a [`Value::Ints`] of bare `i64`s
+//! rather than a slice of 24-byte values.
 
 use std::fmt::Display;
 use std::io::{self, Write};
@@ -15,6 +20,11 @@ use std::io::{self, Write};
 const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
+///
+/// The parser picks one form per array: a non-empty array whose every
+/// element is an integer is [`Value::Ints`], any other array (the empty
+/// one included) is [`Value::Arr`]. Object keys stay `String`s, so a
+/// caller can take one out of the tree whole.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`
@@ -26,12 +36,17 @@ pub enum Value {
     /// Any other number.
     Float(f64),
     /// String (escape sequences `\" \\ \/ \n \t \r \uXXXX` supported).
-    Str(String),
-    /// Array.
-    Arr(Vec<Value>),
+    Str(Box<str>),
+    /// Non-empty array of integers only.
+    Ints(Box<[i64]>),
+    /// Any other array.
+    Arr(Box<[Value]>),
     /// Object, in source key order.
-    Obj(Vec<(String, Value)>),
+    Obj(Box<[(String, Value)]>),
 }
+
+// A tag beside one fat pointer: a report's tree costs 24 bytes a value.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 /// Writes `s` as the inside of a JSON string literal: the inverse of what
 /// [`parse`] reads back. Runs that need no escape are copied whole; every
@@ -235,7 +250,9 @@ impl Value {
         }
     }
 
-    /// The value as an array slice, if it is one.
+    /// The value as an array slice, if it is an array of anything but
+    /// integers alone: an integer array ([`Value::Ints`]) gives `None`, so
+    /// read integers with [`Value::as_u64s`].
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(v) => Some(v),
@@ -245,7 +262,11 @@ impl Value {
 
     /// An array of non-negative integers, if that is what this is.
     pub fn as_u64s(&self) -> Option<Vec<u64>> {
-        self.as_arr()?.iter().map(Value::as_u64).collect()
+        match self {
+            Value::Ints(v) => v.iter().map(|&i| u64::try_from(i).ok()).collect(),
+            Value::Arr(v) => v.iter().map(Value::as_u64).collect(),
+            _ => None,
+        }
     }
 }
 
@@ -255,6 +276,12 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
+    /// Elements of the arrays open around `pos`, innermost last. Each
+    /// array moves its own off the top into one exact-size box when it
+    /// closes, so one stack serves the whole document.
+    items: Vec<Value>,
+    /// Members of the objects open around `pos`, the same way.
+    members: Vec<(String, Value)>,
 }
 
 /// Parses one JSON document (trailing whitespace allowed).
@@ -264,6 +291,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
+        items: Vec::new(),
+        members: Vec::new(),
     };
     let v = p.value()?;
     p.skip_ws();
@@ -317,7 +346,7 @@ impl Parser<'_> {
         match self.peek()? {
             b'{' => self.nested(Self::object),
             b'[' => self.nested(Self::array),
-            b'"' => Ok(Value::Str(self.string()?)),
+            b'"' => Ok(Value::Str(self.string()?.into_boxed_str())),
             b't' => self.lit("true", Value::Bool(true)),
             b'f' => self.lit("false", Value::Bool(false)),
             b'n' => self.lit("null", Value::Null),
@@ -342,21 +371,22 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, String> {
         self.eat(b'{')?;
-        let mut kv = Vec::new();
+        let base = self.members.len();
         if self.peek()? == b'}' {
             self.pos += 1;
-            return Ok(Value::Obj(kv));
+            return Ok(Value::Obj(Box::default()));
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.eat(b':')?;
-            kv.push((key, self.value()?));
+            let v = self.value()?;
+            self.members.push((key, v));
             match self.peek()? {
                 b',' => self.pos += 1,
                 b'}' => {
                     self.pos += 1;
-                    return Ok(Value::Obj(kv));
+                    return Ok(Value::Obj(self.members.drain(base..).collect()));
                 }
                 c => return Err(format!("expected ',' or '}}', found '{}'", c as char)),
             }
@@ -365,24 +395,39 @@ impl Parser<'_> {
 
     fn array(&mut self) -> Result<Value, String> {
         self.eat(b'[')?;
-        let mut vals = Vec::new();
+        let base = self.items.len();
         if self.peek()? == b']' {
             self.pos += 1;
-            return Ok(Value::Arr(vals));
+            return Ok(Value::Arr(Box::default()));
         }
+        let mut ints = true;
         loop {
-            vals.push(self.value()?);
+            let v = self.value()?;
+            ints &= matches!(v, Value::Int(_));
+            self.items.push(v);
             match self.peek()? {
                 b',' => self.pos += 1,
                 b']' => {
                     self.pos += 1;
-                    return Ok(Value::Arr(vals));
+                    let items = self.items.drain(base..);
+                    if !ints {
+                        return Ok(Value::Arr(items.collect()));
+                    }
+                    return Ok(Value::Ints(
+                        items
+                            .map(|v| match v {
+                                Value::Int(i) => i,
+                                _ => unreachable!("every element was checked to be an integer"),
+                            })
+                            .collect(),
+                    ));
                 }
                 c => return Err(format!("expected ',' or ']', found '{}'", c as char)),
             }
         }
     }
 
+    /// A string's contents, at their exact size.
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
         let mut out = String::new();
@@ -395,11 +440,18 @@ impl Parser<'_> {
                 .position(|&b| b == b'"' || b == b'\\')
                 .ok_or("unterminated string".to_string())?;
             self.pos += run;
-            out.push_str(&self.text[start..self.pos]);
+            let text = &self.text[start..self.pos];
             self.pos += 1;
             if self.bytes[self.pos - 1] == b'"' {
+                if out.is_empty() {
+                    // No escape: one allocation of the run's length.
+                    return Ok(text.to_owned());
+                }
+                out.push_str(text);
+                out.shrink_to_fit();
                 return Ok(out);
             }
+            out.push_str(text);
             let e = *self
                 .bytes
                 .get(self.pos)
@@ -430,6 +482,21 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
+        // Most of a report is short plain integers: up to 18 digits
+        // cannot overflow, so they are summed in place. Anything else
+        // takes the general path below, which reads it as before.
+        let neg = self.bytes.get(start) == Some(&b'-');
+        let digits = &self.bytes[start + usize::from(neg)..];
+        let len = digits.iter().take_while(|b| b.is_ascii_digit()).count();
+        if (1..=18).contains(&len)
+            && !matches!(digits.get(len), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            let n = digits[..len]
+                .iter()
+                .fold(0, |n, &d| n * 10 + i64::from(d - b'0'));
+            self.pos += usize::from(neg) + len;
+            return Ok(Value::Int(if neg { -n } else { n }));
+        }
         let mut float = false;
         while let Some(&b) = self.bytes.get(self.pos) {
             match b {
@@ -624,6 +691,139 @@ mod tests {
         // Depth is nesting, not count: siblings at one level are fine.
         let wide = format!("[{}1]", "[],".repeat(10_000));
         assert_eq!(parse(&wide).unwrap().as_arr().unwrap().len(), 10_001);
+    }
+
+    #[test]
+    fn a_value_is_a_tag_and_one_fat_pointer() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
+    #[test]
+    fn integer_arrays_are_ints_and_every_other_array_is_arr() {
+        assert_eq!(parse("[]").unwrap(), Value::Arr(Box::default()));
+        assert_eq!(parse("[1,-2]").unwrap(), Value::Ints(Box::new([1, -2])));
+        assert_eq!(parse("[ 7 ]").unwrap(), Value::Ints(Box::new([7])));
+        for mixed in ["[1,2.5]", "[1,\"x\"]", "[1,null]", "[1,[2]]"] {
+            let v = parse(mixed).unwrap();
+            assert!(matches!(v, Value::Arr(_)), "{mixed}: {v:?}");
+            assert_eq!(v.as_arr().unwrap()[0], Value::Int(1), "{mixed}");
+            assert_eq!(v.as_u64s(), None, "{mixed}");
+        }
+        let nested = parse("[[1,2],[]]").unwrap();
+        let rows = nested.as_arr().unwrap();
+        assert_eq!(
+            rows,
+            [Value::Ints(Box::new([1, 2])), Value::Arr(Box::default())]
+        );
+        // An integer array is not an array of values: read it as integers.
+        assert_eq!(rows[0].as_arr(), None);
+        assert_eq!(rows[0].as_u64s(), Some(vec![1, 2]));
+    }
+
+    #[test]
+    fn as_u64s_reads_both_forms_and_refuses_a_negative() {
+        assert_eq!(parse("[3,0,7]").unwrap().as_u64s(), Some(vec![3, 0, 7]));
+        assert_eq!(parse("[]").unwrap().as_u64s(), Some(vec![]));
+        let spelled_out = Value::Arr(Box::new([Value::Int(4), Value::Int(0)]));
+        assert_eq!(spelled_out.as_u64s(), Some(vec![4, 0]));
+        assert_eq!(parse("[1,-2]").unwrap().as_u64s(), None);
+        let negative = Value::Arr(Box::new([Value::Int(4), Value::Int(-1)]));
+        assert_eq!(negative.as_u64s(), None);
+        let max = parse(&format!("[{}]", i64::MAX)).unwrap();
+        assert_eq!(max.as_u64s(), Some(vec![i64::MAX as u64]));
+        assert_eq!(Value::Int(5).as_u64s(), None);
+    }
+
+    #[test]
+    fn an_integer_past_i64_is_still_a_bad_number() {
+        let err = parse("[1,9223372036854775808]").unwrap_err();
+        assert!(err.starts_with("bad number '9223372036854775808'"), "{err}");
+        let min = parse("[-9223372036854775808]").unwrap();
+        assert_eq!(min, Value::Ints(Box::new([i64::MIN])));
+        // The deepest array the bound admits may be an integer array.
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
+    }
+
+    /// The in-place integer reading agrees with the general one on every
+    /// shape a number can take, and leaves the rest to it.
+    #[test]
+    fn plain_integers_read_as_the_general_path_reads_them() {
+        for text in [
+            "0",
+            "-0",
+            "007",
+            "42",
+            "-42",
+            "123456789012345678",
+            "-123456789012345678",
+            "1234567890123456789",
+            "9223372036854775807",
+            "-9223372036854775808",
+            "+5",
+        ] {
+            let want = text.parse().unwrap();
+            assert_eq!(parse(text), Ok(Value::Int(want)), "{text}");
+            let arr = parse(&format!("[{text},{text}]")).unwrap();
+            assert_eq!(arr, Value::Ints(Box::new([want, want])), "{text}");
+        }
+        assert_eq!(parse("1.5e2"), Ok(Value::Float(150.0)));
+        assert_eq!(parse("-2E-1"), Ok(Value::Float(-0.2)));
+        for bad in ["-", "1-2", "1+", "--1", "12345678901234567890"] {
+            let err = parse(bad).unwrap_err();
+            assert!(
+                err.starts_with(&format!("bad number '{bad}'")),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    /// Containers close in any order around each other, and each takes
+    /// exactly its own elements off the shared stacks.
+    #[test]
+    fn interleaved_containers_keep_their_own_elements() {
+        let v =
+            parse(r#"{"a":[1,{"b":[2,3],"c":{}},[4],"s"],"d":{"e":[[]],"f":-5},"g":[]}"#).unwrap();
+        let obj = |kv: Vec<(&str, Value)>| {
+            Value::Obj(kv.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let want = obj(vec![
+            (
+                "a",
+                Value::Arr(Box::new([
+                    Value::Int(1),
+                    obj(vec![
+                        ("b", Value::Ints(Box::new([2, 3]))),
+                        ("c", obj(vec![])),
+                    ]),
+                    Value::Ints(Box::new([4])),
+                    Value::Str("s".into()),
+                ])),
+            ),
+            (
+                "d",
+                obj(vec![
+                    ("e", Value::Arr(Box::new([Value::Arr(Box::default())]))),
+                    ("f", Value::Int(-5)),
+                ]),
+            ),
+            ("g", Value::Arr(Box::default())),
+        ]);
+        assert_eq!(v, want);
+    }
+
+    #[test]
+    fn keys_are_read_at_their_exact_size() {
+        let v = parse(r#"{"plain":1,"esc\"aped\n":2,"":3}"#).unwrap();
+        let Value::Obj(members) = v else {
+            panic!("an object")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["plain", "esc\"aped\n", ""]);
+        for (k, _) in members.iter() {
+            assert_eq!(k.capacity(), k.len(), "{k:?}");
+        }
     }
 
     #[test]

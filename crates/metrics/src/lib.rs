@@ -36,7 +36,7 @@ pub mod json;
 mod render;
 mod report;
 
-pub use render::render_report;
+pub use render::{render_parsed, render_report};
 pub use report::{
     write_sweep_json, CollSummary, DetectorSummary, MetricsReport, MetricsSummary, PhaseSlice,
     ProcSeries, RunMeta, SweepPointMeta, WireBusy,

@@ -318,21 +318,26 @@ fn render_sweep(v: &Value) -> Result<String, String> {
 /// Renders a saved `nowlab-metrics-report` JSON document (either kind)
 /// as ASCII. Returns a message describing the first malformation found.
 pub fn render_report(text: &str) -> Result<String, String> {
-    let v = parse(text)?;
-    let schema = req(&v, "schema")?.as_str().ok_or("schema")?;
+    render_parsed(&parse(text)?)
+}
+
+/// [`render_report`] of a document already parsed, for a caller that
+/// read it to learn its schema.
+pub fn render_parsed(v: &Value) -> Result<String, String> {
+    let schema = req(v, "schema")?.as_str().ok_or("schema")?;
     if schema != crate::report::SCHEMA_NAME {
         return Err(format!("not a metrics report (schema '{schema}')"));
     }
-    let version = req(&v, "version")?.as_u64().ok_or("version")?;
+    let version = req(v, "version")?.as_u64().ok_or("version")?;
     if version > crate::report::SCHEMA_VERSION {
         return Err(format!(
             "report version {version} is newer than this binary understands ({})",
             crate::report::SCHEMA_VERSION
         ));
     }
-    match req(&v, "kind")?.as_str() {
-        Some("run") => render_run(&v),
-        Some("sweep") => render_sweep(&v),
+    match req(v, "kind")?.as_str() {
+        Some("run") => render_run(v),
+        Some("sweep") => render_sweep(v),
         k => Err(format!("unknown report kind {k:?}")),
     }
 }

@@ -338,6 +338,40 @@ fn report_refuses_totals_that_overflow() {
     assert!(stderr.starts_with("error: totals overflow"), "{stderr}");
 }
 
+/// `golden/report_renders.txt` is what `nowlab report` printed for every
+/// JSON golden of this directory, one `== FILE` section each, written by
+/// the binary of `8f1149b`, the last commit whose parser built its tree
+/// from growable vectors. Every file must still parse and render to the
+/// same bytes, whichever form its arrays are read into.
+#[test]
+fn every_json_golden_renders_as_the_parent_rendered_it() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("golden directory")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 7, "{files:?}");
+    let mut got = String::new();
+    for path in &files {
+        let name = path.file_name().unwrap().to_str().unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
+        assert!(nowlab::metrics::json::parse(&text).is_ok(), "{name}");
+        let out = Command::new(env!("CARGO_BIN_EXE_nowlab"))
+            .args(["report", path.to_str().unwrap()])
+            .output()
+            .expect("run nowlab binary");
+        assert!(out.status.success(), "{name}");
+        got.push_str(&format!("== {name}\n"));
+        got.push_str(std::str::from_utf8(&out.stdout).expect("UTF-8 output"));
+    }
+    assert!(
+        got == include_str!("golden/report_renders.txt"),
+        "a rendered report differs from the golden"
+    );
+}
+
 /// A file nested far deeper than any report is refused with the CLI's
 /// error line and exit 1, not a stack overflow's abort.
 #[test]
