@@ -261,9 +261,9 @@ pub(crate) struct Endpoint {
     /// Failure-detector verdict about each peer (self entry stays
     /// `Alive`). Only the heartbeat control plane and retransmit
     /// exhaustion mutate it.
-    pub peer_status: RefCell<Vec<PeerStatus>>,
+    pub(crate) peer_status: RefCell<Vec<PeerStatus>>,
     /// Last instant a heartbeat from each peer reached this observer.
-    pub last_heard: RefCell<Vec<SimTime>>,
+    pub(crate) last_heard: RefCell<Vec<SimTime>>,
 }
 
 impl Endpoint {

@@ -433,11 +433,11 @@ pub struct NodeFaultPlan {
     /// Seed for the deterministic heartbeat jitter.
     pub seed: u64,
     /// Heartbeat emission period (every live node, every period).
-    pub hb_period: SimDelta,
+    pub(crate) hb_period: SimDelta,
     /// Silence after which an observer *suspects* a peer.
-    pub suspect_after: SimDelta,
+    pub(crate) suspect_after: SimDelta,
     /// Silence after which an observer *confirms* a peer dead.
-    pub confirm_after: SimDelta,
+    pub(crate) confirm_after: SimDelta,
     /// Scheduled node faults (up to [`MAX_NODE_FAULTS`], one per node).
     pub faults: [Option<NodeFault>; MAX_NODE_FAULTS],
 }
@@ -552,7 +552,7 @@ impl NodeFaultPlan {
     /// Deterministic heartbeat delivery jitter for `sender`'s beat at
     /// `tick` — a stateless hash in `[0, hb_period/8]`, so identical
     /// plans always produce the identical detector timeline.
-    pub fn hb_jitter(&self, sender: usize, tick: u64) -> SimDelta {
+    pub(crate) fn hb_jitter(&self, sender: usize, tick: u64) -> SimDelta {
         let bound = self.hb_period.as_nanos() / 8;
         if bound == 0 {
             return SimDelta::ZERO;

@@ -1,11 +1,10 @@
-//! The lint registry: one record per lint code, with the rationale the
-//! `--explain` flag renders and the metadata the SARIF exporter embeds as
-//! `rules`.
+//! The lint registry: one record per lint code, with its severity and
+//! rationale.
 //!
-//! This is the single source of truth for what each code means. The docs
-//! table in README.md / DESIGN.md is asserted (by `tests/analyzer.rs`) to
-//! match these summaries, so the registry, the CLI help, and the docs
-//! cannot drift apart.
+//! This is the single source of truth for what each code means. README's
+//! two lint tables are asserted (by `tests/analyzer.rs`) to be
+//! [`catalogue`] row for row, so the registry and the docs cannot drift
+//! apart.
 
 use crate::Severity;
 
@@ -16,10 +15,9 @@ pub struct LintInfo {
     pub code: &'static str,
     /// Default severity.
     pub severity: Severity,
-    /// One-line summary (docs table / SARIF `shortDescription`).
+    /// One-line summary (the docs table).
     pub summary: &'static str,
-    /// Why the rule exists and how to fix a finding (`--explain` body,
-    /// SARIF `fullDescription`).
+    /// Why the rule exists and how to fix a finding.
     pub rationale: &'static str,
 }
 
@@ -48,22 +46,6 @@ pub const LINTS: &[LintInfo] = &[
         rationale: "The GAM flow-control window (8) and fragment size (4096) are \
                     protocol constants named GAM_WINDOW / GAM_FRAG_BYTES in crates/am. \
                     Re-hardcoding the literal elsewhere lets the copies drift apart.",
-    },
-    LintInfo {
-        code: "AMP004",
-        severity: Severity::Error,
-        summary: "membership/detector state referenced outside crates/am",
-        rationale: "Failure-detector state machines (Alive/Suspect/Dead) and membership \
-                    words are confined to crates/am; upper layers consume the distilled \
-                    RunAbort/degradation signals instead of peeking at detector state.",
-    },
-    LintInfo {
-        code: "PAR001",
-        severity: Severity::Error,
-        summary: "thread/lock primitives outside the orchestration layer",
-        rationale: "Simulations are single-threaded so virtual time cannot depend on \
-                    host scheduling. OS threads, locks, and atomics are allowed only in \
-                    the run-boundary orchestration layer (core::sweep, src/bin).",
     },
     LintInfo {
         code: "FLT001",
@@ -114,9 +96,8 @@ pub const LINTS: &[LintInfo] = &[
 ];
 
 /// Codes the analyzer no longer emits, because the toolchain enforces
-/// their rule with type resolution, each with the rule's new home.
-/// `--explain` still answers for them, and `--explain all` lists them
-/// under the catalogue.
+/// their rule with type resolution or visibility, each with the rule's
+/// new home. [`catalogue`] lists them under the lints.
 pub const MOVED: &[(&str, &str)] = &[
     (
         "DET001",
@@ -156,38 +137,32 @@ pub const MOVED: &[(&str, &str)] = &[
         "LAY003",
         "crates/analyze/tests/manifests.rs: apps' [dependencies] stop at splitc",
     ),
+    (
+        "PAR001",
+        "clippy.toml `disallowed-types`/`disallowed-methods`: locks, atomics, \
+         channels, std::thread; the sweep pool and the sim wake log under #[expect]",
+    ),
+    (
+        "AMP004",
+        "visibility: detector state, tunables and hb_jitter are pub(crate) in crates/am",
+    ),
 ];
 
-/// Looks up a lint by code (case-insensitive).
-pub fn lint_info(code: &str) -> Option<&'static LintInfo> {
-    LINTS.iter().find(|l| l.code.eq_ignore_ascii_case(code))
-}
-
-/// Renders the `--explain` output for one code, or the full catalogue
-/// (then the moved codes) for `all`.
-pub fn render_explain(code: &str) -> Option<String> {
-    if code.eq_ignore_ascii_case("all") {
-        let mut out = String::from("| code | severity | meaning |\n|---|---|---|\n");
-        for l in LINTS {
-            out.push_str(&format!(
-                "| `{}` | {} | {} |\n",
-                l.code, l.severity, l.summary
-            ));
-        }
-        out.push_str("\n| moved | now enforced by |\n|---|---|\n");
-        for (code, home) in MOVED {
-            out.push_str(&format!("| `{code}` | {home} |\n"));
-        }
-        return Some(out);
+/// README's two lint tables: the lints the analyzer checks, then the
+/// codes that moved and where each now lives.
+pub fn catalogue() -> String {
+    let mut out = String::from("| code | severity | meaning |\n|---|---|---|\n");
+    for l in LINTS {
+        out.push_str(&format!(
+            "| `{}` | {} | {} |\n",
+            l.code, l.severity, l.summary
+        ));
     }
-    if let Some((code, home)) = MOVED.iter().find(|(c, _)| c.eq_ignore_ascii_case(code)) {
-        return Some(format!("{code} (moved)\n  now enforced by {home}\n"));
+    out.push_str("\n| moved | now enforced by |\n|---|---|\n");
+    for (code, home) in MOVED {
+        out.push_str(&format!("| `{code}` | {home} |\n"));
     }
-    let l = lint_info(code)?;
-    Some(format!(
-        "{} ({})\n  {}\n\n{}\n",
-        l.code, l.severity, l.summary, l.rationale
-    ))
+    out
 }
 
 #[cfg(test)]
@@ -196,15 +171,16 @@ mod tests {
 
     #[test]
     fn registry_is_complete_and_unique() {
-        assert_eq!(LINTS.len(), 10);
-        assert_eq!(MOVED.len(), 9);
+        assert_eq!(LINTS.len(), 8);
+        assert_eq!(MOVED.len(), 11);
         let mut codes: Vec<&str> = LINTS.iter().map(|l| l.code).collect();
         codes.extend(MOVED.iter().map(|(c, _)| *c));
         let n = codes.len();
         codes.sort();
         codes.dedup();
         assert_eq!(codes.len(), n, "duplicate lint codes");
-        // Exactly two advisory lints; everything else fails --check.
+        // Exactly two advisory lints; everything else fails the workspace
+        // test.
         let warnings: Vec<&str> = LINTS
             .iter()
             .filter(|l| l.severity == Severity::Warning)
@@ -214,21 +190,14 @@ mod tests {
     }
 
     #[test]
-    fn explain_renders_single_and_catalogue() {
-        let one = render_explain("flt003").unwrap();
-        assert!(one.contains("FLT003"));
-        assert!(one.contains("handler"));
-        let moved = render_explain("lay003").unwrap();
-        assert!(moved.contains("LAY003 (moved)"));
-        assert!(moved.contains("splitc"));
-        let all = render_explain("all").unwrap();
+    fn catalogue_lists_every_code() {
+        let all = catalogue();
         for code in LINTS
             .iter()
             .map(|l| l.code)
             .chain(MOVED.iter().map(|(c, _)| *c))
         {
-            assert!(all.contains(code), "{code} missing from catalogue");
+            assert!(all.contains(&format!("| `{code}` |")), "{code} missing");
         }
-        assert!(render_explain("NOPE999").is_none());
     }
 }

@@ -3,35 +3,30 @@
 //! The simulation's headline guarantee is that virtual time is a pure
 //! function of (program, seed): two runs with the same inputs produce
 //! bit-identical statistics. That guarantee is easy to break silently —
-//! one float sum in arrival order, one lock below the run boundary — so
-//! this crate enforces it mechanically over the whole workspace, along
+//! one float sum in arrival order, one timer delay spelled inline — so
+//! this crate checks it mechanically over the whole workspace, along
 //! with the GAM active-message protocol rules the paper's apparatus
 //! depends on.
 //!
 //! What the toolchain can check with type resolution it checks instead:
-//! hash collections, wall clocks and environment reads are
-//! `disallowed-types`/`disallowed-methods` in the root `clippy.toml`,
-//! `unsafe_code` is denied by `[workspace.lints]`, and the crate layering
-//! is a test over every member's manifest (`tests/manifests.rs`).
-//! [`explain::MOVED`] maps each retired code to its new home.
+//! hash collections, wall clocks, environment reads, threads, locks and
+//! atomics are `disallowed-types`/`disallowed-methods` in the root
+//! `clippy.toml`, membership and detector state is private to
+//! `crates/am`, `unsafe_code` is denied by `[workspace.lints]`, and the
+//! crate layering is a test over every member's manifest
+//! (`tests/manifests.rs`). [`explain::MOVED`] maps each retired code to
+//! its new home.
 //!
-//! Run it as:
-//!
-//! ```text
-//! cargo run -p nowlab-analyze            # report
-//! cargo run -p nowlab-analyze -- --check # CI mode: non-zero exit on errors
-//! ```
-//!
-//! Audited exceptions live in `analyze.toml` at the workspace root (see
-//! [`allowlist`]). The build container is fully offline, so instead of
-//! `syn` the pass runs on a hand-rolled token scanner ([`lexer`]) feeding a
+//! The pass runs as a test, `cargo test -p nowlab-analyze`: an
+//! error-severity finding anywhere in the workspace fails
+//! `tests/analyzer.rs` with `path:line CODE message`, and a warning is
+//! printed. The build container is fully offline, so instead of `syn`
+//! the pass runs on a hand-rolled token scanner ([`lexer`]) feeding a
 //! lightweight recursive-descent item tree ([`itemtree`]) — modules,
 //! fn/impl signatures, const items and exact `#[cfg(test)]` extents — so
 //! lints are scope-resolved, not bare-identifier matches.
 //!
-//! The lint catalogue — one [`explain::LintInfo`] record per code — is
-//! rendered by `--explain CODE` (or `--explain all`); findings export as
-//! SARIF 2.1.0 via `--format sarif` ([`sarif`]).
+//! The lint catalogue is one [`explain::LintInfo`] record per code.
 //!
 //! ## Lint catalogue
 //!
@@ -40,8 +35,6 @@
 //! | `DET004` | warning | wall-clock value flowing toward virtual time |
 //! | `AMP001` | error | AM handler issues a request (GAM acyclicity) |
 //! | `AMP002` | error | re-hardcoded window depth / 4KB fragment size |
-//! | `AMP004` | error | membership/detector state referenced outside `crates/am` |
-//! | `PAR001` | error | thread/lock primitives outside the orchestration layer |
 //! | `FLT001` | error | unordered `f64` reduction (`.sum()`, `fold(+)`) in sim-visible code |
 //! | `FLT002` | error | `partial_cmp` on floats in sim-visible code |
 //! | `FLT003` | error | float accumulation inside an event handler closure |
@@ -50,25 +43,24 @@
 
 #![forbid(unsafe_code)]
 
-pub mod allowlist;
 pub mod explain;
 pub mod families;
 pub mod itemtree;
 pub mod lexer;
 pub mod lints;
-pub mod sarif;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use itemtree::FileModel;
 
-/// How bad a finding is. `Error` fails `--check`; `Warning` is advisory.
+/// How bad a finding is. `Error` fails the workspace test; `Warning` is
+/// advisory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Advisory: reported, never fails the build.
     Warning,
-    /// Violation of a hard invariant: fails `--check`.
+    /// Violation of a hard invariant: fails the workspace test.
     Error,
 }
 
@@ -114,12 +106,8 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}[{}] {}:{}: {}",
-            self.severity(),
-            self.code,
-            self.path,
-            self.line,
-            self.message
+            "{}:{} {} {}",
+            self.path, self.line, self.code, self.message
         )
     }
 }
@@ -127,16 +115,11 @@ impl fmt::Display for Diagnostic {
 /// Which lint families apply to a file.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Scope {
-    /// Code that can influence simulation state or event order. `DET004`,
-    /// `AMP004` and the `FLT`/`TIM` families apply here.
+    /// Code that can influence simulation state or event order. `DET004`
+    /// and the `FLT`/`TIM` families apply here.
     pub sim_visible: bool,
     /// Inside `crates/am`: the protocol-constant lint `AMP002` applies.
     pub am_layer: bool,
-    /// Inside the run-boundary orchestration layer (`crates/core::sweep`,
-    /// `src/bin`): the only code allowed to use OS threads
-    /// and lock/atomic primitives (`PAR001` elsewhere). Simulations stay
-    /// single-threaded so virtual time cannot depend on host scheduling.
-    pub parallel_ok: bool,
 }
 
 /// Crates whose code is simulation-visible. `analyze` is deliberately
@@ -166,7 +149,6 @@ pub fn scope_for(rel: &str) -> Option<Scope> {
     Some(Scope {
         sim_visible: crate_name.is_none_or(|c| SIM_CRATES.contains(&c)),
         am_layer: crate_name == Some("am"),
-        parallel_ok: rel.starts_with("src/bin/") || rel.starts_with("crates/core/src/sweep"),
     })
 }
 
@@ -186,8 +168,8 @@ pub fn scan_source(path: &str, source: &str, scope: &Scope) -> Vec<Diagnostic> {
 
 /// Scans every in-scope `.rs` file under the workspace `root`, in
 /// deterministic (sorted-path) order. Returns the diagnostics sorted by
-/// (path, line, code) and the number of files scanned.
-pub fn scan_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
+/// (path, line, code).
+pub fn scan_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let mut files: Vec<PathBuf> = Vec::new();
     let crates_dir = root.join("crates");
     let mut src_roots = vec![root.join("src")];
@@ -208,7 +190,6 @@ pub fn scan_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
     }
     files.sort();
 
-    let mut scanned = 0;
     let mut diags = Vec::new();
     for file in &files {
         let rel = file
@@ -219,12 +200,11 @@ pub fn scan_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
         let Some(scope) = scope_for(&rel) else {
             continue;
         };
-        scanned += 1;
         let source = std::fs::read_to_string(file).map_err(|e| format!("reading {rel}: {e}"))?;
         diags.extend(scan_source(&rel, &source, &scope));
     }
     diags.sort_by(|a, b| (a.path.as_str(), a.line, a.code).cmp(&(b.path.as_str(), b.line, b.code)));
-    Ok((diags, scanned))
+    Ok(diags)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -251,52 +231,22 @@ mod tests {
     #[test]
     fn scope_routing() {
         let s = scope_for("crates/am/src/cluster.rs").unwrap();
-        assert!(s.sim_visible && s.am_layer && !s.parallel_ok);
+        assert!(s.sim_visible && s.am_layer);
         let s = scope_for("crates/rng/src/lib.rs").unwrap();
         assert!(s.sim_visible && !s.am_layer);
         let s = scope_for("crates/analyze/src/lib.rs").unwrap();
         assert!(!s.sim_visible, "the analyzer is host-side");
-        let s = scope_for("src/exhibits.rs").unwrap();
-        assert!(s.sim_visible);
-        assert!(
-            !s.parallel_ok,
-            "exhibits reach the pool through core::sweep"
-        );
-        let s = scope_for("src/bin/nowlab.rs").unwrap();
-        assert!(s.sim_visible);
-        assert!(s.parallel_ok, "the CLI fans out whole runs");
+        assert!(scope_for("src/exhibits.rs").unwrap().sim_visible);
+        assert!(scope_for("src/bin/nowlab.rs").unwrap().sim_visible);
         // Trace sinks observe simulations from inside, so the crate is
         // held to the same determinism rules as the layers it instruments.
         let s = scope_for("crates/trace/src/lib.rs").unwrap();
-        assert!(s.sim_visible && !s.am_layer && !s.parallel_ok);
+        assert!(s.sim_visible && !s.am_layer);
         // Metrics sinks likewise run inside the event loop.
         let s = scope_for("crates/metrics/src/lib.rs").unwrap();
-        assert!(s.sim_visible && !s.am_layer && !s.parallel_ok);
+        assert!(s.sim_visible && !s.am_layer);
         assert!(scope_for("crates/analyze/tests/fixtures/det001.rs").is_none());
         assert!(scope_for("crates/am/tests/gam.rs").is_none());
         assert!(scope_for("README.md").is_none());
-    }
-
-    #[test]
-    fn parallelism_is_confined_to_the_orchestration_layer() {
-        // The worker pool and the sweep driver that owns it.
-        assert!(
-            scope_for("crates/core/src/sweep/par.rs")
-                .unwrap()
-                .parallel_ok
-        );
-        assert!(scope_for("crates/core/src/sweep.rs").unwrap().parallel_ok);
-        // Everything below the run boundary is single-threaded.
-        for rel in [
-            "crates/sim/src/executor.rs",
-            "crates/trace/src/ring.rs",
-            "crates/am/src/cluster.rs",
-            "crates/splitc/src/layer.rs",
-            "crates/apps/src/common.rs",
-            "crates/core/src/models.rs",
-            "src/lib.rs",
-        ] {
-            assert!(!scope_for(rel).unwrap().parallel_ok, "{rel}");
-        }
     }
 }

@@ -1,15 +1,12 @@
 //! Integration tests: every lint fires on its fixture (the v2 families
 //! twice, pinning two seeded true positives each), the clean fixture stays
-//! silent, and the workspace itself passes the analyzer with the
-//! checked-in allowlist. The fixtures of the lints that moved to the
-//! toolchain are built by `scripts/check_moved_lints.sh` and read by
-//! `tests/manifests.rs`.
+//! silent, and the workspace itself passes the analyzer. The fixtures of
+//! the lints that moved to the toolchain are built by
+//! `scripts/check_moved_lints.sh` and read by `tests/manifests.rs`.
 
 use std::path::{Path, PathBuf};
 
-use nowlab_analyze::allowlist::Allowlist;
-use nowlab_analyze::{sarif, scan_source, scan_workspace, Diagnostic, Scope, Severity};
-use nowlab_metrics::json::{self, Value};
+use nowlab_analyze::{scan_source, scan_workspace, Scope, Severity};
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -29,7 +26,6 @@ fn armed() -> Scope {
     Scope {
         sim_visible: true,
         am_layer: true,
-        parallel_ok: false,
     }
 }
 
@@ -38,7 +34,6 @@ const FIXTURES: &[&str] = &[
     "det004.rs",
     "amp001.rs",
     "amp002.rs",
-    "par001.rs",
     "flt001.rs",
     "flt002.rs",
     "flt003.rs",
@@ -59,7 +54,6 @@ fn each_fixture_trips_its_lint_exactly_once() {
     assert_eq!(codes("det004.rs", &scope), vec!["DET004"]);
     assert_eq!(codes("amp001.rs", &scope), vec!["AMP001"]);
     assert_eq!(codes("amp002.rs", &scope), vec!["AMP002"]);
-    assert_eq!(codes("par001.rs", &scope), vec!["PAR001"]);
 }
 
 /// Each v2 family fixture pins two seeded true positives (plus clean
@@ -101,39 +95,10 @@ fn diagnostics_carry_file_and_line() {
     assert_eq!(diags[0].path, "det004.rs");
     // `duration_since` sits on line 3 of the fixture.
     assert_eq!(diags[0].line, 3);
-    assert!(diags[0].to_string().contains("det004.rs:3"));
+    assert!(diags[0].to_string().starts_with("det004.rs:3 DET004 "));
 }
 
-/// The SARIF stream carries every diagnostic with its rule and location.
-#[test]
-fn sarif_render_covers_every_diagnostic() {
-    let diags: Vec<Diagnostic> = FIXTURES
-        .iter()
-        .flat_map(|name| scan_source(name, &fixture(name), &armed()))
-        .collect();
-    assert_eq!(diags.len(), 14);
-    let log = json::parse(&sarif::render(&diags)).expect("SARIF parses as JSON");
-    assert_eq!(log.get("version").and_then(Value::as_str), Some("2.1.0"));
-    let results = log.get("runs").and_then(Value::as_arr).expect("runs")[0]
-        .get("results")
-        .and_then(Value::as_arr)
-        .expect("results");
-    assert_eq!(results.len(), diags.len());
-    for (d, r) in diags.iter().zip(results) {
-        assert_eq!(r.get("ruleId").and_then(Value::as_str), Some(d.code), "{d}");
-        let uri = r
-            .get("locations")
-            .and_then(Value::as_arr)
-            .expect("locations")[0]
-            .get("physicalLocation")
-            .and_then(|p| p.get("artifactLocation"))
-            .and_then(|a| a.get("uri"))
-            .and_then(Value::as_str);
-        assert_eq!(uri, Some(d.path.as_str()), "{d}");
-    }
-}
-
-/// README's two lint tables are the `--explain all` catalogue verbatim,
+/// README's two lint tables are the registry's catalogue verbatim,
 /// row for row: the lints the analyzer checks, then the codes that moved
 /// to the toolchain and where each now lives. The registry and the docs
 /// cannot drift apart.
@@ -141,8 +106,7 @@ fn sarif_render_covers_every_diagnostic() {
 fn readme_lint_table_matches_the_registry() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
-    let catalogue = nowlab_analyze::explain::render_explain("all").expect("catalogue");
-    for row in catalogue.lines().skip(2) {
+    for row in nowlab_analyze::explain::catalogue().lines().skip(2) {
         assert!(
             readme.contains(row),
             "README.md lint table is missing or differs on:\n{row}"
@@ -151,29 +115,21 @@ fn readme_lint_table_matches_the_registry() {
 }
 
 /// The acceptance gate: the workspace as committed passes its own
-/// analyzer. Reverting e.g. the `cluster.rs` BTreeMap conversion makes
-/// this test (and CI's `--check` step) fail with the file and line.
+/// analyzer. An error-severity finding fails with `path:line CODE
+/// message`; a warning is printed and never fails.
 #[test]
-fn workspace_self_scan_is_clean_under_allowlist() {
+fn workspace_self_scan_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let (diags, _) = scan_workspace(&root).expect("workspace scan");
-    let allowlist_text = std::fs::read_to_string(root.join("analyze.toml")).expect("analyze.toml");
-    let allowlist = Allowlist::parse(&allowlist_text).expect("allowlist parses");
-    let filtered = allowlist.apply(diags);
-    let errors: Vec<String> = filtered
-        .kept
-        .iter()
-        .filter(|d| d.severity() == Severity::Error)
-        .map(ToString::to_string)
-        .collect();
+    let diags = scan_workspace(&root).expect("workspace scan");
+    let (errors, warnings): (Vec<_>, Vec<_>) =
+        diags.iter().partition(|d| d.severity() == Severity::Error);
+    for d in warnings {
+        println!("warning: {d}");
+    }
+    let errors: Vec<String> = errors.iter().map(ToString::to_string).collect();
     assert!(
         errors.is_empty(),
         "workspace violations:\n{}",
         errors.join("\n")
-    );
-    assert!(
-        filtered.stale.is_empty(),
-        "stale allowlist entries: {:?}",
-        filtered.stale
     );
 }

@@ -130,6 +130,7 @@ where
         abort: outcome.abort,
         check,
         events: outcome.report.events_fired,
+        polls: outcome.report.polls,
         trace: recorder.map(|r| r.finish()),
         metrics,
     }

@@ -4,7 +4,9 @@
 //! is the high-water mark of live heap bytes above what was live when the
 //! run started; unlike `VmHWM` it does not depend on the allocator's page
 //! reuse or on what ran before, so it can gate a regression. The same
-//! counter also tells what a run leaves live once its result is dropped.
+//! counter also tells what a run leaves live once its result is dropped,
+//! and two more count the allocator calls a run makes and the bytes they
+//! ask for (`tests/run_goldens.rs`'s host-work golden).
 //! Each binary uses only part of this module.
 #![allow(dead_code)]
 
@@ -19,6 +21,9 @@ thread_local! {
     /// allocated.
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// Allocations this thread has made, and the bytes they asked for.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 pub struct Counting;
@@ -36,6 +41,8 @@ unsafe impl GlobalAlloc for Counting {
         let live = LIVE.get() + layout.size() as isize;
         LIVE.set(live);
         PEAK.set(PEAK.get().max(live));
+        ALLOCS.set(ALLOCS.get() + 1);
+        BYTES.set(BYTES.get() + layout.size() as u64);
         // SAFETY: `layout` is the caller's, passed through as received.
         unsafe { System.alloc(layout) }
     }
@@ -55,6 +62,30 @@ pub fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (T, isize) {
     PEAK.set(before);
     let out = f();
     (out, PEAK.get() - before)
+}
+
+/// What a call asked of the heap on this thread.
+#[derive(Clone, Copy, Debug)]
+pub struct HeapWork {
+    /// Allocations made, reallocations included (each is one more).
+    pub allocs: u64,
+    /// Bytes those allocations asked for.
+    pub bytes: u64,
+    /// Peak of live heap bytes above what was live at the start.
+    pub peak: isize,
+}
+
+/// Runs `f` on this thread and returns its result with the heap work it
+/// did.
+pub fn heap_work<T>(f: impl FnOnce() -> T) -> (T, HeapWork) {
+    let (allocs, bytes) = (ALLOCS.get(), BYTES.get());
+    let (out, peak) = peak_live_bytes(f);
+    let work = HeapWork {
+        allocs: ALLOCS.get() - allocs,
+        bytes: BYTES.get() - bytes,
+        peak,
+    };
+    (out, work)
 }
 
 /// Runs `f` on this thread, drops its result, and returns the heap bytes

@@ -131,6 +131,8 @@ pub struct RunOutcome {
     /// Simulator events fired during the run (the benchmark harness's
     /// throughput numerator).
     pub events: u64,
+    /// Task polls the simulator performed during the run.
+    pub polls: u64,
     /// Per-message LogGP cost trace, when [`RunSpec::trace`] requested one
     /// (`None` under [`TraceMode::Off`]).
     pub trace: Option<TraceReport>,
@@ -561,6 +563,7 @@ mod tests {
                 abort: None,
                 check: 42,
                 events: 3 * self.msgs,
+                polls: 0,
                 trace: None,
                 metrics: None,
             }
@@ -655,6 +658,7 @@ mod tests {
                 abort: None,
                 check: 0,
                 events: 0,
+                polls: 0,
                 trace: None,
                 metrics: None,
             }

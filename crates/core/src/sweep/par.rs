@@ -10,8 +10,14 @@
 //! derive from the spec, never from submission order.
 //!
 //! The pool is dependency-free (`std::thread::scope` plus an atomic
-//! work-claiming cursor); the analyzer's `PAR001` lint confines this kind
-//! of code to the orchestration layer (`crates/core::sweep`, `src/bin`).
+//! work-claiming cursor). The root `clippy.toml` disallows threads, locks
+//! and atomics everywhere; this module is the one place above the run
+//! boundary that uses them.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the run-boundary pool: whole runs fan out across OS threads, each simulation stays single-threaded, and results are collected by point index"
+)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -2,7 +2,7 @@
 //! recursive-descent parser, just enough to read back the report files
 //! (`nowlab report` renders saved reports without re-running the
 //! simulation), and a streaming [`Writer`] that every report goes
-//! through — metrics runs and sweeps, predictions, the analyzer's SARIF.
+//! through — metrics runs and sweeps, and predictions.
 //! No external dependency; objects preserve key order in a slice so
 //! rendering is deterministic.
 //!

@@ -1342,6 +1342,10 @@ mod tests {
     }
 
     /// Counts its wakes and passes them on to `next`, if any.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a Waker must be Send + Sync, so the count is atomic; no second thread wakes it"
+    )]
     struct Relay {
         hits: std::sync::atomic::AtomicUsize,
         next: Option<Waker>,

@@ -41,6 +41,10 @@
 //! the byte-identical replay suites pin the single-threaded behavior.
 //!
 //! [`Sim::run`]: crate::Sim::run
+#![expect(
+    clippy::disallowed_types,
+    reason = "the wake log's atomic slots/cursor and per-task AtomicBool ready bit exist only because std::task::Waker must be Send+Sync; the executor is strictly single-threaded (Rc-internal), every ordering is Relaxed, and the Mutex spill list is cold by construction"
+)]
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

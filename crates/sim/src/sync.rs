@@ -217,6 +217,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a Waker must be Send + Sync, so the count is atomic; no second thread wakes it"
+    )]
     fn waiters_wake_in_registration_order_named_or_foreign() {
         use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
         use std::sync::Arc;

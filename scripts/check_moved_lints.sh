@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# Proves that every determinism rule moved from nowlab-analyze to the
-# toolchain still fails on its fixture.
+# Proves that every rule moved from nowlab-analyze to the toolchain still
+# fails on its fixture.
 #
-# For each fixture under crates/analyze/tests/fixtures (det001, det002,
-# det003, amp003, and alias, whose hash collections arrive through names
-# declared in another module), builds a throwaway crate under
-# $CARGO_TARGET_DIR/moved-lints and runs clippy on it with the root
-# clippy.toml. Fails unless clippy rejects the fixture with a
-# disallowed-type or disallowed-method error in the fixture file itself.
+# Each fixture under crates/analyze/tests/fixtures is built as a
+# throwaway crate under $CARGO_TARGET_DIR/moved-lints and checked by
+# clippy with the root clippy.toml:
+#   - det001, det002, det003, amp003, par001, and alias (whose hash
+#     collections arrive through names declared in another module) must be
+#     rejected with a disallowed-type or disallowed-method error in the
+#     fixture file itself;
+#   - amp004 depends on crates/am by path and must be rejected with both a
+#     private-field (E0616) and a private-method (E0624) error in the
+#     fixture file.
 # Then runs the manifest test, which must report every row of the
 # ws_layering fixture (the layering, external-dependency and
 # workspace-lints rules).
@@ -21,27 +25,43 @@ target=${CARGO_TARGET_DIR:-$root/target}
 work=$target/moved-lints
 failed=0
 
-for name in det001 det002 det003 amp003 alias; do
+# True if clippy's output $1 has an error matching the regex $2 located in
+# the fixture (rustc prints the location on the line after the message).
+rejects() {
+    grep -A1 -E "^error(\[E[0-9]+\])?: $2" <<<"$1" | grep -q -- '--> src/lib.rs:'
+}
+
+for name in det001 det002 det003 amp003 par001 alias amp004; do
     crate=$work/$name
     rm -rf "$crate"
     mkdir -p "$crate/src"
     printf '[package]\nname = "moved-%s"\nversion = "0.0.0"\nedition = "2021"\npublish = false\n\n[workspace]\n' \
         "$name" > "$crate/Cargo.toml"
     cp "$fixtures/$name.rs" "$crate/src/lib.rs"
-    if [ "$name" = alias ]; then
-        cp "$fixtures/alias_table.rs" "$crate/src/"
-    fi
+    want="a disallowed-type or -method error"
+    patterns=('use of a disallowed (type|method)')
+    case $name in
+        alias) cp "$fixtures/alias_table.rs" "$crate/src/" ;;
+        amp004)
+            printf '\n[dependencies]\nnowlab-am = { path = "%s/crates/am" }\n' "$root" \
+                >> "$crate/Cargo.toml"
+            want="a private-field and a private-method error"
+            patterns=('field .* is private' 'method .* is private')
+            ;;
+    esac
     set +e
     out=$(cd "$crate" && CLIPPY_CONF_DIR=$root CARGO_TARGET_DIR=$work/target \
         cargo clippy --offline --quiet -- -D warnings 2>&1)
     code=$?
     set -e
-    # rustc prints the location on the line after the message.
-    if [ "$code" -ne 0 ] && grep -A1 -E '^error: use of a disallowed (type|method)' <<<"$out" |
-        grep -q -- '--> src/lib.rs:'; then
+    ok=$([ "$code" -ne 0 ] && echo 1 || echo 0)
+    for pattern in "${patterns[@]}"; do
+        rejects "$out" "$pattern" || ok=0
+    done
+    if [ "$ok" -eq 1 ]; then
         echo "ok: clippy rejects $name.rs"
     else
-        echo "FAIL: no disallowed-type or -method error in $name.rs (clippy exit $code):"
+        echo "FAIL: $name.rs is not rejected with $want (clippy exit $code):"
         echo "$out"
         failed=1
     fi

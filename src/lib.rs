@@ -85,6 +85,7 @@
 //!             abort: outcome.abort,
 //!             check: outcome.outputs.iter().map(|o| o.unwrap_or(0)).sum(),
 //!             events: outcome.report.events_fired,
+//!             polls: outcome.report.polls,
 //!             trace: None,
 //!             metrics: None,
 //!         }

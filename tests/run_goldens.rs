@@ -9,7 +9,18 @@
 //! "same events in the same `(time, seq)` order" has to reproduce every
 //! line; the other goldens pin three apps' event windows, and the
 //! benchmark's fingerprint only compares passes of one build.
+//!
+//! `tests/golden/host_work.txt` holds, for the same apps and points, what
+//! each run costs the host rather than what it simulates: `app point
+//! events polls allocations bytes_allocated peak_live_bytes`, the last
+//! three from the counting allocator the footprint tests share. It was
+//! written by `c40561c` with this test and `RunOutcome::polls` applied,
+//! and repeats to the byte in the release and the test profile.
 
+#[path = "../crates/apps/tests/common/mod.rs"]
+mod common;
+
+use common::{heap_work, Counting};
 use nowlab::am::LatencyMode;
 use nowlab::apps::{suite_scaled, SuiteScale};
 use nowlab::core::parallel_map;
@@ -21,6 +32,10 @@ const GOLDEN: &str = include_str!("golden/run_counts.txt");
 /// processors, benchmark inputs), same line format, written by `40da148`,
 /// the commit before Radb's distribution was rewritten.
 const BULK_GOLDEN: &str = include_str!("golden/bulk_counts.txt");
+const HOST_WORK: &str = include_str!("golden/host_work.txt");
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 type Point = (&'static str, NetConfig);
 
@@ -132,5 +147,31 @@ fn the_bulk_apps_reproduce_the_parent_counts_at_benchmark_scale() {
     assert!(
         got == want,
         "Radb's sequential counts differ from tests/golden/bulk_counts.txt; got:\n{got}"
+    );
+}
+
+/// Each run on the test's own thread, so the per-thread counters see it
+/// and nothing else.
+#[test]
+fn every_app_does_the_parent_host_work_at_every_point() {
+    let mut got = String::new();
+    for app in suite_scaled(SuiteScale::Test) {
+        for (point, net) in points() {
+            let (out, work) = heap_work(|| app.run(&spec_of(8, net)));
+            assert!(out.completed, "{} at {point} did not complete", app.name());
+            got += &format!(
+                "{} {point} {} {} {} {} {}\n",
+                app.name(),
+                out.events,
+                out.polls,
+                work.allocs,
+                work.bytes,
+                work.peak
+            );
+        }
+    }
+    assert!(
+        got == HOST_WORK,
+        "host work differs from tests/golden/host_work.txt; got:\n{got}"
     );
 }
