@@ -20,7 +20,7 @@ use std::any::Any;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 use nowlab_sim::{HookId, Notify, Sim, SimDelta, SimTime};
 use nowlab_trace::{MsgKind, SendEvent, TraceEvent, TraceSink, VisibleEvent};
@@ -368,8 +368,9 @@ const VISIBLE_BIT: u64 = 1 << 32;
 /// for, whatever the credit window.
 const ARENA_WINDOW_CAP: usize = 64;
 
+/// The cluster's state: plain data that holds no [`Sim`], so the kernel's
+/// hook table and timer closures own it without closing a cycle.
 pub(crate) struct ClusterInner {
-    pub sim: Sim,
     pub cfg: NetConfig,
     /// `cfg.reliability_active()`, decided once: the reliability protocol
     /// runs (sequence numbers, duplicate suppression, retransmission).
@@ -383,8 +384,8 @@ pub(crate) struct ClusterInner {
     pub procs: Vec<Endpoint>,
     /// The message arena: every message from injection until it is served.
     pub msg_slab: RefCell<MsgSlab>,
-    /// The network delivery hook, registered once at construction.
-    pub net_hook: HookId,
+    /// The network delivery hook (read through [`ClusterInner::net_hook`]).
+    net_hook: OnceCell<HookId>,
     pub handlers: RefCell<Vec<Handler>>,
     pub stats_epoch: Cell<SimTime>,
     pub frozen_stats: RefCell<Option<CommStats>>,
@@ -423,7 +424,7 @@ fn trace_kind(mark: Mark) -> MsgKind {
 /// An emulated cluster of `P` processors joined by a LogGP network with a
 /// GAM-style Active Message layer.
 ///
-/// Cheap to clone (reference-counted handle). Spawn one simulated process
+/// Cheap to clone (reference-counted handles). Spawn one simulated process
 /// per processor, give each an [`crate::AmPort`] via [`AmCluster::port`],
 /// and drive the [`Sim`].
 ///
@@ -459,6 +460,7 @@ fn trace_kind(mark: Mark) -> MsgKind {
 #[derive(Clone)]
 pub struct AmCluster {
     pub(crate) inner: Rc<ClusterInner>,
+    pub(crate) sim: Sim,
 }
 
 impl fmt::Debug for AmCluster {
@@ -486,64 +488,49 @@ impl AmCluster {
         // be in flight, not what must be reserved, and the arena grows
         // on demand.
         let slab_cap = p.saturating_mul((cfg.window as usize).min(ARENA_WINDOW_CAP));
-        // The network delivery hook is registered while the cluster is
-        // being built (hence `new_cyclic`): every wire arrival and every
-        // SlowRxPath visibility step dispatches through it with a
-        // message-arena token instead of a freshly boxed closure.
-        let inner = Rc::new_cyclic(|weak: &Weak<ClusterInner>| {
-            let weak = weak.clone();
-            let net_hook = sim.register_hook(move |sim, token| {
-                if let Some(inner) = weak.upgrade() {
-                    inner.on_net_hook(sim, token);
-                }
-            });
-            ClusterInner {
-                sim,
-                cfg,
-                reliable: cfg.reliability_active(),
-                lossy: cfg.faults.is_active(),
-                node_plan: cfg.node_faults.is_active(),
-                procs,
-                msg_slab: RefCell::new(MsgSlab::with_capacity(slab_cap)),
-                net_hook,
-                handlers: RefCell::new(Vec::new()),
-                stats_epoch: Cell::new(SimTime::ZERO),
-                frozen_stats: RefCell::new(None),
-                trace: OnceCell::new(),
-                trace_ids: Cell::new(0),
-                control_done: Cell::new(false),
-                abort_on_death: Cell::new(false),
-                death_note: RefCell::new(None),
-            }
+        let inner = Rc::new(ClusterInner {
+            cfg,
+            reliable: cfg.reliability_active(),
+            lossy: cfg.faults.is_active(),
+            node_plan: cfg.node_faults.is_active(),
+            procs,
+            msg_slab: RefCell::new(MsgSlab::with_capacity(slab_cap)),
+            net_hook: OnceCell::new(),
+            handlers: RefCell::new(Vec::new()),
+            stats_epoch: Cell::new(SimTime::ZERO),
+            frozen_stats: RefCell::new(None),
+            trace: OnceCell::new(),
+            trace_ids: Cell::new(0),
+            control_done: Cell::new(false),
+            abort_on_death: Cell::new(false),
+            death_note: RefCell::new(None),
         });
-        let cluster = AmCluster { inner };
+        // Every wire arrival and SlowRxPath visibility step dispatches
+        // through this hook with an arena token, not a boxed closure.
+        let hook_inner = Rc::clone(&inner);
+        let net_hook = sim.register_hook(move |sim, token| hook_inner.on_net_hook(sim, token));
+        let _ = inner.net_hook.set(net_hook);
         // The node-failure control plane costs nothing unless the plan is
         // active: an inert plan schedules no events here, keeping every
         // healthy run bit-identical to a build without the failure model.
-        let plan = cluster.inner.cfg.node_faults;
-        if cluster.inner.node_plan {
-            let weak = Rc::downgrade(&cluster.inner);
-            let first = SimTime::ZERO + plan.hb_period;
-            cluster
-                .inner
-                .sim
-                .schedule(first, move |_| ClusterInner::on_heartbeat_tick(&weak, 1));
-            for f in plan.faults.iter().flatten() {
+        if inner.node_plan {
+            let tick_inner = Rc::clone(&inner);
+            sim.schedule(SimTime::ZERO + cfg.node_faults.hb_period, move |sim| {
+                tick_inner.on_heartbeat_tick(sim, 1)
+            });
+            for &f in cfg.node_faults.faults.iter().flatten() {
                 if f.crashes() && f.recover_at != SimTime::MAX {
                     // Fail-pause recovery: wake the frozen task's crash
                     // gate and nudge its wait loops to re-check.
-                    let weak = Rc::downgrade(&cluster.inner);
-                    let node = f.node;
-                    cluster.inner.sim.schedule(f.recover_at, move |_| {
-                        if let Some(inner) = weak.upgrade() {
-                            inner.procs[node].crash_notify.notify_all(&inner.sim);
-                            inner.procs[node].rx_waiters.notify_all(&inner.sim);
-                        }
+                    let inner = Rc::clone(&inner);
+                    sim.schedule(f.recover_at, move |sim| {
+                        inner.procs[f.node].crash_notify.notify_all(sim);
+                        inner.procs[f.node].rx_waiters.notify_all(sim);
                     });
                 }
             }
         }
-        cluster
+        AmCluster { inner, sim }
     }
 
     /// Installs a lifecycle observer (see [`TraceSink`]). The first
@@ -566,7 +553,7 @@ impl AmCluster {
 
     /// The simulation this cluster runs in.
     pub fn sim(&self) -> &Sim {
-        &self.inner.sim
+        &self.sim
     }
 
     /// Registers a handler on all processors; returns its id.
@@ -589,7 +576,7 @@ impl AmCluster {
     /// A communication port bound to processor `proc`.
     pub fn port(&self, proc: ProcId) -> crate::AmPort {
         assert!(proc < self.num_procs(), "no such processor {proc}");
-        crate::AmPort::new(Rc::clone(&self.inner), proc)
+        crate::AmPort::new(Rc::clone(&self.inner), self.sim.clone(), proc)
     }
 
     /// Snapshot of the communication counters since the last
@@ -616,7 +603,7 @@ impl AmCluster {
                 .iter()
                 .map(|e| e.counters.borrow().clone())
                 .collect(),
-            elapsed: self.inner.sim.now().since(self.inner.stats_epoch.get()),
+            elapsed: self.sim.now().since(self.inner.stats_epoch.get()),
         }
     }
 
@@ -659,7 +646,7 @@ impl AmCluster {
     /// a message arriving (e.g. "all processors have finished").
     pub fn poke_all(&self) {
         for ep in &self.inner.procs {
-            ep.rx_waiters.notify_all(&self.inner.sim);
+            ep.rx_waiters.notify_all(&self.sim);
         }
     }
 
@@ -691,7 +678,7 @@ impl AmCluster {
         for e in &self.inner.procs {
             *e.counters.borrow_mut() = ProcCounters::new(p);
         }
-        self.inner.stats_epoch.set(self.inner.sim.now());
+        self.inner.stats_epoch.set(self.sim.now());
         *self.inner.frozen_stats.borrow_mut() = None;
     }
 }
@@ -742,9 +729,9 @@ impl ClusterInner {
     /// send overhead the host processor just paid for it (attributed to
     /// the message's trace record; zero for timer-driven retransmissions,
     /// which charge theirs out of band).
-    pub(crate) fn inject(self: &Rc<Self>, msg: Msg, o_send: SimDelta) {
+    pub(crate) fn inject(&self, sim: &Sim, msg: Msg, o_send: SimDelta) {
         let cfg = &self.cfg;
-        let now = self.sim.now();
+        let now = sim.now();
         let src = &self.procs[msg.src];
 
         // Instrumentation: every injected message is a "send".
@@ -801,7 +788,7 @@ impl ClusterInner {
             tx_free,
             arrival,
             in_flight: cfg.window.saturating_sub(src.credits.get()),
-            timer_depth: self.sim.pending_timers() as u32,
+            timer_depth: sim.pending_timers() as u32,
         };
 
         // Fault injection. The sender has already paid full LogGP send
@@ -840,7 +827,7 @@ impl ClusterInner {
                         arrival: dup_arrival,
                     });
                 }
-                self.schedule_deliver(dup_arrival, msg.clone());
+                self.schedule_deliver(sim, dup_arrival, msg.clone());
             }
             arrival += faults.jitter(msg.src, msg.dst, nonce, 0);
         }
@@ -848,7 +835,7 @@ impl ClusterInner {
         if let Some(sink) = self.trace.get() {
             sink.record(&TraceEvent::Send(attempt(arrival)));
         }
-        self.schedule_deliver(arrival, msg);
+        self.schedule_deliver(sim, arrival, msg);
     }
 
     /// The cumulative-ack watermark `src` piggybacks on messages to `dst`:
@@ -886,6 +873,7 @@ impl ClusterInner {
     /// queue drains naturally).
     pub(crate) fn arm_retransmit(
         self: &Rc<Self>,
+        sim: &Sim,
         src: ProcId,
         dst: ProcId,
         req: ReqId,
@@ -896,11 +884,9 @@ impl ClusterInner {
             let mut c = self.procs[src].counters.borrow_mut();
             c.max_retry_backoff = c.max_retry_backoff.max(backoff);
         }
-        let weak = Rc::downgrade(self);
-        self.sim.schedule(self.sim.now() + backoff, move |_| {
-            if let Some(inner) = weak.upgrade() {
-                inner.on_retransmit_timer(src, dst, req, attempt);
-            }
+        let inner = Rc::clone(self);
+        sim.schedule(sim.now() + backoff, move |sim| {
+            inner.on_retransmit_timer(sim, src, dst, req, attempt)
         });
     }
 
@@ -916,7 +902,14 @@ impl ClusterInner {
     /// a lossy wire eventually delivers, so the sender retries until the
     /// run's event/time budget rules (a healthy peer must never be
     /// declared dead by bad luck).
-    fn on_retransmit_timer(self: &Rc<Self>, src: ProcId, dst: ProcId, req: ReqId, attempt: u32) {
+    fn on_retransmit_timer(
+        self: &Rc<Self>,
+        sim: &Sim,
+        src: ProcId,
+        dst: ProcId,
+        req: ReqId,
+        attempt: u32,
+    ) {
         let ep = &self.procs[src];
         let exhausted = {
             let tx = ep.rel_tx.borrow();
@@ -925,8 +918,8 @@ impl ClusterInner {
                 Some(entry) => entry.attempts >= MAX_ATTEMPTS,
             }
         };
-        if exhausted && (self.node_plan || self.cfg.faults.in_outage(self.sim.now(), src, dst)) {
-            self.escalate_peer_death(src, dst);
+        if exhausted && (self.node_plan || self.cfg.faults.in_outage(sim.now(), src, dst)) {
+            self.escalate_peer_death(sim, src, dst);
             return;
         }
         let mut msg = {
@@ -951,15 +944,15 @@ impl ClusterInner {
                 id: msg.trace,
                 attempt: attempt + 1,
                 o_send,
-                at: self.sim.now(),
+                at: sim.now(),
             });
         }
         msg.ack = self.ack_watermark(src, dst);
         // The interrupt-style overhead above does not precede the
         // injection in time, so the retry's attributed o_send is zero
         // (the Retransmit event reports the out-of-band charge).
-        self.inject(msg, SimDelta::ZERO);
-        self.arm_retransmit(src, dst, req, attempt + 1);
+        self.inject(sim, msg, SimDelta::ZERO);
+        self.arm_retransmit(sim, src, dst, req, attempt + 1);
     }
 
     /// One tick of the global heartbeat control plane (active node-fault
@@ -971,25 +964,24 @@ impl ClusterInner {
     /// stamps — a recovering node must not wake to a wall of stale
     /// silence and suspect every healthy peer at once — but evaluate
     /// nothing while frozen.
-    fn on_heartbeat_tick(weak: &Weak<Self>, tick: u64) {
-        let Some(inner) = weak.upgrade() else { return };
-        if inner.control_done.get() {
+    fn on_heartbeat_tick(self: &Rc<Self>, sim: &Sim, tick: u64) {
+        if self.control_done.get() {
             return;
         }
-        let now = inner.sim.now();
-        let plan = &inner.cfg.node_faults;
-        let p = inner.procs.len();
+        let now = sim.now();
+        let plan = &self.cfg.node_faults;
+        let p = self.procs.len();
 
         // Emission: every non-frozen node beats once.
         for sender in 0..p {
             if plan.frozen(sender, now) {
                 continue;
             }
-            inner.procs[sender].counters.borrow_mut().heartbeats += 1;
+            self.procs[sender].counters.borrow_mut().heartbeats += 1;
             let heard = now + plan.hb_jitter(sender, tick);
             for observer in 0..p {
                 if observer != sender {
-                    inner.procs[observer].last_heard.borrow_mut()[sender] = heard;
+                    self.procs[observer].last_heard.borrow_mut()[sender] = heard;
                 }
             }
         }
@@ -1004,7 +996,7 @@ impl ClusterInner {
                     continue;
                 }
                 let (status, gap) = {
-                    let ep = &inner.procs[observer];
+                    let ep = &self.procs[observer];
                     let status = ep.peer_status.borrow()[peer];
                     let gap = now.saturating_since(ep.last_heard.borrow()[peer]);
                     (status, gap)
@@ -1012,10 +1004,10 @@ impl ClusterInner {
                 match status {
                     PeerStatus::Dead => {}
                     _ if gap > plan.confirm_after => {
-                        inner.escalate_peer_death(observer, peer);
+                        self.escalate_peer_death(sim, observer, peer);
                     }
                     PeerStatus::Alive if gap > plan.suspect_after => {
-                        let ep = &inner.procs[observer];
+                        let ep = &self.procs[observer];
                         ep.peer_status.borrow_mut()[peer] = PeerStatus::Suspect;
                         ep.counters.borrow_mut().suspicions += 1;
                     }
@@ -1023,7 +1015,7 @@ impl ClusterInner {
                         // The beat resumed: retract (a false suspicion —
                         // crash-recovery downtimes shorter than the
                         // confirm threshold land here by design).
-                        let ep = &inner.procs[observer];
+                        let ep = &self.procs[observer];
                         ep.peer_status.borrow_mut()[peer] = PeerStatus::Alive;
                         ep.counters.borrow_mut().false_suspicions += 1;
                     }
@@ -1037,11 +1029,10 @@ impl ClusterInner {
         // detector state, so stopping keeps bare-cluster runs finite even
         // when no SPMD epilogue calls `finish_control`.
         if now < plan.settle_by() {
-            let weak = weak.clone();
-            let next = now + plan.hb_period;
-            inner
-                .sim
-                .schedule(next, move |_| Self::on_heartbeat_tick(&weak, tick + 1));
+            let inner = Rc::clone(self);
+            sim.schedule(now + plan.hb_period, move |sim| {
+                inner.on_heartbeat_tick(sim, tick + 1)
+            });
         }
     }
 
@@ -1053,8 +1044,8 @@ impl ClusterInner {
     /// Idempotent in the view (the death is counted once) but always
     /// sweeps the in-flight state, because new sends may have raced in
     /// between confirmation and the next retransmit exhaustion.
-    pub(crate) fn escalate_peer_death(&self, observer: ProcId, peer: ProcId) {
-        let now = self.sim.now();
+    pub(crate) fn escalate_peer_death(&self, sim: &Sim, observer: ProcId, peer: ProcId) {
+        let now = sim.now();
         let ep = &self.procs[observer];
         let newly = {
             let mut status = ep.peer_status.borrow_mut();
@@ -1085,7 +1076,7 @@ impl ClusterInner {
                 ep.pending_posts.set(posts.saturating_sub(1));
             }
         }
-        ep.rx_waiters.notify_all(&self.sim);
+        ep.rx_waiters.notify_all(sim);
         if newly {
             if self.death_note.borrow().is_none() {
                 *self.death_note.borrow_mut() = Some(RunAbort {
@@ -1095,17 +1086,22 @@ impl ClusterInner {
                 });
             }
             if self.abort_on_death.get() {
-                self.sim.halt();
+                sim.halt();
             }
         }
     }
 
     /// Parks `msg` in the arena and schedules the NIC-arrival phase of the
-    /// network hook at `at`. Event ordering is identical to the closure
-    /// `schedule` it replaces — the kernel's sequence counter is shared.
-    fn schedule_deliver(&self, at: SimTime, msg: Msg) {
+    /// network hook at `at`.
+    fn schedule_deliver(&self, sim: &Sim, at: SimTime, msg: Msg) {
         let slot = self.msg_slab.borrow_mut().insert(msg);
-        self.sim.schedule_hook(at, self.net_hook, u64::from(slot));
+        sim.schedule_hook(at, self.net_hook(), u64::from(slot));
+    }
+
+    /// The network delivery hook's id, which [`AmCluster::new`] sets before
+    /// any message exists.
+    fn net_hook(&self) -> HookId {
+        *self.net_hook.get().expect("hook id set at construction")
     }
 
     /// Dispatcher for the network hook: runs the phase encoded in the
@@ -1125,7 +1121,7 @@ impl ClusterInner {
         }
         let free = self.procs[dst].nic_rx_free.get();
         if free > sim.now() {
-            sim.schedule_hook(free, self.net_hook, token);
+            sim.schedule_hook(free, self.net_hook(), token);
             return;
         }
         self.deliver(sim, slot, dst);
@@ -1155,7 +1151,7 @@ impl ClusterInner {
         match self.cfg.latency_mode {
             crate::LatencyMode::DelayQueue => self.make_visible(sim, slot, dst),
             crate::LatencyMode::SlowRxPath => {
-                sim.schedule_hook(visible, self.net_hook, VISIBLE_BIT | u64::from(slot))
+                sim.schedule_hook(visible, self.net_hook(), VISIBLE_BIT | u64::from(slot))
             }
         }
     }
@@ -1177,11 +1173,11 @@ impl ClusterInner {
     }
 
     /// Runs the registered handler for `msg` on its destination processor.
-    pub(crate) fn run_handler(&self, msg: &Msg) -> ReplyData {
+    pub(crate) fn run_handler(&self, sim: &Sim, msg: &Msg) -> ReplyData {
         if let Some(sink) = self.trace.get() {
             sink.record(&TraceEvent::Handler {
                 id: msg.trace,
-                at: self.sim.now(),
+                at: sim.now(),
             });
         }
         let handlers = self.handlers.borrow();
@@ -1198,7 +1194,7 @@ impl ClusterInner {
         handler(HandlerCtx {
             state,
             msg,
-            now: self.sim.now(),
+            now: sim.now(),
         })
     }
 }
@@ -1252,7 +1248,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         let ep = &cluster.inner.procs[1];
         assert_eq!(ep.rx.borrow().len(), 1);
@@ -1266,8 +1262,8 @@ mod tests {
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 2);
         cluster.register_handler(|_| ReplyData::ack());
         // Two messages injected back to back at t=0.
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         // Second injection waits one gap: arrival = g + L = 10.8 µs.
         assert_eq!(
@@ -1282,8 +1278,8 @@ mod tests {
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 3);
         cluster.register_handler(|_| ReplyData::ack());
         // Both senders inject at t=0; both would arrive at L=5 µs.
-        cluster.inner.inject(short_msg(0, 2), SimDelta::ZERO);
-        cluster.inner.inject(short_msg(1, 2), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 2), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(1, 2), SimDelta::ZERO);
         sim.run();
         // Second delivery is pushed to 5 + g = 10.8 µs.
         assert_eq!(sim.now(), SimTime::ZERO + SimDelta::from_micros(10.8));
@@ -1305,7 +1301,9 @@ mod tests {
             let cluster = AmCluster::new(sim.clone(), cfg, k + 1);
             cluster.register_handler(|_| ReplyData::ack());
             for src in 0..k {
-                cluster.inner.inject(short_msg(src, k), SimDelta::ZERO);
+                cluster
+                    .inner
+                    .inject(&sim, short_msg(src, k), SimDelta::ZERO);
             }
             let report = sim.run();
             let n = (k * copies) as u64;
@@ -1339,7 +1337,7 @@ mod tests {
             .with_knobs(crate::Knobs::with_latency(SimDelta::from_micros(100.0)));
         let cluster = AmCluster::new(sim.clone(), cfg, 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         assert_eq!(sim.now(), SimTime::ZERO + SimDelta::from_micros(105.0));
         // Sender NIC freed long before arrival: gap unaffected.
@@ -1357,7 +1355,7 @@ mod tests {
         let mut msg = short_msg(0, 1);
         msg.payload = Payload::Synthetic(8192); // two 4KB fragments
         msg.mark = Mark::Bulk;
-        cluster.inner.inject(msg, SimDelta::ZERO);
+        cluster.inner.inject(&sim, msg, SimDelta::ZERO);
         sim.run();
         // DMA time = 8192 B at the (ns-quantized) per-byte gap, plus L.
         let per_byte = NetConfig::berkeley_now().eff_gap_per_byte();
@@ -1373,11 +1371,11 @@ mod tests {
         let sim = Sim::new();
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
         let mut bulk = short_msg(0, 1);
         bulk.payload = Payload::Synthetic(100);
         bulk.mark = Mark::Bulk;
-        cluster.inner.inject(bulk, SimDelta::ZERO);
+        cluster.inner.inject(&sim, bulk, SimDelta::ZERO);
         sim.run();
         let stats = cluster.stats();
         let c0 = &stats.per_proc[0];
@@ -1393,7 +1391,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         cluster.reset_stats();
         let stats = cluster.stats();
@@ -1415,7 +1413,7 @@ mod tests {
         let cfg = NetConfig::berkeley_now().with_faults(crate::FaultPlan::with_drop_rate(1.0, 1));
         let cluster = AmCluster::new(sim.clone(), cfg, 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         assert_eq!(cluster.inner.procs[1].rx.borrow().len(), 0);
         let c0 = &cluster.stats().per_proc[0];
@@ -1434,7 +1432,7 @@ mod tests {
         let cfg = NetConfig::berkeley_now().with_faults(crate::FaultPlan::none().with_dup(1.0));
         let cluster = AmCluster::new(sim.clone(), cfg, 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         assert_eq!(cluster.inner.procs[1].rx.borrow().len(), 2);
         assert_eq!(cluster.stats().per_proc[0].dups, 1);
@@ -1448,7 +1446,7 @@ mod tests {
             .with_faults(crate::FaultPlan::none().with_jitter(bound).with_seed(3));
         let cluster = AmCluster::new(sim.clone(), cfg, 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         let t = sim.now();
         let base = SimTime::ZERO + SimDelta::from_micros(5.0);
@@ -1465,8 +1463,8 @@ mod tests {
         cluster.register_handler(|_| ReplyData::ack());
         // First message hits the wire at t=0, inside the outage; the second
         // is serialized behind the gap and escapes it.
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         assert_eq!(cluster.inner.procs[1].rx.borrow().len(), 1);
         assert_eq!(cluster.stats().per_proc[0].drops, 1);
@@ -1477,7 +1475,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = AmCluster::new(sim.clone(), NetConfig::berkeley_now(), 2);
         cluster.register_handler(|_| ReplyData::ack());
-        cluster.inner.inject(short_msg(0, 1), SimDelta::ZERO);
+        cluster.inner.inject(&sim, short_msg(0, 1), SimDelta::ZERO);
         sim.run();
         assert_eq!(cluster.inner.procs[0].fault_nonce.get(), 0);
         let c0 = &cluster.stats().per_proc[0];

@@ -11,10 +11,10 @@
 use std::fmt;
 use std::rc::Rc;
 
-use nowlab_sim::{SimDelta, SimTime};
+use nowlab_sim::{Sim, SimDelta, SimTime};
 use nowlab_trace::{RecvEvent, TraceEvent, WaitKind};
 
-use crate::cluster::{CachedReply, ClusterInner, PeerStatus, TxEntry};
+use crate::cluster::{AmCluster, CachedReply, ClusterInner, PeerStatus, TxEntry};
 use crate::message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReqId};
 use crate::params::NetConfig;
 
@@ -46,6 +46,7 @@ impl ReplyTo {
 /// walk-through.
 pub struct AmPort {
     inner: Rc<ClusterInner>,
+    sim: Sim,
     proc: ProcId,
 }
 
@@ -56,8 +57,14 @@ impl fmt::Debug for AmPort {
 }
 
 impl AmPort {
-    pub(crate) fn new(inner: Rc<ClusterInner>, proc: ProcId) -> Self {
-        AmPort { inner, proc }
+    pub(crate) fn new(inner: Rc<ClusterInner>, sim: Sim, proc: ProcId) -> Self {
+        AmPort { inner, sim, proc }
+    }
+
+    /// The cluster this port belongs to.
+    pub fn cluster(&self) -> AmCluster {
+        let (inner, sim) = (Rc::clone(&self.inner), self.sim.clone());
+        AmCluster { inner, sim }
     }
 
     /// This port's processor id.
@@ -77,7 +84,7 @@ impl AmPort {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.inner.sim.now()
+        self.sim.now()
     }
 
     /// Parks this task while its processor is inside a crash window
@@ -90,17 +97,12 @@ impl AmPort {
     /// future.
     async fn crash_gate(&self) {
         loop {
-            if !self
-                .inner
-                .cfg
-                .node_faults
-                .frozen(self.proc, self.inner.sim.now())
-            {
+            if !self.inner.cfg.node_faults.frozen(self.proc, self.sim.now()) {
                 return;
             }
             self.inner.procs[self.proc]
                 .crash_notify
-                .notified(&self.inner.sim)
+                .notified(&self.sim)
                 .await;
         }
     }
@@ -139,8 +141,8 @@ impl AmPort {
             self.crash_gate().await;
         }
         let d = self.inner.scale(self.proc, d);
-        let start = self.inner.sim.now();
-        self.inner.sim.delay(d).await;
+        let start = self.sim.now();
+        self.sim.delay(d).await;
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Compute {
                 proc: self.proc,
@@ -158,7 +160,7 @@ impl AmPort {
             sink.record(&TraceEvent::Phase {
                 proc: self.proc,
                 label: nowlab_trace::PhaseLabel::new(name),
-                at: self.inner.sim.now(),
+                at: self.sim.now(),
             });
         }
     }
@@ -171,7 +173,7 @@ impl AmPort {
             sink.record(&TraceEvent::Region {
                 proc: self.proc,
                 begin,
-                at: self.inner.sim.now(),
+                at: self.sim.now(),
             });
         }
     }
@@ -220,7 +222,7 @@ impl AmPort {
         if let Some(sink) = self.inner.trace.get() {
             sink.record(&TraceEvent::Wave {
                 proc: self.proc,
-                at: self.inner.sim.now(),
+                at: self.sim.now(),
             });
         }
     }
@@ -257,7 +259,7 @@ impl AmPort {
     async fn process_incoming(&self, slot: u32) {
         let reliable = self.inner.reliable;
         let o_recv = self.inner.scale(self.proc, self.inner.cfg.eff_o_recv());
-        self.inner.sim.delay(o_recv).await;
+        self.sim.delay(o_recv).await;
         self.inner.procs[self.proc].counters.borrow_mut().recvs += 1;
         let (src, dir, req, ack, trace) = self
             .inner
@@ -267,7 +269,7 @@ impl AmPort {
                 id: trace,
                 proc: self.proc,
                 o_recv,
-                done: self.inner.sim.now(),
+                done: self.sim.now(),
             }));
         }
         if reliable {
@@ -303,15 +305,15 @@ impl AmPort {
                 // State changed; wake this endpoint's own waiters (the
                 // list is shared by everything that waits on rx-driven
                 // conditions).
-                ep.rx_waiters.notify_all(&self.inner.sim);
+                ep.rx_waiters.notify_all(&self.sim);
             }
             Dir::Request => {
                 if !reliable {
-                    let (to, reply) = self
-                        .inner
-                        .consume_msg(slot, |m| (ReplyTo::of(m), self.inner.run_handler(m)));
+                    let (to, reply) = self.inner.consume_msg(slot, |m| {
+                        (ReplyTo::of(m), self.inner.run_handler(&self.sim, m))
+                    });
                     let o_send = self.o_send();
-                    self.inner.sim.delay(o_send).await;
+                    self.sim.delay(o_send).await;
                     self.send_reply(to, reply.args, reply.payload, o_send);
                     return;
                 }
@@ -404,13 +406,13 @@ impl AmPort {
                     ..ReplyTo::of(&msg)
                 };
                 let o_send = self.o_send();
-                self.inner.sim.delay(o_send).await;
+                self.sim.delay(o_send).await;
                 self.send_reply(to, cached.args, cached.payload, o_send);
                 return;
             }
             Verdict::Fresh => {}
         }
-        let reply = self.inner.run_handler(&msg);
+        let reply = self.inner.run_handler(&self.sim, &msg);
         {
             let ep = &self.inner.procs[self.proc];
             ep.rel_rx.borrow_mut()[msg.src].reply_cache.insert(
@@ -423,7 +425,7 @@ impl AmPort {
             );
         }
         let o_send = self.o_send();
-        self.inner.sim.delay(o_send).await;
+        self.sim.delay(o_send).await;
         self.send_reply(ReplyTo::of(&msg), reply.args, reply.payload, o_send);
     }
 
@@ -445,10 +447,11 @@ impl AmPort {
             sink.record(&TraceEvent::Pair {
                 request: to.trace,
                 reply: trace,
-                at: self.inner.sim.now(),
+                at: self.sim.now(),
             });
         }
         self.inner.inject(
+            &self.sim,
             Msg {
                 src: self.proc,
                 dst: to.src,
@@ -489,7 +492,7 @@ impl AmPort {
                 sink.record(&TraceEvent::WaitEnter {
                     proc: self.proc,
                     kind,
-                    at: self.inner.sim.now(),
+                    at: self.sim.now(),
                 });
             }
         }
@@ -503,7 +506,7 @@ impl AmPort {
             if let Some(sink) = self.inner.trace.get() {
                 sink.record(&TraceEvent::WaitExit {
                     proc: self.proc,
-                    at: self.inner.sim.now(),
+                    at: self.sim.now(),
                 });
             }
         }
@@ -523,7 +526,7 @@ impl AmPort {
                 Some(slot) => self.process_incoming(slot).await,
                 None => {
                     let ep = &self.inner.procs[self.proc];
-                    ep.rx_waiters.notified(&self.inner.sim).await;
+                    ep.rx_waiters.notified(&self.sim).await;
                 }
             }
         }
@@ -534,13 +537,13 @@ impl AmPort {
     /// is *idle* (e.g. waiting on a disk), so incoming messages are handled
     /// as they arrive, and the wait overlaps their overhead.
     pub async fn idle_until(&self, deadline: SimTime) {
-        let enter = self.inner.sim.now();
+        let enter = self.sim.now();
         let wait = self.enter_wait(WaitKind::Rx);
         loop {
             if self.inner.node_plan {
                 self.crash_gate().await;
             }
-            if self.inner.sim.now() >= deadline {
+            if self.sim.now() >= deadline {
                 break;
             }
             match self.inner.pop_rx(self.proc) {
@@ -548,8 +551,8 @@ impl AmPort {
                 None => {
                     let ep = &self.inner.procs[self.proc];
                     let _ = nowlab_sim::race(
-                        ep.rx_waiters.notified(&self.inner.sim),
-                        self.inner.sim.sleep_until(deadline),
+                        ep.rx_waiters.notified(&self.sim),
+                        self.sim.sleep_until(deadline),
                     )
                     .await;
                 }
@@ -561,7 +564,7 @@ impl AmPort {
                 proc: self.proc,
                 enter,
                 deadline,
-                exit: self.inner.sim.now(),
+                exit: self.sim.now(),
             });
         }
     }
@@ -623,7 +626,7 @@ impl AmPort {
         let ep = &self.inner.procs[self.proc];
         let slot = ep.replies.borrow_mut().park(req);
         let o_send = self.o_send();
-        self.inner.sim.delay(o_send).await;
+        self.sim.delay(o_send).await;
         let msg = Msg {
             src: self.proc,
             dst,
@@ -670,7 +673,7 @@ impl AmPort {
         let ep = &self.inner.procs[self.proc];
         ep.pending_posts.set(ep.pending_posts.get() + 1);
         let o_send = self.o_send();
-        self.inner.sim.delay(o_send).await;
+        self.sim.delay(o_send).await;
         let msg = Msg {
             src: self.proc,
             dst,
@@ -710,9 +713,9 @@ impl AmPort {
                 },
             );
             msg.ack = self.inner.ack_watermark(self.proc, dst);
-            self.inner.arm_retransmit(self.proc, dst, req, 1);
+            self.inner.arm_retransmit(&self.sim, self.proc, dst, req, 1);
         }
-        self.inner.inject(msg, o_send);
+        self.inner.inject(&self.sim, msg, o_send);
     }
 
     /// Waits until every [`AmPort::post`] issued by this processor has been
@@ -731,9 +734,7 @@ impl AmPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::AmCluster;
     use crate::message::ReplyData;
-    use nowlab_sim::Sim;
 
     fn two_proc() -> (Sim, AmCluster, HandlerId) {
         let sim = Sim::new();

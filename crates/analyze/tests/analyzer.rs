@@ -6,6 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
+use nowlab_analyze::explain::LINTS;
 use nowlab_analyze::{scan_source, scan_workspace, Scope, Severity};
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -126,10 +127,17 @@ fn workspace_self_scan_is_clean() {
     for d in warnings {
         println!("warning: {d}");
     }
+    // Each failing code's rationale, once, in catalogue order.
+    let why: Vec<String> = LINTS
+        .iter()
+        .filter(|l| errors.iter().any(|d| d.code == l.code))
+        .map(|l| format!("{}: {}", l.code, l.rationale))
+        .collect();
     let errors: Vec<String> = errors.iter().map(ToString::to_string).collect();
     assert!(
         errors.is_empty(),
-        "workspace violations:\n{}",
-        errors.join("\n")
+        "workspace violations:\n{}\n\n{}",
+        errors.join("\n"),
+        why.join("\n")
     );
 }

@@ -7,15 +7,21 @@
 //! returns, a halt on a confirmed death) or a calibration burst whose tasks
 //! end waiting forever would otherwise leave its whole cluster live.
 //!
+//! The cluster's own state must not join that cycle: it holds no `Sim`,
+//! while the kernel's hook table and pending timers hold it. A bare
+//! cluster (no Split-C) with those timers pending checks this directly.
+//!
 //! Alone in its binary, so the counting allocator (`common`) sees these
 //! runs and nothing else.
 
 mod common;
 
 use common::{residual_bytes, Counting};
+use nowlab_am::{AmCluster, FaultPlan, Mark, Payload, ReplyData};
 use nowlab_apps::{suite_scaled, SuiteScale};
 use nowlab_core::calib::burst_total;
 use nowlab_core::{NetConfig, NodeFault, NodeFaultPlan, RunOutcome, RunSpec, SimDelta, SimTime};
+use nowlab_sim::{Sim, StopReason};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -81,4 +87,57 @@ fn a_calibration_burst_leaves_nothing_live() {
     // Both of its tasks end waiting forever, so every burst stops short.
     let bytes = residual_bytes(|| burst_total(NetConfig::berkeley_now(), 16, SimDelta::ZERO));
     assert_eq!(bytes, 0, "a calibration burst left {bytes} B live");
+}
+
+/// When processor 3 of [`timers_of_every_kind`] recovers.
+const RECOVERY_MS: f64 = 20.0;
+
+/// Heartbeat ticks, one crash-recovery wake and, on a wire that drops 2 %
+/// of messages, retransmit timers: every kind of timer the cluster
+/// schedules that holds its state.
+fn timers_of_every_kind() -> NetConfig {
+    let at = SimTime::ZERO + SimDelta::from_millis(1.0);
+    let recovery = NodeFault::crash_recovery(3, at, SimDelta::from_millis(RECOVERY_MS - 1.0));
+    NetConfig::berkeley_now()
+        .with_faults(FaultPlan::with_drop_rate(0.02, 7))
+        .with_node_faults(NodeFaultPlan::none().with_fault(recovery))
+}
+
+#[test]
+fn a_bare_cluster_stopped_with_timers_pending_leaves_nothing_live() {
+    let net = timers_of_every_kind();
+    let bytes = residual_bytes(|| {
+        let cluster = AmCluster::new(Sim::new(), net, 4);
+        let sim = cluster.sim().clone();
+        let h = cluster.register_handler(|_| ReplyData::ack());
+        for me in 0..4 {
+            let port = cluster.port(me);
+            let next = (me + 1) % 4;
+            sim.spawn(async move {
+                while !port.peer_dead(next) {
+                    port.request(next, h, [0; 4], Payload::None, Mark::Read)
+                        .await;
+                }
+                port.wait_until(|| false).await;
+            });
+        }
+        sim.set_event_limit(Some(5_000));
+        let report = sim.run();
+        assert_eq!(report.stop_reason, StopReason::EventLimit);
+        assert!(report.final_time < SimTime::ZERO + SimDelta::from_millis(RECOVERY_MS));
+        let stats = cluster.stats();
+        assert!(stats.per_proc.iter().any(|c| c.retransmits > 0));
+        assert!(stats.per_proc.iter().all(|c| c.heartbeats > 0));
+        assert!(sim.pending_timers() > 0);
+        sim.drop_unfinished_tasks();
+    });
+    assert_eq!(bytes, 0, "a bare cluster left {bytes} B live");
+}
+
+#[test]
+fn a_bare_cluster_dropped_unrun_leaves_nothing_live() {
+    // Its first heartbeat tick and its recovery wake are already pending.
+    let net = timers_of_every_kind();
+    let bytes = residual_bytes(|| AmCluster::new(Sim::new(), net, 4));
+    assert_eq!(bytes, 0, "an unrun cluster left {bytes} B live");
 }

@@ -113,14 +113,13 @@ fn fold(words: &[u64]) -> u64 {
 /// Runs `op` once on a fresh `procs`-processor cluster over `net` and
 /// reports completion time and per-processor result checksums.
 pub fn measure(op: OpSpec, procs: usize, net: NetConfig) -> Measured {
-    let sim = Sim::new();
-    let cluster = AmCluster::new(sim.clone(), net, procs);
+    let cluster = AmCluster::new(Sim::new(), net, procs);
+    let sim = cluster.sim();
     let handlers = install(&cluster);
     let done = Rc::new(Cell::new(0usize));
     let mut handles = Vec::with_capacity(procs);
     for me in 0..procs {
         let access = RawColl::new(&cluster, handlers, me);
-        let cluster = cluster.clone();
         let done = Rc::clone(&done);
         handles.push(sim.spawn(async move {
             let port = access.port();
@@ -182,7 +181,7 @@ pub fn measure(op: OpSpec, procs: usize, net: NetConfig) -> Measured {
             port.quiesce().await;
             done.set(done.get() + 1);
             if done.get() == procs {
-                cluster.poke_all();
+                port.cluster().poke_all();
             }
             port.wait_until(|| done.get() == procs).await;
             (finished, check)

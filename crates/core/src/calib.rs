@@ -20,7 +20,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use nowlab_am::{AmCluster, Mark, NetConfig, Payload, ReplyData};
+use nowlab_am::{AmCluster, AmPort, HandlerId, Mark, NetConfig, Payload, ReplyData};
 use nowlab_sim::{Sim, SimDelta};
 
 /// One point of a LogP signature: average initiation interval for a burst.
@@ -66,8 +66,31 @@ pub fn burst_interval_us(net: NetConfig, m: usize, delta: SimDelta) -> f64 {
 /// [`burst_interval_us`]).
 pub fn burst_total(net: NetConfig, m: usize, delta: SimDelta) -> SimDelta {
     assert!(m > 0, "burst must contain at least one message");
-    let sim = Sim::new();
-    let cluster = AmCluster::new(sim.clone(), net, 2);
+    client_server(net, async move |port, h| {
+        for i in 0..m {
+            if i > 0 && !delta.is_zero() {
+                port.compute(delta).await;
+            }
+            port.post(1, h, [i as u64, 0, 0, 0], Payload::None, Mark::Write)
+                .await;
+        }
+    })
+}
+
+/// Runs `client` on processor 0 of a fresh two-processor cluster whose
+/// processor 1 serves an acknowledging handler (`client`'s second
+/// argument), and returns how long `client` took.
+///
+/// The clock stops when `client` returns, but processor 0 goes on
+/// servicing the network: under a faulty wire the unacknowledged tail of
+/// its requests keeps retransmitting until their replies are processed,
+/// and only then does the simulation idle out.
+fn client_server(
+    net: NetConfig,
+    client: impl AsyncFnOnce(&AmPort, HandlerId) + 'static,
+) -> SimDelta {
+    let cluster = AmCluster::new(Sim::new(), net, 2);
+    let sim = cluster.sim();
     let h = cluster.register_handler(|_| ReplyData::ack());
     let server = cluster.port(1);
     sim.spawn(async move { server.wait_until(|| false).await });
@@ -76,23 +99,13 @@ pub fn burst_total(net: NetConfig, m: usize, delta: SimDelta) -> SimDelta {
     let out = Rc::clone(&measured);
     sim.spawn(async move {
         let t0 = port.now();
-        for i in 0..m {
-            if i > 0 && !delta.is_zero() {
-                port.compute(delta).await;
-            }
-            port.post(1, h, [i as u64, 0, 0, 0], Payload::None, Mark::Write)
-                .await;
-        }
+        client(&port, h).await;
         out.set(Some(port.now().since(t0)));
-        // The clock has stopped, but the client must go on servicing the
-        // network: under a faulty wire the unacknowledged tail of the
-        // burst keeps retransmitting until its replies are processed, and
-        // only then does the simulation idle out.
         port.wait_until(|| false).await;
     });
     sim.run();
     sim.drop_unfinished_tasks();
-    measured.get().expect("calibration burst did not complete")
+    measured.get().expect("calibration client did not complete")
 }
 
 /// Asymptotic (steady-state) initiation interval for a given `Δ`, in µs.
@@ -125,26 +138,10 @@ pub fn signature(net: NetConfig, bursts: &[usize], deltas_us: &[f64]) -> Signatu
 
 /// Measures a single short-message round-trip time, in µs.
 pub fn round_trip_us(net: NetConfig) -> f64 {
-    let sim = Sim::new();
-    let cluster = AmCluster::new(sim.clone(), net, 2);
-    let h = cluster.register_handler(|_| ReplyData::ack());
-    let server = cluster.port(1);
-    sim.spawn(async move { server.wait_until(|| false).await });
-    let port = cluster.port(0);
-    let measured = Rc::new(Cell::new(None));
-    let out = Rc::clone(&measured);
-    sim.spawn(async move {
-        let t0 = port.now();
+    client_server(net, async |port, h| {
         port.request(1, h, [0; 4], Payload::None, Mark::Read).await;
-        out.set(Some(port.now().since(t0)));
-        port.wait_until(|| false).await; // keep draining (see burst_total)
-    });
-    sim.run();
-    sim.drop_unfinished_tasks();
-    measured
-        .get()
-        .expect("round-trip did not complete")
-        .as_micros_f64()
+    })
+    .as_micros_f64()
 }
 
 /// The LogGP characteristics recovered by the microbenchmarks.
@@ -190,31 +187,14 @@ pub fn calibrate(net: NetConfig) -> Calibration {
 /// calibration).
 pub fn bulk_bandwidth_mb_per_s(net: NetConfig, bytes: u32, m: usize) -> f64 {
     assert!(m > 1 && bytes > 0);
-    let sim = Sim::new();
-    let cluster = AmCluster::new(sim.clone(), net, 2);
-    let h = cluster.register_handler(|_| ReplyData::ack());
-    let server = cluster.port(1);
-    sim.spawn(async move { server.wait_until(|| false).await });
-    let port = cluster.port(0);
-    let measured = Rc::new(Cell::new(None));
-    let out = Rc::clone(&measured);
-    sim.spawn(async move {
-        let t0 = port.now();
+    let total = client_server(net, async move |port, h| {
         for _ in 0..m {
             port.post(1, h, [0; 4], Payload::Synthetic(bytes), Mark::Bulk)
                 .await;
         }
         port.quiesce().await;
-        out.set(Some(port.now().since(t0)));
-        port.wait_until(|| false).await; // keep draining (see burst_total)
     });
-    sim.run();
-    sim.drop_unfinished_tasks();
-    let total = measured
-        .get()
-        .expect("bulk calibration did not complete")
-        .as_secs_f64();
-    (bytes as f64 * m as f64) / 1e6 / total
+    (bytes as f64 * m as f64) / 1e6 / total.as_secs_f64()
 }
 
 /// Finds the saturated bulk bandwidth: grows the message size until the

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use nowlab_am::{AmCluster, AmPort, HandlerId, Mark, NetConfig, Payload};
+use nowlab_am::{AmPort, HandlerId, Mark, NetConfig, Payload};
 use nowlab_coll::{
     ops as coll_ops, CollAccess, CollConfig, CollHandlers, CollState, ReduceAlgo, Selector,
 };
@@ -17,7 +17,6 @@ use crate::memory::{GlobalPtr, MailMsg, MailboxId, Memory, RegionId};
 /// Active Messages with LogGP costs; operations on the local processor are
 /// free (as direct loads/stores are next to the cost of a message).
 pub struct Ctx {
-    cluster: AmCluster,
     port: AmPort,
     prims: Prims,
     coll: CollHandlers,
@@ -32,14 +31,12 @@ impl fmt::Debug for Ctx {
 
 impl Ctx {
     pub(crate) fn new(
-        cluster: AmCluster,
         port: AmPort,
         prims: Prims,
         coll: CollHandlers,
         coll_cfg: CollConfig,
     ) -> Self {
         Ctx {
-            cluster,
             port,
             prims,
             coll,
@@ -124,7 +121,7 @@ impl Ctx {
     /// Restarts the measured region: zeroes all communication counters and
     /// the stats clock. Call from **one** processor, between barriers.
     pub fn reset_measurement(&self) {
-        self.cluster.reset_stats();
+        self.port.cluster().reset_stats();
         self.port.region_marker(true);
     }
 
@@ -132,7 +129,7 @@ impl Ctx {
     /// later traffic (result verification) is not counted. Call from
     /// **one** processor, after a barrier.
     pub fn freeze_measurement(&self) {
-        self.cluster.freeze_stats();
+        self.port.cluster().freeze_stats();
         self.port.region_marker(false);
     }
 

@@ -166,7 +166,6 @@ impl<T> SpmdOutcome<T> {
 /// ```
 #[derive(Debug)]
 pub struct SplitC {
-    sim: Sim,
     cluster: AmCluster,
     prims: Prims,
     coll: CollHandlers,
@@ -183,8 +182,7 @@ impl SplitC {
         // pacing) avoids incremental growth during the cluster's first
         // communication phase. wheel_vs_heap.rs asserts the wheel's bucket
         // array never grows past construction.
-        let sim = Sim::with_capacity(cfg.procs);
-        let cluster = AmCluster::new(sim.clone(), cfg.net, cfg.procs);
+        let cluster = AmCluster::new(Sim::with_capacity(cfg.procs), cfg.net, cfg.procs);
         for p in 0..cfg.procs {
             cluster.set_state(p, Box::new(Memory::new(cfg.procs)));
         }
@@ -196,7 +194,6 @@ impl SplitC {
                 .coll
         });
         SplitC {
-            sim,
             cluster,
             prims,
             coll,
@@ -206,7 +203,7 @@ impl SplitC {
 
     /// The underlying simulation.
     pub fn sim(&self) -> &Sim {
-        &self.sim
+        self.cluster.sim()
     }
 
     /// The underlying cluster (for low-level instrumentation).
@@ -268,18 +265,11 @@ impl SplitC {
         let done = std::rc::Rc::new(std::cell::Cell::new(0usize));
         let handles: Vec<_> = (0..p)
             .map(|i| {
-                let ctx = Ctx::new(
-                    self.cluster.clone(),
-                    self.cluster.port(i),
-                    self.prims,
-                    self.coll,
-                    self.cfg.coll,
-                );
+                let ctx = Ctx::new(self.cluster.port(i), self.prims, self.coll, self.cfg.coll);
                 let fut = body(ctx);
                 let done = std::rc::Rc::clone(&done);
-                let cluster = self.cluster.clone();
                 let epilogue_port = self.cluster.port(i);
-                self.sim.spawn(async move {
+                self.sim().spawn(async move {
                     let out = fut.await;
                     // Drain this processor's outstanding acks before
                     // declaring done: it issues nothing afterwards, so at
@@ -293,18 +283,18 @@ impl SplitC {
                         // Stop the heartbeat control plane: everyone who
                         // can finish has, so detection has nothing left
                         // to detect and the event queue may drain.
-                        cluster.finish_control();
+                        epilogue_port.cluster().finish_control();
                     }
-                    cluster.poke_all();
+                    epilogue_port.cluster().poke_all();
                     epilogue_port.wait_until(|| done.get() >= expected).await;
                     out
                 })
             })
             .collect();
-        self.sim.set_event_limit(self.cfg.event_limit);
-        self.sim
-            .set_time_limit(self.cfg.time_limit.map(|d| SimTime::ZERO + d));
-        let report = self.sim.run();
+        let sim = self.sim();
+        sim.set_event_limit(self.cfg.event_limit);
+        sim.set_time_limit(self.cfg.time_limit.map(|d| SimTime::ZERO + d));
+        let report = sim.run();
         let outputs: Vec<Option<T>> = handles.iter().map(|h| h.try_take()).collect();
         let completed = outputs.iter().all(Option::is_some);
         // An Idle stop with missing outputs is the *expected* shape of
@@ -328,7 +318,7 @@ impl SplitC {
         };
         let stats = self.cluster.stats();
         // An SPMD run is never resumed: free what the stuck bodies hold.
-        self.sim.drop_unfinished_tasks();
+        sim.drop_unfinished_tasks();
         SpmdOutcome {
             outputs,
             elapsed: stats.elapsed,
