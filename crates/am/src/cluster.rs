@@ -23,7 +23,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use nowlab_sim::{HookId, Notify, Sim, SimDelta, SimTime};
-use nowlab_trace::{MsgKind, SendEvent, TraceEvent, TraceSink, VisibleEvent};
+use nowlab_trace::{SendEvent, TraceEvent, TraceSink, VisibleEvent};
 
 use crate::fault::{self, MAX_ATTEMPTS};
 use crate::message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReplyData, ReqId};
@@ -408,19 +408,6 @@ pub(crate) struct ClusterInner {
     pub death_note: RefCell<Option<RunAbort>>,
 }
 
-/// The AM layer's [`Mark`] projected onto the trace crate's
-/// dependency-free message category.
-fn trace_kind(mark: Mark) -> MsgKind {
-    match mark {
-        Mark::Read => MsgKind::Read,
-        Mark::Write => MsgKind::Write,
-        Mark::Rmw => MsgKind::Rmw,
-        Mark::Bulk => MsgKind::Bulk,
-        Mark::Barrier => MsgKind::Barrier,
-        Mark::User => MsgKind::User,
-    }
-}
-
 /// An emulated cluster of `P` processors joined by a LogGP network with a
 /// GAM-style Active Message layer.
 ///
@@ -779,7 +766,7 @@ impl ClusterInner {
             src: msg.src,
             dst: msg.dst,
             reply: msg.dir == Dir::Reply,
-            kind: trace_kind(msg.mark),
+            kind: msg.mark,
             bytes: payload_bytes,
             o_send,
             inject: now,

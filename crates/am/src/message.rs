@@ -12,48 +12,23 @@ pub type HandlerId = usize;
 /// Request identifier, unique per source processor.
 pub type ReqId = u64;
 
-/// Semantic class of a message, used by the instrumentation to reproduce the
-/// paper's Table 4 columns ("% reads", barrier accounting, …).
-///
-/// A reply inherits the mark of its request, so "read requests **or
-/// replies**" are both counted as read traffic, as in the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Mark {
-    /// Remote read (request/response round trip the issuer waits on).
-    Read,
-    /// Remote write (pipelined store; ack returns asynchronously).
-    Write,
-    /// Atomic read-modify-write (fetch-add, compare-swap, lock ops).
-    Rmw,
-    /// Bulk data transfer (put/get payload).
-    Bulk,
-    /// Barrier/synchronization traffic.
-    Barrier,
-    /// Application-defined active message.
-    User,
-}
-
-impl Mark {
-    /// True for marks the paper counts as "read requests or replies".
-    pub fn is_read(self) -> bool {
-        matches!(self, Mark::Read)
-    }
-}
+/// Semantic class of a message; the trace crate defines it (it sits below
+/// this one in the dependency graph), so a recorded message carries the
+/// mark its request was sent with.
+pub use nowlab_trace::Mark;
 
 /// Payload attached to a message.
 ///
 /// Short messages carry up to four 64-bit argument words only; bulk messages
-/// additionally carry either real bytes or a synthetic length (for streaming
-/// workloads such as NOW-sort where the byte values are irrelevant but the
-/// wire time is not).
+/// additionally carry either real 64-bit words or a synthetic length (for
+/// streaming workloads such as NOW-sort where the byte values are irrelevant
+/// but the wire time is not).
 #[derive(Clone, Debug, Default)]
 pub enum Payload {
     /// No payload beyond the argument words.
     #[default]
     None,
-    /// Real data (shared, so forwarding does not copy).
-    Bytes(Rc<[u8]>),
-    /// Real 64-bit words (convenient for key shuffles).
+    /// Real 64-bit words (shared, so forwarding does not copy).
     Words(Rc<[u64]>),
     /// Synthetic payload: occupies wire time and counts bytes, carries no
     /// data.
@@ -61,11 +36,6 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Creates a payload from owned bytes.
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Payload::Bytes(bytes.into())
-    }
-
     /// Creates a payload from owned words.
     pub fn from_words(words: Vec<u64>) -> Self {
         Payload::Words(words.into())
@@ -75,7 +45,6 @@ impl Payload {
     pub fn wire_bytes(&self) -> u32 {
         match self {
             Payload::None => 0,
-            Payload::Bytes(b) => b.len() as u32,
             Payload::Words(w) => (w.len() * 8) as u32,
             Payload::Synthetic(n) => *n,
         }
@@ -90,14 +59,6 @@ impl Payload {
     pub fn as_words(&self) -> Option<&[u64]> {
         match self {
             Payload::Words(w) => Some(w),
-            _ => None,
-        }
-    }
-
-    /// Borrows the payload as bytes, if it is a byte payload.
-    pub fn as_bytes(&self) -> Option<&[u8]> {
-        match self {
-            Payload::Bytes(b) => Some(b),
             _ => None,
         }
     }
@@ -221,7 +182,6 @@ mod tests {
     #[test]
     fn payload_wire_bytes() {
         assert_eq!(Payload::None.wire_bytes(), 0);
-        assert_eq!(Payload::from_bytes(vec![0u8; 100]).wire_bytes(), 100);
         assert_eq!(Payload::from_words(vec![0u64; 4]).wire_bytes(), 32);
         assert_eq!(Payload::Synthetic(4096).wire_bytes(), 4096);
     }
@@ -230,26 +190,9 @@ mod tests {
     fn payload_accessors() {
         let w = Payload::from_words(vec![1, 2, 3]);
         assert_eq!(w.as_words(), Some(&[1u64, 2, 3][..]));
-        assert!(w.as_bytes().is_none());
-        let b = Payload::from_bytes(vec![9, 9]);
-        assert_eq!(b.as_bytes(), Some(&[9u8, 9][..]));
-        assert!(b.as_words().is_none());
+        assert!(Payload::Synthetic(16).as_words().is_none());
         assert!(Payload::None.is_none());
-        assert!(!b.is_none());
-    }
-
-    #[test]
-    fn read_mark_classification() {
-        assert!(Mark::Read.is_read());
-        for m in [
-            Mark::Write,
-            Mark::Rmw,
-            Mark::Bulk,
-            Mark::Barrier,
-            Mark::User,
-        ] {
-            assert!(!m.is_read());
-        }
+        assert!(!w.is_none());
     }
 
     #[test]

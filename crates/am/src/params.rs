@@ -352,11 +352,6 @@ impl NetConfig {
         self.machine.o_recv + self.knobs.d_o
     }
 
-    /// Effective reported `o` (mean of effective send/receive overheads).
-    pub fn eff_o_mean(&self) -> SimDelta {
-        (self.eff_o_send() + self.eff_o_recv()) / 2
-    }
-
     /// Effective injection gap (`g + Δg`).
     pub fn eff_gap(&self) -> SimDelta {
         self.machine.gap + self.knobs.d_g
@@ -370,11 +365,6 @@ impl NetConfig {
     /// Effective per-byte bulk gap (`G + ΔG`).
     pub fn eff_gap_per_byte(&self) -> SimDelta {
         self.machine.gap_per_byte + self.knobs.d_gap_per_byte
-    }
-
-    /// Effective bulk bandwidth in MB/s.
-    pub fn eff_bulk_mb_per_s(&self) -> f64 {
-        mb_per_s_from_per_byte(self.eff_gap_per_byte())
     }
 
     /// Transmit-context spans for a message of `bytes` payload bytes:
@@ -472,7 +462,7 @@ mod tests {
         assert!(Knobs::with_bulk_bandwidth(&base, 100.0).is_none());
         let k = Knobs::with_bulk_bandwidth(&base, 10.0).unwrap();
         let cfg = NetConfig::berkeley_now().with_knobs(k);
-        assert!((cfg.eff_bulk_mb_per_s() - 10.0).abs() < 0.2);
+        assert!((mb_per_s_from_per_byte(cfg.eff_gap_per_byte()) - 10.0).abs() < 0.2);
     }
 
     #[test]
@@ -485,7 +475,6 @@ mod tests {
         });
         assert!((cfg.eff_o_send().as_micros_f64() - 51.8).abs() < 1e-9);
         assert!((cfg.eff_o_recv().as_micros_f64() - 54.0).abs() < 1e-9);
-        assert!((cfg.eff_o_mean().as_micros_f64() - 52.9).abs() < 1e-9);
         assert!((cfg.eff_gap().as_micros_f64() - 15.8).abs() < 1e-9);
         assert!((cfg.eff_latency().as_micros_f64() - 30.0).abs() < 1e-9);
     }

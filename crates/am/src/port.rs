@@ -610,37 +610,11 @@ impl AmPort {
         payload: Payload,
         mark: Mark,
     ) -> ([u64; 4], Payload) {
-        assert!(dst < self.num_procs(), "no such processor {dst}");
-        if self.inner.node_plan {
-            self.crash_gate().await;
-        }
-        if self.peer_dead(dst) {
-            // Fail fast: the detector already confirmed the peer dead, so
-            // the request completes locally with the protocol's default
-            // reply instead of burning 16 retransmissions re-learning it.
-            return ([0; 4], Payload::None);
-        }
-        self.poll_n(4).await;
-        self.acquire_credit().await;
-        let req = self.next_req();
         let ep = &self.inner.procs[self.proc];
-        let slot = ep.replies.borrow_mut().park(req);
-        let o_send = self.o_send();
-        self.sim.delay(o_send).await;
-        let msg = Msg {
-            src: self.proc,
-            dst,
-            dir: Dir::Request,
-            req,
-            ack: 0,
-            seq: 0,
-            handler,
-            args,
-            payload,
-            mark,
-            trace: self.inner.next_trace(),
+        let park = |req| ep.replies.borrow_mut().park(req);
+        let Some(slot) = self.issue(dst, handler, args, payload, mark, park).await else {
+            return ([0; 4], Payload::None);
         };
-        self.send_request(msg, o_send);
         self.wait_until(|| ep.replies.borrow().filled(slot)).await;
         ep.replies.borrow_mut().take(slot)
     }
@@ -660,18 +634,42 @@ impl AmPort {
         payload: Payload,
         mark: Mark,
     ) {
+        let ep = &self.inner.procs[self.proc];
+        let count = |_| ep.pending_posts.set(ep.pending_posts.get() + 1);
+        self.issue(dst, handler, args, payload, mark, count).await;
+    }
+
+    /// The send half of [`AmPort::request`] and [`AmPort::post`]: passes
+    /// the crash gate, polls, takes a credit and a request id, runs
+    /// `reserve` on that id (what the caller waits on), pays the send
+    /// overhead and injects. Returns `None`, having sent nothing, if the
+    /// detector already confirmed `dst` dead.
+    async fn issue<R>(
+        &self,
+        dst: ProcId,
+        handler: HandlerId,
+        args: [u64; 4],
+        payload: Payload,
+        mark: Mark,
+        reserve: impl FnOnce(ReqId) -> R,
+    ) -> Option<R> {
         assert!(dst < self.num_procs(), "no such processor {dst}");
         if self.inner.node_plan {
             self.crash_gate().await;
         }
         if self.peer_dead(dst) {
-            return; // fail fast: confirmed-dead destination, see `request`
+            // Fail fast: the request completes locally with the protocol's
+            // default reply instead of burning 16 retransmissions
+            // re-learning the death. It still costs the send overhead, so a
+            // task that loops on the dead peer advances virtual time and a
+            // limit can stop it.
+            self.sim.delay(self.o_send()).await;
+            return None;
         }
         self.poll_n(4).await;
         self.acquire_credit().await;
         let req = self.next_req();
-        let ep = &self.inner.procs[self.proc];
-        ep.pending_posts.set(ep.pending_posts.get() + 1);
+        let reserved = reserve(req);
         let o_send = self.o_send();
         self.sim.delay(o_send).await;
         let msg = Msg {
@@ -688,6 +686,7 @@ impl AmPort {
             trace: self.inner.next_trace(),
         };
         self.send_request(msg, o_send);
+        Some(reserved)
     }
 
     /// Injects a fresh request whose send overhead `o_send` was just paid.

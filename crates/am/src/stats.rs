@@ -300,14 +300,6 @@ impl CommStats {
         self.per_proc.iter().map(|c| c.coll_alltoalls).sum()
     }
 
-    /// Total collective operations of any kind (summed over participants).
-    pub fn total_coll_ops(&self) -> u64 {
-        self.total_coll_bcasts()
-            + self.total_coll_reduces()
-            + self.total_coll_allgathers()
-            + self.total_coll_alltoalls()
-    }
-
     /// The sender→receiver message-count matrix (Figure 4): entry `[i][j]`
     /// is the number of messages processor `i` sent to processor `j`.
     pub fn balance_matrix(&self) -> Vec<Vec<u64>> {
@@ -431,7 +423,6 @@ mod tests {
         assert_eq!(s.total_coll_reduces(), 2);
         assert_eq!(s.total_coll_allgathers(), 1);
         assert_eq!(s.total_coll_alltoalls(), 4);
-        assert_eq!(s.total_coll_ops(), 13);
     }
 
     #[test]

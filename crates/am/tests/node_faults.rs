@@ -17,6 +17,9 @@
 
 mod util;
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use nowlab_am::{AmCluster, Mark, NetConfig, NodeFault, NodeFaultPlan, Payload, ReplyData};
 use nowlab_rng::{SeedableRng, SmallRng};
 use nowlab_sim::{Sim, SimDelta, SimTime, StopReason};
@@ -93,6 +96,42 @@ fn crash_stop_peer_is_confirmed_dead_and_requester_unblocks() {
     // The frozen node emitted no heartbeats; the survivor kept beating.
     assert_eq!(stats.per_proc[1].heartbeats, 0);
     assert!(stats.per_proc[0].heartbeats > 0);
+}
+
+#[test]
+fn a_task_looping_on_a_confirmed_dead_peer_is_stopped_by_the_event_limit() {
+    // Once the detector has written the peer off, every request and post
+    // to it fails fast but still pays the send overhead, so the loop
+    // advances virtual time, events fire and the limit ends the run. A
+    // fail-fast path that awaited nothing would spin inside one poll.
+    let sim = Sim::new();
+    sim.set_event_limit(Some(20_000));
+    let plan = NodeFaultPlan::none().with_fault(NodeFault::crash(1, SimTime::ZERO));
+    let net = NetConfig::berkeley_now().with_node_faults(plan);
+    let cluster = AmCluster::new(sim.clone(), net, 2);
+    let h = cluster.register_handler(|_| ReplyData::word(7));
+    let server = cluster.port(1);
+    sim.spawn(async move { server.wait_until(|| false).await });
+    let port = cluster.port(0);
+    // (loop iterations, what the last one cost)
+    let seen = Rc::new(Cell::new((0u64, SimDelta::ZERO)));
+    let log = Rc::clone(&seen);
+    sim.spawn(async move {
+        // The first request waits for the confirmation.
+        port.request(1, h, [0; 4], Payload::None, Mark::Read).await;
+        assert!(port.peer_dead(1));
+        loop {
+            let t0 = port.now();
+            port.request(1, h, [0; 4], Payload::None, Mark::Read).await;
+            port.post(1, h, [0; 4], Payload::None, Mark::Write).await;
+            log.set((log.get().0 + 1, port.now().since(t0)));
+        }
+    });
+    let report = sim.run();
+    assert_eq!(report.stop_reason, StopReason::EventLimit);
+    let (iterations, cost) = seen.get();
+    assert!(iterations > 1_000, "{iterations} loop iterations");
+    assert_eq!(cost, 2 * net.eff_o_send());
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! The lint families introduced by analyzer v2, implemented over the
-//! [`FileModel`](crate::itemtree::FileModel) item tree rather than the raw
+//! [`FileModel`] item tree rather than the raw
 //! token stream.
 //!
 //! **`FLT…` — float determinism.** Float addition is non-associative, so

@@ -117,17 +117,6 @@ impl FileModel {
     pub fn in_const(&self, idx: usize) -> bool {
         self.consts.iter().any(|c| c.range.contains(&idx))
     }
-
-    /// The innermost function whose body contains token `idx`.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.as_ref().is_some_and(|b| b.contains(&idx)))
-            .min_by_key(|f| {
-                let b = f.body.as_ref().unwrap();
-                b.end - b.start
-            })
-    }
 }
 
 struct Parser<'a> {
@@ -605,12 +594,5 @@ fn also_live() {}
             "type P = *const u8;\nfn f(s: &'static str, p: *const u32) -> &'static str { s }",
         );
         assert!(m.consts.is_empty(), "{:?}", m.consts);
-    }
-
-    #[test]
-    fn enclosing_fn_finds_the_innermost_body() {
-        let m = FileModel::parse("fn outer() { fn inner() { let marker = 1; } }");
-        let idx = m.toks.iter().position(|t| t.text == "marker").unwrap();
-        assert_eq!(m.enclosing_fn(idx).unwrap().name, "inner");
     }
 }

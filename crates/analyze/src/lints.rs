@@ -23,14 +23,6 @@ const WALL_FLOW_IDENTS: &[&str] = &["UNIX_EPOCH", "duration_since"];
 /// from one can deadlock the flow-control window).
 const HANDLER_FORBIDDEN_CALLS: &[&str] = &["request", "post", "post_bulk", "inject"];
 
-/// Runs every token-level lint applicable under `scope` over `source`.
-/// Convenience wrapper around [`lint_model`] for one-off sources; the
-/// workspace scan parses each file once and shares the [`FileModel`] with
-/// the [`families`](crate::families) pass.
-pub fn lint_source(path: &str, source: &str, scope: &Scope) -> Vec<Diagnostic> {
-    lint_model(path, &FileModel::parse(source), scope)
-}
-
 /// Runs every token-level lint applicable under `scope` over a parsed
 /// [`FileModel`]. Test exemption comes from the item tree's exact
 /// `#[cfg(test)]` attribute tracking.
@@ -145,7 +137,7 @@ mod tests {
     }
 
     fn codes(src: &str, scope: &Scope) -> Vec<&'static str> {
-        lint_source("t.rs", src, scope)
+        lint_model("t.rs", &FileModel::parse(src), scope)
             .into_iter()
             .map(|d| d.code)
             .collect()
@@ -171,11 +163,8 @@ mod tests {
 
     #[test]
     fn wall_flow_heuristic_is_a_warning() {
-        let d = lint_source(
-            "t.rs",
-            "fn f(a: T, b: T) -> D { a.duration_since(b) }",
-            &sim_scope(),
-        );
+        let src = "fn f(a: T, b: T) -> D { a.duration_since(b) }";
+        let d = lint_model("t.rs", &FileModel::parse(src), &sim_scope());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "DET004");
         assert_eq!(d[0].severity(), Severity::Warning);

@@ -248,26 +248,6 @@ pub fn mix64(mut x: u64) -> u64 {
 /// settings regardless of message arrival order.
 pub const FX_ONE: i64 = 1 << 20;
 
-/// Converts a float to fixed point.
-pub fn to_fx(v: f64) -> i64 {
-    (v * FX_ONE as f64).round() as i64
-}
-
-/// Converts fixed point back to a float.
-pub fn from_fx(v: i64) -> f64 {
-    v as f64 / FX_ONE as f64
-}
-
-/// Reinterprets a fixed-point value as a region word.
-pub fn fx_to_word(v: i64) -> u64 {
-    v as u64
-}
-
-/// Reinterprets a region word as a fixed-point value.
-pub fn word_to_fx(w: u64) -> i64 {
-    w as i64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,15 +315,6 @@ mod tests {
         assert_eq!(x1, a2.next_u64());
         assert_ne!(x1, b.next_u64());
         assert_ne!(x1, c.next_u64());
-    }
-
-    #[test]
-    fn fixed_point_round_trip() {
-        for v in [-2.5, 0.0, 0.25, 123.456] {
-            assert!((from_fx(to_fx(v)) - v).abs() < 1e-5);
-        }
-        let fx = to_fx(-1.5);
-        assert_eq!(word_to_fx(fx_to_word(fx)), fx);
     }
 
     #[test]

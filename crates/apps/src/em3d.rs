@@ -18,7 +18,7 @@
 //! sequential reference in the tests).
 //!
 //! Each full step ends with a convergence reduce over the collectives
-//! layer ([`nowlab_coll`] via `Ctx::coll_allreduce_sum`): the processors
+//! layer (`nowlab_coll` via `Ctx::coll_allreduce_sum`): the processors
 //! sum how many node values changed and stop early if the field has
 //! globally fixed. The wrapping update never literally fixes at these
 //! sizes, so the step count (and the sequential reference) is unchanged —
@@ -112,38 +112,6 @@ fn update_value(old: u64, neighbor_sum: u64) -> u64 {
     old ^ neighbor_sum
         .rotate_left(1)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Sequential reference implementation (tests compare checksums).
-pub fn sequential_checksum(params: &Em3dParams, seed: u64, p: usize) -> u64 {
-    let half = params.nodes / 2;
-    let mut e: Vec<u64> = (0..half).map(|g| mix64(seed ^ g as u64)).collect();
-    let mut h: Vec<u64> = (0..half)
-        .map(|g| mix64(seed ^ (g as u64 + half as u64)))
-        .collect();
-    for _ in 0..params.steps {
-        let new_e: Vec<u64> = (0..half)
-            .map(|g| {
-                let sum = (0..params.degree)
-                    .map(|j| h[edge_target(seed, g, j, half, p, params.pct_remote)])
-                    .fold(0u64, u64::wrapping_add);
-                update_value(e[g], sum)
-            })
-            .collect();
-        e = new_e;
-        let new_h: Vec<u64> = (0..half)
-            .map(|g| {
-                let sum = (0..params.degree)
-                    .map(|j| e[edge_target(seed, g, j + params.degree, half, p, params.pct_remote)])
-                    .fold(0u64, u64::wrapping_add);
-                update_value(h[g], sum)
-            })
-            .collect();
-        h = new_h;
-    }
-    e.iter()
-        .chain(h.iter())
-        .fold(0u64, |a, &v| a.wrapping_add(v))
 }
 
 async fn em3d_body(ctx: Ctx, params: Em3dParams, seed: u64, read_based: bool) -> u64 {
@@ -582,6 +550,40 @@ type _Marker = Rc<()>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sequential reference implementation (tests compare checksums).
+    fn sequential_checksum(params: &Em3dParams, seed: u64, p: usize) -> u64 {
+        let half = params.nodes / 2;
+        let mut e: Vec<u64> = (0..half).map(|g| mix64(seed ^ g as u64)).collect();
+        let mut h: Vec<u64> = (0..half)
+            .map(|g| mix64(seed ^ (g as u64 + half as u64)))
+            .collect();
+        for _ in 0..params.steps {
+            let new_e: Vec<u64> = (0..half)
+                .map(|g| {
+                    let sum = (0..params.degree)
+                        .map(|j| h[edge_target(seed, g, j, half, p, params.pct_remote)])
+                        .fold(0u64, u64::wrapping_add);
+                    update_value(e[g], sum)
+                })
+                .collect();
+            e = new_e;
+            let new_h: Vec<u64> = (0..half)
+                .map(|g| {
+                    let sum = (0..params.degree)
+                        .map(|j| {
+                            e[edge_target(seed, g, j + params.degree, half, p, params.pct_remote)]
+                        })
+                        .fold(0u64, u64::wrapping_add);
+                    update_value(h[g], sum)
+                })
+                .collect();
+            h = new_h;
+        }
+        e.iter()
+            .chain(h.iter())
+            .fold(0u64, |a, &v| a.wrapping_add(v))
+    }
 
     #[test]
     fn edge_targets_stay_in_range_and_local_or_adjacent() {

@@ -13,7 +13,7 @@
 //!   prefix sums over buckets. Counts travel two buckets per short
 //!   message.
 //! * [`global_histogram_coll`] — the same phase over the model-driven
-//!   collectives layer ([`nowlab_coll`] via [`Ctx::coll_allgather`]):
+//!   collectives layer (`nowlab_coll` via [`Ctx::coll_allgather`]):
 //!   every processor gathers everyone's counts and derives its prefix
 //!   and the bucket offsets locally. This is what the sorts run; the
 //!   chain stays as the differential-test baseline.

@@ -170,32 +170,6 @@ fn shade(hit: Option<(u32, i64)>) -> u64 {
     }
 }
 
-/// Sequential reference renderer: checksum over the whole image.
-pub fn sequential_checksum(params: &PrayParams, seed: u64) -> u64 {
-    let grid = build_grid(seed, params);
-    let g = params.grid;
-    let cell = FX_ONE / g as i64;
-    let mut sum = 0u64;
-    for py in 0..params.height {
-        for px in 0..params.width {
-            let fx = (px as i64 * FX_ONE) / params.width as i64;
-            let fy = (py as i64 * FX_ONE) / params.height as i64;
-            let cidx = ((fy / cell) as usize).min(g - 1) * g + ((fx / cell) as usize).min(g - 1);
-            let mut best: Option<(u32, i64)> = None;
-            for &id in &grid[cidx] {
-                let s = make_sphere(seed, id as usize);
-                if let Some(t) = intersect(&s, fx, fy) {
-                    if best.is_none_or(|(bid, bt)| t < bt || (t == bt && id < bid)) {
-                        best = Some((id, t));
-                    }
-                }
-            }
-            sum = sum.wrapping_add(shade(best));
-        }
-    }
-    sum
-}
-
 /// The P-Ray application.
 #[derive(Clone, Debug)]
 pub struct Pray {
@@ -301,6 +275,33 @@ async fn pray_body(ctx: Ctx, params: PrayParams, seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sequential reference renderer: checksum over the whole image.
+    fn sequential_checksum(params: &PrayParams, seed: u64) -> u64 {
+        let grid = build_grid(seed, params);
+        let g = params.grid;
+        let cell = FX_ONE / g as i64;
+        let mut sum = 0u64;
+        for py in 0..params.height {
+            for px in 0..params.width {
+                let fx = (px as i64 * FX_ONE) / params.width as i64;
+                let fy = (py as i64 * FX_ONE) / params.height as i64;
+                let cidx =
+                    ((fy / cell) as usize).min(g - 1) * g + ((fx / cell) as usize).min(g - 1);
+                let mut best: Option<(u32, i64)> = None;
+                for &id in &grid[cidx] {
+                    let s = make_sphere(seed, id as usize);
+                    if let Some(t) = intersect(&s, fx, fy) {
+                        if best.is_none_or(|(bid, bt)| t < bt || (t == bt && id < bid)) {
+                            best = Some((id, t));
+                        }
+                    }
+                }
+                sum = sum.wrapping_add(shade(best));
+            }
+        }
+        sum
+    }
 
     #[test]
     fn matches_sequential_renderer() {

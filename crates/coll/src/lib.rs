@@ -13,7 +13,7 @@
 //! | allgather  | ring, direct exchange |
 //! | all-to-all | direct exchange, pairwise synchronized |
 //!
-//! Because the network is a calibrated LogGP machine ([`NetConfig`]), an
+//! Because the network is a calibrated LogGP machine ([`nowlab_am::NetConfig`]), an
 //! **analytic cost model** ([`model`]) predicts each variant's completion
 //! time from the parameter vector `(L, o, g, G)`, the processor count, and
 //! the message size — and a [`Selector`] picks the cheapest variant per

@@ -42,17 +42,6 @@ pub struct Signature {
     pub points: Vec<SigPoint>,
 }
 
-impl Signature {
-    /// The steady-state interval for a given `Δ` (largest burst measured).
-    pub fn steady_interval(&self, delta_us: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .filter(|p| (p.delta_us - delta_us).abs() < 1e-9)
-            .max_by_key(|p| p.burst)
-            .map(|p| p.interval_us)
-    }
-}
-
 /// Measures the average initiation interval of a burst of `m` short
 /// messages with `delta` of compute between them, on a 2-processor cluster.
 ///
@@ -299,10 +288,15 @@ mod tests {
         assert!((d0[0] - 1.8).abs() < 0.05);
         // Signature averages include the start-up transient, so allow a
         // wider band than the differenced estimator.
-        let steady = sig.steady_interval(0.0).unwrap();
+        // The steady state is the largest burst's interval.
+        let steady_at = |delta: f64| {
+            let p = sig.points.iter().filter(|p| p.delta_us == delta);
+            p.max_by_key(|p| p.burst).unwrap().interval_us
+        };
+        let steady = steady_at(0.0);
         assert!((steady - 5.8).abs() < 0.2, "steady={steady}");
         // At Δ=10 the steady state is o_send + o_recv + Δ = 15.8.
-        let steady10 = sig.steady_interval(10.0).unwrap();
+        let steady10 = steady_at(10.0);
         assert!((steady10 - 15.8).abs() < 0.3, "steady10={steady10}");
     }
 

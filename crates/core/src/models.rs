@@ -44,12 +44,6 @@ pub fn predict_gap_uniform(
     }
 }
 
-/// Latency model for blocking-read applications: `r_base + m_rt·ΔL` where
-/// `m_rt` counts round trips the processor waits on.
-pub fn predict_latency(r_base: SimDelta, round_trips: u64, d_lat: SimDelta) -> SimDelta {
-    r_base + round_trips * d_lat
-}
-
 /// A compound LogGP sensitivity model — an *extension* of the paper's
 /// per-axis predictors (§5) to arbitrary knob vectors.
 ///
@@ -115,11 +109,6 @@ impl SensitivityModel {
             + self.max_msgs * knobs.d_g
             + self.read_round_trips * knobs.d_lat
             + self.bulk_bytes * knobs.d_gap_per_byte
-    }
-
-    /// Predicted slowdown under a knob vector.
-    pub fn predict_slowdown(&self, knobs: &nowlab_am::Knobs) -> f64 {
-        self.predict(knobs).as_secs_f64() / self.base.as_secs_f64().max(f64::MIN_POSITIVE)
     }
 
     /// Extrapolates *backward* from the baseline toward a hypothetical
@@ -246,13 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_model_linear_in_round_trips() {
-        let base = SimDelta::from_secs(2.0);
-        let p = predict_latency(base, 500_000, SimDelta::from_micros(100.0));
-        assert!((p.as_secs_f64() - 52.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn fit_recovers_exact_line() {
         let xs = [0.0, 1.0, 2.0, 3.0];
         let ys = [1.0, 3.0, 5.0, 7.0];
@@ -298,11 +280,11 @@ mod tests {
             m.predict(&k),
             predict_gap_burst(m.base, m.max_msgs, SimDelta::from_micros(20.0))
         );
-        // Latency restriction equals the read model.
+        // Latency restriction equals the read model, `r_base + m_rt·ΔL`.
         let k = Knobs::with_latency(SimDelta::from_micros(100.0));
         assert_eq!(
             m.predict(&k),
-            predict_latency(m.base, m.read_round_trips, SimDelta::from_micros(100.0))
+            m.base + m.read_round_trips * SimDelta::from_micros(100.0)
         );
         // Composition is additive.
         let k = Knobs {
@@ -317,7 +299,6 @@ mod tests {
             + 400_000 * SimDelta::from_micros(100.0)
             + 50_000_000 * SimDelta::from_nanos(10);
         assert_eq!(m.predict(&k), expect);
-        assert!((m.predict_slowdown(&k) - expect.as_secs_f64() / 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -87,18 +87,6 @@ pub struct Prediction {
     pub trace: TraceReport,
 }
 
-/// The CLI spelling of an axis (`--axis` vocabulary, also the JSON
-/// `"axis"` field).
-fn axis_slug(axis: Axis) -> &'static str {
-    match axis {
-        Axis::Overhead => "overhead",
-        Axis::Gap => "gap",
-        Axis::Latency => "latency",
-        Axis::BulkBandwidth => "bulk",
-        Axis::Coll => "coll",
-    }
-}
-
 /// Runs `app` once under `spec` with full tracing and predicts its
 /// sensitivity curves along `axes` by symbolic re-pricing.
 ///
@@ -220,7 +208,7 @@ impl Prediction {
         w.end_arr()?.key("axes")?.arr()?;
         for curve in &self.axes {
             w.newline(2)?.obj()?.key("axis")?;
-            w.str(axis_slug(curve.axis))?;
+            w.str(curve.axis.slug())?;
             w.key("label")?.str(curve.axis.label())?.key("threshold")?;
             match curve.threshold {
                 Some(t) => w.fixed(t, 3)?,

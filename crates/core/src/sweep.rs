@@ -174,6 +174,29 @@ pub enum Axis {
 }
 
 impl Axis {
+    /// Parses an `--axis` spelling: the [`Axis::slug`] or an alias.
+    pub fn parse(s: &str) -> Option<Axis> {
+        match s {
+            "overhead" | "o" => Some(Axis::Overhead),
+            "gap" | "g" => Some(Axis::Gap),
+            "latency" | "l" => Some(Axis::Latency),
+            "bulk" | "bandwidth" | "mbps" => Some(Axis::BulkBandwidth),
+            "coll" | "collectives" => Some(Axis::Coll),
+            _ => None,
+        }
+    }
+
+    /// The `--axis` spelling, also the predict report's JSON `"axis"`.
+    pub fn slug(self) -> &'static str {
+        match self {
+            Axis::Overhead => "overhead",
+            Axis::Gap => "gap",
+            Axis::Latency => "latency",
+            Axis::BulkBandwidth => "bulk",
+            Axis::Coll => "coll",
+        }
+    }
+
     /// Human-readable axis label with unit.
     pub fn label(self) -> &'static str {
         match self {
@@ -584,6 +607,16 @@ mod tests {
             let knobs = axis.knobs_for(&base, first).unwrap();
             assert_eq!(knobs, Knobs::baseline(), "axis {axis} first value");
         }
+    }
+
+    #[test]
+    fn every_slug_parses_back_to_its_axis() {
+        use Axis::*;
+        for axis in [Overhead, Gap, Latency, BulkBandwidth, Coll] {
+            assert_eq!(Axis::parse(axis.slug()), Some(axis));
+        }
+        assert_eq!(Axis::parse("mbps"), Some(BulkBandwidth));
+        assert_eq!(Axis::parse("O"), None);
     }
 
     #[test]

@@ -426,7 +426,7 @@ impl TraceSink for MetricsRecorder {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use nowlab_trace::{MsgKind, PhaseLabel, RecvEvent};
+    use nowlab_trace::{Mark, PhaseLabel, RecvEvent};
 
     fn col(class: CostClass) -> usize {
         PROCESSOR.column(class)
@@ -469,7 +469,7 @@ pub(crate) mod tests {
             src,
             dst: 1,
             reply: false,
-            kind: MsgKind::Write,
+            kind: Mark::Write,
             bytes: 0,
             o_send: SimDelta::from_nanos(o_send),
             inject: t(inject),

@@ -1057,7 +1057,7 @@ mod tests {
     use nowlab_am::{Knobs, LatencyMode};
     use nowlab_apps::{suite_scaled, SuiteScale};
     use nowlab_core::{Axis, RunSpec, TraceMode};
-    use nowlab_trace::{MsgKind, MsgRecord};
+    use nowlab_trace::{Mark, MsgRecord};
 
     #[test]
     fn an_unaddressable_processor_count_is_an_error_not_a_panic() {
@@ -1089,7 +1089,7 @@ mod tests {
         let (vis_a, tx_b) = (o + lat, (2 * o).max(o + gap));
         let record = |id, at: [u64; 8], completed| {
             let at = at.map(nowlab_sim::SimTime::from_nanos);
-            MsgRecord::from_instants(id, 0, 1, MsgKind::User, 0, at, completed)
+            MsgRecord::from_instants(id, 0, 1, Mark::User, 0, at, completed)
         };
         TraceReport {
             records: [

@@ -167,18 +167,6 @@ pub struct SmallRng {
     s: [u64; 4],
 }
 
-impl SmallRng {
-    /// Builds a generator directly from a full 256-bit state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is all zeros (a fixed point of xoshiro).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro state must be nonzero");
-        SmallRng { s }
-    }
-}
-
 impl SeedableRng for SmallRng {
     fn seed_from_u64(seed: u64) -> Self {
         let mut sm = seed;
@@ -209,20 +197,6 @@ impl RngCore for SmallRng {
     }
 }
 
-/// Mix-based stateless hash (same mix64 as the apps' workload hashing):
-/// useful for per-decision determinism where threading a generator through
-/// would entangle unrelated streams.
-#[inline]
-pub fn hash64(x: u64) -> u64 {
-    let mut x = x;
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    x ^= x >> 33;
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +205,7 @@ mod tests {
     fn xoshiro_reference_vector() {
         // Reference: xoshiro256++ with state {1,2,3,4} (Vigna's test
         // vectors; first three outputs).
-        let mut rng = SmallRng::from_state([1, 2, 3, 4]);
+        let mut rng = SmallRng { s: [1, 2, 3, 4] };
         assert_eq!(rng.next_u64(), 41943041);
         assert_eq!(rng.next_u64(), 58720359);
         assert_eq!(rng.next_u64(), 3588806011781223);
@@ -284,23 +258,8 @@ mod tests {
     }
 
     #[test]
-    fn hash64_spreads_and_is_stable() {
-        let mut seen = std::collections::BTreeSet::new();
-        for i in 0..10_000u64 {
-            assert!(seen.insert(hash64(i)));
-        }
-        assert_eq!(hash64(0x1234_5678), hash64(0x1234_5678));
-    }
-
-    #[test]
     #[should_panic(expected = "empty range")]
     fn empty_range_rejected() {
         let _ = SmallRng::seed_from_u64(0).gen_range(5..5usize);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_state_rejected() {
-        let _ = SmallRng::from_state([0; 4]);
     }
 }

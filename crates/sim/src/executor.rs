@@ -367,11 +367,6 @@ impl Sim {
         self.shared.halted.set(true);
     }
 
-    /// True if [`Sim::halt`] has been requested.
-    pub fn is_halted(&self) -> bool {
-        self.shared.halted.get()
-    }
-
     /// Starts counting fired events per fixed window of virtual time
     /// (the metrics registry's event-density series). Call immediately
     /// before [`Sim::run`]; any previously collected samples are
@@ -914,11 +909,6 @@ impl<T> JoinHandle<T> {
     pub fn try_take(&self) -> Option<T> {
         self.state.borrow_mut().result.take()
     }
-
-    /// True if the task has completed (and its output not yet taken).
-    pub fn is_finished(&self) -> bool {
-        self.state.borrow().result.is_some()
-    }
 }
 
 impl<T> Future for JoinHandle<T> {
@@ -1181,7 +1171,7 @@ mod tests {
         let report = sim.run();
         assert_eq!(report.stop_reason, StopReason::TimeLimit);
         assert!(report.final_time <= SimTime::from_nanos(50));
-        assert!(!h.is_finished());
+        assert!(h.try_take().is_none());
     }
 
     #[test]
@@ -1199,8 +1189,7 @@ mod tests {
         let report = sim.run();
         assert_eq!(report.stop_reason, StopReason::Halted);
         assert_eq!(report.final_time, SimTime::from_nanos(10));
-        assert!(!h.is_finished());
-        assert!(sim.is_halted());
+        assert!(h.try_take().is_none());
     }
 
     #[test]

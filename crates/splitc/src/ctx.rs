@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use nowlab_am::{AmPort, HandlerId, Mark, NetConfig, Payload};
+use nowlab_am::{AmPort, Mark, NetConfig, Payload};
 use nowlab_coll::{
     ops as coll_ops, CollAccess, CollConfig, CollHandlers, CollState, ReduceAlgo, Selector,
 };
@@ -161,20 +161,6 @@ impl Ctx {
     /// Writes a word of local memory.
     pub fn store_local(&self, region: RegionId, offset: usize, value: u64) {
         self.with_mem(|m| m.store(region, offset, value));
-    }
-
-    /// Installs this processor's application extension state.
-    pub fn set_ext<T: 'static>(&self, ext: T) {
-        self.with_mem(|m| m.ext = Some(Box::new(ext)));
-    }
-
-    /// Runs `f` on the application extension state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no extension of type `T` is installed.
-    pub fn with_ext<T: 'static, R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        self.with_mem(|m| f(m.ext_mut::<T>()))
     }
 
     // ------------------------------------------------------------------
@@ -430,7 +416,7 @@ impl Ctx {
     // ------------------------------------------------------------------
 
     /// Acquires a spin lock at `gp` (word must be 0 when free) with a
-    /// fixed [`LOCK_RETRY`] backoff. Returns the number of attempts — the
+    /// fixed `LOCK_RETRY` backoff. Returns the number of attempts — the
     /// paper's Barnes instrumentation counts failed acquisitions to
     /// diagnose livelock, and under contention this naive spin exhibits
     /// exactly that retry explosion.
@@ -519,19 +505,6 @@ impl Ctx {
     /// Number of messages waiting in a local mailbox.
     pub fn mail_len(&self, mb: MailboxId) -> usize {
         self.with_mem(|m| m.mail_len(mb))
-    }
-
-    /// Calls a user-registered handler at `dst` and waits for its reply.
-    pub async fn am_request(
-        &self,
-        dst: usize,
-        handler: HandlerId,
-        args: [u64; 4],
-        payload: Payload,
-    ) -> ([u64; 4], Payload) {
-        self.port
-            .request(dst, handler, args, payload, Mark::User)
-            .await
     }
 }
 

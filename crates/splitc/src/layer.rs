@@ -10,7 +10,7 @@
 use std::future::Future;
 use std::rc::Rc;
 
-use nowlab_am::{AmCluster, CommStats, HandlerId, Msg, NetConfig, Payload, ReplyData, RunAbort};
+use nowlab_am::{AmCluster, CommStats, HandlerId, NetConfig, Payload, ReplyData, RunAbort};
 use nowlab_coll::{CollConfig, CollHandlers};
 use nowlab_sim::{RunReport, Sim, SimDelta, SimTime, StopReason};
 
@@ -218,21 +218,6 @@ impl SplitC {
     /// an observed run is event-for-event identical to an unobserved one.
     pub fn set_trace_sink(&self, sink: std::rc::Rc<dyn nowlab_trace::TraceSink>) {
         self.cluster.set_trace_sink(sink);
-    }
-
-    /// Registers an application-defined handler operating on the
-    /// destination processor's [`Memory`].
-    pub fn register_handler<F>(&self, f: F) -> HandlerId
-    where
-        F: Fn(&mut Memory, &Msg) -> ReplyData + 'static,
-    {
-        self.cluster.register_handler(move |hctx| {
-            let mem = hctx
-                .state
-                .downcast_mut::<Memory>()
-                .expect("Split-C processor state missing");
-            f(mem, hctx.msg)
-        })
     }
 
     /// Runs `body` on every processor and drives the simulation to

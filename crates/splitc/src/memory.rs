@@ -2,13 +2,12 @@
 //!
 //! Each simulated processor owns one [`Memory`]: a set of word-addressed
 //! regions (the distributed arrays of Split-C), a set of mailboxes (receive
-//! queues for user active messages), the dissemination-barrier counters, the
-//! collectives layer's state, and an opaque application extension slot.
+//! queues for user active messages), the dissemination-barrier counters and
+//! the collectives layer's state.
 //!
 //! The [`Memory`] is installed as the processor's Active-Message user state,
 //! so handlers mutate it directly on the destination processor.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -44,14 +43,6 @@ impl GlobalPtr {
             offset,
         }
     }
-
-    /// The same pointer displaced by `d` words.
-    pub fn offset_by(self, d: usize) -> Self {
-        GlobalPtr {
-            offset: self.offset + d,
-            ..self
-        }
-    }
 }
 
 impl fmt::Display for GlobalPtr {
@@ -82,8 +73,6 @@ pub struct Memory {
     /// The collectives layer's per-processor state (epoch counters and
     /// in-flight data; see [`nowlab_coll::CollState`]).
     pub(crate) coll: nowlab_coll::CollState,
-    /// Application extension state, accessible to custom handlers.
-    pub ext: Option<Box<dyn Any>>,
 }
 
 impl fmt::Debug for Memory {
@@ -106,7 +95,6 @@ impl Memory {
             barrier_arrived: vec![0; rounds.max(1)],
             barrier_gen: 0,
             coll: nowlab_coll::CollState::default(),
-            ext: None,
         }
     }
 
@@ -203,19 +191,6 @@ impl Memory {
     pub fn mail_len(&self, mb: MailboxId) -> usize {
         self.mailboxes.get(mb).map_or(0, VecDeque::len)
     }
-
-    /// Typed access to the application extension state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no extension of type `T` is installed.
-    pub fn ext_mut<T: 'static>(&mut self) -> &mut T {
-        self.ext
-            .as_mut()
-            .expect("no app extension installed")
-            .downcast_mut::<T>()
-            .expect("app extension has a different type")
-    }
 }
 
 /// Number of dissemination-barrier rounds for `procs` processors
@@ -289,18 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn ext_round_trip() {
-        let mut m = Memory::new(2);
-        m.ext = Some(Box::new(vec![1u32, 2, 3]));
-        m.ext_mut::<Vec<u32>>().push(4);
-        assert_eq!(m.ext_mut::<Vec<u32>>().len(), 4);
-    }
-
-    #[test]
     fn global_ptr_display_and_offset() {
         let gp = GlobalPtr::new(3, 1, 10);
         assert_eq!(format!("{gp}"), "p3:r1+10");
-        assert_eq!(gp.offset_by(5).offset, 15);
+        assert_eq!((gp.proc, gp.region, gp.offset), (3, 1, 10));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Integration tests of the Split-C layer: every primitive exercised
 //! through real SPMD programs over the LogGP network.
 
-use nowlab_am::{Knobs, NetConfig, Payload, ReplyData};
+use nowlab_am::{Knobs, NetConfig, Payload};
 use nowlab_sim::SimDelta;
-use nowlab_splitc::{run_spmd, CollAlgo, CollConfig, GlobalPtr, SplitC, SpmdConfig};
+use nowlab_splitc::{run_spmd, CollAlgo, CollConfig, GlobalPtr, SpmdConfig};
 
 #[test]
 fn reads_and_writes_cross_processors() {
@@ -191,32 +191,6 @@ fn mailboxes_deliver_in_order_with_payload() {
         }
     });
     assert_eq!(outcome.expect_outputs()[1], 5);
-}
-
-#[test]
-fn custom_handlers_see_memory_and_ext() {
-    let sc = SplitC::new(&SpmdConfig::new(2));
-    let double = sc.register_handler(|mem, msg| {
-        let log = mem.ext_mut::<Vec<u64>>();
-        log.push(msg.args[0]);
-        ReplyData::word(msg.args[0] * 2)
-    });
-    let outcome = sc.run(|ctx| async move {
-        ctx.set_ext(Vec::<u64>::new());
-        ctx.barrier().await;
-        if ctx.me() == 0 {
-            let (args, _) = ctx
-                .am_request(1, double, [21, 0, 0, 0], Payload::None)
-                .await;
-            ctx.barrier().await;
-            args[0]
-        } else {
-            ctx.barrier().await;
-            ctx.with_ext(|log: &mut Vec<u64>| log[0])
-        }
-    });
-    let outs = outcome.expect_outputs();
-    assert_eq!(outs, vec![42, 21]);
 }
 
 #[test]

@@ -259,8 +259,7 @@ pub fn write_chrome_trace_highlighted<W: Write>(
 mod tests {
     use super::*;
     use crate::{
-        MsgKind, MsgRecord, RecvEvent, SendEvent, TraceEvent, TraceRecorder, TraceSink,
-        VisibleEvent,
+        Mark, MsgRecord, RecvEvent, SendEvent, TraceEvent, TraceRecorder, TraceSink, VisibleEvent,
     };
     use nowlab_sim::{SimDelta, SimTime};
 
@@ -275,7 +274,7 @@ mod tests {
             src: 0,
             dst: 1,
             reply: false,
-            kind: MsgKind::Read,
+            kind: Mark::Read,
             bytes: 0,
             o_send: SimDelta::from_micros(1.8),
             inject: us(1.8),
@@ -303,7 +302,7 @@ mod tests {
             src: 1,
             dst: 0,
             reply: false,
-            kind: MsgKind::Write,
+            kind: Mark::Write,
             bytes: 0,
             o_send: SimDelta::from_micros(1.8),
             inject: us(20.0),

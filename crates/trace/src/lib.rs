@@ -39,12 +39,12 @@
 //!
 //! ```
 //! use nowlab_sim::{SimDelta, SimTime};
-//! use nowlab_trace::{MsgKind, RecvEvent, SendEvent, TraceEvent, TraceRecorder, TraceSink, VisibleEvent};
+//! use nowlab_trace::{Mark, RecvEvent, SendEvent, TraceEvent, TraceRecorder, TraceSink, VisibleEvent};
 //!
 //! let us = |x| SimTime::ZERO + SimDelta::from_micros(x);
 //! let rec = TraceRecorder::new(true);
 //! rec.record(&TraceEvent::Send(SendEvent {
-//!     id: 1, src: 0, dst: 1, reply: false, kind: MsgKind::Write, bytes: 0,
+//!     id: 1, src: 0, dst: 1, reply: false, kind: Mark::Write, bytes: 0,
 //!     o_send: SimDelta::from_micros(1.8), inject: us(1.8), tx_start: us(1.8),
 //!     wire_done: us(1.8), tx_free: us(7.6), arrival: us(6.8), in_flight: 1, timer_depth: 1,
 //! }));
@@ -87,35 +87,44 @@ pub enum TraceMode {
     Full,
 }
 
-/// Message category, mirroring the AM layer's payload marks without
-/// depending on it (this crate sits below the AM layer in the dependency
-/// graph).
+/// Semantic class of a message: the AM layer marks every request with one
+/// (it re-exports this type as `nowlab_am::Mark`), and the instrumentation
+/// uses it to reproduce the paper's Table 4 columns ("% reads", barrier
+/// accounting, …) and as the Chrome-trace category.
+///
+/// A reply inherits the mark of its request, so "read requests **or
+/// replies**" are both counted as read traffic, as in the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MsgKind {
-    /// Remote read request/reply.
+pub enum Mark {
+    /// Remote read (request/response round trip the issuer waits on).
     Read,
-    /// Remote write.
+    /// Remote write (pipelined store; ack returns asynchronously).
     Write,
-    /// Read-modify-write (fetch-add, compare-swap).
+    /// Atomic read-modify-write (fetch-add, compare-swap, lock ops).
     Rmw,
-    /// Bulk transfer fragment train.
+    /// Bulk data transfer (put/get payload).
     Bulk,
-    /// Barrier protocol message.
+    /// Barrier/synchronization traffic.
     Barrier,
-    /// Application-defined.
+    /// Application-defined active message.
     User,
 }
 
-impl MsgKind {
+impl Mark {
+    /// True for marks the paper counts as "read requests or replies".
+    pub fn is_read(self) -> bool {
+        matches!(self, Mark::Read)
+    }
+
     /// Short lowercase label (Chrome-trace category).
     pub fn as_str(self) -> &'static str {
         match self {
-            MsgKind::Read => "read",
-            MsgKind::Write => "write",
-            MsgKind::Rmw => "rmw",
-            MsgKind::Bulk => "bulk",
-            MsgKind::Barrier => "barrier",
-            MsgKind::User => "user",
+            Mark::Read => "read",
+            Mark::Write => "write",
+            Mark::Rmw => "rmw",
+            Mark::Bulk => "bulk",
+            Mark::Barrier => "barrier",
+            Mark::User => "user",
         }
     }
 }
@@ -136,7 +145,7 @@ pub struct SendEvent {
     /// True for replies (which bypass flow control).
     pub reply: bool,
     /// Message category.
-    pub kind: MsgKind,
+    pub kind: Mark,
     /// Payload wire bytes (0 for short messages).
     pub bytes: u32,
     /// Send overhead the host processor paid immediately before this
@@ -440,7 +449,7 @@ pub struct MsgRecord {
     /// Attempts the fault plan dropped on the wire.
     pub dropped_attempts: u16,
     /// Message category.
-    pub kind: MsgKind,
+    pub kind: Mark,
     /// True for replies.
     pub reply: bool,
     /// [`COMPLETED`], [`TANGLED`], [`VISIBLE_SEEN`].
@@ -483,7 +492,7 @@ const BLANK: MsgRecord = MsgRecord {
     dst: 0,
     attempts: 0,
     dropped_attempts: 0,
-    kind: MsgKind::User,
+    kind: Mark::User,
     reply: false,
     flags: 0,
 };
@@ -498,7 +507,7 @@ impl MsgRecord {
         id: u64,
         src: u16,
         dst: u16,
-        kind: MsgKind,
+        kind: Mark,
         bytes: u32,
         at: [SimTime; 8],
         completed: bool,
@@ -679,7 +688,6 @@ impl MsgRecord {
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,
-    sum: u128,
     max: u64,
 }
 
@@ -707,7 +715,6 @@ impl Histogram {
         }
         self.counts[b] += 1;
         self.total += 1;
-        self.sum += u128::from(v);
         self.max = self.max.max(v);
     }
 
@@ -719,15 +726,6 @@ impl Histogram {
     /// Largest observation (exact).
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Mean observation (exact).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
     }
 
     /// Approximate quantile: the inclusive upper bound of the first bucket
@@ -1362,7 +1360,7 @@ mod tests {
             src,
             dst,
             reply: false,
-            kind: MsgKind::Write,
+            kind: Mark::Write,
             bytes: 0,
             o_send: SimDelta::from_micros(1.8),
             inject: us(begin_us + 1.8),
@@ -1419,7 +1417,7 @@ mod tests {
             src: 0,
             dst: 1,
             reply: false,
-            kind: MsgKind::Read,
+            kind: Mark::Read,
             bytes: 4096,
             o_send: SimDelta::from_micros(1.8),
             inject: us(1.8),
@@ -1637,7 +1635,7 @@ mod tests {
             src: 0,
             dst: 1,
             reply: false,
-            kind: MsgKind::Write,
+            kind: Mark::Write,
             bytes: 0,
             o_send: SimDelta::ZERO,
             inject: us(500.0),
@@ -1844,6 +1842,20 @@ mod tests {
     }
 
     #[test]
+    fn read_mark_classification() {
+        assert!(Mark::Read.is_read());
+        for m in [
+            Mark::Write,
+            Mark::Rmw,
+            Mark::Bulk,
+            Mark::Barrier,
+            Mark::User,
+        ] {
+            assert!(!m.is_read());
+        }
+    }
+
+    #[test]
     fn histograms_bucket_by_powers_of_two() {
         let mut h = Histogram::new();
         for v in [0, 1, 2, 3, 1000, 1024] {
@@ -1851,7 +1863,6 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.max(), 1024);
-        assert!((h.mean() - (0.0 + 1.0 + 2.0 + 3.0 + 1000.0 + 1024.0) / 6.0).abs() < 1e-9);
         assert_eq!(h.quantile(1.0), 2047);
         assert_eq!(h.quantile(0.1), 0);
         assert_eq!(Histogram::new().quantile(0.5), 0);

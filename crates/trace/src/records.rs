@@ -15,7 +15,7 @@ use std::fmt;
 
 use nowlab_sim::SimTime;
 
-use crate::{MsgKind, MsgRecord};
+use crate::{Mark, MsgRecord};
 
 /// [`MsgRecord::reply`]. The entry's other flag bits are the record's own
 /// (`COMPLETED`, `TANGLED`, `VISIBLE_SEEN`), which this and [`WIDE`] must
@@ -46,7 +46,7 @@ struct Entry {
     dst: u16,
     attempts: u16,
     dropped_attempts: u16,
-    kind: MsgKind,
+    kind: Mark,
     flags: u8,
 }
 
@@ -66,7 +66,7 @@ const VACANT: Entry = Entry {
     dst: 0,
     attempts: 0,
     dropped_attempts: 0,
-    kind: MsgKind::User,
+    kind: Mark::User,
     flags: 0,
 };
 
@@ -318,7 +318,7 @@ mod tests {
     fn spanning(id: u64, span: u64) -> MsgRecord {
         let begin = 1_000_000_007;
         let at = [0, 1, 2, 3, 4, 5, 6, span].map(|d| SimTime::from_nanos(begin + d));
-        MsgRecord::from_instants(id, 3, 4, MsgKind::Bulk, 4096, at, true)
+        MsgRecord::from_instants(id, 3, 4, Mark::Bulk, 4096, at, true)
     }
 
     /// The store of `recs`, and how many of them it kept whole, after
@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn every_field_reads_back_in_both_forms() {
         let mut recs = Vec::new();
-        for (k, kind) in [MsgKind::Read, MsgKind::Rmw, MsgKind::Barrier]
+        for (k, kind) in [Mark::Read, Mark::Rmw, Mark::Barrier]
             .into_iter()
             .enumerate()
         {

@@ -15,7 +15,7 @@ use nowlab_core::{FaultPlan, NetConfig, NodeFault, NodeFaultPlan, RunSpec, Trace
 use nowlab_rng::{Rng, SeedableRng, SmallRng};
 use nowlab_sim::{SimDelta, SimTime};
 use nowlab_trace::chrome::write_chrome_trace_highlighted;
-use nowlab_trace::{MsgKind, MsgRecord, Records};
+use nowlab_trace::{Mark, MsgRecord, Records};
 
 /// The export as the per-slice emitter wrote it; `critical` sorted.
 fn oracle(records: &[MsgRecord], critical: &[u64]) -> String {
@@ -162,13 +162,13 @@ fn real_runs_export_what_the_per_slice_emitter_exported() {
 /// positions (and none), ids to 2⁵³, `bytes` of 0 and `u32::MAX`,
 /// instants to 2⁵⁰ − 1 and open records, on `procs` processors.
 fn synthetic(procs: u16, seed: u64) -> Records {
-    const KINDS: [MsgKind; 6] = [
-        MsgKind::Read,
-        MsgKind::Write,
-        MsgKind::Rmw,
-        MsgKind::Bulk,
-        MsgKind::Barrier,
-        MsgKind::User,
+    const KINDS: [Mark; 6] = [
+        Mark::Read,
+        Mark::Write,
+        Mark::Rmw,
+        Mark::Bulk,
+        Mark::Barrier,
+        Mark::User,
     ];
     const LAST: u64 = (1 << 50) - 1;
     let mut rng = SmallRng::seed_from_u64(seed);

@@ -654,14 +654,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     if axis_flag == "chaos" {
         return cmd_sweep_chaos(flags, app.as_ref());
     }
-    let axis = match axis_flag.as_str() {
-        "overhead" | "o" => Axis::Overhead,
-        "gap" | "g" => Axis::Gap,
-        "latency" | "l" => Axis::Latency,
-        "bulk" | "bandwidth" | "mbps" => Axis::BulkBandwidth,
-        "coll" | "collectives" => Axis::Coll,
-        other => return Err(format!("--axis: `{other}`")),
-    };
+    let axis = Axis::parse(&axis_flag).ok_or_else(|| format!("--axis: `{axis_flag}`"))?;
     let tracing = flags.contains_key("trace-summary");
     let metering = metrics_mode_of(flags);
     let spec = guard(
@@ -981,15 +974,10 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
             Axis::Latency,
             Axis::BulkBandwidth,
         ],
-        Some("overhead" | "o") => vec![Axis::Overhead],
-        Some("gap" | "g") => vec![Axis::Gap],
-        Some("latency" | "l") => vec![Axis::Latency],
-        Some("bulk" | "bandwidth" | "mbps") => vec![Axis::BulkBandwidth],
-        Some(other) => {
-            return Err(format!(
-                "--axis: `{other}` (want overhead|gap|latency|bulk)"
-            ));
-        }
+        Some(s) => match Axis::parse(s) {
+            Some(axis) if axis != Axis::Coll => vec![axis],
+            _ => return Err(format!("--axis: `{s}` (want overhead|gap|latency|bulk)")),
+        },
     };
     let spec = guard(
         RunSpec::new(procs_of(flags)?)

@@ -21,7 +21,7 @@
 use nowlab::apps::{suite_scaled, SuiteScale};
 use nowlab::core::{predict_app, Axis, RunSpec};
 use nowlab::predict::{analyze, PredictError};
-use nowlab::trace::{MsgKind, MsgRecord, TraceReport};
+use nowlab::trace::{Mark, MsgRecord, TraceReport};
 use nowlab::NetConfig;
 use nowlab_sim::{SimDelta, SimTime};
 
@@ -114,7 +114,7 @@ fn record(
         id,
         src,
         dst,
-        MsgKind::User,
+        Mark::User,
         0,
         at.map(SimTime::from_nanos),
         recv.is_some(),

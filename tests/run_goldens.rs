@@ -18,7 +18,11 @@
 //! and repeats to the byte in the release and the test profile. Its last
 //! two columns have since fallen by 8 B on every line, once: the cluster
 //! state (`ClusterInner`, one allocation per run) no longer holds a `Sim`
-//! handle, and no other column moved.
+//! handle, and no other column moved. They then moved once more, by a
+//! constant per app: each processor's Split-C memory lost a 16 B
+//! extension slot, and its task future grew when `AmPort::request` and
+//! `post` came to share one send path (+1 920 B per run for Barnes,
+//! +2 432 for EM3D and P-Ray, +3 200 for the rest, both columns).
 
 #[path = "../crates/apps/tests/common/mod.rs"]
 mod common;
