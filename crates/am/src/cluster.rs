@@ -18,7 +18,7 @@
 
 use std::any::Any;
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -74,7 +74,7 @@ enum ReplySlot {
 
 impl ReplySlots {
     /// Parks awaited request `req`; returns the slot its issuer polls.
-    pub fn park(&mut self, req: ReqId) -> usize {
+    pub(crate) fn park(&mut self, req: ReqId) -> usize {
         match self.0.iter().position(|s| matches!(s, ReplySlot::Free)) {
             Some(slot) => {
                 self.0[slot] = ReplySlot::Awaiting(req);
@@ -89,7 +89,7 @@ impl ReplySlots {
 
     /// Completes awaited request `req` with its reply. False if `req` is
     /// not awaited — it was posted, or already completed.
-    pub fn fill(&mut self, req: ReqId, args: [u64; 4], payload: Payload) -> bool {
+    pub(crate) fn fill(&mut self, req: ReqId, args: [u64; 4], payload: Payload) -> bool {
         match self
             .0
             .iter_mut()
@@ -104,7 +104,7 @@ impl ReplySlots {
     }
 
     /// True once the reply parked at `slot` has arrived.
-    pub fn filled(&self, slot: usize) -> bool {
+    pub(crate) fn filled(&self, slot: usize) -> bool {
         matches!(self.0[slot], ReplySlot::Filled(..))
     }
 
@@ -113,7 +113,7 @@ impl ReplySlots {
     /// # Panics
     ///
     /// Panics if the reply has not arrived.
-    pub fn take(&mut self, slot: usize) -> ([u64; 4], Payload) {
+    pub(crate) fn take(&mut self, slot: usize) -> ([u64; 4], Payload) {
         match std::mem::replace(&mut self.0[slot], ReplySlot::Free) {
             ReplySlot::Filled(args, payload) => (args, payload),
             _ => panic!("reply slot {slot} taken before its reply arrived"),
@@ -121,7 +121,7 @@ impl ReplySlots {
     }
 
     /// The request ids still awaiting a reply, ascending.
-    pub fn awaiting(&self) -> Vec<ReqId> {
+    pub(crate) fn awaiting(&self) -> Vec<ReqId> {
         let mut ids: Vec<ReqId> = self
             .0
             .iter()
@@ -207,9 +207,8 @@ pub(crate) struct RxLink {
     /// arriving below it is a stale duplicate, and no state is retained
     /// for it.
     pub acked_below: ReqId,
-    /// Request ids (≥ `acked_below`) whose handler has already run.
-    pub seen: BTreeSet<ReqId>,
-    /// Replies already sent for `seen` requests, kept until acked.
+    /// The reply of every request (≥ `acked_below`) whose handler has
+    /// already run, kept until acked: the link's one duplicate filter.
     pub reply_cache: BTreeMap<ReqId, CachedReply>,
     /// Next in-order sequence number expected on this link ([`Msg::seq`]).
     pub next_seq: u64,
@@ -533,11 +532,6 @@ impl AmCluster {
         self.inner.procs.len()
     }
 
-    /// The network configuration.
-    pub fn config(&self) -> NetConfig {
-        self.inner.cfg
-    }
-
     /// The simulation this cluster runs in.
     pub fn sim(&self) -> &Sim {
         &self.sim
@@ -840,8 +834,7 @@ impl ClusterInner {
     }
 
     /// Applies the cumulative ack carried by an incoming message: advances
-    /// the per-link watermark and prunes the seen-set and reply cache
-    /// below it.
+    /// the per-link watermark and prunes the reply cache below it.
     pub(crate) fn note_ack(&self, at: ProcId, from: ProcId, ack: ReqId) {
         let mut rx = self.procs[at].rel_rx.borrow_mut();
         let link = &mut rx[from];
@@ -849,7 +842,6 @@ impl ClusterInner {
             return;
         }
         link.acked_below = ack;
-        link.seen = link.seen.split_off(&ack);
         link.reply_cache.retain(|&req, _| req >= ack);
     }
 

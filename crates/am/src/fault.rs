@@ -80,12 +80,6 @@ impl Outage {
         }
     }
 
-    /// Restricts the outage to messages from `src`.
-    pub fn from_src(mut self, src: usize) -> Self {
-        self.src = Some(src);
-        self
-    }
-
     /// Restricts the outage to messages to `dst`.
     pub fn to_dst(mut self, dst: usize) -> Self {
         self.dst = Some(dst);
@@ -94,7 +88,7 @@ impl Outage {
 
     /// True if this outage swallows a message on `(src, dst)` hitting the
     /// wire at `t`.
-    pub fn covers(&self, t: SimTime, src: usize, dst: usize) -> bool {
+    pub(crate) fn covers(&self, t: SimTime, src: usize, dst: usize) -> bool {
         self.start <= t
             && t < self.end
             && self.src.is_none_or(|s| s == src)
@@ -233,13 +227,13 @@ impl FaultPlan {
 
     /// True if some outage swallows a message on `(src, dst)` hitting the
     /// wire at `t`.
-    pub fn in_outage(&self, t: SimTime, src: usize, dst: usize) -> bool {
+    pub(crate) fn in_outage(&self, t: SimTime, src: usize, dst: usize) -> bool {
         self.outages.iter().flatten().any(|o| o.covers(t, src, dst))
     }
 
     /// Drop decision for injection attempt `nonce` on `(src, dst)`; bulk
     /// messages call once per fragment with distinct `frag` indices.
-    pub fn drops(&self, src: usize, dst: usize, nonce: u64, frag: u32, bulk: bool) -> bool {
+    pub(crate) fn drops(&self, src: usize, dst: usize, nonce: u64, frag: u32, bulk: bool) -> bool {
         let ppm = if bulk {
             self.drop_bulk_ppm
         } else {
@@ -252,14 +246,14 @@ impl FaultPlan {
     }
 
     /// Duplication decision for injection attempt `nonce` on `(src, dst)`.
-    pub fn duplicates(&self, src: usize, dst: usize, nonce: u64) -> bool {
+    pub(crate) fn duplicates(&self, src: usize, dst: usize, nonce: u64) -> bool {
         roll(self.decision(src, dst, nonce, 0, salt::DUP), self.dup_ppm)
     }
 
     /// Extra transit delay for delivery `copy` (0 = original, 1 = the
     /// duplicate) of injection attempt `nonce` on `(src, dst)` — uniform
     /// in `[0, jitter_max]`.
-    pub fn jitter(&self, src: usize, dst: usize, nonce: u64, copy: u64) -> SimDelta {
+    pub(crate) fn jitter(&self, src: usize, dst: usize, nonce: u64, copy: u64) -> SimDelta {
         let bound = self.jitter_max.as_nanos();
         if bound == 0 {
             return SimDelta::ZERO;
@@ -388,7 +382,7 @@ impl NodeFault {
     }
 
     /// True if the processor is frozen at `t`.
-    pub fn frozen(&self, t: SimTime) -> bool {
+    pub(crate) fn frozen(&self, t: SimTime) -> bool {
         self.crash_at <= t && t < self.recover_at
     }
 
@@ -505,18 +499,18 @@ impl NodeFaultPlan {
     }
 
     /// True if `node` is frozen (crashed, not yet recovered) at `t`.
-    pub fn frozen(&self, node: usize, t: SimTime) -> bool {
+    pub(crate) fn frozen(&self, node: usize, t: SimTime) -> bool {
         self.fault_of(node).is_some_and(|f| f.frozen(t))
     }
 
     /// Overhead/compute slowdown multiplier for `node`, in parts per
     /// million ([`PPM_SCALE`] for a healthy node).
-    pub fn slowdown_ppm(&self, node: usize) -> u32 {
+    pub(crate) fn slowdown_ppm(&self, node: usize) -> u32 {
         self.fault_of(node).map_or(PPM_SCALE, |f| f.slowdown_ppm)
     }
 
     /// Scales a host charge by `node`'s straggler multiplier.
-    pub fn scale(&self, node: usize, d: SimDelta) -> SimDelta {
+    pub(crate) fn scale(&self, node: usize, d: SimDelta) -> SimDelta {
         let ppm = self.slowdown_ppm(node);
         if ppm == PPM_SCALE {
             return d;
@@ -533,7 +527,7 @@ impl NodeFaultPlan {
     /// The control plane stops re-arming ticks past this point — after
     /// it, no tick can change detector state, so bare clusters with no
     /// SPMD epilogue still reach quiescence.
-    pub fn settle_by(&self) -> SimTime {
+    pub(crate) fn settle_by(&self) -> SimTime {
         let mut t = SimTime::ZERO;
         for f in self.faults.iter().flatten() {
             if !f.crashes() {
@@ -734,7 +728,10 @@ mod tests {
         assert!(o.covers(SimTime::from_nanos(199), 3, 2));
         assert!(!o.covers(SimTime::from_nanos(200), 0, 1));
         assert!(!o.covers(SimTime::from_nanos(99), 0, 1));
-        let scoped = o.from_src(1).to_dst(2);
+        let scoped = Outage {
+            src: Some(1),
+            ..o.to_dst(2)
+        };
         assert!(scoped.covers(SimTime::from_nanos(150), 1, 2));
         assert!(!scoped.covers(SimTime::from_nanos(150), 1, 3));
         assert!(!scoped.covers(SimTime::from_nanos(150), 0, 2));
@@ -788,7 +785,9 @@ mod tests {
         assert!(bridged.in_outage(t(175), 0, 1));
         // Different scopes never merge: per-link and all-links windows
         // are distinct fault populations.
-        let scoped = FaultPlan::none().with_outage(a).with_outage(b.from_src(1));
+        let scoped = FaultPlan::none()
+            .with_outage(a)
+            .with_outage(Outage { src: Some(1), ..b });
         assert_eq!(scoped.outages.iter().flatten().count(), 2);
     }
 

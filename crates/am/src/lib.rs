@@ -82,8 +82,7 @@ pub use fault::{
 };
 pub use message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReplyData, ReqId};
 pub use params::{
-    mb_per_s_from_per_byte, per_byte_from_mb_per_s, Knobs, LatencyMode, LoggpParams, NetConfig,
-    GAM_FRAG_BYTES, GAM_SHORT_WIRE_BYTES, GAM_WINDOW,
+    Knobs, LatencyMode, LoggpParams, NetConfig, GAM_FRAG_BYTES, GAM_SHORT_WIRE_BYTES, GAM_WINDOW,
 };
 pub use port::AmPort;
 pub use stats::{render_balance_matrix, CollKind, CommStats, ProcCounters};

@@ -42,7 +42,7 @@ impl Payload {
     }
 
     /// Number of payload bytes on the wire.
-    pub fn wire_bytes(&self) -> u32 {
+    pub(crate) fn wire_bytes(&self) -> u32 {
         match self {
             Payload::None => 0,
             Payload::Words(w) => (w.len() * 8) as u32,
@@ -51,7 +51,7 @@ impl Payload {
     }
 
     /// True if there is no payload.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         matches!(self, Payload::None)
     }
 
@@ -120,7 +120,7 @@ pub struct Msg {
 impl Msg {
     /// True if this message uses the bulk-transfer mechanism (it carries a
     /// payload beyond the four argument words).
-    pub fn is_bulk(&self) -> bool {
+    pub(crate) fn is_bulk(&self) -> bool {
         !self.payload.is_none()
     }
 }

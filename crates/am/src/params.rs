@@ -123,7 +123,7 @@ impl fmt::Display for LoggpParams {
 /// # Panics
 ///
 /// Panics if `mb_per_s` is not strictly positive and finite.
-pub fn per_byte_from_mb_per_s(mb_per_s: f64) -> SimDelta {
+pub(crate) fn per_byte_from_mb_per_s(mb_per_s: f64) -> SimDelta {
     assert!(
         mb_per_s.is_finite() && mb_per_s > 0.0,
         "bandwidth must be positive, got {mb_per_s}"
@@ -133,7 +133,7 @@ pub fn per_byte_from_mb_per_s(mb_per_s: f64) -> SimDelta {
 }
 
 /// Converts a per-byte gap back to MB/s (0 means "infinite bandwidth").
-pub fn mb_per_s_from_per_byte(per_byte: SimDelta) -> f64 {
+pub(crate) fn mb_per_s_from_per_byte(per_byte: SimDelta) -> f64 {
     if per_byte.is_zero() {
         f64::INFINITY
     } else {

@@ -227,20 +227,6 @@ impl AmPort {
         }
     }
 
-    /// Drains every message currently visible at this processor, charging
-    /// receive overhead and running handlers (replies charged as sends).
-    pub async fn poll(&self) {
-        if self.inner.node_plan {
-            self.crash_gate().await;
-        }
-        loop {
-            match self.inner.pop_rx(self.proc) {
-                Some(slot) => self.process_incoming(slot).await,
-                None => return,
-            }
-        }
-    }
-
     /// Services at most `max` visible messages (the bounded poll GAM's
     /// send path performs — an unbounded drain would let a steady inbound
     /// stream starve the sender and serialize pipelines).
@@ -372,16 +358,14 @@ impl AmPort {
                 // The sender already received our reply; this copy
                 // wandered the network too long. Nothing to re-send.
                 Verdict::Stale
-            } else if link.seen.contains(&msg.req) {
-                match link.reply_cache.get(&msg.req) {
-                    Some(cached) => Verdict::Replay(cached.clone()),
-                    None => Verdict::Stale,
-                }
+            } else if let Some(cached) = link.reply_cache.get(&msg.req) {
+                // Its handler ran: the reply is cached from the same
+                // synchronous step (no await between), until acked.
+                Verdict::Replay(cached.clone())
             } else {
                 // First processing of this link's next sequence step.
                 debug_assert_eq!(msg.seq, link.next_seq, "fresh request out of order");
                 link.next_seq = msg.seq + 1;
-                link.seen.insert(msg.req);
                 Verdict::Fresh
             }
         };
@@ -806,7 +790,7 @@ mod tests {
     #[test]
     fn window_limits_outstanding_requests() {
         let (sim, cluster, h) = two_proc();
-        let cfgw = cluster.config().window as u64;
+        let cfgw = cluster.inner.cfg.window as u64;
         let port0 = cluster.port(0);
         let port1 = cluster.port(1);
         sim.spawn(async move { port1.wait_until(|| false).await });

@@ -112,11 +112,6 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    /// Number of processors covered.
-    pub fn procs(&self) -> usize {
-        self.per_proc.len()
-    }
-
     /// Average messages sent per processor.
     pub fn avg_msgs_per_proc(&self) -> f64 {
         if self.per_proc.is_empty() {

@@ -56,7 +56,7 @@ fn unit_rank(ident: &str) -> Option<u8> {
 }
 
 /// Runs the `FLT`/`TIM` families applicable under `scope`.
-pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnostic> {
+pub(crate) fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     if scope.sim_visible {
         lint_float_sums(path, model, &mut diags);

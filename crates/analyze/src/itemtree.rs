@@ -91,7 +91,7 @@ pub struct FileModel {
 
 impl FileModel {
     /// Lexes and parses `source`.
-    pub fn parse(source: &str) -> FileModel {
+    pub(crate) fn parse(source: &str) -> FileModel {
         let toks = lex(source);
         let mut model = FileModel {
             toks,
@@ -108,13 +108,13 @@ impl FileModel {
     }
 
     /// True if token `idx` sits inside `#[cfg(test)]` code.
-    pub fn in_test(&self, idx: usize) -> bool {
+    pub(crate) fn in_test(&self, idx: usize) -> bool {
         self.test_ranges.iter().any(|r| r.contains(&idx))
     }
 
     /// True if token `idx` sits inside a `const`/`static` item (the one
     /// sanctioned home for raw time literals).
-    pub fn in_const(&self, idx: usize) -> bool {
+    pub(crate) fn in_const(&self, idx: usize) -> bool {
         self.consts.iter().any(|c| c.range.contains(&idx))
     }
 }

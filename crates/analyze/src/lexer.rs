@@ -14,7 +14,7 @@
 pub enum TokKind {
     /// Identifier or keyword.
     Ident,
-    /// Integer literal (value available via [`Tok::int_value`]).
+    /// Integer literal (value available via `Tok::int_value`).
     Int,
     /// Float literal (`2.9`, `1.5e-3`, `0.0f64`), kept as one token so the
     /// float-determinism lints can recognize literal accumulator seeds.
@@ -38,7 +38,7 @@ impl Tok {
     /// Numeric value of an integer literal, tolerating `_` separators,
     /// `0x`/`0o`/`0b` radix prefixes, and type suffixes (`4096u32`).
     /// Returns `None` for non-integer tokens or overflow.
-    pub fn int_value(&self) -> Option<u64> {
+    pub(crate) fn int_value(&self) -> Option<u64> {
         if self.kind != TokKind::Int {
             return None;
         }
@@ -69,7 +69,7 @@ impl Tok {
 /// Index of the `r` that closes the `l` at `open`, or of the last token
 /// when the delimiters do not balance. A stray `r` before any `l` closes
 /// at once.
-pub fn match_delim(toks: &[Tok], open: usize, l: &str, r: &str) -> usize {
+pub(crate) fn match_delim(toks: &[Tok], open: usize, l: &str, r: &str) -> usize {
     let mut depth = 0usize;
     for (i, t) in toks.iter().enumerate().skip(open) {
         if t.text == l {
@@ -85,7 +85,7 @@ pub fn match_delim(toks: &[Tok], open: usize, l: &str, r: &str) -> usize {
 }
 
 /// Scans `source` into a token stream with comments and literals stripped.
-pub fn lex(source: &str) -> Vec<Tok> {
+pub(crate) fn lex(source: &str) -> Vec<Tok> {
     let b: Vec<char> = source.chars().collect();
     let n = b.len();
     let mut toks = Vec::new();

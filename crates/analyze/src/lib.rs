@@ -131,7 +131,7 @@ const SIM_CRATES: &[&str] = &[
 /// Determines the lint scope for a workspace-relative `.rs` path, or
 /// `None` if the file is out of scope (tests, examples, fixtures — anything
 /// outside a `src/` tree).
-pub fn scope_for(rel: &str) -> Option<Scope> {
+pub(crate) fn scope_for(rel: &str) -> Option<Scope> {
     if !rel.ends_with(".rs") {
         return None;
     }
@@ -155,7 +155,7 @@ pub fn scope_for(rel: &str) -> Option<Scope> {
 /// Lints a single parsed [`FileModel`] under the given scope: the
 /// token-level lints ([`lints`]) plus the item-tree families
 /// ([`families`]).
-pub fn scan_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnostic> {
+pub(crate) fn scan_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnostic> {
     let mut diags = lints::lint_model(path, model, scope);
     diags.extend(families::lint_model(path, model, scope));
     diags

@@ -26,7 +26,7 @@ const HANDLER_FORBIDDEN_CALLS: &[&str] = &["request", "post", "post_bulk", "inje
 /// Runs every token-level lint applicable under `scope` over a parsed
 /// [`FileModel`]. Test exemption comes from the item tree's exact
 /// `#[cfg(test)]` attribute tracking.
-pub fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnostic> {
+pub(crate) fn lint_model(path: &str, model: &FileModel, scope: &Scope) -> Vec<Diagnostic> {
     let toks = &model.toks;
     let in_test = |i: usize| model.in_test(i);
     let mut diags = Vec::new();

@@ -64,7 +64,7 @@ pub struct BarnesParams {
 
 impl BarnesParams {
     /// Default benchmark size (paper: 1M bodies; scaled per DESIGN.md).
-    pub fn benchmark() -> Self {
+    pub(crate) fn benchmark() -> Self {
         BarnesParams {
             bodies: 2_048,
             steps: 2,
@@ -74,7 +74,7 @@ impl BarnesParams {
     }
 
     /// A reduced size for tests.
-    pub fn small() -> Self {
+    pub(crate) fn small() -> Self {
         BarnesParams {
             bodies: 192,
             steps: 1,
@@ -83,14 +83,8 @@ impl BarnesParams {
         }
     }
 
-    /// Scales the body count by `f`.
-    pub fn scaled(mut self, f: f64) -> Self {
-        self.bodies = ((self.bodies as f64 * f) as usize).max(128);
-        self
-    }
-
     /// Total tree cells over all levels.
-    pub fn total_cells(&self) -> usize {
+    pub(crate) fn total_cells(&self) -> usize {
         ((8usize.pow(self.depth + 1)) - 1) / 7
     }
 }
@@ -216,7 +210,7 @@ pub struct Barnes {
 
 impl Barnes {
     /// Creates the app with the given parameters.
-    pub fn new(params: BarnesParams) -> Self {
+    pub(crate) fn new(params: BarnesParams) -> Self {
         Barnes { params }
     }
 }

@@ -37,7 +37,12 @@ impl TraceSink for Both {
 /// `body` returns this processor's contribution to the run's correctness
 /// checksum; contributions are combined commutatively (wrapping add) so the
 /// check is independent of completion order.
-pub fn execute<S, F, Fut>(spec: &RunSpec, policy: DegradePolicy, setup: S, body: F) -> RunOutcome
+pub(crate) fn execute<S, F, Fut>(
+    spec: &RunSpec,
+    policy: DegradePolicy,
+    setup: S,
+    body: F,
+) -> RunOutcome
 where
     S: FnOnce(&SplitC),
     F: Fn(Ctx) -> Fut,
@@ -140,7 +145,7 @@ where
 /// before this call are excluded from runtime and message statistics.
 ///
 /// Call from **every** processor (it contains barriers).
-pub async fn start_measured_region(ctx: &Ctx) {
+pub(crate) async fn start_measured_region(ctx: &Ctx) {
     ctx.barrier().await;
     if ctx.me() == 0 {
         ctx.reset_measurement();
@@ -152,7 +157,7 @@ pub async fn start_measured_region(ctx: &Ctx) {
 /// are frozen so result verification afterwards is not counted.
 ///
 /// Call from **every** processor.
-pub async fn end_measured_region(ctx: &Ctx) {
+pub(crate) async fn end_measured_region(ctx: &Ctx) {
     ctx.barrier().await;
     if ctx.me() == 0 {
         ctx.freeze_measurement();
@@ -162,7 +167,7 @@ pub async fn end_measured_region(ctx: &Ctx) {
 /// Deterministic per-processor workload RNG: a function of the run seed,
 /// the processor id, and a stream tag (so different phases draw
 /// independent, reproducible streams).
-pub fn proc_rng(seed: u64, proc: usize, stream: u64) -> SmallRng {
+pub(crate) fn proc_rng(seed: u64, proc: usize, stream: u64) -> SmallRng {
     SmallRng::seed_from_u64(
         seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (proc as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
@@ -172,7 +177,7 @@ pub fn proc_rng(seed: u64, proc: usize, stream: u64) -> SmallRng {
 
 /// The contiguous block of `n` items owned by processor `i` of `p`
 /// (balanced block partition).
-pub fn block_range(n: usize, p: usize, i: usize) -> std::ops::Range<usize> {
+pub(crate) fn block_range(n: usize, p: usize, i: usize) -> std::ops::Range<usize> {
     let base = n / p;
     let extra = n % p;
     let start = i * base + i.min(extra);
@@ -181,7 +186,7 @@ pub fn block_range(n: usize, p: usize, i: usize) -> std::ops::Range<usize> {
 }
 
 /// The owner of item `idx` under [`block_range`] partitioning.
-pub fn block_owner(n: usize, p: usize, idx: usize) -> usize {
+pub(crate) fn block_owner(n: usize, p: usize, idx: usize) -> usize {
     debug_assert!(idx < n);
     let base = n / p;
     let extra = n % p;
@@ -234,7 +239,7 @@ impl<T: Copy> FifoCache<T> {
 }
 
 /// 64-bit splittable hash (used for state ownership, edge coin flips, …).
-pub fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^= x >> 33;
     x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     x ^= x >> 33;

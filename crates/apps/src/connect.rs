@@ -39,7 +39,7 @@ pub struct ConnectParams {
 
 impl ConnectParams {
     /// Default benchmark size (paper: 4M-node mesh; scaled per DESIGN.md).
-    pub fn benchmark() -> Self {
+    pub(crate) fn benchmark() -> Self {
         ConnectParams {
             rows: 256,
             cols: 96,
@@ -48,25 +48,12 @@ impl ConnectParams {
     }
 
     /// A reduced size for tests.
-    pub fn small() -> Self {
+    pub(crate) fn small() -> Self {
         ConnectParams {
             rows: 32,
             cols: 32,
             pct_connected: 30,
         }
-    }
-
-    /// Scales both dimensions by `sqrt(f)` (node count by ~`f`).
-    pub fn scaled(mut self, f: f64) -> Self {
-        let s = f.sqrt();
-        self.rows = ((self.rows as f64 * s) as usize).max(16);
-        self.cols = ((self.cols as f64 * s) as usize).max(16);
-        self
-    }
-
-    /// Total nodes.
-    pub fn nodes(&self) -> usize {
-        self.rows * self.cols
     }
 }
 
@@ -74,45 +61,6 @@ impl ConnectParams {
 /// canonical (node, direction) pair. `dir` 0 = right, 1 = down.
 fn edge_present(seed: u64, node: usize, dir: u8, pct: u32) -> bool {
     mix64(seed ^ ((node as u64) << 2) ^ dir as u64) % 100 < pct as u64
-}
-
-/// Sequential reference: (component count, sum of min-label roots).
-pub fn sequential_components(params: &ConnectParams, seed: u64) -> (u64, u64) {
-    let n = params.nodes();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let (rows, cols) = (params.rows, params.cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            let u = r * cols + c;
-            if c + 1 < cols && edge_present(seed, u, 0, params.pct_connected) {
-                let (ra, rb) = (find(&mut parent, u), find(&mut parent, u + 1));
-                let (lo, hi) = (ra.min(rb), ra.max(rb));
-                parent[hi] = lo;
-            }
-            if r + 1 < rows && edge_present(seed, u, 1, params.pct_connected) {
-                let (ra, rb) = (find(&mut parent, u), find(&mut parent, u + cols));
-                let (lo, hi) = (ra.min(rb), ra.max(rb));
-                parent[hi] = lo;
-            }
-        }
-    }
-    let mut count = 0u64;
-    let mut label_sum = 0u64;
-    for x in 0..n {
-        let r = find(&mut parent, x);
-        if r == x {
-            count += 1;
-        }
-        label_sum = label_sum.wrapping_add(r as u64);
-    }
-    (count, label_sum)
 }
 
 /// The connected-components application.
@@ -123,7 +71,7 @@ pub struct Connect {
 
 impl Connect {
     /// Creates the app with the given parameters.
-    pub fn new(params: ConnectParams) -> Self {
+    pub(crate) fn new(params: ConnectParams) -> Self {
         Connect { params }
     }
 }
@@ -311,6 +259,45 @@ async fn connect_body(ctx: nowlab_splitc::Ctx, params: ConnectParams, seed: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sequential reference: (component count, sum of min-label roots).
+    fn sequential_components(params: &ConnectParams, seed: u64) -> (u64, u64) {
+        let n = params.rows * params.cols;
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        let (rows, cols) = (params.rows, params.cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                let u = r * cols + c;
+                if c + 1 < cols && edge_present(seed, u, 0, params.pct_connected) {
+                    let (ra, rb) = (find(&mut parent, u), find(&mut parent, u + 1));
+                    let (lo, hi) = (ra.min(rb), ra.max(rb));
+                    parent[hi] = lo;
+                }
+                if r + 1 < rows && edge_present(seed, u, 1, params.pct_connected) {
+                    let (ra, rb) = (find(&mut parent, u), find(&mut parent, u + cols));
+                    let (lo, hi) = (ra.min(rb), ra.max(rb));
+                    parent[hi] = lo;
+                }
+            }
+        }
+        let mut count = 0u64;
+        let mut label_sum = 0u64;
+        for x in 0..n {
+            let r = find(&mut parent, x);
+            if r == x {
+                count += 1;
+            }
+            label_sum = label_sum.wrapping_add(r as u64);
+        }
+        (count, label_sum)
+    }
 
     #[test]
     fn matches_sequential_reference() {

@@ -39,4 +39,4 @@ pub mod radix;
 pub mod sample;
 pub mod suite;
 
-pub use suite::{benchmark_suite, suite_scaled, SuiteScale};
+pub use suite::{suite_scaled, SuiteScale};

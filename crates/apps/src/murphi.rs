@@ -49,12 +49,12 @@ pub struct MurphiParams {
 
 impl MurphiParams {
     /// Default benchmark size.
-    pub fn benchmark() -> Self {
+    pub(crate) fn benchmark() -> Self {
         MurphiParams { caches: 6 }
     }
 
     /// A reduced size for tests.
-    pub fn small() -> Self {
+    pub(crate) fn small() -> Self {
         MurphiParams { caches: 3 }
     }
 }
@@ -71,7 +71,7 @@ fn with_cache(s: u32, i: u32, st: u32, pend: u32) -> u32 {
 }
 
 /// The coherence invariant: at most one M, and M implies all others I.
-pub fn invariant_holds(s: u32, caches: u32) -> bool {
+pub(crate) fn invariant_holds(s: u32, caches: u32) -> bool {
     let m_count = (0..caches).filter(|&i| cache_state(s, i) == M).count();
     if m_count > 1 {
         return false;
@@ -83,7 +83,7 @@ pub fn invariant_holds(s: u32, caches: u32) -> bool {
 }
 
 /// All successor states of `s` under the protocol rules.
-pub fn successors(s: u32, caches: u32) -> Vec<u32> {
+pub(crate) fn successors(s: u32, caches: u32) -> Vec<u32> {
     let mut out = Vec::new();
     for i in 0..caches {
         let st = cache_state(s, i);
@@ -146,20 +146,12 @@ pub enum Model {
 
 impl Model {
     /// The initial state.
-    pub fn initial(self) -> u64 {
+    pub(crate) fn initial(self) -> u64 {
         0
     }
 
-    /// Short model name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Model::Msi { .. } => "msi",
-            Model::Filter { .. } => "filter",
-        }
-    }
-
     /// All successor states of `s`.
-    pub fn successors(self, s: u64) -> Vec<u64> {
+    pub(crate) fn successors(self, s: u64) -> Vec<u64> {
         match self {
             Model::Msi { caches } => successors(s as u32, caches)
                 .into_iter()
@@ -170,7 +162,7 @@ impl Model {
     }
 
     /// The model's safety invariant.
-    pub fn invariant(self, s: u64) -> bool {
+    pub(crate) fn invariant(self, s: u64) -> bool {
         match self {
             Model::Msi { caches } => invariant_holds(s as u32, caches),
             Model::Filter { procs } => filter_invariant(s, procs),
@@ -245,7 +237,7 @@ pub fn sequential_explore(params: &MurphiParams) -> (u64, u64) {
 }
 
 /// Sequential BFS over any [`Model`]; returns (state count, hash sum).
-pub fn sequential_explore_model(model: Model) -> (u64, u64) {
+pub(crate) fn sequential_explore_model(model: Model) -> (u64, u64) {
     let mut visited = BTreeSet::new();
     let mut queue = VecDeque::from([model.initial()]);
     let mut hash_sum = 0u64;
@@ -278,11 +270,6 @@ impl Murphi {
                 caches: params.caches,
             },
         }
-    }
-
-    /// Creates the verifier over an arbitrary [`Model`].
-    pub fn with_model(model: Model) -> Self {
-        Murphi { model }
     }
 }
 
@@ -482,7 +469,7 @@ mod tests {
     fn filter_model_runs_in_parallel_and_matches_sequential() {
         let model = Model::Filter { procs: 3 };
         let (count, hash_sum) = sequential_explore_model(model);
-        let out = Murphi::with_model(model).run(&RunSpec::new(4));
+        let out = Murphi { model }.run(&RunSpec::new(4));
         assert!(out.completed);
         assert_eq!(out.check, hash_sum.wrapping_add(count));
     }

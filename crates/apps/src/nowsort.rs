@@ -33,7 +33,7 @@ pub struct Disk {
 
 impl Disk {
     /// A disk idle from time zero.
-    pub fn new(mb_per_s: f64) -> Self {
+    pub(crate) fn new(mb_per_s: f64) -> Self {
         Disk {
             mb_per_s,
             free_at: SimTime::ZERO,
@@ -42,7 +42,7 @@ impl Disk {
 
     /// Queues a sequential transfer of `bytes` starting no earlier than
     /// `now`; returns its completion time.
-    pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
+    pub(crate) fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let start = self.free_at.max(now);
         let dur = SimDelta::from_secs(bytes as f64 / (self.mb_per_s * 1e6));
         self.free_at = start + dur;
@@ -65,7 +65,7 @@ pub struct NowSortParams {
 
 impl NowSortParams {
     /// Default benchmark size (paper: 32M records; scaled per DESIGN.md).
-    pub fn benchmark() -> Self {
+    pub(crate) fn benchmark() -> Self {
         NowSortParams {
             records: 96 * 1024,
             record_bytes: 100,
@@ -82,12 +82,6 @@ impl NowSortParams {
             batch_records: 256,
             disk_mb_per_s: 5.5,
         }
-    }
-
-    /// Scales the record count by `f`.
-    pub fn scaled(mut self, f: f64) -> Self {
-        self.records = ((self.records as f64 * f) as usize).max(4_096);
-        self
     }
 }
 

@@ -64,14 +64,6 @@ impl PrayParams {
             grid: 4,
         }
     }
-
-    /// Scales the pixel count by ~`f`.
-    pub fn scaled(mut self, f: f64) -> Self {
-        let s = f.sqrt();
-        self.width = ((self.width as f64 * s) as usize).max(16);
-        self.height = ((self.height as f64 * s) as usize).max(16);
-        self
-    }
 }
 
 /// A sphere in fixed point: center (x, y, z ∈ [0,1)) and radius.

@@ -71,7 +71,7 @@ mod tests {
         let out = app.run(&RunSpec::new(4));
         assert!(out.completed);
         // The keys move as bulk payload: bulk bytes dwarf short-message
-        // bytes even though the histogram chain sends many short messages.
+        // bytes.
         assert!(
             out.stats.bulk_kb_per_s() > out.stats.small_kb_per_s(),
             "bulk {} KB/s vs small {} KB/s",

@@ -3,8 +3,8 @@
 //! Sorts a large collection of keys spread over the processors. Each pass:
 //! (1) local per-digit histogram, (2) global histogram over the
 //! collectives layer (a model-selected allgather of bucket counts — see
-//! [`crate::histogram`], which also keeps the paper's hand-rolled
-//! pipelined cyclic shift as the differential baseline), (3) distribution
+//! [`crate::histogram`]; the paper ran a hand-rolled pipelined cyclic
+//! shift here), (3) distribution
 //! — every key is sent to its globally ranked position with an individual
 //! short remote write. Frequent, write-based, balanced communication: the
 //! paper's most overhead- and gap-sensitive application.
@@ -20,7 +20,7 @@ use crate::common::{
     block_owner, block_range, end_measured_region, execute, proc_rng, start_measured_region,
     DegradePolicy,
 };
-use crate::histogram::{global_histogram_coll, GlobalHistogram};
+use crate::histogram::{global_histogram, GlobalHistogram};
 
 /// Per-key cost of histogramming (digit extraction + counter bump).
 const C_HIST: SimDelta = SimDelta::from_nanos(40);
@@ -65,12 +65,12 @@ impl RadixParams {
     }
 
     /// Number of passes (`key_bits / digit_bits`).
-    pub fn passes(&self) -> u32 {
+    pub(crate) fn passes(&self) -> u32 {
         self.key_bits.div_ceil(self.digit_bits)
     }
 
     /// Buckets per pass.
-    pub fn buckets(&self) -> usize {
+    pub(crate) fn buckets(&self) -> usize {
         1 << self.digit_bits
     }
 }
@@ -200,7 +200,7 @@ pub(crate) async fn radix_body(
 
         // Phase 2: global histogram over the collectives layer.
         ctx.phase("global-hist");
-        let hist = global_histogram_coll(&ctx, &counts).await;
+        let hist = global_histogram(&ctx, &counts).await;
 
         // Phase 3: distribution to globally ranked positions.
         ctx.phase("distribute");

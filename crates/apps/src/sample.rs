@@ -29,7 +29,7 @@ pub struct SampleParams {
 
 impl SampleParams {
     /// Default benchmark size (paper: 32M keys; scaled per DESIGN.md).
-    pub fn benchmark() -> Self {
+    pub(crate) fn benchmark() -> Self {
         SampleParams {
             total_keys: 128 * 1024,
             oversample: 8,

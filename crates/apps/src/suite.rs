@@ -21,11 +21,6 @@ pub enum SuiteScale {
     Benchmark,
 }
 
-/// The ten applications at benchmark scale, in the paper's Table 3 order.
-pub fn benchmark_suite() -> Vec<Box<dyn SweepableApp>> {
-    suite_scaled(SuiteScale::Benchmark)
-}
-
 /// The ten applications at the chosen scale, in the paper's Table 3 order.
 pub fn suite_scaled(scale: SuiteScale) -> Vec<Box<dyn SweepableApp>> {
     match scale {
@@ -40,9 +35,9 @@ pub fn suite_scaled(scale: SuiteScale) -> Vec<Box<dyn SweepableApp>> {
             Box::new(Connect::new(ConnectParams::benchmark())),
             Box::new(NowSort::new(NowSortParams::benchmark())),
             // Radb keeps the paper's "same keys as Radix" structure but at 8x
-            // the key count: its serial histogram chain is P-dependent, so a
-            // larger local share restores the paper's compute/comm ratio
-            // (DESIGN.md §6).
+            // the key count: its histogram costs the same whatever the key
+            // count, so a larger local share restores the paper's
+            // compute/comm ratio (DESIGN.md §6).
             Box::new(Radb::new(RadixParams::benchmark().scaled(8.0))),
         ],
         SuiteScale::Test => vec![

@@ -74,18 +74,6 @@ pub enum OpSpec {
     AllToAll(A2aAlgo, usize),
 }
 
-impl OpSpec {
-    /// The payload size in bytes the cost model sees for this op.
-    pub fn bytes(&self) -> u64 {
-        match self {
-            OpSpec::Broadcast(_, n) | OpSpec::Allgather(_, n) | OpSpec::AllToAll(_, n) => {
-                *n as u64 * 8
-            }
-            OpSpec::Reduce(_) => 0,
-        }
-    }
-}
-
 /// What [`measure`] observed.
 #[derive(Clone, Debug)]
 pub struct Measured {

@@ -102,7 +102,7 @@ fn client_server(
 /// Differences two long bursts so the pipelined start-up transient cancels
 /// exactly — the equivalent of reading the flat tail of the Figure 3
 /// signature.
-pub fn steady_interval_us(net: NetConfig, delta: SimDelta) -> f64 {
+pub(crate) fn steady_interval_us(net: NetConfig, delta: SimDelta) -> f64 {
     const M1: usize = 256;
     const M2: usize = 512;
     let t1 = burst_total(net, M1, delta);
@@ -174,7 +174,7 @@ pub fn calibrate(net: NetConfig) -> Calibration {
 /// Measures sustained bulk bandwidth (MB/s) by streaming `m` bulk messages
 /// of `bytes` each and dividing by the steady-state interval (§3.3's `G`
 /// calibration).
-pub fn bulk_bandwidth_mb_per_s(net: NetConfig, bytes: u32, m: usize) -> f64 {
+pub(crate) fn bulk_bandwidth_mb_per_s(net: NetConfig, bytes: u32, m: usize) -> f64 {
     assert!(m > 1 && bytes > 0);
     let total = client_server(net, async move |port, h| {
         for _ in 0..m {

@@ -43,8 +43,7 @@ pub mod sweep;
 
 pub use models::SensitivityModel;
 pub use nowlab_am::{
-    mb_per_s_from_per_byte, per_byte_from_mb_per_s, CommStats, FaultPlan, Knobs, LoggpParams,
-    NetConfig, NodeFault, NodeFaultPlan, Outage, RunAbort,
+    CommStats, FaultPlan, Knobs, LoggpParams, NetConfig, NodeFault, NodeFaultPlan, Outage, RunAbort,
 };
 pub use nowlab_metrics::json;
 pub use nowlab_metrics::{
@@ -57,10 +56,7 @@ pub use nowlab_splitc::{
     GatherAlgo, ReduceAlgo, Selector,
 };
 pub use nowlab_trace::{TraceMode, TraceReport, TraceSummary};
-pub use predict::{
-    predict_app, render_predict_report, render_report_auto, AxisPrediction, PredictPoint,
-    Prediction,
-};
+pub use predict::{predict_app, render_report_auto, AxisPrediction, PredictPoint, Prediction};
 pub use sweep::par::{default_jobs, parallel_map};
 pub use sweep::{
     sweep, sweep_jobs, sweep_many, Axis, AxisSweep, RunOutcome, RunSpec, SweepError, SweepPoint,

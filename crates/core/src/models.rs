@@ -138,13 +138,6 @@ pub struct LinFit {
     pub r2: f64,
 }
 
-impl LinFit {
-    /// Evaluates the fitted line at `x`.
-    pub fn at(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-}
-
 /// Fits `y = a + b·x` by least squares.
 ///
 /// # Panics
@@ -242,7 +235,6 @@ mod tests {
         assert!((f.slope - 2.0).abs() < 1e-12);
         assert!((f.intercept - 1.0).abs() < 1e-12);
         assert!((f.r2 - 1.0).abs() < 1e-12);
-        assert!((f.at(10.0) - 21.0).abs() < 1e-12);
     }
 
     #[test]

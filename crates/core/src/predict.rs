@@ -250,7 +250,7 @@ impl Prediction {
     }
 
     /// Renders the prediction for the terminal — by round-tripping
-    /// through the JSON writer and [`render_predict_report`], so the live
+    /// through the JSON writer and `render_predict_report`, so the live
     /// `nowlab predict` output and a later `nowlab report FILE.json` are
     /// character-identical.
     pub fn render(&self) -> String {
@@ -273,7 +273,7 @@ fn field<'v, T>(v: &'v Value, key: &str, get: fn(&'v Value) -> Option<T>) -> Res
 /// terminal output (sweep tables, tolerance-threshold lines, and the
 /// critical-path breakdown). Every field the schema requires must be
 /// there with its type; anything else is an error, never a default.
-pub fn render_predict_report(text: &str) -> Result<String, String> {
+pub(crate) fn render_predict_report(text: &str) -> Result<String, String> {
     render_predict(&json::parse(text)?)
 }
 
@@ -417,7 +417,7 @@ fn render_predict(v: &Value) -> Result<String, String> {
 }
 
 /// Renders a saved report of either schema: predict reports go through
-/// [`render_predict_report`], everything else through the metrics
+/// `render_predict_report`, everything else through the metrics
 /// renderer, from one parse of `text`. This is what `nowlab report
 /// FILE.json` calls.
 pub fn render_report_auto(text: &str) -> Result<String, String> {

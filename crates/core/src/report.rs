@@ -45,16 +45,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders as comma-separated values (headers first).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -167,8 +157,7 @@ mod tests {
         assert!(s.contains("== demo =="));
         assert!(s.contains("| alpha |     1 |"));
         assert!(s.contains("|     b |    22 |"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

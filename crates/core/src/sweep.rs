@@ -174,7 +174,7 @@ pub enum Axis {
 }
 
 impl Axis {
-    /// Parses an `--axis` spelling: the [`Axis::slug`] or an alias.
+    /// Parses an `--axis` spelling: the `Axis::slug` or an alias.
     pub fn parse(s: &str) -> Option<Axis> {
         match s {
             "overhead" | "o" => Some(Axis::Overhead),
@@ -187,7 +187,7 @@ impl Axis {
     }
 
     /// The `--axis` spelling, also the predict report's JSON `"axis"`.
-    pub fn slug(self) -> &'static str {
+    pub(crate) fn slug(self) -> &'static str {
         match self {
             Axis::Overhead => "overhead",
             Axis::Gap => "gap",
@@ -296,7 +296,7 @@ pub struct AxisSweep {
 
 impl AxisSweep {
     /// Slowdowns of all completed points, paired with their desired values.
-    pub fn completed_series(&self) -> (Vec<f64>, Vec<f64>) {
+    pub(crate) fn completed_series(&self) -> (Vec<f64>, Vec<f64>) {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for p in &self.points {
@@ -357,24 +357,6 @@ pub enum SweepError {
         /// than the `Ok` path should pay for on every return).
         outcome: Box<RunOutcome>,
     },
-}
-
-impl SweepError {
-    /// Application name the sweep was attempted for.
-    pub fn app(&self) -> &str {
-        match self {
-            SweepError::NoBaselinePoint { app, .. } => app,
-            SweepError::IncompleteBaseline { app, .. } => app,
-        }
-    }
-
-    /// Axis the sweep was attempted along.
-    pub fn axis(&self) -> Axis {
-        match self {
-            SweepError::NoBaselinePoint { axis, .. } => *axis,
-            SweepError::IncompleteBaseline { axis, .. } => *axis,
-        }
-    }
 }
 
 impl fmt::Display for SweepError {
@@ -702,10 +684,14 @@ mod tests {
     fn incomplete_baseline_is_a_structured_error() {
         let err = sweep(&Dud, &RunSpec::new(2), Axis::Overhead, &[2.9, 10.0])
             .expect_err("dud baseline never completes");
-        assert_eq!(err.app(), "dud");
-        assert_eq!(err.axis(), Axis::Overhead);
         match &err {
-            SweepError::IncompleteBaseline { outcome, .. } => assert!(!outcome.completed),
+            SweepError::IncompleteBaseline {
+                app, axis, outcome, ..
+            } => {
+                assert_eq!(app, "dud");
+                assert_eq!(*axis, Axis::Overhead);
+                assert!(!outcome.completed);
+            }
             other => panic!("wrong error variant: {other:?}"),
         }
         let msg = err.to_string();

@@ -961,34 +961,33 @@ pub enum Either<A, B> {
     B(B),
 }
 
-/// Future that yields once, letting other ready tasks run at the same instant.
-pub fn yield_now() -> YieldNow {
-    YieldNow { yielded: false }
-}
-
-/// Future returned by [`yield_now`].
-#[derive(Debug, Default)]
-pub struct YieldNow {
-    yielded: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
-        } else {
-            self.yielded = true;
-            cx.waker().wake_by_ref();
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Future that yields once, letting other ready tasks run at the same instant.
+    fn yield_now() -> YieldNow {
+        YieldNow { yielded: false }
+    }
+
+    /// Future returned by [`yield_now`].
+    struct YieldNow {
+        yielded: bool,
+    }
+
+    impl Future for YieldNow {
+        type Output = ();
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            if self.yielded {
+                Poll::Ready(())
+            } else {
+                self.yielded = true;
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+        }
+    }
 
     #[test]
     fn delay_advances_clock() {

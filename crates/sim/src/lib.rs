@@ -64,9 +64,7 @@ mod sync;
 mod time;
 mod wheel;
 
-pub use executor::{
-    race, yield_now, Either, HookId, JoinHandle, RunReport, Sim, Sleep, StopReason, YieldNow,
-};
+pub use executor::{race, Either, HookId, JoinHandle, RunReport, Sim, Sleep, StopReason};
 pub use float::{ordered_sum, ordered_sum_by};
 pub use sync::{Notified, Notify};
 pub use time::{SimDelta, SimTime};

@@ -51,11 +51,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Seconds since simulation start, as a float (for reporting).
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
-    }
-
     /// The span from `earlier` to `self`.
     ///
     /// # Panics
@@ -75,12 +70,12 @@ impl SimTime {
     }
 
     /// Returns the later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// Returns the earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
 }
@@ -159,16 +154,6 @@ impl SimDelta {
     /// Saturating subtraction of spans.
     pub fn saturating_sub(self, other: SimDelta) -> SimDelta {
         SimDelta(self.0.saturating_sub(other.0))
-    }
-
-    /// Returns the longer of two spans.
-    pub fn max(self, other: SimDelta) -> SimDelta {
-        SimDelta(self.0.max(other.0))
-    }
-
-    /// Returns the shorter of two spans.
-    pub fn min(self, other: SimDelta) -> SimDelta {
-        SimDelta(self.0.min(other.0))
     }
 }
 

@@ -60,25 +60,8 @@ impl Ctx {
     }
 
     /// The network configuration of this run.
-    pub fn net_config(&self) -> NetConfig {
+    pub(crate) fn net_config(&self) -> NetConfig {
         self.port.config()
-    }
-
-    /// Low-level access to the Active Message port.
-    pub fn port(&self) -> &AmPort {
-        &self.port
-    }
-
-    /// True if this processor's failure detector has confirmed `peer`
-    /// dead (always false on a healthy run).
-    pub fn peer_dead(&self, peer: usize) -> bool {
-        self.port.peer_dead(peer)
-    }
-
-    /// Per-processor liveness from this processor's view (`true` =
-    /// not confirmed dead; the self entry is always `true`).
-    pub fn survivors(&self) -> Vec<bool> {
-        self.port.peers_alive()
     }
 
     /// Number of processors not confirmed dead, self included.
@@ -89,11 +72,6 @@ impl Ctx {
     /// Spends `d` of local compute time (the network is not serviced).
     pub async fn compute(&self, d: SimDelta) {
         self.port.compute(d).await;
-    }
-
-    /// Services the network once (drains pending messages).
-    pub async fn poll(&self) {
-        self.port.poll().await;
     }
 
     /// Services the network until `cond()` holds.
@@ -159,7 +137,7 @@ impl Ctx {
     }
 
     /// Writes a word of local memory.
-    pub fn store_local(&self, region: RegionId, offset: usize, value: u64) {
+    pub(crate) fn store_local(&self, region: RegionId, offset: usize, value: u64) {
         self.with_mem(|m| m.store(region, offset, value));
     }
 
@@ -373,7 +351,7 @@ impl Ctx {
     /// The variant selector for this run: the analytic LogGP model over
     /// this cluster's configuration, constrained by the run's
     /// [`CollConfig`] (`--coll-algo`).
-    pub fn coll_selector(&self) -> Selector {
+    pub(crate) fn coll_selector(&self) -> Selector {
         Selector::new(self.net_config(), self.procs(), self.coll_cfg)
     }
 

@@ -206,11 +206,6 @@ impl SplitC {
         self.cluster.sim()
     }
 
-    /// The underlying cluster (for low-level instrumentation).
-    pub fn cluster(&self) -> &AmCluster {
-        &self.cluster
-    }
-
     /// Installs the observer on the underlying cluster's one event cell
     /// (a trace recorder, a metrics recorder, or a fan-out of both). The
     /// first sink installed wins; later calls are ignored. Sinks observe

@@ -50,7 +50,7 @@ mod memory;
 
 pub use ctx::Ctx;
 pub use layer::{run_spmd, DegradePolicy, Prims, SplitC, SpmdConfig, SpmdOutcome};
-pub use memory::{barrier_rounds, GlobalPtr, MailMsg, MailboxId, Memory, RegionId};
+pub use memory::{GlobalPtr, MailMsg, MailboxId, Memory, RegionId};
 
 // Re-export the payload type applications use with mailboxes, and the
 // structured abort the node-failure model surfaces.

@@ -87,7 +87,7 @@ impl fmt::Debug for Memory {
 
 impl Memory {
     /// Creates a memory for a cluster of `procs` processors.
-    pub fn new(procs: usize) -> Self {
+    pub(crate) fn new(procs: usize) -> Self {
         let rounds = barrier_rounds(procs);
         Memory {
             regions: Vec::new(),
@@ -99,13 +99,13 @@ impl Memory {
     }
 
     /// Allocates a zero-initialized region of `words` and returns its id.
-    pub fn alloc_region(&mut self, words: usize) -> RegionId {
+    pub(crate) fn alloc_region(&mut self, words: usize) -> RegionId {
         self.regions.push(vec![0; words]);
         self.regions.len() - 1
     }
 
     /// Allocates an empty mailbox and returns its id.
-    pub fn alloc_mailbox(&mut self) -> MailboxId {
+    pub(crate) fn alloc_mailbox(&mut self) -> MailboxId {
         self.mailboxes.push(VecDeque::new());
         self.mailboxes.len() - 1
     }
@@ -152,7 +152,7 @@ impl Memory {
 
     /// Atomic fetch-and-add (the simulation is single-threaded; atomicity is
     /// by construction). Returns the previous value.
-    pub fn fetch_add(&mut self, r: RegionId, offset: usize, delta: u64) -> u64 {
+    pub(crate) fn fetch_add(&mut self, r: RegionId, offset: usize, delta: u64) -> u64 {
         let slot = &mut self.region_mut(r)[offset];
         let old = *slot;
         *slot = old.wrapping_add(delta);
@@ -175,7 +175,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if the mailbox does not exist.
-    pub fn push_mail(&mut self, mb: MailboxId, msg: MailMsg) {
+    pub(crate) fn push_mail(&mut self, mb: MailboxId, msg: MailMsg) {
         self.mailboxes
             .get_mut(mb)
             .unwrap_or_else(|| panic!("mailbox {mb} not allocated"))
@@ -183,19 +183,19 @@ impl Memory {
     }
 
     /// Pops the oldest message from a mailbox.
-    pub fn pop_mail(&mut self, mb: MailboxId) -> Option<MailMsg> {
+    pub(crate) fn pop_mail(&mut self, mb: MailboxId) -> Option<MailMsg> {
         self.mailboxes.get_mut(mb).and_then(VecDeque::pop_front)
     }
 
     /// Number of messages waiting in a mailbox.
-    pub fn mail_len(&self, mb: MailboxId) -> usize {
+    pub(crate) fn mail_len(&self, mb: MailboxId) -> usize {
         self.mailboxes.get(mb).map_or(0, VecDeque::len)
     }
 }
 
 /// Number of dissemination-barrier rounds for `procs` processors
 /// (`ceil(log2 procs)`).
-pub fn barrier_rounds(procs: usize) -> usize {
+pub(crate) fn barrier_rounds(procs: usize) -> usize {
     if procs <= 1 {
         0
     } else {

@@ -702,13 +702,8 @@ fn bucket_of(v: u64) -> usize {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
     /// Records one observation.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         let b = bucket_of(v);
         if self.counts.len() <= b {
             self.counts.resize(b + 1, 0);
@@ -719,19 +714,19 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.total
     }
 
     /// Largest observation (exact).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Approximate quantile: the inclusive upper bound of the first bucket
     /// whose cumulative count reaches `q·total` (`0.0 < q ≤ 1.0`). Exact
     /// for the max, within 2× below it.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }
@@ -1857,7 +1852,7 @@ mod tests {
 
     #[test]
     fn histograms_bucket_by_powers_of_two() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         for v in [0, 1, 2, 3, 1000, 1024] {
             h.record(v);
         }
@@ -1865,7 +1860,7 @@ mod tests {
         assert_eq!(h.max(), 1024);
         assert_eq!(h.quantile(1.0), 2047);
         assert_eq!(h.quantile(0.1), 0);
-        assert_eq!(Histogram::new().quantile(0.5), 0);
+        assert_eq!(Histogram::default().quantile(0.5), 0);
     }
 
     #[test]

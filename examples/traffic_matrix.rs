@@ -27,7 +27,7 @@ fn main() {
         );
         println!("{}", render_balance_matrix(&out.stats));
         match app.name() {
-            "Radix" => println!("note the off-diagonal histogram chain over the all-to-all wash\n"),
+            "Radix" => println!("note the uniform all-to-all wash of the key writes\n"),
             "Sample" => println!("note the vertical bars: receivers are unevenly loaded\n"),
             _ => println!("note the uniform black square: perfectly balanced streaming\n"),
         }

@@ -5,7 +5,7 @@
 //! nowlab calibrate [--o US] [--g US] [--l US] [--mbps MB] [--window N]
 //! nowlab run   --app NAME [--procs N] [--seed S] [--scale test|benchmark]
 //!              [--o US] [--g US] [--l US] [--mbps MB] [--verify-determinism]
-//! nowlab sweep --app NAME --axis overhead|gap|latency|bulk [--procs N]
+//! nowlab sweep --app NAME --axis overhead|gap|latency|bulk [--procs N] [--seed S]
 //! nowlab suite [--procs N] [--scale test|benchmark]
 //! nowlab exhibit NAME|all [--scale test|benchmark] [--jobs N] [--csv DIR]
 //! ```
@@ -17,6 +17,9 @@
 //! messages the wire swallows, engaging the reliable-delivery protocol)
 //! and `--fault-seed S` (the deterministic fault stream). Faulty runs get
 //! a virtual-time deadline so total loss reports N/A instead of spinning.
+//!
+//! A flag the command does not read is an error, raised before anything
+//! is simulated.
 
 #![forbid(unsafe_code)]
 #![expect(
@@ -24,7 +27,8 @@
     reason = "CLI flag map: host-side argument parsing, consumed by value lookups only (never iterated into simulation state)"
 )]
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -49,7 +53,7 @@ const USAGE: &str = "usage:
                [--coll-algo NAME] [--trace FILE.json] [--trace-summary]
                [--metrics FILE.json] [--metrics-summary]
   nowlab sweep --app NAME --axis overhead|gap|latency|bulk|coll|chaos
-               [--procs N] [--scale test|benchmark] [--coll-algo NAME]
+               [--procs N] [--seed S] [--scale test|benchmark] [--coll-algo NAME]
                [--trace-summary] [--metrics FILE.json] [--metrics-summary]
   nowlab suite [--procs N] [--scale test|benchmark] [--coll-algo NAME]
   nowlab predict --app NAME [--procs N] [--seed S] [--scale test|benchmark]
@@ -57,6 +61,7 @@ const USAGE: &str = "usage:
                [--out FILE.json] [--trace FILE.json]
   nowlab exhibit NAME|all [--scale test|benchmark] [--jobs N] [--csv DIR]
   nowlab report FILE.json
+every command refuses a flag it does not read, before it simulates
 parallelism (run/sweep/suite/predict/exhibit):
   [--jobs N]   worker threads for independent runs (default: all cores;
                results are byte-identical to --jobs 1)
@@ -131,7 +136,10 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd.as_str() {
-        "list" => cmd_list().map(|()| ExitCode::SUCCESS),
+        "list" => flags
+            .refuse_unread("list")
+            .and_then(|()| cmd_list())
+            .map(|()| ExitCode::SUCCESS),
         "calibrate" => cmd_calibrate(&flags).map(|()| ExitCode::SUCCESS),
         // run/sweep pick their own exit code: a run that aborts on a
         // confirmed node death is a *result* (reported structurally),
@@ -154,26 +162,65 @@ fn main() -> ExitCode {
 /// Flags that take no value; their presence maps to `"true"`.
 const BOOL_FLAGS: &[&str] = &["verify-determinism", "trace-summary", "metrics-summary"];
 
-fn parse_flags(rest: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
+/// The command line's `--flag value` pairs. It remembers every name a
+/// command looks up, so [`Flags::refuse_unread`] can refuse the rest.
+struct Flags {
+    values: HashMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
+}
+
+impl Flags {
+    fn get(&self, name: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(name.to_string());
+        self.values.get(name)
+    }
+
+    fn contains_key(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// Refuses every given flag the command has not looked up. Each
+    /// command calls it once it has read all its flags, before it
+    /// simulates anything.
+    fn refuse_unread(&self, command: &str) -> Result<(), String> {
+        let read = self.read.borrow();
+        let mut unread: Vec<&str> = (self.values.keys().map(String::as_str))
+            .filter(|name| !read.contains(*name))
+            .collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        unread.sort_unstable();
+        Err(format!(
+            "`nowlab {command}` does not read --{}",
+            unread.join(", --")
+        ))
+    }
+}
+
+fn parse_flags(rest: &[String]) -> Result<Flags, String> {
+    let mut values = HashMap::new();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{flag}`"));
         };
         if BOOL_FLAGS.contains(&name) {
-            flags.insert(name.to_string(), "true".to_string());
+            values.insert(name.to_string(), "true".to_string());
             continue;
         }
         let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-        flags.insert(name.to_string(), value.clone());
+        values.insert(name.to_string(), value.clone());
     }
-    Ok(flags)
+    Ok(Flags {
+        values,
+        read: RefCell::default(),
+    })
 }
 
 /// Worker-thread count from `--jobs` (default: the host's parallelism).
 /// Zero is rejected; 1 selects the exact sequential code path.
-fn jobs_of(flags: &HashMap<String, String>) -> Result<usize, String> {
+fn jobs_of(flags: &Flags) -> Result<usize, String> {
     let jobs: usize = parse_or(flags, "jobs", default_jobs())?;
     if jobs == 0 {
         return Err("--jobs: want at least 1".to_string());
@@ -183,7 +230,7 @@ fn jobs_of(flags: &HashMap<String, String>) -> Result<usize, String> {
 
 /// Processor count from `--procs` (default 32). The AM cluster needs at
 /// least one, and the trace and prediction layers address at most 65 534.
-fn procs_of(flags: &HashMap<String, String>) -> Result<usize, String> {
+fn procs_of(flags: &Flags) -> Result<usize, String> {
     let procs: usize = parse_or(flags, "procs", 32usize)?;
     if !(1..usize::from(u16::MAX)).contains(&procs) {
         return Err("--procs: want 1..=65534".to_string());
@@ -191,11 +238,7 @@ fn procs_of(flags: &HashMap<String, String>) -> Result<usize, String> {
     Ok(procs)
 }
 
-fn parse_or<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
+fn parse_or<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
     match flags.get(name) {
         None => Ok(default),
         Some(v) => v
@@ -204,7 +247,7 @@ fn parse_or<T: std::str::FromStr>(
     }
 }
 
-fn scale_of(flags: &HashMap<String, String>) -> Result<SuiteScale, String> {
+fn scale_of(flags: &Flags) -> Result<SuiteScale, String> {
     match flags.get("scale").map(String::as_str) {
         None | Some("benchmark") => Ok(SuiteScale::Benchmark),
         Some("test") => Ok(SuiteScale::Test),
@@ -285,7 +328,7 @@ fn parse_straggler(spec: &str) -> Result<NodeFault, String> {
 
 /// Builds the node-fault plan from `--crash` / `--straggler`
 /// (comma-separated specs) and the shared `--fault-seed`.
-fn node_faults_of(flags: &HashMap<String, String>) -> Result<NodeFaultPlan, String> {
+fn node_faults_of(flags: &Flags) -> Result<NodeFaultPlan, String> {
     let mut faults = Vec::new();
     if let Some(specs) = flags.get("crash") {
         for spec in specs.split(',') {
@@ -315,7 +358,7 @@ fn node_faults_of(flags: &HashMap<String, String>) -> Result<NodeFaultPlan, Stri
 }
 
 /// Builds a network config from desired absolute knob values.
-fn net_of(flags: &HashMap<String, String>) -> Result<NetConfig, String> {
+fn net_of(flags: &Flags) -> Result<NetConfig, String> {
     let mut cfg = NetConfig::berkeley_now();
     if let Some(w) = flags.get("window") {
         let w: u32 = w
@@ -371,7 +414,7 @@ fn net_of(flags: &HashMap<String, String>) -> Result<NetConfig, String> {
 
 /// Collective-algorithm policy from `--coll-algo` (absent means
 /// model-driven selection).
-fn coll_of(flags: &HashMap<String, String>) -> Result<CollConfig, String> {
+fn coll_of(flags: &Flags) -> Result<CollConfig, String> {
     match flags.get("coll-algo") {
         None => Ok(CollConfig::default()),
         Some(name) => {
@@ -438,11 +481,14 @@ fn cmd_exhibit(rest: &[String]) -> Result<(), String> {
         .ok_or("exhibit needs a name (see `nowlab list`) or `all`")?;
     let flags = parse_flags(flags)?;
     let mut lab = Lab::new(scale_of(&flags)?, jobs_of(&flags)?);
-    exhibits::run(name, &mut lab, flags.get("csv").map(Path::new))
+    let csv = flags.get("csv").map(Path::new);
+    flags.refuse_unread("exhibit")?;
+    exhibits::run(name, &mut lab, csv)
 }
 
-fn cmd_calibrate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_calibrate(flags: &Flags) -> Result<(), String> {
     let cfg = net_of(flags)?;
+    flags.refuse_unread("calibrate")?;
     println!("configuration: {cfg}");
     let c = calibrate(cfg);
     let bw = calibrate_bulk(cfg);
@@ -472,10 +518,12 @@ fn cmd_calibrate(flags: &HashMap<String, String>) -> Result<(), String> {
 /// Tracing mode from `--trace` / `--trace-summary`: a Chrome-trace export
 /// needs full per-message records; a summary alone gets the bounded-memory
 /// aggregation mode.
-fn trace_mode_of(flags: &HashMap<String, String>) -> TraceMode {
+fn trace_mode_of(flags: &Flags) -> TraceMode {
+    // Both names are looked up first, so neither is refused as unread.
+    let summary = flags.contains_key("trace-summary");
     if flags.contains_key("trace") {
         TraceMode::Full
-    } else if flags.contains_key("trace-summary") {
+    } else if summary {
         TraceMode::Summary
     } else {
         TraceMode::Off
@@ -484,15 +532,17 @@ fn trace_mode_of(flags: &HashMap<String, String>) -> TraceMode {
 
 /// Metrics mode from `--metrics` / `--metrics-summary`: either form of
 /// output needs the recorder attached.
-fn metrics_mode_of(flags: &HashMap<String, String>) -> MetricsMode {
-    if flags.contains_key("metrics") || flags.contains_key("metrics-summary") {
+fn metrics_mode_of(flags: &Flags) -> MetricsMode {
+    // `|`, not `||`: both names are looked up, so neither is refused as
+    // unread.
+    if flags.contains_key("metrics") | flags.contains_key("metrics-summary") {
         MetricsMode::On
     } else {
         MetricsMode::Off
     }
 }
 
-fn cmd_run(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
+fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
     let name = flags.get("app").ok_or("run needs --app")?;
     let app = find_app(scale_of(flags)?, name)?;
     let spec = guard(
@@ -505,6 +555,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     );
     let jobs = jobs_of(flags)?;
     let verify = flags.contains_key("verify-determinism");
+    flags.refuse_unread("run")?;
     // With --jobs > 1 the determinism double-run executes both replicas
     // concurrently — a sharper test than back-to-back runs, since the
     // replicas race each other in wall time yet must agree in virtual time.
@@ -642,7 +693,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_sweep(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
+fn cmd_sweep(flags: &Flags) -> Result<ExitCode, String> {
     let name = flags.get("app").ok_or("sweep needs --app")?;
     let app = find_app(scale_of(flags)?, name)?;
     let axis_flag = flags
@@ -660,6 +711,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let spec = guard(
         RunSpec::new(procs_of(flags)?)
             .with_net(net_of(flags)?)
+            .with_seed(parse_or(flags, "seed", 1u64)?)
             .with_coll(coll_of(flags)?)
             .with_trace(if tracing {
                 TraceMode::Summary
@@ -668,8 +720,10 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             })
             .with_metrics(metering),
     );
+    let jobs = jobs_of(flags)?;
+    flags.refuse_unread("sweep")?;
     let values = axis.paper_values();
-    let result = match sweep_jobs(app.as_ref(), &spec, axis, &values, jobs_of(flags)?) {
+    let result = match sweep_jobs(app.as_ref(), &spec, axis, &values, jobs) {
         Ok(s) => s,
         Err(e) => {
             // A sweep without a usable baseline is a legitimate scientific
@@ -856,10 +910,7 @@ const CHAOS_FRACTIONS: [f64; 4] = [0.125, 0.25, 0.5, 0.75];
 /// with one processor (the middle one) crash-stopping at increasing
 /// fractions of that runtime, reporting how the failure detector and the
 /// app's degrade policy respond at each point.
-fn cmd_sweep_chaos(
-    flags: &HashMap<String, String>,
-    app: &dyn SweepableApp,
-) -> Result<ExitCode, String> {
+fn cmd_sweep_chaos(flags: &Flags, app: &dyn SweepableApp) -> Result<ExitCode, String> {
     let procs = procs_of(flags)?;
     if procs < 2 {
         return Err("--axis chaos needs at least 2 processors".to_string());
@@ -870,6 +921,8 @@ fn cmd_sweep_chaos(
     }
     let seed: u64 = parse_or(flags, "seed", 1u64)?;
     let fault_seed: u64 = parse_or(flags, "fault-seed", 1u64)?;
+    let jobs = jobs_of(flags)?;
+    flags.refuse_unread("sweep --axis chaos")?;
     let baseline_spec = guard(RunSpec::new(procs).with_net(net).with_seed(seed));
     let baseline = app.run(&baseline_spec);
     if !baseline.completed {
@@ -895,7 +948,7 @@ fn cmd_sweep_chaos(
             )
         })
         .collect();
-    let outs: Vec<RunOutcome> = parallel_map(jobs_of(flags)?, &specs, |_, (_, spec)| app.run(spec));
+    let outs: Vec<RunOutcome> = parallel_map(jobs, &specs, |_, (_, spec)| app.run(spec));
     let mut t = Table::new(
         format!(
             "{}: crash of p{victim} vs injection time ({procs} procs, healthy runtime {})",
@@ -964,7 +1017,7 @@ fn cmd_report(rest: &[String]) -> Result<(), String> {
 /// The `predict` driver: one fully traced baseline run, then symbolic
 /// re-pricing of its happens-before DAG at every paper grid value — no
 /// re-simulation (DESIGN.md §13).
-fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_predict(flags: &Flags) -> Result<(), String> {
     let name = flags.get("app").ok_or("predict needs --app")?;
     let app = find_app(scale_of(flags)?, name)?;
     let axes: Vec<Axis> = match flags.get("axis").map(String::as_str) {
@@ -985,16 +1038,19 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
             .with_seed(parse_or(flags, "seed", 1u64)?)
             .with_coll(coll_of(flags)?),
     );
-    let p = predict_app(app.as_ref(), &spec, &axes, jobs_of(flags)?)?;
+    let (out, trace) = (flags.get("out"), flags.get("trace"));
+    let jobs = jobs_of(flags)?;
+    flags.refuse_unread("predict")?;
+    let p = predict_app(app.as_ref(), &spec, &axes, jobs)?;
     println!("{}", p.render());
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = out {
         let mut buf = Vec::new();
         p.write_json(&mut buf)
             .map_err(|e| format!("predict serialization failed: {e}"))?;
         std::fs::write(path, &buf).map_err(|e| format!("--out {path}: cannot write: {e}"))?;
         println!("\npredict: report written to {path} (render with `nowlab report {path}`)");
     }
-    if let Some(path) = flags.get("trace") {
+    if let Some(path) = trace {
         let mut file = std::fs::File::create(path)
             .map_err(|e| format!("--trace {path}: cannot create: {e}"))?;
         let critical = &p.breakdown.critical_msgs;
@@ -1009,7 +1065,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_suite(flags: &Flags) -> Result<(), String> {
     let scale = scale_of(flags)?;
     let procs = procs_of(flags)?;
     let mut t = Table::new(
@@ -1028,11 +1084,13 @@ fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), String> {
             .with_net(net_of(flags)?)
             .with_coll(coll_of(flags)?),
     );
+    let jobs = jobs_of(flags)?;
+    flags.refuse_unread("suite")?;
     let apps = suite_scaled(scale);
     // Whole apps are independent runs; fan them out and print in suite
     // order (results are collected by index, so the table is identical to
     // --jobs 1).
-    let outs = parallel_map(jobs_of(flags)?, &apps, |_, app| app.run(&spec));
+    let outs = parallel_map(jobs, &apps, |_, app| app.run(&spec));
     for (app, out) in apps.iter().zip(outs) {
         t.push_row([
             app.name().to_string(),

@@ -448,6 +448,79 @@ fn bad_arguments_fail_with_usage() {
     assert!(text.contains("--jobs"), "{text}");
 }
 
+/// A flag the command does not read is refused before anything runs: it
+/// used to be ignored, so `suite --metrics` wrote no file.
+#[test]
+fn a_flag_the_command_does_not_read_is_refused() {
+    let path = std::env::temp_dir().join(format!("nowlab_unread_{}.json", std::process::id()));
+    let file = path.to_str().unwrap();
+    for (args, line) in [
+        (
+            &[
+                "suite",
+                "--procs",
+                "2",
+                "--scale",
+                "test",
+                "--metrics",
+                file,
+            ][..],
+            "error: `nowlab suite` does not read --metrics",
+        ),
+        (
+            &["list", "--scale", "test"],
+            "error: `nowlab list` does not read --scale",
+        ),
+        (
+            &[
+                "sweep",
+                "--app",
+                "radix",
+                "--axis",
+                "chaos",
+                "--procs",
+                "2",
+                "--scale",
+                "test",
+                "--trace-summary",
+                "--coll-algo",
+                "chain",
+            ],
+            "error: `nowlab sweep --axis chaos` does not read --coll-algo, --trace-summary",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_nowlab"))
+            .args(args)
+            .output()
+            .expect("run nowlab binary");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {text}");
+        assert!(text.contains(line), "{args:?}: {text}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before refusing");
+    }
+    assert!(!path.exists(), "a refused suite wrote {file}");
+}
+
+/// `sweep --seed` reaches the runs on every axis, not only on `chaos`.
+#[test]
+fn sweep_runs_the_seed_it_is_given() {
+    let sweep = |seed: &[&str]| {
+        let args = [
+            &[
+                "sweep", "--app", "radix", "--axis", "overhead", "--procs", "4",
+            ][..],
+            &["--scale", "test"],
+            seed,
+        ]
+        .concat();
+        let (ok, text) = nowlab(&args);
+        assert!(ok, "{text}");
+        text
+    };
+    assert_eq!(sweep(&[]), sweep(&["--seed", "1"]), "the default seed is 1");
+    assert_ne!(sweep(&[]), sweep(&["--seed", "7"]), "--seed 7 ran seed 1");
+}
+
 /// A flag value the library would assert on is refused where it is
 /// parsed: exit 1 with the CLI's error line, not exit 101 with a backtrace.
 #[test]
