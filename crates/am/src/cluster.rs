@@ -55,7 +55,7 @@ impl fmt::Debug for HandlerCtx<'_> {
 }
 
 /// An Active Message handler: runs at the destination, returns the reply.
-pub type Handler = Box<dyn Fn(HandlerCtx<'_>) -> ReplyData>;
+pub(crate) type Handler = Box<dyn Fn(HandlerCtx<'_>) -> ReplyData>;
 
 /// The requests of one processor whose issuer awaits the reply, one
 /// entry per request in flight. The table grows to the peak number of
@@ -781,7 +781,7 @@ impl ClusterInner {
             let faults = &cfg.faults;
             let nonce = src.fault_nonce.get();
             src.fault_nonce.set(nonce + 1);
-            let lost = faults.in_outage(wire_done, msg.src, msg.dst)
+            let lost = faults.in_outage(wire_done, msg.dst)
                 || if payload_bytes == 0 {
                     faults.drops(msg.src, msg.dst, nonce, 0, false)
                 } else {
@@ -897,7 +897,7 @@ impl ClusterInner {
                 Some(entry) => entry.attempts >= MAX_ATTEMPTS,
             }
         };
-        if exhausted && (self.node_plan || self.cfg.faults.in_outage(sim.now(), src, dst)) {
+        if exhausted && (self.node_plan || self.cfg.faults.in_outage(sim.now(), dst)) {
             self.escalate_peer_death(sim, src, dst);
             return;
         }

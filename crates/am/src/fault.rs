@@ -31,11 +31,11 @@ use std::fmt;
 
 /// Maximum number of outage windows a plan can carry (fixed so the plan
 /// stays `Copy`).
-pub const MAX_OUTAGES: usize = 4;
+pub(crate) const MAX_OUTAGES: usize = 4;
 
 /// One part per million; probabilities are stored as integers in
 /// `[0, PPM_SCALE]`.
-pub const PPM_SCALE: u32 = 1_000_000;
+pub(crate) const PPM_SCALE: u32 = 1_000_000;
 
 /// A transient link outage: during `[start, end)` the affected link drops
 /// every message (both message classes). Use [`Outage::permanent`] to take
@@ -48,8 +48,6 @@ pub struct Outage {
     pub start: SimTime,
     /// First instant after the outage.
     pub end: SimTime,
-    /// Affected source processor, or `None` for all sources.
-    pub src: Option<usize>,
     /// Affected destination processor, or `None` for all destinations.
     pub dst: Option<usize>,
 }
@@ -65,7 +63,6 @@ impl Outage {
         Outage {
             start,
             end,
-            src: None,
             dst: None,
         }
     }
@@ -75,7 +72,6 @@ impl Outage {
         Outage {
             start,
             end: SimTime::MAX,
-            src: None,
             dst: None,
         }
     }
@@ -86,13 +82,10 @@ impl Outage {
         self
     }
 
-    /// True if this outage swallows a message on `(src, dst)` hitting the
-    /// wire at `t`.
-    pub(crate) fn covers(&self, t: SimTime, src: usize, dst: usize) -> bool {
-        self.start <= t
-            && t < self.end
-            && self.src.is_none_or(|s| s == src)
-            && self.dst.is_none_or(|d| d == dst)
+    /// True if this outage swallows a message to `dst` hitting the wire
+    /// at `t`.
+    pub(crate) fn covers(&self, t: SimTime, dst: usize) -> bool {
+        self.start <= t && t < self.end && self.dst.is_none_or(|d| d == dst)
     }
 }
 
@@ -123,7 +116,7 @@ pub struct FaultPlan {
     /// nonzero jitter reorders messages that left within a window of each
     /// other.
     pub jitter_max: SimDelta,
-    /// Scheduled link outages (up to [`MAX_OUTAGES`]).
+    /// Scheduled link outages (up to four).
     pub outages: [Option<Outage>; MAX_OUTAGES],
 }
 
@@ -178,13 +171,13 @@ impl FaultPlan {
     }
 
     /// Adds an outage window, coalescing it with any existing window of
-    /// the same `(src, dst)` scope that overlaps or abuts it. Without the
+    /// the same destination scope that overlaps or abuts it. Without the
     /// merge, a doubly-covered span would silently occupy two slots and
     /// make equivalent plans compare unequal (`NetConfig` is `Eq + Hash`).
     ///
     /// # Panics
     ///
-    /// Panics if the plan already holds [`MAX_OUTAGES`] disjoint outages.
+    /// Panics if the plan already holds four disjoint outages.
     pub fn with_outage(mut self, outage: Outage) -> Self {
         let mut merged = outage;
         // Repeat until no slot overlaps: the union of two windows can
@@ -193,8 +186,7 @@ impl FaultPlan {
             let mut changed = false;
             for slot in self.outages.iter_mut() {
                 if let Some(o) = *slot {
-                    let same_scope = o.src == merged.src && o.dst == merged.dst;
-                    if same_scope && o.start <= merged.end && merged.start <= o.end {
+                    if o.dst == merged.dst && o.start <= merged.end && merged.start <= o.end {
                         merged.start = merged.start.min(o.start);
                         merged.end = merged.end.max(o.end);
                         *slot = None;
@@ -225,10 +217,10 @@ impl FaultPlan {
             || self.outages.iter().any(Option::is_some)
     }
 
-    /// True if some outage swallows a message on `(src, dst)` hitting the
-    /// wire at `t`.
-    pub(crate) fn in_outage(&self, t: SimTime, src: usize, dst: usize) -> bool {
-        self.outages.iter().flatten().any(|o| o.covers(t, src, dst))
+    /// True if some outage swallows a message to `dst` hitting the wire at
+    /// `t`.
+    pub(crate) fn in_outage(&self, t: SimTime, dst: usize) -> bool {
+        self.outages.iter().flatten().any(|o| o.covers(t, dst))
     }
 
     /// Drop decision for injection attempt `nonce` on `(src, dst)`; bulk
@@ -303,11 +295,11 @@ impl fmt::Display for FaultPlan {
 
 /// Distinct decision kinds must never share a hash.
 mod salt {
-    pub const DROP: u64 = 0x11;
-    pub const DUP: u64 = 0x22;
-    pub const JITTER: u64 = 0x33;
-    pub const BACKOFF: u64 = 0x44;
-    pub const HEARTBEAT: u64 = 0x55;
+    pub(crate) const DROP: u64 = 0x11;
+    pub(crate) const DUP: u64 = 0x22;
+    pub(crate) const JITTER: u64 = 0x33;
+    pub(crate) const BACKOFF: u64 = 0x44;
+    pub(crate) const HEARTBEAT: u64 = 0x55;
 }
 
 /// Maximum number of node faults a plan can carry (fixed so the plan
@@ -334,7 +326,7 @@ pub struct NodeFault {
     /// First instant after the freeze ([`SimTime::MAX`] for crash-stop).
     pub recover_at: SimTime,
     /// Multiplier on host overhead and compute charges, in parts per
-    /// million ([`PPM_SCALE`] = 1.0× = healthy).
+    /// million (1 000 000 = 1.0× = healthy).
     pub slowdown_ppm: u32,
 }
 
@@ -617,7 +609,7 @@ fn roll(hash: u64, ppm: u32) -> bool {
 pub const RTO: SimDelta = SimDelta::from_nanos(250_000);
 
 /// Upper bound on the backed-off retransmission timeout.
-pub const RTO_MAX: SimDelta = SimDelta::from_nanos(16_000_000);
+pub(crate) const RTO_MAX: SimDelta = SimDelta::from_nanos(16_000_000);
 
 /// Maximum injection attempts per message (first send plus
 /// retransmissions) before the sender gives up and escalates the peer to
@@ -662,7 +654,7 @@ mod tests {
         assert!(!p.drops(0, 1, 0, 0, false));
         assert!(!p.duplicates(0, 1, 0));
         assert_eq!(p.jitter(0, 1, 0, 0), SimDelta::ZERO);
-        assert!(!p.in_outage(SimTime::ZERO, 0, 1));
+        assert!(!p.in_outage(SimTime::ZERO, 1));
     }
 
     #[test]
@@ -724,22 +716,19 @@ mod tests {
     #[test]
     fn outage_windows_cover_and_filter() {
         let o = Outage::window(SimTime::from_nanos(100), SimTime::from_nanos(200));
-        assert!(o.covers(SimTime::from_nanos(100), 0, 1));
-        assert!(o.covers(SimTime::from_nanos(199), 3, 2));
-        assert!(!o.covers(SimTime::from_nanos(200), 0, 1));
-        assert!(!o.covers(SimTime::from_nanos(99), 0, 1));
-        let scoped = Outage {
-            src: Some(1),
-            ..o.to_dst(2)
-        };
-        assert!(scoped.covers(SimTime::from_nanos(150), 1, 2));
-        assert!(!scoped.covers(SimTime::from_nanos(150), 1, 3));
-        assert!(!scoped.covers(SimTime::from_nanos(150), 0, 2));
+        assert!(o.covers(SimTime::from_nanos(100), 1));
+        assert!(o.covers(SimTime::from_nanos(199), 2));
+        assert!(!o.covers(SimTime::from_nanos(200), 1));
+        assert!(!o.covers(SimTime::from_nanos(99), 1));
+        let scoped = o.to_dst(2);
+        assert!(scoped.covers(SimTime::from_nanos(150), 2));
+        assert!(!scoped.covers(SimTime::from_nanos(150), 3));
+        assert!(!scoped.covers(SimTime::from_nanos(250), 2));
         let perm = Outage::permanent(SimTime::from_nanos(10));
-        assert!(perm.covers(SimTime::from_nanos(u64::MAX - 1), 0, 1));
+        assert!(perm.covers(SimTime::from_nanos(u64::MAX - 1), 1));
         let plan = FaultPlan::none().with_outage(o).with_outage(perm);
-        assert!(plan.in_outage(SimTime::from_nanos(150), 0, 1));
-        assert!(!plan.in_outage(SimTime::ZERO, 0, 1));
+        assert!(plan.in_outage(SimTime::from_nanos(150), 1));
+        assert!(!plan.in_outage(SimTime::ZERO, 1));
     }
 
     #[test]
@@ -782,12 +771,10 @@ mod tests {
             .with_outage(Outage::window(t(200), t(250)))
             .with_outage(Outage::window(t(140), t(210)));
         assert_eq!(bridged.outages.iter().flatten().count(), 1);
-        assert!(bridged.in_outage(t(175), 0, 1));
-        // Different scopes never merge: per-link and all-links windows
-        // are distinct fault populations.
-        let scoped = FaultPlan::none()
-            .with_outage(a)
-            .with_outage(Outage { src: Some(1), ..b });
+        assert!(bridged.in_outage(t(175), 1));
+        // Different scopes never merge: per-destination and all-links
+        // windows are distinct fault populations.
+        let scoped = FaultPlan::none().with_outage(a).with_outage(b.to_dst(1));
         assert_eq!(scoped.outages.iter().flatten().count(), 2);
     }
 

@@ -30,7 +30,7 @@
 //! duplicates, jitters, or blacks out messages at the wire, and an
 //! integrated reliable-delivery protocol (sequence numbers, piggybacked
 //! cumulative acks, timeout-driven retransmission with exponential
-//! backoff from [`RTO`] to [`RTO_MAX`]) keeps handler execution
+//! backoff from [`RTO`] up to a 16 ms cap) keeps handler execution
 //! exactly-once. The default plan is inert and costs nothing.
 //!
 //! # Examples
@@ -75,14 +75,9 @@ mod params;
 mod port;
 mod stats;
 
-pub use cluster::{AmCluster, Handler, HandlerCtx, RunAbort};
-pub use fault::{
-    FaultPlan, NodeFault, NodeFaultPlan, Outage, MAX_ATTEMPTS, MAX_NODE_FAULTS, MAX_OUTAGES,
-    PPM_SCALE, RTO, RTO_MAX,
-};
-pub use message::{Dir, HandlerId, Mark, Msg, Payload, ProcId, ReplyData, ReqId};
-pub use params::{
-    Knobs, LatencyMode, LoggpParams, NetConfig, GAM_FRAG_BYTES, GAM_SHORT_WIRE_BYTES, GAM_WINDOW,
-};
+pub use cluster::{AmCluster, HandlerCtx, RunAbort};
+pub use fault::{FaultPlan, NodeFault, NodeFaultPlan, Outage, MAX_ATTEMPTS, MAX_NODE_FAULTS, RTO};
+pub use message::{Dir, HandlerId, Mark, Msg, Payload, ReplyData};
+pub use params::{Knobs, LatencyMode, LoggpParams, NetConfig, GAM_FRAG_BYTES};
 pub use port::AmPort;
 pub use stats::{render_balance_matrix, CollKind, CommStats, ProcCounters};

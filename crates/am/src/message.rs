@@ -4,13 +4,13 @@ use std::fmt;
 use std::rc::Rc;
 
 /// Index of a processor in the cluster (0..P).
-pub type ProcId = usize;
+pub(crate) type ProcId = usize;
 
 /// Index into the cluster-wide handler table.
 pub type HandlerId = usize;
 
 /// Request identifier, unique per source processor.
-pub type ReqId = u64;
+pub(crate) type ReqId = u64;
 
 /// Semantic class of a message; the trace crate defines it (it sits below
 /// this one in the dependency graph), so a recorded message carries the

@@ -242,16 +242,16 @@ pub enum LatencyMode {
 /// GAM flow-control window: maximum outstanding requests per processor
 /// (paper §3.3). The single authoritative definition — the analyzer's
 /// `AMP002` lint rejects re-hardcoded copies of this depth.
-pub const GAM_WINDOW: u32 = 8;
+pub(crate) const GAM_WINDOW: u32 = 8;
 
 /// GAM bulk-transfer fragment size in bytes (paper: "up to 4KB"). The
-/// single authoritative definition, mirroring [`GAM_WINDOW`].
+/// single authoritative definition, mirroring `GAM_WINDOW`.
 pub const GAM_FRAG_BYTES: u32 = 4096;
 
 /// Wire footprint in bytes of a short message (header + 4-word payload),
 /// derived from Table 4: small-message KB/s ÷ msg rate = 28 B for
 /// Radix/EM3D.
-pub const GAM_SHORT_WIRE_BYTES: u32 = 28;
+pub(crate) const GAM_SHORT_WIRE_BYTES: u32 = 28;
 
 /// Full network configuration: machine baseline, knobs, the AM-layer
 /// window, and the fault plans.

@@ -9,6 +9,7 @@
 //! coupling that makes applications overhead-sensitive in the paper.
 
 use std::fmt;
+use std::future::Future;
 use std::rc::Rc;
 
 use nowlab_sim::{Sim, SimDelta, SimTime};
@@ -586,21 +587,15 @@ impl AmPort {
     /// # Panics
     ///
     /// Panics if `dst` is out of range.
-    pub async fn request(
+    pub fn request(
         &self,
         dst: ProcId,
         handler: HandlerId,
         args: [u64; 4],
         payload: Payload,
         mark: Mark,
-    ) -> ([u64; 4], Payload) {
-        let ep = &self.inner.procs[self.proc];
-        let park = |req| ep.replies.borrow_mut().park(req);
-        let Some(slot) = self.issue(dst, handler, args, payload, mark, park).await else {
-            return ([0; 4], Payload::None);
-        };
-        self.wait_until(|| ep.replies.borrow().filled(slot)).await;
-        ep.replies.borrow_mut().take(slot)
+    ) -> impl Future<Output = ([u64; 4], Payload)> + '_ {
+        self.send(dst, handler, args, payload, mark, true, |reply| reply)
     }
 
     /// Sends a request *without* waiting for its acknowledgement (a
@@ -610,33 +605,39 @@ impl AmPort {
     /// # Panics
     ///
     /// Panics if `dst` is out of range.
-    pub async fn post(
+    pub fn post(
         &self,
         dst: ProcId,
         handler: HandlerId,
         args: [u64; 4],
         payload: Payload,
         mark: Mark,
-    ) {
-        let ep = &self.inner.procs[self.proc];
-        let count = |_| ep.pending_posts.set(ep.pending_posts.get() + 1);
-        self.issue(dst, handler, args, payload, mark, count).await;
+    ) -> impl Future<Output = ()> + '_ {
+        self.send(dst, handler, args, payload, mark, false, drop)
     }
 
-    /// The send half of [`AmPort::request`] and [`AmPort::post`]: passes
-    /// the crash gate, polls, takes a credit and a request id, runs
-    /// `reserve` on that id (what the caller waits on), pays the send
-    /// overhead and injects. Returns `None`, having sent nothing, if the
-    /// detector already confirmed `dst` dead.
-    async fn issue<R>(
+    /// The whole of [`AmPort::request`] (`await_reply`) and
+    /// [`AmPort::post`], one future that holds the message's words once:
+    /// passes the crash gate, polls, takes a credit and a request id,
+    /// parks a reply slot on it (a request) or counts it against
+    /// [`AmPort::quiesce`] (a post), pays the send overhead, injects, and
+    /// for a request waits for the reply. Returns what `yields` makes of
+    /// the reply; if the detector already confirmed `dst` dead, sends
+    /// nothing and hands it the protocol's default reply.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the message's words are parameters of this one future, so it stores them once"
+    )]
+    async fn send<T>(
         &self,
         dst: ProcId,
         handler: HandlerId,
         args: [u64; 4],
         payload: Payload,
         mark: Mark,
-        reserve: impl FnOnce(ReqId) -> R,
-    ) -> Option<R> {
+        await_reply: bool,
+        yields: impl FnOnce(([u64; 4], Payload)) -> T,
+    ) -> T {
         assert!(dst < self.num_procs(), "no such processor {dst}");
         if self.inner.node_plan {
             self.crash_gate().await;
@@ -648,12 +649,18 @@ impl AmPort {
             // task that loops on the dead peer advances virtual time and a
             // limit can stop it.
             self.sim.delay(self.o_send()).await;
-            return None;
+            return yields(([0; 4], Payload::None));
         }
         self.poll_n(4).await;
         self.acquire_credit().await;
         let req = self.next_req();
-        let reserved = reserve(req);
+        let ep = &self.inner.procs[self.proc];
+        let slot = if await_reply {
+            Some(ep.replies.borrow_mut().park(req))
+        } else {
+            ep.pending_posts.set(ep.pending_posts.get() + 1);
+            None
+        };
         let o_send = self.o_send();
         self.sim.delay(o_send).await;
         let msg = Msg {
@@ -670,7 +677,11 @@ impl AmPort {
             trace: self.inner.next_trace(),
         };
         self.send_request(msg, o_send);
-        Some(reserved)
+        let Some(slot) = slot else {
+            return yields(([0; 4], Payload::None));
+        };
+        self.wait_until(|| ep.replies.borrow().filled(slot)).await;
+        yields(ep.replies.borrow_mut().take(slot))
     }
 
     /// Injects a fresh request whose send overhead `o_send` was just paid.

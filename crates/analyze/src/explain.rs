@@ -98,7 +98,7 @@ pub const LINTS: &[LintInfo] = &[
 /// Codes the analyzer no longer emits, because the toolchain enforces
 /// their rule with type resolution or visibility, each with the rule's
 /// new home. [`catalogue`] lists them under the lints.
-pub const MOVED: &[(&str, &str)] = &[
+pub(crate) const MOVED: &[(&str, &str)] = &[
     (
         "DET001",
         "clippy.toml `disallowed-types`: HashMap, HashSet, RandomState",

@@ -1,6 +1,6 @@
 //! A lightweight item tree over the token stream.
 //!
-//! [`FileModel`] is the program model the lints run against: a recursive-
+//! `FileModel` is the program model the lints run against: a recursive-
 //! descent pass over the [`lexer`](crate::lexer) output that recognizes the
 //! item kinds the analysis needs — modules, `fn`/`impl` signatures, and
 //! `const`/`static` items — and records, for every token index, whether it
@@ -12,7 +12,7 @@
 //! The parser is deliberately forgiving: unknown constructs are skipped
 //! token by token, so macro-heavy or exotic code degrades to "no items
 //! recognized here" rather than an error. All ranges are token-index
-//! ranges into [`FileModel::toks`].
+//! ranges into `FileModel::toks`.
 
 use std::ops::Range;
 
@@ -20,7 +20,7 @@ use crate::lexer::{lex, match_delim, Tok, TokKind};
 
 /// A `mod` declaration, inline (`mod x { … }`) or outline (`mod x;`).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ModDecl {
+pub(crate) struct ModDecl {
     /// Module name.
     pub name: String,
     /// 1-based line of the `mod` keyword.
@@ -33,7 +33,7 @@ pub struct ModDecl {
 
 /// A function item (free function or method).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FnItem {
+pub(crate) struct FnItem {
     /// Function name.
     pub name: String,
     /// 1-based line of the `fn` keyword.
@@ -53,7 +53,7 @@ pub struct FnItem {
 
 /// A `const` or `static` item.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConstItem {
+pub(crate) struct ConstItem {
     /// Item name.
     pub name: String,
     /// 1-based line of the `const`/`static` keyword.
@@ -64,7 +64,7 @@ pub struct ConstItem {
 
 /// An `impl` block header.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ImplDecl {
+pub(crate) struct ImplDecl {
     /// The implemented-for type name (last path segment; heuristic).
     pub self_ty: String,
     /// 1-based line of the `impl` keyword.
@@ -75,7 +75,7 @@ pub struct ImplDecl {
 
 /// The parsed model of one source file: token stream plus item tree.
 #[derive(Clone, Debug, Default)]
-pub struct FileModel {
+pub(crate) struct FileModel {
     /// The token stream the item ranges index into.
     pub toks: Vec<Tok>,
     /// Module declarations, in source order.

@@ -11,7 +11,7 @@
 
 /// What kind of token was scanned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword.
     Ident,
     /// Integer literal (value available via `Tok::int_value`).
@@ -25,7 +25,7 @@ pub enum TokKind {
 
 /// One token with its source line (1-based).
 #[derive(Clone, Debug)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// Token text. For [`TokKind::Punct`] this is one character.
     pub text: String,
     /// 1-based source line.

@@ -14,7 +14,7 @@
 //! `clippy.toml`, membership and detector state is private to
 //! `crates/am`, `unsafe_code` is denied by `[workspace.lints]`, and the
 //! crate layering is a test over every member's manifest
-//! (`tests/manifests.rs`). [`explain::MOVED`] maps each retired code to
+//! (`tests/manifests.rs`). `explain::MOVED` maps each retired code to
 //! its new home.
 //!
 //! The pass runs as a test, `cargo test -p nowlab-analyze`: an

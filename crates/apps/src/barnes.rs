@@ -51,7 +51,7 @@ const LOCK_BACKOFF_MAX: SimDelta = SimDelta::from_micros_int(64);
 
 /// Parameters of the Barnes-Hut benchmark.
 #[derive(Clone, Copy, Debug)]
-pub struct BarnesParams {
+pub(crate) struct BarnesParams {
     /// Total bodies.
     pub bodies: usize,
     /// Time steps.
@@ -204,7 +204,7 @@ fn must_open(b: &Body, level: u32, center: (i64, i64, i64)) -> bool {
 
 /// The Barnes-Hut application.
 #[derive(Clone, Debug)]
-pub struct Barnes {
+pub(crate) struct Barnes {
     params: BarnesParams,
 }
 

@@ -251,7 +251,7 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 /// Fixed-point scale: 1.0 == `FX_ONE`. Fixed point keeps physics
 /// accumulations associative, so checksums are identical across LogGP
 /// settings regardless of message arrival order.
-pub const FX_ONE: i64 = 1 << 20;
+pub(crate) const FX_ONE: i64 = 1 << 20;
 
 #[cfg(test)]
 mod tests {

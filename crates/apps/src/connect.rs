@@ -27,7 +27,7 @@ const C_CHASE: SimDelta = SimDelta::from_nanos(1_000);
 
 /// Parameters of the connected-components benchmark.
 #[derive(Clone, Copy, Debug)]
-pub struct ConnectParams {
+pub(crate) struct ConnectParams {
     /// Mesh rows.
     pub rows: usize,
     /// Mesh columns.
@@ -65,7 +65,7 @@ fn edge_present(seed: u64, node: usize, dir: u8, pct: u32) -> bool {
 
 /// The connected-components application.
 #[derive(Clone, Debug)]
-pub struct Connect {
+pub(crate) struct Connect {
     params: ConnectParams,
 }
 

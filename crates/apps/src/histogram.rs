@@ -13,7 +13,7 @@ use nowlab_splitc::SimDelta;
 
 /// Result of the global histogram phase for one processor.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GlobalHistogram {
+pub(crate) struct GlobalHistogram {
     /// For each bucket: how many keys of that bucket live on processors
     /// with a lower id (this processor's rank base within the bucket).
     pub my_prefix: Vec<u64>,

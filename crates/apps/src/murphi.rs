@@ -124,130 +124,30 @@ pub(crate) fn successors(s: u32, caches: u32) -> Vec<u32> {
     out
 }
 
-/// A pluggable protocol model for the verifier.
-///
-/// The paper verified an SCI coherence protocol; the default here is the
-/// directory [MSI model](Model::Msi). [`Model::Filter`] is Peterson's
-/// N-process filter lock — a second classic Murphi target exercising the
-/// same exploration machinery with a different state shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Model {
-    /// Directory-based MSI coherence with `caches` caches.
-    Msi {
-        /// Number of caches (state space grows exponentially).
-        caches: u32,
-    },
-    /// Peterson's filter mutual-exclusion lock with `procs` processes.
-    Filter {
-        /// Number of competing processes (2..=7).
-        procs: u32,
-    },
-}
-
-impl Model {
-    /// The initial state.
-    pub(crate) fn initial(self) -> u64 {
-        0
-    }
-
-    /// All successor states of `s`.
-    pub(crate) fn successors(self, s: u64) -> Vec<u64> {
-        match self {
-            Model::Msi { caches } => successors(s as u32, caches)
-                .into_iter()
-                .map(u64::from)
-                .collect(),
-            Model::Filter { procs } => filter_successors(s, procs),
-        }
-    }
-
-    /// The model's safety invariant.
-    pub(crate) fn invariant(self, s: u64) -> bool {
-        match self {
-            Model::Msi { caches } => invariant_holds(s as u32, caches),
-            Model::Filter { procs } => filter_invariant(s, procs),
-        }
-    }
-}
-
-// ---- Peterson's filter lock ------------------------------------------
-//
-// Encoding: process i's level (0 = non-critical, 1..N-1 = filter levels,
-// N = critical section) in bits [3i, 3i+3); `last[l]` for l in 1..N-1 in
-// bits [3N + 3(l-1), ..). Each Murphi rule is one atomic step.
-
-fn f_level(s: u64, i: u32) -> u64 {
-    (s >> (3 * i)) & 0x7
-}
-
-fn f_with_level(s: u64, i: u32, v: u64) -> u64 {
-    (s & !(0x7 << (3 * i))) | (v << (3 * i))
-}
-
-fn f_last(s: u64, n: u32, l: u64) -> u64 {
-    (s >> (3 * n + 3 * (l as u32 - 1))) & 0x7
-}
-
-fn f_with_last(s: u64, n: u32, l: u64, who: u64) -> u64 {
-    let shift = 3 * n + 3 * (l as u32 - 1);
-    (s & !(0x7 << shift)) | (who << shift)
-}
-
-/// May process `i`, waiting at level `l`, proceed past it?
-fn f_may_pass(s: u64, n: u32, i: u32, l: u64) -> bool {
-    f_last(s, n, l) != i as u64 || (0..n).all(|k| k == i || f_level(s, k) < l)
-}
-
-fn filter_successors(s: u64, n: u32) -> Vec<u64> {
-    let cs = n as u64; // level value meaning "in the critical section"
-    let mut out = Vec::new();
-    for i in 0..n {
-        let li = f_level(s, i);
-        if li == 0 {
-            // Enter the filter at level 1.
-            out.push(f_with_last(f_with_level(s, i, 1), n, 1, i as u64));
-        } else if li < cs {
-            if f_may_pass(s, n, i, li) {
-                if li == cs - 1 {
-                    // Past the last filter level: enter the CS.
-                    out.push(f_with_level(s, i, cs));
-                } else {
-                    let next = li + 1;
-                    out.push(f_with_last(f_with_level(s, i, next), n, next, i as u64));
-                }
-            }
-        } else {
-            // Leave the critical section.
-            out.push(f_with_level(s, i, 0));
-        }
-    }
-    out
-}
-
-/// Mutual exclusion: at most one process in the critical section.
-fn filter_invariant(s: u64, n: u32) -> bool {
-    (0..n).filter(|&i| f_level(s, i) == n as u64).count() <= 1
+/// [`successors`] as the verifier's `u64` state vectors.
+fn successors_u64(s: u64, caches: u32) -> Vec<u64> {
+    successors(s as u32, caches)
+        .into_iter()
+        .map(u64::from)
+        .collect()
 }
 
 /// Sequential reference: full BFS; returns (state count, hash sum).
 pub fn sequential_explore(params: &MurphiParams) -> (u64, u64) {
-    sequential_explore_model(Model::Msi {
-        caches: params.caches,
-    })
-}
-
-/// Sequential BFS over any [`Model`]; returns (state count, hash sum).
-pub(crate) fn sequential_explore_model(model: Model) -> (u64, u64) {
+    let caches = params.caches;
     let mut visited = BTreeSet::new();
-    let mut queue = VecDeque::from([model.initial()]);
+    let mut queue = VecDeque::from([0u64]);
     let mut hash_sum = 0u64;
     while let Some(s) = queue.pop_front() {
         if !visited.insert(s) {
             continue;
         }
-        assert!(model.invariant(s), "protocol bug at {s:016x}");
+        assert!(
+            invariant_holds(s as u32, caches),
+            "protocol bug at {s:016x}"
+        );
         hash_sum = hash_sum.wrapping_add(mix64(s));
-        for t in model.successors(s) {
+        for t in successors_u64(s, caches) {
             if !visited.contains(&t) {
                 queue.push_back(t);
             }
@@ -259,16 +159,14 @@ pub(crate) fn sequential_explore_model(model: Model) -> (u64, u64) {
 /// The parallel Murphi application.
 #[derive(Clone, Debug)]
 pub struct Murphi {
-    model: Model,
+    caches: u32,
 }
 
 impl Murphi {
-    /// Creates the verifier over the default MSI model.
+    /// Creates the verifier over the MSI model.
     pub fn new(params: MurphiParams) -> Self {
         Murphi {
-            model: Model::Msi {
-                caches: params.caches,
-            },
+            caches: params.caches,
         }
     }
 }
@@ -279,17 +177,17 @@ impl SweepableApp for Murphi {
     }
 
     fn run(&self, spec: &RunSpec) -> RunOutcome {
-        let model = self.model;
+        let caches = self.caches;
         execute(
             spec,
             DegradePolicy::Abort,
             |_| {},
-            move |ctx| murphi_body(ctx, model),
+            move |ctx| murphi_body(ctx, caches),
         )
     }
 }
 
-async fn murphi_body(ctx: nowlab_splitc::Ctx, model: Model) -> u64 {
+async fn murphi_body(ctx: nowlab_splitc::Ctx, caches: u32) -> u64 {
     let p = ctx.procs();
     let me = ctx.me();
     let owner = |s: u64| (mix64(s) % p as u64) as usize;
@@ -303,8 +201,8 @@ async fn murphi_body(ctx: nowlab_splitc::Ctx, model: Model) -> u64 {
     let mut hash_sum = 0u64;
     let mut sent = 0u64;
     let mut received = 0u64;
-    if owner(model.initial()) == me {
-        queue.push_back(model.initial());
+    if owner(0) == me {
+        queue.push_back(0);
     }
 
     loop {
@@ -319,9 +217,12 @@ async fn murphi_body(ctx: nowlab_splitc::Ctx, model: Model) -> u64 {
                 continue;
             }
             ctx.compute(C_EXPAND).await;
-            assert!(model.invariant(s), "protocol bug at {s:016x}");
+            assert!(
+                invariant_holds(s as u32, caches),
+                "protocol bug at {s:016x}"
+            );
             hash_sum = hash_sum.wrapping_add(mix64(s));
-            for t in model.successors(s) {
+            for t in successors_u64(s, caches) {
                 ctx.compute(C_SUCC).await;
                 let o = owner(t);
                 if o == me {
@@ -436,52 +337,6 @@ mod tests {
         s = with_cache(s, 1, S, GETS);
         assert_eq!(cache_state(s, 0), M);
         assert_eq!(cache_state(s, 2), S);
-    }
-
-    #[test]
-    fn filter_lock_guarantees_mutual_exclusion() {
-        // BFS of Peterson's filter lock: the invariant holds everywhere,
-        // the space is nontrivial, and the CS is actually reachable.
-        for n in [2u32, 3, 4] {
-            let model = Model::Filter { procs: n };
-            let (count, _) = sequential_explore_model(model);
-            assert!(count > 4, "n={n}: only {count} states");
-            // Reachability of the critical section.
-            let mut seen = std::collections::BTreeSet::new();
-            let mut q = std::collections::VecDeque::from([model.initial()]);
-            let mut cs_reached = false;
-            while let Some(s) = q.pop_front() {
-                if !seen.insert(s) {
-                    continue;
-                }
-                if (0..n).any(|i| f_level(s, i) == n as u64) {
-                    cs_reached = true;
-                }
-                for t in model.successors(s) {
-                    q.push_back(t);
-                }
-            }
-            assert!(cs_reached, "n={n}: nobody ever entered the CS");
-        }
-    }
-
-    #[test]
-    fn filter_model_runs_in_parallel_and_matches_sequential() {
-        let model = Model::Filter { procs: 3 };
-        let (count, hash_sum) = sequential_explore_model(model);
-        let out = Murphi { model }.run(&RunSpec::new(4));
-        assert!(out.completed);
-        assert_eq!(out.check, hash_sum.wrapping_add(count));
-    }
-
-    #[test]
-    fn filter_invariant_rejects_two_in_cs() {
-        let n = 3;
-        let mut s = 0u64;
-        s = f_with_level(s, 0, n as u64);
-        s = f_with_level(s, 1, n as u64);
-        assert!(!filter_invariant(s, n));
-        assert!(filter_invariant(f_with_level(0, 0, n as u64), n));
     }
 
     #[test]

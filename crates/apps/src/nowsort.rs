@@ -25,7 +25,7 @@ const C_RECORD: SimDelta = SimDelta::from_nanos(150);
 
 /// A streaming disk: tracks when sequential transfers complete.
 #[derive(Clone, Copy, Debug)]
-pub struct Disk {
+pub(crate) struct Disk {
     /// Bandwidth in MB/s.
     pub mb_per_s: f64,
     free_at: SimTime,

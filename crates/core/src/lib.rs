@@ -59,6 +59,6 @@ pub use nowlab_trace::{TraceMode, TraceReport, TraceSummary};
 pub use predict::{predict_app, render_report_auto, AxisPrediction, PredictPoint, Prediction};
 pub use sweep::par::{default_jobs, parallel_map};
 pub use sweep::{
-    sweep, sweep_jobs, sweep_many, Axis, AxisSweep, RunOutcome, RunSpec, SweepError, SweepPoint,
+    run_grid, sweep_jobs, sweep_many, Axis, AxisSweep, RunOutcome, RunSpec, SweepError, SweepPoint,
     SweepableApp,
 };

@@ -6,7 +6,7 @@
 //! the DAG symbolically at every grid point of the requested axes — no
 //! re-simulation. The result carries predicted slowdown curves, a
 //! λ-style tolerance threshold per axis (the parameter value where
-//! slowdown first exceeds [`TOLERANCE`]), and the baseline critical-path
+//! slowdown first exceeds 1.05), and the baseline critical-path
 //! breakdown by LogGP cost bucket and application phase.
 //!
 //! The JSON schema follows the metrics-report conventions (the one
@@ -26,15 +26,15 @@ use crate::sweep::par::parallel_map;
 use crate::sweep::{Axis, RunSpec, SweepableApp};
 
 /// Name of the schema emitted in every predict-report file.
-pub const SCHEMA_NAME: &str = "nowlab-predict-report";
+pub(crate) const SCHEMA_NAME: &str = "nowlab-predict-report";
 /// Version of the schema. Bump on any field removal or meaning change;
 /// additions are backward compatible (see DESIGN.md §10).
-pub const SCHEMA_VERSION: u64 = 2;
+pub(crate) const SCHEMA_VERSION: u64 = 2;
 
 /// Slowdown budget defining the tolerance threshold: the reported
 /// threshold is the axis value where predicted slowdown first crosses
 /// `1 + TOLERANCE`.
-pub const TOLERANCE: f64 = 0.05;
+pub(crate) const TOLERANCE: f64 = 0.05;
 
 /// One predicted sweep point.
 #[derive(Clone, Copy, Debug)]
@@ -55,7 +55,7 @@ pub struct AxisPrediction {
     /// Predicted points at the axis's paper grid values.
     pub points: Vec<PredictPoint>,
     /// First axis value whose predicted slowdown exceeds
-    /// `1 +`[`TOLERANCE`] (linear interpolation between grid points);
+    /// 1.05 (linear interpolation between grid points);
     /// `None` when the whole sweep stays within budget.
     pub threshold: Option<f64>,
 }

@@ -5,7 +5,7 @@
 //! slowdown at each point — the data behind Figures 5–8 and Tables 5–6.
 //!
 //! Sweep points are independent simulations, so the driver can fan them
-//! out across worker threads ([`sweep_jobs`], [`sweep_many`], [`par`])
+//! out across worker threads ([`sweep_jobs`], [`run_grid`], [`par`])
 //! with **byte-identical** results to the sequential path: each point's
 //! seed and fault plan derive from its [`RunSpec`], never from execution
 //! order, and results are collected by point index.
@@ -164,13 +164,6 @@ pub enum Axis {
     Latency,
     /// Bulk bandwidth `1/G` (MB/s) — swept *downward*.
     BulkBandwidth,
-    /// Per-message overhead `o` (µs), swept to expose the collective
-    /// selector's crossover points: as `o` grows, message-count-minimizing
-    /// variants (binomial, tree) overtake pipeline-friendly ones (chain,
-    /// ring). Knob-wise identical to [`Axis::Overhead`]; it exists as a
-    /// separate axis so collective-focused sweeps are labeled as such and
-    /// can report per-point selector decisions.
-    Coll,
 }
 
 impl Axis {
@@ -181,7 +174,6 @@ impl Axis {
             "gap" | "g" => Some(Axis::Gap),
             "latency" | "l" => Some(Axis::Latency),
             "bulk" | "bandwidth" | "mbps" => Some(Axis::BulkBandwidth),
-            "coll" | "collectives" => Some(Axis::Coll),
             _ => None,
         }
     }
@@ -193,7 +185,6 @@ impl Axis {
             Axis::Gap => "gap",
             Axis::Latency => "latency",
             Axis::BulkBandwidth => "bulk",
-            Axis::Coll => "coll",
         }
     }
 
@@ -204,7 +195,6 @@ impl Axis {
             Axis::Gap => "gap (us)",
             Axis::Latency => "latency (us)",
             Axis::BulkBandwidth => "bulk bandwidth (MB/s)",
-            Axis::Coll => "coll overhead (us)",
         }
     }
 
@@ -212,7 +202,7 @@ impl Axis {
     /// (desired *absolute* parameter values, baseline first).
     pub fn paper_values(self) -> Vec<f64> {
         match self {
-            Axis::Overhead | Axis::Coll => vec![2.9, 3.9, 4.9, 6.9, 7.9, 13.0, 23.0, 53.0, 103.0],
+            Axis::Overhead => vec![2.9, 3.9, 4.9, 6.9, 7.9, 13.0, 23.0, 53.0, 103.0],
             Axis::Gap => vec![5.8, 8.0, 10.0, 15.0, 30.0, 55.0, 80.0, 105.0],
             Axis::Latency => vec![5.0, 7.5, 10.0, 15.0, 30.0, 55.0, 80.0, 105.0],
             Axis::BulkBandwidth => vec![38.0, 30.0, 25.0, 20.0, 15.0, 10.0, 5.5, 5.0, 2.0, 1.0],
@@ -234,7 +224,7 @@ impl Axis {
             }
         };
         match self {
-            Axis::Overhead | Axis::Coll => Some(Knobs::with_overhead(delta_us(
+            Axis::Overhead => Some(Knobs::with_overhead(delta_us(
                 base.o_mean().as_micros_f64(),
             )?)),
             Axis::Gap => Some(Knobs::with_gap(delta_us(base.gap.as_micros_f64())?)),
@@ -295,26 +285,18 @@ pub struct AxisSweep {
 }
 
 impl AxisSweep {
-    /// Slowdowns of all completed points, paired with their desired values.
-    pub(crate) fn completed_series(&self) -> (Vec<f64>, Vec<f64>) {
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for p in &self.points {
-            if p.completed {
-                xs.push(p.desired);
-                ys.push(p.slowdown);
-            }
-        }
-        (xs, ys)
-    }
-
     /// Linear fit of slowdown vs desired value over completed points
     /// (§5.5: "applications display a linear dependence to both overhead
     /// and gap").
     ///
     /// Returns `None` when fewer than two points completed.
     pub fn linearity(&self) -> Option<LinFit> {
-        let (xs, ys) = self.completed_series();
+        let (xs, ys): (Vec<f64>, Vec<f64>) = self
+            .points
+            .iter()
+            .filter(|p| p.completed)
+            .map(|p| (p.desired, p.slowdown))
+            .unzip();
         if xs.len() < 2 {
             return None;
         }
@@ -383,16 +365,17 @@ impl fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Builds an [`AxisSweep`] from point outcomes already collected in
-/// `desired` order. Shared by the sequential and parallel drivers so both
+/// Builds an [`AxisSweep`] from the outcomes of the points at `values`,
+/// in that order. Shared by [`sweep_jobs`] and [`sweep_many`] so both
 /// assemble byte-identical results.
 fn assemble(
     app: &str,
     template: &RunSpec,
     axis: Axis,
-    pairs: Vec<(f64, RunOutcome)>,
+    values: &[f64],
+    outcomes: Vec<RunOutcome>,
 ) -> Result<AxisSweep, SweepError> {
-    let Some((_, baseline)) = pairs.first() else {
+    let Some(baseline) = outcomes.first() else {
         return Err(SweepError::NoBaselinePoint {
             app: app.to_string(),
             axis,
@@ -407,9 +390,10 @@ fn assemble(
     }
     let baseline = baseline.clone();
     let base_rt = baseline.runtime.as_secs_f64();
-    let points = pairs
-        .into_iter()
-        .map(|(value, outcome)| SweepPoint {
+    let points = values
+        .iter()
+        .zip(outcomes)
+        .map(|(&value, outcome)| SweepPoint {
             desired: value,
             runtime: outcome.runtime,
             slowdown: if base_rt > 0.0 {
@@ -436,9 +420,9 @@ fn assemble(
     })
 }
 
-/// The `(value, spec)` list a sweep will execute: one entry per desired
-/// value at or below the baseline, in `desired` order.
-fn point_specs(template: &RunSpec, axis: Axis, desired: &[f64]) -> Vec<(f64, RunSpec)> {
+/// The values a sweep will run and their specs: one per desired value at
+/// or below the baseline, in `desired` order.
+fn point_specs(template: &RunSpec, axis: Axis, desired: &[f64]) -> (Vec<f64>, Vec<RunSpec>) {
     let base_machine = template.net.machine;
     desired
         .iter()
@@ -446,26 +430,16 @@ fn point_specs(template: &RunSpec, axis: Axis, desired: &[f64]) -> Vec<(f64, Run
             let knobs = axis.knobs_for(&base_machine, value)?;
             Some((value, template.with_net(template.net.with_knobs(knobs))))
         })
-        .collect()
+        .unzip()
 }
 
 /// Sweeps `app` along `axis` through `desired` absolute parameter values,
-/// sequentially on the calling thread.
+/// fanning the points across up to `jobs` worker threads.
 ///
 /// The first value should be the baseline (it defines slowdown = 1). Values
 /// more aggressive than the baseline are skipped. Returns a [`SweepError`]
 /// if no value survives the skip or the baseline run does not complete —
 /// sensitivity is undefined without a baseline.
-pub fn sweep(
-    app: &dyn SweepableApp,
-    template: &RunSpec,
-    axis: Axis,
-    desired: &[f64],
-) -> Result<AxisSweep, SweepError> {
-    sweep_jobs(app, template, axis, desired, 1)
-}
-
-/// [`sweep`], fanning the points across up to `jobs` worker threads.
 ///
 /// The baseline point always runs first (on the calling thread) so an
 /// incomplete baseline is reported before any fan-out; the remaining
@@ -478,8 +452,8 @@ pub fn sweep_jobs(
     desired: &[f64],
     jobs: usize,
 ) -> Result<AxisSweep, SweepError> {
-    let specs = point_specs(template, axis, desired);
-    let Some((first_value, first_spec)) = specs.first() else {
+    let (values, specs) = point_specs(template, axis, desired);
+    let Some(first_spec) = specs.first() else {
         return Err(SweepError::NoBaselinePoint {
             app: app.name().to_string(),
             axis,
@@ -493,20 +467,34 @@ pub fn sweep_jobs(
             outcome: Box::new(first),
         });
     }
-    let rest = parallel_map(jobs, &specs[1..], |_, (_, spec)| app.run(spec));
-    let pairs = std::iter::once((*first_value, first))
-        .chain(specs[1..].iter().map(|(v, _)| *v).zip(rest))
-        .collect();
-    assemble(app.name(), template, axis, pairs)
+    let rest = parallel_map(jobs, &specs[1..], |_, spec| app.run(spec));
+    let outcomes = std::iter::once(first).chain(rest).collect();
+    assemble(app.name(), template, axis, &values, outcomes)
 }
 
-/// Sweeps every app in `apps` along `axis`, flattening all `(app, value)`
-/// points into one work queue shared by up to `jobs` worker threads —
-/// suite-level parallelism that keeps workers busy across app boundaries.
+/// Runs every app at every spec on up to `jobs` worker threads sharing one
+/// app-major queue, so workers stay busy across app boundaries: per app,
+/// its outcomes in `specs` order, byte-identical for every `jobs`.
+pub fn run_grid(
+    apps: &[Box<dyn SweepableApp>],
+    specs: &[RunSpec],
+    jobs: usize,
+) -> Vec<Vec<RunOutcome>> {
+    let points: Vec<(&dyn SweepableApp, &RunSpec)> = apps
+        .iter()
+        .flat_map(|app| specs.iter().map(move |spec| (app.as_ref(), spec)))
+        .collect();
+    let mut outs = parallel_map(jobs, &points, |_, (app, spec)| app.run(spec)).into_iter();
+    apps.iter()
+        .map(|_| outs.by_ref().take(specs.len()).collect())
+        .collect()
+}
+
+/// Sweeps every app in `apps` along `axis` on one [`run_grid`].
 ///
 /// Results come back in `apps` order and are byte-identical to calling
-/// [`sweep`] per app; a failed sweep yields its `Err` without disturbing
-/// the other apps' results.
+/// [`sweep_jobs`] per app; a failed sweep yields its `Err` without
+/// disturbing the other apps' results.
 pub fn sweep_many(
     apps: &[Box<dyn SweepableApp>],
     template: &RunSpec,
@@ -514,25 +502,10 @@ pub fn sweep_many(
     desired: &[f64],
     jobs: usize,
 ) -> Vec<Result<AxisSweep, SweepError>> {
-    // Flat job list: (app index, value, spec), app-major so `jobs = 1`
-    // executes in exactly per-app sequential order.
-    let per_app: Vec<Vec<(f64, RunSpec)>> = apps
-        .iter()
-        .map(|_| point_specs(template, axis, desired))
-        .collect();
-    let flat: Vec<(usize, f64, RunSpec)> = per_app
-        .iter()
-        .enumerate()
-        .flat_map(|(ai, specs)| specs.iter().map(move |(v, s)| (ai, *v, *s)))
-        .collect();
-    let outcomes = parallel_map(jobs, &flat, |_, (ai, _, spec)| apps[*ai].run(spec));
-    let mut grouped: Vec<Vec<(f64, RunOutcome)>> = apps.iter().map(|_| Vec::new()).collect();
-    for ((ai, value, _), outcome) in flat.into_iter().zip(outcomes) {
-        grouped[ai].push((value, outcome));
-    }
+    let (values, specs) = point_specs(template, axis, desired);
     apps.iter()
-        .zip(grouped)
-        .map(|(app, pairs)| assemble(app.name(), template, axis, pairs))
+        .zip(run_grid(apps, &specs, jobs))
+        .map(|(app, outcomes)| assemble(app.name(), template, axis, &values, outcomes))
         .collect()
 }
 
@@ -583,7 +556,6 @@ mod tests {
             Axis::Gap,
             Axis::Latency,
             Axis::BulkBandwidth,
-            Axis::Coll,
         ] {
             let first = axis.paper_values()[0];
             let knobs = axis.knobs_for(&base, first).unwrap();
@@ -594,7 +566,7 @@ mod tests {
     #[test]
     fn every_slug_parses_back_to_its_axis() {
         use Axis::*;
-        for axis in [Overhead, Gap, Latency, BulkBandwidth, Coll] {
+        for axis in [Overhead, Gap, Latency, BulkBandwidth] {
             assert_eq!(Axis::parse(axis.slug()), Some(axis));
         }
         assert_eq!(Axis::parse("mbps"), Some(BulkBandwidth));
@@ -617,11 +589,12 @@ mod tests {
     fn sweep_computes_slowdowns_and_linearity() {
         let app = FakeApp { msgs: 1000 };
         let template = RunSpec::new(4);
-        let result = sweep(
+        let result = sweep_jobs(
             &app,
             &template,
             Axis::Overhead,
             &Axis::Overhead.paper_values(),
+            1,
         )
         .expect("fake app always completes");
         assert_eq!(result.points.len(), 9);
@@ -652,7 +625,7 @@ mod tests {
     fn gap_axis_uses_burst_cost_in_fake_app() {
         let app = FakeApp { msgs: 1000 };
         let template = RunSpec::new(4);
-        let result = sweep(&app, &template, Axis::Gap, &Axis::Gap.paper_values())
+        let result = sweep_jobs(&app, &template, Axis::Gap, &Axis::Gap.paper_values(), 1)
             .expect("fake app always completes");
         // At g=105 (Δg=99.2): rt = 1ms + 1000·99.2µs = 100.2ms.
         let last = result.points.last().unwrap();
@@ -682,7 +655,7 @@ mod tests {
 
     #[test]
     fn incomplete_baseline_is_a_structured_error() {
-        let err = sweep(&Dud, &RunSpec::new(2), Axis::Overhead, &[2.9, 10.0])
+        let err = sweep_jobs(&Dud, &RunSpec::new(2), Axis::Overhead, &[2.9, 10.0], 1)
             .expect_err("dud baseline never completes");
         match &err {
             SweepError::IncompleteBaseline {
@@ -701,15 +674,22 @@ mod tests {
 
     #[test]
     fn empty_or_all_aggressive_values_yield_no_baseline() {
-        let err = sweep(&FakeApp { msgs: 1 }, &RunSpec::new(2), Axis::Latency, &[])
-            .expect_err("empty value list");
+        let err = sweep_jobs(
+            &FakeApp { msgs: 1 },
+            &RunSpec::new(2),
+            Axis::Latency,
+            &[],
+            1,
+        )
+        .expect_err("empty value list");
         assert!(matches!(err, SweepError::NoBaselinePoint { .. }));
         // Latency below the NOW baseline is unreachable for every value.
-        let err = sweep(
+        let err = sweep_jobs(
             &FakeApp { msgs: 1 },
             &RunSpec::new(2),
             Axis::Latency,
             &[1.0, 2.0],
+            1,
         )
         .expect_err("all values more aggressive than baseline");
         assert!(matches!(err, SweepError::NoBaselinePoint { .. }));
@@ -739,8 +719,8 @@ mod tests {
         for jobs in [1, 3] {
             let results = sweep_many(&apps, &template, Axis::Gap, &values, jobs);
             assert_eq!(results.len(), 3);
-            let solo0 = sweep(apps[0].as_ref(), &template, Axis::Gap, &values).unwrap();
-            let solo2 = sweep(apps[2].as_ref(), &template, Axis::Gap, &values).unwrap();
+            let solo0 = sweep_jobs(apps[0].as_ref(), &template, Axis::Gap, &values, 1).unwrap();
+            let solo2 = sweep_jobs(apps[2].as_ref(), &template, Axis::Gap, &values, 1).unwrap();
             assert_eq!(results[0].as_ref().unwrap(), &solo0, "jobs={jobs}");
             assert_eq!(results[2].as_ref().unwrap(), &solo2, "jobs={jobs}");
             assert!(matches!(

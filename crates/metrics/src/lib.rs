@@ -60,7 +60,7 @@ pub type StateNs = [u64; PROCESSOR.classes().len()];
 pub const DEFAULT_WINDOW: SimDelta = SimDelta::from_micros_int(100);
 
 /// Name attributed to time before the first explicit phase marker.
-pub const INIT_PHASE: &str = "init";
+pub(crate) const INIT_PHASE: &str = "init";
 
 #[derive(Clone, Default)]
 struct ProcRec {

@@ -13,17 +13,17 @@ use crate::json::Writer;
 use crate::StateNs;
 
 /// Name of the schema emitted in every report file.
-pub const SCHEMA_NAME: &str = "nowlab-metrics-report";
+pub(crate) const SCHEMA_NAME: &str = "nowlab-metrics-report";
 /// Version of the schema emitted in every report file. Bump on any
 /// field removal or meaning change; additions are backward compatible
 /// (see DESIGN.md §10).
-pub const SCHEMA_VERSION: u64 = 4;
+pub(crate) const SCHEMA_VERSION: u64 = 4;
 
 /// Per-class nanosecond totals for one application phase, summed over
 /// all processors.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseSlice {
-    /// Phase name as passed to `Ctx::phase` (or [`crate::INIT_PHASE`]).
+    /// Phase name as passed to `Ctx::phase` (or `INIT_PHASE`).
     pub name: String,
     /// Nanoseconds per [`PROCESSOR`] class, in its column order.
     pub totals: StateNs,

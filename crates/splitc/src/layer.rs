@@ -19,7 +19,7 @@ use crate::memory::{MailMsg, Memory};
 
 /// Handler ids of the Split-C primitives, registered once per cluster.
 #[derive(Clone, Copy, Debug)]
-pub struct Prims {
+pub(crate) struct Prims {
     pub(crate) read: HandlerId,
     pub(crate) write: HandlerId,
     pub(crate) fadd: HandlerId,

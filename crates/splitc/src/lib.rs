@@ -49,8 +49,8 @@ mod layer;
 mod memory;
 
 pub use ctx::Ctx;
-pub use layer::{run_spmd, DegradePolicy, Prims, SplitC, SpmdConfig, SpmdOutcome};
-pub use memory::{GlobalPtr, MailMsg, MailboxId, Memory, RegionId};
+pub use layer::{run_spmd, DegradePolicy, SplitC, SpmdConfig, SpmdOutcome};
+pub use memory::{GlobalPtr, MailMsg, Memory};
 
 // Re-export the payload type applications use with mailboxes, and the
 // structured abort the node-failure model surfaces.

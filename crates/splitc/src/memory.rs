@@ -17,10 +17,10 @@ use nowlab_am::Payload;
 ///
 /// SPMD programs allocate regions in the same order on every processor, so a
 /// `RegionId` names the local slice of one distributed array.
-pub type RegionId = usize;
+pub(crate) type RegionId = usize;
 
 /// Index of a mailbox within one processor's [`Memory`].
-pub type MailboxId = usize;
+pub(crate) type MailboxId = usize;
 
 /// A pointer into the global address space: (processor, region, word
 /// offset). The Split-C "global pointer".

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Public functions that no other crate and no test needs.
+"""Public functions and items that no other crate and no test needs.
 
-The rule: a `pub fn` in crates/*/src is `pub` only because another
-crate's product code, or a test target, calls it. Everything else is
+The rule: a `pub fn`, `pub struct`, `pub enum`, `pub trait`, `pub type`,
+`pub const` or `pub static` in crates/*/src is `pub` only because another
+crate's product code, or a test target, names it. Everything else is
 `pub(crate)`, so rustc's `dead_code` lint checks it like any private
-function.
+item. Fields and modules are out of scope.
 
 The compiler decides, not a name match. On a temporary copy of the
-working tree the script makes every product `pub fn` in crates/*/src
+working tree the script makes every such product item in crates/*/src
 (every one above its file's first line starting with `#[cfg(test)]`)
 `pub(crate)`, then checks
 
@@ -15,28 +16,30 @@ working tree the script makes every product `pub fn` in crates/*/src
     cargo check --manifest-path benchmark/Cargo.toml --all-targets
     cargo test --workspace --doc
 
-and puts `pub` back on exactly the functions a privacy error names
-(E0603, E0624: the error's spans point at the definition). A `pub use`
+and puts `pub` back on exactly the items a privacy error names (E0446,
+E0603, E0624: the error's spans point at the definition), or that a
+`private_interfaces`/`private_bounds` warning finds in a signature that
+stays public. A `pub use`
 re-export is not a caller: when one fails, the name leaves that `pub use`
-and, if it is the crate's own function, is kept in the crate by a
+and, if it is the crate's own item, is kept in the crate by a
 `pub(crate) use`; only a caller through the re-exported path puts `pub`
 back (and the re-export with it). This repeats until every check is
-clean, then prints the functions that stayed narrow:
+clean, then prints the items that stayed narrow:
 
     <file>:<line>\t<Type::>name
 
-and on stderr how many of the product `pub fn`s that is. Any error that
-is not a privacy error stops the script (exit 2) with the compiler's
-message, since then the result would not be exact. A clean tree prints
-no function and exits 0; otherwise it exits 1.
+and on stderr how many of the product `pub` items that is. Any error
+that is not a privacy error stops the script (exit 2) with the
+compiler's message, since then the result would not be exact. A clean
+tree prints no item and exits 0; otherwise it exits 1.
 
 It takes about 2½ minutes on a 2-core VM, in about 40 rounds (set
 CARGO_TARGET_DIR to keep a target directory between runs; without it the
 copy's own is used and deleted). The working tree itself is never
 written.
 
-With -v it says, on stderr, why each function got `pub` back: the error
-code and the caller's file and line.
+With -v it says, on stderr, why each item got `pub` back: the error code
+and the caller's file and line.
 
 Usage: scripts/pub_census.py [-v] [REPO_ROOT]   (default: the current directory)
 """
@@ -53,7 +56,8 @@ import tempfile
 args = [a for a in sys.argv[1:] if a != "-v"]
 root = pathlib.Path(args[0] if args else ".").resolve()
 log = sys.stderr if "-v" in sys.argv[1:] else open(os.devnull, "w")
-PUB_FN = re.compile(r"^(\s*)pub((?:\s+const)?(?:\s+async)?\s+fn\s+(\w+))")
+PUB_ITEM = re.compile(r"^(\s*)pub(\s+(?:(?:const\s+)?(?:async\s+)?fn|struct|enum|trait|type|const"
+                      r"|static)\s+(\w+))")
 IMPL = re.compile(r"^\s*impl\b.*?(?:\bfor\s+)?([A-Za-z_]\w*)(?:<[^{]*>)?\s*(?:where\b.*)?\{?\s*$")
 
 
@@ -66,7 +70,7 @@ def product_lines(path):
 
 
 def owner(lines, i):
-    """`Type::` of the impl block around line i, or '' for a free fn."""
+    """`Type::` of the impl block around line i, or '' for a free item."""
     indent = len(lines[i]) - len(lines[i].lstrip())
     for j in range(i - 1, -1, -1):
         line = lines[j]
@@ -96,14 +100,14 @@ class Census:
     def __init__(self, src, work):
         self.work = work
         self.files = {}  # rel -> pristine lines
-        self.fns = {}  # (rel, line) -> (crate, "Type::" or "", name)
-        self.dropped = {}  # (rel, first line of a `pub use`) -> {name: crate's own fn?}
+        self.fns = {}  # (rel, line) -> (crate, "Type::" or "", name) of an item
+        self.dropped = {}  # (rel, first line of a `pub use`) -> {name: crate's own item?}
         for path in sorted(src.glob("crates/*/src/**/*.rs")) + sorted(src.glob("src/**/*.rs")):
             rel = path.relative_to(src)
             lines, end = product_lines(path)
             self.files[rel] = lines
             for i in range(end if rel.parts[0] == "crates" else 0):
-                m = PUB_FN.match(lines[i])
+                m = PUB_ITEM.match(lines[i])
                 if m and "$" not in lines[i]:
                     self.fns[(rel, i)] = (crate_of(rel), owner(lines, i), m.group(3))
         self.narrow = set(self.fns)
@@ -113,7 +117,7 @@ class Census:
             lines = list(pristine)
             for key in self.narrow:
                 if key[0] == rel:
-                    lines[key[1]] = PUB_FN.sub(r"\1pub(crate)\2", lines[key[1]], count=1)
+                    lines[key[1]] = PUB_ITEM.sub(r"\1pub(crate)\2", lines[key[1]], count=1)
             for (frel, first), names in self.dropped.items():
                 if frel != rel:
                     continue
@@ -132,6 +136,8 @@ class Census:
                         prefix = re.match(r"\s*pub use\s+([\w:]*?)(?:\{|\w+;)", pristine[first])
                         lines[last] += " #[allow(unused_imports)] pub(crate) use %s%s;" % (
                             prefix.group(1), name)
+                # A `pub use path::name;` that lost its one name goes.
+                lines[first] = re.sub(r"\bpub use [\w:]*::;", "", lines[first])
             (self.work / rel).write_text("\n".join(lines))
 
     def stmt_at(self, rel, line):
@@ -160,10 +166,10 @@ class Census:
         return path
 
     def diagnose(self, code, message, spans):
-        """Acts on one error; returns False if it names no narrowed fn."""
+        """Acts on one error; returns False if it names no narrowed item."""
         spans = [(self.rel(f), line - 1, primary) for f, line, primary in spans]
         rel, line = next(((r, n) for r, n, primary in spans if primary), (None, None))
-        if code in PRIVATE:
+        if code in PRIVATE + LEAKED:
             names = re.findall(r"`(\w+)`", message)[:1]
         elif code in UNRESOLVED:
             # A name a `pub use` dropped, or one a glob re-export now skips.
@@ -178,7 +184,7 @@ class Census:
                 own = (crate_of(rel), "", name) in self.fns.values()
                 self.dropped.setdefault((rel, first), {})[name] = own
             return True
-        if code in PRIVATE:
+        if code in PRIVATE + LEAKED:
             # The definition, or the `pub(crate) use` standing in for it.
             hit = [(r, n) for r, n, _ in spans if (r, n) in self.fns]
             for r, n, _ in spans:
@@ -202,7 +208,9 @@ def cargo_check(census, args):
     for line in out.stdout.splitlines():
         msg = json.loads(line)
         diag = msg.get("message") if msg.get("reason") == "compiler-message" else None
-        if not diag or diag["level"] != "error" or not diag.get("code"):
+        if not diag or not diag.get("code"):
+            continue
+        if diag["level"] != "error" and diag["code"]["code"] not in LEAKED:
             continue
         # The definition is a labelled span of the error or of a note
         # under it; a `help` names look-alike functions, not this one.
@@ -211,14 +219,16 @@ def cargo_check(census, args):
                   if c["level"] == "note" for s in c["spans"]]
         if census.diagnose(diag["code"]["code"], diag["message"], spans):
             acted = True
-        else:
+        elif diag["level"] == "error":
             unknown.append(diag["rendered"])
     if out.returncode and not acted and not unknown:
         unknown.append(out.stderr[-4000:])
     return acted, unknown
 
 
-PRIVATE = ("E0364", "E0365", "E0603", "E0624")
+PRIVATE = ("E0364", "E0365", "E0446", "E0603", "E0624")
+# Warnings that a narrowed type shows in a signature that stays public.
+LEAKED = ("private_interfaces", "private_bounds")
 UNRESOLVED = ("E0423", "E0425", "E0432", "E0433")
 DOC_ERROR = re.compile(r"^error\[(E\d+)\]: (.*)$")
 DOC_SPAN = re.compile(r"^\s*(?:-->|:::)\s+(\S+?):(\d+):\d+")
@@ -291,7 +301,7 @@ def main():
     for rel, line in sorted(census.narrow):
         _, own, name = census.fns[(rel, line)]
         print(f"{rel}:{line + 1}\t{own}{name}")
-    print(f"{len(census.narrow)} of {len(census.fns)} product pub fn need no other crate "
+    print(f"{len(census.narrow)} of {len(census.fns)} product pub items need no other crate "
           f"and no test ({rounds} rounds)", file=sys.stderr)
     sys.exit(1 if census.narrow else 0)
 

@@ -381,7 +381,7 @@ fn net_of(flags: &Flags) -> Result<NetConfig, String> {
                     "--{flag} {v}: below the Berkeley NOW baseline (the apparatus only slows down)"
                 ))?;
             match axis {
-                Axis::Overhead | Axis::Coll => knobs.d_o = k.d_o,
+                Axis::Overhead => knobs.d_o = k.d_o,
                 Axis::Gap => knobs.d_g = k.d_g,
                 Axis::Latency => knobs.d_lat = k.d_lat,
                 Axis::BulkBandwidth => knobs.d_gap_per_byte = k.d_gap_per_byte,
@@ -705,7 +705,13 @@ fn cmd_sweep(flags: &Flags) -> Result<ExitCode, String> {
     if axis_flag == "chaos" {
         return cmd_sweep_chaos(flags, app.as_ref());
     }
-    let axis = Axis::parse(&axis_flag).ok_or_else(|| format!("--axis: `{axis_flag}`"))?;
+    // The coll axis is the overhead sweep plus the selector's decisions.
+    let coll_table = matches!(axis_flag.as_str(), "coll" | "collectives");
+    let axis = if coll_table {
+        Axis::Overhead
+    } else {
+        Axis::parse(&axis_flag).ok_or_else(|| format!("--axis: `{axis_flag}`"))?
+    };
     let tracing = flags.contains_key("trace-summary");
     let metering = metrics_mode_of(flags);
     let spec = guard(
@@ -811,8 +817,8 @@ fn cmd_sweep(flags: &Flags) -> Result<ExitCode, String> {
         t.push_row(row);
     }
     println!("{t}");
-    if axis == Axis::Coll {
-        print_coll_decisions(&spec, axis, &values)?;
+    if coll_table {
+        print_coll_decisions(&spec, &values);
     }
     if let Some(path) = flags.get("metrics") {
         let metas: Vec<SweepPointMeta<'_>> = result
@@ -855,7 +861,7 @@ const COLL_TABLE_BYTES: u64 = 16 * 1024;
 /// time) for each collective family at every swept overhead point, so the
 /// crossover from bandwidth-friendly to message-frugal variants is visible
 /// next to the measured slowdown table.
-fn print_coll_decisions(spec: &RunSpec, axis: Axis, values: &[f64]) -> Result<(), String> {
+fn print_coll_decisions(spec: &RunSpec, values: &[f64]) {
     let procs = spec.procs;
     let bytes = COLL_TABLE_BYTES;
     let mut t = Table::new(
@@ -877,7 +883,7 @@ fn print_coll_decisions(spec: &RunSpec, axis: Axis, values: &[f64]) -> Result<()
         ],
     );
     for &v in values {
-        let Some(knobs) = axis.knobs_for(&spec.net.machine, v) else {
+        let Some(knobs) = Axis::Overhead.knobs_for(&spec.net.machine, v) else {
             continue;
         };
         let net = spec.net.with_knobs(knobs);
@@ -899,7 +905,6 @@ fn print_coll_decisions(spec: &RunSpec, axis: Axis, values: &[f64]) -> Result<()
         ]);
     }
     println!("{t}");
-    Ok(())
 }
 
 /// Crash times swept by `--axis chaos`, as fractions of the healthy
@@ -1028,8 +1033,8 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
             Axis::BulkBandwidth,
         ],
         Some(s) => match Axis::parse(s) {
-            Some(axis) if axis != Axis::Coll => vec![axis],
-            _ => return Err(format!("--axis: `{s}` (want overhead|gap|latency|bulk)")),
+            Some(axis) => vec![axis],
+            None => return Err(format!("--axis: `{s}` (want overhead|gap|latency|bulk)")),
         },
     };
     let spec = guard(

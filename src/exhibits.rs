@@ -23,8 +23,8 @@ use nowlab_core::models::{
 };
 use nowlab_core::report::{fmt_f, fmt_or_na, fmt_time, sparkline, Table};
 use nowlab_core::{
-    parallel_map, sweep_many, Axis, AxisSweep, FaultPlan, Knobs, LoggpParams, MetricsMode,
-    NetConfig, RunOutcome, RunSpec, SimDelta, SweepableApp,
+    run_grid, sweep_many, Axis, AxisSweep, FaultPlan, Knobs, LoggpParams, MetricsMode, NetConfig,
+    RunOutcome, RunSpec, SimDelta, SweepableApp,
 };
 use nowlab_sim::ordered_sum_by;
 use nowlab_trace::COARSE;
@@ -289,19 +289,6 @@ impl Lab {
     fn suite(&self) -> Vec<Box<dyn SweepableApp>> {
         suite_scaled(self.scale)
     }
-
-    /// Runs every app at every spec — off-grid points no other exhibit
-    /// shares — on the worker pool: per app, its outcomes in `specs` order.
-    fn cross(&self, apps: &[Box<dyn SweepableApp>], specs: &[RunSpec]) -> Vec<Vec<RunOutcome>> {
-        let points: Vec<(&dyn SweepableApp, &RunSpec)> = apps
-            .iter()
-            .flat_map(|app| specs.iter().map(move |spec| (app.as_ref(), spec)))
-            .collect();
-        let mut outs = parallel_map(self.jobs, &points, |_, (app, spec)| app.run(spec)).into_iter();
-        apps.iter()
-            .map(|_| outs.by_ref().take(specs.len()).collect())
-            .collect()
-    }
 }
 
 /// `Err` unless every run of `app` completed (for exhibits whose every
@@ -495,9 +482,11 @@ fn fig4_balance(lab: &mut Lab) -> Rendered {
         blocks.push(text(render_balance_matrix(stats)));
     }
     blocks.push(text(
-        "reproduction targets: Radix's off-diagonal histogram line over a\n\
-         grey all-to-all; EM3D's near-diagonal locality swath; Sample's\n\
-         vertical receiver bars; NOW-sort's solid square; P-Ray hot spots.",
+        "reproduction targets: Radix's uniform all-to-all (it gathers its\n\
+         counts with an allgather, not the paper's histogram chain, so the\n\
+         paper's off-diagonal line is absent: DESIGN.md section 6); EM3D's\n\
+         near-diagonal locality swath; Sample's vertical receiver bars;\n\
+         NOW-sort's solid square; P-Ray hot spots.",
     ));
     Ok(blocks)
 }
@@ -800,7 +789,7 @@ fn ablation_window(lab: &mut Lab) -> Rendered {
         .collect();
     let specs: Vec<RunSpec> = nets.iter().map(|&n| RunSpec::new(32).with_net(n)).collect();
     let app = em3d_write();
-    let outs = &lab.cross(&app, &specs)[0];
+    let outs = &run_grid(&app, &specs, lab.jobs)[0];
     require_complete(app[0].as_ref(), outs)?;
     for ((window, nets), outs) in windows.iter().zip(nets.chunks(2)).zip(outs.chunks(2)) {
         t.push_row([
@@ -887,7 +876,7 @@ fn ablation_latency_mechanism(lab: &mut Lab) -> Rendered {
         .collect();
     let specs: Vec<RunSpec> = nets.iter().map(|&n| RunSpec::new(32).with_net(n)).collect();
     let app = em3d_write();
-    let outs = &lab.cross(&app, &specs)[0];
+    let outs = &run_grid(&app, &specs, lab.jobs)[0];
     require_complete(app[0].as_ref(), outs)?;
     let base = &outs[0];
     for ((l, nets), outs) in latencies
@@ -939,7 +928,11 @@ fn knob_table(
     let mut t = Table::new(title, &[knob, "interval us", "msg/proc", "slowdown @o=53"]);
     let specs =
         [NetConfig::berkeley_now(), lan_overhead_net()?].map(|n| RunSpec::new(32).with_net(n));
-    for ((label, app), outs) in labels.iter().zip(variants).zip(lab.cross(variants, &specs)) {
+    for ((label, app), outs) in labels
+        .iter()
+        .zip(variants)
+        .zip(run_grid(variants, &specs, lab.jobs))
+    {
         require_complete(app.as_ref(), &outs)?;
         let (base, slow) = (&outs[0], &outs[1]);
         t.push_row([
@@ -1044,7 +1037,10 @@ fn model_crossval(lab: &mut Lab) -> Rendered {
     let baselines = lab.baselines(32)?;
     let template = spec(32);
     let specs = vectors.map(|(_, knobs)| template.with_net(template.net.with_knobs(knobs)));
-    for (s, outs) in baselines.iter().zip(lab.cross(&lab.suite(), &specs)) {
+    for (s, outs) in baselines
+        .iter()
+        .zip(run_grid(&lab.suite(), &specs, lab.jobs))
+    {
         let model = SensitivityModel::from_baseline(&s.baseline);
         let mut row = vec![s.app.clone()];
         for ((_, knobs), out) in vectors.iter().zip(&outs) {
@@ -1083,7 +1079,7 @@ fn time_breakdown(lab: &mut Lab) -> Rendered {
     let apps = lab.suite();
     let specs = [NetConfig::berkeley_now(), lan_overhead_net()?]
         .map(|net| spec(32).with_net(net).with_metrics(MetricsMode::On));
-    for (app, outs) in apps.iter().zip(lab.cross(&apps, &specs)) {
+    for (app, outs) in apps.iter().zip(run_grid(&apps, &specs, lab.jobs)) {
         let mut row = vec![app.name().to_string()];
         for out in &outs {
             match out.metrics.as_ref().filter(|_| out.completed) {
@@ -1148,7 +1144,7 @@ fn ext_fault_sweep(lab: &mut Lab) -> Rendered {
     let specs: Vec<RunSpec> = rates.iter().map(|&r| lossy_spec(procs, r)).collect();
     // Per-rate protocol totals, accumulated across the suite.
     let mut totals = vec![[0u64; 4]; rates.len()]; // drops, retx, timeouts, n/a
-    for (app, outs) in apps.iter().zip(lab.cross(&apps, &specs)) {
+    for (app, outs) in apps.iter().zip(run_grid(&apps, &specs, lab.jobs)) {
         // The rate grid starts at 0: the lossless baseline.
         let base = &outs[0];
         if !base.completed {

@@ -28,11 +28,11 @@
 //! processors, exactly as Figure 5 of the paper does:
 //!
 //! ```
-//! use nowlab::core::{sweep, Axis, RunSpec};
+//! use nowlab::core::{sweep_jobs, Axis, RunSpec};
 //! use nowlab::apps::em3d::{Em3dParams, Em3dWrite};
 //!
 //! let app = Em3dWrite::new(Em3dParams::small());
-//! let result = sweep(&app, &RunSpec::new(8), Axis::Overhead, &[2.9, 13.0])
+//! let result = sweep_jobs(&app, &RunSpec::new(8), Axis::Overhead, &[2.9, 13.0], 1)
 //!     .expect("the baseline run completes");
 //! assert!((result.points[0].slowdown - 1.0).abs() < 1e-9);
 //! assert!(result.points[1].slowdown > 1.5, "overhead hurts EM3D");
@@ -49,7 +49,7 @@
 //! nearest-neighbor ring exchange:
 //!
 //! ```
-//! use nowlab::core::{RunOutcome, RunSpec, SweepableApp, sweep, Axis};
+//! use nowlab::core::{RunOutcome, RunSpec, SweepableApp, sweep_jobs, Axis};
 //! use nowlab::splitc::{run_spmd, GlobalPtr, SpmdConfig};
 //!
 //! struct RingExchange {
@@ -93,7 +93,7 @@
 //! }
 //!
 //! let app = RingExchange { steps: 8 };
-//! let result = sweep(&app, &RunSpec::new(4), Axis::Overhead, &[2.9, 53.0])
+//! let result = sweep_jobs(&app, &RunSpec::new(4), Axis::Overhead, &[2.9, 53.0], 1)
 //!     .expect("the baseline run completes");
 //! assert!(result.points[1].slowdown > 2.0, "a chatty ring feels overhead");
 //! ```
@@ -146,6 +146,6 @@ pub mod apps {
 
 pub use nowlab_am::{FaultPlan, Knobs, LoggpParams, NetConfig, Outage};
 pub use nowlab_core::{
-    default_jobs, sweep, sweep_jobs, sweep_many, Axis, RunOutcome, RunSpec, SweepError,
-    SweepableApp, TraceMode,
+    default_jobs, sweep_jobs, sweep_many, Axis, RunOutcome, RunSpec, SweepError, SweepableApp,
+    TraceMode,
 };

@@ -521,6 +521,44 @@ fn sweep_runs_the_seed_it_is_given() {
     assert_ne!(sweep(&[]), sweep(&["--seed", "7"]), "--seed 7 ran seed 1");
 }
 
+/// `sweep --axis coll` (or `collectives`) is the overhead sweep followed
+/// by the collective selector's decision table; `predict` has no such axis.
+#[test]
+fn the_coll_axis_is_the_overhead_sweep_plus_the_decision_table() {
+    let sweep = |axis: &str| {
+        let (ok, text) = nowlab(&[
+            "sweep", "--app", "radix", "--axis", axis, "--procs", "4", "--scale", "test",
+        ]);
+        assert!(ok, "{text}");
+        text
+    };
+    let overhead = sweep("overhead");
+    let (rows, fit) = overhead.split_once("linear fit:").expect("a fit line");
+    for axis in ["coll", "collectives"] {
+        let text = sweep(axis);
+        let (same_rows, rest) = text
+            .split_once("== model-selected variants vs overhead (4 procs")
+            .expect("the decision table");
+        assert_eq!(same_rows, rows, "--axis {axis}");
+        assert!(
+            rest.ends_with(&format!("linear fit:{fit}")),
+            "--axis {axis}: {rest}"
+        );
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_nowlab"))
+        .args([
+            "predict", "--app", "radix", "--procs", "4", "--scale", "test", "--axis", "coll",
+        ])
+        .output()
+        .expect("run nowlab binary");
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        text.contains("error: --axis: `coll` (want overhead|gap|latency|bulk)"),
+        "{text}"
+    );
+}
+
 /// A flag value the library would assert on is refused where it is
 /// parsed: exit 1 with the CLI's error line, not exit 101 with a backtrace.
 #[test]

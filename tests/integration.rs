@@ -7,7 +7,7 @@ use nowlab::apps::nowsort::{NowSort, NowSortParams};
 use nowlab::apps::radix::{Radix, RadixParams};
 use nowlab::apps::{suite_scaled, SuiteScale};
 use nowlab::core::calib::calibrate;
-use nowlab::{sweep, Axis, NetConfig, RunSpec, SweepableApp};
+use nowlab::{sweep_jobs, Axis, NetConfig, RunSpec, SweepableApp};
 
 #[test]
 fn whole_suite_completes_and_is_deterministic() {
@@ -71,8 +71,8 @@ fn overhead_hurts_chatty_apps_more_than_quiet_ones() {
     let nowsort = NowSort::new(NowSortParams::small());
     let spec = RunSpec::new(8);
     let o_values = [2.9, 23.0, 53.0];
-    let r = sweep(&radix, &spec, Axis::Overhead, &o_values).expect("baseline completes");
-    let n = sweep(&nowsort, &spec, Axis::Overhead, &o_values).expect("baseline completes");
+    let r = sweep_jobs(&radix, &spec, Axis::Overhead, &o_values, 1).expect("baseline completes");
+    let n = sweep_jobs(&nowsort, &spec, Axis::Overhead, &o_values, 1).expect("baseline completes");
     assert!(
         r.max_slowdown() > 3.0 * n.max_slowdown(),
         "radix {} vs nowsort {}",
@@ -86,9 +86,9 @@ fn latency_hurts_readers_more_than_writers() {
     let params = Em3dParams::small();
     let spec = RunSpec::new(8);
     let l_values = [5.0, 55.0, 105.0];
-    let r =
-        sweep(&Em3dRead::new(params), &spec, Axis::Latency, &l_values).expect("baseline completes");
-    let w = sweep(&Em3dWrite::new(params), &spec, Axis::Latency, &l_values)
+    let r = sweep_jobs(&Em3dRead::new(params), &spec, Axis::Latency, &l_values, 1)
+        .expect("baseline completes");
+    let w = sweep_jobs(&Em3dWrite::new(params), &spec, Axis::Latency, &l_values, 1)
         .expect("baseline completes");
     assert!(
         r.max_slowdown() > 2.0 * w.max_slowdown(),
@@ -104,7 +104,8 @@ fn overhead_and_gap_responses_are_linear() {
     let radix = Radix::new(RadixParams::small());
     let spec = RunSpec::new(8);
     for axis in [Axis::Overhead, Axis::Gap] {
-        let s = sweep(&radix, &spec, axis, &axis.paper_values()).expect("baseline completes");
+        let s =
+            sweep_jobs(&radix, &spec, axis, &axis.paper_values(), 1).expect("baseline completes");
         let fit = s.linearity().expect("enough points");
         assert!(
             fit.r2 > 0.98,

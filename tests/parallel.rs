@@ -7,7 +7,7 @@
 
 use nowlab::apps::{suite_scaled, SuiteScale};
 use nowlab::core::{sweep_jobs, sweep_many, Axis, NetConfig, SimDelta, SweepError, TraceMode};
-use nowlab::{sweep, FaultPlan, RunSpec};
+use nowlab::{FaultPlan, RunSpec};
 
 /// A faulty-wire spec: deterministic drops engage the reliability
 /// protocol, so retransmit/timeout counters are live and any cross-thread
@@ -54,7 +54,7 @@ fn suite_level_fanout_matches_per_app_sequential_sweeps() {
     let spec = faulty_spec(4);
     let seq: Vec<Result<_, SweepError>> = apps
         .iter()
-        .map(|app| sweep(app.as_ref(), &spec, Axis::Latency, &O_VALUES))
+        .map(|app| sweep_jobs(app.as_ref(), &spec, Axis::Latency, &O_VALUES, 1))
         .collect();
     for jobs in [2, 4] {
         let par = sweep_many(&apps, &spec, Axis::Latency, &O_VALUES, jobs);

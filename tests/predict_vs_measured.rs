@@ -13,7 +13,7 @@
 //! re-simulated run may interleave differently (see DESIGN.md §13).
 
 use nowlab::apps::{suite_scaled, SuiteScale};
-use nowlab::core::{sweep, Axis, RunSpec, SweepableApp, TraceMode};
+use nowlab::core::{sweep_jobs, Axis, RunSpec, SweepableApp, TraceMode};
 use nowlab::predict::analyze;
 
 fn spec() -> RunSpec {
@@ -38,7 +38,7 @@ fn curves(app: &dyn SweepableApp, axis: Axis, values: &[f64]) -> Vec<(f64, f64, 
         .unwrap_or_else(|e| panic!("{}: {e}", app.name()));
     let base_ns = analysis.baseline_runtime().as_nanos() as f64;
 
-    let measured = sweep(app, &spec, axis, values).expect("sweep completes");
+    let measured = sweep_jobs(app, &spec, axis, values, 1).expect("sweep completes");
     values
         .iter()
         .zip(&measured.points)
