@@ -16,9 +16,9 @@ static ALLOC: Counting = Counting;
 /// Peak live bytes of the same run at `40da148`, the commit before the
 /// cursor-walk distribution (measured by this file on a build of it).
 const PARENT_PEAK: isize = 42_767_248;
-/// About 10 % above the 25 332 528 the cursor walk measures: `keys`, `recv`
+/// About 10 % above the 25 117 976 the cursor walk measures: `keys`, `recv`
 /// and the fifteen remote payloads of each of 16 processors, 8 B a key
-/// each, plus 0.7 MB of everything else.
+/// each, plus 0.5 MB of everything else.
 const CEILING: isize = 27_800_000;
 
 #[test]

@@ -25,10 +25,10 @@ const PARENT_PEAK: isize = 212_719_280;
 /// `MsgRecord` (135 782 368 when `f640445` introduced it): a 645 278-slot
 /// reservation, its exact-size copy and the rest.
 const WHOLE_RECORD_PEAK: isize = 135_766_416;
-/// About 10 % above the 82 493 616 the 64-byte packed entry measures: the
+/// About 12 % above the 80 960 528 the 64-byte packed entry measures: the
 /// store's reservation (524 289 entries, 33.6 MB, of which the run writes
 /// 31.5 MB — a count of bytes asked for, not of pages touched), its
-/// exact-size copy (31.5 MB), and 17.4 MB of everything else (the id
+/// exact-size copy (31.5 MB), and 15.9 MB of everything else (the id
 /// index, the side channels, the run itself). The whole-record store is
 /// above it.
 const CEILING: isize = 90_700_000;

@@ -334,9 +334,9 @@ impl Sim {
     }
 
     /// Capacity and occupancy snapshot of the timer wheel: ring size
-    /// (fixed at construction), per-bucket allocation, overflow-heap
-    /// depth, and entry count. Used by the differential tests to assert
-    /// the ring never grows during steady state.
+    /// (fixed at construction), entry-pool capacity, overflow-heap depth,
+    /// and entry count. Used by the differential tests to assert that
+    /// the ring never grows and the pool only to the pending peak.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.shared.inner.borrow().wheel.stats()
     }
@@ -756,9 +756,7 @@ impl Sim {
                 if let Some(tl) = self.shared.time_limit.get() {
                     if t > tl {
                         let mut inner = self.shared.inner.borrow_mut();
-                        for e in batch.drain(..) {
-                            inner.wheel.push(e);
-                        }
+                        inner.wheel.put_back(batch.drain(..));
                         self.shared.next_deadline.set(inner.wheel.peek_next());
                         break StopReason::TimeLimit;
                     }
@@ -839,9 +837,7 @@ impl Sim {
                 // never left the slab); a resumed run fires them exactly
                 // where the uninterrupted run would have.
                 let mut inner = self.shared.inner.borrow_mut();
-                for e in batch.drain(fired..) {
-                    inner.wheel.push(e);
-                }
+                inner.wheel.put_back(batch.drain(fired..));
                 batch.clear();
                 self.shared.next_deadline.set(inner.wheel.peek_next());
                 break 'run reason;

@@ -18,9 +18,16 @@
 //!   bucket number lies within the horizon `[cursor, cursor +
 //!   num_buckets)`, and the cursor only advances past fully drained
 //!   buckets.
+//! * **Entry pool.** Every ring entry sits in one slot of a shared pool,
+//!   and a bucket is only a chain of slot indices: a head and a tail per
+//!   bucket, a `next` link per slot. A fired entry's slot goes on a free
+//!   list threaded through the same links, so the pool grows to the most
+//!   timers ever pending in the ring at once, not to the sum of what each
+//!   bucket once held, and is then reused. `next` is a parallel `Vec`, so
+//!   a pooled entry stays three words.
 //! * **Occupancy bitmap.** One bit per ring slot, so "find the next
 //!   non-empty bucket" is a handful of word scans instead of walking
-//!   `Vec` headers.
+//!   the chain heads.
 //! * **Overflow.** Timers beyond the horizon (retransmit backoffs,
 //!   long compute spans, far `sleep_until`s) go to a conventional
 //!   `(time, seq)`-ordered min-heap and are *promoted* into the ring as
@@ -34,12 +41,14 @@
 //!
 //! * Buckets partition time, so draining the earliest non-empty bucket
 //!   first yields globally ascending times.
-//! * Within a bucket, a batch is every entry carrying the minimal time;
-//!   the batch is then sorted by `seq`. Entries pushed directly arrive
-//!   already in `seq` order, but entries *promoted* from the overflow
-//!   heap can interleave with later direct pushes at the same instant,
-//!   so the (almost always no-op) sort is what makes wheel order
-//!   bit-identical to the old heap order. `crates/sim/tests/
+//! * Every chain is kept in `(time, seq)` order, so a batch is the run of
+//!   entries at the head's instant, already in `seq` order. A push
+//!   appends at the tail whenever it sorts last — every direct push but
+//!   one to an earlier instant of a bucket that already holds a later one
+//!   — and otherwise walks the chain to its place. Promoted entries leave
+//!   the heap in order and land in buckets no direct push has reached,
+//!   and a batch's unfired rest goes back latest-first ([`TimerWheel::
+//!   put_back`]), each to the head of its chain. `crates/sim/tests/
 //!   wheel_vs_heap.rs` replays randomized workloads against a reference
 //!   heap to hold this line.
 //!
@@ -51,8 +60,7 @@
 //! — a slot of the executor's action slab (see `executor.rs`). The
 //! two high-rate event kinds of a cluster run, hook-dispatched message
 //! deliveries and task sleeps, therefore go through the wheel and
-//! nothing else. The bucket `Vec`s are most of a run's heap, which is
-//! why the word is packed instead of widening the entry to 32 bytes.
+//! nothing else.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,7 +78,7 @@ use crate::time::SimTime;
 /// horizon, so delivery, gap-pacing, overhead, and sweep-scale latency
 /// timers all take the O(1) ring path; only genuinely far timers
 /// (retransmit backstops, heartbeats) pay for the heap. Distinct
-/// instants sharing a 256 ns bucket are separated at extraction time, so
+/// instants sharing a 256 ns bucket are ordered within its chain, so
 /// the span affects constant factors, never ordering.
 const BUCKET_SHIFT: u32 = 8;
 
@@ -79,6 +87,9 @@ const BUCKET_SHIFT: u32 = 8;
 /// cheaper than the larger bitmap scans.
 const MIN_BUCKETS: usize = 1024;
 const MAX_BUCKETS: usize = 8192;
+
+/// The end of a chain, and of the free list.
+const NIL: u32 = u32::MAX;
 
 /// One pending timer: when, which registration, and what fires (see
 /// [`Fire`]).
@@ -151,25 +162,47 @@ impl Fire {
 pub struct SchedulerStats {
     /// Ring buckets allocated. Fixed at construction; never grows.
     pub ring_buckets: usize,
-    /// Sum of the per-bucket `Vec` capacities (allocation churn probe:
-    /// steady-state workloads stop growing this after warm-up).
-    pub bucket_capacity: usize,
+    /// Slots allocated in the ring's shared entry pool: its first
+    /// reservation, or the most timers ever pending in the ring at once
+    /// rounded up by `Vec` growth. It stops growing once a run has passed
+    /// its peak.
+    pub pool_capacity: usize,
     /// Entries currently parked in the overflow heap (far timers).
     pub overflow_len: usize,
     /// Total entries tracked (ring + overflow).
     pub entries: usize,
 }
 
+/// One ring bucket: the first and last pool slot of its chain. `head ==
+/// NIL` marks an empty bucket, whose `tail` is stale.
+#[derive(Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 pub(crate) struct TimerWheel {
-    /// The ring. Allocated once; the bucket *array* never grows (the
-    /// per-bucket `Vec`s grow amortized and keep their capacity).
-    buckets: Box<[Vec<TimerEntry>]>,
+    /// The ring. Allocated once; never grows.
+    chains: Box<[Chain]>,
+    /// The entry pool: every ring entry, in the slot its chain names.
+    pool: Vec<TimerEntry>,
+    /// `next[s]`: the slot after `s` in its chain, or in the free list.
+    next: Vec<u32>,
+    /// Head of the free list of pool slots.
+    free: u32,
     /// One bit per ring slot: set iff the bucket is non-empty.
     occupied: Box<[u64]>,
-    /// Ring index mask (`buckets.len() - 1`).
+    /// Ring index mask (`chains.len() - 1`).
     mask: u64,
     /// Lowest bucket number that may still hold ring entries. All ring
-    /// entries have bucket numbers in `[cursor, cursor + buckets.len())`.
+    /// entries have bucket numbers in `[cursor, cursor + chains.len())`.
     cursor: u64,
     /// Far timers, beyond the ring horizon at push time.
     overflow: BinaryHeap<Reverse<TimerEntry>>,
@@ -184,7 +217,10 @@ impl TimerWheel {
     pub(crate) fn with_capacity(timers: usize) -> Self {
         let n = timers.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         TimerWheel {
-            buckets: (0..n).map(|_| Vec::new()).collect(),
+            chains: vec![Chain::EMPTY; n].into_boxed_slice(),
+            pool: Vec::with_capacity(timers),
+            next: Vec::with_capacity(timers),
+            free: NIL,
             occupied: vec![0u64; n / 64].into_boxed_slice(),
             mask: (n - 1) as u64,
             cursor: 0,
@@ -202,8 +238,8 @@ impl TimerWheel {
     /// Capacity/occupancy snapshot.
     pub(crate) fn stats(&self) -> SchedulerStats {
         SchedulerStats {
-            ring_buckets: self.buckets.len(),
-            bucket_capacity: self.buckets.iter().map(Vec::capacity).sum(),
+            ring_buckets: self.chains.len(),
+            pool_capacity: self.pool.capacity(),
             overflow_len: self.overflow.len(),
             entries: self.len,
         }
@@ -215,12 +251,20 @@ impl TimerWheel {
         self.len += 1;
         let bn = entry.time.as_nanos() >> BUCKET_SHIFT;
         debug_assert!(bn >= self.cursor, "timer wheel pushed into the past");
-        if bn >= self.cursor + self.buckets.len() as u64 {
+        if bn >= self.cursor + self.chains.len() as u64 {
             self.overflow.push(Reverse(entry));
         } else {
-            let idx = (bn & self.mask) as usize;
-            self.buckets[idx].push(entry);
-            self.occupied[idx / 64] |= 1 << (idx % 64);
+            self.link(entry);
+        }
+    }
+
+    /// Puts back the unfired rest of a batch (one instant, ascending
+    /// `seq`). Latest first: every entry then sorts before its chain's
+    /// head — the rest precedes whatever the fired part pushed at the
+    /// same instant — and goes in without a walk.
+    pub(crate) fn put_back(&mut self, rest: impl DoubleEndedIterator<Item = TimerEntry>) {
+        for entry in rest.rev() {
+            self.push(entry);
         }
     }
 
@@ -230,13 +274,13 @@ impl TimerWheel {
     }
 
     /// Earliest pending time across ring and overflow, without draining
-    /// anything. A full scan — used only on cold paths (reinsertion after
-    /// an early stop); the hot loop tracks a *lower bound* instead, which
-    /// the executor re-validates after extraction.
+    /// anything. A bitmap scan — used only on cold paths (reinsertion
+    /// after an early stop); the hot loop tracks a *lower bound* instead,
+    /// which the executor re-validates after extraction.
     pub(crate) fn peek_next(&self) -> Option<SimTime> {
         let ring = self
             .first_occupied()
-            .map(|idx| bucket_min(&self.buckets[idx]));
+            .map(|idx| self.pool[self.chains[idx].head as usize].time);
         let far = self.overflow.peek().map(|Reverse(e)| e.time);
         match (ring, far) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -271,47 +315,32 @@ impl TimerWheel {
                 self.first_occupied().expect("promotion filled the ring")
             }
         };
-        let bucket = &mut self.buckets[idx];
-        // One pass: the minimum time, and whether the bucket is uniform
-        // (a single instant — the common case at 256 ns per bucket).
-        let mut t = bucket[0].time;
-        let mut uniform = true;
-        for e in &bucket[1..] {
-            if e.time != t {
-                uniform = false;
-                if e.time < t {
-                    t = e.time;
-                }
+        // The chain is in (time, seq) order: the batch is its head run,
+        // and the run, still linked, goes onto the free list whole.
+        let first = self.chains[idx].head;
+        let t = self.pool[first as usize].time;
+        let mut last = first;
+        out.push(self.pool[first as usize]);
+        loop {
+            let slot = self.next[last as usize];
+            if slot == NIL || self.pool[slot as usize].time != t {
+                break;
             }
+            out.push(self.pool[slot as usize]);
+            last = slot;
         }
-        if uniform {
-            // Whole bucket fires: move it out without compaction.
-            out.append(bucket);
+        let rest = std::mem::replace(&mut self.next[last as usize], self.free);
+        self.free = first;
+        self.chains[idx].head = rest;
+        if rest == NIL {
             self.occupied[idx / 64] &= !(1 << (idx % 64));
-        } else {
-            // Partition preserving order: ties keep their push order,
-            // which for direct pushes is already seq order.
-            bucket.retain(|e| {
-                if e.time == t {
-                    out.push(*e);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        // Promoted entries were appended behind direct pushes regardless
-        // of seq; restore the global tiebreaker. Direct pushes arrive in
-        // seq order, so the sort almost never actually runs.
-        if !out.is_sorted_by_key(|e| e.seq) {
-            out.sort_unstable_by_key(|e| e.seq);
         }
         self.len -= out.len();
         // The extracted bucket's number is exactly `t >> shift`; advance
         // the cursor there and re-establish the promotion invariant.
         self.cursor = t.as_nanos() >> BUCKET_SHIFT;
         if let Some(Reverse(top)) = self.overflow.peek() {
-            if (top.time.as_nanos() >> BUCKET_SHIFT) < self.cursor + self.buckets.len() as u64 {
+            if (top.time.as_nanos() >> BUCKET_SHIFT) < self.cursor + self.chains.len() as u64 {
                 self.promote();
             }
         }
@@ -319,25 +348,71 @@ impl TimerWheel {
     }
 
     /// Moves every overflow entry that now falls within the ring horizon
-    /// into its bucket.
+    /// into its bucket. The heap yields them in `(time, seq)` order into
+    /// buckets the cursor has only now reached, so each appends.
     #[cold]
     fn promote(&mut self) {
-        let horizon = self.cursor + self.buckets.len() as u64;
+        let horizon = self.cursor + self.chains.len() as u64;
         while let Some(Reverse(top)) = self.overflow.peek() {
             if top.time.as_nanos() >> BUCKET_SHIFT >= horizon {
                 break;
             }
             let Reverse(e) = self.overflow.pop().expect("peeked entry vanished");
-            let idx = ((e.time.as_nanos() >> BUCKET_SHIFT) & self.mask) as usize;
-            self.buckets[idx].push(e);
+            self.link(e);
+        }
+    }
+
+    /// Stores `entry` in a pool slot and links it into its ring bucket's
+    /// chain at its `(time, seq)` place. The bucket must lie within the
+    /// horizon.
+    fn link(&mut self, entry: TimerEntry) {
+        let slot = match self.free {
+            NIL => {
+                let slot = u32::try_from(self.pool.len())
+                    .ok()
+                    .filter(|&s| s != NIL)
+                    .expect("more ring timers pending than u32 slot numbers");
+                self.pool.push(entry);
+                self.next.push(NIL);
+                slot
+            }
+            slot => {
+                self.free = self.next[slot as usize];
+                self.pool[slot as usize] = entry;
+                self.next[slot as usize] = NIL;
+                slot
+            }
+        };
+        let idx = ((entry.time.as_nanos() >> BUCKET_SHIFT) & self.mask) as usize;
+        let Chain { head, tail } = self.chains[idx];
+        if head == NIL {
+            self.chains[idx] = Chain {
+                head: slot,
+                tail: slot,
+            };
             self.occupied[idx / 64] |= 1 << (idx % 64);
+        } else if self.pool[tail as usize] < entry {
+            self.next[tail as usize] = slot;
+            self.chains[idx].tail = slot;
+        } else if entry < self.pool[head as usize] {
+            self.next[slot as usize] = head;
+            self.chains[idx].head = slot;
+        } else {
+            // An earlier instant than the bucket's last: walk to the
+            // first entry that sorts after it (the tail does, so the
+            // walk ends inside the chain).
+            let mut prev = head;
+            while self.pool[self.next[prev as usize] as usize] < entry {
+                prev = self.next[prev as usize];
+            }
+            self.next[slot as usize] = self.next[prev as usize];
+            self.next[prev as usize] = slot;
         }
     }
 
     /// Ring index of the first occupied bucket in circular order from
     /// the cursor, or `None` if the ring is empty.
     fn first_occupied(&self) -> Option<usize> {
-        let n = self.buckets.len();
         let words = self.occupied.len();
         let start = (self.cursor & self.mask) as usize;
         let (sw, sb) = (start / 64, start % 64);
@@ -358,21 +433,8 @@ impl TimerWheel {
         if tail != 0 {
             return Some(sw * 64 + tail.trailing_zeros() as usize);
         }
-        let _ = n;
         None
     }
-}
-
-/// Minimum time within a non-empty bucket.
-fn bucket_min(bucket: &[TimerEntry]) -> SimTime {
-    debug_assert!(!bucket.is_empty());
-    let mut t = SimTime::MAX;
-    for e in bucket {
-        if e.time < t {
-            t = e.time;
-        }
-    }
-    t
 }
 
 #[cfg(test)]
@@ -389,8 +451,8 @@ mod tests {
 
     #[test]
     fn entry_stays_three_words() {
-        // The bucket `Vec`s are most of a sweep's heap: a fourth word
-        // costs ~0.8 MiB of peak RSS on the benchmark's sweep_write.
+        // An entry is copied whole into the pool, the batch and the
+        // overflow heap; its chain link lives beside it, not in it.
         assert_eq!(std::mem::size_of::<TimerEntry>(), 24);
     }
 
@@ -478,11 +540,13 @@ mod tests {
     #[test]
     fn distinct_instants_in_one_bucket_split_batches() {
         let mut w = TimerWheel::with_capacity(0);
-        // 3 and 5 share bucket 0 but are distinct instants.
+        // 3, 4 and 5 share bucket 0 but are distinct instants; 4 goes
+        // in mid-chain.
         w.push(e(5, 0));
         w.push(e(3, 1));
         w.push(e(5, 2));
-        assert_eq!(drain_all(&mut w), vec![(3, 1), (5, 0), (5, 2)]);
+        w.push(e(4, 3));
+        assert_eq!(drain_all(&mut w), vec![(3, 1), (4, 3), (5, 0), (5, 2)]);
     }
 
     #[test]
@@ -556,5 +620,60 @@ mod tests {
             batch.clear();
         }
         assert_eq!(w.stats().ring_buckets, before);
+    }
+
+    #[test]
+    fn a_pile_up_sizes_the_pool_once_and_later_rounds_reuse_it() {
+        let mut w = TimerWheel::with_capacity(0);
+        for seq in 0..10_000 {
+            w.push(e(100, seq));
+        }
+        let mut batch = Vec::new();
+        assert_eq!(w.take_batch(&mut batch), Some(SimTime::from_nanos(100)));
+        assert_eq!(batch.len(), 10_000);
+        batch.clear();
+        let piled = w.stats().pool_capacity;
+        assert!(piled >= 10_000, "{piled}");
+        // Two live entries a round, each round a bucket later: 10 000
+        // rounds lap the 1 024-bucket ring nine times.
+        let span = 1u64 << BUCKET_SHIFT;
+        for round in 1..=10_000u64 {
+            let t = 100 + round * span;
+            w.push(e(t + span / 2, 10_000 + 2 * round));
+            w.push(e(t, 10_001 + 2 * round));
+            for instant in [t, t + span / 2] {
+                assert_eq!(w.take_batch(&mut batch), Some(SimTime::from_nanos(instant)));
+                batch.clear();
+            }
+        }
+        assert_eq!(w.len(), 0);
+        assert_eq!(w.stats().pool_capacity, piled);
+    }
+
+    #[test]
+    fn at_most_64_live_entries_keep_the_pool_within_128() {
+        let mut w = TimerWheel::with_capacity(0);
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        // Delays up to 400 µs: across the ring, past its horizon, and
+        // now and then zero, a tie with the batch just taken.
+        let mut delay = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % 400_000 * u64::from(!rng.is_multiple_of(16))
+        };
+        let mut seq = 0..;
+        for _ in 0..64 {
+            w.push(e(delay(), seq.next().expect("unbounded")));
+        }
+        let mut batch = Vec::new();
+        for _ in 0..20_000 {
+            let now = w.take_batch(&mut batch).expect("64 live").as_nanos();
+            for _ in batch.drain(..) {
+                w.push(e(now + delay(), seq.next().expect("unbounded")));
+            }
+            assert_eq!(w.len(), 64);
+            assert!(w.stats().pool_capacity <= 128, "{:?}", w.stats());
+        }
     }
 }

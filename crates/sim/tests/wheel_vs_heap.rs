@@ -14,7 +14,9 @@
 //! closures (action slab), hook events that pack into the wheel entry,
 //! hook events whose token is too wide to, and task sleeps (polled at
 //! the fire point, no waker) — and share instants freely, so a batch
-//! mixes all of them.
+//! mixes all of them. One workload crowds a single 256 ns bucket with
+//! distinct instants and ties direct pushes to promoted overflow entries,
+//! the case where a bucket's chain is not simply appended to.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -110,6 +112,46 @@ fn build_ops(seed: u64, n: u32, with_halt: bool) -> Vec<Op> {
         ops[h].halts = true;
     }
     ops
+}
+
+/// Every op in one 256 ns bucket past the ring horizon at `t = 0`, at
+/// many distinct instants, so all of them wait in the overflow heap. An
+/// eighth fire first, at about 100 µs, after the bucket has been promoted,
+/// and each schedules a child into it: half at the instant the most
+/// promoted ops share (direct pushes tied with promoted entries), half
+/// anywhere in the bucket (often before instants it already holds).
+fn one_bucket_ops(seed: u64, n: u32) -> Vec<Op> {
+    const BASE: u64 = 1_200 << 8;
+    const HOT: u64 = BASE + 128;
+    let mut rng = XorShift(seed);
+    (0..n)
+        .map(|id| {
+            let kind = match rng.next() % 4 {
+                0 => Kind::Call,
+                1 => Kind::Hook,
+                2 => Kind::WideHook,
+                _ => Kind::Sleep,
+            };
+            let mut in_bucket = || match rng.next() % 3 {
+                0 => HOT,
+                _ => BASE + rng.next() % 256,
+            };
+            let (time, child) = if id < n / 8 {
+                let time = 100_000 + id as u64 % 1_000;
+                let at = in_bucket();
+                (time, Some((at - time, CHILD_BASE + id)))
+            } else {
+                (in_bucket(), None)
+            };
+            Op {
+                id,
+                kind,
+                time,
+                child,
+                halts: false,
+            }
+        })
+        .collect()
 }
 
 /// The old kernel's rules, implemented directly on a `(time, seq)`
@@ -269,5 +311,16 @@ fn halt_stops_on_a_prefix_of_the_reference_order() {
         // event, even one at the same instant.
         let halter = ops.iter().find(|o| o.halts).expect("one op halts");
         assert_eq!(*run.fired.last().expect("halter fired"), halter.id);
+    }
+}
+
+#[test]
+fn one_bucket_of_many_instants_with_promoted_ties_keeps_the_order() {
+    for (seed, limit) in [(5u64, None), (6, Some(3u64)), (0xC0FFEE, Some(17))] {
+        let ops = one_bucket_ops(seed, 400);
+        let expect = reference_order(&ops);
+        let run = sim_order(&ops, limit);
+        assert_eq!(run.stops.last(), Some(&StopReason::Idle), "seed {seed:#x}");
+        assert_eq!(run.fired, expect, "seed {seed:#x} limit {limit:?}");
     }
 }

@@ -15,6 +15,7 @@ working tree the script makes every such product item in crates/*/src
     cargo check --workspace --lib --bins --examples --tests --benches
     cargo check --manifest-path benchmark/Cargo.toml --all-targets
     cargo test --workspace --doc
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 and puts `pub` back on exactly the items a privacy error names (E0446,
 E0603, E0624: the error's spans point at the definition), or that a
@@ -28,7 +29,12 @@ clean, then prints the items that stayed narrow:
 
     <file>:<line>\t<Type::>name
 
-and on stderr how many of the product `pub` items that is. Any error
+and on stderr how many of the product `pub` items that is. A doc link
+is no caller either: when `cargo doc` fails on a link to a narrowed item
+(`rustdoc::private_intra_doc_links`, or `broken_intra_doc_links` for a
+name that left a re-export), the item stays narrow and its line gains
+`\tdoc link at <file>:<line>` for each such link, which narrowing it
+means rewriting as a plain code span. Any error
 that is not a privacy error stops the script (exit 2) with the
 compiler's message, since then the result would not be exact. A clean
 tree prints no item and exits 0; otherwise it exits 1.
@@ -111,6 +117,7 @@ class Census:
                 if m and "$" not in lines[i]:
                     self.fns[(rel, i)] = (crate_of(rel), owner(lines, i), m.group(3))
         self.narrow = set(self.fns)
+        self.links = {}  # (rel, line) of a narrowed item -> doc links that break
 
     def render(self):
         for rel, pristine in self.files.items():
@@ -235,6 +242,37 @@ DOC_SPAN = re.compile(r"^\s*(?:-->|:::)\s+(\S+?):(\d+):\d+")
 DOC_SECTION = re.compile(r"^\s*=?\s*(note|help)\b")
 
 
+DOC_LINK = ("rustdoc::private_intra_doc_links", "rustdoc::broken_intra_doc_links")
+
+
+def cargo_doc(census):
+    """Notes every doc link to a narrowed item; never puts `pub` back."""
+    out = subprocess.run(["cargo", "doc", "--offline", "--workspace", "--no-deps",
+                          "--message-format=json"], cwd=census.work, capture_output=True,
+                         text=True, env=dict(os.environ, RUSTDOCFLAGS="-D warnings"))
+    census.links, unknown = {}, []
+    for line in out.stdout.splitlines():
+        msg = json.loads(line)
+        diag = msg.get("message") if msg.get("reason") == "compiler-message" else None
+        if not diag or not diag.get("code") or diag["level"] != "error":
+            continue
+        names = re.findall(r"`([\w:]+)`", diag["message"])
+        span = next((s for s in diag["spans"] if s["is_primary"]), None)
+        hit = []
+        if diag["code"]["code"] in DOC_LINK and names and span:
+            rel = census.rel(span["file_name"])
+            target = names[-1].split("::")[-1]
+            hit = [k for k in census.narrow if census.fns[k][2] == target]
+            hit = [k for k in hit if rel and census.fns[k][0] == crate_of(rel)] or hit
+        for key in hit:
+            census.links.setdefault(key, set()).add(f"{rel}:{span['line_start']}")
+        if not hit:
+            unknown.append(diag["rendered"])
+    if out.returncode and not census.links and not unknown:
+        unknown.append(out.stderr[-4000:])
+    return False, unknown
+
+
 def doctests(census):
     out = subprocess.run(["cargo", "test", "--offline", "--workspace", "--doc", "-q"],
                          cwd=census.work, capture_output=True, text=True)
@@ -282,6 +320,7 @@ def main():
             lambda: cargo_check(census, ["--manifest-path", "benchmark/Cargo.toml",
                                          "--all-targets"]),
             lambda: doctests(census),
+            lambda: cargo_doc(census),
         ]
         rounds = 0
         while True:
@@ -300,7 +339,8 @@ def main():
                 break
     for rel, line in sorted(census.narrow):
         _, own, name = census.fns[(rel, line)]
-        print(f"{rel}:{line + 1}\t{own}{name}")
+        links = "".join(f"\tdoc link at {at}" for at in sorted(census.links.get((rel, line), ())))
+        print(f"{rel}:{line + 1}\t{own}{name}{links}")
     print(f"{len(census.narrow)} of {len(census.fns)} product pub items need no other crate "
           f"and no test ({rounds} rounds)", file=sys.stderr)
     sys.exit(1 if census.narrow else 0)

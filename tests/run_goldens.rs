@@ -33,7 +33,12 @@
 //! message's words once (−1 024 B per run, −1 536 for Barnes), an
 //! `Outage` lost its source scope (−64 B: the four outage slots in the
 //! cluster's `FaultPlan`), and Murphi's task future its model enum
-//! (−256 B on Murphi's lines).
+//! (−256 B on Murphi's lines). All three allocator columns then fell on
+//! every line when the timer wheel's buckets became chains in one shared
+//! entry pool that holds only pending timers: the per-bucket `Vec`s and
+//! their growth had been up to 3 888 of a run's allocations (Radix
+//! `slowrx/L+30us`) and up to 841 384 B of its peak (Sample baseline,
+//! 1 125 120 → 283 736 B); `events` and `polls` did not move on any line.
 
 #[path = "../crates/apps/tests/common/mod.rs"]
 mod common;
