@@ -119,6 +119,27 @@ mod tests {
     }
 
     #[test]
+    fn both_sorts_agree_on_empty_uneven_and_odd_pass_inputs() {
+        // A processor with no keys (5 keys on 7), blocks of unequal
+        // length (4 099 keys on 5) and three passes, so the keys Radb
+        // reads back after each pass, not its input, are what it checks.
+        for (total_keys, key_bits, digit_bits, procs) in
+            [(5, 16, 8, 7), (4_099, 16, 8, 5), (2_048, 12, 4, 4)]
+        {
+            let params = RadixParams {
+                total_keys,
+                key_bits,
+                digit_bits,
+            };
+            let spec = RunSpec::new(procs);
+            let radb = Radb::new(params).run(&spec);
+            let radix = crate::radix::Radix::new(params).run(&spec);
+            assert!(radb.completed && radix.completed, "{params:?} on {procs}");
+            assert_eq!(radb.check, radix.check, "{params:?} on {procs}");
+        }
+    }
+
+    #[test]
     fn radb_is_faster_than_radix_at_high_overhead() {
         use nowlab_core::{Axis, NetConfig};
         let params = RadixParams::small();

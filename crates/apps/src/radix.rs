@@ -209,14 +209,18 @@ pub(crate) async fn radix_body(
             // before a key is visited, so each payload is allocated once,
             // full size, and filled in key order (the order its words
             // travel and are scattered in); our own keys go straight home.
+            // The payloads are reserved after the charge and `keys` is
+            // released once they are filled, so a processor holds its
+            // keys or its payloads beside `recv`, never both across an
+            // await.
             let blocks: Vec<Range<usize>> = (0..p).map(|i| block_range(n, p, i)).collect();
             let (mut cursors, mut per_dest_len) = plan_distribution(n, &blocks, &counts, &hist);
             per_dest_len[me] = 0;
+            ctx.compute(C_DIST * n_local as u64).await;
             let mut per_dest: Vec<Vec<u64>> = per_dest_len
                 .iter()
                 .map(|&len| Vec::with_capacity(len))
                 .collect();
-            ctx.compute(C_DIST * n_local as u64).await;
             ctx.with_mem(|m| {
                 let mine = m.region_mut(recv);
                 for &k in &keys {
@@ -230,6 +234,7 @@ pub(crate) async fn radix_body(
                     }
                 }
             });
+            keys = Vec::new();
             for (dest, packed) in per_dest.into_iter().enumerate() {
                 assert_eq!(packed.len(), per_dest_len[dest], "radb: payload not full");
                 if !packed.is_empty() {
@@ -252,7 +257,9 @@ pub(crate) async fn radix_body(
             ctx.sync().await;
         }
         ctx.barrier().await;
-        ctx.with_mem(|m| keys.copy_from_slice(&m.region(recv)[..n_local]));
+        // Radix refills the buffer it kept; Radb allocates it afresh.
+        keys.clear();
+        ctx.with_mem(|m| keys.extend_from_slice(&m.region(recv)[..n_local]));
     }
 
     end_measured_region(&ctx).await;

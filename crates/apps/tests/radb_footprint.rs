@@ -13,13 +13,16 @@ use nowlab_core::{RunSpec, SweepableApp};
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Peak live bytes of the same run at `40da148`, the commit before the
-/// cursor-walk distribution (measured by this file on a build of it).
-const PARENT_PEAK: isize = 42_767_248;
-/// About 10 % above the 25 117 976 the cursor walk measures: `keys`, `recv`
-/// and the fifteen remote payloads of each of 16 processors, 8 B a key
-/// each, plus 0.5 MB of everything else.
-const CEILING: isize = 27_800_000;
+/// Peak live bytes of the same run at `25a6345`, the commit before a
+/// processor stopped holding its source keys and its payloads at once
+/// (measured by this file on a build of it).
+const PARENT_PEAK: isize = 25_117_976;
+/// About 10 % above the 17 706 056 measured since: the receive regions
+/// (8 388 608 B, 8 B for each of the 1 Mi keys), the fifteen remote
+/// payloads of each of 16 processors (7 864 320 B), one processor's keys
+/// (524 288 B: the last to pack holds them beside its payloads) and
+/// 0.9 MB of everything else.
+const CEILING: isize = 19_500_000;
 
 #[test]
 fn a_benchmark_scale_run_stays_under_the_ceiling() {

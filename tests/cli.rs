@@ -122,6 +122,35 @@ fn run_with_tracing_emits_summary_and_chrome_file() {
     assert!(json.contains("\"ph\":\"X\""), "missing complete slices");
 }
 
+/// The exporter buffers its output; the same run exported again must still
+/// be the same bytes.
+#[test]
+fn a_traced_run_exports_the_same_bytes_twice() {
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let files: Vec<Vec<u8>> = ["1", "2"]
+        .iter()
+        .map(|i| {
+            let path = tmp.join(format!("cli_reexport_{i}.json"));
+            let (ok, text) = nowlab(&[
+                "run",
+                "--app",
+                "radix",
+                "--procs",
+                "4",
+                "--scale",
+                "test",
+                "--trace",
+                path.to_str().unwrap(),
+                "--trace-summary",
+            ]);
+            assert!(ok, "{text}");
+            std::fs::read(&path).expect("trace file written")
+        })
+        .collect();
+    assert!(!files[0].is_empty());
+    assert_eq!(files[0], files[1], "the second export differs");
+}
+
 /// The exporter writes to the file itself, so a device that takes no byte
 /// fails the command — with the CLI's error line, not a panic, and never
 /// a "written" over a file that lost its tail in a buffer's drop.
@@ -631,6 +660,55 @@ fn predicting_a_run_that_sent_no_messages_says_so() {
     assert!(!text.contains("full mode"), "{text}");
 }
 
+/// One traced baseline re-priced symbolically: the report states its
+/// tolerance threshold, the exported Chrome trace tags the critical path,
+/// and the report is the same bytes at one, two and three workers (three
+/// leaves a partial lane group).
+#[test]
+fn predict_is_byte_identical_across_job_counts_and_tags_the_critical_path() {
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let trace = tmp.join("cli_predict_trace.json");
+    let mut reports = Vec::new();
+    for jobs in ["2", "1", "3"] {
+        let out = tmp.join(format!("cli_predict_{jobs}.json"));
+        let mut args = vec![
+            "predict",
+            "--app",
+            "em3dwrite",
+            "--procs",
+            "4",
+            "--scale",
+            "test",
+            "--jobs",
+            jobs,
+            "--out",
+            out.to_str().unwrap(),
+        ];
+        if jobs == "2" {
+            args.extend(["--trace", trace.to_str().unwrap()]);
+        }
+        let (ok, text) = nowlab(&args);
+        assert!(ok, "{text}");
+        if jobs == "2" {
+            assert!(text.contains("tolerance threshold"), "{text}");
+        }
+        reports.push(std::fs::read(&out).expect("predict report written"));
+    }
+    let chrome = std::fs::read_to_string(&trace).expect("trace file written");
+    assert!(
+        chrome.contains(r#""cat":"flow,critical""#),
+        "no critical-path flow in the exported trace"
+    );
+    assert_eq!(
+        reports[0], reports[1],
+        "--jobs 1 changed the predict report"
+    );
+    assert_eq!(
+        reports[2], reports[1],
+        "--jobs 3 changed the predict report"
+    );
+}
+
 #[test]
 fn crash_under_abort_policy_exits_nonzero_with_structured_note() {
     let (ok, text) = nowlab(&[
@@ -676,6 +754,24 @@ fn verify_determinism_holds_under_node_faults() {
         "p1@2ms+500us",
         "--straggler",
         "p2x1.5",
+        "--verify-determinism",
+    ]);
+    assert!(ok, "{text}");
+    assert!(text.contains("determinism: OK"), "{text}");
+}
+
+#[test]
+fn verify_determinism_holds_under_the_chain_collective() {
+    let (ok, text) = nowlab(&[
+        "run",
+        "--app",
+        "radix",
+        "--procs",
+        "4",
+        "--scale",
+        "test",
+        "--coll-algo",
+        "chain",
         "--verify-determinism",
     ]);
     assert!(ok, "{text}");
