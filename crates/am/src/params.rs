@@ -240,8 +240,9 @@ pub enum LatencyMode {
 }
 
 /// GAM flow-control window: maximum outstanding requests per processor
-/// (paper §3.3). The single authoritative definition — the analyzer's
-/// `AMP002` lint rejects re-hardcoded copies of this depth.
+/// (paper §3.3). The single authoritative definition — a test over the
+/// AM layer's sources (`tests/source_rules.rs`) rejects re-hardcoded
+/// copies of this depth.
 pub(crate) const GAM_WINDOW: u32 = 8;
 
 /// GAM bulk-transfer fragment size in bytes (paper: "up to 4KB"). The

@@ -15,7 +15,7 @@
 //!   so `r_pred = r_base + m_rt·ΔL` with `m_rt` the blocking round trips —
 //!   accurate only for EM3D(read), as in the paper.
 
-use nowlab_sim::{ordered_sum, ordered_sum_by, SimDelta};
+use nowlab_sim::SimDelta;
 
 /// Overhead model: `r_orig + 2·m·Δo`.
 pub fn predict_overhead(r_orig: SimDelta, max_msgs: u64, d_o: SimDelta) -> SimDelta {
@@ -148,22 +148,21 @@ pub fn fit_linear(xs: &[f64], ys: &[f64]) -> LinFit {
     assert_eq!(xs.len(), ys.len(), "mismatched fit inputs");
     assert!(xs.len() >= 2, "need at least two points to fit a line");
     let n = xs.len() as f64;
-    // All reductions go through `ordered_sum`/`ordered_sum_by` (strict
-    // left-to-right over the caller's slice) so the fitted coefficients are
-    // bit-stable regardless of iterator internals (FLT001).
-    let mx = ordered_sum(xs) / n;
-    let my = ordered_sum(ys) / n;
-    let sxx = ordered_sum_by(xs, |x| (x - mx) * (x - mx));
+    let pairs = || xs.iter().zip(ys);
+    let mx = xs.iter().sum::<f64>() / n;
+    let my = ys.iter().sum::<f64>() / n;
+    let sxx = xs.iter().map(|x| (x - mx) * (x - mx)).sum::<f64>();
     assert!(sxx > 0.0, "all x values identical");
-    let pairs: Vec<(f64, f64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
-    let sxy = ordered_sum_by(&pairs, |&(x, y)| (x - mx) * (y - my));
+    let sxy = pairs().map(|(x, y)| (x - mx) * (y - my)).sum::<f64>();
     let slope = sxy / sxx;
     let intercept = my - slope * mx;
-    let ss_tot = ordered_sum_by(ys, |y| (y - my) * (y - my));
-    let ss_res = ordered_sum_by(&pairs, |&(x, y)| {
-        let e = y - (intercept + slope * x);
-        e * e
-    });
+    let ss_tot = ys.iter().map(|y| (y - my) * (y - my)).sum::<f64>();
+    let ss_res = pairs()
+        .map(|(x, y)| {
+            let e = y - (intercept + slope * x);
+            e * e
+        })
+        .sum::<f64>();
     let r2 = if ss_tot == 0.0 {
         1.0
     } else {

@@ -58,14 +58,12 @@
 #![warn(missing_debug_implementations)]
 
 mod executor;
-mod float;
 mod ready;
 mod sync;
 mod time;
 mod wheel;
 
 pub use executor::{race, Either, HookId, JoinHandle, RunReport, Sim, Sleep, StopReason};
-pub use float::{ordered_sum, ordered_sum_by};
 pub use sync::{Notified, Notify};
 pub use time::{SimDelta, SimTime};
 pub use wheel::SchedulerStats;

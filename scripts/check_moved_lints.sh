@@ -1,26 +1,26 @@
 #!/usr/bin/env bash
-# Proves that every rule moved from nowlab-analyze to the toolchain still
-# fails on its fixture.
+# Proves that every rule the retired workspace analyzer used to check and
+# the toolchain now checks still fails on its fixture.
 #
-# Each fixture under crates/analyze/tests/fixtures is built as a
-# throwaway crate under $CARGO_TARGET_DIR/moved-lints and checked by
-# clippy with the root clippy.toml:
-#   - det001, det002, det003, amp003, par001, and alias (whose hash
+# Each fixture under tests/fixtures/moved_lints is built as a throwaway
+# crate under $CARGO_TARGET_DIR/moved-lints and checked by clippy with the
+# root clippy.toml:
+#   - det001, det002, det003, det004, amp003, par001, and alias (whose hash
 #     collections arrive through names declared in another module) must be
 #     rejected with a disallowed-type or disallowed-method error in the
 #     fixture file itself;
 #   - amp004 depends on crates/am by path and must be rejected with both a
 #     private-field (E0616) and a private-method (E0624) error in the
 #     fixture file.
-# The rules that moved to crates/analyze/tests/manifests.rs (layering,
-# external dependencies, workspace lints) are checked by that test, which
-# `cargo test -p nowlab-analyze` runs; this script does not run it again.
+# The rules that moved to tests/manifests.rs (layering, external
+# dependencies, workspace lints) are checked by that test, which
+# `cargo test` runs; this script does not run it again.
 #
 # Usage: scripts/check_moved_lints.sh   (CARGO_TARGET_DIR defaults to target)
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
-fixtures=$root/crates/analyze/tests/fixtures
+fixtures=$root/tests/fixtures/moved_lints
 target=${CARGO_TARGET_DIR:-$root/target}
 work=$target/moved-lints
 failed=0
@@ -31,7 +31,7 @@ rejects() {
     grep -A1 -E "^error(\[E[0-9]+\])?: $2" <<<"$1" | grep -q -- '--> src/lib.rs:'
 }
 
-for name in det001 det002 det003 amp003 par001 alias amp004; do
+for name in det001 det002 det003 det004 amp003 par001 alias amp004; do
     crate=$work/$name
     rm -rf "$crate"
     mkdir -p "$crate/src"

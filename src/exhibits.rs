@@ -26,7 +26,6 @@ use nowlab_core::{
     run_grid, sweep_many, Axis, AxisSweep, FaultPlan, Knobs, LoggpParams, MetricsMode, NetConfig,
     RunOutcome, RunSpec, SimDelta, SweepableApp,
 };
-use nowlab_sim::ordered_sum_by;
 use nowlab_trace::COARSE;
 
 /// Event budget per run: generously above any completing run at benchmark
@@ -830,17 +829,25 @@ fn ablation_gap_models(lab: &mut Lab) -> Rendered {
             continue;
         }
         let n = scored.len() as f64;
-        let b = ordered_sum_by(&scored, |p| {
-            let d_g = SimDelta::from_micros(p.desired - base_g);
-            rel_error(predict_gap_burst(baseline.runtime, m, d_g), p.runtime)
-        }) / n;
-        let u = ordered_sum_by(&scored, |p| {
-            let total_g = SimDelta::from_micros(p.desired);
-            rel_error(
-                predict_gap_uniform(baseline.runtime, m, total_g, interval),
-                p.runtime,
-            )
-        }) / n;
+        let b = scored
+            .iter()
+            .map(|p| {
+                let d_g = SimDelta::from_micros(p.desired - base_g);
+                rel_error(predict_gap_burst(baseline.runtime, m, d_g), p.runtime)
+            })
+            .sum::<f64>()
+            / n;
+        let u = scored
+            .iter()
+            .map(|p| {
+                let total_g = SimDelta::from_micros(p.desired);
+                rel_error(
+                    predict_gap_uniform(baseline.runtime, m, total_g, interval),
+                    p.runtime,
+                )
+            })
+            .sum::<f64>()
+            / n;
         t.push_row([
             s.app.clone(),
             fmt_f(b, 3),

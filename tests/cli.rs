@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use nowlab::metrics::json::Value;
+
 fn nowlab(args: &[&str]) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_nowlab"))
         .args(args)
@@ -116,10 +118,78 @@ fn run_with_tracing_emits_summary_and_chrome_file() {
         "attribution must total 100%: {text}"
     );
     let json = std::fs::read_to_string(&path).expect("trace file written");
-    let json = json.trim();
-    assert!(json.starts_with('{') && json.ends_with('}'), "not JSON");
-    assert!(json.contains("\"traceEvents\""), "missing traceEvents");
-    assert!(json.contains("\"ph\":\"X\""), "missing complete slices");
+    let trace = nowlab::metrics::json::parse(&json).expect("the trace file is JSON");
+    let events = trace
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("a traceEvents array");
+    let slices: Vec<&Value> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+        .collect();
+    assert!(!slices.is_empty(), "no complete (\"X\") slices");
+    // Every slice, not a sample: the keys a viewer requires and a
+    // positive duration.
+    for e in slices {
+        for key in ["name", "ph", "ts", "dur", "pid", "tid"] {
+            assert!(e.get(key).is_some(), "slice without `{key}`: {e:?}");
+        }
+        let dur = e.get("dur").and_then(Value::as_f64);
+        assert!(
+            dur.is_some_and(|d| d > 0.0),
+            "slice without a positive dur: {e:?}"
+        );
+    }
+}
+
+/// True if `key` names a member of some object anywhere in `v`.
+fn has_key(v: &Value, key: &str) -> bool {
+    match v {
+        Value::Obj(members) => members.iter().any(|(k, v)| k == key || has_key(v, key)),
+        Value::Arr(items) => items.iter().any(|v| has_key(v, key)),
+        _ => false,
+    }
+}
+
+/// A metrics report written by `args` (with `--metrics FILE` appended),
+/// parsed; the command's exit status is the caller's to check.
+fn metrics_report(name: &str, args: &[&str]) -> (bool, String, Value) {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let mut args = args.to_vec();
+    args.extend(["--metrics", path.to_str().unwrap()]);
+    let (ok, text) = nowlab(&args);
+    let json = std::fs::read_to_string(&path).expect("metrics report written");
+    let report = nowlab::metrics::json::parse(&json).expect("the report is JSON");
+    (ok, text, report)
+}
+
+/// A crash under an Abort-policy app still writes its report, and the
+/// failure detector's counters are in it.
+#[test]
+fn a_crashed_runs_metrics_report_holds_the_detector() {
+    let (ok, text, report) = metrics_report(
+        "cli_crash_metrics.json",
+        &[
+            "run", "--app", "radix", "--procs", "4", "--scale", "test", "--crash", "p1@1ms",
+        ],
+    );
+    assert!(!ok, "the crash aborts the run: {text}");
+    assert!(has_key(&report, "detector"), "no detector in the report");
+}
+
+/// A sweep of the collective algorithms writes the per-collective
+/// counters into its report.
+#[test]
+fn a_coll_sweeps_metrics_report_holds_the_collectives() {
+    let (ok, text, report) = metrics_report(
+        "cli_coll_metrics.json",
+        &[
+            "sweep", "--app", "radix", "--procs", "4", "--scale", "test", "--axis", "coll",
+            "--jobs", "2",
+        ],
+    );
+    assert!(ok, "{text}");
+    assert!(has_key(&report, "coll"), "no coll counters in the report");
 }
 
 /// The exporter buffers its output; the same run exported again must still
@@ -412,6 +482,10 @@ fn report_refuses_deep_nesting_instead_of_overflowing_the_stack() {
             format!("{}{}", "[".repeat(60_000), "]".repeat(60_000)),
         ),
         (
+            "arrays_100k",
+            format!("{}{}\n", "[".repeat(100_000), "]".repeat(100_000)),
+        ),
+        (
             "objects",
             format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000)),
         ),
@@ -426,7 +500,9 @@ fn report_refuses_deep_nesting_instead_of_overflowing_the_stack() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
         assert!(
-            stderr.contains("error: nesting deeper than"),
+            stderr
+                .lines()
+                .any(|l| l.starts_with("error: nesting deeper than")),
             "{name}: {stderr}"
         );
     }
@@ -742,7 +818,7 @@ fn crash_recovery_under_continue_completes_and_exits_zero() {
 
 #[test]
 fn verify_determinism_holds_under_node_faults() {
-    let (ok, text) = nowlab(&[
+    let crash = [
         "run",
         "--app",
         "em3dwrite",
@@ -752,12 +828,14 @@ fn verify_determinism_holds_under_node_faults() {
         "test",
         "--crash",
         "p1@2ms+500us",
-        "--straggler",
-        "p2x1.5",
         "--verify-determinism",
-    ]);
-    assert!(ok, "{text}");
-    assert!(text.contains("determinism: OK"), "{text}");
+    ];
+    let with_straggler = [&crash[..], &["--straggler", "p2x1.5"]].concat();
+    for args in [&crash[..], &with_straggler] {
+        let (ok, text) = nowlab(args);
+        assert!(ok, "{args:?}: {text}");
+        assert!(text.contains("determinism: OK"), "{args:?}: {text}");
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Determinism regression test: the property `clippy.toml` and the
-//! workspace analyzer exist to protect. Running the same application with
+//! source rules exist to protect. Running the same application with
 //! the same seed twice must produce bit-identical outcomes — virtual
 //! runtime, checksum, completion, and every per-processor communication
 //! counter.
