@@ -29,6 +29,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -106,6 +107,38 @@ exhibits (exhibit):
   simulate it once
   [--csv DIR]          also save every printed table as DIR/<exhibit>.csv
                        (<exhibit>_<k>.csv when the exhibit has several)";
+
+/// The CLI's stdout. A reader that closed it (`nowlab list | head -1`) has
+/// read all it wanted, so a broken pipe ends the command there, as it ends
+/// a program that `SIGPIPE` stops: quietly, with exit 0, and without the
+/// files the command would have written later. Any other write error is
+/// the command's error.
+struct Stdout;
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        ended_by_broken_pipe(io::stdout().write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        ended_by_broken_pipe(io::stdout().flush())
+    }
+}
+
+fn ended_by_broken_pipe<T>(result: io::Result<T>) -> io::Result<T> {
+    match result {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        result => result,
+    }
+}
+
+/// `println!` through [`Stdout`], in a function that returns
+/// `Result<_, String>`.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(Stdout, $($arg)*).map_err(|e| format!("stdout: {e}"))?
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -273,12 +306,17 @@ fn parse_delta(s: &str) -> Result<SimDelta, String> {
     if !(v.is_finite() && v >= 0.0) {
         return Err(format!("`{s}`: duration must be finite and nonnegative"));
     }
-    Ok(SimDelta::from_micros(v * scale_us))
+    let us = v * scale_us;
+    if us > MAX_ADDED.as_micros_f64() {
+        return Err(format!("`{s}`: above the {} ceiling", fmt_time(MAX_ADDED)));
+    }
+    Ok(SimDelta::from_micros(us))
 }
 
 /// Parses one `--crash` spec: `p<N>@<TIME>` (crash-stop) or
 /// `p<N>@<TIME>+<DOWNTIME>` (crash-recovery).
 fn parse_crash(spec: &str) -> Result<NodeFault, String> {
+    let delta = |s: &str| parse_delta(s).map_err(|e| format!("--crash `{spec}`: {e}"));
     let rest = spec
         .strip_prefix('p')
         .ok_or_else(|| format!("--crash `{spec}`: want p<N>@<TIME>[+<DOWNTIME>]"))?;
@@ -289,15 +327,15 @@ fn parse_crash(spec: &str) -> Result<NodeFault, String> {
         .parse()
         .map_err(|_| format!("--crash `{spec}`: bad processor id `{node}`"))?;
     match when.split_once('+') {
-        None => Ok(NodeFault::crash(node, SimTime::ZERO + parse_delta(when)?)),
+        None => Ok(NodeFault::crash(node, SimTime::ZERO + delta(when)?)),
         Some((at, down)) => {
-            let downtime = parse_delta(down)?;
+            let downtime = delta(down)?;
             if downtime.is_zero() {
                 return Err(format!("--crash `{spec}`: downtime must be positive"));
             }
             Ok(NodeFault::crash_recovery(
                 node,
-                SimTime::ZERO + parse_delta(at)?,
+                SimTime::ZERO + delta(at)?,
                 downtime,
             ))
         }
@@ -327,8 +365,9 @@ fn parse_straggler(spec: &str) -> Result<NodeFault, String> {
 }
 
 /// Builds the node-fault plan from `--crash` / `--straggler`
-/// (comma-separated specs) and the shared `--fault-seed`.
-fn node_faults_of(flags: &Flags) -> Result<NodeFaultPlan, String> {
+/// (comma-separated specs) and the shared `--fault-seed`, for a run on
+/// `procs` processors.
+fn node_faults_of(flags: &Flags, procs: usize) -> Result<NodeFaultPlan, String> {
     let mut faults = Vec::new();
     if let Some(specs) = flags.get("crash") {
         for spec in specs.split(',') {
@@ -349,6 +388,13 @@ fn node_faults_of(flags: &Flags) -> Result<NodeFaultPlan, String> {
     }
     let mut plan = NodeFaultPlan::none().with_seed(parse_or(flags, "fault-seed", 1u64)?);
     for f in faults {
+        if f.node >= procs {
+            return Err(format!(
+                "--crash/--straggler p{}: the run has {procs} processors (p0..p{})",
+                f.node,
+                procs - 1
+            ));
+        }
         if plan.fault_of(f.node).is_some() {
             return Err(format!("node p{} afflicted twice", f.node));
         }
@@ -357,8 +403,9 @@ fn node_faults_of(flags: &Flags) -> Result<NodeFaultPlan, String> {
     Ok(plan)
 }
 
-/// Builds a network config from desired absolute knob values.
-fn net_of(flags: &Flags) -> Result<NetConfig, String> {
+/// Builds a network config for a run on `procs` processors from desired
+/// absolute knob values.
+fn net_of(flags: &Flags, procs: usize) -> Result<NetConfig, String> {
     let mut cfg = NetConfig::berkeley_now();
     if let Some(w) = flags.get("window") {
         let w: u32 = w
@@ -371,20 +418,30 @@ fn net_of(flags: &Flags) -> Result<NetConfig, String> {
     }
     let mut knobs = Knobs::baseline();
     let apply = |axis: Axis, flag: &str, knobs: &mut Knobs| -> Result<(), String> {
-        if let Some(v) = flags.get(flag) {
-            let v: f64 = v
+        if let Some(raw) = flags.get(flag) {
+            let v: f64 = raw
                 .parse()
-                .map_err(|_| format!("--{flag}: cannot parse `{v}`"))?;
+                .map_err(|_| format!("--{flag}: cannot parse `{raw}`"))?;
+            if !v.is_finite() || (axis == Axis::BulkBandwidth && v <= 0.0) {
+                return Err(format!("--{flag} {raw}: want a finite value above 0"));
+            }
             let k = axis
                 .knobs_for(&NetConfig::berkeley_now().machine, v)
                 .ok_or(format!(
-                    "--{flag} {v}: below the Berkeley NOW baseline (the apparatus only slows down)"
-                ))?;
-            match axis {
-                Axis::Overhead => knobs.d_o = k.d_o,
-                Axis::Gap => knobs.d_g = k.d_g,
-                Axis::Latency => knobs.d_lat = k.d_lat,
-                Axis::BulkBandwidth => knobs.d_gap_per_byte = k.d_gap_per_byte,
+                "--{flag} {raw}: below the Berkeley NOW baseline (the apparatus only slows down)"
+            ))?;
+            let (knob, added) = match axis {
+                Axis::Overhead => (&mut knobs.d_o, k.d_o),
+                Axis::Gap => (&mut knobs.d_g, k.d_g),
+                Axis::Latency => (&mut knobs.d_lat, k.d_lat),
+                Axis::BulkBandwidth => (&mut knobs.d_gap_per_byte, k.d_gap_per_byte),
+            };
+            *knob = added;
+            if added > MAX_ADDED {
+                return Err(format!(
+                    "--{flag} {raw}: adds more than the {} ceiling",
+                    fmt_time(MAX_ADDED)
+                ));
             }
         }
         Ok(())
@@ -397,7 +454,7 @@ fn net_of(flags: &Flags) -> Result<NetConfig, String> {
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!("--drop-rate {rate}: want a fraction in [0, 1]"));
     }
-    let node_plan = node_faults_of(flags)?;
+    let node_plan = node_faults_of(flags, procs)?;
     if node_plan.is_active() {
         cfg = cfg.with_node_faults(node_plan);
     }
@@ -427,6 +484,12 @@ fn coll_of(flags: &Flags) -> Result<CollConfig, String> {
 /// Virtual-time deadline for runs on a faulty wire: 120 simulated seconds,
 /// far beyond any healthy run in the suite.
 const FAULTY_RUN_DEADLINE: SimDelta = SimDelta::from_micros_int(120_000_000);
+
+/// The ceiling on every duration a flag adds: a knob's delay over the
+/// baseline (per message, or per byte for `--mbps`) and a `--crash` time
+/// or downtime. A crash later than the deadline never happens, and beyond
+/// it the virtual clock's sums can overflow.
+const MAX_ADDED: SimDelta = FAULTY_RUN_DEADLINE;
 
 /// Attaches livelock guards to `spec`: always an event budget, plus a
 /// virtual-time deadline when the wire is faulty (retransmission backoff
@@ -461,14 +524,14 @@ fn find_app(scale: SuiteScale, name: &str) -> Result<Box<dyn SweepableApp>, Stri
 }
 
 fn cmd_list() -> Result<(), String> {
-    println!("applications (paper Table 3):");
+    say!("applications (paper Table 3):");
     for app in suite_scaled(SuiteScale::Benchmark) {
-        println!("  {}", app.name());
+        say!("  {}", app.name());
     }
-    println!("\naxes: overhead, gap, latency, bulk, coll, chaos");
-    println!("\nexhibits (`nowlab exhibit NAME|all`):");
+    say!("\naxes: overhead, gap, latency, bulk, coll, chaos");
+    say!("\nexhibits (`nowlab exhibit NAME|all`):");
     for ex in EXHIBITS {
-        println!("  {:<27} {}", ex.name, ex.shows);
+        say!("  {:<27} {}", ex.name, ex.shows);
     }
     Ok(())
 }
@@ -483,13 +546,14 @@ fn cmd_exhibit(rest: &[String]) -> Result<(), String> {
     let mut lab = Lab::new(scale_of(&flags)?, jobs_of(&flags)?);
     let csv = flags.get("csv").map(Path::new);
     flags.refuse_unread("exhibit")?;
-    exhibits::run(name, &mut lab, csv)
+    exhibits::run(name, &mut lab, csv, &mut Stdout)
 }
 
 fn cmd_calibrate(flags: &Flags) -> Result<(), String> {
-    let cfg = net_of(flags)?;
+    // Calibration measures one pair of processors.
+    let cfg = net_of(flags, 2)?;
     flags.refuse_unread("calibrate")?;
-    println!("configuration: {cfg}");
+    say!("configuration: {cfg}");
     let c = calibrate(cfg);
     let bw = calibrate_bulk(cfg);
     let mut t = Table::new(
@@ -511,7 +575,7 @@ fn cmd_calibrate(flags: &Flags) -> Result<(), String> {
         fmt_f(c.latency_us, 2),
         fmt_f(bw, 1),
     ]);
-    println!("{t}");
+    say!("{t}");
     Ok(())
 }
 
@@ -545,9 +609,10 @@ fn metrics_mode_of(flags: &Flags) -> MetricsMode {
 fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
     let name = flags.get("app").ok_or("run needs --app")?;
     let app = find_app(scale_of(flags)?, name)?;
+    let procs = procs_of(flags)?;
     let spec = guard(
-        RunSpec::new(procs_of(flags)?)
-            .with_net(net_of(flags)?)
+        RunSpec::new(procs)
+            .with_net(net_of(flags, procs)?)
             .with_seed(parse_or(flags, "seed", 1u64)?)
             .with_coll(coll_of(flags)?)
             .with_trace(trace_mode_of(flags))
@@ -590,9 +655,9 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
         fmt_f(out.stats.balance(), 2),
         format!("{:016x}", out.check),
     ]);
-    println!("{t}");
+    say!("{t}");
     if spec.net.reliability_active() {
-        println!(
+        say!(
             "faults: {} drops, {} dups, {} retransmits, {} timeouts, max backoff {}",
             out.stats.total_drops(),
             out.stats.total_dups(),
@@ -602,7 +667,7 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
         );
     }
     if spec.net.node_faults.is_active() {
-        println!(
+        say!(
             "detector: {} heartbeats, {} suspicions ({} false), {} deaths, max detect latency {}",
             out.stats.total_heartbeats(),
             out.stats.total_suspicions(),
@@ -613,7 +678,7 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
     }
     if let Some(report) = &out.trace {
         if flags.contains_key("trace-summary") {
-            println!("{}", report.summary.render());
+            say!("{}", report.summary.render());
         }
         if let Some(path) = flags.get("trace") {
             // The exporter hands over 64 KiB pieces: the file takes them
@@ -622,7 +687,7 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
                 .map_err(|e| format!("--trace {path}: cannot create: {e}"))?;
             let drawn = write_chrome_trace(&report.records, &mut file)
                 .map_err(|e| format!("--trace {path}: write failed: {e}"))?;
-            println!(
+            say!(
                 "trace: {drawn} message lifetimes ({} records) written to {path}",
                 report.records.len()
             );
@@ -643,12 +708,12 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
             .map_err(|e| format!("metrics serialization failed: {e}"))?;
         let json = String::from_utf8(buf).expect("report JSON is ASCII");
         if flags.contains_key("metrics-summary") {
-            println!("{}", render_report(&json)?);
+            say!("{}", render_report(&json)?);
         }
         if let Some(path) = flags.get("metrics") {
             std::fs::write(path, &json)
                 .map_err(|e| format!("--metrics {path}: cannot write: {e}"))?;
-            println!("metrics: report written to {path} (render with `nowlab report {path}`)");
+            say!("metrics: report written to {path} (render with `nowlab report {path}`)");
         }
     }
     if verify {
@@ -677,7 +742,7 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
             diffs.push("metrics timelines differ".to_string());
         }
         if diffs.is_empty() {
-            println!(
+            say!(
                 "determinism: OK — two runs with seed {} are bit-identical \
                  (runtime, checksum, and all communication counters)",
                 spec.seed
@@ -714,9 +779,10 @@ fn cmd_sweep(flags: &Flags) -> Result<ExitCode, String> {
     };
     let tracing = flags.contains_key("trace-summary");
     let metering = metrics_mode_of(flags);
+    let procs = procs_of(flags)?;
     let spec = guard(
-        RunSpec::new(procs_of(flags)?)
-            .with_net(net_of(flags)?)
+        RunSpec::new(procs)
+            .with_net(net_of(flags, procs)?)
             .with_seed(parse_or(flags, "seed", 1u64)?)
             .with_coll(coll_of(flags)?)
             .with_trace(if tracing {
@@ -735,7 +801,7 @@ fn cmd_sweep(flags: &Flags) -> Result<ExitCode, String> {
             // A sweep without a usable baseline is a legitimate scientific
             // outcome (the paper's N/A entries), not a CLI misuse: report
             // it structurally and exit cleanly.
-            println!("sweep N/A — {e}");
+            say!("sweep N/A — {e}");
             return Ok(ExitCode::SUCCESS);
         }
     };
@@ -816,9 +882,9 @@ fn cmd_sweep(flags: &Flags) -> Result<ExitCode, String> {
         }
         t.push_row(row);
     }
-    println!("{t}");
+    say!("{t}");
     if coll_table {
-        print_coll_decisions(&spec, &values);
+        print_coll_decisions(&spec, &values)?;
     }
     if let Some(path) = flags.get("metrics") {
         let metas: Vec<SweepPointMeta<'_>> = result
@@ -837,12 +903,14 @@ fn cmd_sweep(flags: &Flags) -> Result<ExitCode, String> {
         write_sweep_json(&result.app, axis.label(), spec.procs, &metas, &mut buf)
             .map_err(|e| format!("metrics serialization failed: {e}"))?;
         std::fs::write(path, &buf).map_err(|e| format!("--metrics {path}: cannot write: {e}"))?;
-        println!("metrics: sweep report written to {path} (render with `nowlab report {path}`)");
+        say!("metrics: sweep report written to {path} (render with `nowlab report {path}`)");
     }
     if let Some(fit) = result.linearity() {
-        println!(
+        say!(
             "linear fit: slowdown ≈ {:.4}·x + {:.2}   (R² = {:.4})",
-            fit.slope, fit.intercept, fit.r2
+            fit.slope,
+            fit.intercept,
+            fit.r2
         );
     }
     Ok(ExitCode::SUCCESS)
@@ -861,7 +929,7 @@ const COLL_TABLE_BYTES: u64 = 16 * 1024;
 /// time) for each collective family at every swept overhead point, so the
 /// crossover from bandwidth-friendly to message-frugal variants is visible
 /// next to the measured slowdown table.
-fn print_coll_decisions(spec: &RunSpec, values: &[f64]) {
+fn print_coll_decisions(spec: &RunSpec, values: &[f64]) -> Result<(), String> {
     let procs = spec.procs;
     let bytes = COLL_TABLE_BYTES;
     let mut t = Table::new(
@@ -904,7 +972,8 @@ fn print_coll_decisions(spec: &RunSpec, values: &[f64]) {
             fmt_f(alltoall_us(&net, a, procs, bytes), 1),
         ]);
     }
-    println!("{t}");
+    say!("{t}");
+    Ok(())
 }
 
 /// Crash times swept by `--axis chaos`, as fractions of the healthy
@@ -920,7 +989,7 @@ fn cmd_sweep_chaos(flags: &Flags, app: &dyn SweepableApp) -> Result<ExitCode, St
     if procs < 2 {
         return Err("--axis chaos needs at least 2 processors".to_string());
     }
-    let net = net_of(flags)?;
+    let net = net_of(flags, procs)?;
     if net.node_faults.is_active() {
         return Err("--axis chaos schedules its own crashes; drop --crash/--straggler".to_string());
     }
@@ -931,7 +1000,7 @@ fn cmd_sweep_chaos(flags: &Flags, app: &dyn SweepableApp) -> Result<ExitCode, St
     let baseline_spec = guard(RunSpec::new(procs).with_net(net).with_seed(seed));
     let baseline = app.run(&baseline_spec);
     if !baseline.completed {
-        println!("sweep N/A — the healthy baseline run did not complete");
+        say!("sweep N/A — the healthy baseline run did not complete");
         return Ok(ExitCode::SUCCESS);
     }
     let victim = procs / 2;
@@ -1000,9 +1069,9 @@ fn cmd_sweep_chaos(flags: &Flags, app: &dyn SweepableApp) -> Result<ExitCode, St
             fmt_time(out.stats.max_detect_latency()),
         ]);
     }
-    println!("{t}");
+    say!("{t}");
     for note in aborts {
-        println!("abort: {note}");
+        say!("abort: {note}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1015,7 +1084,7 @@ fn cmd_report(rest: &[String]) -> Result<(), String> {
     };
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("report {path}: cannot read: {e}"))?;
-    println!("{}", render_report_auto(&text)?);
+    say!("{}", render_report_auto(&text)?);
     Ok(())
 }
 
@@ -1037,9 +1106,10 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
             None => return Err(format!("--axis: `{s}` (want overhead|gap|latency|bulk)")),
         },
     };
+    let procs = procs_of(flags)?;
     let spec = guard(
-        RunSpec::new(procs_of(flags)?)
-            .with_net(net_of(flags)?)
+        RunSpec::new(procs)
+            .with_net(net_of(flags, procs)?)
             .with_seed(parse_or(flags, "seed", 1u64)?)
             .with_coll(coll_of(flags)?),
     );
@@ -1047,13 +1117,13 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
     let jobs = jobs_of(flags)?;
     flags.refuse_unread("predict")?;
     let p = predict_app(app.as_ref(), &spec, &axes, jobs)?;
-    println!("{}", p.render());
+    say!("{}", p.render());
     if let Some(path) = out {
         let mut buf = Vec::new();
         p.write_json(&mut buf)
             .map_err(|e| format!("predict serialization failed: {e}"))?;
         std::fs::write(path, &buf).map_err(|e| format!("--out {path}: cannot write: {e}"))?;
-        println!("\npredict: report written to {path} (render with `nowlab report {path}`)");
+        say!("\npredict: report written to {path} (render with `nowlab report {path}`)");
     }
     if let Some(path) = trace {
         let mut file = std::fs::File::create(path)
@@ -1061,7 +1131,7 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
         let critical = &p.breakdown.critical_msgs;
         let drawn = write_chrome_trace_highlighted(&p.trace.records, critical, &mut file)
             .map_err(|e| format!("--trace {path}: write failed: {e}"))?;
-        println!(
+        say!(
             "\ntrace: {drawn} message lifetimes written to {path} \
              ({} on the critical path tagged `critical`)",
             p.breakdown.critical_msgs.len()
@@ -1086,7 +1156,7 @@ fn cmd_suite(flags: &Flags) -> Result<(), String> {
     );
     let spec = guard(
         RunSpec::new(procs)
-            .with_net(net_of(flags)?)
+            .with_net(net_of(flags, procs)?)
             .with_coll(coll_of(flags)?),
     );
     let jobs = jobs_of(flags)?;
@@ -1110,6 +1180,6 @@ fn cmd_suite(flags: &Flags) -> Result<(), String> {
             fmt_f(out.stats.pct_reads(), 1),
         ]);
     }
-    println!("{t}");
+    say!("{t}");
     Ok(())
 }

@@ -10,6 +10,7 @@
 //! saves the tables as CSV on request.
 
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 use std::rc::Rc;
 
@@ -196,10 +197,16 @@ fn select(name: &str) -> Result<&'static [Exhibit], String> {
         .ok_or_else(|| format!("unknown exhibit `{name}` (try `nowlab list`, or `all`)"))
 }
 
-/// Renders the exhibits `name` selects and prints them in registry order;
-/// with `csv`, also saves every table under that directory as
-/// `<exhibit>.csv` (`<exhibit>_<k>.csv` when the exhibit has several).
-pub fn run(name: &str, lab: &mut Lab, csv: Option<&Path>) -> Result<(), String> {
+/// Renders the exhibits `name` selects and writes them to `out` in
+/// registry order; with `csv`, also saves every table under that directory
+/// as `<exhibit>.csv` (`<exhibit>_<k>.csv` when the exhibit has several).
+pub fn run(
+    name: &str,
+    lab: &mut Lab,
+    csv: Option<&Path>,
+    out: &mut dyn Write,
+) -> Result<(), String> {
+    let stdout_err = |e: std::io::Error| format!("stdout: {e}");
     let selected = select(name)?;
     if let Some(dir) = csv {
         std::fs::create_dir_all(dir)
@@ -213,7 +220,7 @@ pub fn run(name: &str, lab: &mut Lab, csv: Option<&Path>) -> Result<(), String> 
             .count();
         let mut k = 0;
         for block in &blocks {
-            print!("{block}");
+            write!(out, "{block}").map_err(stdout_err)?;
             if let (Some(dir), Block::Table(t)) = (csv, block) {
                 k += 1;
                 let file = if tables == 1 {
@@ -224,7 +231,7 @@ pub fn run(name: &str, lab: &mut Lab, csv: Option<&Path>) -> Result<(), String> 
                 let path = dir.join(file);
                 std::fs::write(&path, t.to_csv())
                     .map_err(|e| format!("--csv {}: cannot write: {e}", path.display()))?;
-                println!("(csv saved to {})", path.display());
+                writeln!(out, "(csv saved to {})", path.display()).map_err(stdout_err)?;
             }
         }
     }

@@ -1,5 +1,8 @@
 //! Smoke tests of the `nowlab` CLI binary.
 
+mod schema;
+
+use std::path::Path;
 use std::process::Command;
 
 use nowlab::metrics::json::Value;
@@ -151,13 +154,26 @@ fn has_key(v: &Value, key: &str) -> bool {
     }
 }
 
+/// What `nowlab report` renders from the report at `path`, which must
+/// hold to `schema` (`schema::METRICS` or `schema::PREDICT`).
+fn conforming_render(schema: &str, path: &Path) -> String {
+    let json = std::fs::read_to_string(path).expect("report written");
+    let errors = schema::violations(schema, &json);
+    assert!(errors.is_empty(), "{}: {errors:#?}", path.display());
+    let (ok, rendered) = nowlab(&["report", path.to_str().unwrap()]);
+    assert!(ok, "{}: {rendered}", path.display());
+    rendered
+}
+
 /// A metrics report written by `args` (with `--metrics FILE` appended),
-/// parsed; the command's exit status is the caller's to check.
+/// checked against its schema and rendered back, then parsed; the
+/// command's exit status is the caller's to check.
 fn metrics_report(name: &str, args: &[&str]) -> (bool, String, Value) {
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let mut args = args.to_vec();
     args.extend(["--metrics", path.to_str().unwrap()]);
     let (ok, text) = nowlab(&args);
+    conforming_render(schema::METRICS, &path);
     let json = std::fs::read_to_string(&path).expect("metrics report written");
     let report = nowlab::metrics::json::parse(&json).expect("the report is JSON");
     (ok, text, report)
@@ -268,7 +284,7 @@ fn sweep_with_trace_summary_adds_attribution_columns() {
 
 #[test]
 fn run_metrics_file_round_trips_through_report() {
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_metrics.json");
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_metrics.json");
     let path_s = path.to_str().unwrap();
     let (ok, text) = nowlab(&[
         "run",
@@ -297,8 +313,7 @@ fn run_metrics_file_round_trips_through_report() {
 
     // `nowlab report` must render the file without re-running anything,
     // and show exactly what the run printed inline.
-    let (ok, rendered) = nowlab(&["report", path_s]);
-    assert!(ok, "{rendered}");
+    let rendered = conforming_render(schema::METRICS, &path);
     assert!(
         text.contains(rendered.trim_end()),
         "report output must match the inline summary:\n--- inline\n{text}\n--- report\n{rendered}"
@@ -327,7 +342,7 @@ fn run_metrics_summary_alone_writes_no_file() {
 
 #[test]
 fn metrics_report_is_byte_identical_across_job_counts() {
-    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
     let mut files = Vec::new();
     for jobs in ["1", "2", "4"] {
         let path = tmp.join(format!("cli_sweep_metrics_{jobs}.json"));
@@ -348,6 +363,9 @@ fn metrics_report_is_byte_identical_across_job_counts() {
             jobs,
         ]);
         assert!(ok, "{text}");
+        if jobs == "1" {
+            conforming_render(schema::METRICS, &path);
+        }
         files.push(std::fs::read(&path).expect("sweep metrics written"));
     }
     assert_eq!(files[0], files[1], "--jobs 2 changed the metrics report");
@@ -551,6 +569,72 @@ fn bad_arguments_fail_with_usage() {
     let (ok, text) = nowlab(&["run", "--app", "radix", "--scale", "test", "--jobs", "0"]);
     assert!(!ok);
     assert!(text.contains("--jobs"), "{text}");
+
+    // Knob and duration values are checked where they enter. Each of these
+    // used to run with a wrong result shown, or panic.
+    let run = ["run", "--app", "radix", "--procs", "4", "--scale", "test"];
+    let calibrate = ["calibrate"];
+    for (cmd, flag, value, needle) in [
+        (&run[..], "--o", "nan", "--o nan: want a finite value"),
+        (&run, "--o", "inf", "--o inf: want a finite value"),
+        (&run, "--mbps", "0", "--mbps 0: want a finite value above 0"),
+        (
+            &run,
+            "--l",
+            "1e30",
+            "--l 1e30: adds more than the 120.000s ceiling",
+        ),
+        (
+            &run,
+            "--mbps",
+            "1e-300",
+            "--mbps 1e-300: adds more than the 120.000s ceiling",
+        ),
+        (
+            &calibrate,
+            "--o",
+            "1e30",
+            "--o 1e30: adds more than the 120.000s ceiling",
+        ),
+        (
+            &run,
+            "--crash",
+            "p1@1e30us",
+            "--crash `p1@1e30us`: `1e30us`: above the 120.000s ceiling",
+        ),
+        (
+            &run,
+            "--crash",
+            "p1@1ms+121s",
+            "--crash `p1@1ms+121s`: `121s`: above the 120.000s ceiling",
+        ),
+    ] {
+        let args = [cmd, &[flag, value]].concat();
+        let (ok, text) = nowlab(&args);
+        assert!(!ok, "{args:?} must fail: {text}");
+        assert!(text.contains(needle), "{args:?}: {text}");
+        assert!(text.contains("usage:"), "{args:?}: {text}");
+    }
+}
+
+/// A reader that closed the pipe before the command wrote anything: the
+/// command ends quietly with exit 0, not with a panic's backtrace.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/observe_radix.metrics.json");
+    for args in [vec!["list"], vec!["report", golden.to_str().unwrap()]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_nowlab"))
+            .args(&args)
+            .stdout(writer)
+            .output()
+            .expect("run nowlab binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
 }
 
 /// A flag the command does not read is refused before anything runs: it
@@ -742,7 +826,7 @@ fn predicting_a_run_that_sent_no_messages_says_so() {
 /// leaves a partial lane group).
 #[test]
 fn predict_is_byte_identical_across_job_counts_and_tags_the_critical_path() {
-    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
     let trace = tmp.join("cli_predict_trace.json");
     let mut reports = Vec::new();
     for jobs in ["2", "1", "3"] {
@@ -767,6 +851,7 @@ fn predict_is_byte_identical_across_job_counts_and_tags_the_critical_path() {
         assert!(ok, "{text}");
         if jobs == "2" {
             assert!(text.contains("tolerance threshold"), "{text}");
+            conforming_render(schema::PREDICT, &out);
         }
         reports.push(std::fs::read(&out).expect("predict report written"));
     }
@@ -785,6 +870,29 @@ fn predict_is_byte_identical_across_job_counts_and_tags_the_critical_path() {
     );
 }
 
+/// The 16-processor, benchmark-scale path the 4-processor runs never
+/// reach (some 3.5 M nodes). `predict` refuses a critical path that is not
+/// the measured runtime, so its exit status is that exactness check.
+#[test]
+fn predict_at_benchmark_scale_on_16_processors_writes_a_conforming_report() {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_predict_p16.json");
+    let (ok, text) = nowlab(&[
+        "predict",
+        "--app",
+        "radix",
+        "--procs",
+        "16",
+        "--scale",
+        "benchmark",
+        "--jobs",
+        "2",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(ok, "{text}");
+    conforming_render(schema::PREDICT, &out);
+}
+
 #[test]
 fn crash_under_abort_policy_exits_nonzero_with_structured_note() {
     let (ok, text) = nowlab(&[
@@ -794,9 +902,18 @@ fn crash_under_abort_policy_exits_nonzero_with_structured_note() {
         !ok,
         "a confirmed death under Abort must exit nonzero: {text}"
     );
-    assert!(text.contains("run aborted: proc"), "{text}");
-    assert!(text.contains("confirmed proc 1 dead"), "{text}");
-    assert!(text.contains("detector:"), "{text}");
+    assert!(
+        text.lines().any(|l| l
+            .split_once("run aborted: proc ")
+            .is_some_and(|(_, rest)| rest.contains(" confirmed proc 1 dead"))),
+        "{text}"
+    );
+    assert!(
+        text.lines().any(|l| l
+            .strip_prefix("detector: ")
+            .is_some_and(|rest| rest.contains(" heartbeats"))),
+        "{text}"
+    );
     // The abort is a result, not a CLI misuse — no usage dump.
     assert!(!text.contains("usage:"), "{text}");
 }
@@ -814,6 +931,28 @@ fn crash_recovery_under_continue_completes_and_exits_zero() {
         "every survivor confirms p1: {text}"
     );
     assert!(!text.contains("run aborted"), "{text}");
+}
+
+/// A crash-recovery outage shorter than the detector's confirmation
+/// window, beside a straggler: every survivor suspects p1 and then hears
+/// from it again, so no death is confirmed and the run completes.
+#[test]
+fn a_short_outage_beside_a_straggler_is_suspected_never_confirmed() {
+    let (ok, text) = nowlab(&[
+        "run",
+        "--app",
+        "sample",
+        "--procs",
+        "4",
+        "--scale",
+        "test",
+        "--crash",
+        "p1@1ms+500us",
+        "--straggler",
+        "p2x1.5",
+    ]);
+    assert!(ok, "{text}");
+    assert!(text.contains("3 suspicions (3 false), 0 deaths"), "{text}");
 }
 
 #[test]
@@ -924,6 +1063,47 @@ fn bad_node_fault_specs_fail_with_usage() {
                 "3",
             ],
             "has no effect",
+        ),
+        // A fault on a processor the run does not have used to switch the
+        // detector on and apply nothing else.
+        (
+            vec![
+                "run", "--app", "radix", "--procs", "4", "--scale", "test", "--crash", "p9@1ms",
+            ],
+            "p9: the run has 4 processors (p0..p3)",
+        ),
+        (
+            vec![
+                "run",
+                "--app",
+                "radix",
+                "--procs",
+                "4",
+                "--scale",
+                "test",
+                "--straggler",
+                "p9x2",
+            ],
+            "p9: the run has 4 processors (p0..p3)",
+        ),
+        (
+            vec![
+                "sweep", "--app", "radix", "--axis", "overhead", "--procs", "4", "--scale", "test",
+                "--crash", "p4@1ms",
+            ],
+            "p4: the run has 4 processors (p0..p3)",
+        ),
+        (
+            vec![
+                "suite",
+                "--procs",
+                "4",
+                "--scale",
+                "test",
+                "--straggler",
+                "p4x2",
+            ],
+            "p4: the run has 4 processors (p0..p3)",
         ),
     ] {
         let (ok, text) = nowlab(&args);
