@@ -20,7 +20,7 @@ use std::ops::ControlFlow;
 
 use nowlab_am::NetConfig;
 use nowlab_sim::SimDelta;
-use nowlab_trace::{TraceReport, CRITICAL_PATH};
+use nowlab_trace::{IdleSeg, MsgRecord, TraceReport, CRITICAL_PATH};
 
 use crate::cost::{Classes, Cost};
 use crate::PredictError;
@@ -130,15 +130,13 @@ impl InEdge {
 }
 
 /// What a message's edges read that its nodes' instants do not say.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct Rec {
     /// Trace id (for critical-message reporting).
     id: u64,
     /// Receive-overhead span (`done − pop`): what the credit edge out of
     /// a reply's `Visible` carries.
     o_recv: u64,
-    /// The message the same transmit context picked up just before this
-    /// one (`NO_MSG` for a source's first).
-    tx_prev: u32,
     /// Class of `TxFree` at this payload size; `Transit` is the next id.
     class: u32,
     src: u16,
@@ -198,6 +196,11 @@ pub(crate) struct Dag {
     /// Message `i`'s NIC nodes are `nic_base + 2i` and `nic_base + 2i + 1`.
     nic_base: u32,
     recs: Vec<Rec>,
+    /// Per record, the message the same transmit context picked up just
+    /// before it (`NO_MSG` for a source's first): a column of its own, so
+    /// that the topological order, which follows it, reads four bytes a
+    /// message and not a record.
+    tx_prev: Vec<u32>,
     /// `(exit node, deadline − enter)` of every idle wait in node order,
     /// ns.
     idle_bounds: Vec<(u32, u64)>,
@@ -219,6 +222,7 @@ pub(crate) struct Dag {
 }
 
 #[derive(Clone, Copy)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct ActItem {
     start: u64,
     end: u64,
@@ -227,7 +231,17 @@ struct ActItem {
     kind: ActKind,
 }
 
+impl ActItem {
+    /// Program order. Processors are single-threaded, so a processor's
+    /// activities never overlap and `(start, end)` orders them; on a tie,
+    /// sends and receives go in record order, then computes.
+    fn key(&self) -> (u64, u64, u32) {
+        (self.start, self.end, self.msg)
+    }
+}
+
 #[derive(Clone, Copy)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum ActKind {
     OSend,
     /// `blocking`: the baseline popped the message the instant it became
@@ -240,6 +254,68 @@ enum ActKind {
         blocking: bool,
     },
     Compute,
+}
+
+/// One processor's activities in program order: the merge of its three
+/// streams (sends, receives, computes), each in [`ActItem::key`] order
+/// already — the least key first, the earlier stream on a tie (a message
+/// a processor sends itself is sent before it is received).
+struct Merged<'a>([&'a [ActItem]; 3]);
+
+impl Iterator for Merged<'_> {
+    type Item = ActItem;
+
+    fn next(&mut self) -> Option<ActItem> {
+        let mut least: Option<(usize, &ActItem)> = None;
+        for (k, &stream) in self.0.iter().enumerate() {
+            if let Some(head) = stream.first() {
+                if least.is_none_or(|(_, l)| head.key() < l.key()) {
+                    least = Some((k, head));
+                }
+            }
+        }
+        let (k, &item) = least?;
+        self.0[k] = &self.0[k][1..];
+        Some(item)
+    }
+}
+
+/// A message visible at its destination: the visibility order's key
+/// `(at, msg)`, and what a receive reads off the record.
+#[derive(Clone, Copy)]
+struct Vis {
+    at: u64,
+    pop: u64,
+    done: u64,
+    msg: u32,
+    completed: bool,
+    reply: bool,
+}
+
+/// A message reached the destination's delivery chain iff its visibility
+/// was recorded (always, unless the run was cut short).
+fn has_vis(r: &MsgRecord) -> bool {
+    r.completed() || r.visible.as_nanos() > 0
+}
+
+/// Sorts `list` by `key`, stably: by insertion, which costs one pass over a
+/// list in that order already and a few moves per item over one nearly in
+/// it — as every list `gather` sorts is, in a trace the recorder wrote —
+/// and by merge sort once insertion has moved eight items per item.
+fn in_order<T: Copy, K: Ord>(list: &mut [T], key: impl Fn(&T) -> K) {
+    let mut budget = 8 * list.len();
+    for i in 1..list.len() {
+        let (item, mut j) = (list[i], i);
+        while j > 0 && key(&item) < key(&list[j - 1]) {
+            list[j] = list[j - 1];
+            j -= 1;
+        }
+        list[j] = item;
+        budget = match budget.checked_sub(i - j) {
+            Some(left) => left,
+            None => return list.sort_by_key(key),
+        };
+    }
 }
 
 /// Sorts each processor's `(key, record)` pairs and returns, per record,
@@ -261,6 +337,229 @@ fn predecessors<K: Ord + Copy>(
     (prev, last)
 }
 
+/// What `build` lays the DAG from: each processor's activities and idle
+/// waits in program order, and the orders the NIC and flow-control edges
+/// follow.
+struct Orders<'r> {
+    /// Per processor, its sends, receives and computes, each stream in
+    /// [`ActItem::key`] order (see [`Merged`]).
+    acts: Vec<[Vec<ActItem>; 3]>,
+    /// Per processor, its idle waits in entry order.
+    idles: Vec<Vec<&'r IdleSeg>>,
+    /// Per record, what its edges read.
+    recs: Vec<Rec>,
+    classes: Classes,
+    /// Per record, the message its transmit context picked up just before
+    /// it (`NO_MSG` for the first); per processor, the last picked up.
+    tx_prev: Vec<u32>,
+    last_tx: Vec<Option<u32>>,
+    /// Per record, the message visible at its destination just before it
+    /// (`NO_MSG` for the first); per processor, the last visible there.
+    vis_prev: Vec<u32>,
+    last_vis: Vec<Option<u32>>,
+    /// Per request, the reply whose credit return frees its window slot.
+    credit_from: Vec<u32>,
+    /// Messages whose receive never completed.
+    incomplete: u64,
+}
+
+/// Gathers the [`Orders`] in one pass over the records, taking every order
+/// the run already produced as it comes, and what a later pass would
+/// otherwise look up in a record at random (the receive overhead a credit
+/// carries, the size class of the previous pickup):
+///
+/// - a processor's sends, its transmit pickups and its request sends are
+///   in record order;
+/// - the messages visible at a destination are near record order, and
+///   its receives are in pop order, which is the FIFO receive queue's
+///   visibility order restricted to completed messages; its credit
+///   returns are those of its receives that are replies;
+/// - its computes and idle waits are in emission order.
+///
+/// Each list is put in its order by [`in_order`], which costs a pass over
+/// a list that is in order and little more over one that nearly is (a
+/// trace assembled by hand may be in any order), so the orders are
+/// exactly the ones sorting every list gives.
+fn gather<'r>(
+    report: &'r TraceReport,
+    cfg: &NetConfig,
+    procs: usize,
+) -> Result<Orders<'r>, PredictError> {
+    let records = &report.records;
+    let n_rec = records.len();
+
+    // Lists are reserved at their final lengths, the requests at a bound:
+    // per processor, the messages it sent and received, off the summary's
+    // matrix when that counts every record (as the recorder's does), and
+    // its computes.
+    let matrix = &report.summary.matrix;
+    let total = matrix
+        .iter()
+        .flatten()
+        .try_fold(0u64, |n, &c| n.checked_add(c));
+    let counted = total == Some(n_rec as u64);
+    let sent = |p: usize| match matrix.get(p) {
+        Some(row) if counted => row.iter().sum::<u64>() as usize,
+        _ => 0,
+    };
+    let received = |p: usize| match counted {
+        true => matrix.iter().filter_map(|row| row.get(p)).sum::<u64>() as usize,
+        false => 0,
+    };
+    let mut sends: Vec<Vec<ActItem>> = (0..procs).map(|p| Vec::with_capacity(sent(p))).collect();
+    let mut vis: Vec<Vec<Vis>> = (0..procs)
+        .map(|p| Vec::with_capacity(received(p)))
+        .collect();
+    let mut requests: Vec<Vec<(u64, u32)>> =
+        (0..procs).map(|p| Vec::with_capacity(sent(p))).collect();
+    let mut classes = Classes::new(cfg);
+    let mut recs = Vec::with_capacity(n_rec);
+    let mut tx_prev = Vec::with_capacity(n_rec);
+    // A transmit context picks messages up in the order they were sent,
+    // and a source's messages are recorded in that order.
+    let mut last_tx: Vec<Option<u32>> = vec![None; procs];
+    let mut tx_at = vec![(0, 0); procs];
+    let mut tx_in_order = true;
+    let mut incomplete = 0u64;
+    for (i, r) in records.iter().enumerate() {
+        let (src, dst) = (usize::from(r.src), usize::from(r.dst));
+        if src >= procs || dst >= procs {
+            return Err(PredictError::Unsupported(format!(
+                "record {} references processor {}/{} outside 0..{}",
+                r.id, src, dst, procs
+            )));
+        }
+        let i = i as u32;
+        let tx = (r.tx_start.as_nanos(), r.inject.as_nanos());
+        tx_in_order &= tx >= tx_at[src];
+        tx_at[src] = tx;
+        tx_prev.push(last_tx[src].replace(i).unwrap_or(NO_MSG));
+        recs.push(Rec {
+            id: r.id,
+            o_recv: r.done.saturating_since(r.pop).as_nanos(),
+            class: classes.sized(r.bytes),
+            src: r.src,
+            dst: r.dst,
+        });
+        sends[src].push(ActItem {
+            start: r.send_begin.as_nanos(),
+            end: r.inject.as_nanos(),
+            msg: i,
+            kind: ActKind::OSend,
+        });
+        if !r.reply {
+            requests[src].push((r.send_begin.as_nanos(), i));
+        }
+        if has_vis(&r) {
+            vis[dst].push(Vis {
+                at: r.visible.as_nanos(),
+                pop: r.pop.as_nanos(),
+                done: r.done.as_nanos(),
+                msg: i,
+                completed: r.completed(),
+                reply: r.reply,
+            });
+        }
+        incomplete += u64::from(!r.completed());
+    }
+    if !tx_in_order {
+        let mut by_tx: Vec<Vec<((u64, u64), u32)>> = vec![Vec::new(); procs];
+        for (i, r) in records.iter().enumerate() {
+            let key = (r.tx_start.as_nanos(), r.inject.as_nanos());
+            by_tx[usize::from(r.src)].push((key, i as u32));
+        }
+        (tx_prev, last_tx) = predecessors(&mut by_tx, n_rec);
+    }
+    for list in &mut sends {
+        in_order(list, ActItem::key);
+    }
+
+    // Per-destination serialization follows the baseline visibility
+    // order: not record order, but near it (a message is overtaken by few
+    // sent after it). The receives are the completed ones, in pop order.
+    // Two messages made visible at one instant are popped in the order
+    // they were made so, which need not be record order: the pop
+    // instants decide.
+    //
+    // Flow-control window: a processor's n-th request send (0-based) must
+    // hold a credit, so it cannot begin before the (n−W+1)-th credit has
+    // returned — a reply to one of its own requests fully processed. The
+    // *order* credits return is frozen at the baseline's reply-processing
+    // order; `credit_from[send]` is the reply whose return frees the slot.
+    let window = cfg.window as usize;
+    let mut vis_prev = vec![NO_MSG; n_rec];
+    let mut last_vis = Vec::with_capacity(procs);
+    let mut recvs = Vec::with_capacity(procs);
+    let mut credit_from = vec![NO_MSG; n_rec];
+    let mut returns = Vec::new();
+    for (mut list, mut requests) in vis.into_iter().zip(requests) {
+        in_order(&mut list, |v| (v.at, v.msg));
+        for w in list.windows(2) {
+            vis_prev[w[1].msg as usize] = w[0].msg;
+        }
+        last_vis.push(list.last().map(|v| v.msg));
+        let mut stream = Vec::with_capacity(list.len());
+        returns.clear();
+        for v in list.iter().filter(|v| v.completed) {
+            stream.push(ActItem {
+                start: v.pop,
+                end: v.done,
+                msg: v.msg,
+                kind: ActKind::ORecv {
+                    blocking: v.pop == v.at,
+                },
+            });
+            if v.reply {
+                returns.push((v.done, v.msg));
+            }
+        }
+        in_order(&mut stream, ActItem::key);
+        recvs.push(stream);
+        in_order(&mut requests, |&k| k);
+        in_order(&mut returns, |&k| k);
+        // A truncated run may have fewer returns than the window needs.
+        for (&(_, si), &(_, ri)) in requests.iter().skip(window).zip(&returns) {
+            credit_from[si as usize] = ri;
+        }
+    }
+
+    let mut per_proc = vec![0; procs];
+    for c in report.computes.iter().filter(|c| c.proc < procs) {
+        per_proc[c.proc] += 1;
+    }
+    let mut computes: Vec<Vec<ActItem>> = per_proc.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for c in report.computes.iter().filter(|c| c.proc < procs) {
+        computes[c.proc].push(ActItem {
+            start: c.start.as_nanos(),
+            end: (c.start + c.dur).as_nanos(),
+            msg: NO_MSG,
+            kind: ActKind::Compute,
+        });
+    }
+    let mut idles: Vec<Vec<&IdleSeg>> = vec![Vec::new(); procs];
+    for seg in report.idles.iter().filter(|s| s.proc < procs) {
+        idles[seg.proc].push(seg);
+    }
+    for (computes, idles) in computes.iter_mut().zip(&mut idles) {
+        in_order(computes, |a| (a.start, a.end));
+        in_order(idles, |s| s.enter.as_nanos());
+    }
+
+    let acts = sends.into_iter().zip(recvs).zip(computes);
+    Ok(Orders {
+        acts: acts.map(|((s, r), c)| [s, r, c]).collect(),
+        idles,
+        recs,
+        classes,
+        tx_prev,
+        last_tx,
+        vis_prev,
+        last_vis,
+        credit_from,
+        incomplete,
+    })
+}
+
 pub(crate) fn build(
     report: &TraceReport,
     cfg: &NetConfig,
@@ -273,8 +572,7 @@ pub(crate) fn build(
             NO_PROC - 1
         )));
     }
-    let records = &report.records;
-    let n_rec = records.len();
+    let n_rec = report.records.len();
     // Node ids are `u32`, and `NO_NODE` is none of them. A message gives
     // at most six instants, a compute segment two and an idle wait one.
     let max_nodes =
@@ -284,117 +582,44 @@ pub(crate) fn build(
             "{n_rec} messages; the DAG addresses fewer than 2^32 nodes"
         )));
     }
-    // A message reached the destination's delivery chain iff its
-    // visibility was recorded (always, unless the run was cut short).
-    let has_vis = |r: &nowlab_trace::MsgRecord| r.completed() || r.visible.as_nanos() > 0;
+    lay(report, gather(report, cfg, procs)?, warnings)
+}
 
-    // One pass over the records buckets, per processor, everything the
-    // chains are built from, as compact `(sort key, record)` pairs:
-    // busy activities (send overhead, receive overhead; compute segments
-    // follow), NIC pickup and visibility order, and the request-send and
-    // credit-return orders of the flow-control window.
-    let mut acts: Vec<Vec<ActItem>> = vec![Vec::new(); procs];
-    let mut by_tx: Vec<Vec<((u64, u64), u32)>> = vec![Vec::new(); procs];
-    let mut by_vis: Vec<Vec<(u64, u32)>> = vec![Vec::new(); procs];
-    let mut sends: Vec<Vec<(u64, u32)>> = vec![Vec::new(); procs];
-    let mut returns: Vec<Vec<(u64, u32)>> = vec![Vec::new(); procs];
-    let mut incomplete = 0u64;
-    for (i, r) in records.iter().enumerate() {
-        let (src, dst) = (usize::from(r.src), usize::from(r.dst));
-        if src >= procs || dst >= procs {
-            return Err(PredictError::Unsupported(format!(
-                "record {} references processor {}/{} outside 0..{}",
-                r.id, src, dst, procs
-            )));
-        }
-        let i = i as u32;
-        acts[src].push(ActItem {
-            start: r.send_begin.as_nanos(),
-            end: r.inject.as_nanos(),
-            msg: i,
-            kind: ActKind::OSend,
-        });
-        by_tx[src].push(((r.tx_start.as_nanos(), r.inject.as_nanos()), i));
-        if has_vis(&r) {
-            by_vis[dst].push((r.visible.as_nanos(), i));
-        }
-        if !r.reply {
-            sends[src].push((r.send_begin.as_nanos(), i));
-        }
-        if r.completed() {
-            acts[dst].push(ActItem {
-                start: r.pop.as_nanos(),
-                end: r.done.as_nanos(),
-                msg: i,
-                kind: ActKind::ORecv {
-                    blocking: r.pop == r.visible,
-                },
-            });
-            if r.reply {
-                returns[dst].push((r.done.as_nanos(), i));
-            }
-        } else {
-            incomplete += 1;
-        }
-    }
+/// Lays the DAG of `report` in the given orders: node ids, edges, the
+/// region anchors and the topological order.
+fn lay(
+    report: &TraceReport,
+    orders: Orders<'_>,
+    warnings: &mut Vec<String>,
+) -> Result<Dag, PredictError> {
+    let Orders {
+        acts,
+        idles,
+        recs,
+        classes,
+        tx_prev,
+        last_tx,
+        vis_prev,
+        last_vis,
+        credit_from,
+        incomplete,
+    } = orders;
     if incomplete > 0 {
         warnings.push(format!(
             "{incomplete} message(s) never completed; their receive side is \
              excluded from the DAG"
         ));
     }
-    for c in report.computes.iter().filter(|c| c.proc < procs) {
-        acts[c.proc].push(ActItem {
-            start: c.start.as_nanos(),
-            end: (c.start + c.dur).as_nanos(),
-            msg: NO_MSG,
-            kind: ActKind::Compute,
-        });
-    }
-    let mut idles: Vec<Vec<&nowlab_trace::IdleSeg>> = vec![Vec::new(); procs];
-    for seg in report.idles.iter().filter(|s| s.proc < procs) {
-        idles[seg.proc].push(seg);
-    }
-    // Processors are single-threaded, so per-proc activities never
-    // overlap; the stable sort by (start, end) recovers program order.
-    for list in &mut acts {
-        list.sort_by_key(|a| (a.start, a.end));
-    }
-    for list in &mut idles {
-        list.sort_by_key(|s| s.enter.as_nanos());
-    }
-
-    let chain_nodes =
-        2 * acts.iter().map(Vec::len).sum::<usize>() + idles.iter().map(Vec::len).sum::<usize>();
+    let records = &report.records;
+    let (n_rec, procs) = (records.len(), acts.len());
+    let chain_nodes = 2 * acts.iter().flatten().map(Vec::len).sum::<usize>()
+        + idles.iter().map(Vec::len).sum::<usize>();
     let n_nodes = 2 + chain_nodes + 2 * n_rec;
     // NIC nodes follow the chains, so their ids are known while the
     // chains are being laid down.
     let nic_base = 1 + chain_nodes as u32;
     let tx_node = |i: u32| nic_base + 2 * i;
     let vis_node = |i: u32| nic_base + 2 * i + 1;
-
-    // Per-source and per-destination serialization follow the baseline
-    // pickup/visibility order.
-    let (tx_prev, last_tx) = predecessors(&mut by_tx, n_rec);
-    let (vis_prev, last_vis) = predecessors(&mut by_vis, n_rec);
-    drop((by_tx, by_vis));
-
-    // Flow-control window: a processor's n-th request send (0-based) must
-    // hold a credit, so it cannot begin before the (n−W+1)-th credit has
-    // returned — a reply to one of its own requests fully processed. The
-    // *order* credits return is frozen at the baseline's reply-processing
-    // order; `credit_from[send]` is the reply whose return frees the slot.
-    let window = cfg.window as usize;
-    let mut credit_from = vec![NO_MSG; n_rec];
-    for (sends, returns) in sends.iter_mut().zip(&mut returns) {
-        sends.sort_unstable();
-        returns.sort_unstable();
-        // A truncated run may have fewer returns than the window needs.
-        for (&(_, si), &(_, ri)) in sends.iter().skip(window).zip(returns.iter()) {
-            credit_from[si as usize] = ri;
-        }
-    }
-    drop((sends, returns));
 
     let mut dag = Dag {
         measured: Vec::with_capacity(n_nodes),
@@ -406,11 +631,12 @@ pub(crate) fn build(
         slots: 0,
         chain_start: Vec::with_capacity(procs + 1),
         nic_base,
-        recs: Vec::with_capacity(n_rec),
+        recs,
+        tx_prev,
         idle_bounds: Vec::new(),
         sink_tails: Vec::new(),
         edges: 0,
-        classes: Classes::new(cfg),
+        classes,
         #[cfg(test)]
         declared: Vec::new(),
         topo: Vec::new(),
@@ -428,7 +654,8 @@ pub(crate) fn build(
     for (acts, idles) in acts.into_iter().zip(idles) {
         dag.chain_start.push(dag.measured.len() as u32);
         let mut cursor = 0u32; // source
-        let mut pending = acts.iter().peekable();
+        let [sends, recvs, computes] = &acts;
+        let mut pending = Merged([sends, recvs, computes]).peekable();
         // Chains every activity that began before `limit`.
         let mut run_until = |limit: u64, dag: &mut Dag, cursor: &mut u32| {
             while let Some(a) = pending.next_if(|a| a.start < limit) {
@@ -450,8 +677,7 @@ pub(crate) fn build(
                         // held in the real run.
                         let ri = credit_from[a.msg as usize];
                         if ri != NO_MSG {
-                            let r = records.get(ri as usize).expect("a credit names a record");
-                            let span = r.done.saturating_since(r.pop);
+                            let span = SimDelta::from_nanos(dag.recs[ri as usize].o_recv);
                             dag.dep_edge(vis_node(ri), Cost::ORecv(span), ri);
                         }
                         osend_end[a.msg as usize] = s + 1;
@@ -500,10 +726,11 @@ pub(crate) fn build(
         let i = i as u32;
         let tx = dag.node(r.tx_start.as_nanos(), Kind::TxStart, false);
         dag.dep_edge(osend_end[i as usize], Cost::Zero, i);
-        let tx_prev = tx_prev[i as usize];
+        let tx_prev = dag.tx_prev[i as usize];
         if tx_prev != NO_MSG {
-            let bytes = records.get(tx_prev as usize).expect("a record").bytes;
-            dag.edge(tx_node(tx_prev), Cost::TxFree { bytes }, i);
+            // The class of the previous message's size is `TxFree` of it.
+            let tx_free = dag.classes.cost(dag.recs[tx_prev as usize].class, 0);
+            dag.edge(tx_node(tx_prev), tx_free, i);
         }
         if has_vis(&r) {
             dag.node(r.visible.as_nanos(), Kind::Visible, false);
@@ -515,15 +742,6 @@ pub(crate) fn build(
         } else {
             dag.node(r.visible.as_nanos(), Kind::Unseen, false);
         }
-        let class = dag.classes.sized(r.bytes);
-        dag.recs.push(Rec {
-            id: r.id,
-            o_recv: r.done.saturating_since(r.pop).as_nanos(),
-            tx_prev,
-            class,
-            src: r.src,
-            dst: r.dst,
-        });
     }
 
     // Virtual sink joining every chain (full-run makespan).
@@ -684,7 +902,7 @@ impl Dag {
             Kind::TxStart => {
                 let i = msg_of(id);
                 f(order(dep, i))?;
-                let prev = rec(i).tx_prev;
+                let prev = self.tx_prev[i as usize];
                 if prev != NO_MSG {
                     f(edge(self.nic_base + 2 * prev, rec(prev).class, 0, i))?;
                 }
@@ -736,10 +954,35 @@ impl Dag {
         }
     }
 
+    /// The tails of the in-edges of `id`, in [`Dag::in_edges`] order,
+    /// `NO_NODE` after the last: what the topological order follows,
+    /// without the prices. Not for the sink, whose tails are `sink_tails`.
+    fn tails(&self, id: u32) -> [u32; 2] {
+        let n = id as usize;
+        let (op, dep) = (self.op[n], self.dep[n]);
+        let pred = if op.first() { 0 } else { id.wrapping_sub(1) };
+        match op.kind() {
+            Kind::Source | Kind::Sink | Kind::Unseen => [NO_NODE; 2],
+            Kind::SendStart | Kind::RecvStart | Kind::ComputeStart => [pred, dep],
+            Kind::SendEnd | Kind::RecvEnd | Kind::ComputeEnd => [id - 1, NO_NODE],
+            Kind::IdleExit => [dep, pred],
+            Kind::TxStart => match self.tx_prev[self.msg_of(id) as usize] {
+                NO_MSG => [dep, NO_NODE],
+                prev => [dep, self.nic_base + 2 * prev],
+            },
+            Kind::Visible => [id - 1, dep],
+        }
+    }
+
     /// Depth-first post-order over in-edges, roots in node-id order: every
     /// node after all its predecessors, with chains mostly contiguous.
     /// Longest-path times do not depend on which valid order is used.
     /// Doubles as the acyclicity proof.
+    ///
+    /// A node's tails are read once, when it is first visited, and its
+    /// stack frame keeps them and how far its visit has got. The sink,
+    /// the last node and read by none, is the last root: every tail of it
+    /// is done by then.
     ///
     /// Gives each node its register as it is emitted, after its tails
     /// have been read: a free one — the emission may just have freed it,
@@ -761,36 +1004,48 @@ impl Dag {
         // A node's reader count until it is emitted, its register after.
         let mut slot = std::mem::take(&mut self.slot);
         let anchors = [self.begin_anchor, self.end_anchor];
-        // (node, next in-edge to follow)
-        let mut stack: Vec<(u32, usize)> = Vec::new();
+        let sink = n as u32 - 1;
+        // (node, its tails, how many of them the visit has passed)
+        let mut stack: Vec<(u32, [u32; 2], u32)> = Vec::new();
         for root in 0..n as u32 {
             if state[root as usize] != 0 {
                 continue;
             }
             state[root as usize] = OPEN;
-            stack.push((root, 0));
-            while let Some((node, next)) = stack.last_mut() {
-                // The next in-edge whose tail is not finished yet. (Seen
-                // from the sink, the last root, every tail is: one sweep.)
-                let mut at = 0;
-                let Some(InEdge { tail, .. }) = self.find_in_edge(*node, |e| {
-                    at += 1;
-                    at > *next && state[e.tail as usize] != DONE
-                }) else {
-                    let head = *node;
+            stack.push((root, self.tails(root), 0));
+            while let Some((node, tails, at)) = stack.last_mut() {
+                // The next tail not finished yet.
+                let mut next = NO_NODE;
+                while let Some(&t) = tails.get(*at as usize) {
+                    *at += 1;
+                    if t != NO_NODE && state[t as usize] != DONE {
+                        next = t;
+                        break;
+                    }
+                }
+                if next == NO_NODE {
+                    let (head, tails) = (*node, *tails);
                     stack.pop();
                     state[head as usize] = DONE;
                     topo.push(head);
-                    let _ = self.in_edges(head, |e| {
-                        let s = slot[e.tail as usize];
+                    let mut release = |tail: u32| {
+                        let s = slot[tail as usize];
                         if pending[s as usize] != PINNED {
                             pending[s as usize] -= 1;
                             if pending[s as usize] == 0 {
                                 free.push(s);
                             }
                         }
-                        ControlFlow::<()>::Continue(())
-                    });
+                    };
+                    if head == sink {
+                        self.sink_tails.iter().for_each(|&t| release(t));
+                    } else {
+                        for t in tails {
+                            if t != NO_NODE {
+                                release(t);
+                            }
+                        }
+                    }
                     let readers = if anchors.contains(&head) {
                         PINNED
                     } else {
@@ -806,9 +1061,8 @@ impl Dag {
                         pending.len() as u32 - 1
                     };
                     continue;
-                };
-                *next = at;
-                let i = tail as usize;
+                }
+                let i = next as usize;
                 if state[i] == OPEN {
                     return Err(PredictError::Cyclic(format!(
                         "happens-before graph has a cycle through node {} ({:?} at {} ns)",
@@ -818,7 +1072,7 @@ impl Dag {
                     )));
                 }
                 state[i] = OPEN;
-                stack.push((tail, 0));
+                stack.push((next, self.tails(next), 0));
             }
         }
         (self.topo, self.slot, self.slots) = (topo, slot, pending.len());
@@ -1057,7 +1311,7 @@ mod tests {
     use nowlab_am::{Knobs, LatencyMode};
     use nowlab_apps::{suite_scaled, SuiteScale};
     use nowlab_core::{Axis, RunSpec, TraceMode};
-    use nowlab_trace::{Mark, MsgRecord};
+    use nowlab_trace::Mark;
 
     #[test]
     fn an_unaddressable_processor_count_is_an_error_not_a_panic() {
@@ -1139,6 +1393,16 @@ mod tests {
             assert_eq!(differs, None, "{name}: (edge, implied, declared)");
             assert_eq!(implied.len(), dag.declared.len(), "{name}");
             assert_eq!(dag.edge_count(), dag.declared.len(), "{name}");
+            // The topological order follows the same tails, in order.
+            let mut rest = &implied[..];
+            for head in 0..dag.node_count() as u32 {
+                let k = rest.iter().take_while(|e| e.0 == head).count();
+                let in_edges = rest[..k].iter().map(|e| e.1);
+                rest = &rest[k..];
+                let tails = dag.tails(head).into_iter().filter(|&t| t != NO_NODE);
+                let sink = dag.op[head as usize].kind() == Kind::Sink;
+                assert!(sink || in_edges.eq(tails), "{name}: node {head}");
+            }
             idles += dag.idle_bounds.len();
             sizes = sizes.max(dag.recs.iter().map(|r| r.class).max().unwrap_or(0));
             unseen += dag.op.iter().filter(|op| op.kind() == Kind::Unseen).count();
@@ -1187,6 +1451,235 @@ mod tests {
             .collect();
         let overhead = Knobs::with_overhead(SimDelta::from_micros(10.0));
         (synthetic, NetConfig::berkeley_now().with_knobs(overhead))
+    }
+
+    /// `gather` as `build` did it before the streams were merged: each
+    /// processor's activities stably sorted by `(start, end)`, and every
+    /// transmit, visibility, request and credit-return order sorted. The
+    /// oracle the merged orders are held to.
+    fn gather_by_sorting<'r>(report: &'r TraceReport, cfg: &NetConfig, procs: usize) -> Orders<'r> {
+        let records = &report.records;
+        let n_rec = records.len();
+        let mut classes = Classes::new(cfg);
+        let mut recs = Vec::new();
+        let mut acts: Vec<Vec<ActItem>> = vec![Vec::new(); procs];
+        let mut by_tx: Vec<Vec<((u64, u64), u32)>> = vec![Vec::new(); procs];
+        let mut by_vis: Vec<Vec<(u64, u32)>> = vec![Vec::new(); procs];
+        let mut sends: Vec<Vec<(u64, u32)>> = vec![Vec::new(); procs];
+        let mut returns: Vec<Vec<(u64, u32)>> = vec![Vec::new(); procs];
+        let mut incomplete = 0;
+        for (i, r) in records.iter().enumerate() {
+            let (src, dst) = (usize::from(r.src), usize::from(r.dst));
+            let i = i as u32;
+            recs.push(Rec {
+                id: r.id,
+                o_recv: r.done.saturating_since(r.pop).as_nanos(),
+                class: classes.sized(r.bytes),
+                src: r.src,
+                dst: r.dst,
+            });
+            acts[src].push(ActItem {
+                start: r.send_begin.as_nanos(),
+                end: r.inject.as_nanos(),
+                msg: i,
+                kind: ActKind::OSend,
+            });
+            by_tx[src].push(((r.tx_start.as_nanos(), r.inject.as_nanos()), i));
+            if has_vis(&r) {
+                by_vis[dst].push((r.visible.as_nanos(), i));
+            }
+            if !r.reply {
+                sends[src].push((r.send_begin.as_nanos(), i));
+            }
+            if r.completed() {
+                acts[dst].push(ActItem {
+                    start: r.pop.as_nanos(),
+                    end: r.done.as_nanos(),
+                    msg: i,
+                    kind: ActKind::ORecv {
+                        blocking: r.pop == r.visible,
+                    },
+                });
+                if r.reply {
+                    returns[dst].push((r.done.as_nanos(), i));
+                }
+            } else {
+                incomplete += 1;
+            }
+        }
+        for c in report.computes.iter().filter(|c| c.proc < procs) {
+            acts[c.proc].push(ActItem {
+                start: c.start.as_nanos(),
+                end: (c.start + c.dur).as_nanos(),
+                msg: NO_MSG,
+                kind: ActKind::Compute,
+            });
+        }
+        let mut idles: Vec<Vec<&IdleSeg>> = vec![Vec::new(); procs];
+        for seg in report.idles.iter().filter(|s| s.proc < procs) {
+            idles[seg.proc].push(seg);
+        }
+        for list in &mut acts {
+            list.sort_by_key(|a| (a.start, a.end));
+        }
+        for list in &mut idles {
+            list.sort_by_key(|s| s.enter.as_nanos());
+        }
+        let (tx_prev, last_tx) = predecessors(&mut by_tx, n_rec);
+        let (vis_prev, last_vis) = predecessors(&mut by_vis, n_rec);
+        let mut credit_from = vec![NO_MSG; n_rec];
+        for (sends, returns) in sends.iter_mut().zip(&mut returns) {
+            sends.sort_unstable();
+            returns.sort_unstable();
+            let window = cfg.window as usize;
+            for (&(_, si), &(_, ri)) in sends.iter().skip(window).zip(returns.iter()) {
+                credit_from[si as usize] = ri;
+            }
+        }
+        Orders {
+            acts: acts
+                .into_iter()
+                .map(|a| [a, Vec::new(), Vec::new()])
+                .collect(),
+            idles,
+            recs,
+            classes,
+            tx_prev,
+            last_tx,
+            vis_prev,
+            last_vis,
+            credit_from,
+            incomplete,
+        }
+    }
+
+    /// Four processors whose orders tie, under a window of one credit:
+    ///
+    /// - 3 sends 0 two replies; the later-recorded one becomes visible and
+    ///   is popped first, and the other takes no time, so both return
+    ///   their credit at 300 ns;
+    /// - 0 and 1 each send 2 a request that becomes visible there at
+    ///   7 us, and 2 pops the later-recorded one first;
+    /// - at 2 us, 0 sends 2 a request whose overhead takes no time after
+    ///   one that began at the same instant and was recorded before it,
+    ///   beside a compute of no length;
+    /// - 2 receives a message in no time beside a compute of no length,
+    ///   and sends itself one with neither overhead.
+    fn tied() -> TraceReport {
+        let message = |id, src, dst, reply, at: [u64; 8]| {
+            let at = at.map(nowlab_sim::SimTime::from_nanos);
+            let mut r = MsgRecord::from_instants(id, src, dst, Mark::User, 0, at, true);
+            r.reply = reply;
+            r
+        };
+        let compute = |proc, start| nowlab_trace::ComputeSeg {
+            proc,
+            start: nowlab_sim::SimTime::from_nanos(start),
+            dur: SimDelta::ZERO,
+        };
+        let k = 1_000;
+        TraceReport {
+            records: [
+                message(1, 3, 0, true, [0, 10, 10, 10, 150, 150, 300, 300]),
+                message(2, 3, 0, true, [10, 20, 20, 20, 100, 100, 200, 300]),
+                message(
+                    3,
+                    0,
+                    2,
+                    false,
+                    [k, 2 * k, 2 * k, 2 * k, 7 * k, 7 * k, 8 * k, 9 * k],
+                ),
+                message(
+                    4,
+                    1,
+                    2,
+                    false,
+                    [k, 2 * k, 2 * k, 2 * k, 7 * k, 7 * k, 7 * k, 8 * k],
+                ),
+                message(
+                    5,
+                    0,
+                    2,
+                    false,
+                    [2 * k, 3 * k, 3 * k, 3 * k, 9 * k, 9 * k, 9 * k, 9 * k],
+                ),
+                message(
+                    6,
+                    0,
+                    2,
+                    false,
+                    [2 * k, 2 * k, 4 * k, 4 * k, 9_500, 9_500, 9_500, 9_800],
+                ),
+                message(7, 2, 2, false, [10 * k; 8]),
+            ]
+            .into_iter()
+            .collect(),
+            computes: vec![compute(2, 9 * k), compute(0, 2 * k)],
+            ..TraceReport::default()
+        }
+    }
+
+    /// The orders `gather` merges from what the run produced are the ones
+    /// sorting every list gave — each processor's activities, the
+    /// transmit, visibility and credit orders — and so is the DAG laid
+    /// from them, node for node and edge for edge, with its topological
+    /// order and registers: on the ten apps and the two the predict
+    /// goldens trace at eight processors, the run whose prices saturate,
+    /// the truncated run, the hand-made ties of [`tied`], and Radix with
+    /// its records reversed, so that no stream is in order and every
+    /// fallback sort runs.
+    #[test]
+    fn the_merged_orders_are_the_sorted_orders() {
+        let stock = NetConfig::berkeley_now();
+        let mut runs: Vec<(String, TraceReport, NetConfig, usize)> = suite_scaled(SuiteScale::Test)
+            .iter()
+            .map(|app| (app.name().to_string(), traced(app.name()), stock, 4))
+            .collect();
+        for name in ["Radix", "EM3D(write)"] {
+            let app = suite_scaled(SuiteScale::Test)
+                .into_iter()
+                .find(|a| a.name() == name)
+                .expect("app in suite");
+            let out = app.run(&RunSpec::new(8).with_trace(TraceMode::Full));
+            let report = out.trace.expect("trace requested");
+            runs.push((format!("{name} at 8"), report, stock, 8));
+        }
+        let (synthetic, slow) = saturating();
+        runs.push(("saturating".to_string(), synthetic, slow, 4));
+        runs.push(("truncated".to_string(), truncated(), stock, 2));
+        runs.push(("tied".to_string(), tied(), stock.with_window(1), 4));
+        let mut reversed = traced("Radix");
+        let mut backwards: Vec<MsgRecord> = reversed.records.iter().collect();
+        backwards.reverse();
+        reversed.records = backwards.into_iter().collect();
+        runs.push(("reversed".to_string(), reversed, stock, 4));
+        for (name, report, base, procs) in &runs {
+            let merged = gather(report, base, *procs).unwrap_or_else(|e| panic!("{e}"));
+            let sorted = gather_by_sorting(report, base, *procs);
+            for (p, (m, s)) in merged.acts.iter().zip(&sorted.acts).enumerate() {
+                let m: Vec<ActItem> = Merged([&m[0], &m[1], &m[2]]).collect();
+                assert_eq!(m, s[0], "{name}: processor {p}'s activities");
+            }
+            assert_eq!(merged.idles, sorted.idles, "{name}: idle waits");
+            assert_eq!(merged.recs, sorted.recs, "{name}: records");
+            assert_eq!(merged.tx_prev, sorted.tx_prev, "{name}: transmit order");
+            assert_eq!(merged.last_tx, sorted.last_tx, "{name}: last pickups");
+            assert_eq!(merged.vis_prev, sorted.vis_prev, "{name}: visibility order");
+            assert_eq!(merged.last_vis, sorted.last_vis, "{name}: last visible");
+            assert_eq!(merged.credit_from, sorted.credit_from, "{name}: credits");
+            assert_eq!(merged.incomplete, sorted.incomplete, "{name}");
+            let (mut said, mut oracle_said) = (Vec::new(), Vec::new());
+            let laid = |orders, said| lay(report, orders, said).unwrap_or_else(|e| panic!("{e}"));
+            let (m, s) = (laid(merged, &mut said), laid(sorted, &mut oracle_said));
+            assert_eq!(said, oracle_said, "{name}: warnings");
+            assert_eq!(m.measured, s.measured, "{name}: node instants");
+            let ops = |dag: &Dag| dag.op.iter().map(|op| op.0).collect::<Vec<_>>();
+            assert_eq!(ops(&m), ops(&s), "{name}: node kinds");
+            assert_eq!(m.dep, s.dep, "{name}: node dependencies");
+            assert_eq!(m.declared, s.declared, "{name}: edges");
+            assert_eq!(m.topo, s.topo, "{name}: topological order");
+            assert_eq!((m.slot, m.slots), (s.slot, s.slots), "{name}: registers");
+        }
     }
 
     /// Builds the DAG of `report` against `base` and checks, for every

@@ -114,15 +114,17 @@ def main(argv):
         leaf = frames[0]
         symbol = elves[leaf[0]].symbol(leaf[1]) if leaf else "?? unmapped"
         fn, line = inner.get(leaf, (symbol, "??"))
-        by_line[f"{line}  {fn[:60]}"] += 1
+        at = f"{line}  {fn[:60]}"
         mech = mechanism(fn, symbol)
         if mech == "other" and leaf not in inner:  # a library helper is its caller's work
             caller = next((inner[f][0] for f in frames if f in inner), fn)
             mech = mechanism(caller, caller)
         # The benchmark's host-speed kernel, not the simulator: its
-        # `BinaryHeap::pop` would otherwise rank as a queue of the kernel's.
+        # `BinaryHeap::pop` would otherwise rank as a queue of the kernel's,
+        # and the heap code inlined into it as lines of `tuple.rs`.
         if any(f and "yardstick" in elves[f[0]].symbol(f[1]) for f in frames):
-            symbol = mech = "harness yardstick"
+            symbol = mech = at = "harness yardstick"
+        by_line[at] += 1
         by_fn[symbol] += 1
         by_mech[mech] += 1
     print(f"{len(samples)} samples")

@@ -550,7 +550,14 @@ fn cmd_exhibit(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_calibrate(flags: &Flags) -> Result<(), String> {
-    // Calibration measures one pair of processors.
+    // Calibration measures one healthy pair of processors: a crashed or
+    // slowed node would be read off as a LogGP parameter.
+    if let Some(flag) = ["crash", "straggler"]
+        .into_iter()
+        .find(|f| flags.contains_key(f))
+    {
+        return Err(format!("calibrate measures a healthy pair; drop --{flag}"));
+    }
     let cfg = net_of(flags, 2)?;
     flags.refuse_unread("calibrate")?;
     say!("configuration: {cfg}");

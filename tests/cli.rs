@@ -1105,10 +1105,21 @@ fn bad_node_fault_specs_fail_with_usage() {
             ],
             "p4: the run has 4 processors (p0..p3)",
         ),
+        // Calibration measures a healthy pair; it used to print a
+        // negative latency for a straggler and a zero o_recv for a crash.
+        (
+            vec!["calibrate", "--straggler", "p0x3"],
+            "calibrate measures a healthy pair; drop --straggler",
+        ),
+        (
+            vec!["calibrate", "--crash", "p1@10us"],
+            "calibrate measures a healthy pair; drop --crash",
+        ),
     ] {
         let (ok, text) = nowlab(&args);
         assert!(!ok, "{args:?} must fail: {text}");
         assert!(text.contains(needle), "{args:?}: {text}");
+        assert!(text.contains("usage:"), "{args:?}: {text}");
     }
 }
 

@@ -75,6 +75,27 @@ fn a_missing_required_key_is_a_violation() {
     assert_reports(&errors, "$: missing required key `kind`");
 }
 
+/// What `nowlab report` cannot render without is required of both kinds
+/// (every writer writes it): a report without its app or its state names
+/// is refused by the schema, not only by the renderer.
+#[test]
+fn a_report_without_what_the_renderer_reads_is_a_violation() {
+    let states = r#""states":["compute","o_send_base","o_recv_base","delta_o","credit_wait","rx_stall","other"],"#;
+    for (name, from, key) in [
+        ("observe_radix.metrics.json", r#""app":"Radix","#, "app"),
+        ("observe_radix.metrics.json", states, "states"),
+        (
+            "sweep_radix_overhead.metrics.json",
+            r#""app":"Radix","#,
+            "app",
+        ),
+        ("sweep_radix_overhead.metrics.json", states, "states"),
+    ] {
+        let errors = edited(METRICS, name, from, "");
+        assert_reports(&errors, &format!("$: missing required key `{key}`"));
+    }
+}
+
 #[test]
 fn a_label_outside_its_enum_is_a_violation() {
     let errors = edited(
